@@ -954,18 +954,23 @@ def _split_corner(a, e, out):
 def _find_corner_idempotent(a, e, basis, left_mat):
     """Nontrivial idempotent in eAe via spectral projectors, or None."""
     f = a.field
-    candidates = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            candidates.append([f.add(x, y) for x, y in zip(basis[i], basis[j])])
-    rng = random.Random(91)
-    for _ in range(160):
-        v = [f.zero()] * a.dim
-        for b in basis:
-            c = f.coerce(rng.randint(-3, 3))
-            v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
-        candidates.append(v)
-    for z in candidates:
+
+    def candidates():
+        # built on demand: the search almost always ends on a basis
+        # element or a pairwise sum, before any random draw
+        yield from basis
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                yield [f.add(x, y) for x, y in zip(basis[i], basis[j])]
+        rng = random.Random(91)
+        for _ in range(160):
+            v = [f.zero()] * a.dim
+            for b in basis:
+                c = f.coerce(rng.randint(-3, 3))
+                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
+            yield v
+
+    for z in candidates():
         mp = _matrix_min_poly(left_mat(z))
         if len(mp) <= 2:
             continue

@@ -11,14 +11,39 @@ the operations in this file, so the contract here is strict:
 * all values are immutable after construction and safe to share between
   threads.
 
-A matrix is dense and row-major.  No attempt is made at asymptotically
-clever elimination; the dimensions in scope are tiny by numerical-linear-
-algebra standards and exactness plus determinism matter more than speed.
+A matrix is dense and row-major, but the systems built downstream
+(Kronecker blocks of module actions, stacked intertwining equations) are
+mostly zeros, so the kernels are specialised for that:
+
+* the field is dispatched once per kernel call, not once per element: the
+  loops use Python's own ``+ - *`` on the elements (`Fraction` over Q,
+  `int` over F_p) and, over F_p, reduce modulo p once per output row or
+  row operation;
+* zeros cost nothing: they are skipped by truthiness, ``mul`` walks the
+  nonzeros of each row of A against the nonzero lists of the rows of B,
+  ``add``/``sub`` leave an entry alone where the other operand is 0, and
+  elimination (``rref``, `SpanBuilder`) touches only the nonzero columns
+  of the pivot row.
+
+The F_p element invariant: an element is an int and stands for its
+residue class, so a multiple of p is zero.  Every entry a kernel computes
+lies in [0, p).  An entry that ``add``/``sub`` pass through untouched keeps
+the form it came in; the package builds its F_p matrices from coerced
+entries, so in practice every entry lies in [0, p).  Where a kernel tests
+entries it has not computed itself for zero (pivots and multipliers in
+``rref`` and `SpanBuilder`, ``Matrix.is_zero``), it reads them modulo p.
+
+Two further specialisations were tried and dropped.  Integer rows with
+fraction-free elimination (Bareiss 1968) for Q: a prototype's integer
+Gauss-Jordan ``rref`` spent more time than the `Fraction` one on the
+4-cycle scale-ladder workload.  Specialising `Algebra.mul_vec` the same
+way: it slowed the GF(32003) twist workload.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 from .errors import FieldMismatch, ShapeError
 
@@ -151,6 +176,11 @@ def field_from_spec(spec):
     return PrimeField(int(spec))
 
 
+def _nonzeros(row):
+    """The (column, entry) pairs of a row's nonzero entries."""
+    return [(j, row[j]) for j in compress(range(len(row)), row)]
+
+
 class Matrix:
     """Dense exact matrix.  Rows of field elements; treat as immutable."""
 
@@ -207,8 +237,10 @@ class Matrix:
         )
 
     def is_zero(self):
-        f = self.field
-        return all(f.is_zero(e) for r in self.rows for e in r)
+        p = self.field.characteristic
+        if p:
+            return not any(e % p for r in self.rows for e in r)
+        return not any(any(r) for r in self.rows)
 
     def _check_field(self, other):
         if self.field != other.field:
@@ -218,34 +250,46 @@ class Matrix:
         self._check_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("addition shape mismatch")
-        f = self.field
-        return Matrix(
-            self.field,
-            [
-                [f.add(a, b) for a, b in zip(ra, rb)]
+        p = self.field.characteristic
+        if p:
+            rows = [
+                [(a + b) % p if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+            ]
+        else:
+            rows = [
+                [a + b if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        return Matrix(self.field, rows, self.ncols)
 
     def sub(self, other):
         self._check_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("subtraction shape mismatch")
-        f = self.field
-        return Matrix(
-            self.field,
-            [
-                [f.sub(a, b) for a, b in zip(ra, rb)]
+        p = self.field.characteristic
+        if p:
+            rows = [
+                [(a - b) % p if b else a for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.rows, other.rows)
-            ],
-            self.ncols,
-        )
+            ]
+        else:
+            rows = [
+                [a - b if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        return Matrix(self.field, rows, self.ncols)
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
-        return Matrix(self.field, [[f.mul(c, e) for e in r] for r in self.rows], self.ncols)
+        p = f.characteristic
+        if p:
+            rows = [[c * e % p for e in r] for r in self.rows]
+        else:
+            zero = f.zero()
+            rows = [[c * e if e else zero for e in r] for r in self.rows]
+        return Matrix(f, rows, self.ncols)
 
     def mul(self, other):
         self._check_field(other)
@@ -255,34 +299,38 @@ class Matrix:
                 % (self.nrows, self.ncols, other.nrows, other.ncols)
             )
         f = self.field
+        p = f.characteristic
         zero = f.zero()
-        bt = other.transpose().rows
+        n = other.ncols
+        b_rows = other.rows
+        b_nonzeros = [None] * other.nrows  # built on first use
+        cols = range(self.ncols)
         out = []
         for ra in self.rows:
-            row = []
-            for cb in bt:
-                acc = zero
-                for a, b in zip(ra, cb):
-                    if not f.is_zero(a) and not f.is_zero(b):
-                        acc = f.add(acc, f.mul(a, b))
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, out, other.ncols)
+            acc = [zero] * n
+            for k in compress(cols, ra):
+                pairs = b_nonzeros[k]
+                if pairs is None:
+                    pairs = b_nonzeros[k] = _nonzeros(b_rows[k])
+                a = ra[k]
+                for j, b in pairs:
+                    acc[j] += a * b
+            out.append([x % p for x in acc] if p else acc)
+        return Matrix(f, out, n)
 
     def apply_to_row(self, vec):
         """Row vector times matrix: returns list of length ncols."""
         if len(vec) != self.nrows:
             raise ShapeError("row-vector length mismatch")
         f = self.field
-        zero = f.zero()
-        out = [zero] * self.ncols
+        p = f.characteristic
+        out = [f.zero()] * self.ncols
         for a, r in zip(vec, self.rows):
-            if f.is_zero(a):
-                continue
-            for j, e in enumerate(r):
-                if not f.is_zero(e):
-                    out[j] = f.add(out[j], f.mul(a, e))
-        return out
+            if a:
+                for j, e in enumerate(r):
+                    if e:
+                        out[j] += a * e
+        return [x % p for x in out] if p else out
 
     def hstack(self, other):
         self._check_field(other)
@@ -326,34 +374,56 @@ class Matrix:
 
 
 def rref(m):
-    """Reduced row echelon form.  Returns (matrix, pivot column list)."""
+    """Reduced row echelon form.  Returns (matrix, pivot column list).
+
+    Over F_p every pivot and multiplier is read modulo p, so a multiple of p
+    counts as zero even where the input holds it unreduced; the pivot rows
+    come out reduced and the rows past the rank as zero rows.
+    """
     f = m.field
+    p = f.characteristic
     rows = [list(r) for r in m.rows]
+    nrows, ncols = len(rows), m.ncols
     pivots = []
     rank = 0
-    for col in range(m.ncols):
-        sel = None
-        for i in range(rank, len(rows)):
-            if not f.is_zero(rows[i][col]):
-                sel = i
-                break
+    for col in range(ncols):
+        if p:
+            sel = next((i for i in range(rank, nrows) if rows[i][col] % p), None)
+        else:
+            sel = next((i for i in range(rank, nrows) if rows[i][col]), None)
         if sel is None:
             continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = f.inv(rows[rank][col])
-        rows[rank] = [f.mul(inv, e) for e in rows[rank]]
-        for i in range(len(rows)):
-            if i == rank:
-                continue
-            c = rows[i][col]
-            if f.is_zero(c):
-                continue
-            rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
+        prow = rows[sel]
+        rows[sel] = rows[rank]
+        rows[rank] = prow
+        inv = f.inv(prow[col])
+        if p:
+            # the whole row: entries left of col are multiples of p
+            prow[:] = [e * inv % p for e in prow]
+            pairs = _nonzeros(prow)
+            for i, r in enumerate(rows):
+                c = r[col] % p
+                if c and i != rank:
+                    for j, e in pairs:
+                        r[j] = (r[j] - c * e) % p
+        else:
+            # entries left of col are zero in every row from rank on
+            nonzero_cols = compress(range(col, ncols), prow[col:])
+            pairs = [(j, prow[j] * inv) for j in nonzero_cols]
+            for j, e in pairs:
+                prow[j] = e
+            for i, r in enumerate(rows):
+                c = r[col]
+                if c and i != rank:
+                    for j, e in pairs:
+                        r[j] -= c * e
         pivots.append(col)
         rank += 1
-        if rank == len(rows):
+        if rank == nrows:
             break
-    return Matrix(f, rows, m.ncols), pivots
+    zero = f.zero()
+    rows[rank:] = [[zero] * ncols for _ in range(nrows - rank)]
+    return Matrix(f, rows, ncols), pivots
 
 
 def rank(m):
@@ -434,16 +504,20 @@ def kronecker(a, b):
     """Kronecker product, shape (a.rows·b.rows) × (a.cols·b.cols)."""
     a._check_field(b)
     f = a.field
+    p = f.characteristic
+    zero = f.zero()
+    blank = [zero] * b.ncols
     out = []
-    for i in range(a.nrows):
-        for k in range(b.nrows):
+    for ra in a.rows:
+        for rb in b.rows:
             row = []
-            for j in range(a.ncols):
-                aij = a.rows[i][j]
-                if f.is_zero(aij):
-                    row.extend([f.zero()] * b.ncols)
+            for x in ra:
+                if not x:
+                    row.extend(blank)
+                elif p:
+                    row.extend([x * e % p for e in rb])
                 else:
-                    row.extend(f.mul(aij, e) for e in b.rows[k])
+                    row.extend([x * e if e else zero for e in rb])
             out.append(row)
     return Matrix(f, out, a.ncols * b.ncols)
 
@@ -482,46 +556,62 @@ class SpanBuilder:
         self.width = width
         self.rows = []      # reduced rows, pivot order increasing
         self.pivots = []
+        self._nonzeros = []  # (column, entry) pairs of each row's nonzeros
 
     def _reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        if len(vec) != self.width:
+            raise ShapeError("span vector length mismatch")
+        p = self.field.characteristic
+        v = [e % p for e in vec] if p else list(vec)
+        for pivot, pairs in zip(self.pivots, self._nonzeros):
+            c = v[pivot]
+            if not c:
+                continue
+            if p:
+                for j, e in pairs:
+                    v[j] = (v[j] - c * e) % p
+            else:
+                for j, e in pairs:
+                    v[j] -= c * e
         return v
 
     def contains(self, vec):
-        v = self._reduce(vec)
-        f = self.field
-        return all(f.is_zero(e) for e in v)
+        return not any(self._reduce(vec))
 
     def add(self, vec):
         """Insert a vector; returns True if the span grew."""
-        if len(vec) != self.width:
-            raise ShapeError("span vector length mismatch")
         f = self.field
+        p = f.characteristic
         v = self._reduce(vec)
-        pivot = None
-        for j, e in enumerate(v):
-            if not f.is_zero(e):
-                pivot = j
-                break
+        pivot = next((j for j, e in enumerate(v) if e), None)
         if pivot is None:
             return False
         inv = f.inv(v[pivot])
-        v = [f.mul(inv, e) for e in v]
+        if p:
+            v = [e * inv % p if e else e for e in v]
+        else:
+            v = [e * inv if e else e for e in v]
+        pairs = _nonzeros(v)
         # Back-substitute into existing rows to stay fully reduced.
         for i, row in enumerate(self.rows):
             c = row[pivot]
-            if not f.is_zero(c):
-                self.rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, v)]
+            if not c:
+                continue
+            row = list(row)  # callers may hold the old row from self.rows
+            if p:
+                for j, e in pairs:
+                    row[j] = (row[j] - c * e) % p
+            else:
+                for j, e in pairs:
+                    row[j] -= c * e
+            self.rows[i] = row
+            self._nonzeros[i] = _nonzeros(row)
         at = 0
         while at < len(self.pivots) and self.pivots[at] < pivot:
             at += 1
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
+        self._nonzeros.insert(at, pairs)
         return True
 
     def dim(self):

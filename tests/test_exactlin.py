@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exactlin_reference as ref
 from sphertwist.errors import FieldMismatch, ShapeError
 from sphertwist.exactlin import (
     QQ,
@@ -185,6 +186,33 @@ def test_span_builder_membership():
     assert not sb.contains([Fraction(1), Fraction(0), Fraction(0)])
 
 
+def test_span_builder_rejects_wrong_length():
+    sb = SpanBuilder(QQ, 3)
+    sb.add([Fraction(1), Fraction(0), Fraction(0)])
+    for vec in ([1, 0, 0, 5], [0, 0]):
+        with pytest.raises(ShapeError):
+            sb.contains([Fraction(e) for e in vec])
+        with pytest.raises(ShapeError):
+            sb._reduce([Fraction(e) for e in vec])
+
+
+def test_multiple_of_p_is_zero():
+    # Matrix() does not coerce: the 7 is zero in GF(7) and must not be
+    # chosen as a pivot
+    f7 = PrimeField(7)
+    m = Matrix(f7, [[7, 1], [0, 3]])
+    r, pivots = rref(m)
+    assert (r.rows, pivots) == ref.rref(m) == ([[0, 1], [0, 0]], [1])
+    m = Matrix(f7, [[1, 0], [1, 7]])
+    r, pivots = rref(m)
+    assert (r.rows, pivots) == ref.rref(m) == ([[1, 0], [0, 0]], [0])
+    assert Matrix(f7, [[7, 14]]).is_zero()
+    sb, rsb = SpanBuilder(f7, 2), ref.SpanBuilder(f7, 2)
+    assert sb.add([7, 1]) == rsb.add([7, 1])
+    assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots) == ([[0, 1]], [1])
+    assert sb.contains([14, 0]) and not sb.add([21, 5])
+
+
 def test_span_builder_matches_rref_canonical():
     rows = [[1, 2, 3], [0, 1, 1], [1, 3, 4]]
     sb = SpanBuilder(QQ, 3)
@@ -199,14 +227,24 @@ def test_span_builder_matches_rref_canonical():
 # property-based invariants
 
 small_entries = st.integers(min_value=-6, max_value=6)
+# mostly zeros, with fractions whose denominators are units in every field
+# below (3 and 11 are prime to 2, 7 and 32003)
+sparse_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.just(0),
+    small_entries,
+    st.builds(Fraction, small_entries, st.sampled_from([3, 11])),
+)
+FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
 
 @st.composite
-def matrices(draw, field=QQ, max_dim=4, nrows=None, ncols=None):
+def matrices(draw, field=QQ, max_dim=4, nrows=None, ncols=None, entries=small_entries):
     n = nrows if nrows is not None else draw(st.integers(1, max_dim))
     c = ncols if ncols is not None else draw(st.integers(1, max_dim))
-    entries = draw(st.lists(small_entries, min_size=n * c, max_size=n * c))
-    return Matrix.from_entries(field, n, c, entries)
+    values = draw(st.lists(entries, min_size=n * c, max_size=n * c))
+    return Matrix.from_entries(field, n, c, values)
 
 
 @given(matrices())
@@ -269,3 +307,67 @@ def test_intersection_contained_in_both(u, v):
         col = Matrix(QQ, [[e] for e in w.column(j)], 1)
         assert solve_matrix(u, col) is not None
         assert solve_matrix(v, col) is not None
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the specialised kernels against the per-element loops
+# of exactlin_reference, over Q and three prime fields, on zero-heavy input
+
+
+def draw_matrix(data, field, max_dim=5, **shape):
+    strategy = matrices(field=field, max_dim=max_dim, entries=sparse_entries, **shape)
+    return data.draw(strategy)
+
+
+def draw_vector(data, field, n):
+    return draw_matrix(data, field, nrows=1, ncols=n).rows[0]
+
+
+@given(st.data())
+def test_rref_kernel_solve_match_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = draw_matrix(data, field)
+    r, pivots = rref(m)
+    assert (r.rows, pivots) == ref.rref(m)
+    assert m.is_zero() == ref.is_zero(m)
+    assert kernel_basis(m).transpose().rows == ref.kernel_basis(m)
+    b = draw_vector(data, field, m.nrows)
+    assert solve(m, b) == ref.solve(m, b)
+
+
+@given(st.data())
+def test_arithmetic_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a = draw_matrix(data, field)
+    b = draw_matrix(data, field, nrows=a.nrows, ncols=a.ncols)
+    c = draw_matrix(data, field, nrows=a.ncols)
+    assert a.add(b).rows == ref.add(a, b)
+    assert a.sub(b).rows == ref.sub(a, b)
+    assert a.mul(c).rows == ref.mul(a, c)
+    scalar = data.draw(sparse_entries)
+    assert a.scale(scalar).rows == ref.scale(a, scalar)
+    vec = draw_vector(data, field, a.nrows)
+    assert a.apply_to_row(vec) == ref.apply_to_row(a, vec)
+
+
+@given(st.data())
+def test_kronecker_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    a = draw_matrix(data, field, max_dim=3)
+    b = draw_matrix(data, field, max_dim=3)
+    assert kronecker(a, b).rows == ref.kronecker(a, b)
+
+
+@given(st.data())
+def test_span_builder_matches_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = draw_matrix(data, field, max_dim=6)
+    sb, rsb = SpanBuilder(field, m.ncols), ref.SpanBuilder(field, m.ncols)
+    for row in m.rows:
+        assert sb.add(row) == rsb.add(row)
+        assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots)
+    assert all(sb.contains(row) for row in m.rows)
+    for _ in range(3):
+        vec = draw_vector(data, field, m.ncols)
+        assert sb.contains(vec) == rsb.contains(vec)
+        assert sb._reduce(vec) == rsb._reduce(vec)
