@@ -91,19 +91,3 @@ class AuditFailed(SphertwistError):
 class NotAChainMap(SphertwistError):
     pass
 
-
-class ParseError(SphertwistError):
-    """Scenario text could not be read; carries (line, column) when known."""
-
-    def __init__(self, message, line=None, column=None):
-        super().__init__(message)
-        self.line = line
-        self.column = column
-
-
-class SchemaError(SphertwistError):
-    """Scenario parsed but violates the document schema; carries the JSON path."""
-
-    def __init__(self, message, path=None):
-        super().__init__(message)
-        self.path = path

@@ -15,13 +15,12 @@ from __future__ import annotations
 import random
 
 from .algebra import (
-    enveloping,
     lift_idempotents,
     opposite,
     quotient_surjection,
 )
 from .errors import NotProgenerator, NotSelfInjective, SphertwistError
-from .exactlin import Matrix, SpanBuilder, rank, solve, solve_matrix
+from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, solve, solve_matrix
 from .modules import (
     Module,
     ModuleHom,
@@ -156,43 +155,41 @@ def _regular_bimodule(a, env):
     return Module(env, d, action)
 
 
-def _dual_bimodule(a, env):
-    """The dual of the algebra as a right module over its enveloping
-    algebra: (f·(b⊗a))(x) = f(b·x·a)."""
-    d = a.dim
-    action = []
-    for j in range(d):
-        lj = a.left_mult_matrix(a.basis_vector(j))
-        for i in range(d):
-            ri = a.right_mult_matrix(a.basis_vector(i))
-            action.append(lj.mul(ri).transpose())
-    return Module(env, d, action)
-
-
 def is_symmetric(a):
     """Whether the algebra is isomorphic to its dual as a bimodule.
 
-    Solved over the enveloping algebra; an isomorphism is searched among
-    hom-basis elements and seeded low-height combinations, so a negative
-    over an infinite field is near-certain rather than proven, while a
+    A bimodule map A → A* is fixed by the functional λ it sends the unit
+    to, and λ must vanish on every commutator [x, y]; the map is an
+    isomorphism exactly when the Gram matrix λ(bᵢbⱼ) is nondegenerate.
+    So the candidates are the kernel of the commutator conditions, in
+    dim(a) unknowns.  A nondegenerate Gram matrix is searched among the
+    kernel basis and seeded low-height combinations, so a negative over
+    an infinite field is near-certain rather than proven, while a
     positive is exact.
     """
     cached = getattr(a, "_symmetric_cache", None)
     if cached is not None:
         return cached
-    env = enveloping(a, a)
-    reg = _regular_bimodule(a, env)
-    dual = _dual_bimodule(a, env)
-    homs = hom_space(reg, dual)
-    found = any(rank(h.matrix) == a.dim for h in homs)
-    if not found and homs:
+    f, d = a.field, a.dim
+    commutators = [
+        [f.sub(x, y) for x, y in zip(a.mult[i][j], a.mult[j][i])]
+        for i in range(d)
+        for j in range(i + 1, d)
+    ]
+    forms = kernel_basis(Matrix(f, commutators, d))
+    # row i of the Gram matrix of the s-th form is column s of mult[i]·forms
+    per_row = [Matrix(f, a.mult[i], d).mul(forms) for i in range(d)]
+    grams = [
+        Matrix(f, [m.column(s) for m in per_row], d) for s in range(forms.ncols)
+    ]
+    found = any(rank(g) == d for g in grams)
+    if not found and grams:
         rng = random.Random(37)
-        f = a.field
         for _ in range(200):
-            acc = Matrix.zero(f, a.dim, a.dim)
-            for h in homs:
-                acc = acc.add(h.matrix.scale(f.coerce(rng.randint(-4, 4))))
-            if rank(acc) == a.dim:
+            acc = Matrix.zero(f, d, d)
+            for g in grams:
+                acc = acc.add(g.scale(f.coerce(rng.randint(-4, 4))))
+            if rank(acc) == d:
                 found = True
                 break
     a._symmetric_cache = found

@@ -16,7 +16,7 @@ throughout, so a single module engine serves both sides.
 from __future__ import annotations
 
 from .algebra import SurjectionData, enveloping, opposite
-from .errors import CapExceeded, NotConcentrated, SphertwistError
+from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
 from .exactlin import Matrix, SpanBuilder, kronecker, rank, solve, solve_matrix
 from .frobenius import _regular_bimodule
 from .modules import Module, ModuleHom, hom_space, in_add, kernel_of, quotient
@@ -49,62 +49,58 @@ def right_embed(env_left, env_right, vec):
     return out
 
 
-class Bimodule:
-    """A two-sided module, carried over the enveloping algebra.
+def _side_module(algebra, dim, mats, side):
+    """One action family as a validated right module; a family that
+    falsifies its algebra's unit or products raises AuditFailed."""
+    module = Module(algebra, dim, mats, validate=False)
+    try:
+        module._validate()
+    except SphertwistError as exc:
+        raise AuditFailed("%s action: %s" % (side, exc), witness=side) from exc
+    return module
 
-    The carrier is a right module over enveloping(left, right); the two
-    one-sided restrictions must commute, which the constructor checks on
-    every basis pair.
+
+class Bimodule:
+    """A two-sided module: two commuting families of action matrices.
+
+    left_mats[i] is the action of the i-th basis element of the left
+    algebra, right_mats[j] that of the j-th basis element of the right
+    algebra, both on row vectors.  A left action composes
+    contravariantly on rows (the first factor of a product is applied
+    last), so the left family is a right module over the opposite
+    algebra.  The constructor builds and validates both side modules
+    once and checks lᵢ·rⱼ = rⱼ·lᵢ on every basis pair.  Together these
+    are the axioms of a right module over enveloping(left, right), whose
+    element rⱼ ⊗ lᵢᵒᵖ acts by lᵢ·rⱼ, so that algebra is never built.  Any
+    failure raises AuditFailed.
     """
 
-    def __init__(self, left_algebra, right_algebra, carrier):
-        env = carrier.algebra
-        if env.dim != left_algebra.dim * right_algebra.dim:
-            raise SphertwistError("carrier does not live over the enveloping algebra")
+    def __init__(self, left_algebra, right_algebra, left_mats, right_mats):
         self.left_algebra = left_algebra
         self.right_algebra = right_algebra
-        self.carrier = carrier
-        for i in range(left_algebra.dim):
-            li = carrier.action_of(
-                left_embed(left_algebra, right_algebra, left_algebra.basis_vector(i))
-            )
-            for j in range(right_algebra.dim):
-                rj = carrier.action_of(
-                    right_embed(
-                        left_algebra, right_algebra, right_algebra.basis_vector(j)
-                    )
-                )
+        self.left_mats = list(left_mats)
+        self.right_mats = list(right_mats)
+        mats = self.left_mats + self.right_mats
+        self.dim = mats[0].nrows if mats else 0
+        self._right = _side_module(right_algebra, self.dim, self.right_mats, "right")
+        self._left = _side_module(
+            opposite(left_algebra), self.dim, self.left_mats, "left"
+        )
+        for i, li in enumerate(self.left_mats):
+            for j, rj in enumerate(self.right_mats):
                 if li.mul(rj) != rj.mul(li):
-                    raise SphertwistError(
+                    raise AuditFailed(
                         "left and right actions fail to commute on basis pair",
                         witness=(i, j),
                     )
 
-    @property
-    def dim(self):
-        return self.carrier.dim
-
     def restrict_right(self):
         """The underlying right module over the right-hand algebra."""
-        b = self.right_algebra
-        action = [
-            self.carrier.action_of(
-                right_embed(self.left_algebra, b, b.basis_vector(j))
-            )
-            for j in range(b.dim)
-        ]
-        return Module(b, self.carrier.dim, action)
+        return self._right
 
     def restrict_left(self):
         """The left structure, as a right module over the opposite algebra."""
-        a = self.left_algebra
-        action = [
-            self.carrier.action_of(
-                left_embed(a, self.right_algebra, a.basis_vector(i))
-            )
-            for i in range(a.dim)
-        ]
-        return Module(opposite(a), self.carrier.dim, action)
+        return self._left
 
     def __repr__(self):
         return "Bimodule(dim %d over %d x %d)" % (
@@ -469,7 +465,10 @@ def tensor_square(p, cap=None):
 def _extract_bimodule(square, t):
     carrier = _homology_bimodule(square, t)
     b = square.p.target
-    bimod = Bimodule(b, b, carrier)
+    basis = [b.basis_vector(i) for i in range(b.dim)]
+    left = [carrier.action_of(left_embed(b, b, v)) for v in basis]
+    right = [carrier.action_of(right_embed(b, b, v)) for v in basis]
+    bimod = Bimodule(b, b, left, right)
     bimod.right_projective = _side_projective(bimod.restrict_right())
     bimod.left_projective = _side_projective(bimod.restrict_left())
     return bimod

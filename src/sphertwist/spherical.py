@@ -26,7 +26,7 @@ reports what it finds rather than asserting the identification.
 
 from __future__ import annotations
 
-from .algebra import enveloping, opposite
+from .algebra import opposite
 from .errors import AuditFailed, CapExceeded, ShapeMismatch, SphertwistError
 from .exactlin import (
     Matrix,
@@ -415,61 +415,11 @@ def syz_audit(ctx, t, cap=None, with_tilting=False):
 #
 # The companion keeps the projective part and replaces the extra part by
 # its syzygy.  Maps from the companion into the generator, and back, are
-# plain hom spaces; composition gives each a two-sided action, which is
-# audited against the algebra products before anything is built on it.
-
-
-def _audit_two_sided_actions(left_alg, right_alg, lmats, rmats, label):
-    """Check both action families against the algebra products.
-
-    Left actions compose contravariantly on row coordinates (the first
-    factor of a product is applied last), right actions covariantly;
-    units must act as the identity.  Together with the commuting check
-    run by the bimodule wrapper this certifies the carrier over the
-    enveloping algebra without retracing every basis pair there.
-    """
-    f = left_alg.field
-    dim = lmats[0].nrows if lmats else 0
-    ident = Matrix.identity(f, dim)
-
-    def combine(mats, vec):
-        out = Matrix.zero(f, dim, dim)
-        for k, c in enumerate(vec):
-            if not f.is_zero(c):
-                out = out.add(mats[k].scale(c))
-        return out
-
-    for alg, mats, flipped, side in (
-        (left_alg, lmats, True, "left"),
-        (right_alg, rmats, False, "right"),
-    ):
-        if combine(mats, alg.unit) != ident:
-            raise AuditFailed(
-                "%s bimodule: %s unit fails to act as identity" % (label, side)
-            )
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                prod = combine(mats, alg.mul_vec(alg.basis_vector(i), alg.basis_vector(j)))
-                got = mats[j].mul(mats[i]) if flipped else mats[i].mul(mats[j])
-                if got != prod:
-                    raise AuditFailed(
-                        "%s bimodule: %s action breaks on basis pair (%d, %d)"
-                        % (label, side, i, j)
-                    )
-
-
-def _carrier_bimodule(left_alg, right_alg, lmats, rmats, dim):
-    """Bundle audited action families into a bimodule over the
-    enveloping algebra.  The per-side product audit has already run, so
-    the carrier skips the quadratic revalidation; the bimodule wrapper
-    still checks that the two sides commute."""
-    env = enveloping(left_alg, right_alg)
-    action = []
-    for j in range(right_alg.dim):
-        for i in range(left_alg.dim):
-            action.append(lmats[i].mul(rmats[j]))
-    carrier = Module(env, dim, action, validate=False)
-    return Bimodule(left_alg, right_alg, carrier)
+# plain hom spaces; composition gives each two families of action
+# matrices, one per side algebra.  Bimodule validates each family as a
+# module over its side algebra (the left one over the opposite) and checks
+# that the two commute, so an action that falsifies its algebra raises
+# AuditFailed before anything is built on it.
 
 
 def _embedding_bijective(side_alg, mats, module):
@@ -585,8 +535,7 @@ def tilting_audit(ctx, t=None, cap=None):
         Matrix(f, [_hom_coords(f, ihoms, s.matrix.mul(ih.matrix)) for ih in ihoms], ni)
         for s in l1homs
     ]
-    _audit_two_sided_actions(lam, lam1, fwd_l, fwd_r, "forward")
-    forward = _carrier_bimodule(lam, lam1, fwd_l, fwd_r, ni)
+    forward = Bimodule(lam, lam1, fwd_l, fwd_r)
 
     # maps generator → companion: the mirror actions
     bwd_l = [
@@ -597,8 +546,7 @@ def tilting_audit(ctx, t=None, cap=None):
         Matrix(f, [_hom_coords(f, dhoms, h.matrix.mul(dh.matrix)) for dh in dhoms], nd)
         for h in ctx.hom_basis
     ]
-    _audit_two_sided_actions(lam1, lam, bwd_l, bwd_r, "backward")
-    backward = _carrier_bimodule(lam1, lam, bwd_l, bwd_r, nd)
+    backward = Bimodule(lam1, lam, bwd_l, bwd_r)
 
     fwd_right_mod = forward.restrict_right()
     fwd_left_mod = forward.restrict_left()

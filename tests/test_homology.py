@@ -12,7 +12,7 @@ resolution shapes inside the test rather than hardcoded.
 import pytest
 
 from sphertwist.algebra import enveloping, opposite, quotient_surjection
-from sphertwist.errors import NotConcentrated, SphertwistError
+from sphertwist.errors import AuditFailed, NotConcentrated, SphertwistError
 from sphertwist.exactlin import Matrix, rank
 from sphertwist.frobenius import (
     _regular_bimodule,
@@ -26,9 +26,7 @@ from sphertwist.homology import (
     cotwist_data,
     ext_dims,
     identity_surjection,
-    left_embed,
     left_module_along,
-    right_embed,
     tor_bimodule,
     tor_dims,
 )
@@ -85,17 +83,9 @@ def cycle_cotwist(ctx_cycle):
 
 def block_profile(bimod):
     """Nonzero (left block, right block) component ranks of a bimodule."""
-    b = bimod.left_algebra
     out = {}
-    for i in range(b.dim):
-        li = bimod.carrier.action_of(
-            left_embed(b, bimod.right_algebra, b.basis_vector(i))
-        )
-        for j in range(bimod.right_algebra.dim):
-            rj = bimod.carrier.action_of(
-                right_embed(b, bimod.right_algebra,
-                            bimod.right_algebra.basis_vector(j))
-            )
+    for i, li in enumerate(bimod.left_mats):
+        for j, rj in enumerate(bimod.right_mats):
             r = rank(li.mul(rj))
             if r:
                 out[(i, j)] = r
@@ -239,6 +229,11 @@ def test_tor_bimodule_is_twisted_regular(ctx_cycle, cycle_cotwist):
         res = partially_minimal_resolution(ctx_cycle, m)
         tau[i] = extract_shape(ctx_cycle, res, 2).tau
     inverse = {v: k for k, v in tau.items()}
+    # the carrier over env: basis element (j, i) acts by l_i · r_j
+    carrier = Module(
+        env, bi.dim,
+        [li.mul(rj) for rj in bi.right_mats for li in bi.left_mats],
+    )
 
     def right_twisted(perm):
         action = []
@@ -249,31 +244,40 @@ def test_tor_bimodule_is_twisted_regular(ctx_cycle, cycle_cotwist):
                 action.append(li.mul(rj))
         return Module(env, b.dim, action)
 
-    assert find_isomorphism(bi.carrier, right_twisted(inverse)) is not None
-    assert find_isomorphism(bi.carrier, right_twisted(tau)) is None
-    assert find_isomorphism(bi.carrier, _regular_bimodule(b, env)) is None
+    assert find_isomorphism(carrier, right_twisted(inverse)) is not None
+    assert find_isomorphism(carrier, right_twisted(tau)) is None
+    assert find_isomorphism(carrier, _regular_bimodule(b, env)) is None
 
 
 def test_bimodule_audits_commuting_actions():
     m = matrix_units_2()
-    env = enveloping(m, m)
-    # both factors acting by left multiplication: a valid shape, but the
-    # two one-sided actions only commute when the algebra is commutative
-    action = []
-    for j in range(m.dim):
-        lj = m.left_mult_matrix(m.basis_vector(j))
-        for i in range(m.dim):
-            li = m.left_mult_matrix(m.basis_vector(i))
-            action.append(li.mul(lj))
-    broken = Module(env, m.dim, action, validate=False)
-    with pytest.raises(SphertwistError):
-        Bimodule(m, m, broken)
+    # right multiplication on the right and its transpose on the left:
+    # each family is a valid action of its side, but the two only
+    # commute when the algebra is commutative
+    right = [m.right_mult_matrix(m.basis_vector(j)) for j in range(m.dim)]
+    left = [r.transpose() for r in right]
+    with pytest.raises(SphertwistError, match="commute"):
+        Bimodule(m, m, left, right)
+
+
+def test_bimodule_audits_each_action_against_its_algebra():
+    a = dual_numbers()
+    left = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
+    right = [a.right_mult_matrix(a.basis_vector(j)) for j in range(a.dim)]
+    Bimodule(a, a, left, right)
+    # x acting as the identity on the right breaks x·x = 0
+    broken = [right[0], Matrix.identity(a.field, a.dim)]
+    with pytest.raises(AuditFailed, match="right action"):
+        Bimodule(a, a, left, broken)
 
 
 def test_bimodule_restrictions_of_the_regular_bimodule():
     a = cyclic_nakayama(3)
-    env = enveloping(a, a)
-    bi = Bimodule(a, a, _regular_bimodule(a, env))
+    bi = Bimodule(
+        a, a,
+        [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)],
+        [a.right_mult_matrix(a.basis_vector(j)) for j in range(a.dim)],
+    )
     right = bi.restrict_right()
     assert right.algebra is a
     assert find_isomorphism(right, Module.regular(a)) is not None

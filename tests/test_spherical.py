@@ -10,8 +10,11 @@ algebra instead of the projective-factoring ideal — is pinned to its
 exact dimensions, not just to a failing flag.
 """
 
+import sys
+
 import pytest
 
+from sphertwist import algebra
 from sphertwist.errors import AuditFailed, SphertwistError
 from sphertwist.frobenius import build_context
 from sphertwist.modules import Module, simple_modules
@@ -236,6 +239,25 @@ def test_tilting_passing_cycle_one(report_cycle_one, ctx_cycle_one):
     assert ta.composite_iso_to_projE is True
     assert ta.tensor_dim == 8
     assert ta.tensor_dim == ctx_cycle_one.endo.dim - ctx_cycle_one.stable_endo.dim
+
+
+def test_tilting_builds_no_enveloping_algebra(ctx_dual, monkeypatch):
+    # the hom bimodules are two commuting action families; nothing in the
+    # audit needs the dense enveloping algebra they are modules over
+    def refuse(*args):
+        raise AssertionError("tilting audit built an enveloping algebra")
+
+    holders = [
+        mod for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "sphertwist"
+        and getattr(mod, "enveloping", None) is algebra.enveloping
+    ]
+    assert algebra in holders
+    for mod in holders:
+        monkeypatch.setattr(mod, "enveloping", refuse)
+    ta = tilting_audit(ctx_dual, t=2)
+    assert ta.biperfect and ta.rho_iso and ta.lambda_iso
+    assert ta.tensor_dim == 5
 
 
 def test_tilting_gate_refuses_failing_window(ctx_cycle_one):
