@@ -59,6 +59,12 @@ class Algebra:
             ]
             for row in self.mult
         ]
+        # per-algebra caches filled by the modules layer
+        self._regular_module_cache = None
+        self._coregular_module_cache = None
+        self._generator_cache = None
+        self._simple_modules_cache = None
+        self._piece_cache = {}
         self._validate()
 
     # -- construction-time checks

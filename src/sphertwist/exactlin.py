@@ -12,8 +12,8 @@ the operations in this file, so the contract here is strict:
   threads.
 
 A matrix is dense and row-major, but the systems built downstream
-(Kronecker blocks of module actions, stacked intertwining equations) are
-mostly zeros, so the kernels are specialised for that:
+(module actions, ideal closures, intertwining equations) are mostly
+zeros, so the kernels are specialised for that:
 
 * the field is dispatched once per kernel call, not once per element: the
   loops use Python's own ``+ - *`` on the elements (`Fraction` over Q,
@@ -23,7 +23,10 @@ mostly zeros, so the kernels are specialised for that:
   nonzeros of each row of A against the nonzero lists of the rows of B,
   ``add``/``sub`` leave an entry alone where the other operand is 0, and
   elimination (``rref``, `SpanBuilder`) touches only the nonzero columns
-  of the pivot row.
+  of the pivot row;
+* a system too sparse to hold densely goes row by row into
+  `SpanBuilder.add_sparse`, which keeps its reduced rows as dicts and
+  drops zero and dependent rows on arrival.
 
 The F_p element invariant: an element is an int and stands for its
 residue class, so a multiple of p is zero.  Every entry a kernel computes
@@ -43,6 +46,7 @@ way: it slowed the GF(32003) twist workload.
 from __future__ import annotations
 
 from fractions import Fraction
+from bisect import insort
 from itertools import compress
 
 from .errors import FieldMismatch, ShapeError
@@ -443,20 +447,33 @@ def kernel_basis(m):
     solutions, so it depends only on the null space, not on m.
     """
     r, pivots = rref(m)
-    f = m.field
+    return _null_space(
+        m.field, m.ncols, pivots, [_nonzeros(r.rows[i]) for i in range(len(pivots))]
+    )
+
+
+def _null_space(f, ncols, pivots, pivot_rows):
+    """Null space, as columns, of a reduced row echelon form given by its
+    pivots and the (column, entry) pairs of its nonzero rows.
+
+    Each free column j gives the solution with 1 at j, 0 at the other
+    free columns and minus the pivot rows' entries of column j at the
+    pivots; these are put in canonical rref form.
+    """
     pivot_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in pivot_set]
-    vecs = []
-    for j in free:
-        v = [f.zero()] * m.ncols
-        v[j] = f.one()
-        for i, p in enumerate(pivots):
-            v[p] = f.neg(r.rows[i][j])
-        vecs.append(v)
-    if not vecs:
-        return Matrix(f, [], 0) if m.ncols == 0 else Matrix.zero(f, m.ncols, 0)
-    canon = row_space_canonical(Matrix(f, vecs, m.ncols))
-    return canon.transpose()
+    free = [j for j in range(ncols) if j not in pivot_set]
+    if not free:
+        return Matrix(f, [], 0) if ncols == 0 else Matrix.zero(f, ncols, 0)
+    zero, one = f.zero(), f.one()
+    slot = {j: k for k, j in enumerate(free)}
+    vecs = [[zero] * ncols for _ in free]
+    for k, j in enumerate(free):
+        vecs[k][j] = one
+    for p, pairs in zip(pivots, pivot_rows):
+        for j, e in pairs:
+            if j != p:
+                vecs[slot[j]][p] = f.neg(e)
+    return row_space_canonical(Matrix(f, vecs, ncols)).transpose()
 
 
 def image_basis(m):
@@ -543,80 +560,144 @@ def intersect_subspaces(u, v):
 class SpanBuilder:
     """Incremental canonical span of row vectors.
 
-    Feed vectors with ``add``; the builder keeps a row-reduced basis and
-    reports whether each vector enlarged the span.  ``contains`` answers
-    membership without mutating.  Used for ideal closures, factor-through
-    subspaces and radd-style intersections, where many candidate vectors
+    Feed vectors with ``add`` (a dense list) or ``add_sparse`` (a dict of
+    entries keyed by column); the builder keeps the reduced row echelon
+    form of the span and reports whether each vector enlarged it.
+    ``contains`` answers membership without mutating, and
+    ``kernel_basis`` gives the null space of the span.  Used for ideal
+    closures, factor-through subspaces, radd-style intersections and
+    the intertwining systems of hom spaces, where many candidate vectors
     are zero or redundant and a full rref of everything at once would be
     wasteful.
+
+    The rows are held sparse, as dicts keyed by column, and fully
+    reduced: each has 1 at its pivot and no entry at any other pivot.
+    So a vector is reduced in one pass over the pivots it touches —
+    subtracting a pivot row never brings back an entry at another pivot
+    column — and ``rows`` is exactly the nonzero part of the `rref` of
+    everything added.
     """
 
     def __init__(self, field, width):
         self.field = field
         self.width = width
-        self.rows = []      # reduced rows, pivot order increasing
-        self.pivots = []
-        self._nonzeros = []  # (column, entry) pairs of each row's nonzeros
+        self.pivots = []  # increasing
+        self._rows = {}   # pivot column -> {column: nonzero entry}
+
+    @property
+    def rows(self):
+        """The reduced basis rows as dense lists, in pivot order."""
+        zero = self.field.zero()
+        out = []
+        for pivot in self.pivots:
+            row = [zero] * self.width
+            for j, e in self._rows[pivot].items():
+                row[j] = e
+            out.append(row)
+        return out
 
     def _reduce(self, vec):
         if len(vec) != self.width:
             raise ShapeError("span vector length mismatch")
         p = self.field.characteristic
         v = [e % p for e in vec] if p else list(vec)
-        for pivot, pairs in zip(self.pivots, self._nonzeros):
+        rows = self._rows
+        for pivot in self.pivots:
             c = v[pivot]
             if not c:
                 continue
             if p:
-                for j, e in pairs:
+                for j, e in rows[pivot].items():
                     v[j] = (v[j] - c * e) % p
             else:
-                for j, e in pairs:
+                for j, e in rows[pivot].items():
                     v[j] -= c * e
+        return v
+
+    def _reduce_sparse(self, entries):
+        p = self.field.characteristic
+        width = self.width
+        if any(not 0 <= j < width for j in entries):
+            raise ShapeError("span vector column out of range")
+        if p:
+            v = {j: e % p for j, e in entries.items() if e % p}
+        else:
+            v = {j: e for j, e in entries.items() if e}
+        rows = self._rows
+        for pivot in [j for j in v if j in rows]:
+            c = v.pop(pivot)
+            for j, e in rows[pivot].items():
+                if j == pivot:
+                    continue
+                x = v.get(j, 0) - c * e
+                if p:
+                    x %= p
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
         return v
 
     def contains(self, vec):
         return not any(self._reduce(vec))
 
     def add(self, vec):
-        """Insert a vector; returns True if the span grew."""
-        f = self.field
-        p = f.characteristic
+        """Insert a dense vector; returns True if the span grew."""
         v = self._reduce(vec)
         pivot = next((j for j, e in enumerate(v) if e), None)
         if pivot is None:
             return False
-        inv = f.inv(v[pivot])
-        if p:
-            v = [e * inv % p if e else e for e in v]
-        else:
-            v = [e * inv if e else e for e in v]
-        pairs = _nonzeros(v)
-        # Back-substitute into existing rows to stay fully reduced.
-        for i, row in enumerate(self.rows):
-            c = row[pivot]
-            if not c:
-                continue
-            row = list(row)  # callers may hold the old row from self.rows
-            if p:
-                for j, e in pairs:
-                    row[j] = (row[j] - c * e) % p
-            else:
-                for j, e in pairs:
-                    row[j] -= c * e
-            self.rows[i] = row
-            self._nonzeros[i] = _nonzeros(row)
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < pivot:
-            at += 1
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
-        self._nonzeros.insert(at, pairs)
+        self._insert(pivot, {j: v[j] for j in compress(range(pivot, self.width), v[pivot:])})
         return True
 
+    def add_sparse(self, entries):
+        """Insert a vector given as {column: entry}; returns True if the
+        span grew.  Missing columns are zero, zero entries are allowed."""
+        v = self._reduce_sparse(entries)
+        if not v:
+            return False
+        self._insert(min(v), v)
+        return True
+
+    def _insert(self, pivot, row):
+        """Normalise a reduced row and back-substitute it into the others."""
+        f = self.field
+        p = f.characteristic
+        inv = f.inv(row[pivot])
+        if p:
+            row = {j: e * inv % p for j, e in row.items()}
+        else:
+            row = {j: e * inv for j, e in row.items()}
+        items = list(row.items())
+        for other in self._rows.values():
+            c = other.get(pivot)
+            if c is None:
+                continue
+            for j, e in items:
+                x = other.get(j, 0) - c * e
+                if p:
+                    x %= p
+                if x:
+                    other[j] = x
+                else:
+                    del other[j]
+        insort(self.pivots, pivot)
+        self._rows[pivot] = row
+
     def dim(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def basis_matrix(self):
         """Rows = canonical basis (already rref by construction)."""
-        return Matrix(self.field, [list(r) for r in self.rows], self.width)
+        return Matrix(self.field, self.rows, self.width)
+
+    def kernel_basis(self):
+        """Basis of the right null space of the span, as columns.
+
+        The same canonical basis `kernel_basis` returns for any matrix
+        with this row space.
+        """
+        return _null_space(
+            self.field, self.width, self.pivots,
+            [self._rows[p].items() for p in self.pivots],
+        )

@@ -20,8 +20,9 @@ from .algebra import (
     quotient_surjection,
 )
 from .errors import NotProgenerator, NotSelfInjective, SphertwistError
-from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, solve, solve_matrix
+from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, solve_matrix
 from .modules import (
+    HomBasis,
     Module,
     ModuleHom,
     cokernel_of,
@@ -285,7 +286,8 @@ class FrobeniusContext:
 
     ``total`` is the chosen module (projective part first, then the
     extra summands with multiplicities); ``endo`` its endomorphism
-    algebra on the canonical hom basis; ``proj_ideal`` the coordinate
+    algebra on the canonical hom basis ``hom_basis``, whose coordinates
+    ``hom_coords`` reads; ``proj_ideal`` the coordinate
     basis of the maps factoring through projectives; ``to_stable`` the
     quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
@@ -300,6 +302,7 @@ class FrobeniusContext:
         total,
         endo,
         hom_basis,
+        hom_coords,
         proj_ideal,
         to_stable,
         e_proj,
@@ -311,6 +314,7 @@ class FrobeniusContext:
         self.total = total
         self.endo = endo
         self.hom_basis = hom_basis
+        self.hom_coords = hom_coords
         self.proj_ideal = proj_ideal
         self.to_stable = to_stable
         self.stable_endo = to_stable.target
@@ -339,18 +343,6 @@ class FrobeniusContext:
         )
 
 
-def _hom_coords(f, hom_basis, mat):
-    flat = Matrix(
-        f,
-        [[e for row in h.matrix.rows for e in row] for h in hom_basis],
-        mat.nrows * mat.ncols,
-    ).transpose()
-    x = solve(flat, [e for row in mat.rows for e in row])
-    if x is None:
-        raise SphertwistError("endomorphism escapes the hom basis")
-    return x
-
-
 def build_context(ambient, projective_part, extra_summands):
     """Assemble the context for total = projective_part ⊕ ⊕ Xᵢ^{aᵢ}.
 
@@ -375,11 +367,13 @@ def build_context(ambient, projective_part, extra_summands):
     total, injs, projs = direct_sum(blocks)
     endo, hom_basis = endomorphism_algebra(total)
     f = ambient.field
+    hom_coords = HomBasis(f, hom_basis)
+    coords = hom_coords.coords
 
     def block_projector(b):
         return projs[b].matrix.mul(injs[b].matrix)
 
-    e_proj = _hom_coords(f, hom_basis, block_projector(0))
+    e_proj = coords(block_projector(0))
     e_extra = []
     e_copies = []
     for idx in range(len(extra_summands)):
@@ -388,8 +382,8 @@ def build_context(ambient, projective_part, extra_summands):
         for b, owner in enumerate(block_owner):
             if owner == idx:
                 mat = mat.add(block_projector(b))
-                copies.append(_hom_coords(f, hom_basis, block_projector(b)))
-        e_extra.append(_hom_coords(f, hom_basis, mat))
+                copies.append(coords(block_projector(b)))
+        e_extra.append(coords(mat))
         e_copies.append(copies)
     for e in [e_proj] + e_extra:
         if not endo.is_idempotent(e):
@@ -401,7 +395,7 @@ def build_context(ambient, projective_part, extra_summands):
         raise SphertwistError("block idempotents do not sum to the identity")
 
     _, through_proj = stable_hom(total, total)
-    ideal = [_hom_coords(f, hom_basis, h.matrix) for h in through_proj]
+    ideal = [coords(h.matrix) for h in through_proj]
     pi = quotient_surjection(endo, ideal)
     summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
     return FrobeniusContext(
@@ -410,6 +404,7 @@ def build_context(ambient, projective_part, extra_summands):
         total,
         endo,
         hom_basis,
+        hom_coords,
         ideal,
         pi,
         e_proj,
@@ -430,19 +425,9 @@ def hom_module(ctx, n):
     f = ctx.endo.field
     if d == 0:
         return Module.zero(ctx.endo), []
-    flat = Matrix(
-        f,
-        [[e for row in h.matrix.rows for e in row] for h in homs],
-        ctx.total.dim * n.dim,
-    ).transpose()
-    action = []
-    for lam in ctx.hom_basis:
-        rows = []
-        for h in homs:
-            composite = lam.matrix.mul(h.matrix)
-            x = solve(flat, [e for row in composite.rows for e in row])
-            if x is None:
-                raise SphertwistError("precomposite escapes the hom basis")
-            rows.append(x)
-        action.append(Matrix(f, rows, d))
+    coords = HomBasis(f, homs).coords
+    action = [
+        Matrix(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
+        for lam in ctx.hom_basis
+    ]
     return Module(ctx.endo, d, action), homs

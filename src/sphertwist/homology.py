@@ -19,7 +19,15 @@ from .algebra import SurjectionData, enveloping, opposite
 from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
 from .exactlin import Matrix, SpanBuilder, kronecker, rank, solve, solve_matrix
 from .frobenius import _regular_bimodule
-from .modules import Module, ModuleHom, hom_space, in_add, kernel_of, quotient
+from .modules import (
+    HomBasis,
+    Module,
+    ModuleHom,
+    hom_space,
+    in_add,
+    kernel_of,
+    quotient,
+)
 from .resolutions import minimal_resolution
 
 
@@ -72,7 +80,9 @@ class Bimodule:
     once and checks lᵢ·rⱼ = rⱼ·lᵢ on every basis pair.  Together these
     are the axioms of a right module over enveloping(left, right), whose
     element rⱼ ⊗ lᵢᵒᵖ acts by lᵢ·rⱼ, so that algebra is never built.  Any
-    failure raises AuditFailed.
+    failure raises AuditFailed.  ``right_projective`` and
+    ``left_projective`` say whether each side module is projective; each
+    is computed on first use and kept.
     """
 
     def __init__(self, left_algebra, right_algebra, left_mats, right_mats):
@@ -86,6 +96,8 @@ class Bimodule:
         self._left = _side_module(
             opposite(left_algebra), self.dim, self.left_mats, "left"
         )
+        self._right_projective = None
+        self._left_projective = None
         for i, li in enumerate(self.left_mats):
             for j, rj in enumerate(self.right_mats):
                 if li.mul(rj) != rj.mul(li):
@@ -101,6 +113,20 @@ class Bimodule:
     def restrict_left(self):
         """The left structure, as a right module over the opposite algebra."""
         return self._left
+
+    @property
+    def right_projective(self):
+        """Whether the bimodule is projective as a right module."""
+        if self._right_projective is None:
+            self._right_projective = _side_projective(self._right)
+        return self._right_projective
+
+    @property
+    def left_projective(self):
+        """Whether the bimodule is projective as a left module."""
+        if self._left_projective is None:
+            self._left_projective = _side_projective(self._left)
+        return self._left_projective
 
     def __repr__(self):
         return "Bimodule(dim %d over %d x %d)" % (
@@ -159,17 +185,8 @@ def ext_dims(a, m, n, count):
         if not src or not tgt:
             ranks.append(0)
             continue
-        flat_tgt = Matrix(
-            f, [[e for row in g.matrix.rows for e in row] for g in tgt],
-            res.terms[i + 1].dim * n.dim,
-        ).transpose()
-        rows = []
-        for g in src:
-            comp = h.compose(g).matrix
-            x = solve(flat_tgt, [e for row in comp.rows for e in row])
-            if x is None:
-                raise SphertwistError("precomposite escapes the hom basis")
-            rows.append(x)
+        coords = HomBasis(f, tgt).coords
+        rows = [coords(h.compose(g).matrix) for g in src]
         ranks.append(rank(Matrix(f, rows, len(tgt))))
     out = []
     for i in range(count):
@@ -468,10 +485,7 @@ def _extract_bimodule(square, t):
     basis = [b.basis_vector(i) for i in range(b.dim)]
     left = [carrier.action_of(left_embed(b, b, v)) for v in basis]
     right = [carrier.action_of(right_embed(b, b, v)) for v in basis]
-    bimod = Bimodule(b, b, left, right)
-    bimod.right_projective = _side_projective(bimod.restrict_right())
-    bimod.left_projective = _side_projective(bimod.restrict_left())
-    return bimod
+    return Bimodule(b, b, left, right)
 
 
 def tor_bimodule(p, t, square=None):

@@ -12,6 +12,8 @@ intersections in ambient coordinates where they belong.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .algebra import Algebra, lift_idempotents, radical
 from .errors import (
     AlgebraMismatch,
@@ -24,19 +26,34 @@ from .exactlin import (
     Matrix,
     SpanBuilder,
     kernel_basis,
-    kronecker,
     rank,
     row_space_canonical,
     rref,
-    solve,
 )
 
 
 def _sparse_rows(m):
-    f = m.field
-    return [
-        [(j, c) for j, c in enumerate(row) if not f.is_zero(c)] for row in m.rows
-    ]
+    """The (column, entry) pairs of the nonzeros of each row."""
+    p = m.field.characteristic
+    if p:
+        return [[(j, c) for j, c in enumerate(row) if c % p] for row in m.rows]
+    cols = range(m.ncols)
+    return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
+
+
+def _intertwines(m_rows, x_rows, n_rows, p):
+    """Whether M·X = X·N, all three given by their rows' nonzeros."""
+    for r, m_row in enumerate(m_rows):
+        acc = {}
+        for k, a in m_row:
+            for j, x in x_rows[k]:
+                acc[j] = acc.get(j, 0) + a * x
+        for k, x in x_rows[r]:
+            for j, b in n_rows[k]:
+                acc[j] = acc.get(j, 0) - x * b
+        if any(v % p for v in acc.values()) if p else any(acc.values()):
+            return False
+    return True
 
 
 def _sparse_mul(f, a_sparse, b_sparse, nrows, ncols):
@@ -111,9 +128,8 @@ class Module:
         constants re-packed, so compatibility is the associativity the
         algebra constructor has already audited.
         """
-        cached = getattr(algebra, "_regular_module_cache", None)
-        if cached is not None:
-            return cached
+        if algebra._regular_module_cache is not None:
+            return algebra._regular_module_cache
         action = [
             algebra.right_mult_matrix(algebra.basis_vector(i))
             for i in range(algebra.dim)
@@ -130,9 +146,8 @@ class Module:
         multiplication.  Cached per algebra; compatibility is again the
         algebra's own associativity, transposed.
         """
-        cached = getattr(algebra, "_coregular_module_cache", None)
-        if cached is not None:
-            return cached
+        if algebra._coregular_module_cache is not None:
+            return algebra._coregular_module_cache
         action = [
             algebra.left_mult_matrix(algebra.basis_vector(i)).transpose()
             for i in range(algebra.dim)
@@ -161,10 +176,12 @@ class ModuleHom:
 
     def _validate(self):
         a = self.source.algebra
+        p = a.field.characteristic
+        x_rows = _sparse_rows(self.matrix)
         for i in range(a.dim):
-            lhs = self.source.action[i].mul(self.matrix)
-            rhs = self.matrix.mul(self.target.action[i])
-            if lhs != rhs:
+            m_rows = _sparse_rows(self.source.action[i])
+            n_rows = _sparse_rows(self.target.action[i])
+            if not _intertwines(m_rows, x_rows, n_rows, p):
                 raise SphertwistError(
                     "matrix fails to intertwine basis element %d" % i
                 )
@@ -195,9 +212,23 @@ def identity_hom(m):
 def hom_space(m, n):
     """rref-canonical basis of all module maps m → n.
 
-    Solves the intertwining equations against a generating set of the
-    algebra (enough, since intertwining is multiplicative), then
-    re-verifies every basis hom on every algebra basis element.
+    A map is an s×t matrix X with M_a·X = X·N_a for every algebra
+    element a.  The elements that satisfy this form a subspace that
+    contains the unit and is closed under products, because the action
+    is multiplicative on valid modules: M_{ab}·X = M_a·M_b·X =
+    M_a·X·N_b = X·N_a·N_b = X·N_{ab}.  So the equations of the
+    generators from `generator_indices` cut out the whole hom space.
+
+    The row of cell (r, c) of M_g·X − X·N_g has M_g[r][k] on X[k][c]
+    and −N_g[k][c] on X[r][k] (unknowns flattened row-major), so it is
+    read straight off the nonzeros of row r of M_g and column c of N_g
+    and reduced on arrival (`SpanBuilder.add_sparse`): a zero or
+    dependent row costs one sparse reduction, and no dense system is
+    built.  The null space comes out of the reduced echelon form in the
+    canonical form of `kernel_basis`, which depends only on the null
+    space, so the basis is the one the stacked dense system would give.
+    Each basis hom is re-verified on the generators, which by the same
+    closure argument is a check on every basis element.
     """
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom between modules over different algebras")
@@ -206,34 +237,103 @@ def hom_space(m, n):
     if s == 0 or t == 0:
         return []
     gens = generator_indices(m.algebra)
-    blocks = []
-    it = Matrix.identity(f, t)
-    i_s = Matrix.identity(f, s)
+    span = SpanBuilder(f, s * t)
+    checks = []
     for g in gens:
-        a_side = kronecker(m.action[g], it)
-        b_side = kronecker(i_s, n.action[g].transpose())
-        blocks.append(a_side.sub(b_side))
-    if blocks:
-        stacked = blocks[0]
-        for b in blocks[1:]:
-            stacked = stacked.vstack(b)
-        null = kernel_basis(stacked)
-    else:
-        # the unit generates everything, so any linear map intertwines
-        null = Matrix.identity(f, s * t)
+        m_rows = _sparse_rows(m.action[g])
+        checks.append((g, m_rows, _sparse_rows(n.action[g])))
+        n_cols = _sparse_rows(n.action[g].transpose())
+        for r, m_row in enumerate(m_rows):
+            at = r * t
+            for c, n_col in enumerate(n_cols):
+                row = {k * t + c: e for k, e in m_row}
+                for k, e in n_col:
+                    row[at + k] = row.get(at + k, 0) - e
+                span.add_sparse(row)
+    null = span.kernel_basis()
+    p = f.characteristic
     homs = []
     for j in range(null.ncols):
         flat = null.column(j)
         mat = Matrix(f, [flat[r * t : (r + 1) * t] for r in range(s)], t)
-        homs.append(ModuleHom(m, n, mat))     # validates on all basis elements
+        x_rows = _sparse_rows(mat)
+        for g, m_rows, n_rows in checks:
+            if not _intertwines(m_rows, x_rows, n_rows, p):
+                raise SphertwistError(
+                    "hom basis element %d fails to intertwine generator %d" % (j, g)
+                )
+        homs.append(ModuleHom(m, n, mat, validate=False))
     return homs
+
+
+class HomBasis:
+    """Coordinates of maps against a fixed list of module maps.
+
+    The list is factored once.  Its flattened maps are the rows of B
+    (n × w), and one rref of [B | I] gives [R | T] with T·B = R.  The
+    list is independent exactly when the n pivots of R all lie among
+    the first w columns; a dependent list raises SphertwistError.  Then
+    R on those pivot columns is the identity, so T inverts B's pivot
+    columns, and a map y = x·B of the span has coordinates
+    x = y[pivots]·T.  ``coords`` reads them off this way and then
+    recomposes Σ xᵢ·hᵢ and compares it with the map exactly, so a map
+    outside the span raises SphertwistError rather than returning the
+    coordinates of its pivot entries.
+    """
+
+    def __init__(self, field, homs):
+        self.field = field
+        self._flats = []  # (column, entry) pairs of each flattened map
+        if not homs:
+            return
+        self._shape = (homs[0].matrix.nrows, homs[0].matrix.ncols)
+        width, n = self._shape[0] * self._shape[1], len(homs)
+        zero, one = field.zero(), field.one()
+        aug = []
+        for i, h in enumerate(homs):
+            if (h.matrix.nrows, h.matrix.ncols) != self._shape:
+                raise ShapeError("hom basis maps of different shapes")
+            flat = _flatten(h.matrix)
+            self._flats.append([(j, e) for j, e in enumerate(flat) if e])
+            tail = [zero] * n
+            tail[i] = one
+            aug.append(flat + tail)
+        r, pivots = rref(Matrix(field, aug, width + n))
+        if pivots[-1] >= width:
+            raise SphertwistError("hom basis is linearly dependent")
+        self._pivots = pivots
+        self._transform = Matrix(field, [row[width:] for row in r.rows], n)
+
+    def coords(self, mat):
+        """The coordinates x with Σ xᵢ·hᵢ = mat; raises outside the span."""
+        f = self.field
+        if not self._flats:
+            if mat.is_zero():
+                return []
+            raise SphertwistError("nonzero map against an empty hom basis")
+        if (mat.nrows, mat.ncols) != self._shape:
+            raise ShapeError("map shape does not match the hom basis")
+        y = _flatten(mat)
+        x = self._transform.apply_to_row([y[j] for j in self._pivots])
+        residue = y  # becomes y − Σ xᵢ·hᵢ, which must vanish
+        for c, pairs in zip(x, self._flats):
+            if c:
+                for j, e in pairs:
+                    residue[j] -= c * e
+        p = f.characteristic
+        if any(e % p for e in residue) if p else any(residue):
+            raise SphertwistError("map escapes the hom basis")
+        return x
+
+
+def _flatten(mat):
+    return [e for row in mat.rows for e in row]
 
 
 def generator_indices(a):
     """Indices of a small set of basis elements generating the algebra."""
-    cached = getattr(a, "_generator_cache", None)
-    if cached is not None:
-        return cached
+    if a._generator_cache is not None:
+        return a._generator_cache
     f = a.field
     span = SpanBuilder(f, a.dim)
     span.add(a.unit)
@@ -444,9 +544,8 @@ def simple_modules(a):
 
     Cached per algebra — callers share the module objects.
     """
-    cached = getattr(a, "_simple_modules_cache", None)
-    if cached is not None:
-        return cached
+    if a._simple_modules_cache is not None:
+        return a._simple_modules_cache
     es = lift_idempotents(a)
     reg = Module.regular(a)
     rad = radical(a)
@@ -480,9 +579,7 @@ def simple_modules(a):
 
 def _idempotent_piece(a, reg, e):
     """(e·a as a module, its generating rows), cached per algebra."""
-    cache = getattr(a, "_piece_cache", None)
-    if cache is None:
-        cache = a._piece_cache = {}
+    cache = a._piece_cache
     key = tuple(e)
     hit = cache.get(key)
     if hit is not None:
@@ -596,21 +693,12 @@ def endomorphism_algebra(m):
     f = m.algebra.field
     if d == 0:
         raise SphertwistError("zero module has no unital endomorphism algebra")
-    flat = Matrix(
-        f, [[e for row in h.matrix.rows for e in row] for h in homs], m.dim * m.dim
-    ).transpose()
-
-    def coords(mat):
-        x = solve(flat, [e for row in mat.rows for e in row])
-        if x is None:
-            raise SphertwistError("composite endomorphism escapes the hom basis")
-        return x
-
+    basis = HomBasis(f, homs)
     mult = [
-        [coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
+        [basis.coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
         for i in range(d)
     ]
-    unit = coords(Matrix.identity(f, m.dim))
+    unit = basis.coords(Matrix.identity(f, m.dim))
     alg = Algebra(f, mult, unit)
     return alg, homs
 

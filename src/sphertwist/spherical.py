@@ -36,7 +36,6 @@ from .exactlin import (
     row_space_canonical,
 )
 from .frobenius import (
-    _hom_coords,
     is_self_injective,
     nakayama_permutation,
     stable_hom,
@@ -45,6 +44,7 @@ from .frobenius import (
 )
 from .homology import Bimodule, ext_dims, left_module_along, tor_dims
 from .modules import (
+    HomBasis,
     Module,
     direct_sum,
     endomorphism_algebra,
@@ -428,7 +428,8 @@ def _embedding_bijective(side_alg, mats, module):
     if len(homs) != side_alg.dim:
         return False
     f = module.algebra.field
-    rows = [_hom_coords(f, homs, m) for m in mats]
+    coords = HomBasis(f, homs).coords
+    rows = [coords(m) for m in mats]
     return rank(Matrix(f, rows, len(homs))) == side_alg.dim
 
 
@@ -514,6 +515,8 @@ def tilting_audit(ctx, t=None, cap=None):
     ihoms = hom_space(companion, total)
     dhoms = hom_space(total, companion)
     ni, nd = len(ihoms), len(dhoms)
+    icoords = HomBasis(f, ihoms).coords
+    dcoords = HomBasis(f, dhoms).coords
 
     I0_dims = (
         len(hom_space(p, total)),
@@ -528,22 +531,22 @@ def tilting_audit(ctx, t=None, cap=None):
     # algebra on the left, precomposition by the companion algebra on
     # the right
     fwd_l = [
-        Matrix(f, [_hom_coords(f, ihoms, ih.matrix.mul(h.matrix)) for ih in ihoms], ni)
+        Matrix(f, [icoords(ih.matrix.mul(h.matrix)) for ih in ihoms], ni)
         for h in ctx.hom_basis
     ]
     fwd_r = [
-        Matrix(f, [_hom_coords(f, ihoms, s.matrix.mul(ih.matrix)) for ih in ihoms], ni)
+        Matrix(f, [icoords(s.matrix.mul(ih.matrix)) for ih in ihoms], ni)
         for s in l1homs
     ]
     forward = Bimodule(lam, lam1, fwd_l, fwd_r)
 
     # maps generator → companion: the mirror actions
     bwd_l = [
-        Matrix(f, [_hom_coords(f, dhoms, dh.matrix.mul(s.matrix)) for dh in dhoms], nd)
+        Matrix(f, [dcoords(dh.matrix.mul(s.matrix)) for dh in dhoms], nd)
         for s in l1homs
     ]
     bwd_r = [
-        Matrix(f, [_hom_coords(f, dhoms, h.matrix.mul(dh.matrix)) for dh in dhoms], nd)
+        Matrix(f, [dcoords(h.matrix.mul(dh.matrix)) for dh in dhoms], nd)
         for h in ctx.hom_basis
     ]
     backward = Bimodule(lam1, lam, bwd_l, bwd_r)
@@ -600,7 +603,7 @@ def tilting_audit(ctx, t=None, cap=None):
     mu_rows = []
     for ih in ihoms:
         for dh in dhoms:
-            mu_rows.append(_hom_coords(f, ctx.hom_basis, dh.matrix.mul(ih.matrix)))
+            mu_rows.append(ctx.hom_coords.coords(dh.matrix.mul(ih.matrix)))
     mu = Matrix(f, mu_rows, lam.dim)
     for r in span.basis_matrix().rows:
         if not Matrix(f, [list(r)], ni * nd).mul(mu).is_zero():

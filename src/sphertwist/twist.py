@@ -32,10 +32,11 @@ from .errors import (
     NotAChainMap,
     SphertwistError,
 )
-from .exactlin import Matrix, SpanBuilder, rank, solve, solve_matrix
+from .exactlin import Matrix, SpanBuilder, rank, solve_matrix
 from .frobenius import injective_envelope
 from .homology import ext_dims
 from .modules import (
+    HomBasis,
     Module,
     ModuleHom,
     direct_sum,
@@ -305,31 +306,6 @@ def _vect(field, n):
     )
 
 
-class _HomCoords:
-    """Coordinates of a matrix against a fixed basis of module maps."""
-
-    def __init__(self, field, hom_basis):
-        self.field = field
-        self.basis = hom_basis
-        if hom_basis:
-            width = hom_basis[0].matrix.nrows * hom_basis[0].matrix.ncols
-            self.flat_t = Matrix(
-                field,
-                [[e for row in h.matrix.rows for e in row] for h in hom_basis],
-                width,
-            ).transpose()
-
-    def coords(self, mat):
-        if not self.basis:
-            if mat.is_zero():
-                return []
-            raise SphertwistError("nonzero map against an empty hom basis")
-        x = solve(self.flat_t, [e for row in mat.rows for e in row])
-        if x is None:
-            raise SphertwistError("map escapes the hom basis")
-        return x
-
-
 def hom_complex(c, d):
     """Total hom complex of two bounded complexes, over the base field.
 
@@ -357,7 +333,7 @@ def hom_complex(c, d):
             if d.lo <= k + n <= d.hi:
                 homs = hom_space(c.term(k), d.term(k + n))
                 bases[(k, n)] = homs
-                solvers[(k, n)] = _HomCoords(field, homs)
+                solvers[(k, n)] = HomBasis(field, homs)
     blocks = {}
     terms = []
     for n in range(n_lo, n_hi + 1):
@@ -636,8 +612,8 @@ def _hom_into(lam, src, src_left_mults, tgt):
     homs = hom_space(src, tgt)
     n = len(homs)
     if n == 0:
-        return Module.zero(lam), [], _HomCoords(lam.field, [])
-    solver = _HomCoords(lam.field, homs)
+        return Module.zero(lam), [], HomBasis(lam.field, [])
+    solver = HomBasis(lam.field, homs)
     action = []
     for g in range(lam.dim):
         pre = src_left_mults[g]
@@ -732,7 +708,7 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
         if j < len(i_terms):
             hm, hb, sol = _hom_into(lam, k_mod, lmults, i_terms[j])
         else:
-            hm, hb, sol = Module.zero(lam), [], _HomCoords(lam.field, [])
+            hm, hb, sol = Module.zero(lam), [], HomBasis(lam.field, [])
         hom_modules.append(hm)
         hom_bases.append(hb)
         solvers.append(sol)
@@ -886,7 +862,7 @@ def _balanced_collapse_dim(p, homs):
     n = len(homs)
     if n == 0:
         return 0
-    solver = _HomCoords(field, homs)
+    solver = HomBasis(field, homs)
     right_action = []
     for g in range(b.dim):
         pre = b.left_mult_matrix(b.basis_vector(g))
@@ -1324,7 +1300,7 @@ def _unit_faithful_on_cohomology(p, k_mod, cap):
     res = minimal_resolution(k_mod, cap=cap)
     reg = Module.regular(lam)
     spaces = [hom_space(t, reg) for t in res.terms]
-    solvers = [_HomCoords(field, s) for s in spaces]
+    solvers = [HomBasis(field, s) for s in spaces]
     pre = []
     for i, h in enumerate(res.maps):
         rows = [solvers[i + 1].coords(h.matrix.mul(f.matrix)) for f in spaces[i]]

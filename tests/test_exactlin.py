@@ -371,3 +371,71 @@ def test_span_builder_matches_reference(data):
         vec = draw_vector(data, field, m.ncols)
         assert sb.contains(vec) == rsb.contains(vec)
         assert sb._reduce(vec) == rsb._reduce(vec)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy's DomainMatrix, an independent
+# implementation of the same eliminations, over Q and three prime fields
+
+
+def to_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    p = m.field.characteristic
+    if p:
+        dom = sympy.GF(p)
+        rows = [[dom(int(e)) for e in r] for r in m.rows]
+    else:
+        dom = sympy.QQ
+        rows = [[dom(int(e.numerator), int(e.denominator)) for e in r] for r in m.rows]
+    return DomainMatrix(rows, (m.nrows, m.ncols), dom)
+
+
+def from_sympy(field, rows, domain):
+    p = field.characteristic
+    if p:
+        return [[domain.to_int(e) % p for e in r] for r in rows]
+    return [[Fraction(int(e.numerator), int(e.denominator)) for e in r] for r in rows]
+
+
+def sympy_kernel_rows(m):
+    """The canonical (rref) basis rows of the null space, via sympy."""
+    null = to_sympy(m).nullspace()
+    if null.shape[0] == 0:
+        return []
+    r, pivots = null.rref()
+    return from_sympy(m.field, r.to_list()[: len(pivots)], null.domain)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rref_and_kernel_match_sympy(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = draw_matrix(data, field, max_dim=6)
+    sm = to_sympy(m)
+    sr, spivots = sm.rref()
+    r, pivots = rref(m)
+    assert pivots == list(spivots)
+    assert r.rows == from_sympy(field, sr.to_list(), sm.domain)
+    assert kernel_basis(m).transpose().rows == sympy_kernel_rows(m)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_span_builder_sparse_entry_matches_sympy(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = draw_matrix(data, field, max_dim=6)
+    sb = SpanBuilder(field, m.ncols)
+    rank_before = 0
+    for i, row in enumerate(m.rows):
+        # nonzeros plus a few explicit zeros, which must be ignored
+        grew = sb.add_sparse({j: e for j, e in enumerate(row) if e or j % 2})
+        rank_after = to_sympy(Matrix(field, m.rows[: i + 1], m.ncols)).rank()
+        assert grew == (rank_after > rank_before)
+        assert sb.dim() == rank_after
+        rank_before = rank_after
+    sr, spivots = to_sympy(m).rref()
+    assert sb.pivots == list(spivots)
+    assert sb.rows == from_sympy(field, sr.to_list()[: len(spivots)], sr.domain)
+    assert sb.kernel_basis().transpose().rows == sympy_kernel_rows(m)

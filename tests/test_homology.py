@@ -286,6 +286,21 @@ def test_bimodule_restrictions_of_the_regular_bimodule():
     assert find_isomorphism(left, Module.regular(opposite(a))) is not None
 
 
+def test_bimodule_side_projectivity_of_the_regular_and_the_simple_bimodule():
+    a = dual_numbers()
+    regular = Bimodule(
+        a, a,
+        [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)],
+        [a.right_mult_matrix(a.basis_vector(j)) for j in range(a.dim)],
+    )
+    assert regular.right_projective and regular.left_projective
+    # k = A/(x), x acting by zero on both sides: a projective over the
+    # local algebra A is free, of even dimension, and k has dimension 1
+    one, zero = Matrix.identity(a.field, 1), Matrix.zero(a.field, 1, 1)
+    simple = Bimodule(a, a, [one, zero], [one, zero])
+    assert not simple.right_projective and not simple.left_projective
+
+
 # ---------------------------------------------------------------------------
 # cotwist data
 
