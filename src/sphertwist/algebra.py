@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (
     BadUnit,
@@ -59,12 +60,21 @@ class Algebra:
             ]
             for row in self.mult
         ]
-        # per-algebra caches filled by the modules layer
+        # per-algebra caches: of this module ...
+        self._radical_cache = None
+        self._opposite_cache = None
+        self._enveloping_cache = {}  # id(b) -> (b, enveloping(self, b))
+        self._idempotent_cache = None
+        # ... of the modules layer ...
         self._regular_module_cache = None
         self._coregular_module_cache = None
         self._generator_cache = None
         self._simple_modules_cache = None
         self._piece_cache = {}
+        # ... and of the frobenius layer
+        self._selfinj_cache = None
+        self._nakayama_cache = None
+        self._symmetric_cache = None
         self._validate()
 
     # -- construction-time checks
@@ -119,18 +129,24 @@ class Algebra:
         return v
 
     def mul_vec(self, x, y):
+        """Coordinates of x·y: the nonzeros of x against those of y over
+        the sparse table, reduced modulo p once at the end."""
         f = self.field
+        p = f.characteristic
         out = [f.zero()] * self.dim
-        for i, xi in enumerate(x):
-            if f.is_zero(xi):
-                continue
-            for j, yj in enumerate(y):
-                if f.is_zero(yj):
-                    continue
-                c = f.mul(xi, yj)
-                for t, s in self._sparse[i][j]:
-                    out[t] = f.add(out[t], f.mul(c, s))
-        return out
+        if p:
+            xs = [(i, c) for i, c in enumerate(x) if c % p]
+            ys = [(j, c) for j, c in enumerate(y) if c % p]
+        else:
+            xs = [(i, x[i]) for i in compress(range(len(x)), x)]
+            ys = [(j, y[j]) for j in compress(range(len(y)), y)]
+        for i, xi in xs:
+            table = self._sparse[i]
+            for j, yj in ys:
+                c = xi * yj
+                for t, s in table[j]:
+                    out[t] += c * s
+        return [v % p for v in out] if p else out
 
     def left_mult_matrix(self, x):
         """Matrix of v ↦ x·v on row vectors (row i = coords of x·b_i)."""
@@ -271,10 +287,21 @@ def radical(a):
     Uses the trace form of the left regular representation, valid in
     characteristic 0 or p > dim; the computed span is verified nilpotent
     by powering it until it dies.
+
+    An opposite algebra (cached in pairs with `opposite`) that already
+    knows its radical lends it: the Jacobson radical is the largest
+    nilpotent two-sided ideal, and a subspace is a nilpotent two-sided
+    ideal of a exactly when it is one of aᵒᵖ (same space, products
+    reversed, so the powers of the ideal are the same subspaces).  The
+    canonical basis depends only on the subspace, so the reused matrix is
+    the one this function would compute.
     """
-    cached = getattr(a, "_radical_cache", None)
-    if cached is not None:
-        return cached
+    if a._radical_cache is not None:
+        return a._radical_cache
+    op = a._opposite_cache
+    if op is not None and op._radical_cache is not None:
+        a._radical_cache = op._radical_cache
+        return a._radical_cache
     f = a.field
     if f.characteristic != 0 and f.characteristic <= a.dim:
         raise UnsupportedCharacteristic(
@@ -317,9 +344,8 @@ def opposite(a):
     Cached both ways, so opposite(opposite(a)) is the original object;
     dualizing a module twice then lands over the algebra it started on.
     """
-    cached = getattr(a, "_opposite_cache", None)
-    if cached is not None:
-        return cached
+    if a._opposite_cache is not None:
+        return a._opposite_cache
     mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
     idem = a.idempotents
     o = Algebra(
@@ -348,9 +374,7 @@ def enveloping(a, b):
     """
     if a.field != b.field:
         raise FieldMismatch("enveloping factors over different fields")
-    cache = getattr(a, "_enveloping_cache", None)
-    if cache is None:
-        cache = a._enveloping_cache = {}
+    cache = a._enveloping_cache
     hit = cache.get(id(b))
     if hit is not None and hit[0] is b:
         return hit[1]
@@ -855,15 +879,30 @@ def lift_idempotents(a):
     one-dimensional is local, so its unit is primitive.  If a corner of
     semisimple dimension > 1 defeats the search, the split-semisimplicity
     precondition fails and NotSplit is raised.
+
+    An opposite algebra (cached in pairs with `opposite`) that already
+    holds its list lends it instead of a new search.  Both algebras have
+    the same space and unit, and e·e, e·e' and e'·e are the same products
+    read in the other order, so the list is idempotent, orthogonal and
+    sums to 1 in a exactly when it does in aᵒᵖ.  The corner e·aᵒᵖ·e is
+    (e·a·e)ᵒᵖ, which is local exactly when e·a·e is, so the elements are
+    primitive in both.  Either list is checked here: each element
+    squares to itself, the elements are pairwise orthogonal, and they
+    sum to the unit.
     """
-    cached = getattr(a, "_idempotent_cache", None)
-    if cached is not None:
-        return [list(e) for e in cached]
+    if a._idempotent_cache is not None:
+        return [list(e) for e in a._idempotent_cache]
     f = a.field
-    result = []
-    _split_corner(a, a.unit, result)
+    op = a._opposite_cache
+    if op is not None and op._idempotent_cache is not None:
+        result = [list(e) for e in op._idempotent_cache]
+    else:
+        result = []
+        _split_corner(a, a.unit, result)
     total = [f.zero()] * a.dim
     for e in result:
+        if a.mul_vec(e, e) != e:
+            raise SphertwistError("lifted idempotent does not square to itself")
         total = [f.add(x, y) for x, y in zip(total, e)]
     if total != a.unit:
         raise SphertwistError("lifted idempotents do not sum to 1")

@@ -36,11 +36,14 @@ entries, so in practice every entry lies in [0, p).  Where a kernel tests
 entries it has not computed itself for zero (pivots and multipliers in
 ``rref`` and `SpanBuilder`, ``Matrix.is_zero``), it reads them modulo p.
 
-Two further specialisations were tried and dropped.  Integer rows with
-fraction-free elimination (Bareiss 1968) for Q: a prototype's integer
+`Algebra.mul_vec` follows the same rules: it walks the nonzeros of both
+factors over the sparse multiplication table and reduces modulo p once
+at the end.
+
+One further specialisation was tried and dropped: integer rows with
+fraction-free elimination (Bareiss 1968) for Q.  A prototype's integer
 Gauss-Jordan ``rref`` spent more time than the `Fraction` one on the
-4-cycle scale-ladder workload.  Specialising `Algebra.mul_vec` the same
-way: it slowed the GF(32003) twist workload.
+4-cycle scale-ladder workload.
 """
 
 from __future__ import annotations

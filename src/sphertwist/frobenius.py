@@ -25,6 +25,7 @@ from .modules import (
     HomBasis,
     Module,
     ModuleHom,
+    _idempotent_piece,
     cokernel_of,
     direct_sum,
     endomorphism_algebra,
@@ -53,9 +54,8 @@ def dual_module(m):
 def is_self_injective(a):
     """Whether the regular module and its dual generate the same additive
     closure — projectives equal injectives exactly then."""
-    cached = getattr(a, "_selfinj_cache", None)
-    if cached is not None:
-        return cached
+    if a._selfinj_cache is not None:
+        return a._selfinj_cache
     reg = Module.regular(a)
     co = Module.coregular(a)
     verdict = in_add(reg, co) and in_add(co, reg)
@@ -115,17 +115,14 @@ def nakayama_permutation(a):
 
     Indices refer to positions in ``simple_modules(a)``.
     """
-    cached = getattr(a, "_nakayama_cache", None)
-    if cached is not None:
-        return cached
+    if a._nakayama_cache is not None:
+        return a._nakayama_cache
     _require_self_injective(a)
     simples = simple_modules(a)
-    reg = Module.regular(a)
     sigma = []
     for s in simples:
         e = s.tag
-        pe_rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
-        pe, _ = submodule(reg, pe_rows, check=False)
+        pe, _ = _idempotent_piece(a, e)
         soc_mod, _ = submodule(pe, socle(pe), check=False)
         hits = [
             j
@@ -168,9 +165,8 @@ def is_symmetric(a):
     an infinite field is near-certain rather than proven, while a
     positive is exact.
     """
-    cached = getattr(a, "_symmetric_cache", None)
-    if cached is not None:
-        return cached
+    if a._symmetric_cache is not None:
+        return a._symmetric_cache
     f, d = a.field, a.dim
     commutators = [
         [f.sub(x, y) for x, y in zip(a.mult[i][j], a.mult[j][i])]
@@ -218,13 +214,7 @@ def cosyzygy(m):
 
 
 def _indecomposable_projectives(a):
-    reg = Module.regular(a)
-    out = []
-    for e in lift_idempotents(a):
-        rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
-        pe, _ = submodule(reg, rows, check=False)
-        out.append(pe)
-    return out
+    return [_idempotent_piece(a, e)[0] for e in lift_idempotents(a)]
 
 
 def strip_projective_summands(m):
@@ -321,20 +311,14 @@ class FrobeniusContext:
         self.e_proj = e_proj
         self.e_extra = e_extra
         self.e_copies = e_copies
-        self._ideal_cache = {}
+        # caches of the resolutions layer
+        self._proj_prims = None
+        self._piece_type_cache = {}
+        self._stable_simples = None
 
     def right_ideal(self, e):
         """(e·endo as a right module, inclusion into the regular module)."""
-        key = tuple(e)
-        hit = self._ideal_cache.get(key)
-        if hit is not None:
-            return hit
-        a = self.endo
-        reg = Module.regular(a)
-        rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
-        pair = submodule(reg, rows, check=False)
-        self._ideal_cache[key] = pair
-        return pair
+        return _idempotent_piece(self.endo, e)
 
     def __repr__(self):
         return "FrobeniusContext(endo dim %d, stable dim %d)" % (
@@ -365,9 +349,8 @@ def build_context(ambient, projective_part, extra_summands):
             blocks.append(x)
             block_owner.append(idx)
     total, injs, projs = direct_sum(blocks)
-    endo, hom_basis = endomorphism_algebra(total)
+    endo, hom_coords = endomorphism_algebra(total)
     f = ambient.field
-    hom_coords = HomBasis(f, hom_basis)
     coords = hom_coords.coords
 
     def block_projector(b):
@@ -403,7 +386,7 @@ def build_context(ambient, projective_part, extra_summands):
         summands,
         total,
         endo,
-        hom_basis,
+        hom_coords.homs,
         hom_coords,
         ideal,
         pi,

@@ -104,16 +104,26 @@ class Module:
                     )
 
     def action_of(self, avec):
+        """The matrix Σ cᵢ·Mᵢ of the algebra element with coordinates avec,
+        summed in one pass over the nonzero coefficients."""
         f = self.algebra.field
-        out = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(avec):
-            if not f.is_zero(c):
-                out = out.add(self.action[i].scale(c))
-        return out
+        p = f.characteristic
+        d = self.dim
+        cols = range(d)
+        acc = [[f.zero()] * d for _ in cols]
+        for c, mat in zip(avec, self.action):
+            if not c or (p and not c % p):
+                continue
+            c = f.coerce(c)
+            for out, row in zip(acc, mat.rows):
+                for j in compress(cols, row):
+                    out[j] += c * row[j]
+        if p:
+            acc = [[x % p for x in out] for out in acc]
+        return Matrix(f, acc, d)
 
     def apply(self, v, avec):
-        row = Matrix(self.algebra.field, [list(v)], self.dim)
-        return row.mul(self.action_of(avec)).rows[0]
+        return self.action_of(avec).apply_to_row(v)
 
     @classmethod
     def zero(cls, algebra):
@@ -187,8 +197,7 @@ class ModuleHom:
                 )
 
     def apply(self, v):
-        row = Matrix(self.source.algebra.field, [list(v)], self.source.dim)
-        return row.mul(self.matrix).rows[0]
+        return self.matrix.apply_to_row(v)
 
     def compose(self, then):
         """self : m → n followed by then : n → p."""
@@ -283,6 +292,7 @@ class HomBasis:
 
     def __init__(self, field, homs):
         self.field = field
+        self.homs = list(homs)
         self._flats = []  # (column, entry) pairs of each flattened map
         if not homs:
             return
@@ -388,12 +398,10 @@ def submodule(m, vectors, check=True):
             raise NotASubmodule("vector leaves the subspace", witness=vec)
         return [vec[p] for p in pivots]
 
-    action = []
-    for i in range(m.algebra.dim):
-        imgs = [
-            Matrix(f, [list(r)], m.dim).mul(m.action[i]).rows[0] for r in rows.rows
-        ]
-        action.append(Matrix(f, [coords(v) for v in imgs], d))
+    action = [
+        Matrix(f, [coords(mat.apply_to_row(r)) for r in rows.rows], d)
+        for mat in m.action
+    ]
     sub = Module(m.algebra, d, action, validate=False)
     incl = ModuleHom(sub, m, rows, validate=False)
     return sub, incl
@@ -407,9 +415,8 @@ def quotient(m, vectors):
     for r in rows.rows:
         span.add(list(r))
     for r in rows.rows:
-        for i in range(m.algebra.dim):
-            img = Matrix(f, [list(r)], m.dim).mul(m.action[i]).rows[0]
-            if not span.contains(img):
+        for i, mat in enumerate(m.action):
+            if not span.contains(mat.apply_to_row(r)):
                 raise NotASubmodule(
                     "subspace not stable under basis element %d" % i, witness=list(r)
                 )
@@ -421,20 +428,8 @@ def quotient(m, vectors):
         return [red[j] for j in keep]
 
     d = len(keep)
-    reps = []
-    for j in keep:
-        v = [f.zero()] * m.dim
-        v[j] = f.one()
-        reps.append(v)
-    action = []
-    for i in range(m.algebra.dim):
-        action.append(
-            Matrix(
-                f,
-                [project(Matrix(f, [r], m.dim).mul(m.action[i]).rows[0]) for r in reps],
-                d,
-            )
-        )
+    # the image of the j-th unit row under M is row j of M
+    action = [Matrix(f, [project(mat.rows[j]) for j in keep], d) for mat in m.action]
     q = Module(m.algebra, d, action, validate=False)
     proj = ModuleHom(
         m,
@@ -515,9 +510,8 @@ def module_radical(m):
     rad = radical(m.algebra)
     sb = SpanBuilder(f, m.dim)
     for j in range(rad.ncols):
-        act = m.action_of(rad.column(j))
-        for r in range(m.dim):
-            sb.add(Matrix(f, [m_basis_row(f, m.dim, r)], m.dim).mul(act).rows[0])
+        for row in m.action_of(rad.column(j)).rows:
+            sb.add(row)
     return sb.basis_matrix()
 
 
@@ -546,24 +540,17 @@ def simple_modules(a):
     """
     if a._simple_modules_cache is not None:
         return a._simple_modules_cache
-    es = lift_idempotents(a)
-    reg = Module.regular(a)
-    rad = radical(a)
-    rad_rows = rad.transpose()
+    rad_rows = radical(a).transpose()
     out = []
-    for e in es:
-        pe, pe_rows = _idempotent_piece(a, reg, e)
-        # top = eA / (eA ∩ rad) — eA·rad = e·rad ⊆ eA
-        erad_rows = [a.mul_vec(e, list(r)) for r in rad_rows.rows]
-        pe_mat = row_space_canonical(Matrix(a.field, pe_rows, a.dim))
-        # express e·rad inside pe coordinates
-        span = SpanBuilder(a.field, a.dim)
-        for r in pe_mat.rows:
-            span.add(list(r))
-        pivots = list(span.pivots)
-        sub_rows = []
-        for v in erad_rows:
-            sub_rows.append([v[p] for p in pivots])
+    for e in lift_idempotents(a):
+        pe, incl = _idempotent_piece(a, e)
+        # top = eA / (eA ∩ rad) — eA·rad = e·rad ⊆ eA, whose coordinates
+        # in pe sit at the pivots of pe's canonical rows
+        pivots = [next(j for j, c in enumerate(r) if c) for r in incl.matrix.rows]
+        sub_rows = [
+            [v[p] for p in pivots]
+            for v in (a.mul_vec(e, r) for r in rad_rows.rows)
+        ]
         top, _ = quotient(pe, sub_rows)
         top.tag = e
         out.append(top)
@@ -577,21 +564,47 @@ def simple_modules(a):
     return reps
 
 
-def _idempotent_piece(a, reg, e):
-    """(e·a as a module, its generating rows), cached per algebra."""
-    cache = a._piece_cache
+def _idempotent_piece(a, e):
+    """(e·a as a module, its inclusion into the regular module).
+
+    The inclusion's matrix is the canonical row basis of e·a.  Cached
+    per algebra and idempotent.
+    """
     key = tuple(e)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    pe_rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
-    pe, _ = submodule(reg, pe_rows, check=False)
-    cache[key] = (pe, pe_rows)
-    return pe, pe_rows
+    hit = a._piece_cache.get(key)
+    if hit is None:
+        rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
+        hit = a._piece_cache[key] = submodule(Module.regular(a), rows, check=False)
+    return hit
 
 
 def projective_cover(m):
-    """(P, epi) with P a sum of idempotent projectives covering top(m)."""
+    """(P, epi) with P a sum of idempotent projectives covering top(m).
+
+    The pieces come from the lifted primitive idempotents, in order (see
+    `_cover_by_pieces`).  Each generator v is multiplied by the basis of
+    A once, and the epi row of a basis row w of e·A is read off those
+    images as v·w = Σ wᵢ·(v·bᵢ), so no action_of(w) is formed.
+    """
+    return _cover_by_pieces(m, lift_idempotents(m.algebra), "projective cover")
+
+
+def _cover_by_pieces(m, idempotents, what):
+    """(P, epi): m covered by one piece e·A per generator, e from the list.
+
+    Greedy over the idempotents in order: for each e and each basis row
+    r, v = r·e is taken as a generator when it lies outside the span of
+    m·rad(A) and the cyclic submodules v'·A already taken, and then e·A
+    covers v·A.  A generator's images v·bᵢ under the basis of A are
+    computed once.  They enlarge the span, and they give its epi block:
+    the row for a basis row w of e·A is v·w = Σ wᵢ·(v·bᵢ), the
+    coordinates of w times the matrix of those images.
+
+    The epi is validated as a module map and must have full rank.  It
+    carries ``cover_idempotents`` and ``cover_piece_modules``, naming the
+    summand each block came from, for callers that need the
+    indecomposable decomposition of a module they know to be projective.
+    """
     a = m.algebra
     f = a.field
     if m.dim == 0:
@@ -600,51 +613,31 @@ def projective_cover(m):
         epi.cover_idempotents = []
         epi.cover_piece_modules = []
         return z, epi
-    es = lift_idempotents(a)
-    reg = Module.regular(a)
-    rad_rows = module_radical(m)
-    # shared greedy span: radical plus the cyclic submodules already covered
     cover_span = SpanBuilder(f, m.dim)
-    for r in rad_rows.rows:
-        cover_span.add(list(r))
+    for r in module_radical(m).rows:
+        cover_span.add(r)
     pieces = []
-    gens = []
-    for e in es:
-        act_e = m.action_of(e)
-        for r in range(m.dim):
-            v = Matrix(f, [m_basis_row(f, m.dim, r)], m.dim).mul(act_e).rows[0]
+    idems = []
+    rows = []
+    for e in idempotents:
+        for v in m.action_of(e).rows:
             if cover_span.contains(v):
                 continue
-            pe, pe_rows = _idempotent_piece(a, reg, e)
+            pe, incl = _idempotent_piece(a, e)
+            images = Matrix(f, [mat.apply_to_row(v) for mat in m.action], m.dim)
+            for img in images.rows:
+                cover_span.add(img)
+            rows.extend(images.apply_to_row(w) for w in incl.matrix.rows)
             pieces.append(pe)
-            gens.append((v, pe_rows, e))
-            for i in range(a.dim):
-                cover_span.add(
-                    Matrix(f, [v], m.dim).mul(m.action[i]).rows[0]
-                )
+            idems.append(e)
     if not pieces:
-        raise SphertwistError("nonzero module with no top — radical not nilpotent?")
+        raise SphertwistError("%s of a nonzero module found no generator" % what)
     p_sum, _, _ = direct_sum(pieces)
-    blocks = []
-    for (v, pe_rows, _e), pe in zip(gens, pieces):
-        pe_mat = row_space_canonical(Matrix(f, pe_rows, a.dim))
-        rows = []
-        for r in pe_mat.rows:
-            img = Matrix(f, [v], m.dim).mul(m.action_of(list(r))).rows[0]
-            rows.append(img)
-        blocks.append(Matrix(f, rows, m.dim))
-    if blocks:
-        big = blocks[0]
-        for b in blocks[1:]:
-            big = big.vstack(b)
-    else:
-        big = Matrix.zero(f, 0, m.dim)
+    big = Matrix(f, rows, m.dim)
     epi = ModuleHom(p_sum, m, big)
     if rank(big) != m.dim:
-        raise SphertwistError("projective cover candidate is not surjective")
-    # names the summand each block came from, for callers that need the
-    # indecomposable decomposition of a module they know to be projective
-    epi.cover_idempotents = [e for (_v, _rows, e) in gens]
+        raise SphertwistError("%s candidate is not surjective" % what)
+    epi.cover_idempotents = idems
     epi.cover_piece_modules = pieces
     return p_sum, epi
 
@@ -680,13 +673,14 @@ def restrict_scalars(surj, m):
 
 
 def endomorphism_algebra(m):
-    """(End(m) as an Algebra, its hom basis).
+    """(End(m) as an Algebra, its factored hom basis).
 
     Structure constants come from composing hom-basis elements and
     re-expanding in the basis.  The product is function composition —
     the right factor acts first — so for an idempotent projection e onto
     a direct summand, the right ideal e·End(m) collects the maps out of
-    the whole module into that summand.
+    the whole module into that summand.  The returned `HomBasis` holds
+    the maps (``homs``) and reads coordinates against them.
     """
     homs = hom_space(m, m)
     d = len(homs)
@@ -699,8 +693,7 @@ def endomorphism_algebra(m):
         for i in range(d)
     ]
     unit = basis.coords(Matrix.identity(f, m.dim))
-    alg = Algebra(f, mult, unit)
-    return alg, homs
+    return Algebra(f, mult, unit), basis
 
 
 def is_indecomposable(m):

@@ -28,8 +28,7 @@ from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonic
 from .frobenius import FrobeniusContext
 from .modules import (
     Module,
-    ModuleHom,
-    direct_sum,
+    _cover_by_pieces,
     hom_space,
     kernel_of,
     module_radical,
@@ -147,12 +146,10 @@ def radd0(ctx, m):
     f = lam.field
     if m.dim == 0:
         return Matrix.zero(f, 0, 0)
-    act0 = m.action_of(ctx.e_proj)
     span = SpanBuilder(f, m.dim)
-    for r in range(m.dim):
-        v = list(act0.rows[r])
-        for i in range(lam.dim):
-            span.add(Matrix(f, [v], m.dim).mul(m.action[i]).rows[0])
+    for v in m.action_of(ctx.e_proj).rows:
+        for mat in m.action:
+            span.add(mat.apply_to_row(v))
     sub_rows = span.basis_matrix()
     q, proj = quotient(m, [list(r) for r in sub_rows.rows])
     if q.dim == 0:
@@ -176,11 +173,9 @@ def is_partially_essential(ctx, epi):
 
 
 def _proj_type_primitives(ctx):
-    cached = getattr(ctx, "_proj_prims", None)
-    if cached is None:
-        cached = refine_idempotent(ctx.endo, ctx.e_proj)
-        ctx._proj_prims = cached
-    return cached
+    if ctx._proj_prims is None:
+        ctx._proj_prims = refine_idempotent(ctx.endo, ctx.e_proj)
+    return ctx._proj_prims
 
 
 def partial_cover(ctx, m):
@@ -191,52 +186,11 @@ def partial_cover(ctx, m):
     else by primitive pieces of the projective-type idempotent.  The
     kernel lands inside the radical, hence inside radd0(Q) — each stage
     is partially essential, and a projective input is covered by an
-    isomorphism.
+    isomorphism.  The pieces and the epi are built as in
+    `projective_cover`, from each generator's images taken once.
     """
-    lam = ctx.endo
-    f = lam.field
-    if m.dim == 0:
-        z = Module.zero(lam)
-        epi = ModuleHom(z, m, Matrix.zero(f, 0, 0), validate=False)
-        epi.cover_idempotents = []
-        return z, epi
-    rad_rows = module_radical(m)
-    span = SpanBuilder(f, m.dim)
-    for r in rad_rows.rows:
-        span.add(list(r))
     order = [copies[0] for copies in ctx.e_copies] + _proj_type_primitives(ctx)
-    pieces = []
-    gens = []
-    for e in order:
-        act_e = m.action_of(e)
-        for r in range(m.dim):
-            v = list(act_e.rows[r])
-            if span.contains(v):
-                continue
-            pe, _ = ctx.right_ideal(e)
-            pieces.append(pe)
-            gens.append((v, e))
-            for i in range(lam.dim):
-                span.add(Matrix(f, [v], m.dim).mul(m.action[i]).rows[0])
-    if not pieces:
-        raise SphertwistError("nonzero module admits no partial cover")
-    p_sum, _, _ = direct_sum(pieces)
-    blocks = []
-    for (v, e), pe in zip(gens, pieces):
-        _, incl = ctx.right_ideal(e)
-        rows = [
-            Matrix(f, [v], m.dim).mul(m.action_of(list(w))).rows[0]
-            for w in incl.matrix.rows
-        ]
-        blocks.append(Matrix(f, rows, m.dim))
-    big = blocks[0]
-    for b in blocks[1:]:
-        big = big.vstack(b)
-    epi = ModuleHom(p_sum, m, big)
-    if rank(big) != m.dim:
-        raise SphertwistError("partial cover candidate is not surjective")
-    epi.cover_idempotents = [e for (_v, e) in gens]
-    return p_sum, epi
+    return _cover_by_pieces(m, order, "partial cover")
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +359,7 @@ def _piece_type(ctx, e):
     extra summand whose one-copy ideal it matches.  The test reads which
     block idempotent survives on the simple top of e·Λ.
     """
-    cache = getattr(ctx, "_piece_type_cache", None)
-    if cache is None:
-        cache = {}
-        ctx._piece_type_cache = cache
+    cache = ctx._piece_type_cache
     key = tuple(e)
     if key in cache:
         return cache[key]
@@ -489,17 +440,16 @@ def stable_module(ctx):
 
 def stable_simples(ctx):
     """Simples of the stable quotient, as modules over the full algebra."""
-    cached = getattr(ctx, "_stable_simples", None)
-    if cached is None:
-        if ctx.stable_endo.dim == 0:
-            cached = []
-        else:
-            cached = [
+    if ctx._stable_simples is None:
+        ctx._stable_simples = (
+            [
                 restrict_scalars(ctx.to_stable, s)
                 for s in simple_modules(ctx.stable_endo)
             ]
-        ctx._stable_simples = cached
-    return cached
+            if ctx.stable_endo.dim
+            else []
+        )
+    return ctx._stable_simples
 
 
 def stable_idempotent_module(ctx, i):

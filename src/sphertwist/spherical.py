@@ -45,7 +45,7 @@ from .frobenius import (
 from .homology import Bimodule, ext_dims, left_module_along, tor_dims
 from .modules import (
     HomBasis,
-    Module,
+    _idempotent_piece,
     direct_sum,
     endomorphism_algebra,
     generator_indices,
@@ -54,7 +54,6 @@ from .modules import (
     kernel_of,
     projective_cover,
     simple_modules,
-    submodule,
 )
 from .resolutions import (
     extract_shape,
@@ -309,12 +308,9 @@ def _summand_simple_positions(ctx):
     quotient — or None when the matching is not a bijection."""
     con = ctx.stable_endo
     simples = simple_modules(con)
-    reg = Module.regular(con)
     pos = []
     for copies in ctx.e_copies:
-        e = ctx.to_stable.apply(copies[0])
-        rows = [con.mul_vec(e, con.basis_vector(k)) for k in range(con.dim)]
-        ideal, _ = submodule(reg, rows, check=False)
+        ideal, _ = _idempotent_piece(con, ctx.to_stable.apply(copies[0]))
         hits = [j for j, s in enumerate(simples) if hom_space(ideal, s)]
         if len(hits) != 1:
             return None
@@ -511,7 +507,8 @@ def tilting_audit(ctx, t=None, cap=None):
     else:
         om = None
         companion = p
-    lam1, l1homs = endomorphism_algebra(companion)
+    lam1, l1basis = endomorphism_algebra(companion)
+    l1homs = l1basis.homs
     ihoms = hom_space(companion, total)
     dhoms = hom_space(total, companion)
     ni, nd = len(ihoms), len(dhoms)
@@ -605,8 +602,8 @@ def tilting_audit(ctx, t=None, cap=None):
         for dh in dhoms:
             mu_rows.append(ctx.hom_coords.coords(dh.matrix.mul(ih.matrix)))
     mu = Matrix(f, mu_rows, lam.dim)
-    for r in span.basis_matrix().rows:
-        if not Matrix(f, [list(r)], ni * nd).mul(mu).is_zero():
+    for r in span.rows:
+        if any(mu.apply_to_row(r)):
             raise AuditFailed("composition pairing is not balanced")
 
     # two-sided equivariance of the pairing, on algebra generators —

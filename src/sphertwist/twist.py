@@ -24,7 +24,7 @@ for the algebra acting on the cohomology of its own twist.
 
 from __future__ import annotations
 
-from .algebra import Algebra, lift_idempotents, opposite
+from .algebra import Algebra, opposite
 from .errors import (
     AlgebraMismatch,
     AuditFailed,
@@ -33,7 +33,7 @@ from .errors import (
     SphertwistError,
 )
 from .exactlin import Matrix, SpanBuilder, rank, solve_matrix
-from .frobenius import injective_envelope
+from .frobenius import _indecomposable_projectives, injective_envelope
 from .homology import ext_dims
 from .modules import (
     HomBasis,
@@ -1270,17 +1270,6 @@ class TwistCertificate:
         )
 
 
-def _regular_pieces(lam):
-    """The idempotent slices of the regular module, one per idempotent."""
-    reg = Module.regular(lam)
-    out = []
-    for e in lift_idempotents(lam):
-        rows = [lam.mul_vec(e, lam.basis_vector(i)) for i in range(lam.dim)]
-        piece, _incl = submodule(reg, rows, check=False)
-        out.append(piece)
-    return out
-
-
 def _unit_faithful_on_cohomology(p, k_mod, cap):
     """Whether the algebra acts faithfully on the twist of itself.
 
@@ -1381,7 +1370,7 @@ def equivalence_certificate(p, shift_window=None, cap=None):
         )
     window = shift_window if shift_window is not None else (-(pd + 1), 1)
     kernel = (k_mod, _incl, lmults, pd, complete)
-    pieces = _regular_pieces(lam)
+    pieces = _indecomposable_projectives(lam)
     images = []
     models = []
     perfect = True

@@ -1,0 +1,146 @@
+"""Reference cover layer for the differential tests of `modules`.
+
+These are the routes the package used before its cover layer read action
+rows: every row of an action matrix is a 1×d matrix product, a
+combination Σ cᵢ·Mᵢ is built term by term, e·A is rebuilt for every
+cover generator, and each row of the epi is v·action_of(w).  They are
+slow and obviously right; `projective_cover`, `module_radical`,
+`submodule`, `quotient`, `Module.action_of` and `Algebra.mul_vec` must
+return exactly what these do.
+"""
+
+from sphertwist.algebra import lift_idempotents, radical
+from sphertwist.errors import NotASubmodule, SphertwistError
+from sphertwist.exactlin import Matrix, SpanBuilder, rank, row_space_canonical
+from sphertwist.modules import Module, ModuleHom, _as_rows, direct_sum, m_basis_row
+
+
+def mul_vec(a, x, y):
+    """x·y in the algebra, one field operation at a time."""
+    f = a.field
+    out = [f.zero()] * a.dim
+    for i, xi in enumerate(x):
+        if f.is_zero(xi):
+            continue
+        for j, yj in enumerate(y):
+            if f.is_zero(yj):
+                continue
+            c = f.mul(xi, yj)
+            for t, s in a._sparse[i][j]:
+                out[t] = f.add(out[t], f.mul(c, s))
+    return out
+
+
+def action_of(m, avec):
+    """Σ cᵢ·Mᵢ, one scaled matrix and one sum per nonzero coefficient."""
+    f = m.algebra.field
+    out = Matrix.zero(f, m.dim, m.dim)
+    for i, c in enumerate(avec):
+        if not f.is_zero(c):
+            out = out.add(m.action[i].scale(c))
+    return out
+
+
+def _row_times(f, v, mat):
+    return Matrix(f, [list(v)], mat.nrows).mul(mat).rows[0]
+
+
+def submodule(m, vectors, check=True):
+    f = m.algebra.field
+    rows = row_space_canonical(_as_rows(f, vectors, m.dim))
+    span = SpanBuilder(f, m.dim)
+    for r in rows.rows:
+        span.add(list(r))
+    d = rows.nrows
+    pivots = list(span.pivots)
+
+    def coords(vec):
+        if check and not span.contains(vec):
+            raise NotASubmodule("vector leaves the subspace", witness=vec)
+        return [vec[p] for p in pivots]
+
+    action = []
+    for i in range(m.algebra.dim):
+        imgs = [_row_times(f, r, m.action[i]) for r in rows.rows]
+        action.append(Matrix(f, [coords(v) for v in imgs], d))
+    sub = Module(m.algebra, d, action, validate=False)
+    return sub, ModuleHom(sub, m, rows, validate=False)
+
+
+def quotient(m, vectors):
+    f = m.algebra.field
+    rows = row_space_canonical(_as_rows(f, vectors, m.dim))
+    span = SpanBuilder(f, m.dim)
+    for r in rows.rows:
+        span.add(list(r))
+    for r in rows.rows:
+        for i in range(m.algebra.dim):
+            if not span.contains(_row_times(f, r, m.action[i])):
+                raise NotASubmodule(
+                    "subspace not stable under basis element %d" % i, witness=list(r)
+                )
+    pivot_set = set(span.pivots)
+    keep = [j for j in range(m.dim) if j not in pivot_set]
+
+    def project(vec):
+        red = span._reduce(vec)
+        return [red[j] for j in keep]
+
+    d = len(keep)
+    reps = [m_basis_row(f, m.dim, j) for j in keep]
+    action = [
+        Matrix(f, [project(_row_times(f, r, m.action[i])) for r in reps], d)
+        for i in range(m.algebra.dim)
+    ]
+    q = Module(m.algebra, d, action, validate=False)
+    proj = Matrix(f, [project(m_basis_row(f, m.dim, j)) for j in range(m.dim)], d)
+    return q, ModuleHom(m, q, proj, validate=False)
+
+
+def module_radical(m):
+    f = m.algebra.field
+    rad = radical(m.algebra)
+    sb = SpanBuilder(f, m.dim)
+    for j in range(rad.ncols):
+        act = action_of(m, rad.column(j))
+        for r in range(m.dim):
+            sb.add(_row_times(f, m_basis_row(f, m.dim, r), act))
+    return sb.basis_matrix()
+
+
+def projective_cover(m):
+    """(P, epi, cover idempotents) by the old greedy route."""
+    a = m.algebra
+    f = a.field
+    if m.dim == 0:
+        z = Module.zero(a)
+        return z, ModuleHom(z, m, Matrix.zero(f, 0, 0), validate=False), []
+    reg = Module.regular(a)
+    cover_span = SpanBuilder(f, m.dim)
+    for r in module_radical(m).rows:
+        cover_span.add(list(r))
+    pieces, gens = [], []
+    for e in lift_idempotents(a):
+        act_e = action_of(m, e)
+        for r in range(m.dim):
+            v = _row_times(f, m_basis_row(f, m.dim, r), act_e)
+            if cover_span.contains(v):
+                continue
+            pe_rows = [mul_vec(a, e, a.basis_vector(i)) for i in range(a.dim)]
+            pe, _ = submodule(reg, pe_rows, check=False)
+            pieces.append(pe)
+            gens.append((v, pe_rows, e))
+            for i in range(a.dim):
+                cover_span.add(_row_times(f, v, m.action[i]))
+    if not pieces:
+        raise SphertwistError("nonzero module with no top")
+    p_sum, _, _ = direct_sum(pieces)
+    rows = []
+    for v, pe_rows, _e in gens:
+        pe_mat = row_space_canonical(Matrix(f, pe_rows, a.dim))
+        rows.extend(_row_times(f, v, action_of(m, list(w))) for w in pe_mat.rows)
+    big = Matrix(f, rows, m.dim)
+    epi = ModuleHom(p_sum, m, big)
+    if rank(big) != m.dim:
+        raise SphertwistError("projective cover candidate is not surjective")
+    return p_sum, epi, [e for (_v, _rows, e) in gens]

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sphertwist.algebra import (
+    Algebra,
     enveloping,
     from_quiver,
     from_structure_constants,
@@ -20,9 +21,10 @@ from sphertwist.errors import (
     NonAssociative,
     NotAnIdeal,
     NotSplit,
+    SphertwistError,
     UnsupportedCharacteristic,
 )
-from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.exactlin import QQ, Matrix, PrimeField, kernel_basis, row_space_canonical
 
 from fixture_algebras import (
     cyclic_nakayama,
@@ -293,3 +295,94 @@ def test_cyclic_family_shape(n):
     assert a.dim == 2 * n
     assert radical(a).ncols == n
     assert len(lift_idempotents(a)) == n
+
+
+# ---------------------------------------------------------------------------
+# the opposite algebra inherits idempotents and radical
+
+
+SPLIT_FIXTURES = {
+    "dual_numbers": dual_numbers,
+    "cyclic2": lambda f: cyclic_nakayama(2, f),
+    "cyclic3": lambda f: cyclic_nakayama(3, f),
+    "cyclic4": lambda f: cyclic_nakayama(4, f),
+    "two_vertex_arrow": two_vertex_arrow,
+    "product_field_pair": product_field_pair,
+    "matrix_units_2": matrix_units_2,
+    "nakayama3_hand_table": nakayama3_hand_table,
+}
+# every simple module is one-dimensional
+BASIC = sorted(set(SPLIT_FIXTURES) - {"matrix_units_2"})
+
+
+def _corner_is_local(a, e):
+    """Trace-form test: e·a·e has a one-dimensional semisimple quotient.
+
+    The radical of the corner is the kernel of the form
+    (x, y) ↦ tr(left multiplication by xy on the corner), valid in
+    characteristic 0 or above the corner's dimension.
+    """
+    f = a.field
+    corner = [a.mul_vec(a.mul_vec(e, a.basis_vector(i)), e) for i in range(a.dim)]
+    rows = row_space_canonical(Matrix(f, corner, a.dim)).rows
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+
+    def trace_of_left_mult(x):
+        t = f.zero()
+        for i, b in enumerate(rows):
+            t = f.add(t, a.mul_vec(x, b)[pivots[i]])
+        return t
+
+    gram = [[trace_of_left_mult(a.mul_vec(x, y)) for y in rows] for x in rows]
+    return len(rows) - kernel_basis(Matrix(f, gram, len(rows))).ncols == 1
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+@pytest.mark.parametrize("name", sorted(SPLIT_FIXTURES))
+def test_opposite_inherits_a_complete_orthogonal_primitive_list(name, field):
+    a = SPLIT_FIXTURES[name](field)
+    es = lift_idempotents(a)
+    op = opposite(a)
+    inherited = lift_idempotents(op)
+    assert inherited == es
+    total = [field.zero()] * op.dim
+    for i, e in enumerate(inherited):
+        assert op.mul_vec(e, e) == e
+        for e2 in inherited[i + 1 :]:
+            assert not any(op.mul_vec(e, e2)) and not any(op.mul_vec(e2, e))
+        assert _corner_is_local(op, e)
+        total = [field.add(x, y) for x, y in zip(total, e)]
+    assert total == op.unit
+
+
+@pytest.mark.parametrize("name", BASIC)
+def test_inherited_idempotents_equal_a_fresh_search(name):
+    a = SPLIT_FIXTURES[name](QQ)
+    lift_idempotents(a)
+    op = opposite(a)
+    fresh = Algebra(QQ, op.mult, op.unit)
+    assert lift_idempotents(op) == lift_idempotents(fresh)
+
+
+def test_inherited_idempotents_are_checked():
+    # 1 + x is not idempotent in k[x]/x² ((1 + x)² = 1 + 2x), and the
+    # list {e_1} alone misses e_2 of the arrow algebra
+    a = dual_numbers()
+    op = opposite(a)
+    op._idempotent_cache = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(-1)]]
+    with pytest.raises(SphertwistError, match="square"):
+        lift_idempotents(a)
+    b = two_vertex_arrow()
+    bop = opposite(b)
+    bop._idempotent_cache = [b.basis_vector(0)]
+    with pytest.raises(SphertwistError, match="sum to 1"):
+        lift_idempotents(b)
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_FIXTURES))
+def test_opposite_inherits_the_radical(name):
+    a = SPLIT_FIXTURES[name](QQ)
+    rad = radical(a)
+    op = opposite(a)
+    assert radical(op) is rad
+    assert rad == radical(Algebra(QQ, op.mult, op.unit))

@@ -336,14 +336,14 @@ def test_restrict_scalars_pullback():
 
 def test_endomorphism_algebra_of_regular():
     a = dual_numbers()
-    end, homs = endomorphism_algebra(Module.regular(a))
+    end, basis = endomorphism_algebra(Module.regular(a))
     assert end.dim == 2
-    assert len(homs) == 2
+    assert len(basis.homs) == 2
 
 
 def test_endomorphism_algebra_of_simple():
     a = cyclic_nakayama(3)
-    end, homs = endomorphism_algebra(simple_modules(a)[0])
+    end, _ = endomorphism_algebra(simple_modules(a)[0])
     assert end.dim == 1
 
 

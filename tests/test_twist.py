@@ -1,0 +1,131 @@
+"""Complexes, cones and the twist around a surjection, on hand-sized cases.
+
+The twist of p : A → B sends c to RHom_A(K, c) with K = ker p, so its
+cohomology in degree i is Ext^i_A(K, c).  Every value frozen here is
+derived by hand in the test that asserts it.
+
+Testbeds: the dual numbers A = k[x]/(x²); FIX-A, its surjection onto
+k = A/(x); UT2, the path algebra of the quiver 1 → 2 (arrow a, basis
+e_1, e_2, a, paths composed left to right), with its surjection onto
+k × k killing the arrow.
+"""
+
+import pytest
+
+from sphertwist.algebra import quotient_surjection
+from sphertwist.errors import CapExceeded
+from sphertwist.exactlin import QQ
+from sphertwist.homology import identity_surjection
+from sphertwist.modules import Module, ModuleHom, simple_modules
+from sphertwist.twist import (
+    ChainComplex,
+    ChainMap,
+    cohomology_dims,
+    cone,
+    equivalence_certificate,
+    identity_chain_map,
+    shift,
+    twist_apply,
+    twist_triangle_check,
+)
+
+from fixture_algebras import dual_numbers, two_vertex_arrow
+
+
+@pytest.fixture
+def dual():
+    a = dual_numbers(QQ)
+    reg = Module.regular(a)
+    return a, reg, ChainComplex(a, 0, [reg], [])
+
+
+@pytest.fixture
+def ut2():
+    u = two_vertex_arrow(QQ)
+    return u, quotient_surjection(u, [u.basis_vector(2)])
+
+
+def test_cone_of_multiplication_by_x(dual):
+    # x : A → A in degree 0; the cone puts the source in degree -1, so
+    # H^-1 = ker x = xA and H^0 = coker x = A/xA, each of dimension 1
+    a, reg, stalk = dual
+    mult_x = ModuleHom(reg, reg, a.left_mult_matrix(a.basis_vector(1)))
+    cn = cone(ChainMap(stalk, stalk, 0, [mult_x]))
+    assert cn.support == (-1, 0)
+    assert cohomology_dims(cn) == {-1: 1, 0: 1}
+
+
+def test_cone_of_the_identity_is_acyclic(dual):
+    # A in degree -1 maps isomorphically onto A in degree 0
+    _, _, stalk = dual
+    cn = cone(identity_chain_map(stalk))
+    assert len(cn.terms) == 2
+    assert cohomology_dims(cn) == {}
+
+
+def test_shift_moves_the_lowest_degree(dual):
+    # c[n] has c^(k+n) in degree k, so a complex starting at 0 starts at -n
+    _, _, stalk = dual
+    assert shift(stalk, 0) == stalk
+    assert shift(stalk, 2).lo == -2
+    assert shift(stalk, -1).lo == 1
+
+
+def test_identity_surjection_twists_to_zero(dual):
+    # K = 0, so RHom(K, c) = 0; the counit Hom_A(A, c) → c is an
+    # isomorphism, so its cone is zero as well
+    a, reg, _ = dual
+    p = identity_surjection(a)
+    assert len(twist_apply(p, reg).terms) == 0
+    rep = twist_triangle_check(p, reg)
+    assert rep.cone_profile == {} and rep.twist_profile == {}
+    assert rep.counit_iso and rep.verdict
+
+
+def test_fix_a_needs_a_window(dual):
+    # K = xA ≅ k, whose minimal resolution … → A → A → k never stops
+    # (each syzygy is k again), so with no window the twist refuses
+    a, reg, _ = dual
+    p = quotient_surjection(a, [a.basis_vector(1)])
+    with pytest.raises(CapExceeded):
+        twist_apply(p, reg)
+    # A is self-injective, so Ext^i(k, A) = 0 for i ≥ 1, and
+    # Hom(k, A) = soc A = xA has dimension 1
+    tw = twist_apply(p, reg, window=(0, 3))
+    assert tw.truncated
+    assert cohomology_dims(tw) == {0: 1}
+
+
+def test_ut2_regular_twist(ut2):
+    # K = span{a} = a·A; a·e_2 = a, so K ≅ e_2A = span{e_2}, which is
+    # projective.  Then Ext^i(K, A) = 0 for i ≥ 1 and
+    # Hom(e_2A, A) ≅ A·e_2 = span{e_2, a}
+    u, p = ut2
+    tu = twist_apply(p, Module.regular(u))
+    assert cohomology_dims(tu) == {0: 2}
+    assert tu.support == (0, 0)
+    rep = twist_triangle_check(p, Module.regular(u))
+    assert rep.cone_profile == rep.twist_profile == {0: 2}
+    assert rep.verdict
+
+
+def test_ut2_simple_twists(ut2):
+    # Hom(e_2A, S) ≅ S·e_2: one-dimensional for S_2, zero for S_1
+    u, p = ut2
+    profiles = [twist_triangle_check(p, s) for s in simple_modules(u)]
+    assert sorted(len(r.cone_profile) for r in profiles) == [0, 1]
+    assert all(r.verdict for r in profiles)
+    assert {0: 1} in [r.cone_profile for r in profiles]
+
+
+def test_ut2_hom_table(ut2):
+    # The twist of e_jA is Hom(K, e_jA) ≅ e_jA·e_2, one-dimensional for
+    # both j (spanned by a and by e_2).  A acts through its left action
+    # on K = span{a}: e_1·a = a and e_2·a = a·a = 0, so both twists are
+    # the simple S_1.  Hom(S_1, S_1) = k, Ext^1(S_1, S_1) = 0 (no loop at
+    # 1), and negative shifts have no maps: every entry is {0: 1}
+    _, p = ut2
+    table = equivalence_certificate(p).hom_table
+    assert len(table) == 4
+    for row in table.values():
+        assert {s: k for s, k in row.items() if k} == {0: 1}
