@@ -6,7 +6,7 @@ battery of checks (associativity on every basis triple, two-sided unit
 law), so a value of type :class:`Algebra` is trusted everywhere else in
 the package.  A sparse view of the table is kept alongside the dense one
 because the algebras appearing in practice (path algebras, endomorphism
-algebras, their enveloping products) have very few nonzero structure
+algebras and their quotients) have very few nonzero structure
 constants.
 
 Quotients by two-sided ideals produce a :class:`SurjectionData` — the
@@ -63,7 +63,6 @@ class Algebra:
         # per-algebra caches: of this module ...
         self._radical_cache = None
         self._opposite_cache = None
-        self._enveloping_cache = {}  # id(b) -> (b, enveloping(self, b))
         self._idempotent_cache = None
         # ... of the modules layer ...
         self._regular_module_cache = None
@@ -366,18 +365,21 @@ def enveloping(a, b):
     Basis element (j,i) ↦ flat index j·dim(a)+i stands for b_j ⊗ a_iᵒᵖ,
     and a bimodule m becomes a right module via m·(b_j ⊗ a_iᵒᵖ) = a_i·m·b_j.
 
-    Cached per ordered factor pair, and the primitive idempotents of the
-    product are seeded from those of the factors: a tensor of two
-    primitives has a local corner (radicals are nilpotent and the
-    residue fields are the base field on both sides), so the pairs are
-    already a complete orthogonal primitive set.
+    Nothing in the package builds it: bimodules are two commuting action
+    families (`homology.Bimodule`) and the tensor square comes from a
+    one-sided resolution.  It stays as the oracle of the tests, which
+    compare bimodules as modules over it, and as a target of the
+    benchmark's tracer.  Its dimension is dim(a)·dim(b), and its radical
+    needs a characteristic above that.
+
+    The primitive idempotents of the product are seeded from those of
+    the factors: a tensor of two primitives has a local corner (radicals
+    are nilpotent and the residue fields are the base field on both
+    sides), so the pairs are already a complete orthogonal primitive
+    set.
     """
     if a.field != b.field:
         raise FieldMismatch("enveloping factors over different fields")
-    cache = a._enveloping_cache
-    hit = cache.get(id(b))
-    if hit is not None and hit[0] is b:
-        return hit[1]
     f = a.field
     da, db = a.dim, b.dim
     dim = da * db
@@ -439,7 +441,6 @@ def enveloping(a, b):
             ):
                 raise SphertwistError("seeded tensor idempotents not orthogonal")
     env._idempotent_cache = [list(e) for e in prims]
-    cache[id(b)] = (b, env)
     return env
 
 

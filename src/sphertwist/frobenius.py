@@ -141,18 +141,6 @@ def nakayama_permutation(a):
     return out
 
 
-def _regular_bimodule(a, env):
-    """The algebra as a right module over its enveloping algebra."""
-    d = a.dim
-    action = []
-    for j in range(d):
-        rj = a.right_mult_matrix(a.basis_vector(j))
-        for i in range(d):
-            li = a.left_mult_matrix(a.basis_vector(i))
-            action.append(li.mul(rj))
-    return Module(env, d, action)
-
-
 def is_symmetric(a):
     """Whether the algebra is isomorphic to its dual as a bimodule.
 

@@ -3,11 +3,14 @@
 Everything here is computed from finite projective resolutions.  Ext
 groups come from a minimal resolution of the first argument; Tor groups
 can resolve either argument, and the two routes must agree.  For the
-data attached to a surjection of algebras, the target is resolved as a
-bimodule over the enveloping algebra, which hands over the derived
-tensor square together with both of its actions at once; the cone of
-the degree-zero multiplication map then measures how far the surjection
-is from being an isomorphism, degree by degree.
+data attached to a surjection p : A → B, the derived tensor square
+B ⊗ᴸ_A B comes from one resolution of B as a right A-module: each term
+is a sum of pieces e·A, and e·A ⊗_A B ≅ p(e)·B, so the tensored
+complex is read off the recorded covers.  The right action of B on its
+homology is right multiplication; the left action comes from lifting
+left multiplications to chain maps.  The cone of the degree-zero
+multiplication map then measures how far the surjection is from being
+an isomorphism, degree by degree.
 
 Left modules are carried as right modules over the opposite algebra
 throughout, so a single module engine serves both sides.
@@ -15,46 +18,27 @@ throughout, so a single module engine serves both sides.
 
 from __future__ import annotations
 
-from .algebra import SurjectionData, enveloping, opposite
+from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
-from .exactlin import Matrix, SpanBuilder, kronecker, rank, solve, solve_matrix
-from .frobenius import _regular_bimodule
+from .exactlin import Matrix, SpanBuilder, kronecker, rank
 from .modules import (
     HomBasis,
     Module,
     ModuleHom,
+    _idempotent_piece,
+    direct_sum,
     hom_space,
     in_add,
     kernel_of,
+    m_basis_row,
     quotient,
+    restrict_scalars,
 )
 from .resolutions import minimal_resolution
 
 
 # ---------------------------------------------------------------------------
 # bimodules
-
-
-def left_embed(env_left, env_right, vec):
-    """Coordinates in enveloping(left, right) of a left-algebra element."""
-    f = env_left.field
-    out = [f.zero()] * (env_left.dim * env_right.dim)
-    unit = env_right.unit
-    for j in range(env_right.dim):
-        for i in range(env_left.dim):
-            out[j * env_left.dim + i] = f.mul(f.coerce(unit[j]), f.coerce(vec[i]))
-    return out
-
-
-def right_embed(env_left, env_right, vec):
-    """Coordinates in enveloping(left, right) of a right-algebra element."""
-    f = env_left.field
-    out = [f.zero()] * (env_left.dim * env_right.dim)
-    unit = env_left.unit
-    for j in range(env_right.dim):
-        for i in range(env_left.dim):
-            out[j * env_left.dim + i] = f.mul(f.coerce(vec[j]), f.coerce(unit[i]))
-    return out
 
 
 def _side_module(algebra, dim, mats, side):
@@ -160,7 +144,7 @@ def identity_surjection(a):
 # Ext
 
 
-def _resolution_window(m, count, ctx=None):
+def _resolution_window(m, count):
     """A resolution carrying at least `count` terms (maps up to count-1)."""
     try:
         return minimal_resolution(m, cap=count)
@@ -298,125 +282,169 @@ def tor_dims(a, m, n, count, resolve_second=False):
 # the derived tensor square of a surjection, with both actions
 
 
-def _target_as_bimodule_carrier(p):
-    """The target as a (source, target)-bimodule over the enveloping algebra."""
-    a, b = p.source, p.target
-    f = a.field
-    env = enveloping(a, b)
-    action = []
-    for j in range(b.dim):
-        rmat = Matrix(
-            f, [b.mul_vec(b.basis_vector(r), b.basis_vector(j)) for r in range(b.dim)],
-            b.dim,
-        )
-        for i in range(a.dim):
-            img = p.apply(a.basis_vector(i))
-            lmat = Matrix(
-                f,
-                [b.mul_vec(img, b.basis_vector(r)) for r in range(b.dim)],
-                b.dim,
-            )
-            action.append(lmat.mul(rmat))
-    return Module(env, b.dim, action), env
+def _pivots(rows):
+    """Pivot columns of canonical (reduced echelon) rows."""
+    return [next(j for j, c in enumerate(r) if c) for r in rows]
+
+
+class _Preimages:
+    """Preimages u with u·M = v under one matrix M, factored once.
+
+    The rows [Mᵣ | eᵣ] are reduced into one echelon span.  Reducing
+    [v | 0] by it leaves [v − u·M | −u] for the combination u of rows
+    it subtracted, so v has a preimage exactly when the first part
+    comes out zero, and then u is the negated second part.
+    """
+
+    def __init__(self, mat):
+        f = mat.field
+        self.field = f
+        self.width = mat.ncols
+        self.span = SpanBuilder(f, mat.ncols + mat.nrows)
+        for r, row in enumerate(mat.rows):
+            entries = {j: e for j, e in enumerate(row) if e}
+            entries[mat.ncols + r] = f.one()
+            self.span.add_sparse(entries)
+        self.pad = [f.zero()] * mat.nrows
+
+    def of(self, v):
+        red = self.span._reduce(list(v) + self.pad)
+        if any(red[: self.width]):
+            raise SphertwistError("vector has no preimage")
+        return [self.field.neg(x) for x in red[self.width :]]
+
+
+class _TensoredTerm:
+    """A resolution term ⊕ₖ eₖ·A beside its tensored term ⊕ₖ p(eₖ)·B.
+
+    Both are direct sums of canonical pieces (`_idempotent_piece`) in
+    the order of the term's recorded cover, so block k sits at a running
+    offset and a vector of a piece has its coordinates at the pivots of
+    the piece's rows.  ``gens[k]`` is eₖ in the term's coordinates, and
+    ``b_blocks[k]`` is (offset, rows, pivots) of p(eₖ)·B, whose rows are
+    vectors of B.  ``module`` is ⊕ₖ p(eₖ)·B as a right B-module.
+    """
+
+    def __init__(self, p, term, cover):
+        if cover is None:
+            raise SphertwistError("a tensored term needs a recorded cover")
+        a, b, f = p.source, p.target, p.source.field
+        self.term = term
+        self.idempotents = cover
+        self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
+        self.gens = []
+        self.b_blocks = []
+        pieces = []
+        incls = [_idempotent_piece(a, e)[1].matrix for e in cover]
+        if sum(m.nrows for m in incls) != term.dim:
+            raise SphertwistError("term is not the sum of its recorded cover")
+        at_a = at_b = 0
+        for e, incl in zip(cover, incls):
+            gen = [f.zero()] * term.dim
+            for r, j in enumerate(_pivots(incl.rows)):
+                gen[at_a + r] = e[j]
+            self.gens.append(gen)
+            self.a_blocks.append((at_a, incl))
+            at_a += incl.nrows
+            piece, b_incl = _idempotent_piece(b, p.apply(e))
+            rows = b_incl.matrix.rows
+            self.b_blocks.append((at_b, rows, _pivots(rows)))
+            pieces.append(piece)
+            at_b += piece.dim
+        self.module = direct_sum(pieces)[0]
+
+    def components(self, v):
+        """The components of a term vector, as vectors of A in eₖ·A."""
+        return [
+            incl.apply_to_row(v[at : at + incl.nrows]) for at, incl in self.a_blocks
+        ]
+
+    def extend(self, images, v):
+        """φ(v) for the A-map φ of the term to itself, φ(eₖ) = images[k].
+
+        v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
+        """
+        f = self.term.algebra.field
+        out = [f.zero()] * self.term.dim
+        for g, x in zip(images, self.components(v)):
+            if any(x):
+                out = [f.add(s, y) for s, y in zip(out, self.term.apply(g, x))]
+        return out
+
+
+def _tensor_down(p, src, tgt, images):
+    """The matrix of φ ⊗_A B : src ⊗_A B → tgt ⊗_A B.
+
+    images[l] is φ(eₗ) in tgt's coordinates.  Its component xₖₗ lies in
+    eₖ·A·eₗ, and eₗ ⊗ y ↦ xₖₗ ⊗ y = eₖ ⊗ p(xₖₗ)·y, so the block from
+    p(eₗ)·B to p(eₖ)·B is left multiplication by p(xₖₗ).
+    """
+    b, f = p.target, p.target.field
+    width = tgt.module.dim
+    rows = []
+    for (_, s_rows, _), img in zip(src.b_blocks, images):
+        lefts = []
+        for (at, _, pivots), x in zip(tgt.b_blocks, tgt.components(img)):
+            px = p.apply(x)
+            if any(px):
+                lefts.append((at, pivots, px))
+        for y in s_rows:
+            row = [f.zero()] * width
+            for at, pivots, px in lefts:
+                z = b.mul_vec(px, y)
+                for r, j in enumerate(pivots):
+                    row[at + r] = z[j]
+            rows.append(row)
+    return Matrix(f, rows, width)
 
 
 class _TensorSquare:
-    """The complex computing the derived tensor square of a surjection.
+    """B ⊗ᴸ_A B for a surjection p : A → B, from a one-sided resolution.
 
-    Holds the bimodule resolution of the target, the tensored-down terms
-    as modules over the target's enveloping algebra, the induced
-    differentials, the degree-zero multiplication map, and the homology
-    dimensions of both the complex and the cone.
+    P → B_A is a minimal resolution of B as a right A-module
+    (`restrict_scalars` along p), and Tor^A(B, B) is the homology of
+    P ⊗_A B.  Each term is ⊕ₖ eₖ·A over its recorded cover, and
+    eₖ·A ⊗_A B ≅ p(eₖ)·B by x ⊗ y ↦ p(x)·y.  So the tensored term is
+    ⊕ₖ p(eₖ)·B, a right B-module by right multiplication on each block;
+    the differentials come down block by block (`_tensor_down`); and
+    the multiplication map x ⊗ y ↦ ε(x)·y sends y in p(eₖ)·B to βₖ·y,
+    with βₖ = ε(eₖ) for the augmentation ε.  No balancing quotient, no
+    Kronecker product and no enveloping algebra is formed.
+
+    ``complete`` says that B_A has a projective resolution within the
+    cap, which certifies Tor^A(B, B) in every degree.  A truncated
+    resolution leaves the top computed degree without its incoming
+    differential, so the reported window stops one short of it.
     """
 
     def __init__(self, p, cap):
-        a, b = p.source, p.target
-        f = a.field
-        carrier, env_ab = _target_as_bimodule_carrier(p)
+        b = p.target
+        f = b.field
         try:
-            res = minimal_resolution(carrier, cap=cap)
+            res = minimal_resolution(
+                restrict_scalars(p, Module.regular(b)), cap=cap)
             self.complete = True
         except CapExceeded as exc:
             res = exc.witness
             self.complete = False
         self.resolution = res
         self.p = p
-        env_bb = enveloping(b, b)
-        self.env_bb = env_bb
-        # tensor each term down: b ⊗ Q_i over the balancing relations,
-        # as a module over enveloping(b, b)
-        terms = []
-        projections = []
-        for q in res.terms:
-            flat_dim = b.dim * q.dim
-            action = []
-            for j in range(b.dim):
-                rq = q.action_of(right_embed(a, b, b.basis_vector(j)))
-                for i in range(b.dim):
-                    lrows = Matrix(
-                        f,
-                        [
-                            b.mul_vec(b.basis_vector(i), b.basis_vector(r))
-                            for r in range(b.dim)
-                        ],
-                        b.dim,
-                    )
-                    action.append(kronecker(lrows, rq))
-            flat_mod = Module(env_bb, flat_dim, action, validate=False)
-            # balancing: x·p(s) ⊗ q − x ⊗ s·q for source basis s
-            rel = []
-            for k in range(a.dim):
-                img = p.apply(a.basis_vector(k))
-                xm = Matrix(
-                    f,
-                    [b.mul_vec(b.basis_vector(r), img) for r in range(b.dim)],
-                    b.dim,
-                )
-                qm = q.action_of(left_embed(a, b, a.basis_vector(k)))
-                for i in range(b.dim):
-                    xi = list(xm.rows[i])
-                    for jj in range(q.dim):
-                        yj = list(qm.rows[jj])
-                        row = [f.zero()] * flat_dim
-                        for s in range(b.dim):
-                            if not f.is_zero(xi[s]):
-                                row[s * q.dim + jj] = f.add(row[s * q.dim + jj], xi[s])
-                        for t in range(q.dim):
-                            if not f.is_zero(yj[t]):
-                                row[i * q.dim + t] = f.sub(row[i * q.dim + t], yj[t])
-                        rel.append(row)
-            tq, proj = quotient(flat_mod, rel)
-            terms.append(tq)
-            projections.append(proj)
+        blocks = [_TensoredTerm(p, t, c) for t, c in zip(res.terms, res.covers)]
+        self.blocks = blocks
+        terms = [blk.module for blk in blocks]
         self.terms = terms
-        self.projections = projections
-        # induced differentials on the tensored terms
         dbars = []
         for i, h in enumerate(res.maps):
-            flat = kronecker(Matrix.identity(f, b.dim), h.matrix)
-            rhs = flat.mul(projections[i].matrix)
-            x = solve_matrix(projections[i + 1].matrix, rhs)
-            if x is None:
-                raise SphertwistError("differential does not descend to the quotient")
-            dbars.append(ModuleHom(terms[i + 1], terms[i], x))
+            src, tgt = blocks[i + 1], blocks[i]
+            images = [h.apply(g) for g in src.gens]
+            dbars.append(ModuleHom(
+                terms[i + 1], terms[i], _tensor_down(p, src, tgt, images)))
         self.dbars = dbars
-        # degree-zero multiplication down to the regular bimodule of b
-        reg_bb = _regular_bimodule(b, env_bb)
-        self.regular_bimodule = reg_bb
-        aug = res.augmentation
-        flat_rows = []
-        for i in range(b.dim):
-            for jj in range(res.terms[0].dim):
-                img = aug.matrix.rows[jj]
-                flat_rows.append(b.mul_vec(b.basis_vector(i), list(img)))
-        flat_c0 = Matrix(f, flat_rows, b.dim)
-        c0 = solve_matrix(projections[0].matrix, flat_c0)
-        if c0 is None:
-            raise SphertwistError("multiplication does not descend to the quotient")
-        self.mult_map = ModuleHom(terms[0], reg_bb, c0)
-        # homology dimensions of the complex; with a truncated
-        # resolution the top degree lacks its incoming differential, so
-        # the reported window stops one short of it
+        rows = []
+        for gen, (_, s_rows, _) in zip(blocks[0].gens, blocks[0].b_blocks):
+            beta = res.augmentation.apply(gen)
+            rows.extend(b.mul_vec(beta, y) for y in s_rows)
+        self.mult_map = ModuleHom(terms[0], Module.regular(b), Matrix(f, rows, b.dim))
         ranks = [rank(h.matrix) for h in dbars]
         dims = []
         for i in range(len(terms)):
@@ -428,17 +456,9 @@ class _TensorSquare:
             dims.append(d)
         # cone of the multiplication map, indexed cohomologically: the
         # tensor term of degree i sits at -i-1, the target at 0
-        cone_dims = {}
         rank_c0 = rank(self.mult_map.matrix)
-        for i in range(len(terms)):
-            d = terms[i].dim
-            if i == 0:
-                d -= rank_c0
-            if i < len(ranks):
-                d -= ranks[i]
-            if i >= 1:
-                d -= ranks[i - 1]
-            cone_dims[-i - 1] = d
+        cone_dims = {-i - 1: d for i, d in enumerate(dims)}
+        cone_dims[-1] -= rank_c0
         cone_dims[0] = b.dim - rank_c0
         if not self.complete:
             dims = dims[:-1]
@@ -447,45 +467,83 @@ class _TensorSquare:
         self.cone_dims = cone_dims
 
 
-def _homology_bimodule(square, t):
-    """H_t of the tensor complex, with its two-sided structure."""
-    f = square.env_bb.field
-    if t < 0 or t >= len(square.terms):
-        raise SphertwistError("degree outside the computed window")
-    if t == 0:
-        cycles = square.terms[0]
-        incl_matrix = Matrix.identity(f, cycles.dim)
-    else:
-        cycles, incl = kernel_of(square.dbars[t - 1])
-        incl_matrix = incl.matrix
-    if t < len(square.dbars):
-        boundary_rows = square.dbars[t].matrix.rows
-    else:
-        boundary_rows = []
-    in_cycle_coords = []
-    for r in boundary_rows:
-        x = solve(incl_matrix.transpose(), list(r))
-        if x is None:
-            raise SphertwistError("boundary escapes the cycles")
-        in_cycle_coords.append(x)
-    h, _ = quotient(cycles, in_cycle_coords)
-    return h
-
-
 def tensor_square(p, cap=None):
-    """The derived tensor square of a surjection, resolved as bimodules."""
+    """The derived tensor square of a surjection, from B resolved over A."""
     if cap is None:
         cap = 2 * p.source.dim + 2
     return _TensorSquare(p, cap)
 
 
+def _lift_left_multiplication(square, c, t, preimages):
+    """Generator images of a chain map φ over λ_c : y ↦ c·y, degrees 0..t.
+
+    λ_c is a right A-module map B_A → B_A.  φ₀(eₖ) is a preimage of
+    c·βₖ under the augmentation times eₖ on the right, and φᵢ₊₁(eₗ) a
+    preimage of φᵢ(d(eₗ)) under d times eₗ.  A preimage u times eₖ is
+    still a preimage, because each target v has v·eₖ = v (c·βₖ =
+    c·ε(eₖ·eₖ) = c·βₖ·eₖ, and likewise for φᵢ(d(eₗ))); and u·eₖ is the
+    value at eₖ = eₖ·eₖ of the A-map w ↦ u·w on eₖ·A.  The preimages
+    exist because φᵢ·d lands in the kernel of the previous map, which
+    is the image of d.  ``preimages[i]`` is factored from the
+    augmentation (i = 0) and from maps[i-1].
+    """
+    res, blocks, b = square.resolution, square.blocks, square.p.target
+    first = blocks[0]
+    images = []
+    for gen, e in zip(first.gens, first.idempotents):
+        beta = res.augmentation.apply(gen)
+        u = preimages[0].of(b.mul_vec(c, beta))
+        images.append(first.term.apply(u, e))
+    for i in range(t):
+        src, tgt = blocks[i + 1], blocks[i]
+        d = res.maps[i]
+        images = [
+            src.term.apply(
+                preimages[i + 1].of(tgt.extend(images, d.apply(gen))), e)
+            for gen, e in zip(src.gens, src.idempotents)
+        ]
+    return images
+
+
 def _extract_bimodule(square, t):
-    carrier = _homology_bimodule(square, t)
-    b = square.p.target
-    basis = [b.basis_vector(i) for i in range(b.dim)]
-    left = [carrier.action_of(left_embed(b, b, v)) for v in basis]
-    right = [carrier.action_of(right_embed(b, b, v)) for v in basis]
-    return Bimodule(b, b, left, right)
+    """H_t of the tensored complex with its two actions.
+
+    The right action is right multiplication on the blocks, carried to
+    H_t by `kernel_of` and `quotient`.  The left action of c comes from
+    the lift φ of λ_c: φ ⊗_A B is a chain map of the tensored complex,
+    and its action on H_t is the action of c.  Any two lifts of λ_c are
+    chain homotopic (comparison theorem, Cartan–Eilenberg ch. V), so
+    they induce the same map on homology, whichever preimages were
+    chosen; lifts of λ_c·λ_c' and of the identity likewise act as the
+    product and the identity.  `Bimodule` validates both actions and
+    that they commute, exactly.
+    """
+    p = square.p
+    b, f = p.target, p.target.field
+    cycles, incl = kernel_of(square.dbars[t - 1])
+    in_cycles = _Preimages(incl.matrix)
+    boundaries = []
+    if t < len(square.dbars):
+        boundaries = [in_cycles.of(r) for r in square.dbars[t].matrix.rows]
+    h, proj = quotient(cycles, boundaries)
+    section = _Preimages(proj.matrix)
+    reps = [
+        incl.apply(section.of(m_basis_row(f, h.dim, s))) for s in range(h.dim)
+    ]
+    res = square.resolution
+    preimages = [_Preimages(res.augmentation.matrix)]
+    preimages += [_Preimages(d.matrix) for d in res.maps[:t]]
+    blk = square.blocks[t]
+    left = []
+    for i in range(b.dim):
+        images = _lift_left_multiplication(square, b.basis_vector(i), t, preimages)
+        phi = _tensor_down(p, blk, blk, images)
+        left.append(Matrix(
+            f,
+            [proj.apply(in_cycles.of(phi.apply_to_row(r))) for r in reps],
+            h.dim,
+        ))
+    return Bimodule(b, b, left, h.action)
 
 
 def tor_bimodule(p, t, square=None):
@@ -493,7 +551,8 @@ def tor_bimodule(p, t, square=None):
 
     Requires the tensor square to be concentrated in degrees {0, t}
     within the window; raises NotConcentrated otherwise (also when a
-    truncated window leaves concentration uncertified).
+    truncated window leaves concentration uncertified).  The actions
+    are built as in `_extract_bimodule`.
     """
     if t < 1:
         raise SphertwistError("positive degree expected")
@@ -526,6 +585,16 @@ class CotwistData:
     degree when the profile is {0, t} and certified complete; the
     bimodule is that degree's homology with both actions, and shift is
     where the cone sits, namely -t-1.
+
+    complete says that the target has a projective resolution as a
+    right module over the source within the cap, which certifies
+    Tor^A(B, B) in every degree.  It does not ask for a finite
+    resolution as a bimodule.  For an identity surjection A_A is
+    projective, so tor is [dim A] and complete even where A has no
+    finite resolution over A ⊗ Aᵒᵖ: the dual numbers give [2], where a
+    bimodule resolution read [2, 0, 0, 0, 0, 0] and incomplete.  The
+    window is as long as the one-sided resolution, so it can also be
+    shorter than a bimodule resolution's by trailing zeros.
     """
 
     def __init__(self, surjection, tor_dims, cone_dims, concentrated,

@@ -54,6 +54,13 @@ class Resolution:
     the augmentation, projectivity of each term, and — when the
     resolution is complete — injectivity at the top together with the
     alternating dimension count against the target.
+
+    ``covers[i]`` is the idempotent list e₁, …, eₙ of the cover epi
+    that built term i (its ``cover_idempotents``), or None for a term
+    that was not built as a cover.  A cover's source is the direct sum
+    of the pieces ``_idempotent_piece(a, eₖ)`` in that order, so the
+    term's basis is the concatenation of the canonical row bases of
+    the eₖ·A.
     """
 
     def __init__(
@@ -65,6 +72,7 @@ class Resolution:
         minimal=False,
         partially_minimal=None,
         truncated=False,
+        covers=None,
     ):
         if not terms:
             raise SphertwistError("a resolution needs at least one term")
@@ -76,6 +84,11 @@ class Resolution:
         for i, h in enumerate(maps):
             if h.source is not terms[i + 1] or h.target is not terms[i]:
                 raise SphertwistError("map %d endpoints do not match" % i)
+        if covers is None:
+            covers = [None] * len(terms)
+        if len(covers) != len(terms):
+            raise SphertwistError("resolution has %d terms but %d covers" % (
+                len(terms), len(covers)))
         self.target = target
         self.terms = terms
         self.maps = maps
@@ -83,6 +96,7 @@ class Resolution:
         self.minimal = minimal
         self.partially_minimal = partially_minimal
         self.truncated = truncated
+        self.covers = covers
         self._audit()
 
     @property
@@ -237,6 +251,7 @@ def partially_minimal_resolution(ctx, m, cap=None):
     p0, aug = partial_cover(ctx, m)
     terms = [p0]
     maps = []
+    covers = [aug.cover_idempotents]
     k, incl = kernel_of(aug)
     truncated = False
     while k.dim:
@@ -246,10 +261,12 @@ def partially_minimal_resolution(ctx, m, cap=None):
         if is_projective(k):
             terms.append(k)
             maps.append(incl)
+            covers.append(None)
             break
         q, epi = partial_cover(ctx, k)
         maps.append(epi.compose(incl))
         terms.append(q)
+        covers.append(epi.cover_idempotents)
         k, incl = kernel_of(epi)
     res = Resolution(
         m,
@@ -259,6 +276,7 @@ def partially_minimal_resolution(ctx, m, cap=None):
         minimal=_check_minimal(terms, maps),
         partially_minimal=_check_partially_minimal(ctx, terms, maps),
         truncated=truncated,
+        covers=covers,
     )
     if truncated:
         raise CapExceeded(
@@ -281,6 +299,7 @@ def minimal_resolution(m, cap=None, ctx=None):
     p0, aug = projective_cover(m)
     terms = [p0]
     maps = []
+    covers = [aug.cover_idempotents]
     k, incl = kernel_of(aug)
     truncated = False
     while k.dim:
@@ -290,6 +309,7 @@ def minimal_resolution(m, cap=None, ctx=None):
         q, epi = projective_cover(k)
         maps.append(epi.compose(incl))
         terms.append(q)
+        covers.append(epi.cover_idempotents)
         k, incl = kernel_of(epi)
     res = Resolution(
         m,
@@ -301,6 +321,7 @@ def minimal_resolution(m, cap=None, ctx=None):
         if ctx is None
         else _check_partially_minimal(ctx, terms, maps),
         truncated=truncated,
+        covers=covers,
     )
     if truncated:
         raise CapExceeded(

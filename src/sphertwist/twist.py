@@ -24,7 +24,7 @@ for the algebra acting on the cohomology of its own twist.
 
 from __future__ import annotations
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra
 from .errors import (
     AlgebraMismatch,
     AuditFailed,
@@ -406,113 +406,6 @@ class _FlatQuotient:
     def project(self, vec):
         red = self.span._reduce(vec)
         return [red[j] for j in self.kept]
-
-
-def tensor_complex(c, r):
-    """Total tensor complex over the algebra, with scalar coefficients.
-
-    The first argument is a bounded complex of right modules, the
-    second a bounded complex of left modules carried as modules over
-    the opposite algebra (a projective resolution of a bimodule,
-    typically).  Degree n collects the balanced tensors c^i ⊗ r^{n−i};
-    balancing quotients by (u·a) ⊗ x − u ⊗ (a·x) over the full algebra
-    basis, and the differential is du ⊗ x + (−1)^i u ⊗ dx on
-    representatives.  Block layout lands on ``blocks[n] = [(i, j,
-    quotient, offset), ...]``.
-    """
-    a = c.algebra
-    if r.algebra is not opposite(a) and r.algebra != opposite(a):
-        raise AlgebraMismatch("second factor must be over the opposite algebra")
-    field = a.field
-    if not c.terms or not r.terms:
-        out = ChainComplex(_scalar_algebra(field), 0, [], [])
-        out.blocks = {}
-        return out
-    quotients = {}
-    for i in range(c.lo, c.hi + 1):
-        for j in range(r.lo, r.hi + 1):
-            ci, rj = c.term(i).dim, r.term(j).dim
-            rows = []
-            for g in range(a.dim):
-                right_g = c.term(i).action[g]
-                left_g = r.term(j).action[g]
-                for u in range(ci):
-                    for x in range(rj):
-                        row = [field.zero()] * (ci * rj)
-                        for v in range(ci):
-                            e = right_g.rows[u][v]
-                            if not field.is_zero(e):
-                                row[v * rj + x] = field.add(row[v * rj + x], e)
-                        for y in range(rj):
-                            e = left_g.rows[x][y]
-                            if not field.is_zero(e):
-                                row[u * rj + y] = field.sub(row[u * rj + y], e)
-                        rows.append(row)
-            quotients[(i, j)] = _FlatQuotient(field, ci * rj, rows)
-    n_lo = c.lo + r.lo
-    n_hi = c.hi + r.hi
-    blocks = {}
-    terms = []
-    for n in range(n_lo, n_hi + 1):
-        layout = []
-        offset = 0
-        for i in range(c.lo, c.hi + 1):
-            j = n - i
-            if r.lo <= j <= r.hi:
-                q = quotients[(i, j)]
-                layout.append((i, j, q, offset))
-                offset += q.dim
-        blocks[n] = layout
-        terms.append(_vect(field, offset))
-    maps = []
-    for n in range(n_lo, n_hi):
-        src = terms[n - n_lo]
-        tgt = terms[n - n_lo + 1]
-        rows = []
-        for i, j, q, _off in blocks[n]:
-            rj = r.term(j).dim
-            dc = c.differential(i).matrix
-            dr = r.differential(j).matrix
-            sign = field.one() if i % 2 == 0 else field.neg(field.one())
-            for t in q.kept:
-                u, x = divmod(t, rj)
-                row = [field.zero()] * tgt.dim
-                # (du) ⊗ x into block (i+1, j)
-                _tensor_write(
-                    row, blocks[n + 1], i + 1, j, rj,
-                    [(v, x, dc.rows[u][v]) for v in range(dc.ncols)],
-                    field.one(), field,
-                )
-                # u ⊗ (dx) into block (i, j+1), with the degree sign
-                _tensor_write(
-                    row, blocks[n + 1], i, j + 1, dr.ncols,
-                    [(u, y, dr.rows[x][y]) for y in range(dr.ncols)],
-                    sign, field,
-                )
-                rows.append(row)
-        maps.append(ModuleHom(src, tgt, Matrix(field, rows, tgt.dim), validate=False))
-    out = ChainComplex(_scalar_algebra(field), n_lo, terms, maps, validate=True)
-    out.blocks = blocks
-    return out
-
-
-def _tensor_write(row, layout, i, j, rj_target, entries, scalar, field):
-    """Add scalar times the projected tensor image into the (i, j) block."""
-    for ii, jj, q, off in layout:
-        if ii != i or jj != j:
-            continue
-        vec = [field.zero()] * q.width
-        for u, x, e in entries:
-            if not field.is_zero(e):
-                idx = u * rj_target + x
-                vec[idx] = field.add(vec[idx], e)
-        for pos, e in enumerate(q.project(vec)):
-            if not field.is_zero(e):
-                row[off + pos] = field.add(row[off + pos], field.mul(scalar, e))
-        return
-    for _u, _x, e in entries:
-        if not field.is_zero(e):
-            raise SphertwistError("tensor image lands outside the block layout")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared small-algebra fixtures used across the test suite."""
 
 from sphertwist.algebra import from_quiver, from_structure_constants
-from sphertwist.exactlin import QQ
+from sphertwist.exactlin import QQ, Matrix, solve_matrix
 
 
 def dual_numbers(field=QQ):
@@ -26,6 +26,38 @@ def cyclic_nakayama(n, field=QQ):
 def two_vertex_arrow(field=QQ):
     """Quiver 1 → 2, no relations: upper-triangular 2x2 matrices."""
     return from_quiver(["1", "2"], [("a", "1", "2")], [], field=field)
+
+
+def linear_path(n, field=QQ):
+    """Quiver 1 → 2 → … → n with arrows a, b, c, …, no relations: the
+    hereditary algebra of upper-triangular n×n matrices; its paths are
+    labelled like a*b."""
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [("abcdefgh"[i], str(i + 1), str(i + 2)) for i in range(n - 1)]
+    return from_quiver(vertices, arrows, [], field=field)
+
+
+def shear(n):
+    """A unitriangular n×n integer matrix with entries off 0/1."""
+    return [
+        [1 if i == j else ((7 * i + 3 * j) % 5 - 2 if j > i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def rebased(a, rows):
+    """(the algebra in the basis given by the rows, the change of
+    coordinates): row i of ``rows`` is the i-th new basis vector in a's
+    coordinates, and a vector x of a has coordinates x·C in the new one.
+    Idempotents found in the new basis are no longer 0/1 vectors."""
+    f = a.field
+    t = Matrix(f, rows, a.dim)
+    change = solve_matrix(t, Matrix.identity(f, a.dim))
+    mult = [
+        [change.apply_to_row(a.mul_vec(t.rows[i], t.rows[j])) for j in range(a.dim)]
+        for i in range(a.dim)
+    ]
+    return from_structure_constants(f, mult, change.apply_to_row(a.unit)), change
 
 
 def product_field_pair(field=QQ):

@@ -2,20 +2,33 @@
 
 Every dimension list asserted here is frozen from an independent path:
 Tor is computed by resolving either argument and the routes must agree;
-the tensor square of a surjection is additionally recomputed one-sided
-and compared against the bimodule-resolution route; Ext over a
-self-injective algebra is cross-checked against stable homs of syzygy
-powers.  The cycle fixture's twisting permutation is re-derived from
-resolution shapes inside the test rather than hardcoded.
+the tensor square of a surjection, which resolves the target as a right
+module over the source, is recomputed by `tor_dims` with the target
+resolved as a left module instead, and compared against the enveloping
+route kept in `tensor_square_reference`, which resolves the target as a
+bimodule; Ext over a self-injective algebra is cross-checked against
+stable homs of syzygy powers.  The cycle fixture's twisting permutation
+is re-derived from resolution shapes inside the test rather than
+hardcoded.
 """
+
+import sys
 
 import pytest
 
+from sphertwist import algebra, exactlin
 from sphertwist.algebra import enveloping, opposite, quotient_surjection
 from sphertwist.errors import AuditFailed, NotConcentrated, SphertwistError
-from sphertwist.exactlin import Matrix, rank
+from sphertwist.exactlin import (
+    QQ,
+    Matrix,
+    PrimeField,
+    kernel_basis,
+    rank,
+    solve,
+    solve_matrix,
+)
 from sphertwist.frobenius import (
-    _regular_bimodule,
     build_context,
     dual_module,
     stable_hom,
@@ -27,6 +40,7 @@ from sphertwist.homology import (
     ext_dims,
     identity_surjection,
     left_module_along,
+    tensor_square,
     tor_bimodule,
     tor_dims,
 )
@@ -44,7 +58,16 @@ from sphertwist.resolutions import (
     stable_module,
 )
 
-from fixture_algebras import cyclic_nakayama, dual_numbers, matrix_units_2
+from fixture_algebras import (
+    cyclic_nakayama,
+    dual_numbers,
+    linear_path,
+    matrix_units_2,
+    rebased,
+    shear,
+)
+import tensor_square_reference as reference
+from tensor_square_reference import bimodule_carrier, regular_bimodule
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +102,68 @@ def ctx_cycle():
 @pytest.fixture(scope="module")
 def cycle_cotwist(ctx_cycle):
     return cotwist_data(ctx_cycle.to_stable)
+
+
+def all_simples_context(a):
+    return build_context(a, Module.regular(a), [(x, 1) for x in simple_modules(a)])
+
+
+def kill_paths(a, paths, sheared=False):
+    """a onto its quotient by the span of the named paths, which must be
+    an ideal; sheared, a is first rewritten in the basis `shear` gives,
+    so that its idempotents are no longer 0/1 vectors."""
+    ideal = [a.basis_vector(a.basis_labels.index(x)) for x in paths]
+    if sheared:
+        a, change = rebased(a, shear(a.dim))
+        ideal = [change.apply_to_row(v) for v in ideal]
+    return quotient_surjection(a, ideal)
+
+
+def ideal_bimodule(p):
+    """I = ker p as a B-bimodule when I² = 0: B acts through any lift."""
+    a, b, f = p.source, p.target, p.source.field
+    ideal = p.kernel_basis.transpose()
+    lifts = solve_matrix(p.matrix.transpose(), Matrix.identity(f, b.dim)).transpose()
+
+    def action(side):
+        return [
+            Matrix(f, [solve(ideal.transpose(), side(x, v)) for v in ideal.rows],
+                   ideal.nrows)
+            for x in lifts.rows
+        ]
+
+    return Bimodule(b, b, action(lambda x, v: a.mul_vec(x, v)),
+                    action(lambda x, v: a.mul_vec(v, x)))
+
+
+def bimodule_isomorphism(m, n):
+    """An invertible matrix intertwining both action families, or None.
+
+    The right-module homs m → n that also intertwine the left family
+    are the kernel of a small linear system in their coordinates; its
+    basis vectors and their pairwise sums are tried, so None is evidence
+    rather than proof, as with `find_isomorphism`."""
+    f = m.left_algebra.field
+    homs = [h.matrix for h in hom_space(m.restrict_right(), n.restrict_right())]
+    if m.dim != n.dim or not homs:
+        return None
+    cols = []
+    for h in homs:
+        col = []
+        for lm, ln in zip(m.left_mats, n.left_mats):
+            col.extend(e for row in lm.mul(h).sub(h.mul(ln)).rows for e in row)
+        cols.append(col)
+    both = kernel_basis(Matrix(f, cols, len(cols[0])).transpose())
+    tries = [both.column(j) for j in range(both.ncols)]
+    tries += [[f.add(x, y) for x, y in zip(u, v)]
+              for i, u in enumerate(tries) for v in tries[i + 1:]]
+    for coeffs in tries:
+        mat = Matrix.zero(f, m.dim, n.dim)
+        for c, h in zip(coeffs, homs):
+            mat = mat.add(h.scale(c))
+        if rank(mat) == m.dim:
+            return mat
+    return None
 
 
 def block_profile(bimod):
@@ -230,10 +315,7 @@ def test_tor_bimodule_is_twisted_regular(ctx_cycle, cycle_cotwist):
         tau[i] = extract_shape(ctx_cycle, res, 2).tau
     inverse = {v: k for k, v in tau.items()}
     # the carrier over env: basis element (j, i) acts by l_i · r_j
-    carrier = Module(
-        env, bi.dim,
-        [li.mul(rj) for rj in bi.right_mats for li in bi.left_mats],
-    )
+    carrier = bimodule_carrier(bi, env)
 
     def right_twisted(perm):
         action = []
@@ -246,7 +328,7 @@ def test_tor_bimodule_is_twisted_regular(ctx_cycle, cycle_cotwist):
 
     assert find_isomorphism(carrier, right_twisted(inverse)) is not None
     assert find_isomorphism(carrier, right_twisted(tau)) is None
-    assert find_isomorphism(carrier, _regular_bimodule(b, env)) is None
+    assert find_isomorphism(carrier, regular_bimodule(b, env)) is None
 
 
 def test_bimodule_audits_commuting_actions():
@@ -356,6 +438,8 @@ def test_cotwist_of_non_perfect_quotient_reports_profile(dual_to_point):
 
 def test_cotwist_profile_matches_one_sided_route(ctx_dual, ctx_cycle,
                                                  dual_to_point):
+    # the tensor square resolves the target as a right module; tor_dims
+    # resolves it that way too, and as a left module over the opposite
     cases = []
     for ctx in (ctx_dual, ctx_cycle):
         cases.append((ctx.endo, ctx.to_stable))
@@ -366,6 +450,8 @@ def test_cotwist_profile_matches_one_sided_route(ctx_dual, ctx_cycle,
         left = left_module_along(p)
         count = len(data.tor_dims)
         assert data.tor_dims == tor_dims(alg, right, left, count)
+        assert data.tor_dims == tor_dims(alg, right, left, count,
+                                         resolve_second=True)
 
 
 def test_cotwist_degree_zero_always_the_target(ctx_dual, ctx_cycle,
@@ -373,3 +459,170 @@ def test_cotwist_degree_zero_always_the_target(ctx_dual, ctx_cycle,
     for p in (ctx_dual.to_stable, ctx_cycle.to_stable, dual_to_point):
         data = cotwist_data(p)
         assert data.tor_dims[0] == p.target.dim
+
+
+def test_cotwist_of_dual_numbers_identity_is_projective(dual):
+    # the target of the identity is A_A, which is projective: its
+    # resolution is A itself, so Tor_0 = A ⊗_A A = A and nothing above;
+    # the multiplication A ⊗_A A → A is an isomorphism, so the cone is
+    # acyclic, and the single-term resolution is complete
+    a, _ = dual
+    data = cotwist_data(identity_surjection(a))
+    assert data.tor_dims == [2]
+    assert data.complete
+    assert data.cone_dims == {-1: 0, 0: 0}
+    assert data.concentrated is None and data.shift is None
+
+
+@pytest.mark.parametrize("prime", [17, 31])
+def test_cotwist_of_cycle_over_small_primes(prime):
+    # the Q testbed of test_cotwist_readout_of_cycle over GF(p); the
+    # endomorphism algebra has dim 15 < p, so its radical is defined
+    ctx = all_simples_context(cyclic_nakayama(3, field=PrimeField(prime)))
+    data = cotwist_data(ctx.to_stable)
+    assert data.tor_dims == [3, 0, 3]
+    assert data.complete and data.concentrated == 2
+    assert data.shift == -3
+    assert data.cone_dims == {0: 0, -1: 0, -2: 0, -3: 3}
+    assert data.cotwist_bimodule.dim == 3
+
+
+def test_cotwist_of_killing_a_long_path():
+    # B = A/I with I = k·ab and I² = 0 over the hereditary path algebra
+    # of 1 → 2 → 3: Tor_0 = B, Tor_1 = I/I² = k·ab, and gl.dim A = 1
+    # leaves nothing above.  B ⊗_A B → B is an isomorphism, so the cone
+    # is Tor_1 alone, at -2.  On k·ab = e_1·ab·e_3 the left action is
+    # e_1's and the right action e_3's, and B is not commutative, so
+    # this fixes which side is which.
+    p = kill_paths(linear_path(3), ["a*b"])
+    data = cotwist_data(p)
+    assert data.tor_dims == [5, 1]
+    assert data.complete and data.concentrated == 1 and data.shift == -2
+    assert data.cone_dims == {0: 0, -1: 0, -2: 1}
+    bi = data.cotwist_bimodule
+    labels = p.target.basis_labels
+    one, zero = Matrix.identity(QQ, 1), Matrix.zero(QQ, 1, 1)
+    assert bi.left_mats == [one if x == "e_1" else zero for x in labels]
+    assert bi.right_mats == [one if x == "e_3" else zero for x in labels]
+    # no arrow leaves 3 and none enters 1, so e_3·B = k·e_3 and
+    # B·e_1 = k·e_1 are one-dimensional: k·ab is projective on each side
+    assert bi.right_projective and bi.left_projective
+
+
+def test_cotwist_builds_no_enveloping_algebra(ctx_cycle, monkeypatch):
+    # the tensor square comes from a one-sided resolution; neither a
+    # dense enveloping algebra nor a Kronecker product is needed
+    def refuse(*args):
+        raise AssertionError("cotwist built an enveloping algebra or a kronecker")
+
+    for layer, name in ((algebra, "enveloping"), (exactlin, "kronecker")):
+        original = getattr(layer, name)
+        holders = [
+            mod for key, mod in list(sys.modules.items())
+            if key.split(".")[0] == "sphertwist"
+            and getattr(mod, name, None) is original
+        ]
+        assert layer in holders
+        for mod in holders:
+            monkeypatch.setattr(mod, name, refuse)
+    p = ctx_cycle.to_stable
+    data = cotwist_data(p)
+    assert data.tor_dims == [3, 0, 3]
+    assert tor_bimodule(p, 2).dim == 3
+
+
+# ---------------------------------------------------------------------------
+# the one-sided tensor square against the enveloping route
+
+
+@pytest.fixture(scope="module")
+def ctx_cycle_gf():
+    return all_simples_context(cyclic_nakayama(3, field=PrimeField(32003)))
+
+
+SURJECTIONS = ["dual_stable", "dual_to_point", "dual_identity",
+               "semisimple_identity", "cycle_stable", "cycle_stable_gf",
+               "long_path", "long_path_sheared_gf", "cycle_arrow",
+               "cycle_arrow_sheared_gf"]
+
+
+@pytest.fixture
+def surjection(request, dual, ctx_dual, dual_to_point, ctx_cycle, ctx_cycle_gf):
+    return request.param, {
+        "dual_stable": lambda: ctx_dual.to_stable,
+        "dual_to_point": lambda: dual_to_point,
+        "dual_identity": lambda: identity_surjection(dual[0]),
+        "semisimple_identity": lambda: identity_surjection(ctx_cycle.stable_endo),
+        "cycle_stable": lambda: ctx_cycle.to_stable,
+        "cycle_stable_gf": lambda: ctx_cycle_gf.to_stable,
+        "long_path": lambda: kill_paths(linear_path(3), ["a*b"]),
+        "long_path_sheared_gf": lambda: kill_paths(
+            linear_path(3, PrimeField(32003)), ["a*b"], True),
+        # B_A has no finite resolution; its tensored differentials are
+        # nonzero and B is not commutative
+        "cycle_arrow": lambda: kill_paths(cyclic_nakayama(3), ["a1"]),
+        "cycle_arrow_sheared_gf": lambda: kill_paths(
+            cyclic_nakayama(3, PrimeField(32003)), ["a1"], True),
+    }[request.param]()
+
+
+def concentration(square):
+    positive = [i for i, d in enumerate(square.homology_dims) if d and i > 0]
+    return positive[0] if square.complete and len(positive) == 1 else None
+
+
+@pytest.mark.parametrize("surjection", SURJECTIONS, indirect=True)
+def test_tensor_square_matches_enveloping_reference(surjection):
+    name, p = surjection
+    cap = 4 if name.startswith("cycle_arrow") else None  # keeps the reference quick
+    new = tensor_square(p, cap=cap)
+    old = reference.TensorSquare(p, cap=cap)
+    window = min(len(new.homology_dims), len(old.homology_dims))
+    assert new.homology_dims[:window] == old.homology_dims[:window]
+    if name == "dual_identity":
+        # A_A is projective, while A ⊗ Aᵒᵖ resolves A without end: the
+        # one documented difference, and both cones are acyclic
+        assert new.complete and not old.complete
+        assert new.homology_dims == [2] and set(old.homology_dims[1:]) == {0}
+        assert not any(new.cone_dims.values())
+        assert not any(old.cone_dims.values())
+        return
+    assert new.complete == old.complete
+    assert new.homology_dims == old.homology_dims
+    assert new.cone_dims == old.cone_dims
+    t = concentration(new)
+    assert t == concentration(old)
+    data = cotwist_data(p, cap=cap)
+    assert data.concentrated == t
+    assert data.shift == (None if t is None else -t - 1)
+    if t is None:
+        return
+    ours = tor_bimodule(p, t, square=new)
+    theirs = reference.tor_bimodule(old, t)
+    b = p.target
+    env = enveloping(b, b)
+    assert find_isomorphism(bimodule_carrier(ours, env),
+                            bimodule_carrier(theirs, env)) is not None
+    assert ours.right_projective == theirs.right_projective
+    assert ours.left_projective == theirs.left_projective
+
+
+@pytest.mark.parametrize("n, paths, sheared", [
+    (4, ["a*b", "b*c", "a*b*c"], False),
+    (3, ["a*b"], True),
+    (4, ["a*b", "b*c", "a*b*c"], True),
+])
+def test_tor_one_of_a_square_zero_quotient_is_the_ideal(n, paths, sheared):
+    # tensoring 0 → I → A → B → 0 with B gives Tor_1(B, B) = I/I² = I,
+    # with B acting on both sides through lifts; the path algebra is
+    # hereditary, so nothing sits above degree 1, B ⊗_A B → B is an
+    # isomorphism and the cone is I at -2.  On the four-vertex quiver
+    # I = {ab, bc, abc} has a·bc = abc on the left and ab·c = abc on
+    # the right, so arrows act on both sides
+    p = kill_paths(linear_path(n), paths, sheared)
+    data = cotwist_data(p)
+    k = len(paths)
+    assert data.tor_dims == [p.target.dim, k]
+    assert data.complete and data.concentrated == 1 and data.shift == -2
+    assert data.cone_dims == {0: 0, -1: 0, -2: k}
+    assert bimodule_isomorphism(data.cotwist_bimodule, ideal_bimodule(p)) is not None

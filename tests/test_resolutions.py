@@ -21,6 +21,7 @@ from sphertwist.frobenius import build_context, hom_module, strip_projective_sum
 from sphertwist.modules import (
     Module,
     ModuleHom,
+    _idempotent_piece,
     direct_sum,
     find_isomorphism,
     hom_space,
@@ -407,6 +408,43 @@ def test_hom_into_stable_simples_kills_internal_maps(ctx_cycle_one):
         for s in stable_simples(ctx):
             for g in hom_space(h.target, s):
                 assert h.compose(g).matrix.is_zero()
+
+
+def assert_built_from_covers(res):
+    # a term with a recorded cover is the direct sum of its pieces e·A,
+    # basis and action alike
+    for term, cover in zip(res.terms, res.covers):
+        if cover is None:
+            continue
+        pieces = [_idempotent_piece(term.algebra, e)[0] for e in cover]
+        total, _, _ = direct_sum(pieces)
+        assert total.dim == term.dim
+        assert total.action == term.action
+
+
+def test_resolutions_record_their_covers(ctx_dual, ctx_cycle):
+    for ctx in (ctx_dual, ctx_cycle):
+        m = stable_idempotent_module(ctx, 0)
+        res = minimal_resolution(m)
+        assert all(cover is not None for cover in res.covers)
+        assert [len(c) for c in res.covers] == [1, 1, 1]
+        assert_built_from_covers(res)
+        # the partially minimal builder ends on a projective kernel,
+        # taken as it is rather than covered
+        res = partially_minimal_resolution(ctx, m)
+        assert res.term_dims == [2, 3, 2]
+        assert res.covers[-1] is None
+        assert all(cover is not None for cover in res.covers[:-1])
+        assert_built_from_covers(res)
+
+
+def test_truncated_resolution_records_every_cover(ctx_cycle_one):
+    m = stable_idempotent_module(ctx_cycle_one, 0)
+    with pytest.raises(CapExceeded) as exc:
+        minimal_resolution(m, cap=2)
+    res = exc.value.witness
+    assert len(res.covers) == len(res.terms)
+    assert_built_from_covers(res)
 
 
 def test_resolution_audit_rejects_broken_exactness(ctx_dual):
