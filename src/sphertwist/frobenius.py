@@ -26,11 +26,11 @@ from .modules import (
     Module,
     ModuleHom,
     _idempotent_piece,
+    add_equivalent,
     cokernel_of,
     direct_sum,
     endomorphism_algebra,
     hom_space,
-    in_add,
     kernel_of,
     projective_cover,
     simple_modules,
@@ -58,7 +58,7 @@ def is_self_injective(a):
         return a._selfinj_cache
     reg = Module.regular(a)
     co = Module.coregular(a)
-    verdict = in_add(reg, co) and in_add(co, reg)
+    verdict = add_equivalent(reg, co)
     a._selfinj_cache = verdict
     return verdict
 
@@ -324,7 +324,7 @@ def build_context(ambient, projective_part, extra_summands):
     """
     _require_self_injective(ambient)
     reg = Module.regular(ambient)
-    if not (in_add(reg, projective_part) and in_add(projective_part, reg)):
+    if not add_equivalent(reg, projective_part):
         raise NotProgenerator(
             "projective part does not generate the module category"
         )

@@ -1,8 +1,10 @@
 """Derived functors of surjections: Ext, Tor, and the cotwist cone.
 
 Everything here is computed from finite projective resolutions.  Ext
-groups come from a minimal resolution of the first argument; Tor groups
-can resolve either argument, and the two routes must agree.  For the
+groups come from a minimal resolution of the first argument, read
+through its recorded covers by the Yoneda isomorphism
+Hom(e·A, N) ≅ N·e; Tor groups can resolve either argument, and the two
+routes must agree.  For the
 data attached to a surjection p : A → B, the derived tensor square
 B ⊗ᴸ_A B comes from one resolution of B as a right A-module: each term
 is a sum of pieces e·A, and e·A ⊗_A B ≅ p(e)·B, so the tensored
@@ -20,21 +22,19 @@ from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
-from .exactlin import Matrix, SpanBuilder, kronecker, rank
+from .exactlin import Matrix, SpanBuilder, kronecker, rank, rref
 from .modules import (
-    HomBasis,
     Module,
     ModuleHom,
     _idempotent_piece,
     direct_sum,
-    hom_space,
     in_add,
     kernel_of,
     m_basis_row,
     quotient,
     restrict_scalars,
 )
-from .resolutions import minimal_resolution
+from .resolutions import CoveredTerm, _pivots, minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -145,40 +145,99 @@ def identity_surjection(a):
 
 
 def _resolution_window(m, count):
-    """A resolution carrying at least `count` terms (maps up to count-1)."""
+    """A resolution carrying terms 0..count and maps 0..count−1, or
+    fewer when it is complete."""
     try:
         return minimal_resolution(m, cap=count)
     except CapExceeded as exc:
         return exc.witness
 
 
+def _window_check(res, count):
+    if res.truncated and res.length < count:
+        raise SphertwistError(
+            "a truncated resolution of length %d cannot fill a window of %d"
+            % (res.length, count)
+        )
+
+
 def ext_dims(a, m, n, count):
-    """[dim Ext^i(m, n) for i in 0..count), from a minimal resolution of m."""
+    """[dim Ext^i(m, n) for i in 0..count), from a minimal resolution of m
+    read by `ext_from_resolution`."""
     if m.algebra is not a or n.algebra is not a:
         raise SphertwistError("ext arguments live over a different algebra")
     if count < 1:
         return []
-    res = _resolution_window(m, count)
-    f = a.field
-    spaces = [hom_space(t, n) for t in res.terms]
-    # matrix of precomposition with maps[i]: hom(terms[i], n) -> hom(terms[i+1], n)
+    return ext_from_resolution(_resolution_window(m, count), n, count)
+
+
+def _yoneda_blocks(n, idempotents):
+    """Per idempotent e: the canonical rows of N·e and their pivots, a
+    basis of Hom(e·A, N) under φ ↦ φ(e)."""
+    out = []
+    for e in idempotents:
+        r, pivots = rref(n.action_of(e))
+        out.append((r.rows[: len(pivots)], pivots))
+    return out
+
+
+def ext_from_resolution(res, n, count):
+    """[dim Ext^i(m, n) for i in 0..count), m the target of res, by Yoneda.
+
+    Each term is P = ⊕ₖ eₖ·A over its recorded cover (`CoveredTerm`;
+    a term without a record raises), and Hom(P, N) ≅ ⊕ₖ N·eₖ by φ ↦ (φ(eₖ))ₖ: φ(eₖ) = φ(eₖ)·eₖ lies in
+    N·eₖ, and any n in N·eₖ is φ(eₖ) for the map x ↦ n·x on eₖ·A.  So
+    the canonical rows of N.action_of(eₖ) are a basis, read at their
+    pivots.  Precomposition with d : P′ → P sends (nₖ) to
+    (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is the k-th component of d(e′ₗ):
+    φ(d(e′ₗ)) = Σₖ φ(eₖ·xₖₗ) = Σₖ nₖ·xₖₗ, which lies in N·e′ₗ because
+    d(e′ₗ) = d(e′ₗ)·e′ₗ.  No hom-space system is solved.
+
+    Degree i needs term i and the maps into and out of it, so only
+    terms 0..count and maps 0..count−1 are read: a resolution built at
+    any cap of at least count serves, because the one at cap count is
+    a prefix of it (`resolve_past`).  A truncated resolution shorter
+    than the window raises.
+    """
+    if n.algebra is not res.target.algebra:
+        raise SphertwistError("ext arguments live over a different algebra")
+    if count < 1:
+        return []
+    _window_check(res, count)
+    f = n.algebra.field
+    covered = [
+        CoveredTerm(t, c)
+        for t, c in zip(res.terms[: count + 1], res.covers[: count + 1])
+    ]
+    cochains = [_yoneda_blocks(n, ct.idempotents) for ct in covered]
+    dims = [sum(len(rows) for rows, _ in blocks) for blocks in cochains]
     ranks = [0]
-    for i, h in enumerate(res.maps):
-        src = spaces[i]
-        tgt = spaces[i + 1]
-        if not src or not tgt:
+    for i, d in enumerate(res.maps[:count]):
+        if not dims[i] or not dims[i + 1]:
             ranks.append(0)
             continue
-        coords = HomBasis(f, tgt).coords
-        rows = [coords(h.compose(g).matrix) for g in src]
-        ranks.append(rank(Matrix(f, rows, len(tgt))))
+        comps = [covered[i].components(d.apply(g)) for g in covered[i + 1].gens]
+        rows = [[f.zero()] * dims[i + 1] for _ in range(dims[i])]
+        at_l = 0
+        for l, (l_rows, l_pivots) in enumerate(cochains[i + 1]):
+            at_k = 0
+            for k, (k_rows, _) in enumerate(cochains[i]):
+                x = comps[l][k]
+                if k_rows and any(x):
+                    act = n.action_of(x)
+                    for r, v in enumerate(k_rows):
+                        y = act.apply_to_row(v)
+                        row = rows[at_k + r]
+                        for c, j in enumerate(l_pivots):
+                            row[at_l + c] = y[j]
+                at_k += len(k_rows)
+            at_l += len(l_rows)
+        ranks.append(rank(Matrix(f, rows, dims[i + 1])))
     out = []
     for i in range(count):
-        if i < len(spaces):
-            dim_here = len(spaces[i])
-            incoming = ranks[i] if i < len(ranks) else 0
+        if i < len(dims):
             outgoing = ranks[i + 1] if i + 1 < len(ranks) else 0
-            out.append(dim_here - incoming - outgoing)
+            out.append(dims[i] - ranks[i] - outgoing)
         else:
             out.append(0)
     return out
@@ -245,27 +304,32 @@ def tor_dims(a, m, n, count, resolve_second=False):
         raise SphertwistError("second tor argument must live over the opposite")
     if count < 1:
         return []
-    f = a.field
     if resolve_second:
-        res = _resolution_window(n, count)
-        projs = []
-        for t in res.terms:
-            rel = _balancing_rows(a, m, t)
-            projs.append(_reduction_data(f, rel, m.dim * t.dim))
-        ranks = [0]
-        for i, h in enumerate(res.maps):
-            flat = kronecker(Matrix.identity(f, m.dim), h.matrix)
-            ranks.append(rank(flat.mul(projs[i])))
-    else:
-        res = _resolution_window(m, count)
-        projs = []
-        for t in res.terms:
-            rel = _balancing_rows(a, t, n)
-            projs.append(_reduction_data(f, rel, t.dim * n.dim))
-        ranks = [0]
-        for i, h in enumerate(res.maps):
-            flat = kronecker(h.matrix, Matrix.identity(f, n.dim))
-            ranks.append(rank(flat.mul(projs[i])))
+        return tor_from_resolution(a, _resolution_window(n, count), m, count, True)
+    return tor_from_resolution(a, _resolution_window(m, count), n, count)
+
+
+def tor_from_resolution(a, res, other, count, second=False):
+    """[dim Tor_i(m, n) for i in 0..count) from a resolution of one side.
+
+    res resolves m and other is n; with second=True, res resolves n and
+    other is m.  Each term is tensored with the other side through the
+    flat balanced quotient.  As in `ext_from_resolution`, only terms
+    0..count and maps 0..count−1 are read.
+    """
+    if count < 1:
+        return []
+    _window_check(res, count)
+    f = a.field
+    ident = Matrix.identity(f, other.dim)
+    projs = []
+    for t in res.terms[: count + 1]:
+        m, n = (other, t) if second else (t, other)
+        projs.append(_reduction_data(f, _balancing_rows(a, m, n), m.dim * n.dim))
+    ranks = [0]
+    for i, h in enumerate(res.maps[:count]):
+        flat = kronecker(ident, h.matrix) if second else kronecker(h.matrix, ident)
+        ranks.append(rank(flat.mul(projs[i])))
     out = []
     for i in range(count):
         if i < len(projs):
@@ -280,11 +344,6 @@ def tor_dims(a, m, n, count, resolve_second=False):
 
 # ---------------------------------------------------------------------------
 # the derived tensor square of a surjection, with both actions
-
-
-def _pivots(rows):
-    """Pivot columns of canonical (reduced echelon) rows."""
-    return [next(j for j, c in enumerate(r) if c) for r in rows]
 
 
 class _Preimages:
@@ -314,62 +373,29 @@ class _Preimages:
         return [self.field.neg(x) for x in red[self.width :]]
 
 
-class _TensoredTerm:
+class _TensoredTerm(CoveredTerm):
     """A resolution term ⊕ₖ eₖ·A beside its tensored term ⊕ₖ p(eₖ)·B.
 
-    Both are direct sums of canonical pieces (`_idempotent_piece`) in
-    the order of the term's recorded cover, so block k sits at a running
-    offset and a vector of a piece has its coordinates at the pivots of
-    the piece's rows.  ``gens[k]`` is eₖ in the term's coordinates, and
-    ``b_blocks[k]`` is (offset, rows, pivots) of p(eₖ)·B, whose rows are
-    vectors of B.  ``module`` is ⊕ₖ p(eₖ)·B as a right B-module.
+    The A side is read through the recorded cover (`CoveredTerm`).  The
+    tensored term is the direct sum of the canonical pieces p(eₖ)·B in
+    the same order: ``b_blocks[k]`` is (offset, rows, pivots) of
+    p(eₖ)·B, whose rows are vectors of B, and ``module`` is ⊕ₖ p(eₖ)·B
+    as a right B-module.
     """
 
     def __init__(self, p, term, cover):
-        if cover is None:
-            raise SphertwistError("a tensored term needs a recorded cover")
-        a, b, f = p.source, p.target, p.source.field
-        self.term = term
-        self.idempotents = cover
-        self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
-        self.gens = []
+        super().__init__(term, cover)
+        b = p.target
         self.b_blocks = []
         pieces = []
-        incls = [_idempotent_piece(a, e)[1].matrix for e in cover]
-        if sum(m.nrows for m in incls) != term.dim:
-            raise SphertwistError("term is not the sum of its recorded cover")
-        at_a = at_b = 0
-        for e, incl in zip(cover, incls):
-            gen = [f.zero()] * term.dim
-            for r, j in enumerate(_pivots(incl.rows)):
-                gen[at_a + r] = e[j]
-            self.gens.append(gen)
-            self.a_blocks.append((at_a, incl))
-            at_a += incl.nrows
+        at_b = 0
+        for e in cover:
             piece, b_incl = _idempotent_piece(b, p.apply(e))
             rows = b_incl.matrix.rows
             self.b_blocks.append((at_b, rows, _pivots(rows)))
             pieces.append(piece)
             at_b += piece.dim
         self.module = direct_sum(pieces)[0]
-
-    def components(self, v):
-        """The components of a term vector, as vectors of A in eₖ·A."""
-        return [
-            incl.apply_to_row(v[at : at + incl.nrows]) for at, incl in self.a_blocks
-        ]
-
-    def extend(self, images, v):
-        """φ(v) for the A-map φ of the term to itself, φ(eₖ) = images[k].
-
-        v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
-        """
-        f = self.term.algebra.field
-        out = [f.zero()] * self.term.dim
-        for g, x in zip(images, self.components(v)):
-            if any(x):
-                out = [f.add(s, y) for s, y in zip(out, self.term.apply(g, x))]
-        return out
 
 
 def _tensor_down(p, src, tgt, images):

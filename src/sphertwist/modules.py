@@ -649,11 +649,29 @@ def in_add(m, n):
     """
     if m.algebra != n.algebra:
         raise AlgebraMismatch("add-membership across different algebras")
+    return _identity_factors(m, hom_space(m, n), hom_space(n, m))
+
+
+def add_equivalent(m, n):
+    """True iff m and n generate the same additive closure: each is a
+    summand of a finite power of the other.
+
+    The same criterion as `in_add`, both ways round, from one
+    computation of each hom space: id_m is tested first, and id_n only
+    when it passes.
+    """
+    if m.algebra != n.algebra:
+        raise AlgebraMismatch("add-membership across different algebras")
+    into, back = hom_space(m, n), hom_space(n, m)
+    return _identity_factors(m, into, back) and _identity_factors(n, back, into)
+
+
+def _identity_factors(m, into, back):
+    """Whether id_m lies in the span of the composites g·h of maps
+    g : m → n from ``into`` and h : n → m from ``back``."""
     f = m.algebra.field
     if m.dim == 0:
         return True
-    into = hom_space(m, n)
-    back = hom_space(n, m)
     span = SpanBuilder(f, m.dim * m.dim)
     for g in into:
         for h in back:

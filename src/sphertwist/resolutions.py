@@ -10,9 +10,19 @@ into a projective-type part plus the image of a single summand.
 
 Conventions: a resolution of m is terms[0] ← terms[1] ← ... with
 maps[i] : terms[i+1] → terms[i] and an augmentation terms[0] → m.
-Exactness is audited degree-wise by rank bookkeeping, projectivity of
-every term by the cover criterion (a module is projective exactly when
-its projective cover has the same dimension).
+Exactness is audited degree-wise by rank bookkeeping.  Every builder
+records the cover each term came from, and a term with a record is
+certified projective by rebuilding it from that record: for e² = e,
+A_A = e·A ⊕ (1−e)·A, so e·A is projective and so is a direct sum of
+such pieces.  A term without a record (the projective kernel a
+partially minimal resolution ends on) is checked by the cover
+criterion: a module is projective exactly when its projective cover
+has the same dimension.
+
+Resolutions are deterministic, so the one built at cap c is a
+term-by-term prefix of the one built at any larger cap (see
+`resolve_past`); one resolution therefore serves every window and
+every cap at or below its own.
 """
 
 from __future__ import annotations
@@ -29,6 +39,8 @@ from .frobenius import FrobeniusContext
 from .modules import (
     Module,
     _cover_by_pieces,
+    _idempotent_piece,
+    direct_sum,
     hom_space,
     kernel_of,
     module_radical,
@@ -46,6 +58,72 @@ def is_projective(m):
     return p.dim == m.dim
 
 
+def _rebuilt_by(term, cover):
+    """Whether every entry of the cover is idempotent and the term is
+    the direct sum of the pieces e·A, action matrix for action matrix."""
+    a = term.algebra
+    if not all(a.is_idempotent(e) for e in cover):
+        return False
+    if not cover:
+        return term.dim == 0
+    built, _, _ = direct_sum([_idempotent_piece(a, e)[0] for e in cover])
+    return built.dim == term.dim and built.action == term.action
+
+
+class CoveredTerm:
+    """A resolution term read through its recorded cover, ⊕ₖ eₖ·A.
+
+    Block k is the piece eₖ·A (`_idempotent_piece`) at a running offset,
+    so a vector of the term has the coordinates of its k-th component at
+    the pivots of that piece's canonical rows.  ``gens[k]`` is eₖ in the
+    term's coordinates: an A-map out of the term is fixed by its values
+    on the ``gens``, φ(Σₖ eₖ·xₖ) = Σₖ φ(eₖ)·xₖ.
+    """
+
+    def __init__(self, term, cover):
+        if cover is None:
+            raise SphertwistError("the term has no recorded cover")
+        a, f = term.algebra, term.algebra.field
+        self.term = term
+        self.idempotents = cover
+        self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
+        self.gens = []
+        incls = [_idempotent_piece(a, e)[1].matrix for e in cover]
+        if sum(m.nrows for m in incls) != term.dim:
+            raise SphertwistError("term is not the sum of its recorded cover")
+        at = 0
+        for e, incl in zip(cover, incls):
+            gen = [f.zero()] * term.dim
+            for r, j in enumerate(_pivots(incl.rows)):
+                gen[at + r] = e[j]
+            self.gens.append(gen)
+            self.a_blocks.append((at, incl))
+            at += incl.nrows
+
+    def components(self, v):
+        """The components of a term vector, as vectors of A in eₖ·A."""
+        return [
+            incl.apply_to_row(v[at : at + incl.nrows]) for at, incl in self.a_blocks
+        ]
+
+    def extend(self, images, v):
+        """φ(v) for the A-map φ of the term to itself, φ(eₖ) = images[k].
+
+        v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
+        """
+        f = self.term.algebra.field
+        out = [f.zero()] * self.term.dim
+        for g, x in zip(images, self.components(v)):
+            if any(x):
+                out = [f.add(s, y) for s, y in zip(out, self.term.apply(g, x))]
+        return out
+
+
+def _pivots(rows):
+    """Pivot columns of canonical (reduced echelon) rows."""
+    return [next(j for j, c in enumerate(r) if c) for r in rows]
+
+
 class Resolution:
     """A finite (or truncated) projective resolution, audited at birth.
 
@@ -61,6 +139,15 @@ class Resolution:
     of the pieces ``_idempotent_piece(a, eₖ)`` in that order, so the
     term's basis is the concatenation of the canonical row bases of
     the eₖ·A.
+
+    The record is the projectivity certificate of its term: the audit
+    checks that every eₖ is idempotent and that the term's action
+    matrices are exactly those of the direct sum of the eₖ·A.  Then the
+    term is that direct sum, and each eₖ·A is projective because
+    e² = e splits A_A = e·A ⊕ (1−e)·A.  This is stronger than the cover
+    criterion it replaces: a projective term whose record does not
+    rebuild it is rejected.  A term without a record is checked by
+    `is_projective`.
     """
 
     def __init__(
@@ -109,10 +196,10 @@ class Resolution:
 
     def _audit(self):
         aug = self.augmentation
-        if rank(aug.matrix) != self.target.dim:
+        ranks = [rank(aug.matrix)]
+        if ranks[0] != self.target.dim:
             raise SphertwistError("augmentation is not surjective")
         # composites vanish and images fill kernels, degree by degree
-        ranks = [rank(aug.matrix)]
         prev = aug
         for i, h in enumerate(self.maps):
             if not h.compose(prev).matrix.is_zero():
@@ -124,17 +211,21 @@ class Resolution:
             prev = h
         if not self.truncated:
             top = self.terms[-1]
-            last = ranks[-1] if self.maps else ranks[0]
-            if last != top.dim:
+            if ranks[-1] != top.dim:
                 raise SphertwistError("resolution is not exact at the top degree")
             total = 0
             for i, t in enumerate(self.terms):
                 total += t.dim if i % 2 == 0 else -t.dim
             if total != self.target.dim:
                 raise SphertwistError("alternating dimension count misses the target")
-        for i, t in enumerate(self.terms):
-            if not is_projective(t):
-                raise SphertwistError("term %d is not projective" % i)
+        for i, (t, cover) in enumerate(zip(self.terms, self.covers)):
+            if cover is None:
+                if not is_projective(t):
+                    raise SphertwistError("term %d is not projective" % i)
+            elif not _rebuilt_by(t, cover):
+                raise SphertwistError(
+                    "term %d is not the sum of its recorded cover" % i, witness=i
+                )
 
     def __repr__(self):
         dims = "<-".join(str(d) for d in self.term_dims)
@@ -328,6 +419,31 @@ def minimal_resolution(m, cap=None, ctx=None):
             "resolution does not terminate within length %d" % cap, witness=res
         )
     return res
+
+
+def resolve_past(m, cap=None):
+    """(res, perfect, length) from one minimal resolution of m at cap
+    c + 1, where c is the cap given or 2·dim + 2.
+
+    `minimal_resolution` is deterministic — each term is the cover of
+    the previous kernel — so its result at cap c is a term-by-term
+    prefix of ``res`` (a truncated ``res`` is its `CapExceeded`
+    witness).  Hence ``perfect``, that m resolves within c
+    (`is_perfect`), holds exactly when ``res`` is complete with length
+    at most c, and ``length`` = min(res.length, c) is the length the
+    cap-c call reports.  The extra term carries the differential out of
+    degree c, so Ext over that length is read off ``res`` without
+    resolving again.
+    """
+    if cap is None:
+        cap = 2 * m.algebra.dim + 2
+    if cap < 1:
+        raise SphertwistError("resolution cap must be at least 1")
+    try:
+        res = minimal_resolution(m, cap=cap + 1)
+    except CapExceeded as exc:
+        res = exc.witness
+    return res, not res.truncated and res.length <= cap, min(res.length, cap)
 
 
 def projective_dimension(ring, m, cap=None):

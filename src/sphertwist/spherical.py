@@ -26,8 +26,7 @@ reports what it finds rather than asserting the identification.
 
 from __future__ import annotations
 
-from .algebra import opposite
-from .errors import AuditFailed, CapExceeded, ShapeMismatch, SphertwistError
+from .errors import AuditFailed, ShapeMismatch, SphertwistError
 from .exactlin import (
     Matrix,
     SpanBuilder,
@@ -42,15 +41,20 @@ from .frobenius import (
     strip_projective_summands,
     suspension_power,
 )
-from .homology import Bimodule, ext_dims, left_module_along, tor_dims
+from .homology import (
+    Bimodule,
+    ext_from_resolution,
+    left_module_along,
+    tor_from_resolution,
+)
 from .modules import (
     HomBasis,
     _idempotent_piece,
+    add_equivalent,
     direct_sum,
     endomorphism_algebra,
     generator_indices,
     hom_space,
-    in_add,
     kernel_of,
     projective_cover,
     simple_modules,
@@ -58,9 +62,8 @@ from .modules import (
 from .resolutions import (
     extract_shape,
     is_perfect,
-    minimal_resolution,
     partially_minimal_resolution,
-    projective_dimension,
+    resolve_past,
     stable_idempotent_module,
     stable_module,
     stable_simples,
@@ -215,19 +218,17 @@ def relatively_spherical_check(ctx, t, cap=None):
     The verdict needs a finite resolution and, against every simple of
     the stable quotient, extensions vanishing outside degrees 0 and t.
     A resolution that overruns the cap yields perfect=False rather than
-    an error.
+    an error.  The stable module is resolved once, one term past the
+    cap (`resolve_past`): perfectness, the length within the cap and
+    every simple's profile over degrees 0..length are read off that
+    one resolution, exactly as from a cap-c resolution and a fresh one
+    per simple.
     """
     if t < 2:
         raise SphertwistError("window must be at least 2")
-    con = stable_module(ctx)
-    try:
-        length = minimal_resolution(con, cap=cap).length
-        perfect = True
-    except CapExceeded as exc:
-        length = exc.witness.length
-        perfect = False
+    res, perfect, length = resolve_past(stable_module(ctx), cap)
     profile = [
-        ext_dims(ctx.endo, con, s, length + 1) for s in stable_simples(ctx)
+        ext_from_resolution(res, s, length + 1) for s in stable_simples(ctx)
     ]
     vanishing = all(
         d == 0
@@ -268,7 +269,7 @@ def add_periodicity_check(ctx, k):
     om = suspension_power(x, -k)
     with_p = direct_sum([x, p])[0]
     om_with_p = direct_sum([om, p])[0]
-    return in_add(om_with_p, with_p) and in_add(with_p, om_with_p)
+    return add_equivalent(om_with_p, with_p)
 
 
 def permutation_tau(ctx, t):
@@ -289,7 +290,7 @@ def permutation_tau(ctx, t):
         hits = [
             j
             for j, y in enumerate(xs)
-            if y.dim == om.dim and in_add(om, y) and in_add(y, om)
+            if y.dim == om.dim and add_equivalent(om, y)
         ]
         if len(hits) != 1:
             return None
@@ -466,7 +467,10 @@ def tilting_audit(ctx, t=None, cap=None):
     the pair with the ideal of maps factoring through projectives.  The
     flags report these outcomes; only a genuine incoherence — two
     routes to the same number disagreeing, an action falsifying its
-    algebra — raises AuditFailed.
+    algebra — raises AuditFailed.  Each of the four side modules of the
+    two bimodules is resolved once (`resolve_past`): its perfectness and
+    its first self-extensions read that one resolution, and so do the
+    projective dimension and Tor of the forward bimodule's right module.
     """
     if t is not None:
         if not syz_audit(ctx, t, cap).side1.verdict:
@@ -553,28 +557,34 @@ def tilting_audit(ctx, t=None, cap=None):
     bwd_right_mod = backward.restrict_right()
     bwd_left_mod = backward.restrict_left()
 
-    # (a) both bimodules resolve finitely on both sides
-    biperfect = all(
-        is_perfect(mod, cap=cap)
+    resolved = [
+        resolve_past(mod, cap)
         for mod in (fwd_right_mod, fwd_left_mod, bwd_right_mod, bwd_left_mod)
-    )
+    ]
+    fwd_right, fwd_left, bwd_right, bwd_left = (res for res, _, _ in resolved)
+
+    def rigid(res):
+        return ext_from_resolution(res, res.target, 2)[1] == 0
+
+    # (a) both bimodules resolve finitely on both sides
+    biperfect = all(perfect for _, perfect, _ in resolved)
 
     # (b) the companion algebra is exactly the endomorphism ring of the
     # forward bimodule over the generator side, and the generator
     # algebra that of the backward bimodule over the companion side
     rho_iso = (
         _embedding_bijective(lam1, fwd_r, fwd_left_mod)
-        and ext_dims(opposite(lam), fwd_left_mod, fwd_left_mod, 2)[1] == 0
+        and rigid(fwd_left)
         and _embedding_bijective(lam, bwd_r, bwd_left_mod)
-        and ext_dims(opposite(lam1), bwd_left_mod, bwd_left_mod, 2)[1] == 0
+        and rigid(bwd_left)
     )
 
     # (c) the same with the roles of the sides exchanged
     lambda_iso = (
         _embedding_bijective(lam, fwd_l, fwd_right_mod)
-        and ext_dims(lam1, fwd_right_mod, fwd_right_mod, 2)[1] == 0
+        and rigid(fwd_right)
         and _embedding_bijective(lam1, bwd_l, bwd_right_mod)
-        and ext_dims(lam, bwd_right_mod, bwd_right_mod, 2)[1] == 0
+        and rigid(bwd_right)
     )
 
     # (d) the balanced tensor, by two routes that must agree: the flat
@@ -585,15 +595,17 @@ def tilting_audit(ctx, t=None, cap=None):
         span.add(r)
     tensor_dim = ni * nd - span.dim()
 
-    pd = projective_dimension(lam1, fwd_right_mod, cap=cap)
-    window = pd + 2 if isinstance(pd, int) else 3
-    tor = tor_dims(lam1, fwd_right_mod, bwd_left_mod, window)
+    # a module without a finite resolution is not concentrated whatever
+    # its Tor, so then only Tor_0 is read
+    _, perfect, pd = resolved[0]
+    tor = tor_from_resolution(
+        lam1, fwd_right, bwd_left_mod, pd + 2 if perfect else 1)
     if tor[0] != tensor_dim:
         raise AuditFailed(
             "flat balanced quotient disagrees with the resolution route",
             witness=(tensor_dim, tor[0]),
         )
-    concentrated = isinstance(pd, int) and not any(tor[1:])
+    concentrated = perfect and not any(tor[1:])
 
     # the composition pairing, as a map from the flat tensor into the
     # endomorphism algebra; it must kill every balancing relation

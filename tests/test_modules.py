@@ -17,6 +17,7 @@ from sphertwist.exactlin import QQ, Matrix, SpanBuilder, rank
 from sphertwist.modules import (
     Module,
     ModuleHom,
+    add_equivalent,
     cokernel_of,
     direct_sum,
     endomorphism_algebra,
@@ -302,6 +303,10 @@ def test_in_add_matches_oracle_on_fixture_pairs():
     for m, n in pairs:
         assert m.dim + n.dim <= 14
         assert in_add(m, n) == oracle_in_add(m, n)
+        both_ways = oracle_in_add(m, n) and oracle_in_add(n, m)
+        assert add_equivalent(m, n) == add_equivalent(n, m) == both_ways
+    double, _, _ = direct_sum([reg, reg])
+    assert add_equivalent(reg, double) and not add_equivalent(reg, both)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ enumeration: every maximal submodule containing the reachable part is
 the kernel of a hom to a simple, so the relative radical is the joint
 kernel of all such homs.  The production code uses the
 preimage-of-the-radical formula instead; the two must agree exactly.
+
+The resolution audit certifies a term built as a cover from its record
+alone; every resolution that any test here builds is re-checked term by
+term with the full cover criterion `is_projective` as well.
 """
 
 import pytest
 
-from sphertwist.algebra import refine_idempotent
+from sphertwist.algebra import lift_idempotents, refine_idempotent
 from sphertwist.errors import (
     CapExceeded,
     NotSurjective,
@@ -49,6 +53,25 @@ from sphertwist.resolutions import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers
+
+
+@pytest.fixture(autouse=True)
+def every_term_passes_the_cover_criterion(monkeypatch):
+    """Record each resolution that passes its audit during a test, then
+    run the full `is_projective` on every one of its terms."""
+    built = []
+    audit = Resolution._audit
+
+    def recording(self):
+        audit(self)
+        built.append(self)
+
+    monkeypatch.setattr(Resolution, "_audit", recording)
+    yield
+    monkeypatch.undo()
+    for res in built:
+        for i, t in enumerate(res.terms):
+            assert is_projective(t), (res, i)
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +468,100 @@ def test_truncated_resolution_records_every_cover(ctx_cycle_one):
     res = exc.value.witness
     assert len(res.covers) == len(res.terms)
     assert_built_from_covers(res)
+
+
+def two_piece_resolution():
+    """A truncated minimal resolution of S₁ ⊕ S₂ over the 3-cycle, whose
+    terms are each the sum of two different pieces e·A of dimension 2."""
+    a = cyclic_nakayama(3)
+    sims = simple_modules(a)
+    pair, _, _ = direct_sum([sims[0], sims[1]])
+    with pytest.raises(CapExceeded) as exc:
+        minimal_resolution(pair, cap=2)
+    res = exc.value.witness
+    assert [len(c) for c in res.covers] == [2, 2, 2]
+    return res
+
+
+def rebuilt(res, covers=None, term0=None):
+    """The resolution re-audited with another cover record, or with
+    term 0 replaced by ``term0`` = (module, q) in the coordinates x·q."""
+    terms, maps, aug = list(res.terms), list(res.maps), res.augmentation
+    if term0 is not None:
+        t0, q = term0
+        q_inv = q.transpose()
+        terms[0] = t0
+        aug = ModuleHom(t0, res.target, q_inv.mul(aug.matrix))
+        if maps:
+            maps[0] = ModuleHom(terms[1], t0, maps[0].matrix.mul(q))
+    return Resolution(
+        res.target, terms, maps, aug,
+        truncated=res.truncated,
+        covers=res.covers if covers is None else covers,
+    )
+
+
+def test_the_audit_certifies_from_the_cover_record():
+    res = two_piece_resolution()
+    rebuilt(res)  # the record as built passes
+    a, f = res.target.algebra, res.target.algebra.field
+    first, second = res.covers[1]
+    others = [e for e in lift_idempotents(a) if e not in (first, second)]
+    tampered = [
+        # a non-idempotent: 2e spans the same piece as e
+        [[f.mul(f.coerce(2), c) for c in first], second],
+        # the two pieces swapped
+        [second, first],
+        # a piece replaced by a same-dimension piece of another idempotent
+        [first, others[0]],
+    ]
+    assert _idempotent_piece(a, others[0])[0].dim == _idempotent_piece(a, second)[0].dim
+    for cover in tampered:
+        covers = list(res.covers)
+        covers[1] = cover
+        with pytest.raises(SphertwistError):
+            rebuilt(res, covers=covers)
+
+
+def test_the_audit_rejects_a_projective_term_its_record_does_not_rebuild():
+    res = two_piece_resolution()
+    t = res.terms[0]
+    a, f = t.algebra, t.algebra.field
+    # the coordinate permutation x·q exchanging the first two basis vectors
+    perm = [1, 0] + list(range(2, t.dim))
+    q = Matrix(f, [[f.one() if j == perm[i] else f.zero() for j in range(t.dim)]
+                   for i in range(t.dim)], t.dim)
+    conj = Module(a, t.dim, [q.transpose().mul(m).mul(q) for m in t.action])
+    assert conj.action != t.action and is_projective(conj)
+    with pytest.raises(SphertwistError):
+        rebuilt(res, term0=(conj, q))
+    # the identity permutation leaves the record intact
+    ident = Matrix.identity(f, t.dim)
+    rebuilt(res, term0=(Module(a, t.dim, t.action), ident))
+
+
+def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
+        ctx_dual, ctx_cycle_one):
+    def resolve(m, cap):
+        try:
+            return minimal_resolution(m, cap=cap)
+        except CapExceeded as exc:
+            return exc.witness
+
+    amb = ctx_dual.ambient
+    mods = [simple_modules(amb)[0], stable_module(ctx_dual)]
+    for ctx in (ctx_dual, ctx_cycle_one):
+        mods += stable_simples(ctx) + [stable_idempotent_module(ctx, 0)]
+    for m in mods:
+        for cap in (1, 2, 3, 4):
+            short, long = resolve(m, cap), resolve(m, cap + 2)
+            n = len(short.terms)
+            assert short.term_dims == long.term_dims[:n]
+            assert [h.matrix for h in short.maps] == [h.matrix for h in long.maps[: n - 1]]
+            assert short.covers == long.covers[:n]
+            assert short.augmentation.matrix == long.augmentation.matrix
+            if not short.truncated:
+                assert long.term_dims == short.term_dims
 
 
 def test_resolution_audit_rejects_broken_exactness(ctx_dual):

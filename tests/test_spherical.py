@@ -14,10 +14,19 @@ import sys
 
 import pytest
 
-from sphertwist import algebra
-from sphertwist.errors import AuditFailed, SphertwistError
+import ext_reference
+from sphertwist import algebra, spherical
+from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
 from sphertwist.frobenius import build_context
+from sphertwist.homology import tor_dims
 from sphertwist.modules import Module, simple_modules
+from sphertwist.resolutions import (
+    is_perfect,
+    minimal_resolution,
+    projective_dimension,
+    stable_module,
+    stable_simples,
+)
 from sphertwist.spherical import (
     NakayamaComparison,
     OPEN_QUESTION,
@@ -282,3 +291,79 @@ def test_tensor_codimension_invariant(report_dual, report_cycle, report_cycle_on
             assert ta.tensor_dim == lam_dim - con_dim
         else:
             assert ta.tensor_dim == lam_dim
+
+
+# ---------------------------------------------------------------------------
+# one resolution per module: agreement with the resolve-per-query route
+
+
+def two_call_side_one(ctx, t, cap):
+    """Side 1 as it was computed before the stable module was resolved
+    once: a cap-c resolution for perfectness and length, then a fresh
+    resolution and hom spaces for every simple's profile."""
+    con = stable_module(ctx)
+    try:
+        length = minimal_resolution(con, cap=cap).length
+        perfect = True
+    except CapExceeded as exc:
+        length = exc.witness.length
+        perfect = False
+    profile = [
+        ext_reference.ext_dims(ctx.endo, con, s, length + 1)
+        for s in stable_simples(ctx)
+    ]
+    vanishing = all(
+        d == 0 for dims in profile for k, d in enumerate(dims) if k not in (0, t)
+    )
+    return perfect, profile, perfect and vanishing
+
+
+@pytest.mark.parametrize("which, t", [("dual", 2), ("cycle", 2), ("cycle_one", 4)])
+def test_side_one_matches_the_two_call_route_at_every_cap(
+        which, t, ctx_dual, ctx_cycle, ctx_cycle_one):
+    ctx = {"dual": ctx_dual, "cycle": ctx_cycle, "cycle_one": ctx_cycle_one}[which]
+    length = minimal_resolution(stable_module(ctx)).length
+    for cap in (length - 1, length, length + 1, None):
+        side1 = relatively_spherical_check(ctx, t, cap)
+        perfect, profile, verdict = two_call_side_one(ctx, t, cap)
+        assert side1.perfect == perfect
+        assert side1.ext_profile == profile
+        assert side1.relatively_spherical == verdict
+        assert perfect == (cap != length - 1)
+
+
+@pytest.mark.parametrize("cap", [None, 4])
+def test_tilting_flags_match_the_resolve_per_query_route(ctx_cycle_one, cap, monkeypatch):
+    ctx = ctx_cycle_one
+    built = []
+
+    class Recording(spherical.Bimodule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(spherical, "Bimodule", Recording)
+    ta = tilting_audit(ctx, t=4, cap=cap)
+    forward, backward = built
+    lam, lam1 = ctx.endo, forward.right_algebra
+    fr, fl = forward.restrict_right(), forward.restrict_left()
+    br, bl = backward.restrict_right(), backward.restrict_left()
+
+    def rigid(m):
+        return ext_reference.ext_dims(m.algebra, m, m, 2)[1] == 0
+
+    embeds = spherical._embedding_bijective
+    assert ta.biperfect == all(is_perfect(m, cap=cap) for m in (fr, fl, br, bl))
+    assert ta.rho_iso == (
+        embeds(lam1, forward.right_mats, fl) and rigid(fl)
+        and embeds(lam, backward.right_mats, bl) and rigid(bl)
+    )
+    assert ta.lambda_iso == (
+        embeds(lam, forward.left_mats, fr) and rigid(fr)
+        and embeds(lam1, backward.left_mats, br) and rigid(br)
+    )
+    pd = projective_dimension(lam1, fr, cap=cap)
+    tor = tor_dims(lam1, fr, bl, pd + 2 if isinstance(pd, int) else 3)
+    assert tor[0] == ta.tensor_dim
+    concentrated = isinstance(pd, int) and not any(tor[1:])
+    assert ta.composite_iso_to_projE is concentrated is True
