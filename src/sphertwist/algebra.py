@@ -31,7 +31,7 @@ from .errors import (
     SphertwistError,
     UnsupportedCharacteristic,
 )
-from .exactlin import Matrix, SpanBuilder, kernel_basis, rref, solve
+from .exactlin import Matrix, SpanBuilder, SpanQuotient, kernel_basis, rref, solve
 
 
 class Algebra:
@@ -245,29 +245,13 @@ def quotient_surjection(a, ideal):
                     "ideal element · b%d leaves the span" % i, witness=(i, list(g), right)
                 )
     ideal_matrix = span.basis_matrix()
-    pivots = list(span.pivots)
-    keep = [i for i in range(a.dim) if i not in set(pivots)]
-
-    def project(vec):
-        # reduce modulo the ideal, then read surviving coordinates
-        reduced = span._reduce(vec)
-        return [reduced[i] for i in keep]
-
-    def lift(coords):
-        v = [f.zero()] * a.dim
-        for c, i in zip(coords, keep):
-            v[i] = c
-        return v
-
-    reps = [
-        lift([f.one() if t == s else f.zero() for t in range(len(keep))])
-        for s in range(len(keep))
-    ]
-    mult = [[project(a.mul_vec(ri, rj)) for rj in reps] for ri in reps]
-    unit = project(a.unit)
-    labels = [a.basis_labels[i] for i in keep]
+    q = SpanQuotient(span)
+    reps = [a.basis_vector(i) for i in q.kept]
+    mult = [[q.project(a.mul_vec(ri, rj)) for rj in reps] for ri in reps]
+    unit = q.project(a.unit)
+    labels = [a.basis_labels[i] for i in q.kept]
     target = Algebra(f, mult, unit, basis_labels=labels)
-    pmat = Matrix(f, [project(a.basis_vector(i)) for i in range(a.dim)], len(keep))
+    pmat = Matrix(f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim)
     kernel = ideal_matrix.transpose()
     return SurjectionData(a, target, pmat, kernel)
 
@@ -550,7 +534,7 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
             raise InfiniteDimensional("path enumeration exploded")
         if L < max_rel_len:
             continue
-        if _stabilized(f, paths_by_len, rels, L):
+        if _stabilized(f, paths_by_len, rels, arrow_items, L):
             stab = L
             break
 
@@ -558,46 +542,9 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     window = 2 * stab
     while len(paths_by_len) - 1 < window:
         paths_by_len.append(extend(paths_by_len[-1]))
-    all_paths = [p for pl in paths_by_len for p in pl]
-    # reversed coordinate order: longest paths first, so ideal pivots sit
-    # on long paths and normal forms prefer short ones
-    order = sorted(range(len(all_paths)), key=lambda i: i, reverse=True)
-    coord_of = {all_paths[i].key(): pos for pos, i in enumerate(order)}
+    all_paths, order, coord_of = _path_coordinates(paths_by_len)
     width = len(all_paths)
-
-    def vec_of_terms(terms):
-        v = [f.zero()] * width
-        for c, p in terms:
-            v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
-        return v
-
-    ideal = SpanBuilder(f, width)
-    frontier = []
-    for terms in rels:
-        v = vec_of_terms(terms)
-        if ideal.add(v):
-            frontier.append([(c, p) for c, p in terms])
-    while frontier:
-        nxt = []
-        for terms in frontier:
-            for name, (s, t) in arrow_items:
-                left = [
-                    (c, _Path(s, p.tgt, (name,) + p.arrows))
-                    for c, p in terms
-                    if p.src == t
-                ]
-                if left and all(len(p) <= window for _, p in left):
-                    if ideal.add(vec_of_terms(left)):
-                        nxt.append(left)
-                right = [
-                    (c, _Path(p.src, t, p.arrows + (name,)))
-                    for c, p in terms
-                    if p.tgt == s
-                ]
-                if right and all(len(p) <= window for _, p in right):
-                    if ideal.add(vec_of_terms(right)):
-                        nxt.append(right)
-        frontier = nxt
+    ideal = _relation_closure(f, rels, arrow_items, coord_of, width, window)
 
     pivot_set = set(ideal.pivots)
     basis_paths = [
@@ -619,7 +566,7 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     index_of = {p.key(): i for i, p in enumerate(basis_paths)}
 
     def normal_coords(terms):
-        v = ideal._reduce(vec_of_terms(terms))
+        v = ideal._reduce(_path_vector(f, coord_of, width, terms))
         out = [f.zero()] * len(basis_paths)
         for pos, c in enumerate(v):
             if f.is_zero(c):
@@ -657,57 +604,74 @@ def _unit_vec(f, width, pos):
     return v
 
 
-def _stabilized(f, paths_by_len, rels, L):
-    """All length-L paths congruent to shorter ones modulo the ideal slice."""
+def _path_coordinates(paths_by_len):
+    """(all paths, order, coordinate of each path key).
+
+    The coordinate order is reversed, longest paths first, so ideal
+    pivots sit on long paths and normal forms prefer short ones:
+    ``order[pos]`` is the index in ``all_paths`` of the path at
+    coordinate pos.
+    """
     all_paths = [p for pl in paths_by_len for p in pl]
     order = sorted(range(len(all_paths)), key=lambda i: i, reverse=True)
     coord_of = {all_paths[i].key(): pos for pos, i in enumerate(order)}
-    width = len(all_paths)
+    return all_paths, order, coord_of
+
+
+def _path_vector(f, coord_of, width, terms):
+    """The vector of a linear combination of paths, given as (c, path)."""
+    v = [f.zero()] * width
+    for c, p in terms:
+        v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
+    return v
+
+
+def _relation_closure(f, rels, arrow_items, coord_of, width, max_len):
+    """The span of the relations and of every relation reached from them
+    by left and right arrow steps, keeping paths of length ≤ max_len.
+
+    A stepped relation enters the frontier only when it enlarged the
+    span; a dependent one adds nothing its predecessors' steps would
+    not.  ``arrow_items`` is the sorted list of (name, (source, target)).
+    """
     span = SpanBuilder(f, width)
-    arrow_steps = {}
-    frontier = []
-    for terms in rels:
-        if max(len(p) for _, p in terms) > L:
-            return False
-        v = [f.zero()] * width
-        for c, p in terms:
-            v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
-        if span.add(v):
-            frontier.append(terms)
-    # arrow endpoints recoverable from relation paths’ neighbours
-    for pl in paths_by_len[1]:
-        arrow_steps[pl.arrows[0]] = (pl.src, pl.tgt)
+    frontier = [
+        terms for terms in rels if span.add(_path_vector(f, coord_of, width, terms))
+    ]
     while frontier:
         nxt = []
         for terms in frontier:
-            for name, (s, t) in sorted(arrow_steps.items()):
+            for name, (s, t) in arrow_items:
                 left = [
                     (c, _Path(s, p.tgt, (name,) + p.arrows))
                     for c, p in terms
                     if p.src == t
                 ]
-                if left and all(len(p) <= L for _, p in left):
-                    v = [f.zero()] * width
-                    for c, p in left:
-                        v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
-                    if span.add(v):
-                        nxt.append(left)
                 right = [
                     (c, _Path(p.src, t, p.arrows + (name,)))
                     for c, p in terms
                     if p.tgt == s
                 ]
-                if right and all(len(p) <= L for _, p in right):
-                    v = [f.zero()] * width
-                    for c, p in right:
-                        v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
-                    if span.add(v):
-                        nxt.append(right)
+                for stepped in (left, right):
+                    if (
+                        stepped
+                        and all(len(p) <= max_len for _, p in stepped)
+                        and span.add(_path_vector(f, coord_of, width, stepped))
+                    ):
+                        nxt.append(stepped)
         frontier = nxt
+    return span
+
+
+def _stabilized(f, paths_by_len, rels, arrow_items, L):
+    """All length-L paths congruent to shorter ones modulo the ideal slice."""
+    all_paths, _, coord_of = _path_coordinates(paths_by_len)
+    width = len(all_paths)
+    if any(max(len(p) for _, p in terms) > L for terms in rels):
+        return False
+    span = _relation_closure(f, rels, arrow_items, coord_of, width, L)
     for p in paths_by_len[L]:
-        target = [f.zero()] * width
-        target[coord_of[p.key()]] = f.one()
-        reduced = span._reduce(target)
+        reduced = span._reduce(_unit_vec(f, width, coord_of[p.key()]))
         if any(
             not f.is_zero(reduced[coord_of[q.key()]])
             for q in paths_by_len[L]

@@ -176,13 +176,6 @@ class PrimeField:
 QQ = RationalField()
 
 
-def field_from_spec(spec):
-    """Build a field from its serialized form: "rational" or a prime int."""
-    if spec in ("rational", "Q", "QQ"):
-        return QQ
-    return PrimeField(int(spec))
-
-
 def _nonzeros(row):
     """The (column, entry) pairs of a row's nonzero entries."""
     return [(j, row[j]) for j in compress(range(len(row)), row)]
@@ -521,7 +514,11 @@ def solve_matrix(m, b):
 
 
 def kronecker(a, b):
-    """Kronecker product, shape (a.rows·b.rows) × (a.cols·b.cols)."""
+    """Kronecker product, shape (a.rows·b.rows) × (a.cols·b.cols).
+
+    No package code forms one; the dense reference routes of the tests
+    do.
+    """
     a._check_field(b)
     f = a.field
     p = f.characteristic
@@ -567,11 +564,12 @@ class SpanBuilder:
     entries keyed by column); the builder keeps the reduced row echelon
     form of the span and reports whether each vector enlarged it.
     ``contains`` answers membership without mutating, and
-    ``kernel_basis`` gives the null space of the span.  Used for ideal
-    closures, factor-through subspaces, radd-style intersections and
-    the intertwining systems of hom spaces, where many candidate vectors
-    are zero or redundant and a full rref of everything at once would be
-    wasteful.
+    ``kernel_basis`` gives the null space of the span, and
+    `SpanQuotient` the quotient by it.  Used for ideal closures,
+    factor-through subspaces, radd-style intersections, the
+    intertwining systems of hom spaces and the balancing relations of
+    tensor products, where many candidate vectors are zero or redundant
+    and a full rref of everything at once would be wasteful.
 
     The rows are held sparse, as dicts keyed by column, and fully
     reduced: each has 1 at its pivot and no entry at any other pivot.
@@ -704,3 +702,35 @@ class SpanBuilder:
             self.field, self.width, self.pivots,
             [self._rows[p].items() for p in self.pivots],
         )
+
+
+class SpanQuotient:
+    """Coordinates on k^width modulo the span of a finished `SpanBuilder`.
+
+    The rows of the span are fully reduced, so reducing a vector by them
+    leaves entries only at the non-pivot columns, and two vectors reduce
+    alike exactly when they differ by an element of the span.  The
+    ``kept`` (non-pivot) columns, in increasing order, are therefore
+    coordinates on the quotient, and ``project`` reads a vector's class
+    there.  The span must not grow afterwards.
+    """
+
+    def __init__(self, span):
+        self.span = span
+        pivots = set(span.pivots)
+        self.kept = [j for j in range(span.width) if j not in pivots]
+
+    @property
+    def dim(self):
+        return len(self.kept)
+
+    def project(self, vec):
+        """The class of a dense vector, in the kept coordinates."""
+        red = self.span._reduce(vec)
+        return [red[j] for j in self.kept]
+
+    def project_sparse(self, entries):
+        """The class of a vector given as {column: entry}."""
+        red = self.span._reduce_sparse(entries)
+        zero = self.span.field.zero()
+        return [red.get(j, zero) for j in self.kept]

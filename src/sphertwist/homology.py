@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
-from .exactlin import Matrix, SpanBuilder, kronecker, rank, rref
+from .exactlin import Matrix, SpanBuilder, rank, rref
 from .modules import (
     Module,
     ModuleHom,
     _idempotent_piece,
+    balanced_tensor,
     direct_sum,
     in_add,
     kernel_of,
@@ -247,49 +248,6 @@ def ext_from_resolution(res, n, count):
 # Tor of one-sided modules
 
 
-def _reduction_data(f, rel_rows, dim):
-    """Projection matrix onto the quotient by a span, via free coordinates."""
-    sb = SpanBuilder(f, dim)
-    for r in rel_rows:
-        sb.add(list(r))
-    piv = set(sb.pivots)
-    free = [j for j in range(dim) if j not in piv]
-    rows = []
-    for k in range(dim):
-        e = [f.zero()] * dim
-        e[k] = f.one()
-        red = sb._reduce(e)
-        rows.append([red[j] for j in free])
-    return Matrix(f, rows, len(free))
-
-
-def _balancing_rows(a, m, n):
-    """Relations x·s ⊗ y − x ⊗ s·y spanning the balanced quotient.
-
-    m is a right module over a, n a right module over opposite(a); the
-    flat space indexes pairs first-factor-major.
-    """
-    f = a.field
-    d = m.dim * n.dim
-    out = []
-    for k in range(a.dim):
-        act_m = m.action[k]
-        act_n = n.action[k]
-        for i in range(m.dim):
-            xi = list(act_m.rows[i])
-            for j in range(n.dim):
-                yj = list(act_n.rows[j])
-                row = [f.zero()] * d
-                for s in range(m.dim):
-                    if not f.is_zero(xi[s]):
-                        row[s * n.dim + j] = f.add(row[s * n.dim + j], xi[s])
-                for t in range(n.dim):
-                    if not f.is_zero(yj[t]):
-                        row[i * n.dim + t] = f.sub(row[i * n.dim + t], yj[t])
-                out.append(row)
-    return out
-
-
 def tor_dims(a, m, n, count, resolve_second=False):
     """[dim Tor_i(m, n) for i in 0..count).
 
@@ -313,27 +271,42 @@ def tor_from_resolution(a, res, other, count, second=False):
     """[dim Tor_i(m, n) for i in 0..count) from a resolution of one side.
 
     res resolves m and other is n; with second=True, res resolves n and
-    other is m.  Each term is tensored with the other side through the
-    flat balanced quotient.  As in `ext_from_resolution`, only terms
+    other is m.  Each term is tensored with the other side as the flat
+    space modulo its balancing relations (`balanced_tensor`), and Tor_i
+    is the homology of that complex.  The differential out of degree
+    i + 1 is h ⊗ 1 (or 1 ⊗ h): the row of the pair (u, x) is row u of h
+    placed at the pairs (k, x) (or (x, k)), so each row is written
+    sparsely, projected straight into the quotient at degree i, and the
+    rank of those rows is the rank of the induced map.  No Kronecker
+    product is formed.  As in `ext_from_resolution`, only terms
     0..count and maps 0..count−1 are read.
     """
     if count < 1:
         return []
     _window_check(res, count)
     f = a.field
-    ident = Matrix.identity(f, other.dim)
-    projs = []
+    tensors = []
     for t in res.terms[: count + 1]:
         m, n = (other, t) if second else (t, other)
-        projs.append(_reduction_data(f, _balancing_rows(a, m, n), m.dim * n.dim))
+        tensors.append(balanced_tensor(a, m.action, n.action))
     ranks = [0]
     for i, h in enumerate(res.maps[:count]):
-        flat = kronecker(ident, h.matrix) if second else kronecker(h.matrix, ident)
-        ranks.append(rank(flat.mul(projs[i])))
+        target = tensors[i]
+        dim_t = h.target.dim
+        h_rows = [[(k, c) for k, c in enumerate(row) if c] for row in h.matrix.rows]
+        rows = []
+        for x in range(other.dim):
+            for nonzeros in h_rows:
+                if second:  # the pairs (x, k) of other ⊗ terms[i]
+                    flat = {x * dim_t + k: c for k, c in nonzeros}
+                else:  # the pairs (k, x) of terms[i] ⊗ other
+                    flat = {k * other.dim + x: c for k, c in nonzeros}
+                rows.append(target.project_sparse(flat))
+        ranks.append(rank(Matrix(f, rows, target.dim)))
     out = []
     for i in range(count):
-        if i < len(projs):
-            dim_here = projs[i].ncols
+        if i < len(tensors):
+            dim_here = tensors[i].dim
             incoming = ranks[i + 1] if i + 1 < len(ranks) else 0
             outgoing = ranks[i] if i < len(ranks) else 0
             out.append(dim_here - incoming - outgoing)

@@ -25,6 +25,7 @@ from .errors import (
 from .exactlin import (
     Matrix,
     SpanBuilder,
+    SpanQuotient,
     kernel_basis,
     rank,
     row_space_canonical,
@@ -410,34 +411,67 @@ def submodule(m, vectors, check=True):
 def quotient(m, vectors):
     """(quotient module, projection hom) by an action-stable subspace."""
     f = m.algebra.field
-    rows = row_space_canonical(_as_rows(f, vectors, m.dim))
     span = SpanBuilder(f, m.dim)
-    for r in rows.rows:
-        span.add(list(r))
-    for r in rows.rows:
+    for r in _as_rows(f, vectors, m.dim).rows:
+        span.add(r)
+    for r in span.rows:
         for i, mat in enumerate(m.action):
             if not span.contains(mat.apply_to_row(r)):
                 raise NotASubmodule(
-                    "subspace not stable under basis element %d" % i, witness=list(r)
+                    "subspace not stable under basis element %d" % i, witness=r
                 )
-    pivot_set = set(span.pivots)
-    keep = [j for j in range(m.dim) if j not in pivot_set]
-
-    def project(vec):
-        red = span._reduce(vec)
-        return [red[j] for j in keep]
-
-    d = len(keep)
+    q = SpanQuotient(span)
+    one = f.one()
     # the image of the j-th unit row under M is row j of M
-    action = [Matrix(f, [project(mat.rows[j]) for j in keep], d) for mat in m.action]
-    q = Module(m.algebra, d, action, validate=False)
+    action = [
+        Matrix(f, [q.project(mat.rows[j]) for j in q.kept], q.dim)
+        for mat in m.action
+    ]
+    out = Module(m.algebra, q.dim, action, validate=False)
     proj = ModuleHom(
         m,
-        q,
-        Matrix(f, [project(m_basis_row(f, m.dim, j)) for j in range(m.dim)], d),
+        out,
+        Matrix(f, [q.project_sparse({j: one}) for j in range(m.dim)], q.dim),
         validate=False,
     )
-    return q, proj
+    return out, proj
+
+
+def balanced_tensor(a, right_mats, left_mats):
+    """M ⊗_A N, as the flat space M ⊗ N modulo its balancing relations.
+
+    ``right_mats[s]`` is the action of basis element s of a on M (row u
+    is u·s), and ``left_mats[s]`` its action on N (row x is s·x): the
+    action lists of a right module over a and of a right module over
+    opposite(a) serve.  The pair (u, x) sits at u·dim N + x, first
+    factor major.  Returns the `SpanQuotient` of the span of the
+    relations (u·s) ⊗ x − u ⊗ (s·x); its ``dim`` is dim M ⊗_A N.
+
+    The relations are fed sparsely into one `SpanBuilder`, and only for
+    s in `generator_indices`.  That spans the same subspace as the
+    relations of every s.  For a product st,
+
+        (u·st) ⊗ x − u ⊗ (st·x)
+            = [(u·s)·t ⊗ x − (u·s) ⊗ (t·x)] + [(u·s) ⊗ (t·x) − u ⊗ s·(t·x)],
+
+    the t-relation at (u·s, x) plus the s-relation at (u, t·x), both
+    sums of relations because a relation is linear in each factor; the
+    unit gives 0; and a relation is linear in s.  Since the span is the
+    same, so are its canonical rows, kept columns and projections.
+    """
+    ni = right_mats[0].nrows if right_mats else 0
+    nd = left_mats[0].nrows if left_mats else 0
+    span = SpanBuilder(a.field, ni * nd)
+    for s in generator_indices(a):
+        l_rows = _sparse_rows(left_mats[s])
+        for u, r_row in enumerate(_sparse_rows(right_mats[s])):
+            at = u * nd
+            for x, l_row in enumerate(l_rows):
+                row = {k * nd + x: c for k, c in r_row}
+                for k, c in l_row:
+                    row[at + k] = row.get(at + k, 0) - c
+                span.add_sparse(row)
+    return SpanQuotient(span)
 
 
 def m_basis_row(field, dim, j):

@@ -14,10 +14,9 @@ Exactness is audited degree-wise by rank bookkeeping.  Every builder
 records the cover each term came from, and a term with a record is
 certified projective by rebuilding it from that record: for e² = e,
 A_A = e·A ⊕ (1−e)·A, so e·A is projective and so is a direct sum of
-such pieces.  A term without a record (the projective kernel a
-partially minimal resolution ends on) is checked by the cover
-criterion: a module is projective exactly when its projective cover
-has the same dimension.
+such pieces.  A term without a record (only a resolution built by
+hand has one) is checked by the cover criterion: a module is
+projective exactly when its projective cover has the same dimension.
 
 Resolutions are deterministic, so the one built at cap c is a
 term-by-term prefix of the one built at any larger cap (see
@@ -146,8 +145,8 @@ class Resolution:
     term is that direct sum, and each eₖ·A is projective because
     e² = e splits A_A = e·A ⊕ (1−e)·A.  This is stronger than the cover
     criterion it replaces: a projective term whose record does not
-    rebuild it is rejected.  A term without a record is checked by
-    `is_projective`.
+    rebuild it is rejected.  A term without a record, which only a
+    resolution built by hand has, is checked by `is_projective`.
     """
 
     def __init__(
@@ -327,53 +326,15 @@ def _check_partially_minimal(ctx, terms, maps):
 def partially_minimal_resolution(ctx, m, cap=None):
     """Resolve m by iterated partial covers.
 
-    Stops as soon as a kernel is projective (the kernel itself becomes
-    the final term, included directly), or when the kernel vanishes.
-    Raises CapExceeded — carrying the truncated resolution as witness —
-    if the length would pass the cap (default 2·dim + 2).
+    Stops when the kernel vanishes: a projective kernel is covered by an
+    isomorphism (`partial_cover`), whose kernel is zero, so it ends the
+    resolution with a recorded cover like every other term.  Raises
+    CapExceeded — carrying the truncated resolution as witness — if the
+    length would pass the cap (default 2·dim + 2).
     """
-    lam = ctx.endo
-    if m.algebra is not lam:
+    if m.algebra is not ctx.endo:
         raise SphertwistError("module lives over a different algebra")
-    if cap is None:
-        cap = 2 * lam.dim + 2
-    if cap < 1:
-        raise SphertwistError("resolution cap must be at least 1")
-    p0, aug = partial_cover(ctx, m)
-    terms = [p0]
-    maps = []
-    covers = [aug.cover_idempotents]
-    k, incl = kernel_of(aug)
-    truncated = False
-    while k.dim:
-        if len(terms) > cap:
-            truncated = True
-            break
-        if is_projective(k):
-            terms.append(k)
-            maps.append(incl)
-            covers.append(None)
-            break
-        q, epi = partial_cover(ctx, k)
-        maps.append(epi.compose(incl))
-        terms.append(q)
-        covers.append(epi.cover_idempotents)
-        k, incl = kernel_of(epi)
-    res = Resolution(
-        m,
-        terms,
-        maps,
-        aug,
-        minimal=_check_minimal(terms, maps),
-        partially_minimal=_check_partially_minimal(ctx, terms, maps),
-        truncated=truncated,
-        covers=covers,
-    )
-    if truncated:
-        raise CapExceeded(
-            "resolution does not terminate within length %d" % cap, witness=res
-        )
-    return res
+    return _resolve_by(m, cap, lambda k: partial_cover(ctx, k), ctx)
 
 
 def minimal_resolution(m, cap=None, ctx=None):
@@ -382,12 +343,17 @@ def minimal_resolution(m, cap=None, ctx=None):
     When a context is supplied the partial-minimality flag is evaluated
     too; otherwise it is left as None.
     """
-    a = m.algebra
+    return _resolve_by(m, cap, projective_cover, ctx)
+
+
+def _resolve_by(m, cap, cover, ctx):
+    """The resolution of m whose terms are cover(kernel), one per degree,
+    until a kernel vanishes or the length would pass the cap."""
     if cap is None:
-        cap = 2 * a.dim + 2
+        cap = 2 * m.algebra.dim + 2
     if cap < 1:
         raise SphertwistError("resolution cap must be at least 1")
-    p0, aug = projective_cover(m)
+    p0, aug = cover(m)
     terms = [p0]
     maps = []
     covers = [aug.cover_idempotents]
@@ -397,7 +363,7 @@ def minimal_resolution(m, cap=None, ctx=None):
         if len(terms) > cap:
             truncated = True
             break
-        q, epi = projective_cover(k)
+        q, epi = cover(k)
         maps.append(epi.compose(incl))
         terms.append(q)
         covers.append(epi.cover_idempotents)

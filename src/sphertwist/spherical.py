@@ -27,13 +27,7 @@ reports what it finds rather than asserting the identification.
 from __future__ import annotations
 
 from .errors import AuditFailed, ShapeMismatch, SphertwistError
-from .exactlin import (
-    Matrix,
-    SpanBuilder,
-    kronecker,
-    rank,
-    row_space_canonical,
-)
+from .exactlin import Matrix, rank, row_space_canonical
 from .frobenius import (
     is_self_injective,
     nakayama_permutation,
@@ -51,6 +45,7 @@ from .modules import (
     HomBasis,
     _idempotent_piece,
     add_equivalent,
+    balanced_tensor,
     direct_sum,
     endomorphism_algebra,
     generator_indices,
@@ -430,26 +425,18 @@ def _embedding_bijective(side_alg, mats, module):
     return rank(Matrix(f, rows, len(homs))) == side_alg.dim
 
 
-def _tensor_balancing_rows(side_alg, right_mats, left_mats, ni, nd):
-    """Relations (u·s) ⊗ v − u ⊗ (s·v), first-factor-major."""
-    f = side_alg.field
-    out = []
-    for s in range(side_alg.dim):
-        rmat = right_mats[s]
-        lmat = left_mats[s]
-        for u in range(ni):
-            ru = rmat.rows[u]
-            for v in range(nd):
-                lv = lmat.rows[v]
-                row = [f.zero()] * (ni * nd)
-                for k, c in enumerate(ru):
-                    if not f.is_zero(c):
-                        row[k * nd + v] = f.add(row[k * nd + v], c)
-                for k, c in enumerate(lv):
-                    if not f.is_zero(c):
-                        row[u * nd + k] = f.sub(row[u * nd + k], c)
-                out.append(row)
-    return out
+def _pairing_blocks(f, mu_rows, ni, nd, width):
+    """μ in its two blockings, for the equivariance checks.
+
+    Row (i, j) of μ, at i·nd + j, pairs ihoms[i] with dhoms[j].
+    ``by_second[j]`` has the rows (s, j) over s and ``by_first[i]`` the
+    rows (i, t) over t.
+    """
+    by_second = [Matrix(f, mu_rows[j::nd], width) for j in range(nd)]
+    by_first = [
+        Matrix(f, mu_rows[i * nd : (i + 1) * nd], width) for i in range(ni)
+    ]
+    return by_first, by_second
 
 
 def tilting_audit(ctx, t=None, cap=None):
@@ -589,11 +576,8 @@ def tilting_audit(ctx, t=None, cap=None):
 
     # (d) the balanced tensor, by two routes that must agree: the flat
     # balancing quotient and the zeroth derived product
-    balancing = _tensor_balancing_rows(lam1, fwd_r, bwd_l, ni, nd)
-    span = SpanBuilder(f, ni * nd)
-    for r in balancing:
-        span.add(r)
-    tensor_dim = ni * nd - span.dim()
+    tensor = balanced_tensor(lam1, fwd_r, bwd_l)
+    tensor_dim = tensor.dim
 
     # a module without a finite resolution is not concentrated whatever
     # its Tor, so then only Tor_0 is read
@@ -614,23 +598,29 @@ def tilting_audit(ctx, t=None, cap=None):
         for dh in dhoms:
             mu_rows.append(ctx.hom_coords.coords(dh.matrix.mul(ih.matrix)))
     mu = Matrix(f, mu_rows, lam.dim)
-    for r in span.rows:
+    for r in tensor.span.rows:
         if any(mu.apply_to_row(r)):
             raise AuditFailed("composition pairing is not balanced")
 
     # two-sided equivariance of the pairing, on algebra generators —
-    # products and the unit then follow from associativity
-    idni = Matrix.identity(f, ni)
-    idnd = Matrix.identity(f, nd)
+    # products and the unit then follow from associativity.  The left
+    # action moves only the first factor, so row (i, j) of
+    # (fwd_l[g] ⊗ 1)·μ is Σₛ fwd_l[g][i][s]·μ[(s, j)], which is row i of
+    # fwd_l[g]·μⱼ for the block μⱼ of the rows (s, j).  Likewise row
+    # (i, j) of (1 ⊗ bwd_r[g])·μ is row j of bwd_r[g]·μᵢ for the block
+    # μᵢ of the rows (i, t).  So the block equations below compare the
+    # entries of the Kronecker equations row by row, with the same
+    # witness g, and no Kronecker product is formed.
+    by_first, by_second = _pairing_blocks(f, mu_rows, ni, nd, lam.dim)
     for g in generator_indices(lam):
         gvec = lam.basis_vector(g)
-        left_side = kronecker(fwd_l[g], idnd).mul(mu)
-        if left_side != mu.mul(lam.left_mult_matrix(gvec)):
+        left_mult = lam.left_mult_matrix(gvec)
+        if any(fwd_l[g].mul(b) != b.mul(left_mult) for b in by_second):
             raise AuditFailed(
                 "composition pairing breaks equivariance on the left", witness=g
             )
-        right_side = kronecker(idni, bwd_r[g]).mul(mu)
-        if right_side != mu.mul(lam.right_mult_matrix(gvec)):
+        right_mult = lam.right_mult_matrix(gvec)
+        if any(bwd_r[g].mul(b) != b.mul(right_mult) for b in by_first):
             raise AuditFailed(
                 "composition pairing breaks equivariance on the right", witness=g
             )

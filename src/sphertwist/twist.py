@@ -32,13 +32,14 @@ from .errors import (
     NotAChainMap,
     SphertwistError,
 )
-from .exactlin import Matrix, SpanBuilder, rank, solve_matrix
+from .exactlin import Matrix, SpanBuilder, SpanQuotient, rank, solve_matrix
 from .frobenius import _indecomposable_projectives, injective_envelope
 from .homology import ext_dims
 from .modules import (
     HomBasis,
     Module,
     ModuleHom,
+    balanced_tensor,
     direct_sum,
     hom_space,
     kernel_of,
@@ -385,27 +386,6 @@ def _write_block(row, layout, solvers, k, n, mat, scalar, field):
         return
     if not mat.is_zero():
         raise SphertwistError("hom image lands outside the block layout")
-
-
-class _FlatQuotient:
-    """Coordinates on a vector space modulo a spanned subspace."""
-
-    def __init__(self, field, width, rows):
-        self.field = field
-        self.width = width
-        self.span = SpanBuilder(field, width)
-        for r in rows:
-            self.span.add(r)
-        pivots = set(self.span.pivots)
-        self.kept = [j for j in range(width) if j not in pivots]
-
-    @property
-    def dim(self):
-        return len(self.kept)
-
-    def project(self, vec):
-        red = self.span._reduce(vec)
-        return [red[j] for j in self.kept]
 
 
 # ---------------------------------------------------------------------------
@@ -756,29 +736,12 @@ def _balanced_collapse_dim(p, homs):
     if n == 0:
         return 0
     solver = HomBasis(field, homs)
-    right_action = []
-    for g in range(b.dim):
-        pre = b.left_mult_matrix(b.basis_vector(g))
-        rows = [solver.coords(pre.mul(h.matrix)) for h in homs]
-        right_action.append(Matrix(field, rows, n))
-    width = n * b.dim
-    rows = []
-    for g in range(b.dim):
-        left_g = b.left_mult_matrix(b.basis_vector(g))
-        for u in range(n):
-            for x in range(b.dim):
-                row = [field.zero()] * width
-                for v in range(n):
-                    e = right_action[g].rows[u][v]
-                    if not field.is_zero(e):
-                        row[v * b.dim + x] = field.add(row[v * b.dim + x], e)
-                for y in range(b.dim):
-                    e = left_g.rows[x][y]
-                    if not field.is_zero(e):
-                        row[u * b.dim + y] = field.sub(row[u * b.dim + y], e)
-                rows.append(row)
-    q = _FlatQuotient(field, width, rows)
-    return q.dim
+    lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
+    right_action = [
+        Matrix(field, [solver.coords(pre.mul(h.matrix)) for h in homs], n)
+        for pre in lefts
+    ]
+    return balanced_tensor(b, right_action, lefts).dim
 
 
 def _triangle_piece(p, c_mod, cap, kernel):
@@ -1202,10 +1165,11 @@ def _unit_faithful_on_cohomology(p, k_mod, cap):
             if out_mat.ncols
             else Matrix.identity(field, n)
         )
-        boundary_rows = pre[i - 1].rows if i > 0 else []
-        q = _FlatQuotient(field, n, [list(r) for r in boundary_rows])
+        boundaries = SpanBuilder(field, n)
+        for r in pre[i - 1].rows if i > 0 else []:
+            boundaries.add(r)
         cycles.append(z)
-        quotients.append(q)
+        quotients.append(SpanQuotient(boundaries))
     left_mats = [
         lam.left_mult_matrix(lam.basis_vector(g)) for g in range(lam.dim)
     ]

@@ -2,6 +2,7 @@
 
 from sphertwist.algebra import from_quiver, from_structure_constants
 from sphertwist.exactlin import QQ, Matrix, solve_matrix
+from sphertwist.modules import Module
 
 
 def dual_numbers(field=QQ):
@@ -58,6 +59,18 @@ def rebased(a, rows):
         for i in range(a.dim)
     ]
     return from_structure_constants(f, mult, change.apply_to_row(a.unit)), change
+
+
+def change_of_basis(m):
+    """m in the basis given by the rows of a unit upper-triangular T: the
+    actions become T·Mᵢ·T⁻¹, whose entries spread over the field."""
+    f = m.algebra.field
+    t = Matrix(f, [
+        [f.coerce(0 if j < i else 1 if j == i else 2 + i + 3 * j) for j in range(m.dim)]
+        for i in range(m.dim)
+    ])
+    t_inv = solve_matrix(t, Matrix.identity(f, m.dim))
+    return Module(m.algebra, m.dim, [t.mul(x).mul(t_inv) for x in m.action])
 
 
 def product_field_pair(field=QQ):

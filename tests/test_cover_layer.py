@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import cover_reference as ref
 from sphertwist.errors import NotASubmodule
-from sphertwist.exactlin import QQ, Matrix, PrimeField, solve_matrix
+from sphertwist.exactlin import QQ, Matrix, PrimeField
 from sphertwist.modules import (
     Module,
     direct_sum,
@@ -29,6 +29,7 @@ from sphertwist.modules import (
 )
 
 from fixture_algebras import (
+    change_of_basis,
     cyclic_nakayama,
     dual_numbers,
     matrix_units_2,
@@ -49,18 +50,6 @@ ALGEBRAS = {
 }
 
 _POOLS = {}
-
-
-def change_of_basis(m):
-    """m in the basis given by the rows of a unit upper-triangular T: the
-    actions become T·Mᵢ·T⁻¹, whose entries spread over the field."""
-    f = m.algebra.field
-    t = Matrix(f, [
-        [f.coerce(0 if j < i else 1 if j == i else 2 + i + 3 * j) for j in range(m.dim)]
-        for i in range(m.dim)
-    ])
-    t_inv = solve_matrix(t, Matrix.identity(f, m.dim))
-    return Module(m.algebra, m.dim, [t.mul(x).mul(t_inv) for x in m.action])
 
 
 def module_pool(name, field):

@@ -452,12 +452,11 @@ def test_resolutions_record_their_covers(ctx_dual, ctx_cycle):
         assert all(cover is not None for cover in res.covers)
         assert [len(c) for c in res.covers] == [1, 1, 1]
         assert_built_from_covers(res)
-        # the partially minimal builder ends on a projective kernel,
-        # taken as it is rather than covered
+        # the partially minimal builder covers its projective kernel by
+        # an isomorphism, so that term is recorded too
         res = partially_minimal_resolution(ctx, m)
         assert res.term_dims == [2, 3, 2]
-        assert res.covers[-1] is None
-        assert all(cover is not None for cover in res.covers[:-1])
+        assert all(cover is not None for cover in res.covers)
         assert_built_from_covers(res)
 
 
@@ -535,6 +534,9 @@ def test_the_audit_rejects_a_projective_term_its_record_does_not_rebuild():
     assert conj.action != t.action and is_projective(conj)
     with pytest.raises(SphertwistError):
         rebuilt(res, term0=(conj, q))
+    # without a record, as in a resolution built by hand, the term is
+    # checked by the cover criterion, which the projective conjugate passes
+    rebuilt(res, covers=[None] + res.covers[1:], term0=(conj, q))
     # the identity permutation leaves the record intact
     ident = Matrix.identity(f, t.dim)
     rebuilt(res, term0=(Module(a, t.dim, t.action), ident))

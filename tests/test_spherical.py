@@ -15,10 +15,10 @@ import sys
 import pytest
 
 import ext_reference
-from sphertwist import algebra, spherical
+from sphertwist import algebra, exactlin, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
 from sphertwist.frobenius import build_context
-from sphertwist.homology import tor_dims
+from sphertwist.homology import left_module_along, tor_dims
 from sphertwist.modules import Module, simple_modules
 from sphertwist.resolutions import (
     is_perfect,
@@ -267,6 +267,32 @@ def test_tilting_builds_no_enveloping_algebra(ctx_dual, monkeypatch):
     ta = tilting_audit(ctx_dual, t=2)
     assert ta.biperfect and ta.rho_iso and ta.lambda_iso
     assert ta.tensor_dim == 5
+
+
+def test_tilting_and_tor_form_no_kronecker_product(ctx_cycle_one, monkeypatch):
+    # the balanced tensor, the Tor differentials and the equivariance of
+    # the pairing are read row by row; no Kronecker product is formed
+    def refuse(*args):
+        raise AssertionError("formed a Kronecker product")
+
+    holders = [
+        mod for name, mod in list(sys.modules.items())
+        if name.split(".")[0] == "sphertwist"
+        and getattr(mod, "kronecker", None) is exactlin.kronecker
+    ]
+    assert exactlin in holders
+    for mod in holders:
+        monkeypatch.setattr(mod, "kronecker", refuse)
+    ta = tilting_audit(ctx_cycle_one, t=4)
+    assert ta.composite_iso_to_projE
+    assert ta.tensor_dim == 8
+    # the stable quotient is k, and its tensor square over the endomorphism
+    # algebra is concentrated in degrees 0 and the window 4
+    ctx = ctx_cycle_one
+    con, left = stable_module(ctx), left_module_along(ctx.to_stable)
+    for second in (False, True):
+        assert tor_dims(ctx.endo, con, left, 6, resolve_second=second) == [
+            1, 0, 0, 0, 1, 0]
 
 
 def test_tilting_gate_refuses_failing_window(ctx_cycle_one):

@@ -10,11 +10,14 @@ e_1, e_2, a, paths composed left to right), with its surjection onto
 k × k killing the arrow.
 """
 
-import pytest
+from fractions import Fraction
 
-from sphertwist.algebra import quotient_surjection
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sphertwist.algebra import from_structure_constants, quotient_surjection
 from sphertwist.errors import CapExceeded
-from sphertwist.exactlin import QQ
+from sphertwist.exactlin import QQ, Matrix, PrimeField, kernel_basis
 from sphertwist.homology import identity_surjection
 from sphertwist.modules import Module, ModuleHom, simple_modules
 from sphertwist.twist import (
@@ -23,6 +26,7 @@ from sphertwist.twist import (
     cohomology_dims,
     cone,
     equivalence_certificate,
+    euler_characteristic,
     identity_chain_map,
     shift,
     twist_apply,
@@ -129,3 +133,75 @@ def test_ut2_hom_table(ut2):
     assert len(table) == 4
     for row in table.values():
         assert {s: k for s, k in row.items() if k} == {0: 1}
+
+
+# ---------------------------------------------------------------------------
+# Euler characteristics of random complexes of vector spaces
+
+
+def scalar_matrices(data, field, nrows, ncols):
+    entries = st.sampled_from(
+        [0, 0, 1, 2, -1, 5] if field.characteristic
+        else [Fraction(0), Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)]
+    )
+    return Matrix(field, [
+        [field.coerce(data.draw(entries)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ], ncols)
+
+
+def random_complex(data, k):
+    """A complex of k-vector spaces: each differential is a random map
+    that kills the image of the one before it."""
+    f = k.field
+    lo = data.draw(st.integers(-2, 2))
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    terms = [Module(k, d, [Matrix.identity(f, d)]) for d in dims]
+    maps = []
+    allowed = Matrix.identity(f, dims[0])
+    for i in range(len(dims) - 1):
+        d = allowed.mul(scalar_matrices(data, f, allowed.ncols, dims[i + 1]))
+        maps.append(ModuleHom(terms[i], terms[i + 1], d))
+        allowed = kernel_basis(d)
+    return ChainComplex(k, lo, terms, maps)
+
+
+def homotopic_to_scalar(data, x, c):
+    """c·1 + d∘h + h∘d for random maps hₖ : xᵏ → xᵏ⁻¹, a chain map x → x."""
+    f = x.algebra.field
+    if not x.terms:
+        return ChainMap(x, x, 0, [])
+    h = {
+        k: scalar_matrices(data, f, x.term(k).dim, x.term(k - 1).dim)
+        for k in range(x.lo, x.hi + 2)
+    }
+    comps = []
+    for k in range(x.lo, x.hi + 1):
+        n = x.term(k).dim
+        fk = Matrix.identity(f, n).scale(c)
+        fk = fk.add(x.differential(k).matrix.mul(h[k + 1]))
+        fk = fk.add(h[k].mul(x.differential(k - 1).matrix))
+        comps.append(ModuleHom(x.term(k), x.term(k), fk))
+    return ChainMap(x, x, x.lo, comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_euler_characteristic_properties(data):
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    k = from_structure_constants(field, [[[1]]], [1])
+    x, y = random_complex(data, k), random_complex(data, k)
+    for c in (x, y):
+        # the alternating sum of term dimensions is that of cohomology
+        assert euler_characteristic(c) == sum(
+            d if deg % 2 == 0 else -d for deg, d in cohomology_dims(c).items())
+    # the cone of f : x → y has yᵏ ⊕ xᵏ⁺¹ in degree k, so
+    # χ(cone f) = χ(y) − χ(x), for the zero map x → y and for a chain
+    # map x → x homotopic to a scalar
+    zero = ChainMap(x, y, 0, [])
+    assert euler_characteristic(cone(zero)) == (
+        euler_characteristic(y) - euler_characteristic(x))
+    f = homotopic_to_scalar(data, x, data.draw(st.integers(0, 3)))
+    assert euler_characteristic(cone(f)) == 0
+    # the cone of an identity is acyclic
+    assert cohomology_dims(cone(identity_chain_map(x))) == {}
