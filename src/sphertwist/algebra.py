@@ -818,16 +818,64 @@ def _divisors(n):
     return sorted(out)
 
 
+def _poly_powmod(f, base, e, m):
+    """base^e mod m, by repeated squaring."""
+    out = [f.one()]
+    base = _poly_divmod(f, base, m)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(f, _poly_mul(f, out, base), m)[1]
+        base = _poly_divmod(f, _poly_mul(f, base, base), m)[1]
+        e >>= 1
+    return _poly_divmod(f, out, m)[1]
+
+
 def _field_roots(f, poly):
-    if f.characteristic == 0:
+    """The distinct roots in the base field of a nonzero polynomial.
+
+    Over Q they come from `_rational_roots`.  Over F_p they come in the
+    order 0, 1, …, then p−1, p−2, ….  xᵖ − x is the product of all
+    x − a over F_p, so g = gcd(poly, xᵖ − x) is the product of the
+    distinct linear factors of poly; xᵖ is reduced mod poly by repeated
+    squaring.  For p = 2 the two elements are tested directly; for odd
+    p, g is split by `_split_linear`.
+    """
+    p = f.characteristic
+    if p == 0:
         return list(_rational_roots(poly))
-    if f.characteristic <= 4096:
-        return [x for x in range(f.characteristic) if f.is_zero(_poly_eval(f, poly, x))]
+    if p == 2:
+        return [x for x in (0, 1) if f.is_zero(_poly_eval(f, poly, x))]
+    x = [f.zero(), f.one()]
+    xp = _poly_powmod(f, x, p, poly)
     roots = []
-    for x in list(range(64)) + [f.characteristic - k for k in range(1, 64)]:
-        if f.is_zero(_poly_eval(f, poly, x % f.characteristic)):
-            roots.append(x % f.characteristic)
-    return roots
+    _split_linear(f, _poly_ext_gcd(f, poly, _poly_sub(f, xp, x))[0], roots)
+    return sorted(roots, key=lambda r: (r > p - r, min(r, p - r)))
+
+
+def _split_linear(f, g, out):
+    """Append the roots of g, a monic product of distinct linear factors
+    over F_p with p odd.
+
+    A root r of g is a root of (x + a)^((p−1)/2) − 1 exactly when r + a
+    is a nonzero square, so h = gcd(g, that polynomial) splits g unless
+    it is 1 or g.  Some a in F_p always splits: for roots r ≠ s,
+    Σₐ χ((r + a)(s + a)) = −1 for the quadratic character χ, so
+    (p − 1)/2 of the a make exactly one of r + a, s + a a square.
+    """
+    if len(g) < 2:
+        return
+    if len(g) == 2:
+        out.append(f.neg(g[0]))
+        return
+    p = f.characteristic
+    for a in range(p):
+        power = _poly_powmod(f, [f.coerce(a), f.one()], (p - 1) // 2, g)
+        h = _poly_ext_gcd(f, g, _poly_sub(f, power, [f.one()]))[0]
+        if 1 < len(h) < len(g):
+            _split_linear(f, h, out)
+            _split_linear(f, _poly_divmod(f, g, h)[0], out)
+            return
+    raise SphertwistError("no shift separates the roots of a split polynomial")
 
 
 # ---------------------------------------------------------------------------

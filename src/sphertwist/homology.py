@@ -29,6 +29,7 @@ from .modules import (
     _idempotent_piece,
     balanced_tensor,
     direct_sum,
+    generator_indices,
     in_add,
     kernel_of,
     m_basis_row,
@@ -62,10 +63,20 @@ class Bimodule:
     contravariantly on rows (the first factor of a product is applied
     last), so the left family is a right module over the opposite
     algebra.  The constructor builds and validates both side modules
-    once and checks lᵢ·rⱼ = rⱼ·lᵢ on every basis pair.  Together these
-    are the axioms of a right module over enveloping(left, right), whose
-    element rⱼ ⊗ lᵢᵒᵖ acts by lᵢ·rⱼ, so that algebra is never built.  Any
-    failure raises AuditFailed.  ``right_projective`` and
+    once and checks lₛ·rₜ = rₜ·lₛ for s and t in `generator_indices` of
+    the left and right algebra.  Together these are the axioms of a
+    right module over enveloping(left, right), whose element rⱼ ⊗ lᵢᵒᵖ
+    acts by lᵢ·rⱼ, so that algebra is never built.  Any failure raises
+    AuditFailed.
+
+    Generator pairs suffice.  Both side modules are validated first, so
+    x ↦ lₓ and y ↦ rᵧ are linear, multiplicative (up to the order of
+    the factors) and send 1 to the identity.  For a fixed generator t,
+    the x whose lₓ commutes with rₜ form a subspace that holds 1 and is
+    closed under products, a subalgebra; it holds every generator s, so
+    it is the whole left algebra.  Then for any fixed x, the y whose rᵧ
+    commutes with lₓ form a subalgebra holding every generator t, so
+    every lₓ commutes with every rᵧ.  ``right_projective`` and
     ``left_projective`` say whether each side module is projective; each
     is computed on first use and kept.
     """
@@ -83,11 +94,13 @@ class Bimodule:
         )
         self._right_projective = None
         self._left_projective = None
-        for i, li in enumerate(self.left_mats):
-            for j, rj in enumerate(self.right_mats):
+        for i in generator_indices(left_algebra):
+            li = self.left_mats[i]
+            for j in generator_indices(right_algebra):
+                rj = self.right_mats[j]
                 if li.mul(rj) != rj.mul(li):
                     raise AuditFailed(
-                        "left and right actions fail to commute on basis pair",
+                        "left and right actions fail to commute on generator pair",
                         witness=(i, j),
                     )
 
@@ -174,7 +187,16 @@ def ext_dims(a, m, n, count):
 
 def _yoneda_blocks(n, idempotents):
     """Per idempotent e: the canonical rows of N·e and their pivots, a
-    basis of Hom(e·A, N) under φ ↦ φ(e)."""
+    basis of Hom(e·A, N) under φ ↦ φ(e).  A zero module has empty blocks.
+
+    This is the Yoneda reading of Hom out of P = ⊕ₖ eₖ·A: Hom(P, N) ≅
+    ⊕ₖ N·eₖ by φ ↦ (φ(eₖ))ₖ.  φ(eₖ) = φ(eₖ)·eₖ lies in N·eₖ, and any n
+    in N·eₖ is φ(eₖ) for the map x ↦ n·x on eₖ·A.  So the canonical rows
+    of N.action_of(eₖ) are a basis, and a vector of N·eₖ has its
+    coordinates at their pivots.  No hom-space system is solved.
+    """
+    if n.dim == 0:
+        return [([], []) for _ in idempotents]
     out = []
     for e in idempotents:
         r, pivots = rref(n.action_of(e))
@@ -182,17 +204,73 @@ def _yoneda_blocks(n, idempotents):
     return out
 
 
+def _yoneda_dim(blocks):
+    return sum(len(rows) for rows, _ in blocks)
+
+
+def _yoneda_precompose(n, d, source, target, source_blocks, target_blocks):
+    """The matrix of φ ↦ φ∘d : Hom(P, N) → Hom(P′, N), for d : P′ → P.
+
+    source and target are P′ and P read through their covers
+    (`CoveredTerm`); the blocks are `_yoneda_blocks` of N over each.
+    The rows follow target_blocks and the columns source_blocks.  φ is
+    (nₖ) with nₖ = φ(eₖ), and φ∘d is (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is
+    the k-th component of d(e′ₗ): φ(d(e′ₗ)) = Σₖ φ(eₖ·xₖₗ) = Σₖ nₖ·xₖₗ,
+    which lies in N·e′ₗ because d(e′ₗ) = d(e′ₗ)·e′ₗ.  So the block from
+    k to l is right multiplication by xₖₗ, read at the pivots of N·e′ₗ.
+    """
+    f = n.algebra.field
+    width = _yoneda_dim(source_blocks)
+    rows = [[f.zero()] * width for _ in range(_yoneda_dim(target_blocks))]
+    comps = [target.components(d.apply(g)) for g in source.gens]
+    at_l = 0
+    for l, (l_rows, l_pivots) in enumerate(source_blocks):
+        at_k = 0
+        for k, (k_rows, _) in enumerate(target_blocks):
+            x = comps[l][k]
+            if k_rows and l_rows and any(x):
+                act = n.action_of(x)
+                for r, v in enumerate(k_rows):
+                    y = act.apply_to_row(v)
+                    row = rows[at_k + r]
+                    for c, j in enumerate(l_pivots):
+                        row[at_l + c] = y[j]
+            at_k += len(k_rows)
+        at_l += len(l_rows)
+    return Matrix(f, rows, width)
+
+
+def _yoneda_postcompose(psi, blocks, image_blocks):
+    """The matrix of φ ↦ ψ∘φ : Hom(P, N) → Hom(P, N′), for a module map
+    ψ : N → N′ given by its matrix.
+
+    blocks and image_blocks are `_yoneda_blocks` of N and N′ over the
+    same cover of P.  ψ∘φ sends eₖ to ψ(nₖ) = nₖ·ψ, which lies in N′·eₖ
+    because ψ is a module map, so each row v of the N·eₖ block goes to
+    v·ψ read at the pivots of the N′·eₖ block.
+    """
+    f = psi.field
+    width = _yoneda_dim(image_blocks)
+    rows = []
+    at = 0
+    for (k_rows, _), (img_rows, img_pivots) in zip(blocks, image_blocks):
+        for v in k_rows:
+            y = psi.apply_to_row(v)
+            row = [f.zero()] * width
+            for c, j in enumerate(img_pivots):
+                row[at + c] = y[j]
+            rows.append(row)
+        at += len(img_rows)
+    return Matrix(f, rows, width)
+
+
 def ext_from_resolution(res, n, count):
     """[dim Ext^i(m, n) for i in 0..count), m the target of res, by Yoneda.
 
     Each term is P = ⊕ₖ eₖ·A over its recorded cover (`CoveredTerm`;
-    a term without a record raises), and Hom(P, N) ≅ ⊕ₖ N·eₖ by φ ↦ (φ(eₖ))ₖ: φ(eₖ) = φ(eₖ)·eₖ lies in
-    N·eₖ, and any n in N·eₖ is φ(eₖ) for the map x ↦ n·x on eₖ·A.  So
-    the canonical rows of N.action_of(eₖ) are a basis, read at their
-    pivots.  Precomposition with d : P′ → P sends (nₖ) to
-    (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is the k-th component of d(e′ₗ):
-    φ(d(e′ₗ)) = Σₖ φ(eₖ·xₖₗ) = Σₖ nₖ·xₖₗ, which lies in N·e′ₗ because
-    d(e′ₗ) = d(e′ₗ)·e′ₗ.  No hom-space system is solved.
+    a term without a record raises), so Hom(P, N) ≅ ⊕ₖ N·eₖ
+    (`_yoneda_blocks`) and the differentials are precompositions
+    (`_yoneda_precompose`).  No hom-space system is solved.
 
     Degree i needs term i and the maps into and out of it, so only
     terms 0..count and maps 0..count−1 are read: a resolution built at
@@ -205,35 +283,19 @@ def ext_from_resolution(res, n, count):
     if count < 1:
         return []
     _window_check(res, count)
-    f = n.algebra.field
     covered = [
         CoveredTerm(t, c)
         for t, c in zip(res.terms[: count + 1], res.covers[: count + 1])
     ]
     cochains = [_yoneda_blocks(n, ct.idempotents) for ct in covered]
-    dims = [sum(len(rows) for rows, _ in blocks) for blocks in cochains]
+    dims = [_yoneda_dim(blocks) for blocks in cochains]
     ranks = [0]
     for i, d in enumerate(res.maps[:count]):
         if not dims[i] or not dims[i + 1]:
             ranks.append(0)
             continue
-        comps = [covered[i].components(d.apply(g)) for g in covered[i + 1].gens]
-        rows = [[f.zero()] * dims[i + 1] for _ in range(dims[i])]
-        at_l = 0
-        for l, (l_rows, l_pivots) in enumerate(cochains[i + 1]):
-            at_k = 0
-            for k, (k_rows, _) in enumerate(cochains[i]):
-                x = comps[l][k]
-                if k_rows and any(x):
-                    act = n.action_of(x)
-                    for r, v in enumerate(k_rows):
-                        y = act.apply_to_row(v)
-                        row = rows[at_k + r]
-                        for c, j in enumerate(l_pivots):
-                            row[at_l + c] = y[j]
-                at_k += len(k_rows)
-            at_l += len(l_rows)
-        ranks.append(rank(Matrix(f, rows, dims[i + 1])))
+        ranks.append(rank(_yoneda_precompose(
+            n, d, covered[i + 1], covered[i], cochains[i + 1], cochains[i])))
     out = []
     for i in range(count):
         if i < len(dims):

@@ -635,9 +635,10 @@ def _cover_by_pieces(m, idempotents, what):
     coordinates of w times the matrix of those images.
 
     The epi is validated as a module map and must have full rank.  It
-    carries ``cover_idempotents`` and ``cover_piece_modules``, naming the
-    summand each block came from, for callers that need the
-    indecomposable decomposition of a module they know to be projective.
+    carries ``cover_idempotents``, naming the summand each block came
+    from (the piece is `_idempotent_piece` of it), for callers that need
+    the indecomposable decomposition of a module they know to be
+    projective.
     """
     a = m.algebra
     f = a.field
@@ -645,7 +646,6 @@ def _cover_by_pieces(m, idempotents, what):
         z = Module.zero(a)
         epi = ModuleHom(z, m, Matrix.zero(f, 0, 0), validate=False)
         epi.cover_idempotents = []
-        epi.cover_piece_modules = []
         return z, epi
     cover_span = SpanBuilder(f, m.dim)
     for r in module_radical(m).rows:
@@ -672,7 +672,6 @@ def _cover_by_pieces(m, idempotents, what):
     if rank(big) != m.dim:
         raise SphertwistError("%s candidate is not surjective" % what)
     epi.cover_idempotents = idems
-    epi.cover_piece_modules = pieces
     return p_sum, epi
 
 

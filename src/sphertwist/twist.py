@@ -15,11 +15,13 @@ is a genuine two-route test.
 Morphism counts in the homotopy category are computed against a
 replacement of the source by a complex of projectives, built by a
 descending staircase of covers and then shrunk by cancelling every
-invertible block in a differential.  The equivalence certificate runs
-the whole battery for one surjection: twists of the idempotent slices
-of the regular module, their pairwise hom tables across a shift window,
-the endomorphism count in shift zero, and a faithfulness certificate
-for the algebra acting on the cohomology of its own twist.
+invertible block in a differential.  The replacement records its
+covers, so hom out of it is read by Yoneda, Hom(e·A, N) ≅ N·e.  The
+equivalence certificate runs the whole battery for one surjection:
+twists of the idempotent slices of the regular module, their pairwise
+hom tables across a shift window, the endomorphism count in shift zero,
+and a faithfulness certificate for the algebra acting on the cohomology
+of its own twist.
 """
 
 from __future__ import annotations
@@ -34,11 +36,18 @@ from .errors import (
 )
 from .exactlin import Matrix, SpanBuilder, SpanQuotient, rank, solve_matrix
 from .frobenius import _indecomposable_projectives, injective_envelope
-from .homology import ext_dims
+from .homology import (
+    _yoneda_blocks,
+    _yoneda_dim,
+    _yoneda_postcompose,
+    _yoneda_precompose,
+    ext_dims,
+)
 from .modules import (
     HomBasis,
     Module,
     ModuleHom,
+    _idempotent_piece,
     balanced_tensor,
     direct_sum,
     hom_space,
@@ -48,7 +57,7 @@ from .modules import (
     restrict_scalars,
     submodule,
 )
-from .resolutions import minimal_resolution, projective_dimension
+from .resolutions import CoveredTerm, _rebuilt_by, minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -65,15 +74,26 @@ class ChainComplex:
     be the stored term objects themselves.  ``truncated`` marks a
     complex whose top was cut by a cap rather than by a certified
     vanishing bound.
+
+    ``covers`` is None, or one idempotent list per term naming the
+    pieces eₖ·A whose direct sum the term is, as `Resolution.covers`
+    does; it is trimmed with the terms, and validation certifies each
+    record by rebuilding its term (`_rebuilt_by`).  A covered complex is
+    a complex of projectives that `hom_complex` can read by Yoneda.
     """
 
-    def __init__(self, algebra, lo, terms, maps, validate=True, truncated=False):
+    def __init__(self, algebra, lo, terms, maps, validate=True, truncated=False,
+                 covers=None):
         terms = list(terms)
         maps = list(maps)
         if len(maps) != max(len(terms) - 1, 0):
             raise SphertwistError(
                 "complex with %d terms needs %d differentials, got %d"
                 % (len(terms), max(len(terms) - 1, 0), len(maps))
+            )
+        if covers is not None and len(covers) != len(terms):
+            raise SphertwistError(
+                "complex with %d terms has %d covers" % (len(terms), len(covers))
             )
         first = 0
         while first < len(terms) and terms[first].dim == 0:
@@ -85,6 +105,7 @@ class ChainComplex:
         self.lo = lo + first if last > first else 0
         self.terms = terms[first:last]
         self.maps = maps[first : max(last - 1, first)]
+        self.covers = None if covers is None else list(covers[first:last])
         self.truncated = truncated
         self.window = None
         if validate:
@@ -101,6 +122,13 @@ class ChainComplex:
             if not self.maps[i].compose(self.maps[i + 1]).matrix.is_zero():
                 raise SphertwistError(
                     "differential fails d∘d = 0 at degree %d" % (self.lo + i)
+                )
+        for i, cover in enumerate(self.covers or []):
+            if not _rebuilt_by(self.terms[i], cover):
+                raise SphertwistError(
+                    "term in degree %d is not the sum of its recorded cover"
+                    % (self.lo + i),
+                    witness=self.lo + i,
                 )
 
     @property
@@ -226,10 +254,10 @@ def shift(c, n):
             )
             for h in c.maps
         ]
-    out = ChainComplex(
-        c.algebra, c.lo - n, c.terms, maps, validate=False, truncated=c.truncated
+    return ChainComplex(
+        c.algebra, c.lo - n, c.terms, maps, validate=False,
+        truncated=c.truncated, covers=c.covers,
     )
-    return out
 
 
 def cone(f):
@@ -311,81 +339,86 @@ def hom_complex(c, d):
     """Total hom complex of two bounded complexes, over the base field.
 
     Degree n collects the maps c^k → d^{k+n} for every k; the
-    differential sends f to f∘d_d − (−1)^n d_c∘f.  The result is a
-    complex of modules over the one-dimensional algebra, with the block
-    layout kept on the instance as ``blocks[n] = [(k, hom basis,
-    offset), ...]`` so callers can address individual components.
-    Cohomology in degree n counts chain maps to the n-fold shift modulo
-    homotopy, provided the first argument has projective terms.
+    differential sends f to f∘d_d − (−1)^n d_c∘f (maps written on the
+    right, so f∘d_d follows f by the differential of d).  The source
+    must be a complex of projectives with recorded covers (a
+    `perfect_model`); a source without them raises.  Each c^k is
+    ⊕ᵢ eᵢ·A, so Hom(c^k, d^{k+n}) ≅ ⊕ᵢ d^{k+n}·eᵢ by Yoneda
+    (`_yoneda_blocks`): following f by d_d is postcomposition
+    (`_yoneda_postcompose`) and preceding it by d_c is precomposition
+    (`_yoneda_precompose`).  No hom-space system is solved.  The result
+    is a complex of modules over the one-dimensional algebra, blocks
+    ordered by k inside each degree.  Because the source is projective,
+    cohomology in degree n counts chain maps to the n-fold shift modulo
+    homotopy.
     """
     if c.algebra is not d.algebra and c.algebra != d.algebra:
         raise AlgebraMismatch("hom complex across different algebras")
     field = c.algebra.field
     if not c.terms or not d.terms:
-        out = ChainComplex(_scalar_algebra(field), 0, [], [])
-        out.blocks = {}
-        return out
+        return ChainComplex(_scalar_algebra(field), 0, [], [])
+    if c.covers is None:
+        raise SphertwistError(
+            "hom complex needs a source of projectives with recorded covers"
+        )
+    covered = {
+        c.lo + i: CoveredTerm(t, cover)
+        for i, (t, cover) in enumerate(zip(c.terms, c.covers))
+    }
+    blocks = {
+        (k, j): _yoneda_blocks(d.term(j), ct.idempotents)
+        for k, ct in covered.items()
+        for j in range(d.lo, d.hi + 1)
+    }
     n_lo = d.lo - c.hi
     n_hi = d.hi - c.lo
-    bases = {}
-    solvers = {}
-    for n in range(n_lo, n_hi + 1):
-        for k in range(c.lo, c.hi + 1):
-            if d.lo <= k + n <= d.hi:
-                homs = hom_space(c.term(k), d.term(k + n))
-                bases[(k, n)] = homs
-                solvers[(k, n)] = HomBasis(field, homs)
-    blocks = {}
+    offsets = {}
     terms = []
     for n in range(n_lo, n_hi + 1):
-        layout = []
-        offset = 0
-        for k in range(c.lo, c.hi + 1):
-            homs = bases.get((k, n), [])
-            layout.append((k, homs, offset))
-            offset += len(homs)
-        blocks[n] = layout
-        terms.append(_vect(field, offset))
+        at = 0
+        for k in covered:
+            offsets[(k, n)] = at
+            at += _yoneda_dim(blocks.get((k, k + n), []))
+        terms.append(_vect(field, at))
     neg = field.neg(field.one())
     maps = []
     for n in range(n_lo, n_hi):
-        src = terms[n - n_lo]
-        tgt = terms[n - n_lo + 1]
-        sign = field.one() if n % 2 == 0 else neg
-        rows = []
-        for k, homs, _off in blocks[n]:
-            for h in homs:
-                row = [field.zero()] * tgt.dim
-                # first route: follow h with the target differential
-                img = h.matrix.mul(d.differential(k + n).matrix)
-                _write_block(row, blocks[n + 1], solvers, k, n + 1, img, field.one(), field)
-                # second route: precede h with the source differential
-                img2 = c.differential(k - 1).matrix.mul(h.matrix)
-                _write_block(
-                    row, blocks[n + 1], solvers, k - 1, n + 1, img2,
-                    field.mul(neg, sign), field,
+        src, tgt = terms[n - n_lo], terms[n - n_lo + 1]
+        rows = [[field.zero()] * tgt.dim for _ in range(src.dim)]
+        sign = neg if n % 2 == 0 else field.one()  # −(−1)^n
+        for k in covered:
+            j = k + n
+            if not d.lo <= j <= d.hi:
+                continue
+            at = offsets[(k, n)]
+            if j < d.hi:
+                post = _yoneda_postcompose(
+                    d.differential(j).matrix, blocks[(k, j)], blocks[(k, j + 1)]
                 )
-                rows.append(row)
+                _place(rows, at, offsets[(k, n + 1)], post, field.one())
+            if k - 1 in covered:
+                pre = _yoneda_precompose(
+                    d.term(j), c.differential(k - 1), covered[k - 1], covered[k],
+                    blocks[(k - 1, j)], blocks[(k, j)],
+                )
+                _place(rows, at, offsets[(k - 1, n + 1)], pre, sign)
         maps.append(ModuleHom(src, tgt, Matrix(field, rows, tgt.dim), validate=False))
-    out = ChainComplex(_scalar_algebra(field), n_lo, terms, maps, validate=True)
-    out.blocks = blocks
-    return out
+    return ChainComplex(_scalar_algebra(field), n_lo, terms, maps, validate=True)
 
 
-def _write_block(row, layout, solvers, k, n, mat, scalar, field):
-    for kk, homs, off in layout:
-        if kk != k:
-            continue
-        if not homs:
-            if not mat.is_zero():
-                raise SphertwistError("hom image lands outside the recorded basis")
-            return
-        sol = solvers[(k, n)]
-        for i, x in enumerate(sol.coords(mat)):
-            row[off + i] = field.add(row[off + i], field.mul(scalar, x))
-        return
-    if not mat.is_zero():
-        raise SphertwistError("hom image lands outside the block layout")
+def _place(rows, at_r, at_c, mat, scalar):
+    """Write scalar·mat into rows at the block starting at (at_r, at_c).
+
+    Each block of a hom-complex differential gets one contribution:
+    postcomposition keeps the source degree k, precomposition lowers it
+    by one, so the two never share a block and nothing is summed.
+    """
+    f = mat.field
+    for r, src in enumerate(mat.rows):
+        row = rows[at_r + r]
+        for j, x in enumerate(src):
+            if x:
+                row[at_c + j] = f.mul(scalar, x)
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +528,41 @@ def _hom_into(lam, src, src_left_mults, tgt):
     return Module(lam, n, action, validate=True), homs, solver
 
 
+def _hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
+    """Hom(src, −) on the first count degrees of a ladder, as modules over
+    lam: (modules, hom bases, solvers, differentials).
+
+    Degrees past the ladder's end get zero modules.  The differential
+    out of degree j follows each hom by maps[j], written in the hom
+    basis of degree j + 1; it is zero where either module is, or where
+    the ladder has no map.
+    """
+    mods, bases, solvers = [], [], []
+    for j in range(count):
+        if j < len(terms):
+            hm, hb, sol = _hom_into(lam, src, src_left_mults, terms[j])
+        else:
+            hm, hb, sol = Module.zero(lam), [], HomBasis(lam.field, [])
+        mods.append(hm)
+        bases.append(hb)
+        solvers.append(sol)
+    diffs = []
+    for j in range(count - 1):
+        s, t = mods[j], mods[j + 1]
+        if s.dim == 0 or t.dim == 0 or j >= len(maps):
+            zero = Matrix.zero(lam.field, s.dim, t.dim)
+            diffs.append(ModuleHom(s, t, zero, validate=False))
+            continue
+        rows = [solvers[j + 1].coords(h.matrix.mul(maps[j].matrix)) for h in bases[j]]
+        diffs.append(ModuleHom(s, t, Matrix(lam.field, rows, t.dim)))
+    return mods, bases, solvers, diffs
+
+
 class _TwistCore:
     """Shared scaffolding for one twist computation."""
 
     def __init__(self, lam, stalk, degree, kernel_module, pd, complete,
-                 ladder_terms, ladder_maps, embedding, hom_modules,
-                 hom_bases, complex_):
+                 ladder_terms, ladder_maps, complex_):
         self.lam = lam
         self.stalk = stalk
         self.degree = degree
@@ -509,9 +571,6 @@ class _TwistCore:
         self.complete = complete
         self.ladder_terms = ladder_terms
         self.ladder_maps = ladder_maps
-        self.embedding = embedding
-        self.hom_modules = hom_modules
-        self.hom_bases = hom_bases
         self.complex = complex_
 
 
@@ -543,25 +602,31 @@ def _over(m, lam):
 
 
 def _kernel_data(p, cap):
+    """(kernel module, its left multiplications, its minimal resolution).
+
+    The resolution is the `CapExceeded` witness when the kernel does not
+    resolve within the cap, and None for a zero kernel.
+    """
     k_mod, k_incl = _kernel_module(p)
     if k_mod.dim == 0:
-        return k_mod, k_incl, None, 0, True
+        return k_mod, None, None
     lmults = _left_mult_family(p.source, k_incl)
-    pd = projective_dimension(p.source, k_mod, cap=cap)
-    complete = isinstance(pd, int)
-    return k_mod, k_incl, lmults, pd, complete
+    try:
+        res = minimal_resolution(k_mod, cap=cap)
+    except CapExceeded as exc:
+        res = exc.witness
+    return k_mod, lmults, res
 
 
 def _twist_core(p, c, window=None, cap=None, kernel=None):
     lam = p.source
     c_mod, degree = _stalk_data(c, lam)
-    k_mod, _k_incl, lmults, pd, complete = kernel if kernel else _kernel_data(p, cap)
+    k_mod, lmults, res = kernel if kernel else _kernel_data(p, cap)
     if k_mod.dim == 0:
         cx = ChainComplex(lam, degree, [], [])
         cx.window = (degree, degree)
-        return _TwistCore(
-            lam, c_mod, degree, k_mod, 0, True, [], [], None, [], [], cx
-        )
+        return _TwistCore(lam, c_mod, degree, k_mod, 0, True, [], [], cx)
+    pd, complete = res.length, not res.truncated
     if complete:
         depth = pd + 1
     else:
@@ -569,42 +634,14 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
             raise CapExceeded(
                 "kernel has no finite resolution within the cap; "
                 "pass an explicit window to accept a truncated twist",
-                witness=pd,
+                witness=res,
             )
         depth = max(window[1] - degree, 1)
     ladder_len = depth + 1
-    i_terms, i_maps, emb = _injective_ladder(c_mod, ladder_len)
-    hom_modules = []
-    hom_bases = []
-    solvers = []
-    for j in range(ladder_len + 1):
-        if j < len(i_terms):
-            hm, hb, sol = _hom_into(lam, k_mod, lmults, i_terms[j])
-        else:
-            hm, hb, sol = Module.zero(lam), [], HomBasis(lam.field, [])
-        hom_modules.append(hm)
-        hom_bases.append(hb)
-        solvers.append(sol)
-    diffs = []
-    for j in range(ladder_len):
-        src, tgt = hom_modules[j], hom_modules[j + 1]
-        if src.dim == 0 or tgt.dim == 0:
-            diffs.append(
-                ModuleHom(
-                    src, tgt, Matrix.zero(lam.field, src.dim, tgt.dim), validate=False
-                )
-            )
-            continue
-        post = i_maps[j].matrix if j < len(i_maps) else None
-        if post is None:
-            diffs.append(
-                ModuleHom(
-                    src, tgt, Matrix.zero(lam.field, src.dim, tgt.dim), validate=False
-                )
-            )
-            continue
-        rows = [solvers[j + 1].coords(h.matrix.mul(post)) for h in hom_bases[j]]
-        diffs.append(ModuleHom(src, tgt, Matrix(lam.field, rows, tgt.dim)))
+    i_terms, i_maps, _emb = _injective_ladder(c_mod, ladder_len)
+    hom_modules, _bases, _solvers, diffs = _hom_into_ladder(
+        lam, k_mod, lmults, i_terms, i_maps, ladder_len + 1
+    )
     if complete:
         terms = hom_modules[:depth]
         maps = diffs[: depth - 1]
@@ -633,10 +670,7 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
         maps = diffs[:depth]
         cx = ChainComplex(lam, degree, terms, maps, truncated=True)
         cx.window = (degree, degree + depth)
-    return _TwistCore(
-        lam, c_mod, degree, k_mod, pd, complete, i_terms, i_maps, emb,
-        hom_modules, hom_bases, cx,
-    )
+    return _TwistCore(lam, c_mod, degree, k_mod, pd, complete, i_terms, i_maps, cx)
 
 
 def twist_apply(p, c, window=None, cap=None):
@@ -721,21 +755,20 @@ def _target_left_mults(p):
             for g in range(p.source.dim)]
 
 
-def _balanced_collapse_dim(p, homs):
+def _balanced_collapse_dim(p, homs, solver):
     """dim of Hom(B, I) ⊗_B B by explicit balancing — audits the collapse.
 
-    The hom space is a right module over the target through
-    precomposition with left multiplication; tensoring back over the
-    target against the regular bimodule must return the same dimension,
-    and that identity is what lets evaluation at the unit stand in for
-    the whole derived tensor.
+    The hom space, with its factored hom basis ``solver``, is a right
+    module over the target through precomposition with left
+    multiplication; tensoring back over the target against the regular
+    bimodule must return the same dimension, and that identity is what
+    lets evaluation at the unit stand in for the whole derived tensor.
     """
     b = p.target
     field = b.field
     n = len(homs)
     if n == 0:
         return 0
-    solver = HomBasis(field, homs)
     lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
     right_action = [
         Matrix(field, [solver.coords(pre.mul(h.matrix)) for h in homs], n)
@@ -758,13 +791,12 @@ def _triangle_piece(p, c_mod, cap, kernel):
     else:
         depth = core.pd + 1
         ladder, ladder_maps = core.ladder_terms, core.ladder_maps
-    b_right = _target_as_source_module(p)
-    b_lmults = _target_left_mults(p)
-    srb_terms = []
+    srb_terms, srb_bases, srb_solvers, srb_maps = _hom_into_ladder(
+        lam, _target_as_source_module(p), _target_left_mults(p),
+        ladder, ladder_maps, len(ladder),
+    )
     gammas = []
-    for j, i_term in enumerate(ladder):
-        hm, hb, sol = _hom_into(lam, b_right, b_lmults, i_term)
-        srb_terms.append((hm, hb, sol))
+    for hm, hb, sol, i_term in zip(srb_terms, srb_bases, srb_solvers, ladder):
         if hb:
             rows = [h.apply(p.target.unit) for h in hb]
             gamma = ModuleHom(hm, i_term, Matrix(lam.field, rows, i_term.dim))
@@ -774,29 +806,16 @@ def _triangle_piece(p, c_mod, cap, kernel):
             )
         if rank(gamma.matrix) != hm.dim:
             raise AuditFailed("evaluation at the unit failed to be injective")
-        collapsed = _balanced_collapse_dim(p, hb)
+        collapsed = _balanced_collapse_dim(p, hb, sol)
         if collapsed != hm.dim:
             raise AuditFailed(
                 "tensor collapse over the target changed the dimension",
                 witness=(collapsed, hm.dim),
             )
         gammas.append(gamma)
-    # assemble the two complexes over the ladder and take the cone
-    srb_maps = []
-    for j in range(len(ladder) - 1):
-        src, hb, _s0 = srb_terms[j]
-        tgt, _hb2, sol2 = srb_terms[j + 1]
-        if src.dim == 0 or tgt.dim == 0:
-            srb_maps.append(
-                ModuleHom(
-                    src, tgt, Matrix.zero(lam.field, src.dim, tgt.dim), validate=False
-                )
-            )
-            continue
-        rows = [sol2.coords(h.matrix.mul(ladder_maps[j].matrix)) for h in hb]
-        srb_maps.append(ModuleHom(src, tgt, Matrix(lam.field, rows, tgt.dim)))
+    # the two complexes over the ladder, and the cone between them
     s = core.degree
-    srb_cx = ChainComplex(lam, s, [t for t, _hb, _s in srb_terms], srb_maps)
+    srb_cx = ChainComplex(lam, s, srb_terms, srb_maps)
     ladder_cx = ChainComplex(lam, s, list(ladder), list(ladder_maps))
     gamma_map = ChainMap(srb_cx, ladder_cx, s, gammas)
     cn = cone(gamma_map)
@@ -864,24 +883,24 @@ def _projective_staircase(c, cap=None):
     already built, which keeps the comparison map a quasi-isomorphism;
     once below the support the loop is resolving one kernel module and
     terminates exactly when that kernel is perfect.  Raises when the
-    cap is passed first.  Returns (complex, comparison chain map,
-    pieces per degree) with each term remembering its cover summands.
+    cap is passed first.  Returns (complex, comparison chain map); the
+    complex records each term's cover idempotents as its ``covers``.
     """
     lam = c.algebra
     field = lam.field
     if not c.terms:
-        empty = ChainComplex(lam, 0, [], [])
-        return empty, ChainMap(empty, c, 0, []), {}
+        empty = ChainComplex(lam, 0, [], [], covers=[])
+        return empty, ChainMap(empty, c, 0, [])
     if cap is None:
         cap = 2 * lam.dim + 2 + len(c.terms)
     hi = c.hi
     p_terms = {}
-    p_pieces = {}
+    p_covers = {}
     deltas = {}
     phis = {}
     q0, epi0 = projective_cover(c.term(hi))
     p_terms[hi] = q0
-    p_pieces[hi] = list(epi0.cover_piece_modules)
+    p_covers[hi] = epi0.cover_idempotents
     phis[hi] = epi0
     k = hi
     steps = 0
@@ -922,23 +941,22 @@ def _projective_staircase(c, cap=None):
             epi = ModuleHom(
                 q, w_mod, Matrix.zero(field, 0, 0), validate=False
             )
+            p_covers[k] = []
         else:
             q, epi = projective_cover(w_mod)
+            p_covers[k] = epi.cover_idempotents
         into_pair = epi.compose(w_incl)
         p_terms[k] = q
-        p_pieces[k] = (
-            list(epi.cover_piece_modules) if w_mod.dim else []
-        )
         phis[k] = into_pair.compose(prjs[0])
         deltas[k] = into_pair.compose(prjs[1])
     lo_p = min(p_terms)
     terms = [p_terms[j] for j in range(lo_p, hi + 1)]
     maps = [deltas[j] for j in range(lo_p, hi)]
-    px = ChainComplex(lam, lo_p, terms, maps)
+    covers = [p_covers[j] for j in range(lo_p, hi + 1)]
+    px = ChainComplex(lam, lo_p, terms, maps, covers=covers)
     comp = ChainMap(px, c, lo_p, [phis[j] for j in range(lo_p, hi + 1)])
     _audit_quasi_iso(px, comp, c)
-    pieces = {j: p_pieces[j] for j in p_terms}
-    return px, comp, pieces
+    return px, comp
 
 
 def _audit_quasi_iso(px, comp, c):
@@ -975,30 +993,35 @@ def _cycle_rows(c, k):
     return kernel_basis(d.transpose()).transpose()
 
 
-def _eliminate_units(px, pieces):
-    """Cancel invertible blocks in the differentials of a projective complex.
+def _eliminate_units(px):
+    """Cancel invertible blocks in the differentials of a covered complex
+    of projectives.
 
-    A square invertible component between a summand of one term and a
+    The summands are the pieces eₖ·A of each term's recorded cover.  A
+    square invertible component between a summand of one term and a
     summand of the next spans a contractible pair; removing it and
     correcting the surviving block by the standard complement keeps the
-    homotopy type.  Loops until no block qualifies, then rebuilds the
-    complex and re-audits its cohomology against the original.
+    homotopy type.  Loops until no block qualifies, then rebuilds each
+    term from the idempotents left (`_idempotent_piece` is cached, so
+    the pieces are the same modules) and re-audits the cohomology
+    against the original.  The result records its covers.
     """
     if not px.terms:
         return px
     lam = px.algebra
     field = lam.field
-    degs = sorted(pieces)
-    mods = {k: list(pieces[k]) for k in degs}
+    degs = list(range(px.lo, px.hi + 1))
+    idems = {k: list(cover) for k, cover in zip(degs, px.covers)}
     mats = {k: px.differential(k).matrix for k in range(px.lo, px.hi)}
     before = cohomology_dims(px)
 
     def offsets(k):
         out = []
         at = 0
-        for m in mods.get(k, []):
-            out.append((at, m.dim))
-            at += m.dim
+        for e in idems.get(k, []):
+            dim = _idempotent_piece(lam, e)[0].dim
+            out.append((at, dim))
+            at += dim
         return out
 
     changed = True
@@ -1036,33 +1059,31 @@ def _eliminate_units(px, pieces):
             down = mats.get(k + 1)
             if down is not None:
                 mats[k + 1] = down.submatrix(keep_cols, range(down.ncols))
-            mods[k] = [m for i, m in enumerate(mods[k]) if i != ri]
-            mods[k + 1] = [m for i, m in enumerate(mods[k + 1]) if i != ci]
+            idems[k] = [e for i, e in enumerate(idems[k]) if i != ri]
+            idems[k + 1] = [e for i, e in enumerate(idems[k + 1]) if i != ci]
             changed = True
             break
-    terms = []
-    degs = sorted(mods)
     rebuilt = {}
     for k in degs:
-        if mods[k]:
-            summed, _i, _p = direct_sum(mods[k])
+        if idems[k]:
+            pieces = [_idempotent_piece(lam, e)[0] for e in idems[k]]
+            summed, _i, _p = direct_sum(pieces)
         else:
             summed = Module.zero(lam)
         rebuilt[k] = summed
-    lo = min(degs)
-    hi = max(degs)
-    term_list = [rebuilt.get(k, Module.zero(lam)) for k in range(lo, hi + 1)]
+    lo, hi = degs[0], degs[-1]
+    term_list = [rebuilt[k] for k in degs]
     map_list = []
     for k in range(lo, hi):
-        src = rebuilt.get(k)
-        tgt = rebuilt.get(k + 1)
+        src = rebuilt[k]
+        tgt = rebuilt[k + 1]
         mat = mats.get(k)
         if mat is None or src.dim == 0 or tgt.dim == 0:
             mat = Matrix.zero(field, src.dim, tgt.dim)
             map_list.append(ModuleHom(src, tgt, mat, validate=False))
         else:
             map_list.append(ModuleHom(src, tgt, mat))
-    out = ChainComplex(lam, lo, term_list, map_list)
+    out = ChainComplex(lam, lo, term_list, map_list, covers=[idems[k] for k in degs])
     if cohomology_dims(out) != before:
         raise AuditFailed("unit elimination changed the cohomology")
     return out
@@ -1073,10 +1094,11 @@ def perfect_model(c, cap=None):
 
     Existence of the finite model is the perfection certificate for the
     complex; the returned model has been through unit elimination and
-    its cohomology re-audited against the input.
+    its cohomology re-audited against the input.  It records the cover
+    of each term (``covers``), which `hom_complex` reads.
     """
-    px, comp, pieces = _projective_staircase(c, cap=cap)
-    return _eliminate_units(px, pieces)
+    px, _comp = _projective_staircase(c, cap=cap)
+    return _eliminate_units(px)
 
 
 def _hom_table_entry(model, target, window):
@@ -1126,35 +1148,43 @@ class TwistCertificate:
         )
 
 
-def _unit_faithful_on_cohomology(p, k_mod, cap):
+def _unit_faithful_on_cohomology(p, res):
     """Whether the algebra acts faithfully on the twist of itself.
 
     The twist of the regular module has cohomology given by the derived
     hom out of the kernel; left multiplication makes each such space a
     module over the source algebra, functorially in homotopy classes,
     so a faithful action certifies the unit map into the derived
-    endomorphisms as injective.  Computed from a projective resolution
-    of the kernel: postcomposition by left multiplication descends to
-    the cohomology of the dual complex, and the stacked matrices of the
-    induced operators must have full rank.
+    endomorphisms as injective.  Computed from ``res``, the kernel's
+    minimal resolution, read through its recorded covers: each term is
+    Pᵢ = ⊕ₖ eₖ·A, so Hom(Pᵢ, A) ≅ ⊕ₖ A·eₖ by Yoneda (`_yoneda_blocks`)
+    and the dual differentials are precompositions
+    (`_yoneda_precompose`).  An element g acts by postcomposition with
+    the module map x ↦ g·x (`_yoneda_postcompose` of
+    ``left_mult_matrix(g)``), which sends nₖ to g·nₖ, still in A·eₖ.
+    That action commutes with the differentials, so it descends to the
+    cohomology of the dual complex, and the stacked matrices of the
+    induced operators must have full rank.  No hom-space system is
+    solved.
     """
     from .exactlin import kernel_basis
 
     lam = p.source
     field = lam.field
-    res = minimal_resolution(k_mod, cap=cap)
     reg = Module.regular(lam)
-    spaces = [hom_space(t, reg) for t in res.terms]
-    solvers = [HomBasis(field, s) for s in spaces]
-    pre = []
-    for i, h in enumerate(res.maps):
-        rows = [solvers[i + 1].coords(h.matrix.mul(f.matrix)) for f in spaces[i]]
-        pre.append(Matrix(field, rows, len(spaces[i + 1])))
+    covered = [CoveredTerm(t, c) for t, c in zip(res.terms, res.covers)]
+    blocks = [_yoneda_blocks(reg, ct.idempotents) for ct in covered]
+    dims = [_yoneda_dim(b) for b in blocks]
+    pre = [
+        _yoneda_precompose(
+            reg, h, covered[i + 1], covered[i], blocks[i + 1], blocks[i]
+        )
+        for i, h in enumerate(res.maps)
+    ]
     # cohomology coordinates per degree: cycles modulo boundaries
     quotients = []
     cycles = []
-    for i, basis in enumerate(spaces):
-        n = len(basis)
+    for i, n in enumerate(dims):
         if n == 0:
             cycles.append(Matrix.zero(field, 0, 0))
             quotients.append(None)
@@ -1173,13 +1203,7 @@ def _unit_faithful_on_cohomology(p, k_mod, cap):
     left_mats = [
         lam.left_mult_matrix(lam.basis_vector(g)) for g in range(lam.dim)
     ]
-    ops = []
-    for g in range(lam.dim):
-        per_degree = []
-        for i, basis in enumerate(spaces):
-            rows = [solvers[i].coords(f.matrix.mul(left_mats[g])) for f in basis]
-            per_degree.append(Matrix(field, rows, len(basis)))
-        ops.append(per_degree)
+    ops = [[_yoneda_postcompose(lg, b, b) for b in blocks] for lg in left_mats]
     for g in range(lam.dim):
         for i in range(len(pre)):
             if ops[g][i].mul(pre[i]) != pre[i].mul(ops[g][i + 1]):
@@ -1190,8 +1214,8 @@ def _unit_faithful_on_cohomology(p, k_mod, cap):
     flats = []
     for g in range(lam.dim):
         flat = []
-        for i, basis in enumerate(spaces):
-            if not basis:
+        for i, n in enumerate(dims):
+            if not n:
                 continue
             z = cycles[i]
             q = quotients[i]
@@ -1218,15 +1242,16 @@ def equivalence_certificate(p, shift_window=None, cap=None):
     a mathematical 'no'.
     """
     lam = p.source
-    k_mod, _incl, lmults, pd, complete = _kernel_data(p, cap)
-    if k_mod.dim == 0 or not complete:
+    kernel = _kernel_data(p, cap)
+    k_mod, _lmults, res = kernel
+    if k_mod.dim == 0 or res.truncated:
         # no kernel means the twist is zero; an imperfect kernel means no
         # certified model — both are honest negatives
         return TwistCertificate(
             p, [], {}, (0, 0), None, k_mod.dim == 0, True, False, False
         )
+    pd = res.length
     window = shift_window if shift_window is not None else (-(pd + 1), 1)
-    kernel = (k_mod, _incl, lmults, pd, complete)
     pieces = _indecomposable_projectives(lam)
     images = []
     models = []
@@ -1250,7 +1275,7 @@ def equivalence_certificate(p, shift_window=None, cap=None):
                 endo += entry.get(0, 0)
                 if any(v for n, v in entry.items() if n != 0):
                     off_zero = False
-        unit = endo == lam.dim and _unit_faithful_on_cohomology(p, k_mod, cap)
+        unit = endo == lam.dim and _unit_faithful_on_cohomology(p, res)
     else:
         endo = None
         unit = False

@@ -3,9 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphertwist.algebra import (
     Algebra,
+    _field_roots,
+    _poly_eval,
+    _poly_mul,
     enveloping,
     from_quiver,
     from_structure_constants,
@@ -287,6 +291,36 @@ def test_lift_idempotents_matrix_algebra():
 def test_lift_idempotents_not_split():
     with pytest.raises(NotSplit):
         lift_idempotents(gaussian_field())
+
+
+def test_lift_idempotents_splits_k_times_k_with_large_eigenvalues():
+    # k × k = ku ⊕ kv with basis {1, y}, y = 5000u + 7000v.  Then
+    # (y − 5000)(y − 7000) = 0, so y² = 12000·y − 35·10⁶, and the
+    # primitive idempotents are u = (7000 − y)/2000 and v = (y − 5000)/2000
+    f = PrimeField(1000003)
+    a = from_structure_constants(f, [[[1, 0], [0, 1]], [[0, 1], [-35000000, 12000]]], [1, 0])
+    inv = f.inv(2000)
+    u = [f.mul(7000, inv), f.mul(f.neg(1), inv)]
+    v = [f.mul(f.neg(5000), inv), inv]
+    assert sorted(lift_idempotents(a)) == sorted([u, v])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_prime_field_roots_match_brute_force(data):
+    # a product of linear factors and monic quadratics (the irreducible
+    # ones add no root); the roots come out once each, in the order
+    # 0, 1, …, then p−1, p−2, …
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    f = PrimeField(p)
+    poly = [data.draw(st.integers(1, p - 1))]
+    for r in data.draw(st.lists(st.integers(0, p - 1), max_size=5)):
+        poly = _poly_mul(f, poly, [f.neg(r), 1])
+    for b, c in data.draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=2)):
+        poly = _poly_mul(f, poly, [c, b, 1])
+    roots = {x for x in range(p) if f.is_zero(_poly_eval(f, poly, x))}
+    scan = list(range((p + 1) // 2)) + list(range(p - 1, (p - 1) // 2, -1))
+    assert _field_roots(f, poly) == [x for x in scan if x in roots]
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])

@@ -1,0 +1,196 @@
+"""Hom out of covered complexes of projectives, by Yoneda.
+
+`hom_complex` and the unit certificate read Hom(⊕ eᵢ·A, N) ≅ ⊕ N·eᵢ
+off recorded covers.  They are checked against the hom-space route kept
+in `hom_complex_reference`: the cohomology profile of every pair of
+perfect models at several shifts, and every unit verdict, must agree.
+The inputs are the surjections onto the stable quotients of cyclic
+Nakayama algebras (with all simples, and with one simple, as extra
+summands), UT2 and a quotient of the linear path 1 → 2 → 3 onto their
+semisimple parts, and the projection k × k → k, over Q and F_p.
+"""
+
+import functools
+import sys
+
+import pytest
+
+from sphertwist import modules
+from sphertwist.algebra import quotient_surjection
+from sphertwist.errors import SphertwistError
+from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.frobenius import _indecomposable_projectives, build_context
+from sphertwist.modules import Module, simple_modules
+from sphertwist import resolutions
+from sphertwist.twist import (
+    ChainComplex,
+    _kernel_data,
+    _twist_core,
+    _unit_faithful_on_cohomology,
+    cohomology_dims,
+    equivalence_certificate,
+    hom_complex,
+    perfect_model,
+    shift,
+    twist_apply,
+)
+
+import hom_complex_reference as reference
+from fixture_algebras import (
+    cyclic_nakayama,
+    linear_path,
+    product_field_pair,
+    two_vertex_arrow,
+)
+
+GF = PrimeField(32003)
+SHIFTS = (-2, 0, 1)
+
+
+def kill(a, labels):
+    return quotient_surjection(
+        a, [a.basis_vector(a.basis_labels.index(x)) for x in labels])
+
+
+def nakayama_surjection(n, field, one_simple):
+    a = cyclic_nakayama(n, field=field)
+    sims = simple_modules(a)
+    extra = [(sims[0], 1)] if one_simple else [(s, 1) for s in sims]
+    return build_context(a, Module.regular(a), extra).to_stable
+
+
+SURJECTIONS = {
+    "cycle%d_%s_%s" % (n, kind, name): (
+        lambda n=n, field=field, kind=kind:
+            nakayama_surjection(n, field, kind == "one"))
+    for n in (2, 3, 4)
+    for kind in ("all", "one")
+    for name, field in (("Q", QQ), ("GF32003", GF))
+}
+for _name, _field in (("Q", QQ), ("GF32003", GF), ("GF7", PrimeField(7))):
+    SURJECTIONS["ut2_" + _name] = lambda f=_field: kill(two_vertex_arrow(f), ["a"])
+    SURJECTIONS["path3_" + _name] = lambda f=_field: kill(linear_path(3, f), ["a", "b", "a*b"])
+
+
+@functools.lru_cache(maxsize=None)
+def built(name):
+    return SURJECTIONS[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def models_of(name):
+    """Perfect models of the twists of the indecomposable projectives
+    (every kernel here has a finite resolution)."""
+    p = built(name)
+    kernel = _kernel_data(p, None)
+    return [
+        perfect_model(_twist_core(p, piece, kernel=kernel).complex)
+        for piece in _indecomposable_projectives(p.source)
+    ]
+
+
+@pytest.fixture(params=sorted(SURJECTIONS))
+def name(request):
+    return request.param
+
+
+def test_hom_complex_matches_the_hom_space_route(name):
+    models = models_of(name)
+    for x in models:
+        assert x.covers is not None
+        for y in models:
+            for s in SHIFTS:
+                target = shift(y, s)
+                got = cohomology_dims(hom_complex(x, target))
+                assert got == cohomology_dims(reference.hom_complex(x, target))
+
+
+def test_unit_verdict_matches_the_hom_space_route(name):
+    surjection = built(name)
+    k_mod, _lmults, res = _kernel_data(surjection, None)
+    assert _unit_faithful_on_cohomology(surjection, res) == (
+        reference.unit_faithful_on_cohomology(surjection, k_mod))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_unit_verdict_is_negative_for_k_times_k_onto_k(field):
+    # K = v·A ≅ k is projective, so RHom(K, A) is Hom(vA, A) ≅ A·v = kv
+    # in degree 0; u acts on it by zero, so A does not act faithfully
+    a = product_field_pair(field)
+    p = quotient_surjection(a, [a.basis_vector(1)])
+    k_mod, _lmults, res = _kernel_data(p, None)
+    assert _unit_faithful_on_cohomology(p, res) is False
+    assert reference.unit_faithful_on_cohomology(p, k_mod) is False
+
+
+def ut2_model():
+    u = two_vertex_arrow(QQ)
+    p = kill(u, ["a"])
+    return perfect_model(twist_apply(p, Module.regular(u)))
+
+
+def test_a_complex_rejects_a_cover_that_does_not_rebuild_its_term():
+    model = ut2_model()
+    assert model.covers and all(model.covers)
+    # each recorded e replaced by its complement 1 − e, still idempotent
+    a = model.algebra
+    complement = [[a.field.sub(u, x) for u, x in zip(a.unit, e)] for e in model.covers[0]]
+    wrong = [complement] + model.covers[1:]
+    with pytest.raises(SphertwistError, match="recorded cover"):
+        ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=wrong)
+    with pytest.raises(SphertwistError, match="covers"):
+        ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=[])
+
+
+def test_hom_complex_refuses_a_source_without_covers():
+    model = ut2_model()
+    bare = ChainComplex(model.algebra, model.lo, model.terms, model.maps)
+    with pytest.raises(SphertwistError, match="covers"):
+        hom_complex(bare, model)
+    # the hom-space route needs no covers.  The twist of A is S₁ ⊕ S₁
+    # (see tests/test_twist.py), whose endomorphisms are 2×2 matrices,
+    # and Ext¹(S₁, S₁) = 0 since there is no loop at 1
+    assert cohomology_dims(reference.hom_complex(bare, model)) == {0: 4}
+
+
+def patch_everywhere(monkeypatch, layer, name, replacement):
+    original = getattr(layer, name)
+    holders = [
+        mod for key, mod in list(sys.modules.items())
+        if key.split(".")[0] == "sphertwist" and getattr(mod, name, None) is original
+    ]
+    assert layer in holders
+    for mod in holders:
+        monkeypatch.setattr(mod, name, replacement)
+
+
+def test_hom_complex_solves_no_hom_space_system(monkeypatch):
+    p, xs = built("cycle3_all_GF32003"), models_of("cycle3_all_GF32003")
+    want = {(i, j): cohomology_dims(reference.hom_complex(x, y))
+            for i, x in enumerate(xs) for j, y in enumerate(xs)}
+
+    def refuse(*args):
+        raise AssertionError("solved a hom-space system")
+
+    patch_everywhere(monkeypatch, modules, "hom_space", refuse)
+    for (i, j), dims in want.items():
+        assert cohomology_dims(hom_complex(xs[i], xs[j])) == dims
+    # the twist is an equivalence: the shift-zero counts add up to the
+    # dimension of the source algebra
+    assert sum(dims.get(0, 0) for dims in want.values()) == p.source.dim
+
+
+def test_the_certificate_resolves_the_kernel_once(monkeypatch):
+    p = built("cycle3_all_GF32003")
+    calls = []
+    original = resolutions.minimal_resolution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, resolutions, "minimal_resolution", counting)
+    cert = equivalence_certificate(p)
+    assert cert.verdict
+    assert len(calls) == 1
+

@@ -47,6 +47,7 @@ from sphertwist.homology import (
 from sphertwist.modules import (
     Module,
     find_isomorphism,
+    generator_indices,
     hom_space,
     restrict_scalars,
     simple_modules,
@@ -72,6 +73,31 @@ from tensor_square_reference import bimodule_carrier, regular_bimodule
 
 # ---------------------------------------------------------------------------
 # shared fixtures
+
+
+def assert_commute_on_every_basis_pair(bimod):
+    """The full check the constructor replaces by generator pairs."""
+    for i, li in enumerate(bimod.left_mats):
+        for j, rj in enumerate(bimod.right_mats):
+            assert li.mul(rj) == rj.mul(li), (bimod, i, j)
+
+
+@pytest.fixture(autouse=True)
+def every_bimodule_commutes_on_basis_pairs(monkeypatch):
+    """Record each bimodule that passes its constructor during a test,
+    then check commutation on every pair of basis elements."""
+    built = []
+    init = Bimodule.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Bimodule, "__init__", recording)
+    yield
+    monkeypatch.undo()
+    for bimod in built:
+        assert_commute_on_every_basis_pair(bimod)
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +366,19 @@ def test_bimodule_audits_commuting_actions():
     left = [r.transpose() for r in right]
     with pytest.raises(SphertwistError, match="commute"):
         Bimodule(m, m, left, right)
+
+
+def test_bimodule_rejects_a_non_commuting_generator_pair():
+    # over k[x]/(x²) the one generator is x; on k² let x act by the
+    # nilpotent N on the right and by Nᵀ on the left: each family is a
+    # valid action, but N·Nᵀ ≠ Nᵀ·N
+    a = dual_numbers()
+    assert generator_indices(a) == [1]
+    one = Matrix.identity(a.field, 2)
+    n = Matrix(a.field, [[0, 1], [0, 0]], 2)
+    with pytest.raises(AuditFailed, match="generator pair") as err:
+        Bimodule(a, a, [one, n.transpose()], [one, n])
+    assert err.value.witness == (1, 1)
 
 
 def test_bimodule_audits_each_action_against_its_algebra():
