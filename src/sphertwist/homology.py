@@ -21,7 +21,7 @@ throughout, so a single module engine serves both sides.
 from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
-from .errors import AuditFailed, CapExceeded, NotConcentrated, SphertwistError
+from .errors import AuditFailed, NotConcentrated, SphertwistError
 from .exactlin import Matrix, SpanBuilder, rank, rref
 from .modules import (
     Module,
@@ -36,7 +36,7 @@ from .modules import (
     quotient,
     restrict_scalars,
 )
-from .resolutions import CoveredTerm, _pivots, minimal_resolution
+from .resolutions import CoveredTerm, _pivots, resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +158,6 @@ def identity_surjection(a):
 # Ext
 
 
-def _resolution_window(m, count):
-    """A resolution carrying terms 0..count and maps 0..count−1, or
-    fewer when it is complete."""
-    try:
-        return minimal_resolution(m, cap=count)
-    except CapExceeded as exc:
-        return exc.witness
-
-
 def _window_check(res, count):
     if res.truncated and res.length < count:
         raise SphertwistError(
@@ -182,7 +173,7 @@ def ext_dims(a, m, n, count):
         raise SphertwistError("ext arguments live over a different algebra")
     if count < 1:
         return []
-    return ext_from_resolution(_resolution_window(m, count), n, count)
+    return ext_from_resolution(resolve_within(m, count), n, count)
 
 
 def _yoneda_blocks(n, idempotents):
@@ -325,8 +316,8 @@ def tor_dims(a, m, n, count, resolve_second=False):
     if count < 1:
         return []
     if resolve_second:
-        return tor_from_resolution(a, _resolution_window(n, count), m, count, True)
-    return tor_from_resolution(a, _resolution_window(m, count), n, count)
+        return tor_from_resolution(a, resolve_within(n, count), m, count, True)
+    return tor_from_resolution(a, resolve_within(m, count), n, count)
 
 
 def tor_from_resolution(a, res, other, count, second=False):
@@ -481,13 +472,8 @@ class _TensorSquare:
     def __init__(self, p, cap):
         b = p.target
         f = b.field
-        try:
-            res = minimal_resolution(
-                restrict_scalars(p, Module.regular(b)), cap=cap)
-            self.complete = True
-        except CapExceeded as exc:
-            res = exc.witness
-            self.complete = False
+        res = resolve_within(restrict_scalars(p, Module.regular(b)), cap)
+        self.complete = not res.truncated
         self.resolution = res
         self.p = p
         blocks = [_TensoredTerm(p, t, c) for t, c in zip(res.terms, res.covers)]

@@ -155,8 +155,6 @@ class Resolution:
         terms,
         maps,
         augmentation,
-        minimal=False,
-        partially_minimal=None,
         truncated=False,
         covers=None,
     ):
@@ -179,8 +177,6 @@ class Resolution:
         self.terms = terms
         self.maps = maps
         self.augmentation = augmentation
-        self.minimal = minimal
-        self.partially_minimal = partially_minimal
         self.truncated = truncated
         self.covers = covers
         self._audit()
@@ -229,8 +225,7 @@ class Resolution:
     def __repr__(self):
         dims = "<-".join(str(d) for d in self.term_dims)
         tag = ", truncated" if self.truncated else ""
-        return "Resolution(length %d, terms %s, minimal=%s, partially_minimal=%s%s)" % (
-            self.length, dims, self.minimal, self.partially_minimal, tag)
+        return "Resolution(length %d, terms %s%s)" % (self.length, dims, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +296,10 @@ def partial_cover(ctx, m):
 # resolution builders
 
 
-def _check_minimal(terms, maps):
+def is_minimal(res):
+    """True iff every differential of res lands in the radical of its
+    target, so each kernel sits inside the radical of its cover."""
+    terms, maps = res.terms, res.maps
     for i, h in enumerate(maps):
         rad = module_radical(terms[i])
         span = SpanBuilder(terms[i].algebra.field, terms[i].dim)
@@ -313,9 +311,11 @@ def _check_minimal(terms, maps):
     return True
 
 
-def _check_partially_minimal(ctx, terms, maps):
+def is_partially_minimal(ctx, res):
+    """True iff no differential of res survives a map into a simple of
+    the stable quotient."""
     sims = stable_simples(ctx)
-    for h in maps:
+    for h in res.maps:
         for s in sims:
             for g in hom_space(h.target, s):
                 if not h.compose(g).matrix.is_zero():
@@ -334,19 +334,24 @@ def partially_minimal_resolution(ctx, m, cap=None):
     """
     if m.algebra is not ctx.endo:
         raise SphertwistError("module lives over a different algebra")
-    return _resolve_by(m, cap, lambda k: partial_cover(ctx, k), ctx)
+    return _resolve_by(m, cap, lambda k: partial_cover(ctx, k))
 
 
-def minimal_resolution(m, cap=None, ctx=None):
-    """Resolve m by iterated projective covers (kernels inside radicals).
-
-    When a context is supplied the partial-minimality flag is evaluated
-    too; otherwise it is left as None.
-    """
-    return _resolve_by(m, cap, projective_cover, ctx)
+def minimal_resolution(m, cap=None):
+    """Resolve m by iterated projective covers (kernels inside radicals)."""
+    return _resolve_by(m, cap, projective_cover)
 
 
-def _resolve_by(m, cap, cover, ctx):
+def resolve_within(m, cap=None):
+    """The minimal resolution of m, truncated at the cap when it does
+    not end within it; ``truncated`` tells the two apart."""
+    try:
+        return minimal_resolution(m, cap=cap)
+    except CapExceeded as exc:
+        return exc.witness
+
+
+def _resolve_by(m, cap, cover):
     """The resolution of m whose terms are cover(kernel), one per degree,
     until a kernel vanishes or the length would pass the cap."""
     if cap is None:
@@ -368,18 +373,7 @@ def _resolve_by(m, cap, cover, ctx):
         terms.append(q)
         covers.append(epi.cover_idempotents)
         k, incl = kernel_of(epi)
-    res = Resolution(
-        m,
-        terms,
-        maps,
-        aug,
-        minimal=_check_minimal(terms, maps),
-        partially_minimal=None
-        if ctx is None
-        else _check_partially_minimal(ctx, terms, maps),
-        truncated=truncated,
-        covers=covers,
-    )
+    res = Resolution(m, terms, maps, aug, truncated=truncated, covers=covers)
     if truncated:
         raise CapExceeded(
             "resolution does not terminate within length %d" % cap, witness=res
@@ -393,22 +387,18 @@ def resolve_past(m, cap=None):
 
     `minimal_resolution` is deterministic — each term is the cover of
     the previous kernel — so its result at cap c is a term-by-term
-    prefix of ``res`` (a truncated ``res`` is its `CapExceeded`
-    witness).  Hence ``perfect``, that m resolves within c
-    (`is_perfect`), holds exactly when ``res`` is complete with length
-    at most c, and ``length`` = min(res.length, c) is the length the
-    cap-c call reports.  The extra term carries the differential out of
-    degree c, so Ext over that length is read off ``res`` without
-    resolving again.
+    prefix of ``res``, truncated or not (`resolve_within`).  Hence
+    ``perfect``, that m resolves within c (`is_perfect`), holds exactly
+    when ``res`` is complete with length at most c, and ``length`` =
+    min(res.length, c) is the length the cap-c call reports.  The extra
+    term carries the differential out of degree c, so Ext over that
+    length is read off ``res`` without resolving again.
     """
     if cap is None:
         cap = 2 * m.algebra.dim + 2
     if cap < 1:
         raise SphertwistError("resolution cap must be at least 1")
-    try:
-        res = minimal_resolution(m, cap=cap + 1)
-    except CapExceeded as exc:
-        res = exc.witness
+    res = resolve_within(m, cap + 1)
     return res, not res.truncated and res.length <= cap, min(res.length, cap)
 
 
@@ -423,19 +413,13 @@ def projective_dimension(ring, m, cap=None):
         raise SphertwistError("module lives over a different algebra")
     if cap is None:
         cap = 2 * a.dim + 2
-    try:
-        return minimal_resolution(m, cap=cap).length
-    except CapExceeded:
-        return "≥ %d" % cap
+    res = resolve_within(m, cap)
+    return "≥ %d" % cap if res.truncated else res.length
 
 
 def is_perfect(m, cap=None):
     """True iff m has a finite projective resolution within the cap."""
-    try:
-        minimal_resolution(m, cap=cap)
-        return True
-    except CapExceeded:
-        return False
+    return not resolve_within(m, cap).truncated
 
 
 # ---------------------------------------------------------------------------

@@ -130,16 +130,21 @@ class NakayamaComparison:
 
 
 class SphericalReport:
-    """Both sides of the window audit, plus the optional comparisons."""
+    """Both sides of the window audit, plus the optional comparisons.
 
-    def __init__(self, ctx, t, side1, side2, nakayama=None, tilting_audit=None):
+    ``cap`` is the resolution cap the audit ran with; `tilting_audit`
+    reads it, with the context and the window, off the report.
+    """
+
+    def __init__(self, ctx, t, cap, side1, side2, nakayama=None):
         self.ctx = ctx
         self.t = t
+        self.cap = cap
         self.side1 = side1
         self.side2 = side2
         self.agreement = side1.verdict == side2.verdict
         self.nakayama = nakayama
-        self.tilting_audit = tilting_audit
+        self.tilting_audit = None
         self.note = OPEN_QUESTION
 
     def __repr__(self):
@@ -396,10 +401,10 @@ def syz_audit(ctx, t, cap=None, with_tilting=False):
         _assert_mirror_properties(ctx, t, cap)
         if ctx.stable_endo.dim:
             nakayama = _nakayama_comparison(ctx, side2.tau)
-    tilt = None
+    report = SphericalReport(ctx, t, cap, side1, side2, nakayama)
     if with_tilting and side1.verdict:
-        tilt = tilting_audit(ctx, t=t, cap=cap)
-    return SphericalReport(ctx, t, side1, side2, nakayama, tilt)
+        report.tilting_audit = tilting_audit(report)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -439,13 +444,14 @@ def _pairing_blocks(f, mu_rows, ni, nd, width):
     return by_first, by_second
 
 
-def tilting_audit(ctx, t=None, cap=None):
+def tilting_audit(report):
     """Certify the hom bimodules between the generator and its companion.
 
-    Gated on a passing window: with t given, the two-sided audit is run
-    there; with t omitted, windows are searched in increasing order.
-    The companion itself does not depend on the window — it is always
-    the projective part plus one syzygy of the extra part.
+    Gated on a passing window: ``report`` is the two-sided audit of a
+    window (`syz_audit`), and its context, window and cap are the ones
+    certified here.  The companion itself does not depend on the window
+    — it is always the projective part plus one syzygy of the extra
+    part.
 
     The certificates check biperfection of both hom bimodules, recovery
     of each side algebra as the endomorphism ring of either bimodule
@@ -459,28 +465,12 @@ def tilting_audit(ctx, t=None, cap=None):
     its first self-extensions read that one resolution, and so do the
     projective dimension and Tor of the forward bimodule's right module.
     """
-    if t is not None:
-        if not syz_audit(ctx, t, cap).side1.verdict:
-            raise AuditFailed(
-                "window %d fails the two-sided audit; tilting needs a passing window" % t
-            )
-    else:
-        limit = 2 * ctx.ambient.dim + 2
-        for cand in range(2, limit + 1):
-            side2 = SideTwo(
-                rigidity_check(ctx, cand),
-                add_periodicity_check(ctx, cand - 1),
-                permutation_tau(ctx, cand),
-            )
-            if side2.verdict:
-                syz_audit(ctx, cand, cap)
-                t = cand
-                break
-        if t is None:
-            raise AuditFailed(
-                "no window up to %d passes the periodicity side" % limit
-            )
-
+    if not report.side1.verdict:
+        raise AuditFailed(
+            "window %d fails the two-sided audit; tilting needs a passing window"
+            % report.t
+        )
+    ctx, t, cap = report.ctx, report.t, report.cap
     lam = ctx.endo
     f = lam.field
     total = ctx.total

@@ -42,6 +42,7 @@ from .homology import (
     _yoneda_postcompose,
     _yoneda_precompose,
     ext_dims,
+    ext_from_resolution,
 )
 from .modules import (
     HomBasis,
@@ -57,7 +58,7 @@ from .modules import (
     restrict_scalars,
     submodule,
 )
-from .resolutions import CoveredTerm, _rebuilt_by, minimal_resolution
+from .resolutions import CoveredTerm, _rebuilt_by, resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +560,19 @@ def _hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
 
 
 class _TwistCore:
-    """Shared scaffolding for one twist computation."""
+    """Shared scaffolding for one twist computation.
 
-    def __init__(self, lam, stalk, degree, kernel_module, pd, complete,
+    ``res`` is the kernel's minimal resolution (None for a zero kernel),
+    truncated at the cap when the kernel does not resolve within it.
+    """
+
+    def __init__(self, lam, stalk, degree, kernel_module, res,
                  ladder_terms, ladder_maps, complex_):
         self.lam = lam
         self.stalk = stalk
         self.degree = degree
         self.kernel_module = kernel_module
-        self.pd = pd
-        self.complete = complete
+        self.res = res
         self.ladder_terms = ladder_terms
         self.ladder_maps = ladder_maps
         self.complex = complex_
@@ -604,18 +608,13 @@ def _over(m, lam):
 def _kernel_data(p, cap):
     """(kernel module, its left multiplications, its minimal resolution).
 
-    The resolution is the `CapExceeded` witness when the kernel does not
-    resolve within the cap, and None for a zero kernel.
+    The resolution is truncated when the kernel does not resolve within
+    the cap (`resolve_within`), and None for a zero kernel.
     """
     k_mod, k_incl = _kernel_module(p)
     if k_mod.dim == 0:
         return k_mod, None, None
-    lmults = _left_mult_family(p.source, k_incl)
-    try:
-        res = minimal_resolution(k_mod, cap=cap)
-    except CapExceeded as exc:
-        res = exc.witness
-    return k_mod, lmults, res
+    return k_mod, _left_mult_family(p.source, k_incl), resolve_within(k_mod, cap)
 
 
 def _twist_core(p, c, window=None, cap=None, kernel=None):
@@ -625,10 +624,10 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
     if k_mod.dim == 0:
         cx = ChainComplex(lam, degree, [], [])
         cx.window = (degree, degree)
-        return _TwistCore(lam, c_mod, degree, k_mod, 0, True, [], [], cx)
-    pd, complete = res.length, not res.truncated
+        return _TwistCore(lam, c_mod, degree, k_mod, None, [], [], cx)
+    complete = not res.truncated
     if complete:
-        depth = pd + 1
+        depth = res.length + 1
     else:
         if window is None:
             raise CapExceeded(
@@ -670,7 +669,7 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
         maps = diffs[:depth]
         cx = ChainComplex(lam, degree, terms, maps, truncated=True)
         cx.window = (degree, degree + depth)
-    return _TwistCore(lam, c_mod, degree, k_mod, pd, complete, i_terms, i_maps, cx)
+    return _TwistCore(lam, c_mod, degree, k_mod, res, i_terms, i_maps, cx)
 
 
 def twist_apply(p, c, window=None, cap=None):
@@ -685,16 +684,17 @@ def twist_apply(p, c, window=None, cap=None):
     dimensions computed from a projective resolution of the kernel —
     the whole profile when the kernel is perfect, the prefix below the
     cut when truncated — and a disagreement between the two routes
-    raises.
+    raises.  A perfect kernel's profile is read off the resolution the
+    twist already holds; a truncated one is resolved again over the
+    window, which can run past the cap.
     """
     core = _twist_core(p, c, window=window, cap=cap)
     out = core.complex
+    res = core.res
     if core.kernel_module.dim:
         got = cohomology_dims(out)
-        if core.complete:
-            expected = ext_dims(
-                core.lam, core.kernel_module, core.stalk, core.pd + 2
-            )
+        if not res.truncated:
+            expected = ext_from_resolution(res, core.stalk, res.length + 2)
             want = {core.degree + i: d for i, d in enumerate(expected) if d}
         else:
             depth = out.window[1] - out.window[0]
@@ -780,16 +780,16 @@ def _balanced_collapse_dim(p, homs, solver):
 def _triangle_piece(p, c_mod, cap, kernel):
     """(cone profile, twist profile, window, cone_dead) for one module."""
     lam = p.source
+    # without a window, `_twist_core` refuses a kernel that does not
+    # resolve within the cap
     core = _twist_core(p, c_mod, cap=cap, kernel=kernel)
-    if not core.complete:
-        raise CapExceeded("triangle check needs a certified twist window")
     if kernel[0].dim == 0:
         # the twist is zero; still materialize one ladder step so the
         # counit is genuinely checked to be an isomorphism
         depth = 0
         ladder, ladder_maps, _emb = _injective_ladder(core.stalk, 1)
     else:
-        depth = core.pd + 1
+        depth = core.res.length + 1
         ladder, ladder_maps = core.ladder_terms, core.ladder_maps
     srb_terms, srb_bases, srb_solvers, srb_maps = _hom_into_ladder(
         lam, _target_as_source_module(p), _target_left_mults(p),

@@ -11,7 +11,6 @@ semisimple parts, and the projection k × k → k, over Q and F_p.
 """
 
 import functools
-import sys
 
 import pytest
 
@@ -36,6 +35,7 @@ from sphertwist.twist import (
 )
 
 import hom_complex_reference as reference
+from patching import count_calls, patch_everywhere
 from fixture_algebras import (
     cyclic_nakayama,
     linear_path,
@@ -153,17 +153,6 @@ def test_hom_complex_refuses_a_source_without_covers():
     assert cohomology_dims(reference.hom_complex(bare, model)) == {0: 4}
 
 
-def patch_everywhere(monkeypatch, layer, name, replacement):
-    original = getattr(layer, name)
-    holders = [
-        mod for key, mod in list(sys.modules.items())
-        if key.split(".")[0] == "sphertwist" and getattr(mod, name, None) is original
-    ]
-    assert layer in holders
-    for mod in holders:
-        monkeypatch.setattr(mod, name, replacement)
-
-
 def test_hom_complex_solves_no_hom_space_system(monkeypatch):
     p, xs = built("cycle3_all_GF32003"), models_of("cycle3_all_GF32003")
     want = {(i, j): cohomology_dims(reference.hom_complex(x, y))
@@ -182,15 +171,16 @@ def test_hom_complex_solves_no_hom_space_system(monkeypatch):
 
 def test_the_certificate_resolves_the_kernel_once(monkeypatch):
     p = built("cycle3_all_GF32003")
-    calls = []
-    original = resolutions.minimal_resolution
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    patch_everywhere(monkeypatch, resolutions, "minimal_resolution", counting)
+    calls = count_calls(monkeypatch, resolutions, "minimal_resolution")
     cert = equivalence_certificate(p)
     assert cert.verdict
     assert len(calls) == 1
 
+
+def test_the_twist_resolves_the_kernel_once(monkeypatch):
+    # the cross-check reads Ext off the kernel resolution the twist
+    # already holds instead of resolving the kernel again
+    p = built("cycle3_all_GF32003")
+    calls = count_calls(monkeypatch, resolutions, "minimal_resolution")
+    twist_apply(p, Module.regular(p.source))
+    assert len(calls) == 1

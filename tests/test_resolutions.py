@@ -39,7 +39,9 @@ from sphertwist.modules import (
 from sphertwist.resolutions import (
     Resolution,
     extract_shape,
+    is_minimal,
     is_partially_essential,
+    is_partially_minimal,
     is_perfect,
     is_projective,
     minimal_resolution,
@@ -47,6 +49,7 @@ from sphertwist.resolutions import (
     partially_minimal_resolution,
     projective_dimension,
     radd0,
+    resolve_within,
     stable_idempotent_module,
     stable_module,
     stable_simples,
@@ -324,8 +327,8 @@ def test_stable_algebra_resolution_shape(ctx_dual):
     assert res.length == 2
     assert res.term_dims == [2, 3, 2]
     assert not res.truncated
-    assert res.minimal
-    assert res.partially_minimal
+    assert is_minimal(res)
+    assert is_partially_minimal(ctx_dual, res)
     assert 2 - 3 + 2 == stable_module(ctx_dual).dim
 
 
@@ -344,7 +347,7 @@ def test_projective_resolves_to_length_zero(ctx_dual, ctx_cycle):
         pe0, _ = ctx.right_ideal(ctx.e_proj)
         res = partially_minimal_resolution(ctx, pe0)
         assert res.length == 0
-        assert res.minimal and res.partially_minimal
+        assert is_minimal(res) and is_partially_minimal(ctx, res)
 
 
 def test_zero_module_resolution(ctx_dual):
@@ -406,10 +409,10 @@ def test_minimal_resolution_agrees_here(ctx_dual, ctx_cycle_one):
     for ctx in (ctx_dual, ctx_cycle_one):
         con = stable_module(ctx)
         a = partially_minimal_resolution(ctx, con)
-        b = minimal_resolution(con, ctx=ctx)
+        b = minimal_resolution(con)
         assert a.term_dims == b.term_dims
-        assert b.minimal
-        assert b.partially_minimal
+        assert is_minimal(b)
+        assert is_partially_minimal(ctx, b)
 
 
 def test_minimal_implies_partially_minimal(ctx_dual, ctx_cycle):
@@ -418,15 +421,16 @@ def test_minimal_implies_partially_minimal(ctx_dual, ctx_cycle):
         for i in range(len(ctx.e_extra)):
             mods.append(stable_idempotent_module(ctx, i))
         for m in mods:
-            res = minimal_resolution(m, ctx=ctx)
-            assert (not res.minimal) or res.partially_minimal
+            res = minimal_resolution(m)
+            assert is_minimal(res)
+            assert is_partially_minimal(ctx, res)
 
 
 def test_hom_into_stable_simples_kills_internal_maps(ctx_cycle_one):
-    # recompute the defining property of the flag by hand
+    # recompute the defining property of the predicate by hand
     ctx = ctx_cycle_one
     res = partially_minimal_resolution(ctx, stable_module(ctx))
-    assert res.partially_minimal
+    assert is_partially_minimal(ctx, res)
     for h in res.maps:
         for s in stable_simples(ctx):
             for g in hom_space(h.target, s):
@@ -544,19 +548,13 @@ def test_the_audit_rejects_a_projective_term_its_record_does_not_rebuild():
 
 def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
         ctx_dual, ctx_cycle_one):
-    def resolve(m, cap):
-        try:
-            return minimal_resolution(m, cap=cap)
-        except CapExceeded as exc:
-            return exc.witness
-
     amb = ctx_dual.ambient
     mods = [simple_modules(amb)[0], stable_module(ctx_dual)]
     for ctx in (ctx_dual, ctx_cycle_one):
         mods += stable_simples(ctx) + [stable_idempotent_module(ctx, 0)]
     for m in mods:
         for cap in (1, 2, 3, 4):
-            short, long = resolve(m, cap), resolve(m, cap + 2)
+            short, long = resolve_within(m, cap), resolve_within(m, cap + 2)
             n = len(short.terms)
             assert short.term_dims == long.term_dims[:n]
             assert [h.matrix for h in short.maps] == [h.matrix for h in long.maps[: n - 1]]
@@ -691,6 +689,10 @@ def test_extract_shape_rejects_stable_piece_in_middle(ctx_cycle):
     )
     with pytest.raises(ShapeMismatch):
         extract_shape(ctx, padded, 2)
+    # the identity on the padding leaves the radical, and it survives
+    # the map from the top of pe1 onto a simple of the stable quotient
+    assert not is_minimal(padded)
+    assert not is_partially_minimal(ctx, padded)
 
 
 def test_refined_projective_type_pieces(ctx_dual, ctx_cycle):

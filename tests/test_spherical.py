@@ -40,6 +40,7 @@ from sphertwist.spherical import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers
+from patching import count_calls
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def test_tilting_builds_no_enveloping_algebra(ctx_dual, monkeypatch):
     assert algebra in holders
     for mod in holders:
         monkeypatch.setattr(mod, "enveloping", refuse)
-    ta = tilting_audit(ctx_dual, t=2)
+    ta = tilting_audit(syz_audit(ctx_dual, 2))
     assert ta.biperfect and ta.rho_iso and ta.lambda_iso
     assert ta.tensor_dim == 5
 
@@ -283,7 +284,7 @@ def test_tilting_and_tor_form_no_kronecker_product(ctx_cycle_one, monkeypatch):
     assert exactlin in holders
     for mod in holders:
         monkeypatch.setattr(mod, "kronecker", refuse)
-    ta = tilting_audit(ctx_cycle_one, t=4)
+    ta = tilting_audit(syz_audit(ctx_cycle_one, 4))
     assert ta.composite_iso_to_projE
     assert ta.tensor_dim == 8
     # the stable quotient is k, and its tensor square over the endomorphism
@@ -296,14 +297,18 @@ def test_tilting_and_tor_form_no_kronecker_product(ctx_cycle_one, monkeypatch):
 
 
 def test_tilting_gate_refuses_failing_window(ctx_cycle_one):
+    report = syz_audit(ctx_cycle_one, 2)
     with pytest.raises(AuditFailed):
-        tilting_audit(ctx_cycle_one, t=2)
+        tilting_audit(report)
 
 
-def test_tilting_window_search(ctx_cycle_one):
-    ta = tilting_audit(ctx_cycle_one)
-    assert ta.t == 4
-    assert ta.composite_iso_to_projE
+def test_the_tilting_audit_runs_the_two_sided_audit_once(ctx_cycle_one, monkeypatch):
+    # the certificates read the gate's verdict, window and cap off the
+    # report instead of auditing the window again
+    calls = count_calls(monkeypatch, spherical, "relatively_spherical_check")
+    report = syz_audit(ctx_cycle_one, 4, with_tilting=True)
+    assert report.tilting_audit.composite_iso_to_projE
+    assert len(calls) == 1
 
 
 def test_tensor_codimension_invariant(report_dual, report_cycle, report_cycle_one):
@@ -369,7 +374,7 @@ def test_tilting_flags_match_the_resolve_per_query_route(ctx_cycle_one, cap, mon
             built.append(self)
 
     monkeypatch.setattr(spherical, "Bimodule", Recording)
-    ta = tilting_audit(ctx, t=4, cap=cap)
+    ta = tilting_audit(syz_audit(ctx, 4, cap))
     forward, backward = built
     lam, lam1 = ctx.endo, forward.right_algebra
     fr, fl = forward.restrict_right(), forward.restrict_left()
