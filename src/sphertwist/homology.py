@@ -255,13 +255,63 @@ def _yoneda_postcompose(psi, blocks, image_blocks):
     return Matrix(f, rows, width)
 
 
-def ext_from_resolution(res, n, count):
-    """[dim Ext^i(m, n) for i in 0..count), m the target of res, by Yoneda.
+def _yoneda_cochains(res, n, count):
+    """(blocks, differentials) of Hom(P•, N) on terms 0..count−1 of res.
 
     Each term is P = ⊕ₖ eₖ·A over its recorded cover (`CoveredTerm`;
     a term without a record raises), so Hom(P, N) ≅ ⊕ₖ N·eₖ
-    (`_yoneda_blocks`) and the differentials are precompositions
-    (`_yoneda_precompose`).  No hom-space system is solved.
+    (`_yoneda_blocks`), and the differential out of degree i is
+    precomposition with maps[i] (`_yoneda_precompose`), or None where
+    either end is zero.  No hom-space system is solved.
+    """
+    covered = [
+        CoveredTerm(t, c) for t, c in zip(res.terms[:count], res.covers[:count])
+    ]
+    blocks = [_yoneda_blocks(n, ct.idempotents) for ct in covered]
+    diffs = []
+    for i, d in enumerate(res.maps[: len(covered) - 1]):
+        if _yoneda_dim(blocks[i]) and _yoneda_dim(blocks[i + 1]):
+            diffs.append(_yoneda_precompose(
+                n, d, covered[i + 1], covered[i], blocks[i + 1], blocks[i]))
+        else:
+            diffs.append(None)
+    return blocks, diffs
+
+
+def _yoneda_cochain_modules(res, algebra, n, endos, count):
+    """(terms, maps, blocks) of Hom(P•, N) on degrees 0..count−1, as
+    modules over ``algebra``.
+
+    The basis element g acts on every term by postcomposition with the
+    N-endomorphism ``endos[g]`` (`_yoneda_postcompose`); every term is a
+    validated module and every differential (`_yoneda_cochains`) a
+    validated module map, which certifies that the action commutes with
+    the differentials.  Degrees past the end of res get zero modules,
+    ``blocks`` covers the degrees res reaches.
+    """
+    f = algebra.field
+    blocks, diffs = _yoneda_cochains(res, n, count)
+    terms = [
+        Module(algebra, _yoneda_dim(b),
+               [_yoneda_postcompose(e, b, b) for e in endos])
+        if _yoneda_dim(b) else Module.zero(algebra)
+        for b in blocks
+    ]
+    terms += [Module.zero(algebra) for _ in range(count - len(terms))]
+    maps = []
+    for i in range(count - 1):
+        s, t = terms[i], terms[i + 1]
+        d = diffs[i] if i < len(diffs) else None
+        if d is None:
+            maps.append(ModuleHom(s, t, Matrix.zero(f, s.dim, t.dim), validate=False))
+        else:
+            maps.append(ModuleHom(s, t, d))
+    return terms, maps, blocks
+
+
+def ext_from_resolution(res, n, count):
+    """[dim Ext^i(m, n) for i in 0..count), m the target of res, by Yoneda
+    (`_yoneda_cochains`).
 
     Degree i needs term i and the maps into and out of it, so only
     terms 0..count and maps 0..count−1 are read: a resolution built at
@@ -274,27 +324,11 @@ def ext_from_resolution(res, n, count):
     if count < 1:
         return []
     _window_check(res, count)
-    covered = [
-        CoveredTerm(t, c)
-        for t, c in zip(res.terms[: count + 1], res.covers[: count + 1])
-    ]
-    cochains = [_yoneda_blocks(n, ct.idempotents) for ct in covered]
-    dims = [_yoneda_dim(blocks) for blocks in cochains]
-    ranks = [0]
-    for i, d in enumerate(res.maps[:count]):
-        if not dims[i] or not dims[i + 1]:
-            ranks.append(0)
-            continue
-        ranks.append(rank(_yoneda_precompose(
-            n, d, covered[i + 1], covered[i], cochains[i + 1], cochains[i])))
-    out = []
-    for i in range(count):
-        if i < len(dims):
-            outgoing = ranks[i + 1] if i + 1 < len(ranks) else 0
-            out.append(dims[i] - ranks[i] - outgoing)
-        else:
-            out.append(0)
-    return out
+    blocks, diffs = _yoneda_cochains(res, n, count + 1)
+    dims = [_yoneda_dim(b) for b in blocks]
+    ranks = [0] + [0 if d is None else rank(d) for d in diffs] + [0]
+    out = [d - ranks[i] - ranks[i + 1] for i, d in enumerate(dims[:count])]
+    return out + [0] * (count - len(out))
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .homology import (
 )
 from .modules import (
     HomBasis,
+    _flatten,
     _idempotent_piece,
     add_equivalent,
     balanced_tensor,
@@ -430,6 +431,14 @@ def _embedding_bijective(side_alg, mats, module):
     return rank(Matrix(f, rows, len(homs))) == side_alg.dim
 
 
+def _span_dim(f, mats):
+    """Dimension of the span of equal-shape matrices, read as flat vectors."""
+    if not mats:
+        return 0
+    width = mats[0].nrows * mats[0].ncols
+    return rank(Matrix(f, [_flatten(m) for m in mats], width))
+
+
 def _pairing_blocks(f, mu_rows, ni, nd, width):
     """μ in its two blockings, for the equivariance checks.
 
@@ -484,9 +493,8 @@ def tilting_audit(report):
             raise AuditFailed(
                 "syzygy of the extra part keeps a projective summand"
             )
-        companion = direct_sum([p, om])[0]
+        companion, injs, prjs = direct_sum([p, om])
     else:
-        om = None
         companion = p
     lam1, l1basis = endomorphism_algebra(companion)
     l1homs = l1basis.homs
@@ -496,14 +504,20 @@ def tilting_audit(report):
     icoords = HomBasis(f, ihoms).coords
     dcoords = HomBasis(f, dhoms).coords
 
-    I0_dims = (
-        len(hom_space(p, total)),
-        len(hom_space(om, total)) if om is not None else 0,
-    )
-    D0_dims = (
-        len(hom_space(total, p)),
-        len(hom_space(total, om)) if om is not None else 0,
-    )
+    # restriction along a split injection and corestriction along a
+    # split projection are onto on Hom, so each block's hom space is
+    # spanned by the restricted (corestricted) companion homs
+    if copies:
+        I0_dims = tuple(
+            _span_dim(f, [inj.matrix.mul(ih.matrix) for ih in ihoms])
+            for inj in injs
+        )
+        D0_dims = tuple(
+            _span_dim(f, [dh.matrix.mul(prj.matrix) for dh in dhoms])
+            for prj in prjs
+        )
+    else:
+        I0_dims, D0_dims = (ni, 0), (nd, 0)
 
     # maps companion → generator: postcomposition by the endomorphism
     # algebra on the left, precomposition by the companion algebra on

@@ -1,32 +1,49 @@
 """Bounded complexes and the twist around a surjective algebra map.
 
-The twist of a surjection p : A → B sends a module c to the derived hom
-out of ker p.  It is materialized here as a genuine complex of right
-A-modules: embed c into a finite ladder of injectives, apply hom from
-the kernel degree by degree — the left multiplication on the kernel
-supplies the module structure on each hom space — and cut the tail with
-a kernel term once the certified vanishing degree is passed.  The same
-ladder also carries the counit: evaluation at the unit maps hom-from-B
-into the ladder, and the cone of that evaluation is compared against
-the twist itself, degree by degree, with the dimensions independently
-recomputed from a projective resolution of the kernel so the comparison
-is a genuine two-route test.
+The twist of a surjection p : A → B sends a module c to RHom_A(K, c),
+K = ker p, materialized as a genuine complex of right A-modules.  Every
+Hom in it is read by Yoneda, Hom(e·A, N) ≅ N·e, off a recorded
+resolution; no hom-space system is solved.  Write D = Hom_k(−, k)
+(`dual_module`), which swaps right A-modules and right Aᵒᵖ-modules.
+
+- An injective coresolution of c is D of a projective resolution.  The
+  injective envelope of c is D of the projective cover of D(c) over Aᵒᵖ
+  (`injective_envelope`), so the minimal injective coresolution of c is
+  I• = D(P•) for the minimal resolution P• → D(c) over Aᵒᵖ, and P•
+  records its covers.
+- Hom into it is Hom out of a projective.  Hom_A(K, D P) ≅ D(K ⊗_A P)
+  ≅ Hom_Aᵒᵖ(P, D K), naturally in P, so the twist term in degree j is
+  Hom(Pⱼ, D K) ≅ ⊕ₖ D(K)·eₖ and the differential out of it is
+  precomposition with the map Pⱼ₊₁ → Pⱼ (`_yoneda_cochain_modules`).
+- A acts through K.  The action (f·a)(x) = f(a·x) precomposes with the
+  right-module map λₐ : x ↦ a·x of K, which becomes postcomposition with
+  D(λₐ), the transpose of the matrix of λₐ.
+- The tail is cut with a kernel term once the certified vanishing
+  degree, the projective dimension of K plus one, is passed.
+
+The counit comes from the same construction.  I• = Hom_A(A, I•) is
+Hom(P•, D A), Hom_A(B, I•) is Hom(P•, D B), and evaluation at the unit,
+which is precomposition with p : A → B, is postcomposition with
+D(p) = ``p.matrix``ᵀ.  The cone of that evaluation is compared against
+the twist degree by degree, with the twist's cohomology independently
+recomputed from a projective resolution of the kernel, so the
+comparison is a genuine two-route test.
 
 Morphism counts in the homotopy category are computed against a
 replacement of the source by a complex of projectives, built by a
 descending staircase of covers and then shrunk by cancelling every
 invertible block in a differential.  The replacement records its
-covers, so hom out of it is read by Yoneda, Hom(e·A, N) ≅ N·e.  The
-equivalence certificate runs the whole battery for one surjection:
-twists of the idempotent slices of the regular module, their pairwise
-hom tables across a shift window, the endomorphism count in shift zero,
-and a faithfulness certificate for the algebra acting on the cohomology
-of its own twist.
+covers, so hom out of it is read by Yoneda as well.  The equivalence
+certificate runs the whole battery for one surjection: twists of the
+idempotent slices of the regular module, their pairwise hom tables
+across a shift window, the endomorphism count in shift zero, and a
+faithfulness certificate for the algebra acting on the cohomology of
+its own twist.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra
+from .algebra import Algebra, opposite
 from .errors import (
     AlgebraMismatch,
     AuditFailed,
@@ -34,10 +51,18 @@ from .errors import (
     NotAChainMap,
     SphertwistError,
 )
-from .exactlin import Matrix, SpanBuilder, SpanQuotient, rank, solve_matrix
-from .frobenius import _indecomposable_projectives, injective_envelope
+from .exactlin import (
+    Matrix,
+    SpanBuilder,
+    SpanQuotient,
+    kernel_basis,
+    rank,
+    solve_matrix,
+)
+from .frobenius import _indecomposable_projectives, dual_module
 from .homology import (
     _yoneda_blocks,
+    _yoneda_cochain_modules,
     _yoneda_dim,
     _yoneda_postcompose,
     _yoneda_precompose,
@@ -45,15 +70,13 @@ from .homology import (
     ext_from_resolution,
 )
 from .modules import (
-    HomBasis,
     Module,
     ModuleHom,
     _idempotent_piece,
     balanced_tensor,
     direct_sum,
-    hom_space,
+    identity_hom,
     kernel_of,
-    cokernel_of,
     projective_cover,
     restrict_scalars,
     submodule,
@@ -236,8 +259,6 @@ class ChainMap:
 
 
 def identity_chain_map(c):
-    from .modules import identity_hom
-
     return ChainMap(c, c, c.lo, [identity_hom(t) for t in c.terms], validate=False)
 
 
@@ -423,69 +444,12 @@ def _place(rows, at_r, at_c, mat, scalar):
 
 
 # ---------------------------------------------------------------------------
-# injective ladders
-
-
-def _injective_ladder(m, length):
-    """(terms, maps, embedding) — an initial segment of a coresolution.
-
-    terms[0] receives the module through ``embedding``; each map is the
-    cokernel projection followed by the next envelope.  Exactness is
-    re-audited by ranks before returning.
-    """
-    terms = []
-    maps = []
-    cur = m
-    emb0 = None
-    prev_proj = None
-    for j in range(length + 1):
-        if cur.dim == 0:
-            break
-        env, emb = injective_envelope(cur)
-        terms.append(env)
-        if j == 0:
-            emb0 = emb
-        else:
-            maps.append(prev_proj.compose(emb))
-        cok, proj = cokernel_of(emb)
-        prev_proj = proj
-        cur = cok
-    if not terms:
-        z = Module.zero(m.algebra)
-        emb0 = ModuleHom(m, z, Matrix.zero(m.algebra.field, 0, 0), validate=False)
-        return [z], [], emb0
-    # rank audit: the ladder is exact against the embedded module
-    if rank(emb0.matrix) != m.dim:
-        raise AuditFailed("coresolution embedding is not injective")
-    prev_rank = m.dim
-    for j, h in enumerate(maps):
-        if j == 0 and not emb0.compose(h).matrix.is_zero():
-            raise AuditFailed("coresolution composite through degree 0 is nonzero")
-        if j > 0 and not maps[j - 1].compose(h).matrix.is_zero():
-            raise AuditFailed("coresolution composite is nonzero at degree %d" % j)
-        r = rank(h.matrix)
-        if r != terms[j].dim - prev_rank:
-            raise AuditFailed("coresolution fails exactness at degree %d" % j)
-        prev_rank = r
-    return terms, maps, emb0
-
-
-# ---------------------------------------------------------------------------
 # the twist
 
 
 def _kernel_module(p):
     """(kernel of p as a submodule of the regular module, inclusion)."""
-    lam = p.source
-    reg = Module.regular(lam)
-    cols = p.kernel_basis
-    if cols.ncols == 0:
-        z = Module.zero(lam)
-        incl = ModuleHom(
-            z, reg, Matrix.zero(lam.field, 0, lam.dim), validate=False
-        )
-        return z, incl
-    return submodule(reg, cols.transpose())
+    return submodule(Module.regular(p.source), p.kernel_basis.transpose())
 
 
 def _left_mult_family(algebra, incl):
@@ -510,71 +474,24 @@ def _left_mult_family(algebra, incl):
     return mats
 
 
-def _hom_into(lam, src, src_left_mults, tgt):
-    """Hom(src, tgt) as a right module over lam, plus its hom basis.
-
-    The action precomposes with left multiplication on the source:
-    (f·a)(x) = f(a·x).
-    """
-    homs = hom_space(src, tgt)
-    n = len(homs)
-    if n == 0:
-        return Module.zero(lam), [], HomBasis(lam.field, [])
-    solver = HomBasis(lam.field, homs)
-    action = []
-    for g in range(lam.dim):
-        pre = src_left_mults[g]
-        rows = [solver.coords(pre.mul(h.matrix)) for h in homs]
-        action.append(Matrix(lam.field, rows, n))
-    return Module(lam, n, action, validate=True), homs, solver
-
-
-def _hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
-    """Hom(src, −) on the first count degrees of a ladder, as modules over
-    lam: (modules, hom bases, solvers, differentials).
-
-    Degrees past the ladder's end get zero modules.  The differential
-    out of degree j follows each hom by maps[j], written in the hom
-    basis of degree j + 1; it is zero where either module is, or where
-    the ladder has no map.
-    """
-    mods, bases, solvers = [], [], []
-    for j in range(count):
-        if j < len(terms):
-            hm, hb, sol = _hom_into(lam, src, src_left_mults, terms[j])
-        else:
-            hm, hb, sol = Module.zero(lam), [], HomBasis(lam.field, [])
-        mods.append(hm)
-        bases.append(hb)
-        solvers.append(sol)
-    diffs = []
-    for j in range(count - 1):
-        s, t = mods[j], mods[j + 1]
-        if s.dim == 0 or t.dim == 0 or j >= len(maps):
-            zero = Matrix.zero(lam.field, s.dim, t.dim)
-            diffs.append(ModuleHom(s, t, zero, validate=False))
-            continue
-        rows = [solvers[j + 1].coords(h.matrix.mul(maps[j].matrix)) for h in bases[j]]
-        diffs.append(ModuleHom(s, t, Matrix(lam.field, rows, t.dim)))
-    return mods, bases, solvers, diffs
-
-
 class _TwistCore:
     """Shared scaffolding for one twist computation.
 
-    ``res`` is the kernel's minimal resolution (None for a zero kernel),
-    truncated at the cap when the kernel does not resolve within it.
+    ``res`` is the kernel's minimal resolution, truncated at the cap
+    when the kernel does not resolve within it; ``dual_res`` is the
+    minimal resolution of D(c) over the opposite algebra that the
+    twist read its injective coresolution off.  Both are None for a
+    zero kernel.
     """
 
-    def __init__(self, lam, stalk, degree, kernel_module, res,
-                 ladder_terms, ladder_maps, complex_):
+    def __init__(self, lam, stalk, degree, kernel_module, res, dual_res,
+                 complex_):
         self.lam = lam
         self.stalk = stalk
         self.degree = degree
         self.kernel_module = kernel_module
         self.res = res
-        self.ladder_terms = ladder_terms
-        self.ladder_maps = ladder_maps
+        self.dual_res = dual_res
         self.complex = complex_
 
 
@@ -618,13 +535,24 @@ def _kernel_data(p, cap):
 
 
 def _twist_core(p, c, window=None, cap=None, kernel=None):
+    """The twist complex Hom_A(K, I•) of a one-degree input c.
+
+    I• = D(P•) for the minimal resolution P• → D(c) over Aᵒᵖ, so term j
+    is Hom_Aᵒᵖ(Pⱼ, D K) with A acting by postcomposition with D(λₐ) =
+    (left multiplication by a on K)ᵀ (see the module docstring); terms
+    0..depth + 1 are built, depth = pd K + 1.  A perfect kernel cuts the
+    complex at degree depth with the kernel of the next differential,
+    since Ext^i(K, c) = 0 past pd K; a truncated one needs a window and
+    keeps degrees 0..depth, depth reaching the top of the window.
+    ``kernel`` is `_kernel_data` of p, computed here when not given.
+    """
     lam = p.source
     c_mod, degree = _stalk_data(c, lam)
     k_mod, lmults, res = kernel if kernel else _kernel_data(p, cap)
     if k_mod.dim == 0:
         cx = ChainComplex(lam, degree, [], [])
         cx.window = (degree, degree)
-        return _TwistCore(lam, c_mod, degree, k_mod, None, [], [], cx)
+        return _TwistCore(lam, c_mod, degree, k_mod, None, None, cx)
     complete = not res.truncated
     if complete:
         depth = res.length + 1
@@ -636,40 +564,26 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
                 witness=res,
             )
         depth = max(window[1] - degree, 1)
-    ladder_len = depth + 1
-    i_terms, i_maps, _emb = _injective_ladder(c_mod, ladder_len)
-    hom_modules, _bases, _solvers, diffs = _hom_into_ladder(
-        lam, k_mod, lmults, i_terms, i_maps, ladder_len + 1
+    dual_res = resolve_within(dual_module(c_mod), depth + 1)
+    hom_modules, diffs, _blocks = _yoneda_cochain_modules(
+        dual_res, lam, dual_module(k_mod), [m.transpose() for m in lmults],
+        depth + 2,
     )
     if complete:
-        terms = hom_modules[:depth]
-        maps = diffs[: depth - 1]
+        # the last differential corestricted to the kernel of the next
         ker_mod, ker_incl = kernel_of(diffs[depth])
         last = diffs[depth - 1]
-        if ker_mod.dim:
-            co = solve_matrix(
-                ker_incl.matrix.transpose(), last.matrix.transpose()
-            )
-            if co is None:
-                raise AuditFailed("differential image escapes the kernel cut")
-            corestricted = ModuleHom(last.source, ker_mod, co.transpose())
-        else:
-            corestricted = ModuleHom(
-                last.source,
-                ker_mod,
-                Matrix.zero(lam.field, last.source.dim, 0),
-                validate=False,
-            )
-        terms = terms + [ker_mod]
-        maps = maps + [corestricted]
-        cx = ChainComplex(lam, degree, terms, maps, truncated=False)
-        cx.window = (degree, degree + depth)
+        co = solve_matrix(ker_incl.matrix.transpose(), last.matrix.transpose())
+        if co is None:
+            raise AuditFailed("differential image escapes the kernel cut")
+        terms = hom_modules[:depth] + [ker_mod]
+        maps = diffs[: depth - 1] + [ModuleHom(last.source, ker_mod, co.transpose())]
     else:
         terms = hom_modules[: depth + 1]
         maps = diffs[:depth]
-        cx = ChainComplex(lam, degree, terms, maps, truncated=True)
-        cx.window = (degree, degree + depth)
-    return _TwistCore(lam, c_mod, degree, k_mod, res, i_terms, i_maps, cx)
+    cx = ChainComplex(lam, degree, terms, maps, truncated=not complete)
+    cx.window = (degree, degree + depth)
+    return _TwistCore(lam, c_mod, degree, k_mod, res, dual_res, cx)
 
 
 def twist_apply(p, c, window=None, cap=None):
@@ -755,69 +669,78 @@ def _target_left_mults(p):
             for g in range(p.source.dim)]
 
 
-def _balanced_collapse_dim(p, homs, solver):
+def _balanced_collapse_dim(p, blocks):
     """dim of Hom(B, I) ⊗_B B by explicit balancing — audits the collapse.
 
-    The hom space, with its factored hom basis ``solver``, is a right
-    module over the target through precomposition with left
-    multiplication; tensoring back over the target against the regular
-    bimodule must return the same dimension, and that identity is what
-    lets evaluation at the unit stand in for the whole derived tensor.
+    The hom space, read as Hom_Aᵒᵖ(P, D B) through its Yoneda
+    ``blocks``, is a right module over the target through precomposition
+    with left multiplication, (f·b)(x) = f(b·x), which is
+    postcomposition with D(λ_b) = (left multiplication by b)ᵀ;
+    tensoring back over the target against the regular bimodule must
+    return the same dimension, and that identity is what lets
+    evaluation at the unit stand in for the whole derived tensor.
     """
     b = p.target
-    field = b.field
-    n = len(homs)
-    if n == 0:
+    if not _yoneda_dim(blocks):
         return 0
     lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
     right_action = [
-        Matrix(field, [solver.coords(pre.mul(h.matrix)) for h in homs], n)
-        for pre in lefts
+        _yoneda_postcompose(left.transpose(), blocks, blocks) for left in lefts
     ]
     return balanced_tensor(b, right_action, lefts).dim
 
 
 def _triangle_piece(p, c_mod, cap, kernel):
-    """(cone profile, twist profile, window, cone_dead) for one module."""
+    """(cone profile, twist profile, window, cone_dead) for one module.
+
+    The twist's resolution P• → D(c) over Aᵒᵖ serves all three
+    complexes: I• = Hom(P•, D A), Hom_A(B, I•) = Hom(P•, D B), each with
+    A acting by the transposed left multiplications, and the counit,
+    evaluation at the unit, is postcomposition with D(p) =
+    ``p.matrix``ᵀ, audited injective and audited to survive the collapse
+    of Hom_A(B, I) ⊗_B B.  A zero kernel still gets one step of P• so
+    the counit is genuinely checked to be an isomorphism.
+    """
     lam = p.source
     # without a window, `_twist_core` refuses a kernel that does not
     # resolve within the cap
     core = _twist_core(p, c_mod, cap=cap, kernel=kernel)
-    if kernel[0].dim == 0:
-        # the twist is zero; still materialize one ladder step so the
-        # counit is genuinely checked to be an isomorphism
+    if core.dual_res is None:
         depth = 0
-        ladder, ladder_maps, _emb = _injective_ladder(core.stalk, 1)
+        dual_res = resolve_within(dual_module(core.stalk), 1)
     else:
         depth = core.res.length + 1
-        ladder, ladder_maps = core.ladder_terms, core.ladder_maps
-    srb_terms, srb_bases, srb_solvers, srb_maps = _hom_into_ladder(
-        lam, _target_as_source_module(p), _target_left_mults(p),
-        ladder, ladder_maps, len(ladder),
+        dual_res = core.dual_res
+    count = len(dual_res.terms)
+    inj_terms, inj_maps, a_blocks = _yoneda_cochain_modules(
+        dual_res, lam, dual_module(Module.regular(lam)),
+        [lam.left_mult_matrix(lam.basis_vector(g)).transpose()
+         for g in range(lam.dim)],
+        count,
     )
+    srb_terms, srb_maps, b_blocks = _yoneda_cochain_modules(
+        dual_res, lam, dual_module(_target_as_source_module(p)),
+        [m.transpose() for m in _target_left_mults(p)],
+        count,
+    )
+    d_p = p.matrix.transpose()
     gammas = []
-    for hm, hb, sol, i_term in zip(srb_terms, srb_bases, srb_solvers, ladder):
-        if hb:
-            rows = [h.apply(p.target.unit) for h in hb]
-            gamma = ModuleHom(hm, i_term, Matrix(lam.field, rows, i_term.dim))
-        else:
-            gamma = ModuleHom(
-                hm, i_term, Matrix.zero(lam.field, 0, i_term.dim), validate=False
-            )
+    for hm, i_term, bb, ab in zip(srb_terms, inj_terms, b_blocks, a_blocks):
+        gamma = ModuleHom(hm, i_term, _yoneda_postcompose(d_p, bb, ab))
         if rank(gamma.matrix) != hm.dim:
             raise AuditFailed("evaluation at the unit failed to be injective")
-        collapsed = _balanced_collapse_dim(p, hb, sol)
+        collapsed = _balanced_collapse_dim(p, bb)
         if collapsed != hm.dim:
             raise AuditFailed(
                 "tensor collapse over the target changed the dimension",
                 witness=(collapsed, hm.dim),
             )
         gammas.append(gamma)
-    # the two complexes over the ladder, and the cone between them
+    # the two complexes over the coresolution, and the cone between them
     s = core.degree
     srb_cx = ChainComplex(lam, s, srb_terms, srb_maps)
-    ladder_cx = ChainComplex(lam, s, list(ladder), list(ladder_maps))
-    gamma_map = ChainMap(srb_cx, ladder_cx, s, gammas)
+    inj_cx = ChainComplex(lam, s, inj_terms, inj_maps)
+    gamma_map = ChainMap(srb_cx, inj_cx, s, gammas)
     cn = cone(gamma_map)
     window = (s - 1, s + depth)
     cone_dims = {
@@ -833,8 +756,8 @@ def twist_triangle_check(p, c, cap=None):
     ``c`` may be a module, a one-degree complex, or a list of modules
     read as a direct sum and assembled additively — both profiles are
     sums of the per-summand profiles, so the comparison distributes.
-    The counit is materialized degree-wise on an injective ladder as
-    evaluation at the unit, after the tensor-collapse audit; the cone's
+    The counit is materialized degree-wise on an injective coresolution
+    as evaluation at the unit, after the tensor-collapse audit; the cone's
     cohomology must match the twist's in every window degree, and a
     mismatch raises rather than reporting.
     """
@@ -985,8 +908,6 @@ def _audit_quasi_iso(px, comp, c):
 
 def _cycle_rows(c, k):
     """Rows spanning the cycles of degree k."""
-    from .exactlin import kernel_basis
-
     d = c.differential(k).matrix
     if d.nrows == 0:
         return Matrix.zero(c.algebra.field, 0, c.term(k).dim)
@@ -1155,78 +1076,36 @@ def _unit_faithful_on_cohomology(p, res):
     hom out of the kernel; left multiplication makes each such space a
     module over the source algebra, functorially in homotopy classes,
     so a faithful action certifies the unit map into the derived
-    endomorphisms as injective.  Computed from ``res``, the kernel's
-    minimal resolution, read through its recorded covers: each term is
-    Pᵢ = ⊕ₖ eₖ·A, so Hom(Pᵢ, A) ≅ ⊕ₖ A·eₖ by Yoneda (`_yoneda_blocks`)
-    and the dual differentials are precompositions
-    (`_yoneda_precompose`).  An element g acts by postcomposition with
-    the module map x ↦ g·x (`_yoneda_postcompose` of
-    ``left_mult_matrix(g)``), which sends nₖ to g·nₖ, still in A·eₖ.
-    That action commutes with the differentials, so it descends to the
-    cohomology of the dual complex, and the stacked matrices of the
-    induced operators must have full rank.  No hom-space system is
-    solved.
+    endomorphisms as injective.  This is the twist's own construction
+    (`_yoneda_cochain_modules`) on ``res``, the kernel's minimal
+    resolution, with N = A_A: each term is Pᵢ = ⊕ₖ eₖ·A, so
+    Hom(Pᵢ, A) ≅ ⊕ₖ A·eₖ, and g acts by postcomposition with the module
+    map x ↦ g·x, which makes each term a right module over the opposite
+    algebra.  Validating the differentials as module maps certifies
+    that the action commutes with them, so it descends to cohomology,
+    and the stacked matrices of the induced operators must have full
+    rank.  No hom-space system is solved.
     """
-    from .exactlin import kernel_basis
-
     lam = p.source
-    field = lam.field
-    reg = Module.regular(lam)
-    covered = [CoveredTerm(t, c) for t, c in zip(res.terms, res.covers)]
-    blocks = [_yoneda_blocks(reg, ct.idempotents) for ct in covered]
-    dims = [_yoneda_dim(b) for b in blocks]
-    pre = [
-        _yoneda_precompose(
-            reg, h, covered[i + 1], covered[i], blocks[i + 1], blocks[i]
-        )
-        for i, h in enumerate(res.maps)
-    ]
-    # cohomology coordinates per degree: cycles modulo boundaries
-    quotients = []
-    cycles = []
-    for i, n in enumerate(dims):
-        if n == 0:
-            cycles.append(Matrix.zero(field, 0, 0))
-            quotients.append(None)
-            continue
-        out_mat = pre[i] if i < len(pre) else Matrix.zero(field, n, 0)
-        z = (
-            kernel_basis(out_mat.transpose()).transpose()
-            if out_mat.ncols
-            else Matrix.identity(field, n)
-        )
-        boundaries = SpanBuilder(field, n)
-        for r in pre[i - 1].rows if i > 0 else []:
+    terms, maps, _blocks = _yoneda_cochain_modules(
+        res, opposite(lam), Module.regular(lam),
+        [lam.left_mult_matrix(lam.basis_vector(g)) for g in range(lam.dim)],
+        len(res.terms),
+    )
+    cx = ChainComplex(opposite(lam), 0, terms, maps, validate=False)
+    # each g moves the cycles of every degree; read modulo boundaries
+    flats = [[] for _ in range(lam.dim)]
+    for k in range(cx.lo, cx.hi + 1) if cx.terms else []:
+        t = cx.term(k)
+        boundaries = SpanBuilder(lam.field, t.dim)
+        for r in cx.differential(k - 1).matrix.rows:
             boundaries.add(r)
-        cycles.append(z)
-        quotients.append(SpanQuotient(boundaries))
-    left_mats = [
-        lam.left_mult_matrix(lam.basis_vector(g)) for g in range(lam.dim)
-    ]
-    ops = [[_yoneda_postcompose(lg, b, b) for b in blocks] for lg in left_mats]
-    for g in range(lam.dim):
-        for i in range(len(pre)):
-            if ops[g][i].mul(pre[i]) != pre[i].mul(ops[g][i + 1]):
-                raise AuditFailed(
-                    "action fails to commute with the differential",
-                    witness=(g, i),
-                )
-    flats = []
-    for g in range(lam.dim):
-        flat = []
-        for i, n in enumerate(dims):
-            if not n:
-                continue
-            z = cycles[i]
-            q = quotients[i]
-            for r in range(z.nrows):
-                moved = Matrix(field, [list(z.rows[r])], z.ncols).mul(ops[g][i])
-                flat.extend(q.project(moved.rows[0]))
-        flats.append(flat)
-    width = len(flats[0]) if flats else 0
-    if width == 0:
-        return False
-    return rank(Matrix(field, flats, width)) == lam.dim
+        q = SpanQuotient(boundaries)
+        for z in _cycle_rows(cx, k).rows:
+            for g, flat in enumerate(flats):
+                flat.extend(q.project(t.action[g].apply_to_row(list(z))))
+    width = len(flats[0])
+    return bool(width) and rank(Matrix(lam.field, flats, width)) == lam.dim
 
 
 def equivalence_certificate(p, shift_window=None, cap=None):

@@ -84,6 +84,19 @@ def product_field_pair(field=QQ):
     )
 
 
+def dual_numbers_times_field(field=QQ):
+    """k[x]/(x^2) × k with basis one₁, x, e₂: a self-injective block
+    beside a semisimple one."""
+    mult = [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 0]],
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1]],
+    ]
+    return from_structure_constants(
+        field, mult, [1, 0, 1], basis_labels=["one1", "x", "e2"]
+    )
+
+
 def gaussian_field():
     """Q(i) as a 2-dimensional Q-algebra — semisimple but not split."""
     mult = [

@@ -1,12 +1,15 @@
 """Hom out of a complex of projectives on the hom-space route, kept as a
 test oracle.
 
-`hom_complex` and `twist._unit_faithful_on_cohomology` read
-Hom(⊕ eᵢ·A, N) ≅ ⊕ N·eᵢ off recorded covers by Yoneda.  The routines
-here compute the same spaces the older way: one `hom_space` system per
-block, factored into a `HomBasis`, and every composite written back in
+`hom_complex` reads Hom(⊕ eᵢ·A, N) ≅ ⊕ N·eᵢ off recorded covers by
+Yoneda, and `twist._unit_faithful_on_cohomology` builds Hom(P•, A) out
+of the kernel's resolution with the construction the whole twist layer
+shares (`homology._yoneda_cochain_modules`).  The routines here compute
+the same spaces the older way: one `hom_space` system per block,
+factored into a `HomBasis`, and every composite written back in
 hom-basis coordinates.  They need no covers, so they also serve a
-source without them.
+source without them.  The twist and its counit triangle on the older
+injective-ladder route are in `twist_reference`.
 """
 
 from sphertwist.exactlin import Matrix, SpanBuilder, SpanQuotient, kernel_basis, rank

@@ -1,13 +1,18 @@
-"""Hom out of covered complexes of projectives, by Yoneda.
+"""Hom read off recorded resolutions by Yoneda, across the twist layer.
 
-`hom_complex` and the unit certificate read Hom(⊕ eᵢ·A, N) ≅ ⊕ N·eᵢ
-off recorded covers.  They are checked against the hom-space route kept
-in `hom_complex_reference`: the cohomology profile of every pair of
-perfect models at several shifts, and every unit verdict, must agree.
-The inputs are the surjections onto the stable quotients of cyclic
-Nakayama algebras (with all simples, and with one simple, as extra
-summands), UT2 and a quotient of the linear path 1 → 2 → 3 onto their
-semisimple parts, and the projection k × k → k, over Q and F_p.
+`hom_complex`, the unit certificate, the twist and its counit triangle
+read Hom(⊕ eᵢ·A, N) ≅ ⊕ N·eᵢ off recorded covers; the twist and the
+triangle first turn Hom into an injective coresolution of c into Hom
+out of a resolution of D(c) over the opposite algebra.  They are
+checked against the hom-space routes kept in `hom_complex_reference`
+and `twist_reference`: the cohomology profile of every pair of perfect
+models at several shifts, every unit verdict, every twist complex (term
+dimensions, differential ranks, cohomology) and every counit-triangle
+profile must agree.  The inputs are the surjections onto the stable
+quotients of cyclic Nakayama algebras (with all simples, and with one
+simple, as extra summands), UT2 and a quotient of the linear path
+1 → 2 → 3 onto their semisimple parts, the projection k × k → k, over
+Q and F_p, and k[x]/(x²) × k onto k over Q.
 """
 
 import functools
@@ -17,7 +22,7 @@ import pytest
 from sphertwist import modules
 from sphertwist.algebra import quotient_surjection
 from sphertwist.errors import SphertwistError
-from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.exactlin import QQ, PrimeField, rank
 from sphertwist.frobenius import _indecomposable_projectives, build_context
 from sphertwist.modules import Module, simple_modules
 from sphertwist import resolutions
@@ -32,13 +37,18 @@ from sphertwist.twist import (
     perfect_model,
     shift,
     twist_apply,
+    twist_triangle_check,
 )
 
 import hom_complex_reference as reference
+import twist_reference
 from patching import count_calls, patch_everywhere
 from fixture_algebras import (
     cyclic_nakayama,
+    dual_numbers,
+    dual_numbers_times_field,
     linear_path,
+    matrix_units_2,
     product_field_pair,
     two_vertex_arrow,
 )
@@ -70,6 +80,9 @@ SURJECTIONS = {
 for _name, _field in (("Q", QQ), ("GF32003", GF), ("GF7", PrimeField(7))):
     SURJECTIONS["ut2_" + _name] = lambda f=_field: kill(two_vertex_arrow(f), ["a"])
     SURJECTIONS["path3_" + _name] = lambda f=_field: kill(linear_path(3, f), ["a", "b", "a*b"])
+# a projective kernel whose block has simples of infinite injective
+# dimension, so the cut of a twist reads the coresolution past its depth
+SURJECTIONS["dualxk_Q"] = lambda: kill(dual_numbers_times_field(QQ), ["one1", "x"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,6 +155,30 @@ def test_a_complex_rejects_a_cover_that_does_not_rebuild_its_term():
         ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=[])
 
 
+FIXTURE_ALGEBRAS = {
+    "dual_Q": lambda: dual_numbers(QQ),
+    "dual_GF7": lambda: dual_numbers(PrimeField(7)),
+    "cycle3_Q": lambda: cyclic_nakayama(3),
+    "ut2_Q": lambda: two_vertex_arrow(QQ),
+    "path3_GF7": lambda: linear_path(3, PrimeField(7)),
+    "kxk_Q": lambda: product_field_pair(QQ),
+    "m2_Q": lambda: matrix_units_2(QQ),
+}
+
+
+@pytest.mark.parametrize("algebra", sorted(FIXTURE_ALGEBRAS))
+def test_degree_zero_of_hom_out_of_a_model_is_hom(algebra):
+    # a projective e·A in degree 0 is its own model, and chain maps
+    # between stalks in degree 0 have no homotopies, so H⁰ is Hom(e·A, N)
+    a = FIXTURE_ALGEBRAS[algebra]()
+    targets = simple_modules(a) + [Module.regular(a), Module.coregular(a)]
+    for piece in _indecomposable_projectives(a):
+        model = perfect_model(ChainComplex(a, 0, [piece], []))
+        for n in targets:
+            got = cohomology_dims(hom_complex(model, ChainComplex(a, 0, [n], [])))
+            assert got.get(0, 0) == len(modules.hom_space(piece, n))
+
+
 def test_hom_complex_refuses_a_source_without_covers():
     model = ut2_model()
     bare = ChainComplex(model.algebra, model.lo, model.terms, model.maps)
@@ -153,15 +190,19 @@ def test_hom_complex_refuses_a_source_without_covers():
     assert cohomology_dims(reference.hom_complex(bare, model)) == {0: 4}
 
 
+def refuse_hom_space(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solved a hom-space system")
+
+    patch_everywhere(monkeypatch, modules, "hom_space", refuse)
+
+
 def test_hom_complex_solves_no_hom_space_system(monkeypatch):
     p, xs = built("cycle3_all_GF32003"), models_of("cycle3_all_GF32003")
     want = {(i, j): cohomology_dims(reference.hom_complex(x, y))
             for i, x in enumerate(xs) for j, y in enumerate(xs)}
 
-    def refuse(*args):
-        raise AssertionError("solved a hom-space system")
-
-    patch_everywhere(monkeypatch, modules, "hom_space", refuse)
+    refuse_hom_space(monkeypatch)
     for (i, j), dims in want.items():
         assert cohomology_dims(hom_complex(xs[i], xs[j])) == dims
     # the twist is an equivalence: the shift-zero counts add up to the
@@ -169,12 +210,33 @@ def test_hom_complex_solves_no_hom_space_system(monkeypatch):
     assert sum(dims.get(0, 0) for dims in want.values()) == p.source.dim
 
 
+def test_the_twist_layer_solves_no_hom_space_system(monkeypatch):
+    # the twist, its counit triangle and the unit certificate all read
+    # Hom off recorded resolutions by duality and Yoneda
+    p = built("cycle3_all_GF32003")
+    u = two_vertex_arrow(QQ)
+    q = kill(u, ["a"])
+    refuse_hom_space(monkeypatch)
+    assert equivalence_certificate(p).verdict
+    # the values of tests/test_twist.py: Hom(e_2A, A) ≅ A·e_2
+    assert cohomology_dims(twist_apply(q, Module.regular(u))) == {0: 2}
+    rep = twist_triangle_check(q, Module.regular(u))
+    assert rep.verdict and rep.cone_profile == {0: 2}
+
+
+def over_source(calls, p):
+    """The calls whose module lives over the source algebra; the
+    resolutions of D(c) that carry the coresolutions live over its
+    opposite."""
+    return [args for args in calls if args[0].algebra is p.source]
+
+
 def test_the_certificate_resolves_the_kernel_once(monkeypatch):
     p = built("cycle3_all_GF32003")
     calls = count_calls(monkeypatch, resolutions, "minimal_resolution")
     cert = equivalence_certificate(p)
     assert cert.verdict
-    assert len(calls) == 1
+    assert len(over_source(calls, p)) == 1
 
 
 def test_the_twist_resolves_the_kernel_once(monkeypatch):
@@ -183,4 +245,42 @@ def test_the_twist_resolves_the_kernel_once(monkeypatch):
     p = built("cycle3_all_GF32003")
     calls = count_calls(monkeypatch, resolutions, "minimal_resolution")
     twist_apply(p, Module.regular(p.source))
-    assert len(calls) == 1
+    assert len(over_source(calls, p)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the twist layer against the injective-ladder route
+
+
+def twist_inputs(p):
+    return _indecomposable_projectives(p.source) + simple_modules(p.source)
+
+
+def shape(cx):
+    return (cx.lo, [t.dim for t in cx.terms], [rank(h.matrix) for h in cx.maps],
+            cohomology_dims(cx))
+
+
+def test_twist_and_counit_triangle_match_the_ladder_route(name):
+    # identical term dims, differential ranks and cohomology of every
+    # twist, and identical counit-triangle profiles
+    p = built(name)
+    kernel = _kernel_data(p, None)
+    for c in twist_inputs(p):
+        want, cone_dims, window, dead = twist_reference.triangle_profiles(p, c, kernel)
+        assert shape(_twist_core(p, c, kernel=kernel).complex) == shape(want)
+        rep = twist_triangle_check(p, c)
+        assert (rep.cone_profile, rep.twist_profile, rep.compare_window,
+                rep.counit_iso) == (cone_dims, cohomology_dims(want), window, dead)
+
+
+def test_truncated_twist_matches_the_ladder_route():
+    # FIX-A: the kernel k of k[x]/(x²) → k never resolves finitely
+    a = dual_numbers(QQ)
+    p = kill(a, ["x"])
+    kernel = _kernel_data(p, None)
+    for c in [Module.regular(a)] + simple_modules(a):
+        got = _twist_core(p, c, window=(0, 3), kernel=kernel).complex
+        want, _ladder, _maps = twist_reference.twist_complex(p, c, kernel, window=(0, 3))
+        assert got.truncated and want.truncated
+        assert shape(got) == shape(want)

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import ext_reference
-from sphertwist import algebra, exactlin, spherical
+from sphertwist import algebra, exactlin, modules, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
 from sphertwist.frobenius import build_context
 from sphertwist.homology import left_module_along, tor_dims
@@ -309,6 +309,19 @@ def test_the_tilting_audit_runs_the_two_sided_audit_once(ctx_cycle_one, monkeypa
     report = syz_audit(ctx_cycle_one, 4, with_tilting=True)
     assert report.tilting_audit.composite_iso_to_projE
     assert len(calls) == 1
+
+
+def test_the_tilting_audit_reads_block_dims_off_the_companion_homs(
+        ctx_cycle_one, monkeypatch):
+    # I0 and D0 restrict the companion's hom spaces along the direct-sum
+    # injections and projections instead of solving hom(p, total),
+    # hom(om, total), hom(total, p) and hom(total, om): seven systems
+    # where solving the four blocks as well took eleven
+    report = syz_audit(ctx_cycle_one, 4)
+    calls = count_calls(monkeypatch, modules, "hom_space")
+    ta = tilting_audit(report)
+    assert (ta.I0_dims, ta.D0_dims) == ((7, 1), (7, 1))
+    assert len(calls) == 7
 
 
 def test_tensor_codimension_invariant(report_dual, report_cycle, report_cycle_one):

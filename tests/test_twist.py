@@ -7,7 +7,7 @@ derived by hand in the test that asserts it.
 Testbeds: the dual numbers A = k[x]/(x²); FIX-A, its surjection onto
 k = A/(x); UT2, the path algebra of the quiver 1 → 2 (arrow a, basis
 e_1, e_2, a, paths composed left to right), with its surjection onto
-k × k killing the arrow.
+k × k killing the arrow; k[x]/(x²) × k, with its projection onto k.
 """
 
 from fractions import Fraction
@@ -33,7 +33,7 @@ from sphertwist.twist import (
     twist_triangle_check,
 )
 
-from fixture_algebras import dual_numbers, two_vertex_arrow
+from fixture_algebras import dual_numbers, dual_numbers_times_field, two_vertex_arrow
 
 
 @pytest.fixture
@@ -98,6 +98,21 @@ def test_fix_a_needs_a_window(dual):
     tw = twist_apply(p, reg, window=(0, 3))
     assert tw.truncated
     assert cohomology_dims(tw) == {0: 1}
+
+
+def test_projective_kernel_beside_a_self_injective_block():
+    # A = k[x]/(x²) × k onto k kills K = the first block, a projective
+    # e·A with e = one₁, so RHom(K, c) = Hom(e·A, c) = c·e in degree 0.
+    # The simple S of the first block has c·e = S, although its injective
+    # coresolution never stops (every cosyzygy is S again); the simple
+    # of k has c·e = 0, and A·e is the first block, of dimension 2
+    a = dual_numbers_times_field(QQ)
+    p = quotient_surjection(a, [a.basis_vector(0), a.basis_vector(1)])
+    s_block, s_k = sorted(simple_modules(a), key=lambda s: s.action[2].rows[0][0])
+    for c, want in ((s_block, {0: 1}), (s_k, {}), (Module.regular(a), {0: 2})):
+        assert cohomology_dims(twist_apply(p, c)) == want
+        rep = twist_triangle_check(p, c)
+        assert rep.cone_profile == rep.twist_profile == want
 
 
 def test_ut2_regular_twist(ut2):
@@ -205,3 +220,15 @@ def test_euler_characteristic_properties(data):
     assert euler_characteristic(cone(f)) == 0
     # the cone of an identity is acyclic
     assert cohomology_dims(cone(identity_chain_map(x))) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shifting_twice_is_one_shift(data):
+    # c[m][n] = c[m + n]: the lowest degrees add, and the differentials
+    # are flipped (−1)^m·(−1)^n = (−1)^(m+n) times
+    field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+    k = from_structure_constants(field, [[[1]]], [1])
+    c = random_complex(data, k)
+    m, n = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+    assert shift(shift(c, m), n) == shift(c, m + n)
