@@ -893,6 +893,20 @@ def lift_idempotents(a):
     semisimple dimension > 1 defeats the search, the split-semisimplicity
     precondition fails and NotSplit is raised.
 
+    The search starts from the algebra's ``idempotents`` tags when they
+    sum to the unit, and from the unit otherwise.  The constructor has
+    checked that the tags are idempotent and pairwise orthogonal, so with
+    their sum 1 they split A = ⊕ eᵢ·A, and a complete primitive set
+    under each eᵢ is a complete primitive set of A.  Each tag is split
+    in its own corner, last tag first.  The search from the unit splits
+    the first basis idempotent off first and lists it last, so on the
+    tags of `from_quiver` and `frobenius.build_context` both starts give
+    the same list in the same order (`tests/test_lift.py` compares them
+    on every fixture and workload algebra).  The checks below do not
+    depend on the start: the elements square to themselves, are
+    pairwise orthogonal and sum to the unit, and every leaf of
+    `_split_corner` passed its local-corner test, so it is primitive.
+
     An opposite algebra (cached in pairs with `opposite`) that already
     holds its list lends it instead of a new search.  Both algebras have
     the same space and unit, and e·e, e·e' and e'·e are the same products
@@ -911,7 +925,8 @@ def lift_idempotents(a):
         result = [list(e) for e in op._idempotent_cache]
     else:
         result = []
-        _split_corner(a, a.unit, result)
+        for e in reversed(_seed_idempotents(a)):
+            _split_corner(a, e, result)
     total = [f.zero()] * a.dim
     for e in result:
         if a.mul_vec(e, e) != e:
@@ -929,26 +944,15 @@ def lift_idempotents(a):
     return result
 
 
-def refine_idempotent(a, e):
-    """Split one idempotent into orthogonal primitives summing to it.
-
-    Same corner-splitting search as lift_idempotents, but started from a
-    given idempotent instead of the unit.
-    """
+def _seed_idempotents(a):
+    """The nonzero ``idempotents`` tags of a when they sum to the unit,
+    else [unit]."""
     f = a.field
-    ee = a.mul_vec(e, e)
-    if ee != list(e):
-        raise SphertwistError("refine_idempotent needs an idempotent")
-    if all(f.is_zero(c) for c in e):
-        return []
-    out = []
-    _split_corner(a, list(e), out)
+    tags = [list(v) for _, v in a.idempotents or [] if any(v)]
     total = [f.zero()] * a.dim
-    for piece in out:
-        total = [f.add(x, y) for x, y in zip(total, piece)]
-    if total != list(e):
-        raise SphertwistError("refined idempotents do not sum to the input")
-    return out
+    for v in tags:
+        total = [f.add(x, y) for x, y in zip(total, v)]
+    return tags if tags and total == a.unit else [list(a.unit)]
 
 
 def _corner_basis(a, e):

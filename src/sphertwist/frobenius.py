@@ -269,8 +269,14 @@ class FrobeniusContext:
     basis of the maps factoring through projectives; ``to_stable`` the
     quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
-    ``e_copies[i]`` lists one projector per copy of extra summand i, so
-    its entries are primitive whenever the summand is indecomposable.
+    ``e_copies[i]`` lists one projector per copy of extra summand i.
+    The projectors of the blocks of ``total`` (``e_proj``, then every
+    copy in order) are the recorded ``idempotents`` tags of ``endo``, so
+    `lift_idempotents` refines each block in its own corner: a copy of
+    an indecomposable summand is primitive and stays whole, and
+    ``e_proj`` splits into the primitives that `partial_cover` uses.
+    The stable module and the stable simples are built once, on first
+    use (`resolutions.stable_module`, `resolutions.stable_simples`).
     """
 
     def __init__(
@@ -300,9 +306,11 @@ class FrobeniusContext:
         self.e_extra = e_extra
         self.e_copies = e_copies
         # caches of the resolutions layer
-        self._proj_prims = None
         self._piece_type_cache = {}
+        self._stable_module = None
         self._stable_simples = None
+        # ... and of the spherical layer
+        self._extra_syzygies = {}
 
     def right_ideal(self, e):
         """(e·endo as a right module, inclusion into the regular module)."""
@@ -337,36 +345,34 @@ def build_context(ambient, projective_part, extra_summands):
             blocks.append(x)
             block_owner.append(idx)
     total, injs, projs = direct_sum(blocks)
-    endo, hom_coords = endomorphism_algebra(total)
+    # the block projectors are the endomorphism algebra's idempotent
+    # tags: its constructor checks that they square to themselves and
+    # are pairwise orthogonal, and `lift_idempotents` refines them
+    tags = [
+        ("block:%d" % b, prj.matrix.mul(inj.matrix))
+        for b, (inj, prj) in enumerate(zip(injs, projs))
+    ]
+    endo, hom_coords = endomorphism_algebra(total, tags)
     f = ambient.field
-    coords = hom_coords.coords
 
-    def block_projector(b):
-        return projs[b].matrix.mul(injs[b].matrix)
+    def vector_sum(vecs):
+        out = [f.zero()] * endo.dim
+        for v in vecs:
+            out = [f.add(x, y) for x, y in zip(out, v)]
+        return out
 
-    e_proj = coords(block_projector(0))
-    e_extra = []
-    e_copies = []
-    for idx in range(len(extra_summands)):
-        mat = Matrix.zero(f, total.dim, total.dim)
-        copies = []
-        for b, owner in enumerate(block_owner):
-            if owner == idx:
-                mat = mat.add(block_projector(b))
-                copies.append(coords(block_projector(b)))
-        e_extra.append(coords(mat))
-        e_copies.append(copies)
-    for e in [e_proj] + e_extra:
-        if not endo.is_idempotent(e):
-            raise SphertwistError("block projector is not idempotent", witness=e)
-    total_e = list(e_proj)
-    for e in e_extra:
-        total_e = [f.add(x, y) for x, y in zip(total_e, e)]
-    if total_e != [f.coerce(c) for c in endo.unit]:
+    block_idems = [v for _, v in endo.idempotents]
+    if vector_sum(block_idems) != endo.unit:
         raise SphertwistError("block idempotents do not sum to the identity")
+    e_proj = block_idems[0]
+    e_copies = [
+        [v for v, owner in zip(block_idems, block_owner) if owner == idx]
+        for idx in range(len(extra_summands))
+    ]
+    e_extra = [vector_sum(copies) for copies in e_copies]
 
     _, through_proj = stable_hom(total, total)
-    ideal = [coords(h.matrix) for h in through_proj]
+    ideal = [hom_coords.coords(h.matrix) for h in through_proj]
     pi = quotient_surjection(endo, ideal)
     summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
     return FrobeniusContext(

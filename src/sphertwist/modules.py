@@ -18,7 +18,6 @@ from .algebra import Algebra, lift_idempotents, radical
 from .errors import (
     AlgebraMismatch,
     NotASubmodule,
-    NotSplit,
     ShapeError,
     SphertwistError,
 )
@@ -691,27 +690,37 @@ def add_equivalent(m, n):
 
     The same criterion as `in_add`, both ways round, from one
     computation of each hom space: id_m is tested first, and id_n only
-    when it passes.
+    when it passes.  A nonzero m with no map into n fails at once (no
+    composite is nonzero), so the maps back are then not computed.
     """
     if m.algebra != n.algebra:
         raise AlgebraMismatch("add-membership across different algebras")
-    into, back = hom_space(m, n), hom_space(n, m)
+    into = hom_space(m, n)
+    if m.dim and not into:
+        return False
+    back = hom_space(n, m)
     return _identity_factors(m, into, back) and _identity_factors(n, back, into)
 
 
 def _identity_factors(m, into, back):
     """Whether id_m lies in the span of the composites g·h of maps
-    g : m → n from ``into`` and h : n → m from ``back``."""
+    g : m → n from ``into`` and h : n → m from ``back``.
+
+    The span only grows as composites are added, so once id_m lies in
+    the span built so far it lies in the whole span, and the answer is
+    True without forming the remaining composites.  id_m is tested
+    again only when a composite enlarged the span.
+    """
     f = m.algebra.field
     if m.dim == 0:
         return True
     span = SpanBuilder(f, m.dim * m.dim)
+    ident = _flatten(Matrix.identity(f, m.dim))
     for g in into:
         for h in back:
-            comp = g.matrix.mul(h.matrix)
-            span.add([e for row in comp.rows for e in row])
-    ident = [e for row in Matrix.identity(f, m.dim).rows for e in row]
-    return span.contains(ident)
+            if span.add(_flatten(g.matrix.mul(h.matrix))) and span.contains(ident):
+                return True
+    return False
 
 
 def restrict_scalars(surj, m):
@@ -723,7 +732,7 @@ def restrict_scalars(surj, m):
     return Module(a, m.dim, action, validate=False)
 
 
-def endomorphism_algebra(m):
+def endomorphism_algebra(m, tags=()):
     """(End(m) as an Algebra, its factored hom basis).
 
     Structure constants come from composing hom-basis elements and
@@ -731,7 +740,10 @@ def endomorphism_algebra(m):
     the right factor acts first — so for an idempotent projection e onto
     a direct summand, the right ideal e·End(m) collects the maps out of
     the whole module into that summand.  The returned `HomBasis` holds
-    the maps (``homs``) and reads coordinates against them.
+    the maps (``homs``) and reads coordinates against them.  ``tags``
+    are (role, matrix) pairs of endomorphisms of m, recorded by their
+    coordinates as the algebra's ``idempotents``, which its constructor
+    checks.
     """
     homs = hom_space(m, m)
     d = len(homs)
@@ -744,24 +756,25 @@ def endomorphism_algebra(m):
         for i in range(d)
     ]
     unit = basis.coords(Matrix.identity(f, m.dim))
-    return Algebra(f, mult, unit), basis
+    idempotents = [(role, basis.coords(mat)) for role, mat in tags]
+    return Algebra(f, mult, unit, idempotents=idempotents), basis
 
 
 def is_indecomposable(m):
     """(verdict, method) — idempotent search in End(m).
 
-    A local endomorphism algebra means indecomposable; a non-split
-    semisimple quotient of End(m) is still local, so NotSplit also
-    certifies indecomposability.
+    m is indecomposable exactly when 1 is primitive in End(m), that is,
+    when `lift_idempotents` finds one primitive idempotent.  When the
+    corner search runs out it raises NotSplit, and that is not a
+    verdict: the residue of End(m) may be a division algebra larger than
+    the field (m indecomposable), or a split product whose spectral
+    idempotents the search did not reach (m decomposable).  So NotSplit
+    propagates.
     """
     if m.dim == 0:
         return False, "zero module"
     alg, _ = endomorphism_algebra(m)
-    try:
-        es = lift_idempotents(alg)
-    except NotSplit:
-        return True, "local with non-split residue"
-    return len(es) == 1, "idempotent search"
+    return len(lift_idempotents(alg)) == 1, "idempotent search"
 
 
 def find_isomorphism(m, n):

@@ -32,7 +32,7 @@ from .errors import (
     ShapeMismatch,
     SphertwistError,
 )
-from .algebra import refine_idempotent
+from .algebra import lift_idempotents, radical
 from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical
 from .frobenius import FrobeniusContext
 from .modules import (
@@ -47,7 +47,6 @@ from .modules import (
     quotient,
     restrict_scalars,
     simple_modules,
-    submodule,
 )
 
 
@@ -272,9 +271,14 @@ def is_partially_essential(ctx, epi):
 
 
 def _proj_type_primitives(ctx):
-    if ctx._proj_prims is None:
-        ctx._proj_prims = refine_idempotent(ctx.endo, ctx.e_proj)
-    return ctx._proj_prims
+    """The lifted primitives of the endomorphism algebra under e_proj.
+
+    ``e_proj`` is one of the algebra's recorded block tags, so
+    `lift_idempotents` splits it in its own corner, and the primitives
+    it yields are those e with e_proj·e = e, in the order of that split.
+    """
+    lam, e_proj = ctx.endo, ctx.e_proj
+    return [e for e in lift_idempotents(lam) if lam.mul_vec(e_proj, e) == e]
 
 
 def partial_cover(ctx, m):
@@ -445,27 +449,42 @@ def _piece_type(ctx, e):
     Returns None for a projective-type piece, otherwise the index of the
     extra summand whose one-copy ideal it matches.  The test reads which
     block idempotent survives on the simple top of e·Λ.
+
+    The projection π of e·Λ onto its top e·Λ / rad(e·Λ) is an onto
+    module map, so a block b acts as zero on the top exactly when
+    π(v·b) = π(v)·b vanishes for every v of e·Λ, that is, when v·b lies
+    in rad(e·Λ).  By linearity the basis rows v of e·Λ suffice.  In Λ's
+    own coordinates rad(e·Λ) = e·Λ·J = e·J for J = rad Λ, and
+    e·J = e·Λ ∩ J, since x = e·x for x in e·Λ.  v·b lies in e·Λ, so the
+    test is span membership of v·b in J, and no quotient module is
+    built.  The first call reads the blocks of every lifted primitive
+    of Λ against one span of J and caches them.
     """
     cache = ctx._piece_type_cache
     key = tuple(e)
-    if key in cache:
-        return cache[key]
-    pe, _ = ctx.right_ideal(e)
-    top, _ = quotient(pe, [list(r) for r in module_radical(pe).rows])
-    result = None
-    hits = []
-    if not top.action_of(ctx.e_proj).is_zero():
-        hits.append(None)
-    for j, copies in enumerate(ctx.e_copies):
-        if not top.action_of(copies[0]).is_zero():
-            hits.append(j)
+    if key not in cache:
+        lam = ctx.endo
+        rad_cols = radical(lam)
+        rad = SpanBuilder(lam.field, lam.dim)
+        for j in range(rad_cols.ncols):
+            rad.add(rad_cols.column(j))
+        blocks = [(None, ctx.e_proj)]
+        blocks.extend((j, copies[0]) for j, copies in enumerate(ctx.e_copies))
+        prims = lift_idempotents(lam)
+        if list(e) not in prims:
+            prims.append(list(e))
+        for p in prims:
+            rows = ctx.right_ideal(p)[1].matrix.rows
+            cache[tuple(p)] = [
+                j for j, b in blocks
+                if not all(rad.contains(lam.mul_vec(v, b)) for v in rows)
+            ]
+    hits = cache[key]
     if len(hits) != 1:
         raise SphertwistError(
             "top of a primitive ideal meets %d blocks" % len(hits), witness=hits
         )
-    result = hits[0]
-    cache[key] = result
-    return result
+    return hits[0]
 
 
 def extract_shape(ctx, res, t):
@@ -521,8 +540,15 @@ def extract_shape(ctx, res, t):
 
 
 def stable_module(ctx):
-    """The stable endomorphism algebra as a module over the full one."""
-    return restrict_scalars(ctx.to_stable, Module.regular(ctx.stable_endo))
+    """The stable endomorphism algebra as a module over the full one.
+
+    Built once per context; callers share the module object.
+    """
+    if ctx._stable_module is None:
+        ctx._stable_module = restrict_scalars(
+            ctx.to_stable, Module.regular(ctx.stable_endo)
+        )
+    return ctx._stable_module
 
 
 def stable_simples(ctx):
@@ -542,13 +568,13 @@ def stable_simples(ctx):
 def stable_idempotent_module(ctx, i):
     """One summand's ideal in the stable quotient, over the full algebra.
 
-    The image of the i-th one-copy idempotent generates a right ideal of
-    the stable algebra; this is that ideal viewed as a module over the
-    full endomorphism algebra.
+    The image e of the i-th one-copy idempotent generates the right
+    ideal e·Γ of the stable algebra Γ; this is that ideal viewed as a
+    module over the full endomorphism algebra.  It is the piece
+    `_idempotent_piece(Γ, e)` pulled back by `restrict_scalars`, which
+    is the submodule of `stable_module` on the same rows, in the same
+    coordinates: both act by the rows' coordinates of v·π(b).
     """
     con = ctx.stable_endo
-    e = ctx.to_stable.apply(ctx.e_copies[i][0])
-    reg = stable_module(ctx)
-    rows = [con.mul_vec(e, con.basis_vector(k)) for k in range(con.dim)]
-    sub, _ = submodule(reg, rows)
-    return sub
+    piece, _ = _idempotent_piece(con, ctx.to_stable.apply(ctx.e_copies[i][0]))
+    return restrict_scalars(ctx.to_stable, piece)

@@ -51,6 +51,7 @@ from .modules import (
     endomorphism_algebra,
     generator_indices,
     hom_space,
+    in_add,
     kernel_of,
     projective_cover,
     simple_modules,
@@ -209,6 +210,16 @@ def _extra_sum(ctx):
     return xs[0] if len(xs) == 1 else direct_sum(xs)[0]
 
 
+def _extra_syzygies(ctx, k):
+    """Ωᵏ of each extra summand in catalog order, stripped of projective
+    summands (`suspension_power`); computed once per context and k, for
+    `add_periodicity_check` and `permutation_tau` alike."""
+    cache = ctx._extra_syzygies
+    if k not in cache:
+        cache[k] = [suspension_power(x, -k) for x in _extra_modules(ctx)]
+    return cache[k]
+
+
 # ---------------------------------------------------------------------------
 # side 1: perfectness and the extension window
 
@@ -261,16 +272,37 @@ def rigidity_check(ctx, t):
 
 def add_periodicity_check(ctx, k):
     """Whether the k-fold syzygy of the extra part generates the same
-    additive closure, projectives included on both sides."""
+    additive closure, projectives included on both sides.
+
+    With X = ⊕ xᵢ the extra part and P the projective part, the question
+    is add(ΩᵏX ⊕ P) = add(X ⊕ P).  It is decided summand by summand:
+    every Ωᵏxᵢ lies in add(X ⊕ P), and every xᵢ in add(ΩᵏX ⊕ P).
+
+    - add(M₁ ⊕ M₂) ⊆ add(N) exactly when M₁ and M₂ both lie in add(N),
+      so each side is tested one summand at a time.
+    - P is a summand of both sides, so it is never tested.
+    - Ω commutes with finite direct sums up to projective summands: the
+      sum of the projective covers of the xᵢ is a projective
+      presentation of X, so by Schanuel's lemma Ω(⊕ xᵢ) and ⊕ Ωxᵢ agree
+      up to projective summands, and so do their k-fold iterates.
+    - Every projective lies in add P, since P generates add(A) and, by
+      Krull–Schmidt, every projective is a sum of summands of A.  So
+      ⊕ Ωᵏxᵢ ⊕ P and Ωᵏ(⊕ xᵢ) ⊕ P have the same additive closure,
+      whatever projective summands `suspension_power` strips.
+
+    So this answers as `add_equivalent` on the two whole sums does.
+    Membership is `in_add`, by the identity-factoring criterion.
+    """
     xs = _extra_modules(ctx)
     if not xs:
         return True
     p = _projective_part(ctx)
-    x = _extra_sum(ctx)
-    om = suspension_power(x, -k)
-    with_p = direct_sum([x, p])[0]
-    om_with_p = direct_sum([om, p])[0]
-    return add_equivalent(om_with_p, with_p)
+    oms = _extra_syzygies(ctx, k)
+    with_p = direct_sum(xs + [p])[0]
+    om_with_p = direct_sum(oms + [p])[0]
+    return all(in_add(om, with_p) for om in oms) and all(
+        in_add(x, om_with_p) for x in xs
+    )
 
 
 def permutation_tau(ctx, t):
@@ -286,8 +318,7 @@ def permutation_tau(ctx, t):
     if not xs:
         return ()
     tau = []
-    for x in xs:
-        om = suspension_power(x, -(t - 1))
+    for om in _extra_syzygies(ctx, t - 1):
         hits = [
             j
             for j, y in enumerate(xs)

@@ -1,0 +1,174 @@
+"""The primitive idempotents lifted from recorded block tags.
+
+`lift_idempotents` splits each ``idempotents`` tag in its own corner when
+the tags sum to the unit, and starts from the unit otherwise.  Every
+test here compares it with `lift_reference.unit_started_lift`, the
+search from the unit, and asks for the same list in the same order: on
+every fixture algebra, and on End(T), its opposite and its stable
+quotient for the generators of the benchmark's workloads and a few
+more.
+"""
+
+import pytest
+
+from sphertwist import algebra
+from sphertwist.algebra import (
+    Algebra,
+    from_structure_constants,
+    lift_idempotents,
+    opposite,
+)
+from sphertwist.errors import NotSplit
+from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.frobenius import build_context
+from sphertwist.modules import Module, _idempotent_piece, direct_sum, simple_modules
+from sphertwist.resolutions import _proj_type_primitives
+
+from fixture_algebras import (
+    cyclic_nakayama,
+    dual_numbers,
+    dual_numbers_times_field,
+    gaussian_field,
+    linear_path,
+    matrix_units_2,
+    nakayama3_hand_table,
+    product_field_pair,
+    two_vertex_arrow,
+)
+from lift_reference import refine_idempotent, unit_started_lift
+from patching import count_calls
+
+GF = PrimeField(32003)
+
+FIXTURES = {
+    "dual_numbers": dual_numbers,
+    "cyclic2": lambda f: cyclic_nakayama(2, f),
+    "cyclic3": lambda f: cyclic_nakayama(3, f),
+    "cyclic4": lambda f: cyclic_nakayama(4, f),
+    "cyclic5": lambda f: cyclic_nakayama(5, f),
+    "two_vertex_arrow": two_vertex_arrow,
+    "linear_path3": lambda f: linear_path(3, f),
+    "linear_path4": lambda f: linear_path(4, f),
+    "product_field_pair": product_field_pair,
+    "dual_numbers_times_field": dual_numbers_times_field,
+    "matrix_units_2": matrix_units_2,
+    "nakayama3_hand_table": nakayama3_hand_table,
+}
+# the fixtures built by from_quiver, which tags its vertex idempotents
+QUIVERS = {"cyclic2", "cyclic3", "cyclic4", "cyclic5", "two_vertex_arrow",
+           "linear_path3", "linear_path4"}
+
+
+def _is_primitive(a, e):
+    """`refine_idempotent` returns [e] exactly when e·a·e is local."""
+    return refine_idempotent(a, e) == [e]
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_the_seeded_lift_is_the_unit_started_lift(name, field, monkeypatch):
+    a = FIXTURES[name](field)
+    calls = count_calls(monkeypatch, algebra, "_split_corner")
+    es = lift_idempotents(a)
+    # a quiver algebra's search starts from its vertex tags, never from
+    # the unit; an untagged algebra starts from the unit
+    started_at_unit = any(args[1] == a.unit for args in calls)
+    assert started_at_unit == (name not in QUIVERS)
+    assert es == unit_started_lift(a)
+    if name in QUIVERS:
+        assert es == [v for _, v in reversed(a.idempotents)]
+
+
+def test_both_starts_refuse_the_gaussian_field():
+    # Q(i) has no field-rational splitting, and no tags to start from
+    with pytest.raises(NotSplit):
+        lift_idempotents(gaussian_field())
+    with pytest.raises(NotSplit):
+        unit_started_lift(gaussian_field())
+
+
+def test_tags_short_of_the_unit_fall_back_to_the_unit(monkeypatch):
+    # u alone of k × k, and two of the three vertices of the 3-cycle
+    pair = from_structure_constants(
+        QQ, product_field_pair().mult, [1, 1], idempotents=[("u", [1, 0])]
+    )
+    c3 = cyclic_nakayama(3)
+    short = Algebra(QQ, c3.mult, c3.unit, idempotents=c3.idempotents[:2])
+    for a in (pair, short):
+        calls = count_calls(monkeypatch, algebra, "_split_corner")
+        assert lift_idempotents(a) == unit_started_lift(a)
+        assert calls[0][1] == a.unit
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# End(T) with its block projectors as tags
+
+
+def _context(n, field, extra):
+    a = cyclic_nakayama(n, field)
+    sims = simple_modules(a)
+    if extra == "one":
+        summands = [(sims[0], 1)]
+    elif extra == "all":
+        summands = [(s, 1) for s in sims]
+    elif extra == "square":
+        summands = [(sims[0], 2), (sims[1], 1)]
+    elif extra == "decomposable":
+        summands = [(direct_sum([sims[0], sims[1]])[0], 1)]
+    else:
+        proj = _idempotent_piece(a, lift_idempotents(a)[0])[0]
+        summands = [(proj, 1)]
+    return build_context(a, Module.regular(a), summands)
+
+
+CONTEXTS = {
+    # the generators of the benchmark's three workloads at seed 0
+    "tilting_cycle3": (3, QQ, "one"),
+    "ladder_cycle4": (4, QQ, "all"),
+    "twist_cycle3_gf": (3, GF, "all"),
+    # S₁² ⊕ S₂, S₁ ⊕ S₂ as one summand, and a projective summand
+    "square": (3, QQ, "square"),
+    "decomposable": (3, QQ, "decomposable"),
+    "projective": (3, QQ, "projective"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTEXTS))
+def test_context_lifts_match_the_unit_started_lift(name):
+    ctx = _context(*CONTEXTS[name])
+    lam = ctx.endo
+    blocks = [ctx.e_proj] + [c for copies in ctx.e_copies for c in copies]
+    assert [v for _, v in lam.idempotents] == blocks
+    # the opposite first, so that it runs its own seeded search
+    op = opposite(lam)
+    assert lift_idempotents(op) == unit_started_lift(op)
+    es = lift_idempotents(lam)
+    assert es == unit_started_lift(lam)
+    assert all(_is_primitive(lam, e) for e in es)
+    con = ctx.stable_endo
+    if con.dim:  # T = A ⊕ P has no stable part
+        assert lift_idempotents(con) == unit_started_lift(con)
+    # the projective-type primitives are those under e_proj, in the
+    # order of its own refinement
+    assert _proj_type_primitives(ctx) == refine_idempotent(lam, ctx.e_proj)
+
+
+def test_a_decomposable_summand_refines_into_primitives():
+    ctx = _context(*CONTEXTS["decomposable"])
+    lam = ctx.endo
+    copy = ctx.e_copies[0][0]
+    es = lift_idempotents(lam)
+    under = [e for e in es if lam.mul_vec(copy, e) == e]
+    assert len(es) == 5 and len(under) == 2
+    assert copy not in es and not _is_primitive(lam, copy)
+    assert [x + y for x, y in zip(*under)] == copy
+
+
+def test_a_projective_summand_stays_one_primitive():
+    ctx = _context(*CONTEXTS["projective"])
+    lam = ctx.endo
+    es = lift_idempotents(lam)
+    assert len(es) == 4
+    assert ctx.e_copies[0][0] in es
+    assert len(_proj_type_primitives(ctx)) == 3

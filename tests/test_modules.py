@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from sphertwist.algebra import from_structure_constants
-from sphertwist.errors import NotASubmodule
+from sphertwist.errors import NotASubmodule, NotSplit
 from sphertwist.exactlin import QQ, Matrix, SpanBuilder, rank
 from sphertwist.modules import (
     Module,
@@ -362,6 +362,22 @@ def test_indecomposability_verdicts():
     assert not is_indecomposable(pair)[0]
     both, _, _ = direct_sum([s, s])
     assert not is_indecomposable(both)[0]
+
+
+def test_an_exhausted_idempotent_search_is_not_a_verdict():
+    # Q[x]/((x − a)(x − b)) with a = 10⁷ and b = 3·10⁷ + 1 is Q × Q,
+    # split by u = (x − b)/(a − b), but the rational root search gives
+    # up on coefficients this large and raises NotSplit; the regular
+    # module is decomposable, so NotSplit must not read as
+    # "indecomposable"
+    a, b = 10**7, 3 * 10**7 + 1
+    alg = from_structure_constants(
+        QQ, [[[1, 0], [0, 1]], [[0, 1], [-a * b, a + b]]], [1, 0]
+    )
+    u = [Fraction(-b, a - b), Fraction(1, a - b)]
+    assert alg.mul_vec(u, u) == u and u != alg.unit
+    with pytest.raises(NotSplit):
+        is_indecomposable(Module.regular(alg))
 
 
 def test_find_isomorphism_distinguishes_simples():

@@ -13,7 +13,7 @@ term with the full cover criterion `is_projective` as well.
 
 import pytest
 
-from sphertwist.algebra import lift_idempotents, refine_idempotent
+from sphertwist.algebra import lift_idempotents
 from sphertwist.errors import (
     CapExceeded,
     NotSurjective,
@@ -35,9 +35,11 @@ from sphertwist.modules import (
     projective_cover,
     quotient,
     simple_modules,
+    submodule,
 )
 from sphertwist.resolutions import (
     Resolution,
+    _piece_type,
     extract_shape,
     is_minimal,
     is_partially_essential,
@@ -56,6 +58,7 @@ from sphertwist.resolutions import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers
+from lift_reference import refine_idempotent
 
 
 @pytest.fixture(autouse=True)
@@ -695,6 +698,42 @@ def test_extract_shape_rejects_stable_piece_in_middle(ctx_cycle):
     assert not is_partially_minimal(ctx, padded)
 
 
+def _quotient_piece_hits(ctx, e):
+    """The blocks that act nonzero on the top of e·Λ, read off the top
+    built as a quotient module: the route `_piece_type` took before it
+    tested span membership against the radical."""
+    pe, _ = ctx.right_ideal(e)
+    top, _ = quotient(pe, [list(r) for r in module_radical(pe).rows])
+    hits = [] if top.action_of(ctx.e_proj).is_zero() else [None]
+    for j, copies in enumerate(ctx.e_copies):
+        if not top.action_of(copies[0]).is_zero():
+            hits.append(j)
+    return hits
+
+
+def test_piece_type_matches_the_quotient_route(ctx_dual, ctx_cycle, ctx_cycle_one):
+    a = cyclic_nakayama(3)
+    sims = simple_modules(a)
+    reg = Module.regular(a)
+    mixed = build_context(
+        a, reg, [(direct_sum([sims[0], sims[1]])[0], 1), (sims[2], 2)]
+    )
+    # a projective extra summand: the top of each of its primitives is
+    # also a top of the projective part, so both routes refuse it
+    doubled = build_context(a, reg, [(reg, 1)])
+    seen = set()
+    for ctx in (ctx_dual, ctx_cycle, ctx_cycle_one, mixed, doubled):
+        for e in lift_idempotents(ctx.endo):
+            hits = _quotient_piece_hits(ctx, e)
+            if len(hits) == 1:
+                assert _piece_type(ctx, e) == hits[0]
+            else:
+                with pytest.raises(SphertwistError, match="meets %d blocks" % len(hits)):
+                    _piece_type(ctx, e)
+            seen.add(len(hits))
+    assert seen == {1, 2}
+
+
 def test_refined_projective_type_pieces(ctx_dual, ctx_cycle):
     prims1 = refine_idempotent(ctx_dual.endo, ctx_dual.e_proj)
     assert len(prims1) == 1
@@ -702,6 +741,19 @@ def test_refined_projective_type_pieces(ctx_dual, ctx_cycle):
     assert len(prims3) == 3
     dims = sorted(ctx_cycle.right_ideal(e)[0].dim for e in prims3)
     assert dims == [3, 3, 3]
+
+
+def test_stable_idempotent_module_is_a_submodule_of_the_stable_module(
+    ctx_dual, ctx_cycle, ctx_cycle_one
+):
+    for ctx in (ctx_dual, ctx_cycle, ctx_cycle_one):
+        con = ctx.stable_endo
+        for i, copies in enumerate(ctx.e_copies):
+            e = ctx.to_stable.apply(copies[0])
+            rows = [con.mul_vec(e, con.basis_vector(k)) for k in range(con.dim)]
+            sub, _ = submodule(stable_module(ctx), rows)
+            piece = stable_idempotent_module(ctx, i)
+            assert (piece.dim, piece.action) == (sub.dim, sub.action)
 
 
 def test_stable_helpers_shapes(ctx_cycle):

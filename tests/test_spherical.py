@@ -17,9 +17,9 @@ import pytest
 import ext_reference
 from sphertwist import algebra, exactlin, modules, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
-from sphertwist.frobenius import build_context
+from sphertwist.frobenius import build_context, suspension_power
 from sphertwist.homology import left_module_along, tor_dims
-from sphertwist.modules import Module, simple_modules
+from sphertwist.modules import Module, add_equivalent, direct_sum, simple_modules
 from sphertwist.resolutions import (
     is_perfect,
     minimal_resolution,
@@ -110,6 +110,66 @@ def test_rigidity_fails_above_degenerate_window(ctx_cycle):
 def test_add_periodicity_at_zero_steps(ctx_dual, ctx_cycle):
     assert add_periodicity_check(ctx_dual, 0) is True
     assert add_periodicity_check(ctx_cycle, 0) is True
+
+
+def _cycle3_context(extra):
+    a = cyclic_nakayama(3)
+    sims = simple_modules(a)
+    summands = {
+        "one simple": [(sims[0], 1)],
+        "all simples": [(s, 1) for s in sims],
+        "S1^2 + S2": [(sims[0], 2), (sims[1], 1)],
+        "projective": [(Module.regular(a), 1)],
+    }[extra]
+    return build_context(a, Module.regular(a), summands)
+
+
+def _whole_sum_periodicity(ctx, k):
+    """add(ΩᵏX ⊕ P) = add(X ⊕ P) by `add_equivalent` on the two whole
+    sums, the route `add_periodicity_check` took before it went summand
+    by summand."""
+    p = ctx.summands[0][0]
+    x = direct_sum([x for x, _ in ctx.summands[1:]])[0]
+    om = suspension_power(x, -k)
+    return add_equivalent(direct_sum([om, p])[0], direct_sum([x, p])[0])
+
+
+# Ω moves each simple of the 3-cycle one seat around the cycle (`test_
+# permutation_values`), so Ωᵏ of one simple, or of S₁ and S₂ together,
+# is the same set of simples again exactly when 3 divides k.  With all
+# three simples the set is always the same.  A projective summand lies
+# in add P, and its Ωᵏ is 0 once projective summands are stripped, even
+# at k = 0, so both sides are add P.
+PERIODICITY = {
+    "one simple": [True, False, False, True, False],
+    "all simples": [True] * 5,
+    "S1^2 + S2": [True, False, False, True, False],
+    "projective": [True] * 5,
+}
+
+
+@pytest.mark.parametrize("extra", sorted(PERIODICITY))
+def test_add_periodicity_values_on_the_three_cycle(extra):
+    ctx = _cycle3_context(extra)
+    values = [add_periodicity_check(ctx, k) for k in range(5)]
+    assert values == PERIODICITY[extra]
+    assert values == [_whole_sum_periodicity(ctx, k) for k in range(5)]
+
+
+def test_add_periodicity_agrees_with_the_whole_sum_route(ctx_dual):
+    assert all(
+        add_periodicity_check(ctx_dual, k) == _whole_sum_periodicity(ctx_dual, k)
+        for k in range(4)
+    )
+
+
+def test_the_stable_module_is_built_once_per_audit(monkeypatch):
+    ctx = _cycle3_context("all simples")
+    calls = count_calls(monkeypatch, modules, "restrict_scalars")
+    report = syz_audit(ctx, 2)
+    assert report.side1.verdict and report.side2.verdict
+    regular = Module.regular(ctx.stable_endo)
+    assert sum(args[1] is regular for args in calls) == 1
 
 
 def test_permutation_values():
