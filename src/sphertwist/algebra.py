@@ -196,12 +196,11 @@ class SurjectionData:
             raise SphertwistError("surjection matrix shape mismatch")
         if p.apply_to_row(a.unit) != b.unit:
             raise SphertwistError("surjection does not preserve the unit")
+        images = [p.apply_to_row(a.basis_vector(i)) for i in range(a.dim)]
         for i in range(a.dim):
             for j in range(a.dim):
                 lhs = p.apply_to_row(a.mult[i][j])
-                rhs = b.mul_vec(
-                    p.apply_to_row(a.basis_vector(i)), p.apply_to_row(a.basis_vector(j))
-                )
+                rhs = b.mul_vec(images[i], images[j])
                 if lhs != rhs:
                     raise SphertwistError(
                         "surjection is not multiplicative on basis pair (%d,%d)" % (i, j)
@@ -891,7 +890,9 @@ def lift_idempotents(a):
     idempotent splits the corner.  A corner whose semisimple quotient is
     one-dimensional is local, so its unit is primitive.  If a corner of
     semisimple dimension > 1 defeats the search, the split-semisimplicity
-    precondition fails and NotSplit is raised.
+    precondition fails and NotSplit is raised.  The zero algebra (the
+    stable quotient of T = A ⊕ A, say) has the empty list: its unit is
+    0, the sum of no idempotents.
 
     The search starts from the algebra's ``idempotents`` tags when they
     sum to the unit, and from the unit otherwise.  The constructor has
@@ -966,6 +967,8 @@ def _split_corner(a, e, out):
     f = a.field
     basis, pivots = _corner_basis(a, e)
     n = len(basis)
+    if n == 0:
+        return  # e = 0, the unit of a zero algebra: the empty family sums to it
     if n == 1:
         out.append(e)
         return

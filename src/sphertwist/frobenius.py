@@ -26,6 +26,7 @@ from .modules import (
     Module,
     ModuleHom,
     _idempotent_piece,
+    _nonzero_cells,
     add_equivalent,
     cokernel_of,
     direct_sum,
@@ -88,25 +89,42 @@ def injective_envelope(m):
 def stable_hom(m, n):
     """(stable dimension, basis of the maps factoring through a projective).
 
-    A map factors through some projective exactly when it factors through
-    the injective envelope of its source, so the factoring subspace is
-    spanned by envelope-then-anything composites.
+    The stable dimension is dim Hom(m, n) less the dimension of the
+    factoring subspace, which `_through_projectives` spans.  A zero hom
+    space has no factoring maps, so its envelope is not built.
     """
     _require_self_injective(m.algebra)
-    f = m.algebra.field
     homs = hom_space(m, n)
     if not homs:
         return 0, []
-    env, emb = injective_envelope(m)
+    basis = _through_projectives(m, n)
+    return len(homs) - len(basis), basis
+
+
+def _through_projectives(m, n, emb=None):
+    """Canonical basis of [P](m, n), the maps m → n that factor through
+    a projective.
+
+    Over a self-injective algebra projectives are injective.  A map
+    m → Q into an injective extends along the injective envelope
+    ``emb`` : m → E, and E is projective, so a map factors through some
+    projective exactly when it factors through E: the subspace is
+    spanned by the composites emb·g, g : E → n.  Its basis is the rref
+    of the flattened (row-major) matrices, as `ModuleHom`s.  ``emb`` is
+    built from m when not given.
+    """
+    f = m.algebra.field
+    if emb is None:
+        _, emb = injective_envelope(m)
     span = SpanBuilder(f, m.dim * n.dim)
-    for g in hom_space(env, n):
+    for g in hom_space(emb.target, n):
         comp = emb.matrix.mul(g.matrix)
         span.add([e for row in comp.rows for e in row])
     basis = []
     for r in span.basis_matrix().rows:
         mat = Matrix(f, [list(r)[j * n.dim : (j + 1) * n.dim] for j in range(m.dim)], n.dim)
         basis.append(ModuleHom(m, n, mat, validate=False))
-    return len(homs) - len(basis), basis
+    return basis
 
 
 def nakayama_permutation(a):
@@ -265,9 +283,10 @@ class FrobeniusContext:
     ``total`` is the chosen module (projective part first, then the
     extra summands with multiplicities); ``endo`` its endomorphism
     algebra on the canonical hom basis ``hom_basis``, whose coordinates
-    ``hom_coords`` reads; ``proj_ideal`` the coordinate
-    basis of the maps factoring through projectives; ``to_stable`` the
-    quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
+    ``hom_coords`` reads; ``proj_ideal`` the coordinates of the canonical
+    basis of the maps factoring through projectives, read block by block
+    off the summand decomposition (`_projective_ideal`); ``to_stable``
+    the quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
     ``e_copies[i]`` lists one projector per copy of extra summand i.
     The projectors of the blocks of ``total`` (``e_proj``, then every
@@ -329,6 +348,18 @@ def build_context(ambient, projective_part, extra_summands):
     The projective part must generate the same additive closure as the
     regular module (and be projective); each extra summand comes with a
     positive multiplicity.
+
+    The split of total is known, and the work follows it:
+    - when the projective part is the regular module object itself,
+      `add_equivalent` answers by reflexivity; any other projective part
+      takes the full check;
+    - Hom(total, total) is computed once, by `endomorphism_algebra`,
+      which skips the composites of basis maps whose supports miss;
+    - the ideal [P] of maps through projectives is read off that basis
+      block by block (`_projective_ideal`): the blocks in the projective
+      part's row or column lie in [P] whole, and only pairs of extra
+      summands take an injective envelope, one per distinct summand.
+      No envelope of the whole of total is built.
     """
     _require_self_injective(ambient)
     reg = Module.regular(ambient)
@@ -371,8 +402,7 @@ def build_context(ambient, projective_part, extra_summands):
     ]
     e_extra = [vector_sum(copies) for copies in e_copies]
 
-    _, through_proj = stable_hom(total, total)
-    ideal = [hom_coords.coords(h.matrix) for h in through_proj]
+    ideal = _projective_ideal(blocks, hom_coords)
     pi = quotient_surjection(endo, ideal)
     summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
     return FrobeniusContext(
@@ -388,6 +418,75 @@ def build_context(ambient, projective_part, extra_summands):
         e_extra,
         e_copies,
     )
+
+
+def _projective_ideal(blocks, hom_coords):
+    """Coordinates of the canonical basis of [P](T, T), T = ⊕ blocks.
+
+    Hom(T, T) = ⊕ Hom(B_a, B_b), the block (a, b) of a map holding the
+    rows of B_a and the columns of B_b, so the block subspaces have
+    disjoint coordinate supports.  The rref basis of a sum of subspaces
+    with disjoint supports is the union of their rref bases, sorted by
+    pivot; and row-major flattening orders a block's cells as it orders
+    them in T, so a block's rref basis stays rref in T.  Hence every map
+    of the rref hom basis lies in one block (SphertwistError otherwise),
+    and the basis maps in block (a, b) are the rref basis of
+    Hom(B_a, B_b).
+
+    [P] is additive: f factors through a projective exactly when each
+    block πᵦ·f·ιₐ does, so [P](T, T) = ⊕ [P](B_a, B_b).  Block 0 is the
+    projective part, and a map out of or into a projective factors
+    through it, so for a = 0 or b = 0 the block of the ideal is all of
+    Hom(B_a, B_b): its canonical basis is the hom-basis maps there, with
+    unit coordinates.  A pair of extra blocks with a nonzero Hom takes
+    the envelope route of `_through_projectives`, with one envelope per
+    distinct extra summand and one basis per pair of summands, shared by
+    their copies; its rows are placed in T and read by ``hom_coords``.  The
+    union sorted by pivot in flattened T is the canonical basis of the
+    whole factoring subspace, in the order the whole-T route gives.
+    """
+    homs = hom_coords.homs
+    f = hom_coords.field
+    d = len(homs)
+    s = sum(b.dim for b in blocks)
+    block_of, offset = [], []
+    for b, x in enumerate(blocks):
+        offset.append(len(block_of))
+        block_of.extend([b] * x.dim)
+    rows = []  # (pivot in flattened T, coordinates)
+    extra_pairs = set()
+    for k, h in enumerate(homs):
+        cells = _nonzero_cells(h.matrix)
+        pairs = {(block_of[r], block_of[c]) for r, c in cells}
+        if len(pairs) != 1:
+            raise SphertwistError(
+                "hom basis map %d of the generator straddles blocks" % k, witness=k
+            )
+        (a, b), = pairs
+        if a and b:
+            extra_pairs.add((a, b))
+            continue
+        unit = [f.zero()] * d
+        unit[k] = f.one()
+        r, c = cells[0]
+        rows.append((r * s + c, unit))
+    embeddings, factoring = {}, {}
+    for a, b in sorted(extra_pairs):
+        x, y = blocks[a], blocks[b]
+        if (x, y) not in factoring:
+            if x not in embeddings:
+                embeddings[x] = injective_envelope(x)[1]
+            factoring[x, y] = _through_projectives(x, y, embeddings[x])
+        for g in factoring[x, y]:
+            cells = _nonzero_cells(g.matrix)
+            placed = [[f.zero()] * s for _ in range(s)]
+            for r, c in cells:
+                placed[offset[a] + r][offset[b] + c] = g.matrix.rows[r][c]
+            r, c = cells[0]
+            pivot = (offset[a] + r) * s + offset[b] + c
+            rows.append((pivot, hom_coords.coords(Matrix(f, placed, s))))
+    rows.sort(key=lambda row: row[0])
+    return [coords for _, coords in rows]
 
 
 def hom_module(ctx, n):

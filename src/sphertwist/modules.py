@@ -340,6 +340,18 @@ def _flatten(mat):
     return [e for row in mat.rows for e in row]
 
 
+def _nonzero_cells(mat):
+    """The (row, column) cells of the nonzero entries of mat, in
+    row-major order; entries over F_p are read modulo p."""
+    p = mat.field.characteristic
+    return [
+        (r, c)
+        for r, row in enumerate(mat.rows)
+        for c, e in enumerate(row)
+        if (e % p if p else e)
+    ]
+
+
 def generator_indices(a):
     """Indices of a small set of basis elements generating the algebra."""
     if a._generator_cache is not None:
@@ -692,7 +704,15 @@ def add_equivalent(m, n):
     computation of each hom space: id_m is tested first, and id_n only
     when it passes.  A nonzero m with no map into n fails at once (no
     composite is nonzero), so the maps back are then not computed.
+
+    The relation is reflexive: m is a summand of m¹.  So one module
+    object passed on both sides is add-equivalent to itself, and no hom
+    space is computed (`build_context` passes the cached regular module
+    on both sides when the projective part is A_A).  Distinct objects,
+    even with equal actions, take the full check.
     """
+    if m is n:
+        return True
     if m.algebra != n.algebra:
         raise AlgebraMismatch("add-membership across different algebras")
     into = hom_space(m, n)
@@ -744,6 +764,15 @@ def endomorphism_algebra(m, tags=()):
     are (role, matrix) pairs of endomorphisms of m, recorded by their
     coordinates as the algebra's ``idempotents``, which its constructor
     checks.
+
+    Entry (r, c) of the composite H_j·H_i is Σ_k H_j[r][k]·H_i[k][c],
+    and every term vanishes unless column k of H_j and row k of H_i are
+    both nonzero.  So when the nonzero columns of H_j miss the nonzero
+    rows of H_i the composite is exactly 0, and its coordinates are the
+    zero vector; neither the product nor its coordinates are formed.
+    The test needs no block structure of m; on a direct sum, maps whose
+    blocks do not meet pass it.  The `Algebra` constructor still audits
+    the whole table.
     """
     homs = hom_space(m, m)
     d = len(homs)
@@ -751,8 +780,17 @@ def endomorphism_algebra(m, tags=()):
     if d == 0:
         raise SphertwistError("zero module has no unital endomorphism algebra")
     basis = HomBasis(f, homs)
+    cells = [_nonzero_cells(h.matrix) for h in homs]
+    rows_of = [{r for r, _ in cs} for cs in cells]
+    cols_of = [{c for _, c in cs} for cs in cells]
+    zero = [f.zero()] * d
     mult = [
-        [basis.coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
+        [
+            basis.coords(homs[j].matrix.mul(homs[i].matrix))
+            if not cols_of[j].isdisjoint(rows_of[i])
+            else zero
+            for j in range(d)
+        ]
         for i in range(d)
     ]
     unit = basis.coords(Matrix.identity(f, m.dim))

@@ -1,0 +1,49 @@
+"""The Frobenius context on the whole-T route, kept as a test oracle.
+
+`frobenius.build_context` reads the composites of End(T) off the supports
+of the hom-basis maps and the ideal [P](T, T) off the summand blocks of
+T = P ⊕ ⊕ Xᵢ.  The routine here builds the same fields the older way:
+every one of the d² composites of the hom basis is formed and written
+back in coordinates, and the ideal is the factoring subspace of all of T
+from one `stable_hom(T, T)`, through the injective envelope of T.
+"""
+
+from types import SimpleNamespace
+
+from sphertwist.algebra import Algebra, quotient_surjection
+from sphertwist.exactlin import Matrix
+from sphertwist.frobenius import stable_hom
+from sphertwist.modules import HomBasis, direct_sum, hom_space
+
+
+def whole_t_context(projective_part, extra_summands):
+    """The fields of the context for T = projective_part ⊕ ⊕ Xᵢ^{aᵢ}."""
+    blocks = [projective_part]
+    for x, mult in extra_summands:
+        blocks.extend([x] * mult)
+    total, injs, projs = direct_sum(blocks)
+    f = total.algebra.field
+    homs = hom_space(total, total)
+    d = len(homs)
+    basis = HomBasis(f, homs)
+    mult = [
+        [basis.coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
+        for i in range(d)
+    ]
+    unit = basis.coords(Matrix.identity(f, total.dim))
+    idempotents = [
+        ("block:%d" % b, basis.coords(prj.matrix.mul(inj.matrix)))
+        for b, (inj, prj) in enumerate(zip(injs, projs))
+    ]
+    endo = Algebra(f, mult, unit, idempotents=idempotents)
+    _, through = stable_hom(total, total)
+    ideal = [basis.coords(h.matrix) for h in through]
+    to_stable = quotient_surjection(endo, ideal)
+    return SimpleNamespace(
+        total=total,
+        hom_basis=homs,
+        endo=endo,
+        proj_ideal=ideal,
+        to_stable=to_stable,
+        stable_endo=to_stable.target,
+    )

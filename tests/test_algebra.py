@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sphertwist.algebra import (
     Algebra,
+    SurjectionData,
     _field_roots,
     _poly_eval,
     _poly_mul,
@@ -214,6 +215,33 @@ def test_quotient_rejects_non_ideal():
     with pytest.raises(NotAnIdeal) as exc:
         quotient_surjection(a, [[1, 0, 0]])
     assert exc.value.witness is not None
+
+
+def _onto_the_field(a, images):
+    """SurjectionData for the map Q[x]/(x²) → Q with the given images of 1, x."""
+    q = from_structure_constants(QQ, [[[1]]], [1])
+    matrix = Matrix(QQ, [[QQ.coerce(c)] for c in images], 1)
+    return SurjectionData(a, q, matrix, Matrix(QQ, [[0], [1]], 1))
+
+
+def test_surjection_audit_accepts_the_augmentation():
+    a = dual_numbers()
+    s = _onto_the_field(a, [1, 0])
+    assert s.apply([Fraction(3), Fraction(5)]) == [Fraction(3)]
+
+
+def test_surjection_audit_rejects_a_map_that_is_not_multiplicative():
+    # 1 ↦ 1 and x ↦ 1 is unital and onto, but x·x = 0 ↦ 0 ≠ 1·1
+    a = dual_numbers()
+    with pytest.raises(SphertwistError, match="not multiplicative on basis pair \\(1,1\\)"):
+        _onto_the_field(a, [1, 1])
+
+
+@pytest.mark.parametrize("images", [[0, 1], [2, 0]])
+def test_surjection_audit_rejects_a_map_that_moves_the_unit(images):
+    a = dual_numbers()
+    with pytest.raises(SphertwistError, match="does not preserve the unit"):
+        _onto_the_field(a, images)
 
 
 @pytest.mark.parametrize("builder", [dual_numbers, two_vertex_arrow, product_field_pair])

@@ -1,0 +1,212 @@
+"""The Frobenius context read block by block, against the whole-T route.
+
+`build_context` computes Hom(T, T) once, forms only the composites of
+End(T) whose supports meet, and reads the ideal [P](T, T) of maps
+through projectives off the blocks of T = P ⊕ ⊕ Xᵢ.  Every field here is
+compared, order included, with `context_reference.whole_t_context`,
+which forms all d² composites and takes the ideal from one
+`stable_hom(T, T)`.  The testbeds include one whose ideal has nonzero
+blocks between two extra summands: the 3-cycle with the paths of length
+3 killed, with the radicals rad(eᵢA) of its projectives as summands.
+"""
+
+import pytest
+
+from sphertwist import frobenius, modules
+from sphertwist.algebra import from_quiver, lift_idempotents
+from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.frobenius import build_context, stable_hom
+from sphertwist.errors import SphertwistError
+from sphertwist.modules import (
+    HomBasis,
+    Module,
+    _idempotent_piece,
+    add_equivalent,
+    direct_sum,
+    hom_space,
+    identity_hom,
+    module_radical,
+    simple_modules,
+    submodule,
+)
+
+from context_reference import whole_t_context
+from fixture_algebras import cyclic_nakayama, dual_numbers
+from patching import count_calls
+
+GF = PrimeField(32003)
+GF31 = PrimeField(31)
+
+
+def nakayama3_loewy3(field):
+    """The 3-cycle quiver with all paths of length 3 killed (dim 9)."""
+    vertices = ["1", "2", "3"]
+    arrows = [("a%d" % i, str(i), str(i % 3 + 1)) for i in range(1, 4)]
+    relations = [
+        [(1, ["a%d" % i, "a%d" % (i % 3 + 1), "a%d" % ((i + 1) % 3 + 1)])]
+        for i in range(1, 4)
+    ]
+    return from_quiver(vertices, arrows, relations, field=field)
+
+
+def radicals(a):
+    """rad(eᵢA) for the lifted primitives eᵢ, in their order."""
+    out = []
+    for e in lift_idempotents(a):
+        pe, _ = _idempotent_piece(a, e)
+        rad, _ = submodule(pe, module_radical(pe), check=False)
+        out.append(rad)
+    return out
+
+
+def workload_spec(n, seed, field, one_summand):
+    """The generator of a benchmark workload: the rotated n-cycle."""
+    order = [(i + seed % n) % n + 1 for i in range(n)]
+    a = from_quiver(
+        [str(v) for v in order],
+        [("a%d" % v, str(v), str(v % n + 1)) for v in order],
+        [[(1, ["a%d" % v, "a%d" % (v % n + 1)])] for v in order],
+        field=field,
+    )
+    sims = simple_modules(a)
+    extra = [(sims[(seed // n) % n], 1)] if one_summand else [(s, 1) for s in sims]
+    return a, extra
+
+
+def _cases():
+    cases = {}
+    for seed in (0, 1, 5):
+        cases["tilting_cycle3/%d" % seed] = lambda s=seed: workload_spec(3, s, QQ, True)
+        cases["ladder_cycle4/%d" % seed] = lambda s=seed: workload_spec(4, s, QQ, False)
+        cases["twist_cycle3_gf/%d" % seed] = lambda s=seed: workload_spec(3, s, GF, False)
+
+    def multiplicity_two():
+        a = cyclic_nakayama(3)
+        sims = simple_modules(a)
+        return a, [(sims[0], 2), (sims[1], 1)]
+
+    def regular_twice():
+        a = cyclic_nakayama(3)
+        return a, [(Module.regular(a), 1)]
+
+    cases["multiplicity_two"] = multiplicity_two
+    cases["regular_twice"] = regular_twice
+    for name, field in (("Q", QQ), ("GF31", GF31)):
+        def all_radicals(field=field):
+            a = nakayama3_loewy3(field)
+            return a, [(r, 1) for r in radicals(a)]
+
+        def square_and_one(field=field):
+            a = nakayama3_loewy3(field)
+            rads = radicals(a)
+            return a, [(rads[0], 2), (rads[1], 1)]
+
+        def radical_and_simples(field=field):
+            a = nakayama3_loewy3(field)
+            return a, [(radicals(a)[0], 1)] + [(s, 1) for s in simple_modules(a)]
+
+        cases["radicals/" + name] = all_radicals
+        cases["radical_square/" + name] = square_and_one
+        cases["radical_simples/" + name] = radical_and_simples
+    return cases
+
+
+CASES = _cases()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_context_matches_the_whole_t_route(name):
+    a, extra = CASES[name]()
+    reg = Module.regular(a)
+    ctx = build_context(a, reg, extra)
+    ref = whole_t_context(reg, extra)
+    assert [h.matrix.rows for h in ctx.hom_basis] == [
+        h.matrix.rows for h in ref.hom_basis
+    ]
+    assert ctx.endo.mult == ref.endo.mult
+    assert ctx.endo.idempotents == ref.endo.idempotents
+    assert ctx.proj_ideal == ref.proj_ideal
+    assert ctx.to_stable.matrix.rows == ref.to_stable.matrix.rows
+    assert ctx.stable_endo.mult == ref.stable_endo.mult
+
+
+@pytest.mark.parametrize("field", [QQ, GF31])
+def test_radical_testbed_has_factoring_maps_between_extra_summands(field):
+    """[P](radᵢ, radⱼ) ≠ 0 exactly for the pairs 0→1, 1→2 and 2→0, so
+    the extra–extra blocks of the ideal are not all zero."""
+    rads = radicals(nakayama3_loewy3(field))
+    assert [r.dim for r in rads] == [2, 2, 2]
+    nonzero = {
+        (i, j)
+        for i, x in enumerate(rads)
+        for j, y in enumerate(rads)
+        if stable_hom(x, y)[1]
+    }
+    assert nonzero == {(0, 1), (1, 2), (2, 0)}
+    # the ideal is the whole of each P-row and P-column block plus one
+    # factoring map in each of those three extra–extra blocks
+    a = rads[0].algebra
+    reg = Module.regular(a)
+    ctx = build_context(a, reg, [(r, 1) for r in rads])
+    blocks = [reg] + rads
+    proj_blocks = sum(
+        len(hom_space(x, y))
+        for i, x in enumerate(blocks)
+        for j, y in enumerate(blocks)
+        if i == 0 or j == 0
+    )
+    assert len(ctx.proj_ideal) == proj_blocks + 3
+
+
+def test_build_context_computes_hom_of_the_generator_once(monkeypatch):
+    a = cyclic_nakayama(4)
+    extra = [(s, 1) for s in simple_modules(a)]
+    calls = count_calls(monkeypatch, modules, "hom_space")
+    ctx = build_context(a, Module.regular(a), extra)
+    assert sum(1 for m, n in calls if m is ctx.total and n is ctx.total) == 1
+
+
+def test_add_equivalent_of_one_object_makes_no_hom_space_call(monkeypatch):
+    a = cyclic_nakayama(3)
+    reg = Module.regular(a)
+    calls = count_calls(monkeypatch, modules, "hom_space")
+    assert add_equivalent(reg, reg)
+    assert calls == []
+    # a copy with the same action is another object and takes the check
+    copy = Module(a, reg.dim, reg.action)
+    assert add_equivalent(reg, copy)
+    assert calls
+
+
+@pytest.mark.parametrize("kind", ["all_simples", "square", "radical_simples"])
+def test_one_envelope_per_extra_summand_and_none_of_the_generator(
+    monkeypatch, kind
+):
+    if kind == "radical_simples":
+        a = nakayama3_loewy3(QQ)
+        extra = [(radicals(a)[0], 2)] + [(s, 1) for s in simple_modules(a)]
+    else:
+        a = cyclic_nakayama(3)
+        sims = simple_modules(a)
+        extra = (
+            [(s, 1) for s in sims]
+            if kind == "all_simples"
+            else [(sims[0], 2), (sims[1], 1)]
+        )
+    reg = Module.regular(a)
+    calls = count_calls(monkeypatch, frobenius, "injective_envelope")
+    ctx = build_context(a, reg, extra)
+    sources = [args[0] for args in calls]
+    assert all(m is not ctx.total for m in sources)
+    assert len(sources) == len(extra)
+    assert {id(m) for m in sources} == {id(x) for x, _ in extra}
+
+
+def test_a_hom_basis_map_across_blocks_is_refused():
+    a = dual_numbers()
+    s = simple_modules(a)[0]
+    total, _, _ = direct_sum([s, s])
+    # id of S ⊕ S has entries in the blocks (0, 0) and (1, 1)
+    across = HomBasis(a.field, [identity_hom(total)])
+    with pytest.raises(SphertwistError, match="straddles blocks"):
+        frobenius._projective_ideal([s, s], across)

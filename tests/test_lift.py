@@ -116,6 +116,8 @@ def _context(n, field, extra):
         summands = [(sims[0], 2), (sims[1], 1)]
     elif extra == "decomposable":
         summands = [(direct_sum([sims[0], sims[1]])[0], 1)]
+    elif extra == "regular":
+        summands = [(Module.regular(a), 1)]
     else:
         proj = _idempotent_piece(a, lift_idempotents(a)[0])[0]
         summands = [(proj, 1)]
@@ -127,10 +129,11 @@ CONTEXTS = {
     "tilting_cycle3": (3, QQ, "one"),
     "ladder_cycle4": (4, QQ, "all"),
     "twist_cycle3_gf": (3, GF, "all"),
-    # S₁² ⊕ S₂, S₁ ⊕ S₂ as one summand, and a projective summand
+    # S₁² ⊕ S₂, S₁ ⊕ S₂ as one summand, a projective summand and A_A
     "square": (3, QQ, "square"),
     "decomposable": (3, QQ, "decomposable"),
     "projective": (3, QQ, "projective"),
+    "regular": (3, QQ, "regular"),
 }
 
 
@@ -147,11 +150,20 @@ def test_context_lifts_match_the_unit_started_lift(name):
     assert es == unit_started_lift(lam)
     assert all(_is_primitive(lam, e) for e in es)
     con = ctx.stable_endo
-    if con.dim:  # T = A ⊕ P has no stable part
-        assert lift_idempotents(con) == unit_started_lift(con)
+    assert lift_idempotents(con) == unit_started_lift(con)
     # the projective-type primitives are those under e_proj, in the
     # order of its own refinement
     assert _proj_type_primitives(ctx) == refine_idempotent(lam, ctx.e_proj)
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+def test_the_zero_algebra_has_no_primitive_idempotents(field):
+    zero = Algebra(field, [], [])
+    assert lift_idempotents(zero) == [] == unit_started_lift(zero)
+    # T = A ⊕ P, P projective, has the zero stable quotient
+    for kind in ("projective", "regular"):
+        con = _context(3, field, kind).stable_endo
+        assert con.dim == 0 and lift_idempotents(con) == []
 
 
 def test_a_decomposable_summand_refines_into_primitives():
