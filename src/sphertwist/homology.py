@@ -1,18 +1,31 @@
 """Derived functors of surjections: Ext, Tor, and the cotwist cone.
 
-Everything here is computed from finite projective resolutions.  Ext
-groups come from a minimal resolution of the first argument, read
-through its recorded covers by the Yoneda isomorphism
-Hom(e·A, N) ≅ N·e; Tor groups can resolve either argument, and the two
-routes must agree.  For the
-data attached to a surjection p : A → B, the derived tensor square
-B ⊗ᴸ_A B comes from one resolution of B as a right A-module: each term
-is a sum of pieces e·A, and e·A ⊗_A B ≅ p(e)·B, so the tensored
-complex is read off the recorded covers.  The right action of B on its
-homology is right multiplication; the left action comes from lifting
-left multiplications to chain maps.  The cone of the degree-zero
-multiplication map then measures how far the surjection is from being
-an isomorphism, degree by degree.
+Everything here is computed from finite projective resolutions, and
+every derived functor is read through one kernel: Yoneda,
+Hom(e·A, N) ≅ N·e, off the covers a resolution records.  Ext comes from
+a minimal resolution of the first argument.  Tor and the derived tensor
+square come from the same cochains by duality.  Write
+D = Hom_k(−, k) (`frobenius.dual_module`), which swaps right A-modules
+and right Aᵒᵖ-modules.  The adjunction
+
+    D(P ⊗_A N) ≅ Hom_A(P, D N),   ξ ↦ (x ↦ (y ↦ ξ(x ⊗ y))),
+
+(Cartan–Eilenberg, ch. VI) is natural in P.  So D of the tensored
+complex P• ⊗_A N is the cochain complex Hom_A(P•, D N), differential
+for differential.  Over a field D is exact, so it carries homology to
+cohomology: D Tor_i(M, N) ≅ Ext^i(M, D N), and the two have the same
+dimension.  Tor can resolve either argument, and the two routes must
+agree.
+
+For the data attached to a surjection p : A → B, the derived tensor
+square B ⊗ᴸ_A B comes from one resolution P• → B of B as a right
+A-module, read against N = D(_A B).  A B-action on the tensored complex
+is a chain map X, and it becomes D(X) on the cochains.  D is
+contravariant, so in dual bases the matrix of D(X) is the transpose of
+the matrix of X; the actions of B on Tor are therefore the transposes
+of the actions on the cohomology (see `_TensorSquare`).  The cone of
+the degree-zero multiplication map then measures how far the
+surjection is from being an isomorphism, degree by degree.
 
 Left modules are carried as right modules over the opposite algebra
 throughout, so a single module engine serves both sides.
@@ -23,20 +36,17 @@ from __future__ import annotations
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, NotConcentrated, SphertwistError
 from .exactlin import Matrix, SpanBuilder, rank, rref
+from .frobenius import dual_module
 from .modules import (
     Module,
     ModuleHom,
-    _idempotent_piece,
-    balanced_tensor,
-    direct_sum,
     generator_indices,
-    in_add,
     kernel_of,
     m_basis_row,
     quotient,
     restrict_scalars,
 )
-from .resolutions import CoveredTerm, _pivots, resolve_within
+from .resolutions import CoveredTerm, is_projective, resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +87,9 @@ class Bimodule:
     it is the whole left algebra.  Then for any fixed x, the y whose rᵧ
     commutes with lₓ form a subalgebra holding every generator t, so
     every lₓ commutes with every rᵧ.  ``right_projective`` and
-    ``left_projective`` say whether each side module is projective; each
-    is computed on first use and kept.
+    ``left_projective`` say whether each side module is projective, by
+    the cover criterion (`is_projective`); each is computed on first use
+    and kept.
     """
 
     def __init__(self, left_algebra, right_algebra, left_mats, right_mats):
@@ -116,14 +127,14 @@ class Bimodule:
     def right_projective(self):
         """Whether the bimodule is projective as a right module."""
         if self._right_projective is None:
-            self._right_projective = _side_projective(self._right)
+            self._right_projective = is_projective(self._right)
         return self._right_projective
 
     @property
     def left_projective(self):
         """Whether the bimodule is projective as a left module."""
         if self._left_projective is None:
-            self._left_projective = _side_projective(self._left)
+            self._left_projective = is_projective(self._left)
         return self._left_projective
 
     def __repr__(self):
@@ -134,17 +145,22 @@ class Bimodule:
 def left_module_along(p):
     """The target of a surjection as a left module over the source.
 
-    Stored as a right module over the opposite algebra: the source acts
-    through the surjection by left multiplication.
+    This is _A B, B through p: a acts by left multiplication by p(a),
+    stored as a right module over the opposite algebra whose action
+    matrix for a is ``p.target.left_mult_matrix(p(a))``.  It is built
+    without validation, as `restrict_scalars` builds B_A.  On rows,
+    v·L_x·L_y = y·(x·v) = (y·x)·v, so x ↦ L_x is a right action of Bᵒᵖ
+    on B: its compatibility is B's associativity, which B's constructor
+    audited, and L_1 is the identity.  An audited surjection is a unital
+    multiplicative map A → B, hence also Aᵒᵖ → Bᵒᵖ, and an action
+    restricted along an algebra map is an action.  The tests run the
+    full validation on the fixture and workload surjections.
     """
     a, b = p.source, p.target
-    ao = opposite(a)
-    action = []
-    for k in range(a.dim):
-        img = p.apply(a.basis_vector(k))
-        rows = [b.mul_vec(img, b.basis_vector(j)) for j in range(b.dim)]
-        action.append(Matrix(a.field, rows, b.dim))
-    return Module(ao, b.dim, action)
+    action = [
+        b.left_mult_matrix(p.apply(a.basis_vector(k))) for k in range(a.dim)
+    ]
+    return Module(opposite(a), b.dim, action, validate=False)
 
 
 def identity_surjection(a):
@@ -199,21 +215,24 @@ def _yoneda_dim(blocks):
     return sum(len(rows) for rows, _ in blocks)
 
 
-def _yoneda_precompose(n, d, source, target, source_blocks, target_blocks):
-    """The matrix of φ ↦ φ∘d : Hom(P, N) → Hom(P′, N), for d : P′ → P.
+def _yoneda_precompose(n, images, target, source_blocks, target_blocks):
+    """The matrix of φ ↦ φ∘d : Hom(P, N) → Hom(P′, N), for the A-map
+    d : P′ → P with d(e′ₗ) = images[l].
 
-    source and target are P′ and P read through their covers
-    (`CoveredTerm`); the blocks are `_yoneda_blocks` of N over each.
-    The rows follow target_blocks and the columns source_blocks.  φ is
-    (nₖ) with nₖ = φ(eₖ), and φ∘d is (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is
-    the k-th component of d(e′ₗ): φ(d(e′ₗ)) = Σₖ φ(eₖ·xₖₗ) = Σₖ nₖ·xₖₗ,
-    which lies in N·e′ₗ because d(e′ₗ) = d(e′ₗ)·e′ₗ.  So the block from
-    k to l is right multiplication by xₖₗ, read at the pivots of N·e′ₗ.
+    P′ = ⊕ₗ e′ₗ·A, so d is fixed by its generator images, and only those
+    are read: a differential, a comparison map or a lift serves alike.
+    target is P read through its cover (`CoveredTerm`); the blocks are
+    `_yoneda_blocks` of N over P′ and P.  The rows follow target_blocks
+    and the columns source_blocks.  φ is (nₖ) with nₖ = φ(eₖ), and φ∘d
+    is (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is the k-th component of d(e′ₗ):
+    φ(d(e′ₗ)) = Σₖ φ(eₖ·xₖₗ) = Σₖ nₖ·xₖₗ, which lies in N·e′ₗ because
+    d(e′ₗ) = d(e′ₗ)·e′ₗ.  So the block from k to l is right
+    multiplication by xₖₗ, read at the pivots of N·e′ₗ.
     """
     f = n.algebra.field
     width = _yoneda_dim(source_blocks)
     rows = [[f.zero()] * width for _ in range(_yoneda_dim(target_blocks))]
-    comps = [target.components(d.apply(g)) for g in source.gens]
+    comps = [target.components(x) for x in images]
     at_l = 0
     for l, (l_rows, l_pivots) in enumerate(source_blocks):
         at_k = 0
@@ -271,8 +290,9 @@ def _yoneda_cochains(res, n, count):
     diffs = []
     for i, d in enumerate(res.maps[: len(covered) - 1]):
         if _yoneda_dim(blocks[i]) and _yoneda_dim(blocks[i + 1]):
+            images = [d.apply(g) for g in covered[i + 1].gens]
             diffs.append(_yoneda_precompose(
-                n, d, covered[i + 1], covered[i], blocks[i + 1], blocks[i]))
+                n, images, covered[i], blocks[i + 1], blocks[i]))
         else:
             diffs.append(None)
     return blocks, diffs
@@ -350,56 +370,25 @@ def tor_dims(a, m, n, count, resolve_second=False):
     if count < 1:
         return []
     if resolve_second:
-        return tor_from_resolution(a, resolve_within(n, count), m, count, True)
-    return tor_from_resolution(a, resolve_within(m, count), n, count)
+        return tor_from_resolution(resolve_within(n, count), m, count)
+    return tor_from_resolution(resolve_within(m, count), n, count)
 
 
-def tor_from_resolution(a, res, other, count, second=False):
-    """[dim Tor_i(m, n) for i in 0..count) from a resolution of one side.
+def tor_from_resolution(res, other, count):
+    """[dim Tor_i for i in 0..count) of the target of res and other.
 
-    res resolves m and other is n; with second=True, res resolves n and
-    other is m.  Each term is tensored with the other side as the flat
-    space modulo its balancing relations (`balanced_tensor`), and Tor_i
-    is the homology of that complex.  The differential out of degree
-    i + 1 is h ⊗ 1 (or 1 ⊗ h): the row of the pair (u, x) is row u of h
-    placed at the pairs (k, x) (or (x, k)), so each row is written
-    sparsely, projected straight into the quotient at degree i, and the
-    rank of those rows is the rank of the induced map.  No Kronecker
-    product is formed.  As in `ext_from_resolution`, only terms
-    0..count and maps 0..count−1 are read.
+    res resolves one argument and other is the other one, on either
+    side: Tor^A(M, N) = Tor^Aᵒᵖ(N, M) with N read as a right
+    Aᵒᵖ-module, so one formula serves both.  By the adjunction of the
+    module docstring, D(P• ⊗ other) ≅ Hom(P•, D other) naturally in P,
+    and dualizing over a field keeps dimensions, so Tor_i has the
+    dimension of Ext^i(target, D other): this is
+    `ext_from_resolution(res, dual_module(other), count)`, read through
+    the Yoneda kernel.  As there, only terms 0..count and maps
+    0..count−1 are read, and a truncated resolution shorter than the
+    window raises.
     """
-    if count < 1:
-        return []
-    _window_check(res, count)
-    f = a.field
-    tensors = []
-    for t in res.terms[: count + 1]:
-        m, n = (other, t) if second else (t, other)
-        tensors.append(balanced_tensor(a, m.action, n.action))
-    ranks = [0]
-    for i, h in enumerate(res.maps[:count]):
-        target = tensors[i]
-        dim_t = h.target.dim
-        h_rows = [[(k, c) for k, c in enumerate(row) if c] for row in h.matrix.rows]
-        rows = []
-        for x in range(other.dim):
-            for nonzeros in h_rows:
-                if second:  # the pairs (x, k) of other ⊗ terms[i]
-                    flat = {x * dim_t + k: c for k, c in nonzeros}
-                else:  # the pairs (k, x) of terms[i] ⊗ other
-                    flat = {k * other.dim + x: c for k, c in nonzeros}
-                rows.append(target.project_sparse(flat))
-        ranks.append(rank(Matrix(f, rows, target.dim)))
-    out = []
-    for i in range(count):
-        if i < len(tensors):
-            dim_here = tensors[i].dim
-            incoming = ranks[i + 1] if i + 1 < len(ranks) else 0
-            outgoing = ranks[i] if i < len(ranks) else 0
-            out.append(dim_here - incoming - outgoing)
-        else:
-            out.append(0)
-    return out
+    return ext_from_resolution(res, dual_module(other), count)
 
 
 # ---------------------------------------------------------------------------
@@ -433,69 +422,35 @@ class _Preimages:
         return [self.field.neg(x) for x in red[self.width :]]
 
 
-class _TensoredTerm(CoveredTerm):
-    """A resolution term ⊕ₖ eₖ·A beside its tensored term ⊕ₖ p(eₖ)·B.
-
-    The A side is read through the recorded cover (`CoveredTerm`).  The
-    tensored term is the direct sum of the canonical pieces p(eₖ)·B in
-    the same order: ``b_blocks[k]`` is (offset, rows, pivots) of
-    p(eₖ)·B, whose rows are vectors of B, and ``module`` is ⊕ₖ p(eₖ)·B
-    as a right B-module.
-    """
-
-    def __init__(self, p, term, cover):
-        super().__init__(term, cover)
-        b = p.target
-        self.b_blocks = []
-        pieces = []
-        at_b = 0
-        for e in cover:
-            piece, b_incl = _idempotent_piece(b, p.apply(e))
-            rows = b_incl.matrix.rows
-            self.b_blocks.append((at_b, rows, _pivots(rows)))
-            pieces.append(piece)
-            at_b += piece.dim
-        self.module = direct_sum(pieces)[0]
-
-
-def _tensor_down(p, src, tgt, images):
-    """The matrix of φ ⊗_A B : src ⊗_A B → tgt ⊗_A B.
-
-    images[l] is φ(eₗ) in tgt's coordinates.  Its component xₖₗ lies in
-    eₖ·A·eₗ, and eₗ ⊗ y ↦ xₖₗ ⊗ y = eₖ ⊗ p(xₖₗ)·y, so the block from
-    p(eₗ)·B to p(eₖ)·B is left multiplication by p(xₖₗ).
-    """
-    b, f = p.target, p.target.field
-    width = tgt.module.dim
-    rows = []
-    for (_, s_rows, _), img in zip(src.b_blocks, images):
-        lefts = []
-        for (at, _, pivots), x in zip(tgt.b_blocks, tgt.components(img)):
-            px = p.apply(x)
-            if any(px):
-                lefts.append((at, pivots, px))
-        for y in s_rows:
-            row = [f.zero()] * width
-            for at, pivots, px in lefts:
-                z = b.mul_vec(px, y)
-                for r, j in enumerate(pivots):
-                    row[at + r] = z[j]
-            rows.append(row)
-    return Matrix(f, rows, width)
-
-
 class _TensorSquare:
-    """B ⊗ᴸ_A B for a surjection p : A → B, from a one-sided resolution.
+    """B ⊗ᴸ_A B for a surjection p : A → B, by duality through Yoneda.
 
-    P → B_A is a minimal resolution of B as a right A-module
+    P• → B_A is a minimal resolution of B as a right A-module
     (`restrict_scalars` along p), and Tor^A(B, B) is the homology of
-    P ⊗_A B.  Each term is ⊕ₖ eₖ·A over its recorded cover, and
-    eₖ·A ⊗_A B ≅ p(eₖ)·B by x ⊗ y ↦ p(x)·y.  So the tensored term is
-    ⊕ₖ p(eₖ)·B, a right B-module by right multiplication on each block;
-    the differentials come down block by block (`_tensor_down`); and
-    the multiplication map x ⊗ y ↦ ε(x)·y sends y in p(eₖ)·B to βₖ·y,
-    with βₖ = ε(eₖ) for the augmentation ε.  No balancing quotient, no
-    Kronecker product and no enveloping algebra is formed.
+    P• ⊗_A B.  Its dual is read instead.  N = D(_A B) is
+    `restrict_scalars(p, Module.coregular(B))`, where a acts on f by
+    f ↦ f(p(a)·−).  The adjunction D(P ⊗_A B) ≅ Hom_A(P, N) of the
+    module docstring is natural in P, so D carries the tensored complex
+    onto the cochains Hom(P•, N), which `_yoneda_cochain_modules` reads
+    off the recorded covers; over a field dim Tor_i = dim Hⁱ.
+
+    B acts on the right of P ⊗_A B by 1 ⊗ ρ_b, for ρ_b : y ↦ y·b, a map
+    of left A-modules.  The adjunction is natural in B as well, so
+    D(1 ⊗ ρ_b) is postcomposition with D(ρ_b), whose matrix is ρ_b's
+    transposed.  It is an A-endomorphism of N, because left and right
+    multiplications of B commute.  D reverses composition, so
+    b ↦ D(ρ_b) is a right action of Bᵒᵖ: ``terms`` and ``maps`` are the
+    cochains as validated modules over opposite(B) and validated module
+    maps, with one zero term past the top, so that every degree has an
+    outgoing map; ``blocks`` are their Yoneda blocks and ``covered`` the
+    terms of P• read through their covers.
+
+    The multiplication map P₀ ⊗_A B → B sends eₖ ⊗ y to βₖ·y, with
+    βₖ = ε(eₖ) for the augmentation ε.  Its rank is that of its dual
+    D(B) → Hom(P₀, N), f ↦ f∘μ, whose Yoneda value at eₖ is
+    y ↦ f(βₖ·y), that is f·βₖ in the coregular module; it lies in N·eₖ
+    because βₖ = βₖ·p(eₖ).  No balancing quotient, no Kronecker product
+    and no enveloping algebra is formed.
 
     ``complete`` says that B_A has a projective resolution within the
     cap, which certifies Tor^A(B, B) in every degree.  A truncated
@@ -510,40 +465,40 @@ class _TensorSquare:
         self.complete = not res.truncated
         self.resolution = res
         self.p = p
-        blocks = [_TensoredTerm(p, t, c) for t, c in zip(res.terms, res.covers)]
-        self.blocks = blocks
-        terms = [blk.module for blk in blocks]
-        self.terms = terms
-        dbars = []
-        for i, h in enumerate(res.maps):
-            src, tgt = blocks[i + 1], blocks[i]
-            images = [h.apply(g) for g in src.gens]
-            dbars.append(ModuleHom(
-                terms[i + 1], terms[i], _tensor_down(p, src, tgt, images)))
-        self.dbars = dbars
-        rows = []
-        for gen, (_, s_rows, _) in zip(blocks[0].gens, blocks[0].b_blocks):
-            beta = res.augmentation.apply(gen)
-            rows.extend(b.mul_vec(beta, y) for y in s_rows)
-        self.mult_map = ModuleHom(terms[0], Module.regular(b), Matrix(f, rows, b.dim))
-        ranks = [rank(h.matrix) for h in dbars]
-        dims = []
-        for i in range(len(terms)):
-            d = terms[i].dim
-            if i < len(ranks):
-                d -= ranks[i]
-            if i >= 1:
-                d -= ranks[i - 1]
-            dims.append(d)
+        self.dual = restrict_scalars(p, Module.coregular(b))
+        self.covered = [CoveredTerm(t, c) for t, c in zip(res.terms, res.covers)]
+        rights = [
+            b.right_mult_matrix(b.basis_vector(j)).transpose() for j in range(b.dim)
+        ]
+        count = len(res.terms)
+        self.terms, self.maps, self.blocks = _yoneda_cochain_modules(
+            res, opposite(b), self.dual, rights, count + 1)
+        ranks = [rank(h.matrix) for h in self.maps]
+        dims = [
+            self.terms[i].dim - ranks[i] - (ranks[i - 1] if i else 0)
+            for i in range(count)
+        ]
+        # the dual of the multiplication map: row j is f_j ↦ (f_j·βₖ)ₖ
+        coregular = Module.coregular(b)
+        acts = [
+            (coregular.action_of(res.augmentation.apply(gen)), pivots)
+            for gen, (_, pivots) in zip(self.covered[0].gens, self.blocks[0])
+        ]
+        mult_dual = Matrix(
+            f,
+            [[act.rows[j][q] for act, pivots in acts for q in pivots]
+             for j in range(b.dim)],
+            self.terms[0].dim,
+        )
         # cone of the multiplication map, indexed cohomologically: the
         # tensor term of degree i sits at -i-1, the target at 0
-        rank_c0 = rank(self.mult_map.matrix)
+        rank_c0 = rank(mult_dual)
         cone_dims = {-i - 1: d for i, d in enumerate(dims)}
         cone_dims[-1] -= rank_c0
         cone_dims[0] = b.dim - rank_c0
         if not self.complete:
             dims = dims[:-1]
-            cone_dims.pop(-len(terms))
+            cone_dims.pop(-count)
         self.homology_dims = dims
         self.cone_dims = cone_dims
 
@@ -568,15 +523,15 @@ def _lift_left_multiplication(square, c, t, preimages):
     is the image of d.  ``preimages[i]`` is factored from the
     augmentation (i = 0) and from maps[i-1].
     """
-    res, blocks, b = square.resolution, square.blocks, square.p.target
-    first = blocks[0]
+    res, covered, b = square.resolution, square.covered, square.p.target
+    first = covered[0]
     images = []
     for gen, e in zip(first.gens, first.idempotents):
         beta = res.augmentation.apply(gen)
         u = preimages[0].of(b.mul_vec(c, beta))
         images.append(first.term.apply(u, e))
     for i in range(t):
-        src, tgt = blocks[i + 1], blocks[i]
+        src, tgt = covered[i + 1], covered[i]
         d = res.maps[i]
         images = [
             src.term.apply(
@@ -587,25 +542,27 @@ def _lift_left_multiplication(square, c, t, preimages):
 
 
 def _extract_bimodule(square, t):
-    """H_t of the tensored complex with its two actions.
+    """Tor_t of the tensor square with its two actions, as D(Hᵗ).
 
-    The right action is right multiplication on the blocks, carried to
-    H_t by `kernel_of` and `quotient`.  The left action of c comes from
-    the lift φ of λ_c: φ ⊗_A B is a chain map of the tensored complex,
-    and its action on H_t is the action of c.  Any two lifts of λ_c are
+    Hᵗ is the cocycles of Hom(P_t, N) modulo the coboundaries, carried
+    by `kernel_of` and `quotient`, and Tor_t = D(Hᵗ) in the dual basis.
+    D is contravariant, so each action of B on Tor_t is the transpose of
+    the map it induces on Hᵗ (see `_TensorSquare`).  The right action of
+    b is 1 ⊗ ρ_b, whose dual is the quotient's own action of b.  The
+    left action of c comes from the lift φ of λ_c: φ ⊗_A B is a chain
+    map of the tensored complex that acts on Tor_t as c, and its dual is
+    precomposition with φ_t (`_yoneda_precompose` of φ_t's generator
+    images), which maps cocycles to cocycles.  Any two lifts of λ_c are
     chain homotopic (comparison theorem, Cartan–Eilenberg ch. V), so
     they induce the same map on homology, whichever preimages were
     chosen; lifts of λ_c·λ_c' and of the identity likewise act as the
     product and the identity.  `Bimodule` validates both actions and
     that they commute, exactly.
     """
-    p = square.p
-    b, f = p.target, p.target.field
-    cycles, incl = kernel_of(square.dbars[t - 1])
+    b, f = square.p.target, square.p.target.field
+    cycles, incl = kernel_of(square.maps[t])
     in_cycles = _Preimages(incl.matrix)
-    boundaries = []
-    if t < len(square.dbars):
-        boundaries = [in_cycles.of(r) for r in square.dbars[t].matrix.rows]
+    boundaries = [in_cycles.of(r) for r in square.maps[t - 1].matrix.rows]
     h, proj = quotient(cycles, boundaries)
     section = _Preimages(proj.matrix)
     reps = [
@@ -614,17 +571,17 @@ def _extract_bimodule(square, t):
     res = square.resolution
     preimages = [_Preimages(res.augmentation.matrix)]
     preimages += [_Preimages(d.matrix) for d in res.maps[:t]]
-    blk = square.blocks[t]
+    covered, blocks = square.covered[t], square.blocks[t]
     left = []
     for i in range(b.dim):
         images = _lift_left_multiplication(square, b.basis_vector(i), t, preimages)
-        phi = _tensor_down(p, blk, blk, images)
+        pre = _yoneda_precompose(square.dual, images, covered, blocks, blocks)
         left.append(Matrix(
             f,
-            [proj.apply(in_cycles.of(phi.apply_to_row(r))) for r in reps],
+            [proj.apply(in_cycles.of(pre.apply_to_row(r))) for r in reps],
             h.dim,
-        ))
-    return Bimodule(b, b, left, h.action)
+        ).transpose())
+    return Bimodule(b, b, left, [m.transpose() for m in h.action])
 
 
 def tor_bimodule(p, t, square=None):
@@ -654,10 +611,6 @@ def tor_bimodule(p, t, square=None):
     return _extract_bimodule(square, t)
 
 
-def _side_projective(m):
-    return in_add(m, Module.regular(m.algebra))
-
-
 class CotwistData:
     """Everything the cotwist of a surjection is made of.
 
@@ -666,6 +619,20 @@ class CotwistData:
     degree when the profile is {0, t} and certified complete; the
     bimodule is that degree's homology with both actions, and shift is
     where the cone sits, namely -t-1.
+
+    All of it is read by duality (`_TensorSquare`).  D(P• ⊗_A B) is
+    Hom(P•, D(_A B)) naturally in P, and over a field D keeps
+    dimensions and turns homology into cohomology, so tor_dims are the
+    dimensions of the Yoneda cochains' cohomology, and cone_dims use the
+    rank of the dual of the multiplication map, which is its rank.  The
+    bimodule is D(Hᵗ) in the dual basis, so each action is the
+    transpose of the one on Hᵗ, and transposing reverses products.  On
+    Hᵗ, precomposition with lifts of left multiplications is a right
+    B-action (the lift of c·c′ is the lift of c′ followed by that of c),
+    and postcomposition with D(ρ_b) a right Bᵒᵖ-action.  Transposed, the
+    first becomes a right Bᵒᵖ-action, which is how a left B-action is
+    carried, and the second a right B-action: each lands on the side it
+    has on Tor_t, and `Bimodule` validates both.
 
     complete says that the target has a projective resolution as a
     right module over the source within the cap, which certifies

@@ -469,6 +469,12 @@ def balanced_tensor(a, right_mats, left_mats):
     sums of relations because a relation is linear in each factor; the
     unit gives 0; and a relation is linear in s.  Since the span is the
     same, so are its canonical rows, kept columns and projections.
+
+    It has two callers, and each uses it as the flat route beside a
+    derived one read through the Yoneda kernel: step (d) of
+    `spherical.tilting_audit`, against Tor₀, and the collapse audit of
+    the counit triangle, `twist._balanced_collapse_dim`.  Tor and the
+    derived tensor square do not use it (see `homology`).
     """
     ni = right_mats[0].nrows if right_mats else 0
     nd = left_mats[0].nrows if left_mats else 0

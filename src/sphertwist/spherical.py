@@ -609,16 +609,17 @@ def tilting_audit(report):
         and rigid(bwd_right)
     )
 
-    # (d) the balanced tensor, by two routes that must agree: the flat
-    # balancing quotient and the zeroth derived product
+    # (d) the balanced tensor, by two routes that must agree and share
+    # no kernel: the flat balancing quotient (`balanced_tensor`) and the
+    # zeroth derived product, which `tor_from_resolution` reads by
+    # duality through the Yoneda kernel
     tensor = balanced_tensor(lam1, fwd_r, bwd_l)
     tensor_dim = tensor.dim
 
     # a module without a finite resolution is not concentrated whatever
     # its Tor, so then only Tor_0 is read
     _, perfect, pd = resolved[0]
-    tor = tor_from_resolution(
-        lam1, fwd_right, bwd_left_mod, pd + 2 if perfect else 1)
+    tor = tor_from_resolution(fwd_right, bwd_left_mod, pd + 2 if perfect else 1)
     if tor[0] != tensor_dim:
         raise AuditFailed(
             "flat balanced quotient disagrees with the resolution route",

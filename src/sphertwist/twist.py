@@ -68,6 +68,7 @@ from .homology import (
     _yoneda_precompose,
     ext_dims,
     ext_from_resolution,
+    left_module_along,
 )
 from .modules import (
     Module,
@@ -392,6 +393,11 @@ def hom_complex(c, d):
         for k, ct in covered.items()
         for j in range(d.lo, d.hi + 1)
     }
+    images = {
+        k: [c.differential(k - 1).apply(g) for g in covered[k - 1].gens]
+        for k in covered
+        if k - 1 in covered
+    }
     n_lo = d.lo - c.hi
     n_hi = d.hi - c.lo
     offsets = {}
@@ -418,9 +424,9 @@ def hom_complex(c, d):
                     d.differential(j).matrix, blocks[(k, j)], blocks[(k, j + 1)]
                 )
                 _place(rows, at, offsets[(k, n + 1)], post, field.one())
-            if k - 1 in covered:
+            if k in images:
                 pre = _yoneda_precompose(
-                    d.term(j), c.differential(k - 1), covered[k - 1], covered[k],
+                    d.term(j), images[k], covered[k],
                     blocks[(k - 1, j)], blocks[(k, j)],
                 )
                 _place(rows, at, offsets[(k - 1, n + 1)], pre, sign)
@@ -450,28 +456,6 @@ def _place(rows, at_r, at_c, mat, scalar):
 def _kernel_module(p):
     """(kernel of p as a submodule of the regular module, inclusion)."""
     return submodule(Module.regular(p.source), p.kernel_basis.transpose())
-
-
-def _left_mult_family(algebra, incl):
-    """Matrices of x ↦ g·x on a left-stable subspace, in its coordinates."""
-    span = SpanBuilder(algebra.field, algebra.dim)
-    for row in incl.matrix.rows:
-        span.add(list(row))
-    pivots = list(span.pivots)
-    mats = []
-    for g in range(algebra.dim):
-        gvec = algebra.basis_vector(g)
-        rows = []
-        for row in incl.matrix.rows:
-            img = algebra.mul_vec(gvec, list(row))
-            if not span.contains(img):
-                raise AuditFailed(
-                    "subspace is not stable under left multiplication",
-                    witness=(g, img),
-                )
-            rows.append([img[q] for q in pivots])
-        mats.append(Matrix(algebra.field, rows, incl.source.dim))
-    return mats
 
 
 class _TwistCore:
@@ -525,13 +509,21 @@ def _over(m, lam):
 def _kernel_data(p, cap):
     """(kernel module, its left multiplications, its minimal resolution).
 
-    The resolution is truncated when the kernel does not resolve within
-    the cap (`resolve_within`), and None for a zero kernel.
+    K = ker p is a two-sided ideal, because p is an audited algebra map,
+    so left multiplication keeps it.  The regular module of Aᵒᵖ is A with
+    g acting by x ↦ g·x, and K is a submodule of it; `submodule` writes
+    that action in the canonical rows of K, which are the coordinates of
+    the kernel module too.  So the left multiplications are its action
+    matrices, and a kernel basis that is not left-stable still raises
+    `NotASubmodule`.  The resolution is truncated when the kernel does
+    not resolve within the cap (`resolve_within`), and None for a zero
+    kernel.
     """
     k_mod, k_incl = _kernel_module(p)
     if k_mod.dim == 0:
         return k_mod, None, None
-    return k_mod, _left_mult_family(p.source, k_incl), resolve_within(k_mod, cap)
+    lmults = submodule(Module.regular(opposite(p.source)), k_incl.matrix)[0].action
+    return k_mod, lmults, resolve_within(k_mod, cap)
 
 
 def _twist_core(p, c, window=None, cap=None, kernel=None):
@@ -657,18 +649,6 @@ class TriangleReport:
             self.compare_window, self.cone_profile, self.twist_profile)
 
 
-def _target_as_source_module(p):
-    """The target algebra as a right module over the source, through p."""
-    return restrict_scalars(p, Module.regular(p.target))
-
-
-def _target_left_mults(p):
-    """Left multiplication by p(g) on the target, one matrix per g."""
-    b = p.target
-    return [b.left_mult_matrix(p.apply(p.source.basis_vector(g)))
-            for g in range(p.source.dim)]
-
-
 def _balanced_collapse_dim(p, blocks):
     """dim of Hom(B, I) ⊗_B B by explicit balancing — audits the collapse.
 
@@ -719,8 +699,8 @@ def _triangle_piece(p, c_mod, cap, kernel):
         count,
     )
     srb_terms, srb_maps, b_blocks = _yoneda_cochain_modules(
-        dual_res, lam, dual_module(_target_as_source_module(p)),
-        [m.transpose() for m in _target_left_mults(p)],
+        dual_res, lam, dual_module(restrict_scalars(p, Module.regular(p.target))),
+        [m.transpose() for m in left_module_along(p).action],
         count,
     )
     d_p = p.matrix.transpose()

@@ -12,6 +12,7 @@ cokernels, one `hom_space` system per ladder term, each factored into a
 from sphertwist.errors import AuditFailed, CapExceeded
 from sphertwist.exactlin import Matrix, rank, solve_matrix
 from sphertwist.frobenius import injective_envelope
+from sphertwist.homology import left_module_along
 from sphertwist.modules import (
     HomBasis,
     Module,
@@ -20,13 +21,12 @@ from sphertwist.modules import (
     cokernel_of,
     hom_space,
     kernel_of,
+    restrict_scalars,
 )
 from sphertwist.twist import (
     ChainComplex,
     ChainMap,
     _stalk_data,
-    _target_as_source_module,
-    _target_left_mults,
     cohomology_dims,
     cone,
 )
@@ -153,8 +153,8 @@ def triangle_profiles(p, c, kernel):
     else:
         depth = kernel[2].length + 1
     srb_terms, srb_bases, srb_solvers, srb_maps = hom_into_ladder(
-        lam, _target_as_source_module(p), _target_left_mults(p),
-        ladder, ladder_maps, len(ladder))
+        lam, restrict_scalars(p, Module.regular(p.target)),
+        left_module_along(p).action, ladder, ladder_maps, len(ladder))
     gammas = []
     for hm, hb, sol, i_term in zip(srb_terms, srb_bases, srb_solvers, ladder):
         rows = [h.apply(p.target.unit) for h in hb]
