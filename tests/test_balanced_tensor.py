@@ -5,9 +5,10 @@ Tor and equivariance routes against `balanced_tensor_reference`.
 sparsely; the reference writes one dense row per basis element.  Both
 span the same subspace, so the canonical rows, the kept columns and
 every projection must be identical, and `SpanQuotient` must project
-exactly as the old dense reductions did.  `tor_dims` writes each row of
-h ⊗ 1 straight into the quotient; the reference multiplies the
-Kronecker product by a projection matrix.  The tilting audit's
+exactly as the old dense reductions did.  `tor_dims` reads Tor by
+duality as Ext into the dual of the other argument; the reference
+multiplies the Kronecker product of each differential by a projection
+onto the balanced quotient.  The tilting audit's
 equivariance check reads μ in two blockings; the reference forms
 (A ⊗ 1)·μ and (1 ⊗ B)·μ.  The modules are drawn over the test algebras
 and their opposites, over Q, GF(7) and GF(32003), and include modules in
