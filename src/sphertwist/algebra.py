@@ -31,7 +31,16 @@ from .errors import (
     SphertwistError,
     UnsupportedCharacteristic,
 )
-from .exactlin import Matrix, SpanBuilder, SpanQuotient, kernel_basis, rref, solve
+from .exactlin import (
+    Matrix,
+    SpanBuilder,
+    SpanQuotient,
+    kernel_basis,
+    product_residual,
+    rref,
+    solve,
+    sparse_rows,
+)
 
 
 class Algebra:
@@ -89,23 +98,26 @@ class Algebra:
             ei = self.basis_vector(i)
             if self.mul_vec(self.unit, ei) != ei or self.mul_vec(ei, self.unit) != ei:
                 raise BadUnit("unit law fails on basis element %d" % i, witness=i)
-        zero = f.zero()
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = [zero] * d
-                    for t, c in self._sparse[i][j]:
-                        for u, c2 in self._sparse[t][k]:
-                            lhs[u] = f.add(lhs[u], f.mul(c, c2))
-                    rhs = [zero] * d
-                    for t, c in self._sparse[j][k]:
-                        for u, c2 in self._sparse[i][t]:
-                            rhs[u] = f.add(rhs[u], f.mul(c, c2))
-                    if lhs != rhs:
-                        raise NonAssociative(
-                            "associativity fails on basis triple (%d,%d,%d)" % (i, j, k),
-                            witness=(i, j, k),
-                        )
+        # associativity is Lᵢ·Rₖ = Rₖ·Lᵢ for left multiplication by bᵢ
+        # (row t = bᵢbₜ) and right multiplication by bₖ (row t = bₜbₖ):
+        # row j of each side is (bᵢbⱼ)bₖ and bᵢ(bⱼbₖ).  Each pair (i, k)
+        # is one sparse residual, which names its first failing j; the
+        # least (j, k) so named is the first failing triple in (i, j, k)
+        # order, the witness of the triple-by-triple check
+        p = f.characteristic
+        table = self._sparse
+        columns = [[row[k] for row in table] for k in range(d)]
+        for i, left in enumerate(table):
+            failing = [
+                (j, k) for k, right in enumerate(columns)
+                if (j := product_residual(left, right, right, left, p)) is not None
+            ]
+            if failing:
+                j, k = min(failing)
+                raise NonAssociative(
+                    "associativity fails on basis triple (%d,%d,%d)" % (i, j, k),
+                    witness=(i, j, k),
+                )
         if self.idempotents:
             for a, (role_a, va) in enumerate(self.idempotents):
                 if self.mul_vec(va, va) != va:
@@ -196,15 +208,23 @@ class SurjectionData:
             raise SphertwistError("surjection matrix shape mismatch")
         if p.apply_to_row(a.unit) != b.unit:
             raise SphertwistError("surjection does not preserve the unit")
-        images = [p.apply_to_row(a.basis_vector(i)) for i in range(a.dim)]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                lhs = p.apply_to_row(a.mult[i][j])
-                rhs = b.mul_vec(images[i], images[j])
-                if lhs != rhs:
-                    raise SphertwistError(
-                        "surjection is not multiplicative on basis pair (%d,%d)" % (i, j)
-                    )
+        # p(bᵢbⱼ) = Σₜ cᵢⱼᵗ·p(bₜ) and p(bᵢ)p(bⱼ) = Σₛ,ᵤ p(bᵢ)ₛp(bⱼ)ᵤ·bₛbᵤ:
+        # one residual row per pair, against the rows of p and the rows
+        # of the target's table (row s·dim + u = bₛbᵤ), in pair order
+        d, db = a.dim, b.dim
+        images = sparse_rows(p)
+        lhs = (vec for row in a._sparse for vec in row)
+        rhs = (
+            [(s * db + u, x * y) for s, x in images[i] for u, y in images[j]]
+            for i in range(d) for j in range(d)
+        )
+        flat = [vec for row in b._sparse for vec in row]
+        bad = product_residual(lhs, images, rhs, flat, f.characteristic)
+        if bad is not None:
+            raise SphertwistError(
+                "surjection is not multiplicative on basis pair (%d,%d)"
+                % divmod(bad, d)
+            )
         if len(rref(p)[1]) != b.dim:
             raise SphertwistError("map is not surjective")
         if self.kernel_basis.nrows != a.dim:

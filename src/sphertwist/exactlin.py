@@ -26,7 +26,12 @@ zeros, so the kernels are specialised for that:
   of the pivot row;
 * a system too sparse to hold densely goes row by row into
   `SpanBuilder.add_sparse`, which keeps its reduced rows as dicts and
-  drops zero and dependent rows on arrival.
+  drops zero and dependent rows on arrival;
+* an equality of products A·B = C·D (an action axiom, an intertwining
+  or commuting square, a chain-map square) is tested as a sparse
+  residual by `product_residual`, row by row on the (column, entry)
+  pairs of `sparse_rows`: neither product is formed densely, and the
+  test stops at the first row whose residual is nonzero.
 
 The F_p element invariant: an element is an int and stands for its
 residue class, so a multiple of p is zero.  Every entry a kernel computes
@@ -179,6 +184,56 @@ QQ = RationalField()
 def _nonzeros(row):
     """The (column, entry) pairs of a row's nonzero entries."""
     return [(j, row[j]) for j in compress(range(len(row)), row)]
+
+
+def sparse_rows(m):
+    """The (column, entry) pairs of the nonzeros of each row of m.
+
+    Over F_p an entry is nonzero when it is not a multiple of p; it is
+    kept as stored, reduced or not, since `product_residual` reads its
+    sums modulo p.
+    """
+    p = m.field.characteristic
+    if p:
+        return [[(j, c) for j, c in enumerate(row) if c % p] for row in m.rows]
+    cols = range(m.ncols)
+    return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
+
+
+def product_residual(a_rows, b_rows, c_rows, d_rows, p):
+    """The index of the first row r with (A·B)ᵣ ≠ (C·D)ᵣ, or None when
+    A·B = C·D.
+
+    Each matrix is given by its rows' (column, entry) pairs
+    (`sparse_rows`, or pairs built by the caller); A and C have the same
+    number of rows and are iterated once, in step, so they may be
+    generators that build their rows on demand, and B and D are
+    indexed.  Row r of the residual, Σₖ Aᵣₖ·Bₖ − Σₖ Cᵣₖ·Dₖ, is summed in
+    a dict over the columns it touches, and it vanishes exactly when
+    every sum is 0 — read modulo the characteristic p over F_p, where
+    entries may be stored unreduced, and by truthiness over Q (p = 0).
+    So the verdict and the first failing row are those of comparing the
+    dense products A·B and C·D row by row, and a check keeps its
+    failure order by listing its equations as rows in that order.
+    """
+    for r, (a_row, c_row) in enumerate(zip(a_rows, c_rows)):
+        if not (a_row or c_row):
+            continue
+        acc = {}
+        get = acc.get
+        for k, a in a_row:
+            for j, b in b_rows[k]:
+                acc[j] = get(j, 0) + a * b
+        for k, c in c_row:
+            for j, d in d_rows[k]:
+                acc[j] = get(j, 0) - c * d
+        if p:
+            for v in acc.values():
+                if v % p:
+                    return r
+        elif any(acc.values()):
+            return r
+    return None
 
 
 class Matrix:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, NotConcentrated, SphertwistError
-from .exactlin import Matrix, SpanBuilder, rank, rref
+from .exactlin import Matrix, SpanBuilder, product_residual, rank, rref, sparse_rows
 from .frobenius import dual_module
 from .modules import (
     Module,
@@ -73,8 +73,9 @@ class Bimodule:
     contravariantly on rows (the first factor of a product is applied
     last), so the left family is a right module over the opposite
     algebra.  The constructor builds and validates both side modules
-    once and checks lₛ·rₜ = rₜ·lₛ for s and t in `generator_indices` of
-    the left and right algebra.  Together these are the axioms of a
+    once and checks lₛ·rₜ = rₜ·lₛ, as a sparse residual
+    (`product_residual`), for s and t in `generator_indices` of the left
+    and right algebra.  Together these are the axioms of a
     right module over enveloping(left, right), whose element rⱼ ⊗ lᵢᵒᵖ
     acts by lᵢ·rⱼ, so that algebra is never built.  Any failure raises
     AuditFailed.
@@ -105,11 +106,12 @@ class Bimodule:
         )
         self._right_projective = None
         self._left_projective = None
+        p = right_algebra.field.characteristic
         for i in generator_indices(left_algebra):
-            li = self.left_mats[i]
+            li = sparse_rows(self.left_mats[i])
             for j in generator_indices(right_algebra):
-                rj = self.right_mats[j]
-                if li.mul(rj) != rj.mul(li):
+                rj = sparse_rows(self.right_mats[j])
+                if product_residual(li, rj, rj, li, p) is not None:
                     raise AuditFailed(
                         "left and right actions fail to commute on generator pair",
                         witness=(i, j),

@@ -26,43 +26,12 @@ from .exactlin import (
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
+    product_residual,
     rank,
     row_space_canonical,
     rref,
+    sparse_rows,
 )
-
-
-def _sparse_rows(m):
-    """The (column, entry) pairs of the nonzeros of each row."""
-    p = m.field.characteristic
-    if p:
-        return [[(j, c) for j, c in enumerate(row) if c % p] for row in m.rows]
-    cols = range(m.ncols)
-    return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
-
-
-def _intertwines(m_rows, x_rows, n_rows, p):
-    """Whether M·X = X·N, all three given by their rows' nonzeros."""
-    for r, m_row in enumerate(m_rows):
-        acc = {}
-        for k, a in m_row:
-            for j, x in x_rows[k]:
-                acc[j] = acc.get(j, 0) + a * x
-        for k, x in x_rows[r]:
-            for j, b in n_rows[k]:
-                acc[j] = acc.get(j, 0) - x * b
-        if any(v % p for v in acc.values()) if p else any(acc.values()):
-            return False
-    return True
-
-
-def _sparse_mul(f, a_sparse, b_sparse, nrows, ncols):
-    out = [[f.zero()] * ncols for _ in range(nrows)]
-    for i, row in enumerate(a_sparse):
-        for k, c in row:
-            for j, c2 in b_sparse[k]:
-                out[i][j] = f.add(out[i][j], f.mul(c, c2))
-    return out
 
 
 class Module:
@@ -84,20 +53,31 @@ class Module:
             self._validate()
 
     def _validate(self):
+        """The unit acts as the identity, and Mᵢ·Mⱼ = Σₖ cᵢⱼᵏ·Mₖ for every
+        pair (i, j) of basis elements, where bᵢ·bⱼ = Σₖ cᵢⱼᵏ·bₖ.
+
+        The right side is the product C·D of the rows
+        Cᵣ = (cᵢⱼᵏ at column k·dim + r)ₖ and D = the actions M₀, M₁, …
+        stacked, so each pair is one `product_residual` and no dense
+        product or table is formed.  The pairs go in the order of the
+        pair-by-pair comparison, so the first failing pair is the same.
+        """
         a, f = self.algebra, self.algebra.field
         unit_mat = self.action_of(a.unit)
         if unit_mat != Matrix.identity(f, self.dim):
             raise SphertwistError("unit does not act as identity")
-        sparse = [_sparse_rows(m) for m in self.action]
-        for i in range(a.dim):
-            for j in range(a.dim):
-                prod = _sparse_mul(f, sparse[i], sparse[j], self.dim, self.dim)
-                want = [[f.zero()] * self.dim for _ in range(self.dim)]
-                for k, c in a._sparse[i][j]:
-                    for r in range(self.dim):
-                        for t, c2 in sparse[k][r]:
-                            want[r][t] = f.add(want[r][t], f.mul(c, c2))
-                if prod != want:
+        p, n = f.characteristic, self.dim
+        sparse = [sparse_rows(m) for m in self.action]
+        stacked = [row for rows in sparse for row in rows]
+        zero = [()] * n
+        for i, products in enumerate(a._sparse):
+            for j, coeffs in enumerate(products):
+                combination = [
+                    [(k * n + r, c) for k, c in coeffs] for r in range(n)
+                ] if coeffs else zero
+                if product_residual(
+                    sparse[i], sparse[j], combination, stacked, p
+                ) is not None:
                     raise SphertwistError(
                         "action not compatible with multiplication on pair (%d,%d)"
                         % (i, j)
@@ -187,11 +167,11 @@ class ModuleHom:
     def _validate(self):
         a = self.source.algebra
         p = a.field.characteristic
-        x_rows = _sparse_rows(self.matrix)
+        x_rows = sparse_rows(self.matrix)
         for i in range(a.dim):
-            m_rows = _sparse_rows(self.source.action[i])
-            n_rows = _sparse_rows(self.target.action[i])
-            if not _intertwines(m_rows, x_rows, n_rows, p):
+            m_rows = sparse_rows(self.source.action[i])
+            n_rows = sparse_rows(self.target.action[i])
+            if product_residual(m_rows, x_rows, x_rows, n_rows, p) is not None:
                 raise SphertwistError(
                     "matrix fails to intertwine basis element %d" % i
                 )
@@ -249,9 +229,9 @@ def hom_space(m, n):
     span = SpanBuilder(f, s * t)
     checks = []
     for g in gens:
-        m_rows = _sparse_rows(m.action[g])
-        checks.append((g, m_rows, _sparse_rows(n.action[g])))
-        n_cols = _sparse_rows(n.action[g].transpose())
+        m_rows = sparse_rows(m.action[g])
+        checks.append((g, m_rows, sparse_rows(n.action[g])))
+        n_cols = sparse_rows(n.action[g].transpose())
         for r, m_row in enumerate(m_rows):
             at = r * t
             for c, n_col in enumerate(n_cols):
@@ -265,9 +245,9 @@ def hom_space(m, n):
     for j in range(null.ncols):
         flat = null.column(j)
         mat = Matrix(f, [flat[r * t : (r + 1) * t] for r in range(s)], t)
-        x_rows = _sparse_rows(mat)
+        x_rows = sparse_rows(mat)
         for g, m_rows, n_rows in checks:
-            if not _intertwines(m_rows, x_rows, n_rows, p):
+            if product_residual(m_rows, x_rows, x_rows, n_rows, p) is not None:
                 raise SphertwistError(
                     "hom basis element %d fails to intertwine generator %d" % (j, g)
                 )
@@ -480,8 +460,8 @@ def balanced_tensor(a, right_mats, left_mats):
     nd = left_mats[0].nrows if left_mats else 0
     span = SpanBuilder(a.field, ni * nd)
     for s in generator_indices(a):
-        l_rows = _sparse_rows(left_mats[s])
-        for u, r_row in enumerate(_sparse_rows(right_mats[s])):
+        l_rows = sparse_rows(left_mats[s])
+        for u, r_row in enumerate(sparse_rows(right_mats[s])):
             at = u * nd
             for x, l_row in enumerate(l_rows):
                 row = {k * nd + x: c for k, c in r_row}

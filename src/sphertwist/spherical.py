@@ -27,7 +27,7 @@ reports what it finds rather than asserting the identification.
 from __future__ import annotations
 
 from .errors import AuditFailed, ShapeMismatch, SphertwistError
-from .exactlin import Matrix, rank, row_space_canonical
+from .exactlin import Matrix, product_residual, rank, row_space_canonical, sparse_rows
 from .frobenius import (
     is_self_injective,
     nakayama_permutation,
@@ -451,17 +451,6 @@ def syz_audit(ctx, t, cap=None, with_tilting=False):
 # AuditFailed before anything is built on it.
 
 
-def _embedding_bijective(side_alg, mats, module):
-    """Whether the action embedding hits every module endomorphism."""
-    homs = hom_space(module, module)
-    if len(homs) != side_alg.dim:
-        return False
-    f = module.algebra.field
-    coords = HomBasis(f, homs).coords
-    rows = [coords(m) for m in mats]
-    return rank(Matrix(f, rows, len(homs))) == side_alg.dim
-
-
 def _span_dim(f, mats):
     """Dimension of the span of equal-shape matrices, read as flat vectors."""
     if not mats:
@@ -470,17 +459,35 @@ def _span_dim(f, mats):
     return rank(Matrix(f, [_flatten(m) for m in mats], width))
 
 
-def _pairing_blocks(f, mu_rows, ni, nd, width):
+def _recovers(side_alg, mats, res):
+    """Whether x ↦ ``mats[x]`` maps side_alg onto End(M), M = res.target,
+    bijectively, and Ext¹(M, M) = 0.
+
+    The family must commute with M's action, as `Bimodule` checks of
+    the other side's family, so each matrix lies in End(M) and x ↦
+    ``mats[x]`` is a linear map side_alg → End(M).  It is bijective
+    exactly when its matrices are independent (the rank of the
+    flattened family is dim side_alg) and dim End(M) is dim side_alg
+    too.  dim End(M) = dim Ext⁰(M, M), the kernel of
+    Hom(P₀, M) → Hom(P₁, M), which `ext_from_resolution` reads by
+    Yoneda off the recorded resolution in the call that reads Ext¹, so
+    no hom space is solved.  `resolve_past` resolves at cap + 1 ≥ 2, so
+    the window of two degrees always exists.
+    """
+    end_dim, ext1 = ext_from_resolution(res, res.target, 2)
+    dim = side_alg.dim
+    return end_dim == dim == _span_dim(side_alg.field, mats) and ext1 == 0
+
+
+def _pairing_blocks(mu_rows, ni, nd):
     """μ in its two blockings, for the equivariance checks.
 
     Row (i, j) of μ, at i·nd + j, pairs ihoms[i] with dhoms[j].
     ``by_second[j]`` has the rows (s, j) over s and ``by_first[i]`` the
     rows (i, t) over t.
     """
-    by_second = [Matrix(f, mu_rows[j::nd], width) for j in range(nd)]
-    by_first = [
-        Matrix(f, mu_rows[i * nd : (i + 1) * nd], width) for i in range(ni)
-    ]
+    by_second = [mu_rows[j::nd] for j in range(nd)]
+    by_first = [mu_rows[i * nd : (i + 1) * nd] for i in range(ni)]
     return by_first, by_second
 
 
@@ -501,9 +508,12 @@ def tilting_audit(report):
     flags report these outcomes; only a genuine incoherence — two
     routes to the same number disagreeing, an action falsifying its
     algebra — raises AuditFailed.  Each of the four side modules of the
-    two bimodules is resolved once (`resolve_past`): its perfectness and
-    its first self-extensions read that one resolution, and so do the
-    projective dimension and Tor of the forward bimodule's right module.
+    two bimodules is resolved once (`resolve_past`): its perfectness,
+    the dimension of its endomorphism ring and its first
+    self-extensions read that one resolution, and so do the projective
+    dimension and Tor of the forward bimodule's right module.  So the
+    audit solves three hom spaces: End of the companion and the maps
+    each way between it and the generator.
     """
     if not report.side1.verdict:
         raise AuditFailed(
@@ -574,39 +584,33 @@ def tilting_audit(report):
     ]
     backward = Bimodule(lam1, lam, bwd_l, bwd_r)
 
-    fwd_right_mod = forward.restrict_right()
-    fwd_left_mod = forward.restrict_left()
-    bwd_right_mod = backward.restrict_right()
-    bwd_left_mod = backward.restrict_left()
-
     resolved = [
         resolve_past(mod, cap)
-        for mod in (fwd_right_mod, fwd_left_mod, bwd_right_mod, bwd_left_mod)
+        for bimodule in (forward, backward)
+        for mod in (bimodule.restrict_right(), bimodule.restrict_left())
     ]
     fwd_right, fwd_left, bwd_right, bwd_left = (res for res, _, _ in resolved)
-
-    def rigid(res):
-        return ext_from_resolution(res, res.target, 2)[1] == 0
 
     # (a) both bimodules resolve finitely on both sides
     biperfect = all(perfect for _, perfect, _ in resolved)
 
     # (b) the companion algebra is exactly the endomorphism ring of the
     # forward bimodule over the generator side, and the generator
-    # algebra that of the backward bimodule over the companion side
+    # algebra that of the backward bimodule over the companion side,
+    # with no first self-extensions.  Bimodule has checked that the two
+    # actions commute, so the other side's family lies in End(M) of the
+    # side module M; the embedding is bijective when the family has rank
+    # dim Λ = dim End(M), and dim End(M) is Ext⁰(M, M), read off M's
+    # resolution with Ext¹ (`_recovers`)
     rho_iso = (
-        _embedding_bijective(lam1, fwd_r, fwd_left_mod)
-        and rigid(fwd_left)
-        and _embedding_bijective(lam, bwd_r, bwd_left_mod)
-        and rigid(bwd_left)
+        _recovers(lam1, fwd_r, fwd_left)
+        and _recovers(lam, bwd_r, bwd_left)
     )
 
     # (c) the same with the roles of the sides exchanged
     lambda_iso = (
-        _embedding_bijective(lam, fwd_l, fwd_right_mod)
-        and rigid(fwd_right)
-        and _embedding_bijective(lam1, bwd_l, bwd_right_mod)
-        and rigid(bwd_right)
+        _recovers(lam, fwd_l, fwd_right)
+        and _recovers(lam1, bwd_l, bwd_right)
     )
 
     # (d) the balanced tensor, by two routes that must agree and share
@@ -619,7 +623,7 @@ def tilting_audit(report):
     # a module without a finite resolution is not concentrated whatever
     # its Tor, so then only Tor_0 is read
     _, perfect, pd = resolved[0]
-    tor = tor_from_resolution(fwd_right, bwd_left_mod, pd + 2 if perfect else 1)
+    tor = tor_from_resolution(fwd_right, bwd_left.target, pd + 2 if perfect else 1)
     if tor[0] != tensor_dim:
         raise AuditFailed(
             "flat balanced quotient disagrees with the resolution route",
@@ -646,17 +650,26 @@ def tilting_audit(report):
     # (i, j) of (1 ⊗ bwd_r[g])·μ is row j of bwd_r[g]·μᵢ for the block
     # μᵢ of the rows (i, t).  So the block equations below compare the
     # entries of the Kronecker equations row by row, with the same
-    # witness g, and no Kronecker product is formed.
-    by_first, by_second = _pairing_blocks(f, mu_rows, ni, nd, lam.dim)
+    # witness g, and no Kronecker product is formed.  Each is a sparse
+    # residual; left multiplication by b_g has the table's row b_g·b_s
+    # as its row s, and right multiplication the row b_s·b_g.
+    p_char = f.characteristic
+    by_first, by_second = _pairing_blocks(sparse_rows(mu), ni, nd)
+    table = lam._sparse
     for g in generator_indices(lam):
-        gvec = lam.basis_vector(g)
-        left_mult = lam.left_mult_matrix(gvec)
-        if any(fwd_l[g].mul(b) != b.mul(left_mult) for b in by_second):
+        act, left_mult = sparse_rows(fwd_l[g]), table[g]
+        if any(
+            product_residual(act, b, b, left_mult, p_char) is not None
+            for b in by_second
+        ):
             raise AuditFailed(
                 "composition pairing breaks equivariance on the left", witness=g
             )
-        right_mult = lam.right_mult_matrix(gvec)
-        if any(bwd_r[g].mul(b) != b.mul(right_mult) for b in by_first):
+        act, right_mult = sparse_rows(bwd_r[g]), [row[g] for row in table]
+        if any(
+            product_residual(act, b, b, right_mult, p_char) is not None
+            for b in by_first
+        ):
             raise AuditFailed(
                 "composition pairing breaks equivariance on the right", witness=g
             )

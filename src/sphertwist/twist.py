@@ -56,8 +56,10 @@ from .exactlin import (
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
+    product_residual,
     rank,
     solve_matrix,
+    sparse_rows,
 )
 from .frobenius import _indecomposable_projectives, dual_module
 from .homology import (
@@ -211,7 +213,8 @@ class ChainMap:
     the given range carry the zero map.  Every component must
     intertwine (ModuleHom checks that) and every square must commute —
     a failure raises with the offending degree and both composites as
-    the witness.
+    the witness.  Each square is tested as a sparse residual
+    (`product_residual`); the composites are formed only for a witness.
     """
 
     def __init__(self, source, target, lo, comps, validate=True):
@@ -249,10 +252,14 @@ class ChainMap:
             degrees += [self.target.lo - 1, self.target.hi]
         if not degrees:
             return
+        p = self.source.algebra.field.characteristic
         for k in range(min(degrees), max(degrees) + 1):
-            lhs = self.component(k).matrix.mul(self.target.differential(k).matrix)
-            rhs = self.source.differential(k).matrix.mul(self.component(k + 1).matrix)
-            if lhs != rhs:
+            square = (
+                self.component(k).matrix, self.target.differential(k).matrix,
+                self.source.differential(k).matrix, self.component(k + 1).matrix,
+            )
+            if product_residual(*map(sparse_rows, square), p) is not None:
+                lhs, rhs = square[0].mul(square[1]), square[2].mul(square[3])
                 raise NotAChainMap(
                     "square at degree %d does not commute" % k,
                     witness=(k, lhs, rhs),

@@ -24,6 +24,18 @@ def cyclic_nakayama(n, field=QQ):
     return from_quiver(vertices, arrows, relations, field=field)
 
 
+def truncated_cycle(n, length, field=QQ):
+    """Cyclic quiver on n vertices, all paths of the given length killed
+    (dim n·length); length 2 is `cyclic_nakayama`."""
+    vertices = [str(i) for i in range(1, n + 1)]
+    arrows = [("a%d" % i, str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    relations = [
+        [(1, ["a%d" % ((i + k - 1) % n + 1) for k in range(length)])]
+        for i in range(1, n + 1)
+    ]
+    return from_quiver(vertices, arrows, relations, field=field)
+
+
 def two_vertex_arrow(field=QQ):
     """Quiver 1 → 2, no relations: upper-triangular 2x2 matrices."""
     return from_quiver(["1", "2"], [("a", "1", "2")], [], field=field)

@@ -69,6 +69,51 @@ def test_nonassociative_witness():
     assert exc.value.witness is not None
 
 
+def first_nonassociative_triple(field, mult):
+    """The first (i, j, k) with (bᵢbⱼ)bₖ ≠ bᵢ(bⱼbₖ), from dense
+    coordinate vectors, triple by triple (test oracle)."""
+    d = len(mult)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs, rhs = [field.zero()] * d, [field.zero()] * d
+                for t in range(d):
+                    c, c2 = mult[i][j][t], mult[j][k][t]
+                    for u in range(d):
+                        if c:
+                            lhs[u] = field.add(lhs[u], field.mul(c, mult[t][k][u]))
+                        if c2:
+                            rhs[u] = field.add(rhs[u], field.mul(c2, mult[i][t][u]))
+                if lhs != rhs:
+                    return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_nonassociative_witness_is_the_first_failing_triple(field):
+    # the 3-cycle's table with one product of two arrows, 0 in the
+    # algebra, set to a basis element; the unit law
+    # still holds, and the witness is the first triple the
+    # triple-by-triple check meets
+    a = cyclic_nakayama(3, field)
+    arrows = [g for g in range(a.dim) if not a.unit[g]]
+    witnesses = set()
+    for i in arrows:
+        for j in arrows:
+            for t in range(a.dim):
+                mult = [[list(vec) for vec in row] for row in a.mult]
+                mult[i][j][t] = field.one()
+                want = first_nonassociative_triple(field, mult)
+                if want is None:
+                    from_structure_constants(field, mult, a.unit)
+                    continue
+                with pytest.raises(NonAssociative) as exc:
+                    from_structure_constants(field, mult, a.unit)
+                assert exc.value.witness == want
+                witnesses.add(want)
+    assert len(witnesses) > 3
+
+
 def test_bad_unit():
     # claim e1 is the unit of k x k
     mult = [
@@ -235,6 +280,39 @@ def test_surjection_audit_rejects_a_map_that_is_not_multiplicative():
     a = dual_numbers()
     with pytest.raises(SphertwistError, match="not multiplicative on basis pair \\(1,1\\)"):
         _onto_the_field(a, [1, 1])
+
+
+def first_non_multiplicative_pair(a, b, matrix):
+    """The first (i, j) with p(bᵢbⱼ) ≠ p(bᵢ)p(bⱼ), pair by pair (test
+    oracle)."""
+    images = [matrix.apply_to_row(a.basis_vector(i)) for i in range(a.dim)]
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if matrix.apply_to_row(a.mult[i][j]) != b.mul_vec(images[i], images[j]):
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_surjection_audit_names_the_first_non_multiplicative_pair(field):
+    # the 3-cycle onto its vertex quotient k³, with one arrow sent to a
+    # vertex idempotent instead of 0: unital and onto, not multiplicative
+    a = cyclic_nakayama(3, field)
+    s = quotient_surjection(a, radical(a))
+    arrows = [g for g in range(a.dim) if not a.unit[g]]
+    named = set()
+    for g in arrows:
+        for t in range(s.target.dim):
+            rows = [list(row) for row in s.matrix.rows]
+            rows[g] = s.target.basis_vector(t)
+            matrix = Matrix(field, rows, s.target.dim)
+            want = first_non_multiplicative_pair(a, s.target, matrix)
+            with pytest.raises(
+                SphertwistError, match=r"on basis pair \(%d,%d\)$" % want
+            ):
+                SurjectionData(a, s.target, matrix, s.kernel_basis)
+            named.add(want)
+    assert len(named) > 3
 
 
 @pytest.mark.parametrize("images", [[0, 1], [2, 0]])

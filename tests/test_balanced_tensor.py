@@ -158,14 +158,14 @@ def test_pairing_blocks_give_the_kronecker_equivariance_products(data):
         [f.coerce(c) for c in data.draw(coefficient_vectors(f, width))]
         for _ in range(ni * nd)
     ]
-    by_first, by_second = _pairing_blocks(f, mu_rows, ni, nd, width)
+    by_first, by_second = _pairing_blocks(mu_rows, ni, nd)
     left = [None] * (ni * nd)
     for j, block in enumerate(by_second):
-        for i, row in enumerate(act_first.mul(block).rows):
+        for i, row in enumerate(act_first.mul(Matrix(f, block, width)).rows):
             left[i * nd + j] = row
     right = [None] * (ni * nd)
     for i, block in enumerate(by_first):
-        for j, row in enumerate(act_second.mul(block).rows):
+        for j, row in enumerate(act_second.mul(Matrix(f, block, width)).rows):
             right[i * nd + j] = row
     left_ref, right_ref = ref.equivariance_products(
         act_first, act_second, Matrix(f, mu_rows, width))

@@ -21,10 +21,12 @@ from sphertwist.exactlin import (
     intersect_subspaces,
     kernel_basis,
     kronecker,
+    product_residual,
     rank,
     rref,
     solve,
     solve_matrix,
+    sparse_rows,
 )
 
 
@@ -348,6 +350,51 @@ def test_arithmetic_matches_reference(data):
     assert a.scale(scalar).rows == ref.scale(a, scalar)
     vec = draw_vector(data, field, a.nrows)
     assert a.apply_to_row(vec) == ref.apply_to_row(a, vec)
+
+
+def restored(data, m):
+    """m with each F_p entry stored as its residue plus a drawn multiple
+    of p, zeros included; over Q, m itself."""
+    p = m.field.characteristic
+    if not p:
+        return m
+    shifts = st.integers(-2, 2)
+    return Matrix(
+        m.field, [[e + p * data.draw(shifts) for e in row] for row in m.rows], m.ncols
+    )
+
+
+@given(st.data())
+def test_product_residual_matches_dense_products(data):
+    # A·B = C·D decided on sparse rows against the dense products; the
+    # first differing row is the one the dense rows show.  Half the
+    # draws take C, D to be A, B re-stored (so the products agree), with
+    # at most one entry of D changed afterwards
+    field = data.draw(st.sampled_from([QQ, PrimeField(32003)]))
+    a = draw_matrix(data, field)
+    b = draw_matrix(data, field, nrows=a.ncols)
+    if data.draw(st.booleans()):
+        c, d = restored(data, a), restored(data, b)
+        if data.draw(st.booleans()):
+            rows = [list(r) for r in d.rows]
+            i = data.draw(st.integers(0, d.nrows - 1))
+            j = data.draw(st.integers(0, d.ncols - 1))
+            rows[i][j] += field.coerce(data.draw(sparse_entries))
+            d = Matrix(field, rows, d.ncols)
+    else:
+        c = draw_matrix(data, field, nrows=a.nrows)
+        d = draw_matrix(data, field, nrows=c.ncols, ncols=b.ncols)
+    a, b = restored(data, a), restored(data, b)
+    lhs, rhs = a.mul(b), c.mul(d)
+    first = next(
+        (r for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y), None
+    )
+    assert (first is None) == (lhs == rhs)
+    got = product_residual(
+        sparse_rows(a), sparse_rows(b), sparse_rows(c), sparse_rows(d),
+        field.characteristic,
+    )
+    assert got == first
 
 
 @given(st.data())

@@ -11,9 +11,11 @@ from fractions import Fraction
 
 import pytest
 
+from sphertwist import exactlin
 from sphertwist.algebra import from_structure_constants
-from sphertwist.errors import NotASubmodule, NotSplit
-from sphertwist.exactlin import QQ, Matrix, SpanBuilder, rank
+from sphertwist.errors import NotASubmodule, NotSplit, SphertwistError
+from sphertwist.exactlin import QQ, Matrix, PrimeField, SpanBuilder, rank
+from sphertwist.homology import Bimodule
 from sphertwist.modules import (
     Module,
     ModuleHom,
@@ -80,6 +82,85 @@ def simple_over(algebra, kill_index):
     action = [one] * algebra.dim
     action[kill_index] = zero
     return Module(algebra, 1, action)
+
+
+def dense_first_incompatible_pair(m):
+    """The first pair (i, j) with Mᵢ·Mⱼ ≠ M(bᵢbⱼ), by forming both
+    matrices densely and comparing them pair by pair (test oracle)."""
+    a = m.algebra
+    for i in range(a.dim):
+        for j in range(a.dim):
+            if m.action[i].mul(m.action[j]) != m.action_of(a.mult[i][j]):
+                return i, j
+    return None
+
+
+def unreduced(mat):
+    """mat over F_p with every entry stored as its representative plus p."""
+    p = mat.field.characteristic
+    return Matrix(mat.field, [[e + p for e in row] for row in mat.rows], mat.ncols)
+
+
+# ---------------------------------------------------------------------------
+# action validation
+
+
+def test_unreduced_entries_over_a_prime_field_count_as_their_class():
+    # every entry of the regular module of the 3-cycle over GF(31)
+    # stored as its residue plus 31: zeros as 31, ones as 32
+    a = cyclic_nakayama(3, PrimeField(31))
+    reg = Module.regular(a)
+    action = [unreduced(mat) for mat in reg.action]
+    m = Module(a, reg.dim, action)
+    assert dense_first_incompatible_pair(m) is None
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_a_non_multiplicative_action_names_the_dense_first_pair(field):
+    # one entry of one arrow's matrix on the regular module of the
+    # 3-cycle is raised by 1; over GF(31) every entry is also stored
+    # unreduced.  Validation refuses the action and names the pair the
+    # dense pair-by-pair comparison meets first
+    a = cyclic_nakayama(3, field)
+    reg = Module.regular(a)
+    base = [unreduced(mat) for mat in reg.action] if field.characteristic else reg.action
+    arrows = [g for g in range(a.dim) if not a.unit[g]]
+    named = []
+    for g in arrows:
+        for r in range(reg.dim):
+            for c in range(reg.dim):
+                rows = [list(row) for row in base[g].rows]
+                rows[r][c] += 1
+                action = list(base)
+                action[g] = Matrix(field, rows, reg.dim)
+                want = dense_first_incompatible_pair(
+                    Module(a, reg.dim, action, validate=False))
+                if want is None:
+                    # a raised entry the other actions never meet
+                    Module(a, reg.dim, action)
+                    continue
+                with pytest.raises(
+                    SphertwistError, match=r"on pair \(%d,%d\)$" % want
+                ):
+                    Module(a, reg.dim, action)
+                named.append(want)
+    assert len(named) > 50 and len(set(named)) > 3
+
+
+def test_validated_modules_and_bimodules_form_no_dense_product(monkeypatch):
+    # the action axioms and the commuting of a bimodule's two families
+    # are sparse residuals: no Matrix.mul is formed while they are checked
+    def refuse(*args):
+        raise AssertionError("validation formed a dense product")
+
+    a = cyclic_nakayama(3)
+    reg = Module.regular(a)
+    left = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
+    right = [a.right_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
+    monkeypatch.setattr(exactlin.Matrix, "mul", refuse)
+    assert Module(a, reg.dim, reg.action).dim == a.dim
+    bimod = Bimodule(a, a, left, right)
+    assert bimod.restrict_right().dim == a.dim
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,10 @@ import sys
 import pytest
 
 import ext_reference
+import tilting_reference
 from sphertwist import algebra, exactlin, modules, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
+from sphertwist.exactlin import QQ, Matrix
 from sphertwist.frobenius import build_context, suspension_power
 from sphertwist.homology import left_module_along, tor_dims
 from sphertwist.modules import Module, add_equivalent, direct_sum, simple_modules
@@ -24,6 +26,7 @@ from sphertwist.resolutions import (
     is_perfect,
     minimal_resolution,
     projective_dimension,
+    resolve_past,
     stable_module,
     stable_simples,
 )
@@ -39,7 +42,7 @@ from sphertwist.spherical import (
     tilting_audit,
 )
 
-from fixture_algebras import cyclic_nakayama, dual_numbers
+from fixture_algebras import cyclic_nakayama, dual_numbers, truncated_cycle
 from patching import count_calls
 
 
@@ -81,6 +84,13 @@ def report_cycle(ctx_cycle):
 @pytest.fixture(scope="module")
 def report_cycle_one(ctx_cycle_one):
     return syz_audit(ctx_cycle_one, 4, with_tilting=True)
+
+
+@pytest.fixture(scope="module")
+def report_loewy3():
+    a = truncated_cycle(3, 3)
+    ctx = build_context(a, Module.regular(a), [(simple_modules(a)[0], 1)])
+    return syz_audit(ctx, 3, with_tilting=True)
 
 
 # ---------------------------------------------------------------------------
@@ -375,13 +385,60 @@ def test_the_tilting_audit_reads_block_dims_off_the_companion_homs(
         ctx_cycle_one, monkeypatch):
     # I0 and D0 restrict the companion's hom spaces along the direct-sum
     # injections and projections instead of solving hom(p, total),
-    # hom(om, total), hom(total, p) and hom(total, om): seven systems
-    # where solving the four blocks as well took eleven
+    # hom(om, total), hom(total, p) and hom(total, om), and each side
+    # module's End is read off its resolution as Ext⁰ instead of solved:
+    # three systems (End of the companion and the maps each way), where
+    # solving the four blocks and the four Ends as well took eleven
     report = syz_audit(ctx_cycle_one, 4)
     calls = count_calls(monkeypatch, modules, "hom_space")
     ta = tilting_audit(report)
     assert (ta.I0_dims, ta.D0_dims) == ((7, 1), (7, 1))
-    assert len(calls) == 7
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("blocking, side", [(0, "right"), (1, "left")])
+def test_a_tampered_pairing_block_breaks_equivariance(
+        report_cycle_one, blocking, side, monkeypatch):
+    # one extra entry in the first block of one blocking of μ
+    # (by_first feeds the right-hand check, by_second the left-hand
+    # one): that check must refuse the pairing, naming a generator
+    original = spherical._pairing_blocks
+
+    def tampered(mu_rows, ni, nd):
+        blocks = original(mu_rows, ni, nd)
+        first = blocks[blocking][0]
+        blocks[blocking][0] = [first[0] + [(0, 1)]] + first[1:]
+        return blocks
+
+    monkeypatch.setattr(spherical, "_pairing_blocks", tampered)
+    with pytest.raises(
+        AuditFailed, match="composition pairing breaks equivariance on the " + side
+    ) as exc:
+        tilting_audit(report_cycle_one)
+    assert exc.value.witness in modules.generator_indices(report_cycle_one.ctx.endo)
+
+
+def test_end_recovery_agrees_with_the_hom_space_route():
+    # families on the regular module A and the simple k of the dual
+    # numbers A: an isomorphism A → End(A) = A, a dependent family, a
+    # side algebra too small for End, and the isomorphism k → End(k),
+    # refused because Ext¹(k, k) ≠ 0
+    a, k = dual_numbers(), algebra.from_structure_constants(QQ, [[[1]]], [1])
+    reg, simple = Module.regular(a), simple_modules(a)[0]
+    one, x = Matrix.identity(QQ, 2), a.left_mult_matrix(a.basis_vector(1))
+    cases = [
+        (a, [one, x], reg, True),
+        (a, [one, one], reg, False),
+        (k, [one], reg, False),
+        (k, [Matrix.identity(QQ, 1)], simple, False),
+    ]
+    for side_alg, mats, m, want in cases:
+        res = resolve_past(m)[0]
+        rigid = ext_reference.ext_dims(a, m, m, 2)[1] == 0
+        assert spherical._recovers(side_alg, mats, res) is want
+        assert want == (
+            tilting_reference.embedding_bijective(side_alg, mats, m) and rigid
+        )
 
 
 def test_tensor_codimension_invariant(report_dual, report_cycle, report_cycle_one):
@@ -436,9 +493,26 @@ def test_side_one_matches_the_two_call_route_at_every_cap(
         assert perfect == (cap != length - 1)
 
 
-@pytest.mark.parametrize("cap", [None, 4])
-def test_tilting_flags_match_the_resolve_per_query_route(ctx_cycle_one, cap, monkeypatch):
-    ctx = ctx_cycle_one
+@pytest.mark.parametrize(
+    "report_name, cap, composite",
+    [
+        ("report_cycle_one", None, True),
+        ("report_cycle_one", 4, True),
+        ("report_dual", None, False),
+        ("report_cycle", None, False),
+        ("report_loewy3", None, True),
+    ],
+    ids=["None", "4", "dual", "cycle", "loewy3"],
+)
+def test_tilting_flags_match_the_resolve_per_query_route(
+        request, report_name, cap, composite, monkeypatch):
+    # rho_iso and lambda_iso against End(M) solved as a hom space
+    # (tilting_reference); on the Loewy-length-3 cycle the two side
+    # algebras differ in dimension (12 and 14), so each side module's
+    # endomorphism ring is compared with its own side algebra
+    report = request.getfixturevalue(report_name)
+    if cap != report.cap:
+        report = syz_audit(report.ctx, report.t, cap)
     built = []
 
     class Recording(spherical.Bimodule):
@@ -447,16 +521,16 @@ def test_tilting_flags_match_the_resolve_per_query_route(ctx_cycle_one, cap, mon
             built.append(self)
 
     monkeypatch.setattr(spherical, "Bimodule", Recording)
-    ta = tilting_audit(syz_audit(ctx, 4, cap))
+    ta = tilting_audit(report)
     forward, backward = built
-    lam, lam1 = ctx.endo, forward.right_algebra
+    lam, lam1 = report.ctx.endo, forward.right_algebra
     fr, fl = forward.restrict_right(), forward.restrict_left()
     br, bl = backward.restrict_right(), backward.restrict_left()
 
     def rigid(m):
         return ext_reference.ext_dims(m.algebra, m, m, 2)[1] == 0
 
-    embeds = spherical._embedding_bijective
+    embeds = tilting_reference.embedding_bijective
     assert ta.biperfect == all(is_perfect(m, cap=cap) for m in (fr, fl, br, bl))
     assert ta.rho_iso == (
         embeds(lam1, forward.right_mats, fl) and rigid(fl)
@@ -470,4 +544,5 @@ def test_tilting_flags_match_the_resolve_per_query_route(ctx_cycle_one, cap, mon
     tor = tor_dims(lam1, fr, bl, pd + 2 if isinstance(pd, int) else 3)
     assert tor[0] == ta.tensor_dim
     concentrated = isinstance(pd, int) and not any(tor[1:])
-    assert ta.composite_iso_to_projE is concentrated is True
+    assert ta.composite_iso_to_projE is composite
+    assert concentrated or not composite

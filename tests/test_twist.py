@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphertwist.algebra import from_structure_constants, quotient_surjection
-from sphertwist.errors import CapExceeded
+from sphertwist.errors import CapExceeded, NotAChainMap
 from sphertwist.exactlin import QQ, Matrix, PrimeField, kernel_basis
 from sphertwist.homology import identity_surjection
 from sphertwist.modules import Module, ModuleHom, simple_modules
@@ -57,6 +57,29 @@ def test_cone_of_multiplication_by_x(dual):
     cn = cone(ChainMap(stalk, stalk, 0, [mult_x]))
     assert cn.support == (-1, 0)
     assert cohomology_dims(cn) == {-1: 1, 0: 1}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+def test_a_square_that_fails_to_commute_is_not_a_chain_map(field):
+    # X = (A --x--> A) in degrees 0 and 1, over the dual numbers.  The
+    # components (1, 0) fail the square at degree 0: 1·x = x but x·0 = 0.
+    # Over GF(7) the zero is stored as 7·1 and the identity of the valid
+    # map (1, 1) as 8·1, which are the same classes
+    a = dual_numbers(field)
+    reg = Module.regular(a)
+    x = a.left_mult_matrix(a.basis_vector(1))
+    cx = ChainComplex(a, 0, [reg, reg], [ModuleHom(reg, reg, x)])
+    p = field.characteristic
+    one = Matrix.identity(field, 2)
+    zero, also_one = (
+        (Matrix(field, [[7, 0], [0, 7]]), Matrix(field, [[8, 0], [0, 8]]))
+        if p else (Matrix.zero(field, 2, 2), one)
+    )
+    ChainMap(cx, cx, 0, [ModuleHom(reg, reg, one), ModuleHom(reg, reg, also_one)])
+    with pytest.raises(NotAChainMap, match="square at degree 0") as exc:
+        ChainMap(cx, cx, 0, [ModuleHom(reg, reg, one), ModuleHom(reg, reg, zero)])
+    k, lhs, rhs = exc.value.witness
+    assert (k, lhs, rhs) == (0, x, Matrix.zero(field, 2, 2))
 
 
 def test_cone_of_the_identity_is_acyclic(dual):
