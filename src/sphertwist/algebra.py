@@ -69,6 +69,9 @@ class Algebra:
             ]
             for row in self.mult
         ]
+        # the span of the non-trivial paths, recorded by `from_quiver`;
+        # `radical` takes it once certified
+        self._arrow_ideal = None
         # per-algebra caches: of this module ...
         self._radical_cache = None
         self._opposite_cache = None
@@ -242,7 +245,20 @@ def _as_vector_list(field, basis, dim):
 
 
 def quotient_surjection(a, ideal):
-    """Quotient by a two-sided ideal; returns the surjection data."""
+    """Quotient by a two-sided ideal; returns the surjection data.
+
+    The span of ``ideal`` is audited first (`_ideal_escape`): the first
+    product bᵢ·g or g·bᵢ that leaves it raises NotAnIdeal with the
+    witness (i, g, product).
+
+    The target records the nonzero images of the source's
+    ``idempotents`` tags, under the same roles.  An algebra map sends
+    idempotents to idempotents, orthogonal pairs to orthogonal pairs
+    and the unit to the unit, so tags that sum to 1 in the source have
+    images that sum to 1 in the target, and `lift_idempotents` of the
+    target starts from them instead of splitting it from its unit.  A
+    zero image is dropped: it is the unit of no corner.
+    """
     f = a.field
     gens = _as_vector_list(f, ideal, a.dim)
     for g in gens:
@@ -251,28 +267,63 @@ def quotient_surjection(a, ideal):
     span = SpanBuilder(f, a.dim)
     for g in gens:
         span.add(g)
-    for g in list(span.rows):
-        for i in range(a.dim):
-            left = a.mul_vec(a.basis_vector(i), list(g))
-            right = a.mul_vec(list(g), a.basis_vector(i))
-            if not span.contains(left):
-                raise NotAnIdeal(
-                    "b%d · ideal element leaves the span" % i, witness=(i, list(g), left)
-                )
-            if not span.contains(right):
-                raise NotAnIdeal(
-                    "ideal element · b%d leaves the span" % i, witness=(i, list(g), right)
-                )
+    escape = _ideal_escape(a, span)
+    if escape is not None:
+        i, g, product, left = escape
+        raise NotAnIdeal(
+            ("b%d · ideal element leaves the span" if left
+             else "ideal element · b%d leaves the span") % i,
+            witness=(i, g, product),
+        )
     ideal_matrix = span.basis_matrix()
     q = SpanQuotient(span)
     reps = [a.basis_vector(i) for i in q.kept]
     mult = [[q.project(a.mul_vec(ri, rj)) for rj in reps] for ri in reps]
     unit = q.project(a.unit)
     labels = [a.basis_labels[i] for i in q.kept]
-    target = Algebra(f, mult, unit, basis_labels=labels)
+    images = [(role, q.project(v)) for role, v in a.idempotents or []]
+    tags = [(role, v) for role, v in images if any(v)]
+    target = Algebra(f, mult, unit, basis_labels=labels, idempotents=tags)
     pmat = Matrix(f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim)
     kernel = ideal_matrix.transpose()
     return SurjectionData(a, target, pmat, kernel)
+
+
+def _ideal_escape(a, span):
+    """The first product that leaves the span, as (i, g, product, left),
+    or None when the span is a two-sided ideal.
+
+    The canonical rows g of the span are taken in order, and for each the
+    basis elements bᵢ in order, bᵢ·g (``left``) before g·bᵢ; this is the
+    order of multiplying by basis vectors with `Algebra.mul_vec`, and g
+    and the product are dense lists as that gives them.  The products are
+    read off the sparse table as sums Σⱼ gⱼ·(bᵢbⱼ) and Σⱼ gⱼ·(bⱼbᵢ) over
+    the nonzero gⱼ, and only a nonzero product is reduced against the
+    span: the zero vector lies in every span, so skipping it changes
+    neither the first escape nor its witness.
+    """
+    f, d = a.field, a.dim
+    p = f.characteristic
+    table = a._sparse
+    for g in span.rows:
+        support = [(j, c) for j, c in enumerate(g) if c]
+        for i in range(d):
+            for left in (True, False):
+                acc = {}
+                get = acc.get
+                for j, c in support:
+                    for t, s in table[i][j] if left else table[j][i]:
+                        acc[t] = get(t, 0) + c * s
+                if p:
+                    acc = {t: x % p for t, x in acc.items() if x % p}
+                else:
+                    acc = {t: x for t, x in acc.items() if x}
+                if acc and not span.contains_sparse(acc):
+                    product = [f.zero()] * d
+                    for t, x in acc.items():
+                        product[t] = x
+                    return i, g, product, left
+    return None
 
 
 def _trace(m):
@@ -286,9 +337,11 @@ def _trace(m):
 def radical(a):
     """Basis (canonical columns) of the Jacobson radical.
 
-    Uses the trace form of the left regular representation, valid in
-    characteristic 0 or p > dim; the computed span is verified nilpotent
-    by powering it until it dies.
+    An algebra presented by a quiver takes the arrow ideal it recorded
+    once `_presented_radical` has certified it; that holds in every
+    characteristic.  Otherwise the trace form of the left regular
+    representation is used, valid in characteristic 0 or p > dim; the
+    computed span is verified nilpotent by powering it until it dies.
 
     An opposite algebra (cached in pairs with `opposite`) that already
     knows its radical lends it: the Jacobson radical is the largest
@@ -304,6 +357,75 @@ def radical(a):
     if op is not None and op._radical_cache is not None:
         a._radical_cache = op._radical_cache
         return a._radical_cache
+    rad = _presented_radical(a)
+    if rad is None:
+        rad = _trace_form_radical(a)
+    a._radical_cache = rad
+    return rad
+
+
+def _presented_radical(a):
+    """The canonical columns of the recorded arrow ideal J when it is
+    certified to be the radical, else None.
+
+    `from_quiver` records J, the span of the basis paths of length ≥ 1,
+    and tags the vertex idempotents e_v.  Four checks make J = rad A in
+    any characteristic:
+    - J is a two-sided ideal (`_ideal_escape` finds no product that
+      leaves it);
+    - J is nilpotent: its powers reach 0 (`_is_nilpotent`);
+    - A = span(e_v) ⊕ J: the e_v and a basis of J are dim A independent
+      vectors;
+    - the e_v are orthogonal idempotents summing to 1: the constructor
+      has checked the tags for idempotence and orthogonality, and their
+      sum is checked here.
+    A nilpotent ideal lies in the radical, so J ⊆ rad A.  A/J has the
+    basis of the classes ē_v, with ē_v·ē_w = ē_v when v = w and 0
+    otherwise, so A/J ≅ kⁿ is semisimple and rad A ⊆ J.  No trace form
+    and no bound on the characteristic enters.  The columns are the rref
+    basis of J, the canonical basis `kernel_basis` gives the trace-form
+    route for the same subspace.
+    """
+    if a._arrow_ideal is None or not a.idempotents:
+        return None
+    f, d = a.field, a.dim
+    span = SpanBuilder(f, d)
+    for v in a._arrow_ideal:
+        span.add(v)
+    if _ideal_escape(a, span) is not None or not _is_nilpotent(a, span.rows):
+        return None
+    rad = span.basis_matrix().transpose()
+    total = [f.zero()] * d
+    for _, v in a.idempotents:
+        if not span.add(v):
+            return None
+        total = [f.add(x, y) for x, y in zip(total, v)]
+    if span.dim() != d or total != a.unit:
+        return None
+    return rad
+
+
+def _is_nilpotent(a, base):
+    """Whether the span of ``base`` has a power 0: the powers J, J², …
+    are spans, and a nonzero one is strictly smaller than the one before
+    it while J is nilpotent, so dim A + 1 steps decide."""
+    current = [list(r) for r in base]
+    steps = 1
+    while current:
+        if steps > a.dim:
+            return False
+        nxt = SpanBuilder(a.field, a.dim)
+        for u in current:
+            for v in base:
+                nxt.add(a.mul_vec(u, v))
+        current = nxt.rows
+        steps += 1
+    return True
+
+
+def _trace_form_radical(a):
+    """The radical as the kernel of the trace form of the left regular
+    representation, in characteristic 0 or p > dim, audited nilpotent."""
     f = a.field
     if f.characteristic != 0 and f.characteristic <= a.dim:
         raise UnsupportedCharacteristic(
@@ -323,20 +445,8 @@ def radical(a):
             row.append(t)
         gram.append(row)
     rad = kernel_basis(Matrix(f, gram, a.dim))
-    # nilpotency audit: powers of the span must vanish within dim steps
-    current = [rad.column(j) for j in range(rad.ncols)]
-    base = list(current)
-    steps = 1
-    while current:
-        if steps > a.dim:
-            raise SphertwistError("radical candidate is not nilpotent")
-        nxt = SpanBuilder(f, a.dim)
-        for u in current:
-            for v in base:
-                nxt.add(a.mul_vec(u, v))
-        current = [list(r) for r in nxt.rows]
-        steps += 1
-    a._radical_cache = rad
+    if not _is_nilpotent(a, [rad.column(j) for j in range(rad.ncols)]):
+        raise SphertwistError("radical candidate is not nilpotent")
     return rad
 
 
@@ -357,6 +467,9 @@ def opposite(a):
         basis_labels=[l + "^op" for l in a.basis_labels],
         idempotents=idem,
     )
+    # the arrow ideal is a subspace, the same in aᵒᵖ, where `radical`
+    # certifies it again
+    o._arrow_ideal = a._arrow_ideal
     a._opposite_cache = o
     o._opposite_cache = a
     return o
@@ -614,7 +727,11 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
         evec[index_of[trivial.key()]] = f.one()
         idems.append(("vertex:%s" % v, evec))
     labels = [p.label(vlabels) for p in basis_paths]
-    return Algebra(f, mult, unit, basis_labels=labels, idempotents=idems)
+    alg = Algebra(f, mult, unit, basis_labels=labels, idempotents=idems)
+    alg._arrow_ideal = [
+        _unit_vec(f, len(basis_paths), index_of[p.key()]) for p in basis_paths if p.arrows
+    ]
+    return alg
 
 
 def _unit_vec(f, width, pos):
@@ -921,9 +1038,12 @@ def lift_idempotents(a):
     under each eᵢ is a complete primitive set of A.  Each tag is split
     in its own corner, last tag first.  The search from the unit splits
     the first basis idempotent off first and lists it last, so on the
-    tags of `from_quiver` and `frobenius.build_context` both starts give
-    the same list in the same order (`tests/test_lift.py` compares them
-    on every fixture and workload algebra).  The checks below do not
+    tags of `from_quiver`, of End(T) in `frobenius.build_context`, of its
+    stable quotient (`quotient_surjection` carries tags over) and of the
+    companion algebra of `spherical.tilting_audit` both starts give the
+    same list in the same order (`tests/test_lift.py` compares them on
+    every fixture and workload algebra, `tests/test_spherical.py` on the
+    companion).  The checks below do not
     depend on the start: the elements square to themselves, are
     pairwise orthogonal and sum to the unit, and every leaf of
     `_split_corner` passed its local-corner test, so it is primitive.

@@ -697,6 +697,10 @@ class SpanBuilder:
     def contains(self, vec):
         return not any(self._reduce(vec))
 
+    def contains_sparse(self, entries):
+        """Membership of a vector given as {column: entry}."""
+        return not self._reduce_sparse(entries)
+
     def add(self, vec):
         """Insert a dense vector; returns True if the span grew."""
         v = self._reduce(vec)
@@ -742,6 +746,10 @@ class SpanBuilder:
 
     def dim(self):
         return len(self.pivots)
+
+    def basis_entries(self):
+        """The reduced basis rows as {column: entry} dicts, in pivot order."""
+        return [dict(self._rows[pivot]) for pivot in self.pivots]
 
     def basis_matrix(self):
         """Rows = canonical basis (already rref by construction)."""

@@ -20,17 +20,25 @@ from .algebra import (
     quotient_surjection,
 )
 from .errors import NotProgenerator, NotSelfInjective, SphertwistError
-from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, solve_matrix
+from .exactlin import (
+    Matrix,
+    SpanBuilder,
+    kernel_basis,
+    rank,
+    solve_matrix,
+    sparse_rows,
+)
 from .modules import (
     HomBasis,
     Module,
     ModuleHom,
+    _endomorphism_table,
+    _flatten,
     _idempotent_piece,
     _nonzero_cells,
     add_equivalent,
     cokernel_of,
     direct_sum,
-    endomorphism_algebra,
     hom_space,
     kernel_of,
     projective_cover,
@@ -54,14 +62,50 @@ def dual_module(m):
 
 def is_self_injective(a):
     """Whether the regular module and its dual generate the same additive
-    closure — projectives equal injectives exactly then."""
+    closure — projectives equal injectives exactly then.
+
+    A Frobenius form certifies it.  Let λ be a linear form whose Gram
+    matrix λ(bᵢbⱼ) (`_gram`) is nondegenerate.  Then x ↦ λ(x·−) is a
+    map of right modules A_A → D(A)_A, since λ(xa·−) = λ(x·−)·a; it is
+    injective, because λ(x·A) = 0 puts x in the kernel of the Gram
+    matrix; so it is an isomorphism, and add(A) = add(D A) (Lam,
+    *Lectures on Modules and Rings*, GTM 189, §16).  One λ is drawn,
+    seeded, with entries in [1, 2²⁰].  When A is Frobenius, the
+    determinant of the Gram matrix is a nonzero polynomial of degree
+    d = dim A in the entries of λ, so by the Schwartz–Zippel lemma a draw
+    from s values misses with probability at most d/s: d/2²⁰ over Q, and
+    about d/p over F_p, where the entries are read modulo p.  Zero is
+    kept out of the range: λ must be nonzero on every socle element, and
+    a draw from [−4, 4] missed on the cyclic Nakayama algebras with 12
+    and 16 vertices.
+
+    With no witness — A is not Frobenius, or the draw missed — the
+    verdict is that of `add_equivalent(A_A, D A)`, so a negative answer
+    is proven, and no verdict depends on the draw.  That check also
+    decides the self-injective algebras that are not Frobenius.
+    """
     if a._selfinj_cache is not None:
         return a._selfinj_cache
-    reg = Module.regular(a)
-    co = Module.coregular(a)
-    verdict = add_equivalent(reg, co)
+    rng = random.Random(61)
+    form = [a.field.coerce(rng.randint(1, 1 << 20)) for _ in range(a.dim)]
+    verdict = rank(_gram(a, form)) == a.dim or add_equivalent(
+        Module.regular(a), Module.coregular(a)
+    )
     a._selfinj_cache = verdict
     return verdict
+
+
+def _gram(a, form):
+    """The Gram matrix (λ(bᵢbⱼ))ᵢⱼ of the linear form λ with λ(bₜ) =
+    form[t], read off the sparse table as Σₜ cᵢⱼᵗ·λ(bₜ)."""
+    p = a.field.characteristic
+    rows = [
+        [sum(form[t] * c for t, c in vec) for vec in products]
+        for products in a._sparse
+    ]
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    return Matrix(a.field, rows, a.dim)
 
 
 def _require_self_injective(a):
@@ -164,12 +208,14 @@ def is_symmetric(a):
 
     A bimodule map A → A* is fixed by the functional λ it sends the unit
     to, and λ must vanish on every commutator [x, y]; the map is an
-    isomorphism exactly when the Gram matrix λ(bᵢbⱼ) is nondegenerate.
-    So the candidates are the kernel of the commutator conditions, in
-    dim(a) unknowns.  A nondegenerate Gram matrix is searched among the
-    kernel basis and seeded low-height combinations, so a negative over
-    an infinite field is near-certain rather than proven, while a
-    positive is exact.
+    isomorphism exactly when the Gram matrix λ(bᵢbⱼ) (`_gram`, shared
+    with `is_self_injective`) is nondegenerate.  So the candidates are
+    the kernel of the commutator conditions, in dim(a) unknowns.  A
+    nondegenerate Gram matrix is searched among the kernel basis and 200
+    seeded combinations of it with coefficients in [−4, 4].  A positive
+    is exact.  A negative is not proven: over a large field it is
+    near-certain, but a symmetric algebra whose forms the search misses
+    would be reported as not symmetric.
     """
     if a._symmetric_cache is not None:
         return a._symmetric_cache
@@ -179,20 +225,17 @@ def is_symmetric(a):
         for i in range(d)
         for j in range(i + 1, d)
     ]
-    forms = kernel_basis(Matrix(f, commutators, d))
-    # row i of the Gram matrix of the s-th form is column s of mult[i]·forms
-    per_row = [Matrix(f, a.mult[i], d).mul(forms) for i in range(d)]
-    grams = [
-        Matrix(f, [m.column(s) for m in per_row], d) for s in range(forms.ncols)
-    ]
-    found = any(rank(g) == d for g in grams)
-    if not found and grams:
+    kernel = kernel_basis(Matrix(f, commutators, d))
+    forms = [kernel.column(s) for s in range(kernel.ncols)]
+    found = any(rank(_gram(a, form)) == d for form in forms)
+    if not found and forms:
         rng = random.Random(37)
         for _ in range(200):
-            acc = Matrix.zero(f, d, d)
-            for g in grams:
-                acc = acc.add(g.scale(f.coerce(rng.randint(-4, 4))))
-            if rank(acc) == d:
+            coeffs = [f.coerce(rng.randint(-4, 4)) for _ in forms]
+            form = [
+                sum(c * x[t] for c, x in zip(coeffs, forms)) for t in range(d)
+            ]
+            if rank(_gram(a, form)) == d:
                 found = True
                 break
     a._symmetric_cache = found
@@ -349,17 +392,27 @@ def build_context(ambient, projective_part, extra_summands):
     regular module (and be projective); each extra summand comes with a
     positive multiplicity.
 
-    The split of total is known, and the work follows it:
+    The ambient is checked self-injective by a Frobenius form
+    (`is_self_injective`), with the add route only as the fallback.  The
+    split of total is known, and the work follows it:
     - when the projective part is the regular module object itself,
       `add_equivalent` answers by reflexivity; any other projective part
       takes the full check;
-    - Hom(total, total) is computed once, by `endomorphism_algebra`,
-      which skips the composites of basis maps whose supports miss;
+    - Hom(total, total) is read block row by block row
+      (`_generator_hom_basis`): the maps out of A_A are read off the
+      action of total by Yoneda, and Hom(X, total) is solved once per
+      distinct extra summand; no system in the unknowns of the whole of
+      Hom(total, total) is solved;
+    - `modules._endomorphism_table` builds End(total) on that basis,
+      skipping the composites of basis maps whose supports miss;
     - the ideal [P] of maps through projectives is read off that basis
       block by block (`_projective_ideal`): the blocks in the projective
       part's row or column lie in [P] whole, and only pairs of extra
       summands take an injective envelope, one per distinct summand.
-      No envelope of the whole of total is built.
+      No envelope of the whole of total is built;
+    - `quotient_surjection` audits [P] as an ideal off the sparse table
+      and carries the block projectors that survive in the stable
+      quotient over as its idempotent tags.
     """
     _require_self_injective(ambient)
     reg = Module.regular(ambient)
@@ -383,7 +436,8 @@ def build_context(ambient, projective_part, extra_summands):
         ("block:%d" % b, prj.matrix.mul(inj.matrix))
         for b, (inj, prj) in enumerate(zip(injs, projs))
     ]
-    endo, hom_coords = endomorphism_algebra(total, tags)
+    homs = _generator_hom_basis(blocks, total)
+    endo, hom_coords = _endomorphism_table(total, homs, tags)
     f = ambient.field
 
     def vector_sum(vecs):
@@ -418,6 +472,64 @@ def build_context(ambient, projective_part, extra_summands):
         e_extra,
         e_copies,
     )
+
+
+def _generator_hom_basis(blocks, total):
+    """The rref basis of Hom(T, T), T = total = ⊕ blocks, block row by
+    block row; the basis `hom_space(total, total)` would give.
+
+    Hom(T, T) = ⊕ₐ Hom(B_a, T), and a map out of B_a holds only the rows
+    of B_a, so the pieces have disjoint supports in flattened T.  A map
+    B_a → T flattens row-major to the cells of those rows, in the order
+    they have in T, at an offset of (first row of B_a)·dim T.  So each
+    piece's rref basis, shifted, stays rref in T, and the rref basis of
+    the whole is the union sorted by pivot (the argument of
+    `_projective_ideal`).
+
+    The projective part, when it is the regular module object A_A, is
+    read by Yoneda: Hom(e·A, N) ≅ N·e by φ ↦ φ(e), here with e = 1, as
+    `homology._yoneda_blocks` reads it.  The map of n ∈ T sends bᵢ to
+    n·bᵢ, so its matrix has row i equal to n·Mᵢ for the action Mᵢ of bᵢ
+    on T, and the maps of the unit rows of T are the rows of
+    [M₀ | M₁ | …]; their rref, taken sparsely, is the piece's basis, and
+    no intertwining system is solved.  Every other block B solves
+    `hom_space(B, total)`, once per distinct module, and its copies
+    share the basis.
+    """
+    a = total.algebra
+    f, s = a.field, total.dim
+    pieces = {}
+    rows = []  # (pivot in flattened T, {column in flattened T: entry})
+    at = 0
+    for b in blocks:
+        if b not in pieces:
+            if b is Module.regular(a):
+                actions = [sparse_rows(m) for m in total.action]
+                span = SpanBuilder(f, a.dim * s)
+                for r in range(s):
+                    span.add_sparse({
+                        i * s + c: e for i, act in enumerate(actions) for c, e in act[r]
+                    })
+                pieces[b] = span.basis_entries()
+            else:
+                pieces[b] = [
+                    {j: e for j, e in enumerate(_flatten(h.matrix)) if e}
+                    for h in hom_space(b, total)
+                ]
+        shift = at * s
+        for entries in pieces[b]:
+            rows.append((shift + min(entries), {shift + j: e for j, e in entries.items()}))
+        at += b.dim
+    rows.sort(key=lambda row: row[0])
+    zero = f.zero()
+    homs = []
+    for _, entries in rows:
+        flat = [zero] * (s * s)
+        for j, e in entries.items():
+            flat[j] = e
+        mat = Matrix(f, [flat[r * s : (r + 1) * s] for r in range(s)], s)
+        homs.append(ModuleHom(total, total, mat, validate=False))
+    return homs
 
 
 def _projective_ideal(blocks, hom_coords):

@@ -211,7 +211,8 @@ def hom_space(m, n):
     The row of cell (r, c) of M_g·X − X·N_g has M_g[r][k] on X[k][c]
     and −N_g[k][c] on X[r][k] (unknowns flattened row-major), so it is
     read straight off the nonzeros of row r of M_g and column c of N_g
-    and reduced on arrival (`SpanBuilder.add_sparse`): a zero or
+    (gathered from the nonzeros of N_g's rows, in row order) and reduced
+    on arrival (`SpanBuilder.add_sparse`): a zero or
     dependent row costs one sparse reduction, and no dense system is
     built.  The null space comes out of the reduced echelon form in the
     canonical form of `kernel_basis`, which depends only on the null
@@ -229,9 +230,12 @@ def hom_space(m, n):
     span = SpanBuilder(f, s * t)
     checks = []
     for g in gens:
-        m_rows = sparse_rows(m.action[g])
-        checks.append((g, m_rows, sparse_rows(n.action[g])))
-        n_cols = sparse_rows(n.action[g].transpose())
+        m_rows, n_rows = sparse_rows(m.action[g]), sparse_rows(n.action[g])
+        checks.append((g, m_rows, n_rows))
+        n_cols = [[] for _ in range(t)]
+        for k, n_row in enumerate(n_rows):
+            for c, e in n_row:
+                n_cols[c].append((k, e))
         for r, m_row in enumerate(m_rows):
             at = r * t
             for c, n_col in enumerate(n_cols):
@@ -741,15 +745,28 @@ def restrict_scalars(surj, m):
 def endomorphism_algebra(m, tags=()):
     """(End(m) as an Algebra, its factored hom basis).
 
-    Structure constants come from composing hom-basis elements and
-    re-expanding in the basis.  The product is function composition —
-    the right factor acts first — so for an idempotent projection e onto
-    a direct summand, the right ideal e·End(m) collects the maps out of
-    the whole module into that summand.  The returned `HomBasis` holds
-    the maps (``homs``) and reads coordinates against them.  ``tags``
-    are (role, matrix) pairs of endomorphisms of m, recorded by their
-    coordinates as the algebra's ``idempotents``, which its constructor
-    checks.
+    The basis is the rref basis of `hom_space(m, m)`, and the table is
+    built on it by `_endomorphism_table`.  ``tags`` are (role, matrix)
+    pairs of endomorphisms of m, recorded by their coordinates as the
+    algebra's ``idempotents``, which its constructor checks.
+    """
+    return _endomorphism_table(m, hom_space(m, m), tags)
+
+
+def _endomorphism_table(m, homs, tags):
+    """(End(m) on the basis ``homs`` of Hom(m, m), its `HomBasis`).
+
+    Structure constants come from composing basis maps and re-expanding
+    in the basis.  The product is function composition — the right
+    factor acts first — so for an idempotent projection e onto a direct
+    summand, the right ideal e·End(m) collects the maps out of the whole
+    module into that summand.  The returned `HomBasis` holds the maps
+    (``homs``) and reads coordinates against them; it raises on a
+    composite outside their span, so a list short of Hom(m, m) is
+    refused.  ``tags`` are (role, matrix) pairs as in
+    `endomorphism_algebra`.  `frobenius.build_context` passes the basis
+    it reads block by block (`frobenius._generator_hom_basis`), which is
+    the one `hom_space` gives.
 
     Entry (r, c) of the composite H_j·H_i is Σ_k H_j[r][k]·H_i[k][c],
     and every term vanishes unless column k of H_j and row k of H_i are
@@ -760,7 +777,6 @@ def endomorphism_algebra(m, tags=()):
     blocks do not meet pass it.  The `Algebra` constructor still audits
     the whole table.
     """
-    homs = hom_space(m, m)
     d = len(homs)
     f = m.algebra.field
     if d == 0:

@@ -535,9 +535,16 @@ def tilting_audit(report):
                 "syzygy of the extra part keeps a projective summand"
             )
         companion, injs, prjs = direct_sum([p, om])
+        # the block projectors of P ⊕ Ω are the companion algebra's
+        # idempotent tags, as for End(T) in `build_context`, so
+        # `lift_idempotents` splits each block in its own corner
+        tags = [
+            ("block:%d" % b, prj.matrix.mul(inj.matrix))
+            for b, (inj, prj) in enumerate(zip(injs, prjs))
+        ]
     else:
-        companion = p
-    lam1, l1basis = endomorphism_algebra(companion)
+        companion, tags = p, ()
+    lam1, l1basis = endomorphism_algebra(companion, tags)
     l1homs = l1basis.homs
     ihoms = hom_space(companion, total)
     dhoms = hom_space(total, companion)

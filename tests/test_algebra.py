@@ -256,10 +256,12 @@ def test_quotient_two_vertex_by_radical():
 
 
 def test_quotient_rejects_non_ideal():
+    # basis e_1, e_2, a with a : 1 → 2; e_1·b and b·e_1 stay in span(e_1)
+    # for b = e_1, e_2 and b·e_1 = a·e_1 = 0, but e_1·a = a leaves it
     a = two_vertex_arrow()
-    with pytest.raises(NotAnIdeal) as exc:
+    with pytest.raises(NotAnIdeal, match="ideal element · b2 leaves the span") as exc:
         quotient_surjection(a, [[1, 0, 0]])
-    assert exc.value.witness is not None
+    assert exc.value.witness == (2, [1, 0, 0], [0, 0, 1])
 
 
 def _onto_the_field(a, images):

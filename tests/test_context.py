@@ -1,8 +1,9 @@
 """The Frobenius context read block by block, against the whole-T route.
 
-`build_context` computes Hom(T, T) once, forms only the composites of
-End(T) whose supports meet, and reads the ideal [P](T, T) of maps
-through projectives off the blocks of T = P ⊕ ⊕ Xᵢ.  Every field here is
+`build_context` reads Hom(T, T) block row by block row (the maps out of
+A_A by Yoneda, one system per distinct extra summand), forms only the
+composites of End(T) whose supports meet, and reads the ideal [P](T, T)
+of maps through projectives off the blocks of T = P ⊕ ⊕ Xᵢ.  Every field here is
 compared, order included, with `context_reference.whole_t_context`,
 which forms all d² composites and takes the ideal from one
 `stable_hom(T, T)`.  The testbeds include one whose ideal has nonzero
@@ -89,6 +90,11 @@ def _cases():
         a = cyclic_nakayama(3)
         return a, [(Module.regular(a), 1)]
 
+    # a rung of the scale ladder above the workloads: the 6-cycle with all
+    # simples, over both fields
+    for name, field in (("Q", QQ), ("GF32003", GF)):
+        cases["ladder_cycle6/" + name] = lambda f=field: workload_spec(6, 0, f, False)
+
     cases["multiplicity_two"] = multiplicity_two
     cases["regular_twice"] = regular_twice
     for name, field in (("Q", QQ), ("GF31", GF31)):
@@ -130,6 +136,20 @@ def test_context_matches_the_whole_t_route(name):
     assert ctx.stable_endo.mult == ref.stable_endo.mult
 
 
+@pytest.mark.parametrize("name", ["ladder_cycle4/0", "multiplicity_two", "regular_twice"])
+def test_the_stable_quotient_carries_the_surviving_block_tags(name):
+    # the block projectors map to idempotents of the stable quotient; a
+    # block of a projective summand factors through a projective and
+    # maps to 0, the others survive under their roles
+    a, extra = CASES[name]()
+    ctx = build_context(a, Module.regular(a), extra)
+    images = [(role, ctx.to_stable.apply(v)) for role, v in ctx.endo.idempotents]
+    survivors = [(role, v) for role, v in images if any(v)]
+    assert (ctx.stable_endo.idempotents or []) == survivors
+    projective = [x is Module.regular(a) for x, _ in extra]
+    assert len(survivors) == sum(m for (_, m), p in zip(extra, projective) if not p)
+
+
 @pytest.mark.parametrize("field", [QQ, GF31])
 def test_radical_testbed_has_factoring_maps_between_extra_summands(field):
     """[P](radᵢ, radⱼ) ≠ 0 exactly for the pairs 0→1, 1→2 and 2→0, so
@@ -158,12 +178,32 @@ def test_radical_testbed_has_factoring_maps_between_extra_summands(field):
     assert len(ctx.proj_ideal) == proj_blocks + 3
 
 
-def test_build_context_computes_hom_of_the_generator_once(monkeypatch):
+def test_build_context_solves_hom_only_out_of_the_extra_summands(monkeypatch):
+    # Hom(T, T) is read block row by block row: the maps out of A_A by
+    # Yoneda, and one system Hom(X, T) per distinct extra summand X,
+    # shared by its copies
     a = cyclic_nakayama(4)
-    extra = [(s, 1) for s in simple_modules(a)]
+    sims = simple_modules(a)
+    extra = [(sims[0], 2)] + [(s, 1) for s in sims[1:]]
     calls = count_calls(monkeypatch, modules, "hom_space")
     ctx = build_context(a, Module.regular(a), extra)
-    assert sum(1 for m, n in calls if m is ctx.total and n is ctx.total) == 1
+    assert not any(m is ctx.total for m, _ in calls)
+    assert [id(m) for m, n in calls if n is ctx.total] == [id(x) for x, _ in extra]
+
+
+def test_a_projective_part_besides_the_regular_object_solves_its_rows():
+    # a copy of A_A is another object: its block row is solved by
+    # hom_space instead of read by Yoneda, with the same basis
+    a = cyclic_nakayama(3)
+    extra = [(s, 1) for s in simple_modules(a)]
+    reg = Module.regular(a)
+    ref = build_context(a, reg, extra)
+    ctx = build_context(a, Module(a, reg.dim, reg.action), extra)
+    assert [h.matrix.rows for h in ctx.hom_basis] == [
+        h.matrix.rows for h in ref.hom_basis
+    ]
+    assert ctx.endo.mult == ref.endo.mult
+    assert ctx.proj_ideal == ref.proj_ideal
 
 
 def test_add_equivalent_of_one_object_makes_no_hom_space_call(monkeypatch):

@@ -43,6 +43,7 @@ from sphertwist.spherical import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers, truncated_cycle
+from lift_reference import unit_started_lift
 from patching import count_calls
 
 
@@ -394,6 +395,29 @@ def test_the_tilting_audit_reads_block_dims_off_the_companion_homs(
     ta = tilting_audit(report)
     assert (ta.I0_dims, ta.D0_dims) == ((7, 1), (7, 1))
     assert len(calls) == 3
+
+
+def test_the_companion_algebra_is_split_from_its_block_tags(
+        ctx_cycle_one, monkeypatch):
+    # End(P ⊕ Ω) records the block projectors of the companion as its
+    # idempotent tags, as End(T) does, so its primitives are split block
+    # by block; the list is the one the search from the unit gives
+    report = syz_audit(ctx_cycle_one, 4)
+    built = []
+    original = spherical.endomorphism_algebra
+
+    def recording(*args):
+        out = original(*args)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(spherical, "endomorphism_algebra", recording)
+    tilting_audit(report)
+    (lam1,) = built
+    tags = [v for _, v in lam1.idempotents]
+    assert [role for role, _ in lam1.idempotents] == ["block:0", "block:1"]
+    assert algebra._seed_idempotents(lam1) == tags
+    assert algebra.lift_idempotents(lam1) == unit_started_lift(lam1)
 
 
 @pytest.mark.parametrize("blocking, side", [(0, "right"), (1, "left")])
