@@ -376,9 +376,12 @@ def _presented_radical(a):
     - J is nilpotent: its powers reach 0 (`_is_nilpotent`);
     - A = span(e_v) ⊕ J: the e_v and a basis of J are dim A independent
       vectors;
-    - the e_v are orthogonal idempotents summing to 1: the constructor
-      has checked the tags for idempotence and orthogonality, and their
-      sum is checked here.
+    - the e_v are orthogonal idempotents summing to 1.  The constructor
+      has checked the tags for idempotence and orthogonality, and the
+      sum follows from the checks above: in A/J the classes ē_v are a
+      basis, so 1̄ = Σ c_v·ē_v, and ē_w = ē_w·1̄ = c_w·ē_w gives c_w = 1.
+      So 1 − Σ e_v lies in J; it is idempotent, and a nilpotent
+      idempotent is 0.
     A nilpotent ideal lies in the radical, so J ⊆ rad A.  A/J has the
     basis of the classes ē_v, with ē_v·ē_w = ē_v when v = w and 0
     otherwise, so A/J ≅ kⁿ is semisimple and rad A ⊆ J.  No trace form
@@ -395,14 +398,10 @@ def _presented_radical(a):
     if _ideal_escape(a, span) is not None or not _is_nilpotent(a, span.rows):
         return None
     rad = span.basis_matrix().transpose()
-    total = [f.zero()] * d
     for _, v in a.idempotents:
         if not span.add(v):
             return None
-        total = [f.add(x, y) for x, y in zip(total, v)]
-    if span.dim() != d or total != a.unit:
-        return None
-    return rad
+    return rad if span.dim() == d else None
 
 
 def _is_nilpotent(a, base):

@@ -484,7 +484,8 @@ def _generator_hom_basis(blocks, total):
     they have in T, at an offset of (first row of B_a)·dim T.  So each
     piece's rref basis, shifted, stays rref in T, and the rref basis of
     the whole is the union sorted by pivot (the argument of
-    `_projective_ideal`).
+    `_projective_ideal`).  The pieces' cells come in block order, so
+    listing the pieces in block order is that sort.
 
     The projective part, when it is the regular module object A_A, is
     read by Yoneda: Hom(e·A, N) ≅ N·e by φ ↦ φ(e), here with e = 1, as
@@ -499,7 +500,7 @@ def _generator_hom_basis(blocks, total):
     a = total.algebra
     f, s = a.field, total.dim
     pieces = {}
-    rows = []  # (pivot in flattened T, {column in flattened T: entry})
+    rows = []  # {column in flattened T: entry}, in pivot order
     at = 0
     for b in blocks:
         if b not in pieces:
@@ -517,13 +518,11 @@ def _generator_hom_basis(blocks, total):
                     for h in hom_space(b, total)
                 ]
         shift = at * s
-        for entries in pieces[b]:
-            rows.append((shift + min(entries), {shift + j: e for j, e in entries.items()}))
+        rows.extend({shift + j: e for j, e in entries.items()} for entries in pieces[b])
         at += b.dim
-    rows.sort(key=lambda row: row[0])
     zero = f.zero()
     homs = []
-    for _, entries in rows:
+    for entries in rows:
         flat = [zero] * (s * s)
         for j, e in entries.items():
             flat[j] = e
