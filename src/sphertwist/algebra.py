@@ -1,13 +1,16 @@
 """Finite-dimensional associative algebras over exact fields.
 
-An algebra is a dense multiplication table: ``mult[i][j]`` is the
-coordinate vector of ``b_i * b_j``.  Construction always runs the full
-battery of checks (associativity on every basis triple, two-sided unit
-law), so a value of type :class:`Algebra` is trusted everywhere else in
-the package.  A sparse view of the table is kept alongside the dense one
-because the algebras appearing in practice (path algebras, endomorphism
-algebras and their quotients) have very few nonzero structure
-constants.
+An algebra is its table of structure constants, stored sparse:
+``table[i][j]`` lists the (t, c) pairs of the nonzero coordinates of
+``b_i * b_j``, sorted by t.  The algebras appearing in practice (path
+algebras, endomorphism algebras and their quotients) have very few
+nonzero structure constants, so every routine that makes an algebra
+writes the pairs directly and every reader (products, multiplication
+matrices, trace forms, the checks of surjections and modules) walks
+them.  A dense table enters only through `from_structure_constants`.
+Construction always runs the full battery of checks (associativity on
+every basis triple, two-sided unit law), so a value of type
+:class:`Algebra` is trusted everywhere else in the package.
 
 Quotients by two-sided ideals produce a :class:`SurjectionData` — the
 surjection is the central object the rest of the package revolves
@@ -28,6 +31,7 @@ from .errors import (
     NonAssociative,
     NotAnIdeal,
     NotSplit,
+    ShapeError,
     SphertwistError,
     UnsupportedCharacteristic,
 )
@@ -44,14 +48,41 @@ from .exactlin import (
 
 
 class Algebra:
-    """Associative unital algebra with a distinguished basis."""
+    """Associative unital algebra with a distinguished basis.
 
-    def __init__(self, field, mult, unit, basis_labels=None, idempotents=None):
+    ``table`` is the sparse table of structure constants: a d×d array of
+    lists of (t, c) pairs with 0 ≤ t < d strictly increasing.  Only the
+    entries given are coerced into the field, and those that coerce to
+    zero are dropped, so equal algebras have equal tables.  A row of the
+    wrong length, an entry that is not a pair (a dense table, say) or a
+    column out of range, unsorted or repeated raises ShapeError.
+    """
+
+    def __init__(self, field, table, unit, basis_labels=None, idempotents=None):
         self.field = field
-        self.dim = len(mult)
-        self.mult = [
-            [[field.coerce(c) for c in vec] for vec in row] for row in mult
-        ]
+        self.dim = d = len(table)
+        coerce = field.coerce
+        self.table = []
+        try:
+            for row in table:
+                if len(row) != d:
+                    raise ShapeError("table row of length %d, dim %d" % (len(row), d))
+                out = []
+                for pairs in row:
+                    vec, last = [], -1
+                    for t, c in pairs:
+                        if not 0 <= t < d:
+                            raise ShapeError("table column %r outside [0, %d)" % (t, d))
+                        if t <= last:
+                            raise ShapeError("table columns unsorted or repeated")
+                        last = t
+                        c = coerce(c)
+                        if c:
+                            vec.append((t, c))
+                    out.append(vec)
+                self.table.append(out)
+        except TypeError as exc:
+            raise ShapeError("table entries must be (column, coefficient) pairs") from exc
         self.unit = [field.coerce(c) for c in unit]
         if basis_labels is None:
             basis_labels = ["b%d" % i for i in range(self.dim)]
@@ -62,13 +93,6 @@ class Algebra:
             if idempotents
             else None
         )
-        self._sparse = [
-            [
-                [(t, c) for t, c in enumerate(vec) if not field.is_zero(c)]
-                for vec in row
-            ]
-            for row in self.mult
-        ]
         # the span of the non-trivial paths, recorded by `from_quiver`;
         # `radical` takes it once certified
         self._arrow_ideal = None
@@ -94,12 +118,10 @@ class Algebra:
         d, f = self.dim, self.field
         if len(self.unit) != d:
             raise BadUnit("unit vector length %d != dim %d" % (len(self.unit), d))
-        for row in self.mult:
-            if len(row) != d or any(len(vec) != d for vec in row):
-                raise SphertwistError("multiplication table shape mismatch")
+        left, right = self._mult_rows(self.unit, True), self._mult_rows(self.unit, False)
         for i in range(d):
             ei = self.basis_vector(i)
-            if self.mul_vec(self.unit, ei) != ei or self.mul_vec(ei, self.unit) != ei:
+            if left[i] != ei or right[i] != ei:
                 raise BadUnit("unit law fails on basis element %d" % i, witness=i)
         # associativity is Lᵢ·Rₖ = Rₖ·Lᵢ for left multiplication by bᵢ
         # (row t = bᵢbₜ) and right multiplication by bₖ (row t = bₜbₖ):
@@ -108,7 +130,7 @@ class Algebra:
         # least (j, k) so named is the first failing triple in (i, j, k)
         # order, the witness of the triple-by-triple check
         p = f.characteristic
-        table = self._sparse
+        table = self.table
         columns = [[row[k] for row in table] for k in range(d)]
         for i, left in enumerate(table):
             failing = [
@@ -144,7 +166,7 @@ class Algebra:
 
     def mul_vec(self, x, y):
         """Coordinates of x·y: the nonzeros of x against those of y over
-        the sparse table, reduced modulo p once at the end."""
+        the table, reduced modulo p once at the end."""
         f = self.field
         p = f.characteristic
         out = [f.zero()] * self.dim
@@ -155,7 +177,7 @@ class Algebra:
             xs = [(i, x[i]) for i in compress(range(len(x)), x)]
             ys = [(j, y[j]) for j in compress(range(len(y)), y)]
         for i, xi in xs:
-            table = self._sparse[i]
+            table = self.table[i]
             for j, yj in ys:
                 c = xi * yj
                 for t, s in table[j]:
@@ -163,12 +185,27 @@ class Algebra:
         return [v % p for v in out] if p else out
 
     def left_mult_matrix(self, x):
-        """Matrix of v ↦ x·v on row vectors (row i = coords of x·b_i)."""
-        return Matrix(self.field, [self.mul_vec(x, self.basis_vector(i)) for i in range(self.dim)], self.dim)
+        """Matrix of v ↦ x·v on row vectors: row i is x·bᵢ = Σₖ xₖ·bₖbᵢ."""
+        return Matrix(self.field, self._mult_rows(x, True), self.dim)
 
     def right_mult_matrix(self, x):
-        """Matrix of v ↦ v·x on row vectors (row i = coords of b_i·x)."""
-        return Matrix(self.field, [self.mul_vec(self.basis_vector(i), x) for i in range(self.dim)], self.dim)
+        """Matrix of v ↦ v·x on row vectors: row i is bᵢ·x = Σₖ xₖ·bᵢbₖ."""
+        return Matrix(self.field, self._mult_rows(x, False), self.dim)
+
+    def _mult_rows(self, x, left):
+        """Row i is Σₖ xₖ·(bₖbᵢ if left else bᵢbₖ), summed over the
+        nonzero xₖ and the pairs of row k (column k) of the table."""
+        f, d = self.field, self.dim
+        p = f.characteristic
+        rows = [[f.zero()] * d for _ in range(d)]
+        for k, xk in enumerate(x):
+            if not (xk % p if p else xk):
+                continue
+            products = self.table[k] if left else [row[k] for row in self.table]
+            for out, pairs in zip(rows, products):
+                for t, c in pairs:
+                    out[t] += xk * c
+        return [[v % p for v in out] for out in rows] if p else rows
 
     def is_idempotent(self, x):
         return self.mul_vec(x, x) == [self.field.coerce(c) for c in x]
@@ -184,8 +221,35 @@ class Algebra:
 
 
 def from_structure_constants(field, mult, unit, basis_labels=None, idempotents=None):
-    """Validated algebra from a dense multiplication table."""
-    return Algebra(field, mult, unit, basis_labels=basis_labels, idempotents=idempotents)
+    """Validated algebra from a dense multiplication table: ``mult[i][j]``
+    is the coordinate vector of bᵢ·bⱼ.  Every entry is coerced into the
+    field, and the nonzeros become the `Algebra` table."""
+    d = len(mult)
+    table = []
+    for row in mult:
+        if len(row) != d or any(len(vec) != d for vec in row):
+            raise SphertwistError("multiplication table shape mismatch")
+        table.append([_pairs(map(field.coerce, vec)) for vec in row])
+    return Algebra(field, table, unit, basis_labels=basis_labels, idempotents=idempotents)
+
+
+def _pairs(vec):
+    """The (t, c) pairs of the nonzero entries of a dense vector."""
+    return [(t, c) for t, c in enumerate(vec) if c]
+
+
+def _gram(a, form):
+    """The Gram matrix (λ(bᵢbⱼ))ᵢⱼ of the linear form λ with λ(bₜ) =
+    form[t], read off the table as Σₜ cᵢⱼᵗ·λ(bₜ)."""
+    f = a.field
+    p, zero = f.characteristic, f.zero()
+    rows = [
+        [sum((form[t] * c for t, c in vec), zero) for vec in products]
+        for products in a.table
+    ]
+    if p:
+        rows = [[x % p for x in row] for row in rows]
+    return Matrix(f, rows, a.dim)
 
 
 class SurjectionData:
@@ -216,12 +280,12 @@ class SurjectionData:
         # of the target's table (row s·dim + u = bₛbᵤ), in pair order
         d, db = a.dim, b.dim
         images = sparse_rows(p)
-        lhs = (vec for row in a._sparse for vec in row)
+        lhs = (vec for row in a.table for vec in row)
         rhs = (
             [(s * db + u, x * y) for s, x in images[i] for u, y in images[j]]
             for i in range(d) for j in range(d)
         )
-        flat = [vec for row in b._sparse for vec in row]
+        flat = [vec for row in b.table for vec in row]
         bad = product_residual(lhs, images, rhs, flat, f.characteristic)
         if bad is not None:
             raise SphertwistError(
@@ -277,13 +341,15 @@ def quotient_surjection(a, ideal):
         )
     ideal_matrix = span.basis_matrix()
     q = SpanQuotient(span)
-    reps = [a.basis_vector(i) for i in q.kept]
-    mult = [[q.project(a.mul_vec(ri, rj)) for rj in reps] for ri in reps]
+    table = [
+        [_pairs(q.project_sparse(dict(a.table[i][j]))) for j in q.kept]
+        for i in q.kept
+    ]
     unit = q.project(a.unit)
     labels = [a.basis_labels[i] for i in q.kept]
     images = [(role, q.project(v)) for role, v in a.idempotents or []]
     tags = [(role, v) for role, v in images if any(v)]
-    target = Algebra(f, mult, unit, basis_labels=labels, idempotents=tags)
+    target = Algebra(f, table, unit, basis_labels=labels, idempotents=tags)
     pmat = Matrix(f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim)
     kernel = ideal_matrix.transpose()
     return SurjectionData(a, target, pmat, kernel)
@@ -304,7 +370,7 @@ def _ideal_escape(a, span):
     """
     f, d = a.field, a.dim
     p = f.characteristic
-    table = a._sparse
+    table = a.table
     for g in span.rows:
         support = [(j, c) for j, c in enumerate(g) if c]
         for i in range(d):
@@ -407,43 +473,47 @@ def _presented_radical(a):
 def _is_nilpotent(a, base):
     """Whether the span of ``base`` has a power 0: the powers J, J², …
     are spans, and a nonzero one is strictly smaller than the one before
-    it while J is nilpotent, so dim A + 1 steps decide."""
-    current = [list(r) for r in base]
+    it while J is nilpotent, so dim A + 1 steps decide.  The products
+    u·v that span the next power are the rows of U·R_v, for the rows U
+    of the current power and the right multiplication R_v by each v of
+    ``base``."""
+    f, d = a.field, a.dim
+    rights = [a.right_mult_matrix(v) for v in base]
+    current = Matrix(f, base, d)
     steps = 1
-    while current:
-        if steps > a.dim:
+    while current.nrows:
+        if steps > d:
             return False
-        nxt = SpanBuilder(a.field, a.dim)
-        for u in current:
-            for v in base:
-                nxt.add(a.mul_vec(u, v))
-        current = nxt.rows
+        nxt = SpanBuilder(f, d)
+        for r in rights:
+            for row in current.mul(r).rows:
+                nxt.add(row)
+        current = Matrix(f, nxt.rows, d)
         steps += 1
     return True
 
 
 def _trace_form_radical(a):
     """The radical as the kernel of the trace form of the left regular
-    representation, in characteristic 0 or p > dim, audited nilpotent."""
+    representation, in characteristic 0 or p > dim, audited nilpotent.
+
+    With Lₓ the left multiplication by x and bᵢbⱼ = Σₜ cᵢⱼᵗ·bₜ, the form
+    is linear in the product: tr(Lᵢ·Lⱼ) = Σₜ cᵢⱼᵗ·tr(Lₜ).  So its Gram
+    matrix is `_gram` of the linear form λ(bₜ) = tr(Lₜ), and tr(Lₜ) =
+    Σᵢ (coefficient of bᵢ in bₜ·bᵢ) is read off the table; no
+    multiplication matrix is built.
+    """
     f = a.field
     if f.characteristic != 0 and f.characteristic <= a.dim:
         raise UnsupportedCharacteristic(
             "trace-form radical needs char 0 or p > dim; got p=%d, dim=%d"
             % (f.characteristic, a.dim)
         )
-    left_mats = [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)]
-    gram = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            prod = a.mult[i][j]
-            t = f.zero()
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    t = f.add(t, f.mul(c, _trace(left_mats[k])))
-            row.append(t)
-        gram.append(row)
-    rad = kernel_basis(Matrix(f, gram, a.dim))
+    traces = [
+        sum((c for i, pairs in enumerate(row) for t, c in pairs if t == i), f.zero())
+        for row in a.table
+    ]
+    rad = kernel_basis(_gram(a, traces))
     if not _is_nilpotent(a, [rad.column(j) for j in range(rad.ncols)]):
         raise SphertwistError("radical candidate is not nilpotent")
     return rad
@@ -457,11 +527,11 @@ def opposite(a):
     """
     if a._opposite_cache is not None:
         return a._opposite_cache
-    mult = [[a.mult[j][i] for j in range(a.dim)] for i in range(a.dim)]
+    table = [[row[i] for row in a.table] for i in range(a.dim)]
     idem = a.idempotents
     o = Algebra(
         a.field,
-        mult,
+        table,
         a.unit,
         basis_labels=[l + "^op" for l in a.basis_labels],
         idempotents=idem,
@@ -498,50 +568,27 @@ def enveloping(a, b):
     f = a.field
     da, db = a.dim, b.dim
     dim = da * db
-    zero = f.zero()
-    mult = []
-    for j in range(db):
-        for i in range(da):
-            row = []
-            for l in range(db):
-                for k in range(da):
-                    vec = [zero] * dim
-                    # (b_j ⊗ a_iᵒᵖ)(b_l ⊗ a_kᵒᵖ) = (b_j b_l) ⊗ (a_k a_i)ᵒᵖ
-                    for m, cb in enumerate(b.mult[j][l]):
-                        if f.is_zero(cb):
-                            continue
-                        for n, ca in enumerate(a.mult[k][i]):
-                            if f.is_zero(ca):
-                                continue
-                            vec[m * da + n] = f.add(vec[m * da + n], f.mul(cb, ca))
-                    row.append(vec)
-            mult.append(row)
-    unit = [zero] * dim
-    for m, cb in enumerate(b.unit):
-        if f.is_zero(cb):
-            continue
-        for n, ca in enumerate(a.unit):
-            if f.is_zero(ca):
-                continue
-            unit[m * da + n] = f.add(unit[m * da + n], f.mul(cb, ca))
+    # (b_j ⊗ a_iᵒᵖ)(b_l ⊗ a_kᵒᵖ) = (b_j b_l) ⊗ (a_k a_i)ᵒᵖ; both pair lists
+    # are sorted, so the flat columns m·dim(a) + n come out sorted
+    table = [
+        [
+            [(m * da + n, cb * ca) for m, cb in b.table[j][l] for n, ca in a.table[k][i]]
+            for l in range(db) for k in range(da)
+        ]
+        for j in range(db) for i in range(da)
+    ]
+    # a pure tensor y ⊗ x has the coordinates yₘ·xₙ at m·dim(a) + n
+    unit = [f.mul(cb, ca) for cb in b.unit for ca in a.unit]
     labels = [
         "%s(x)%s" % (b.basis_labels[j], a.basis_labels[i])
         for j in range(db)
         for i in range(da)
     ]
-    env = Algebra(f, mult, unit, basis_labels=labels)
-    prims = []
-    for fb in lift_idempotents(b):
-        for ea in lift_idempotents(a):
-            v = [f.zero()] * dim
-            for m, cb in enumerate(fb):
-                if f.is_zero(cb):
-                    continue
-                for n, ca in enumerate(ea):
-                    if f.is_zero(ca):
-                        continue
-                    v[m * da + n] = f.mul(f.coerce(cb), f.coerce(ca))
-            prims.append(v)
+    env = Algebra(f, table, unit, basis_labels=labels)
+    prims = [
+        [f.mul(cb, ca) for cb in fb for ca in ea]
+        for fb in lift_idempotents(b) for ea in lift_idempotents(a)
+    ]
     total = [f.zero()] * dim
     for e in prims:
         if env.mul_vec(e, e) != e:
@@ -698,25 +745,19 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
 
     def normal_coords(terms):
         v = ideal._reduce(_path_vector(f, coord_of, width, terms))
-        out = [f.zero()] * len(basis_paths)
-        for pos, c in enumerate(v):
-            if f.is_zero(c):
-                continue
-            p = all_paths[order[pos]]
-            out[index_of[p.key()]] = c
-        return out
+        return sorted(
+            (index_of[all_paths[order[pos]].key()], c) for pos, c in enumerate(v) if c
+        )
 
-    mult = []
-    for pi in basis_paths:
-        row = []
-        for pj in basis_paths:
-            if pi.tgt != pj.src:
-                row.append([f.zero()] * len(basis_paths))
-            else:
-                row.append(
-                    normal_coords([(f.one(), _Path(pi.src, pj.tgt, pi.arrows + pj.arrows))])
-                )
-        mult.append(row)
+    # a product of paths that do not compose is 0
+    table = [
+        [
+            normal_coords([(f.one(), _Path(pi.src, pj.tgt, pi.arrows + pj.arrows))])
+            if pi.tgt == pj.src else []
+            for pj in basis_paths
+        ]
+        for pi in basis_paths
+    ]
     unit = [f.zero()] * len(basis_paths)
     idems = []
     for i, v in enumerate(vlabels):
@@ -726,7 +767,7 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
         evec[index_of[trivial.key()]] = f.one()
         idems.append(("vertex:%s" % v, evec))
     labels = [p.label(vlabels) for p in basis_paths]
-    alg = Algebra(f, mult, unit, basis_labels=labels, idempotents=idems)
+    alg = Algebra(f, table, unit, basis_labels=labels, idempotents=idems)
     alg._arrow_ideal = [
         _unit_vec(f, len(basis_paths), index_of[p.key()]) for p in basis_paths if p.arrows
     ]
@@ -1047,6 +1088,13 @@ def lift_idempotents(a):
     pairwise orthogonal and sum to the unit, and every leaf of
     `_split_corner` passed its local-corner test, so it is primitive.
 
+    A quiver algebra whose arrow ideal J `_presented_radical` certifies
+    as the radical needs no corner test: A = span(e_v) ⊕ J, so
+    e_v·A·e_v = k·e_v ⊕ e_v·J·e_v with e_v·J·e_v nilpotent, a local
+    corner, and each vertex tag is primitive.  The tags are taken as
+    they are, in the order of the corner search (last tag first), and
+    in any characteristic: over F_2 the corner trace form is undefined.
+
     An opposite algebra (cached in pairs with `opposite`) that already
     holds its list lends it instead of a new search.  Both algebras have
     the same space and unit, and e·e, e·e' and e'·e are the same products
@@ -1063,6 +1111,8 @@ def lift_idempotents(a):
     op = a._opposite_cache
     if op is not None and op._idempotent_cache is not None:
         result = [list(e) for e in op._idempotent_cache]
+    elif _presented_radical(a) is not None:
+        result = [list(v) for _, v in reversed(a.idempotents)]
     else:
         result = []
         for e in reversed(_seed_idempotents(a)):

@@ -41,9 +41,10 @@ entries, so in practice every entry lies in [0, p).  Where a kernel tests
 entries it has not computed itself for zero (pivots and multipliers in
 ``rref`` and `SpanBuilder`, ``Matrix.is_zero``), it reads them modulo p.
 
-`Algebra.mul_vec` follows the same rules: it walks the nonzeros of both
-factors over the sparse multiplication table and reduces modulo p once
-at the end.
+An algebra keeps its structure constants in the same (column, entry)
+form: ``Algebra.table[i][j]`` lists the nonzeros of bᵢ·bⱼ.  `Algebra.mul_vec`
+and the multiplication matrices walk the nonzeros of their factors over
+it and reduce modulo p once at the end.
 
 One further specialisation was tried and dropped: integer rows with
 fraction-free elimination (Bareiss 1968) for Q.  A prototype's integer
@@ -527,11 +528,6 @@ def _null_space(f, ncols, pivots, pivot_rows):
     return row_space_canonical(Matrix(f, vecs, ncols)).transpose()
 
 
-def image_basis(m):
-    """Canonical basis of the column space, returned as columns."""
-    return row_space_canonical(m.transpose()).transpose()
-
-
 def solve(m, b):
     """One solution x of m·x = b (column vectors), or None if inconsistent."""
     if isinstance(b, Matrix):
@@ -592,24 +588,6 @@ def kronecker(a, b):
                     row.extend([x * e if e else zero for e in rb])
             out.append(row)
     return Matrix(f, out, a.ncols * b.ncols)
-
-
-def intersect_subspaces(u, v):
-    """Basis (columns) of the intersection of two column spans in k^n."""
-    u._check_field(v)
-    if u.nrows != v.nrows:
-        raise ShapeError("ambient dimensions differ")
-    if u.ncols == 0 or v.ncols == 0:
-        return Matrix.zero(u.field, u.nrows, 0)
-    stacked = u.hstack(v.scale(u.field.neg(u.field.one())))
-    ker = kernel_basis(stacked)
-    cols = []
-    for j in range(ker.ncols):
-        coeffs = ker.column(j)[: u.ncols]
-        cols.append(u.mul(Matrix(u.field, [[c] for c in coeffs], 1)).column(0))
-    if not cols:
-        return Matrix.zero(u.field, u.nrows, 0)
-    return row_space_canonical(Matrix(u.field, cols, u.nrows)).transpose()
 
 
 class SpanBuilder:

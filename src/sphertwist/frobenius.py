@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 
 from .algebra import (
+    _gram,
     lift_idempotents,
     opposite,
     quotient_surjection,
@@ -29,7 +30,6 @@ from .exactlin import (
     sparse_rows,
 )
 from .modules import (
-    HomBasis,
     Module,
     ModuleHom,
     _endomorphism_table,
@@ -93,19 +93,6 @@ def is_self_injective(a):
     )
     a._selfinj_cache = verdict
     return verdict
-
-
-def _gram(a, form):
-    """The Gram matrix (λ(bᵢbⱼ))ᵢⱼ of the linear form λ with λ(bₜ) =
-    form[t], read off the sparse table as Σₜ cᵢⱼᵗ·λ(bₜ)."""
-    p = a.field.characteristic
-    rows = [
-        [sum(form[t] * c for t, c in vec) for vec in products]
-        for products in a._sparse
-    ]
-    if p:
-        rows = [[x % p for x in row] for row in rows]
-    return Matrix(a.field, rows, a.dim)
 
 
 def _require_self_injective(a):
@@ -220,11 +207,16 @@ def is_symmetric(a):
     if a._symmetric_cache is not None:
         return a._symmetric_cache
     f, d = a.field, a.dim
-    commutators = [
-        [f.sub(x, y) for x, y in zip(a.mult[i][j], a.mult[j][i])]
-        for i in range(d)
-        for j in range(i + 1, d)
-    ]
+    p = f.characteristic
+    commutators = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            row = [f.zero()] * d
+            for t, c in a.table[i][j]:
+                row[t] += c
+            for t, c in a.table[j][i]:
+                row[t] -= c
+            commutators.append([x % p for x in row] if p else row)
     kernel = kernel_basis(Matrix(f, commutators, d))
     forms = [kernel.column(s) for s in range(kernel.ncols)]
     found = any(rank(_gram(a, form)) == d for form in forms)
@@ -598,23 +590,3 @@ def _projective_ideal(blocks, hom_coords):
             rows.append((pivot, hom_coords.coords(Matrix(f, placed, s))))
     rows.sort(key=lambda row: row[0])
     return [coords for _, coords in rows]
-
-
-def hom_module(ctx, n):
-    """Maps from the chosen generator into n, as a right endo-module.
-
-    The action precomposes: a map total → n pulled back along an
-    endomorphism of total.  Returns (module, hom basis); the module's
-    coordinates are taken in that basis.
-    """
-    homs = hom_space(ctx.total, n)
-    d = len(homs)
-    f = ctx.endo.field
-    if d == 0:
-        return Module.zero(ctx.endo), []
-    coords = HomBasis(f, homs).coords
-    action = [
-        Matrix(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
-        for lam in ctx.hom_basis
-    ]
-    return Module(ctx.endo, d, action), homs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .algebra import Algebra, lift_idempotents, radical
+from .algebra import Algebra, _pairs, lift_idempotents, radical
 from .errors import (
     AlgebraMismatch,
     NotASubmodule,
@@ -70,7 +70,7 @@ class Module:
         sparse = [sparse_rows(m) for m in self.action]
         stacked = [row for rows in sparse for row in rows]
         zero = [()] * n
-        for i, products in enumerate(a._sparse):
+        for i, products in enumerate(a.table):
             for j, coeffs in enumerate(products):
                 combination = [
                     [(k * n + r, c) for k, c in coeffs] for r in range(n)
@@ -481,11 +481,6 @@ def m_basis_row(field, dim, j):
     return v
 
 
-def image_of(h):
-    """(image submodule of target, inclusion)."""
-    return submodule(h.target, h.matrix, check=False)
-
-
 def kernel_of(h):
     """(kernel submodule of source, inclusion)."""
     # rows v with v·M = 0  ⇔  Mᵀ·vᵀ = 0
@@ -771,8 +766,8 @@ def _endomorphism_table(m, homs, tags):
     Entry (r, c) of the composite H_j·H_i is Σ_k H_j[r][k]·H_i[k][c],
     and every term vanishes unless column k of H_j and row k of H_i are
     both nonzero.  So when the nonzero columns of H_j miss the nonzero
-    rows of H_i the composite is exactly 0, and its coordinates are the
-    zero vector; neither the product nor its coordinates are formed.
+    rows of H_i the composite is exactly 0, and its table entry is
+    empty; neither the product nor its coordinates are formed.
     The test needs no block structure of m; on a direct sum, maps whose
     blocks do not meet pass it.  The `Algebra` constructor still audits
     the whole table.
@@ -785,19 +780,18 @@ def _endomorphism_table(m, homs, tags):
     cells = [_nonzero_cells(h.matrix) for h in homs]
     rows_of = [{r for r, _ in cs} for cs in cells]
     cols_of = [{c for _, c in cs} for cs in cells]
-    zero = [f.zero()] * d
-    mult = [
+    table = [
         [
-            basis.coords(homs[j].matrix.mul(homs[i].matrix))
+            _pairs(basis.coords(homs[j].matrix.mul(homs[i].matrix)))
             if not cols_of[j].isdisjoint(rows_of[i])
-            else zero
+            else []
             for j in range(d)
         ]
         for i in range(d)
     ]
     unit = basis.coords(Matrix.identity(f, m.dim))
     idempotents = [(role, basis.coords(mat)) for role, mat in tags]
-    return Algebra(f, mult, unit, idempotents=idempotents), basis
+    return Algebra(f, table, unit, idempotents=idempotents), basis
 
 
 def is_indecomposable(m):

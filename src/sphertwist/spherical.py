@@ -662,7 +662,7 @@ def tilting_audit(report):
     # as its row s, and right multiplication the row b_s·b_g.
     p_char = f.characteristic
     by_first, by_second = _pairing_blocks(sparse_rows(mu), ni, nd)
-    table = lam._sparse
+    table = lam.table
     for g in generator_indices(lam):
         act, left_mult = sparse_rows(fwd_l[g]), table[g]
         if any(

@@ -354,7 +354,7 @@ def _scalar_algebra(field):
     for f, alg in _SCALAR_CACHE:
         if f == field:
             return alg
-    alg = Algebra(field, [[[field.one()]]], [field.one()])
+    alg = Algebra(field, [[[(0, field.one())]]], [field.one()])
     _SCALAR_CACHE.append((field, alg))
     return alg
 

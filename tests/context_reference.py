@@ -10,7 +10,7 @@ from one `stable_hom(T, T)`, through the injective envelope of T.
 
 from types import SimpleNamespace
 
-from sphertwist.algebra import Algebra, quotient_surjection
+from sphertwist.algebra import from_structure_constants, quotient_surjection
 from sphertwist.exactlin import Matrix
 from sphertwist.frobenius import stable_hom
 from sphertwist.modules import HomBasis, direct_sum, hom_space
@@ -35,7 +35,7 @@ def whole_t_context(projective_part, extra_summands):
         ("block:%d" % b, basis.coords(prj.matrix.mul(inj.matrix)))
         for b, (inj, prj) in enumerate(zip(injs, projs))
     ]
-    endo = Algebra(f, mult, unit, idempotents=idempotents)
+    endo = from_structure_constants(f, mult, unit, idempotents=idempotents)
     _, through = stable_hom(total, total)
     ideal = [basis.coords(h.matrix) for h in through]
     to_stable = quotient_surjection(endo, ideal)

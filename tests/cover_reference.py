@@ -26,7 +26,7 @@ def mul_vec(a, x, y):
             if f.is_zero(yj):
                 continue
             c = f.mul(xi, yj)
-            for t, s in a._sparse[i][j]:
+            for t, s in a.table[i][j]:
                 out[t] = f.add(out[t], f.mul(c, s))
     return out
 

@@ -6,6 +6,7 @@ element modulo p.  They are slow and obviously right; the specialised
 kernels in `exactlin` must return exactly the same rows and pivots.
 """
 
+from sphertwist import exactlin
 from sphertwist.errors import ShapeError
 from sphertwist.exactlin import Matrix
 
@@ -184,3 +185,30 @@ class SpanBuilder:
         self.rows.insert(at, v)
         self.pivots.insert(at, pivot)
         return True
+
+
+# ---------------------------------------------------------------------------
+# subspace helpers with no caller in the package, kept with their tests
+
+
+def image_basis(m):
+    """Canonical basis of the column space, returned as columns."""
+    return exactlin.row_space_canonical(m.transpose()).transpose()
+
+
+def intersect_subspaces(u, v):
+    """Basis (columns) of the intersection of two column spans in k^n."""
+    u._check_field(v)
+    if u.nrows != v.nrows:
+        raise ShapeError("ambient dimensions differ")
+    if u.ncols == 0 or v.ncols == 0:
+        return Matrix.zero(u.field, u.nrows, 0)
+    stacked = u.hstack(v.scale(u.field.neg(u.field.one())))
+    ker = exactlin.kernel_basis(stacked)
+    cols = []
+    for j in range(ker.ncols):
+        coeffs = ker.column(j)[: u.ncols]
+        cols.append(u.mul(Matrix(u.field, [[c] for c in coeffs], 1)).column(0))
+    if not cols:
+        return Matrix.zero(u.field, u.nrows, 0)
+    return exactlin.row_space_canonical(Matrix(u.field, cols, u.nrows)).transpose()

@@ -8,6 +8,7 @@ basis element.  It is slow and obviously right; the sparse solver must
 return exactly the same matrices.
 """
 
+from sphertwist import modules
 from sphertwist.errors import AlgebraMismatch
 from sphertwist.exactlin import Matrix, kernel_basis, kronecker
 from sphertwist.modules import ModuleHom, generator_indices
@@ -42,3 +43,32 @@ def hom_space(m, n):
         mat = Matrix(f, [flat[r * t : (r + 1) * t] for r in range(s)], t)
         homs.append(ModuleHom(m, n, mat))  # validates on all basis elements
     return homs
+
+
+# ---------------------------------------------------------------------------
+# module constructions with no caller in the package, kept with their tests
+
+
+def hom_module(ctx, n):
+    """Maps from the chosen generator into n, as a right endo-module.
+
+    The action precomposes: a map total → n pulled back along an
+    endomorphism of total.  Returns (module, hom basis); the module's
+    coordinates are taken in that basis.
+    """
+    homs = modules.hom_space(ctx.total, n)
+    d = len(homs)
+    f = ctx.endo.field
+    if d == 0:
+        return modules.Module.zero(ctx.endo), []
+    coords = modules.HomBasis(f, homs).coords
+    action = [
+        Matrix(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
+        for lam in ctx.hom_basis
+    ]
+    return modules.Module(ctx.endo, d, action), homs
+
+
+def image_of(h):
+    """(image submodule of target, inclusion)."""
+    return modules.submodule(h.target, h.matrix, check=False)

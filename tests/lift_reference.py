@@ -8,7 +8,9 @@ the tags and every cache, then runs the same checks: each element
 squares to itself, the elements are pairwise orthogonal, and they sum
 to the unit.  Every leaf of `_split_corner` has passed its local-corner
 test, so each element is primitive.  `refine_idempotent` runs the same
-search from one given idempotent.
+search from one given idempotent, and `tag_started_lift` from each
+vertex tag of a quiver algebra in turn, as `lift_idempotents` did
+before it took certified tags as they are.
 """
 
 from sphertwist.algebra import _split_corner
@@ -41,4 +43,18 @@ def refine_idempotent(a, e):
     for piece in out:
         total = [f.add(x, y) for x, y in zip(total, piece)]
     assert total == list(e)
+    return out
+
+
+def tag_started_lift(a):
+    """The primitives of a quiver algebra, each vertex tag split in its
+    own corner, last tag first."""
+    f = a.field
+    out = []
+    for _, v in reversed(a.idempotents):
+        _split_corner(a, list(v), out)
+    total = [f.zero()] * a.dim
+    for e in out:
+        total = [f.add(x, y) for x, y in zip(total, e)]
+    assert total == a.unit
     return out

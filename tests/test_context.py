@@ -129,11 +129,11 @@ def test_context_matches_the_whole_t_route(name):
     assert [h.matrix.rows for h in ctx.hom_basis] == [
         h.matrix.rows for h in ref.hom_basis
     ]
-    assert ctx.endo.mult == ref.endo.mult
+    assert ctx.endo.table == ref.endo.table
     assert ctx.endo.idempotents == ref.endo.idempotents
     assert ctx.proj_ideal == ref.proj_ideal
     assert ctx.to_stable.matrix.rows == ref.to_stable.matrix.rows
-    assert ctx.stable_endo.mult == ref.stable_endo.mult
+    assert ctx.stable_endo.table == ref.stable_endo.table
 
 
 @pytest.mark.parametrize("name", ["ladder_cycle4/0", "multiplicity_two", "regular_twice"])
@@ -202,7 +202,7 @@ def test_a_projective_part_besides_the_regular_object_solves_its_rows():
     assert [h.matrix.rows for h in ctx.hom_basis] == [
         h.matrix.rows for h in ref.hom_basis
     ]
-    assert ctx.endo.mult == ref.endo.mult
+    assert ctx.endo.table == ref.endo.table
     assert ctx.proj_ideal == ref.proj_ideal
 
 

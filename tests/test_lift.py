@@ -1,12 +1,14 @@
 """The primitive idempotents lifted from recorded block tags.
 
 `lift_idempotents` splits each ``idempotents`` tag in its own corner when
-the tags sum to the unit, and starts from the unit otherwise.  Every
-test here compares it with `lift_reference.unit_started_lift`, the
+the tags sum to the unit, and starts from the unit otherwise.  Most
+tests here compare it with `lift_reference.unit_started_lift`, the
 search from the unit, and asks for the same list in the same order: on
 every fixture algebra, and on End(T), its opposite and its stable
 quotient for the generators of the benchmark's workloads and a few
-more.
+more.  The certified vertex tags of a quiver algebra, taken with no
+corner search, are compared with `lift_reference.tag_started_lift`, and
+in characteristic 2 they are the only route.
 """
 
 import pytest
@@ -14,7 +16,6 @@ import pytest
 from sphertwist import algebra
 from sphertwist.algebra import (
     Algebra,
-    from_structure_constants,
     lift_idempotents,
     opposite,
 )
@@ -33,9 +34,10 @@ from fixture_algebras import (
     matrix_units_2,
     nakayama3_hand_table,
     product_field_pair,
+    truncated_cycle,
     two_vertex_arrow,
 )
-from lift_reference import refine_idempotent, unit_started_lift
+from lift_reference import refine_idempotent, tag_started_lift, unit_started_lift
 from patching import count_calls
 
 GF = PrimeField(32003)
@@ -79,6 +81,28 @@ def test_the_seeded_lift_is_the_unit_started_lift(name, field, monkeypatch):
         assert es == [v for _, v in reversed(a.idempotents)]
 
 
+@pytest.mark.parametrize("field", [QQ, GF])
+@pytest.mark.parametrize("name", sorted(QUIVERS) + ["loewy4"])
+def test_certified_tags_are_the_corner_search_from_the_tags(name, field, monkeypatch):
+    # the vertex tags of a quiver algebra with a certified radical are
+    # taken as they are, and they are what the corner search finds
+    a = FIXTURES.get(name, lambda f: truncated_cycle(3, 4, f))(field)
+    calls = count_calls(monkeypatch, algebra, "_split_corner")
+    es = lift_idempotents(a)
+    assert calls == []
+    monkeypatch.undo()
+    assert es == tag_started_lift(a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_certified_tags_need_no_corner_trace_form(p):
+    # each corner e_v·A·e_v has dim 2, at or above the characteristic 2,
+    # where the corner search has no trace form to decide locality
+    a = truncated_cycle(3, 4, PrimeField(p))
+    assert lift_idempotents(a) == [v for _, v in reversed(a.idempotents)]
+    assert [s.dim for s in simple_modules(a)] == [1, 1, 1]
+
+
 def test_both_starts_refuse_the_gaussian_field():
     # Q(i) has no field-rational splitting, and no tags to start from
     with pytest.raises(NotSplit):
@@ -89,11 +113,11 @@ def test_both_starts_refuse_the_gaussian_field():
 
 def test_tags_short_of_the_unit_fall_back_to_the_unit(monkeypatch):
     # u alone of k × k, and two of the three vertices of the 3-cycle
-    pair = from_structure_constants(
-        QQ, product_field_pair().mult, [1, 1], idempotents=[("u", [1, 0])]
+    pair = Algebra(
+        QQ, product_field_pair().table, [1, 1], idempotents=[("u", [1, 0])]
     )
     c3 = cyclic_nakayama(3)
-    short = Algebra(QQ, c3.mult, c3.unit, idempotents=c3.idempotents[:2])
+    short = Algebra(QQ, c3.table, c3.unit, idempotents=c3.idempotents[:2])
     for a in (pair, short):
         calls = count_calls(monkeypatch, algebra, "_split_corner")
         assert lift_idempotents(a) == unit_started_lift(a)

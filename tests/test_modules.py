@@ -26,7 +26,6 @@ from sphertwist.modules import (
     find_isomorphism,
     hom_space,
     identity_hom,
-    image_of,
     in_add,
     is_indecomposable,
     kernel_of,
@@ -46,6 +45,7 @@ from fixture_algebras import (
     product_field_pair,
     two_vertex_arrow,
 )
+from hom_reference import image_of
 
 
 def oracle_in_add(m, n):
@@ -90,7 +90,8 @@ def dense_first_incompatible_pair(m):
     a = m.algebra
     for i in range(a.dim):
         for j in range(a.dim):
-            if m.action[i].mul(m.action[j]) != m.action_of(a.mult[i][j]):
+            product = a.mul_vec(a.basis_vector(i), a.basis_vector(j))
+            if m.action[i].mul(m.action[j]) != m.action_of(product):
                 return i, j
     return None
 

@@ -21,7 +21,7 @@ from sphertwist.errors import (
     SphertwistError,
 )
 from sphertwist.exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical
-from sphertwist.frobenius import build_context, hom_module, strip_projective_summands, syzygy
+from sphertwist.frobenius import build_context, strip_projective_summands, syzygy
 from sphertwist.modules import (
     Module,
     ModuleHom,
@@ -58,6 +58,7 @@ from sphertwist.resolutions import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers
+from hom_reference import hom_module
 from lift_reference import refine_idempotent
 
 
