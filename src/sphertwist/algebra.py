@@ -93,9 +93,11 @@ class Algebra:
             if idempotents
             else None
         )
-        # the span of the non-trivial paths, recorded by `from_quiver`;
-        # `radical` takes it once certified
+        # the span of the non-trivial paths, recorded by `from_quiver` as
+        # {basis index: 1} vectors; `radical` takes it once certified,
+        # and records whether it did
         self._arrow_ideal = None
+        self._arrow_ideal_is_radical = False
         # per-algebra caches: of this module ...
         self._radical_cache = None
         self._opposite_cache = None
@@ -342,7 +344,7 @@ def quotient_surjection(a, ideal):
     ideal_matrix = span.basis_matrix()
     q = SpanQuotient(span)
     table = [
-        [_pairs(q.project_sparse(dict(a.table[i][j]))) for j in q.kept]
+        [_pairs(q.project(dict(a.table[i][j]))) for j in q.kept]
         for i in q.kept
     ]
     unit = q.project(a.unit)
@@ -364,9 +366,8 @@ def _ideal_escape(a, span):
     order of multiplying by basis vectors with `Algebra.mul_vec`, and g
     and the product are dense lists as that gives them.  The products are
     read off the sparse table as sums Σⱼ gⱼ·(bᵢbⱼ) and Σⱼ gⱼ·(bⱼbᵢ) over
-    the nonzero gⱼ, and only a nonzero product is reduced against the
-    span: the zero vector lies in every span, so skipping it changes
-    neither the first escape nor its witness.
+    the nonzero gⱼ, and each is tested against the span as the dict of
+    its sums.
     """
     f, d = a.field, a.dim
     p = f.characteristic
@@ -380,14 +381,10 @@ def _ideal_escape(a, span):
                 for j, c in support:
                     for t, s in table[i][j] if left else table[j][i]:
                         acc[t] = get(t, 0) + c * s
-                if p:
-                    acc = {t: x % p for t, x in acc.items() if x % p}
-                else:
-                    acc = {t: x for t, x in acc.items() if x}
-                if acc and not span.contains_sparse(acc):
+                if not span.contains(acc):
                     product = [f.zero()] * d
                     for t, x in acc.items():
-                        product[t] = x
+                        product[t] = x % p if p else x
                     return i, g, product, left
     return None
 
@@ -415,19 +412,34 @@ def radical(a):
     ideal of a exactly when it is one of aᵒᵖ (same space, products
     reversed, so the powers of the ideal are the same subspaces).  The
     canonical basis depends only on the subspace, so the reused matrix is
-    the one this function would compute.
+    the one this function would compute.  Its verdict on the arrow ideal
+    is lent with it: `opposite` shares the recorded ideal and the tags,
+    and each check of `_presented_radical` holds in a exactly when it
+    holds in aᵒᵖ.
     """
     if a._radical_cache is not None:
         return a._radical_cache
     op = a._opposite_cache
     if op is not None and op._radical_cache is not None:
         a._radical_cache = op._radical_cache
+        a._arrow_ideal_is_radical = op._arrow_ideal_is_radical
         return a._radical_cache
     rad = _presented_radical(a)
+    a._arrow_ideal_is_radical = rad is not None
     if rad is None:
         rad = _trace_form_radical(a)
     a._radical_cache = rad
     return rad
+
+
+def _radical_is_presented(a):
+    """Whether `radical(a)` is the recorded arrow ideal, certified by
+    `_presented_radical`.  `radical` records the verdict when it computes
+    the radical, so the certificate runs once per algebra."""
+    if a._arrow_ideal is None or not a.idempotents:
+        return False
+    radical(a)
+    return a._arrow_ideal_is_radical
 
 
 def _presented_radical(a):
@@ -728,31 +740,26 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     basis_paths = [
         p for p in all_paths if coord_of[p.key()] not in pivot_set and len(p) < stab
     ]
+    one = f.one()
     # sanity: every enumerated path of length ≥ stab must be reducible
     for p in all_paths:
         if len(p) >= stab and coord_of[p.key()] not in pivot_set:
-            reduced = ideal._reduce(_unit_vec(f, width, coord_of[p.key()]))
-            if any(
-                not f.is_zero(reduced[coord_of[q.key()]])
-                for q in all_paths
-                if len(q) >= stab
-            ):
+            reduced = ideal._reduce({coord_of[p.key()]: one})
+            if any(len(all_paths[order[pos]]) >= stab for pos in reduced):
                 raise InfiniteDimensional(
                     "path of length %d fails to reduce below the stabilization length"
                     % len(p)
                 )
     index_of = {p.key(): i for i, p in enumerate(basis_paths)}
 
-    def normal_coords(terms):
-        v = ideal._reduce(_path_vector(f, coord_of, width, terms))
-        return sorted(
-            (index_of[all_paths[order[pos]].key()], c) for pos, c in enumerate(v) if c
-        )
+    def normal_coords(path):
+        v = ideal._reduce({coord_of[path.key()]: one})
+        return sorted((index_of[all_paths[order[pos]].key()], c) for pos, c in v.items())
 
     # a product of paths that do not compose is 0
     table = [
         [
-            normal_coords([(f.one(), _Path(pi.src, pj.tgt, pi.arrows + pj.arrows))])
+            normal_coords(_Path(pi.src, pj.tgt, pi.arrows + pj.arrows))
             if pi.tgt == pj.src else []
             for pj in basis_paths
         ]
@@ -768,16 +775,8 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
         idems.append(("vertex:%s" % v, evec))
     labels = [p.label(vlabels) for p in basis_paths]
     alg = Algebra(f, table, unit, basis_labels=labels, idempotents=idems)
-    alg._arrow_ideal = [
-        _unit_vec(f, len(basis_paths), index_of[p.key()]) for p in basis_paths if p.arrows
-    ]
+    alg._arrow_ideal = [{index_of[p.key()]: one} for p in basis_paths if p.arrows]
     return alg
-
-
-def _unit_vec(f, width, pos):
-    v = [f.zero()] * width
-    v[pos] = f.one()
-    return v
 
 
 def _path_coordinates(paths_by_len):
@@ -794,11 +793,13 @@ def _path_coordinates(paths_by_len):
     return all_paths, order, coord_of
 
 
-def _path_vector(f, coord_of, width, terms):
-    """The vector of a linear combination of paths, given as (c, path)."""
-    v = [f.zero()] * width
+def _path_vector(f, coord_of, terms):
+    """The entries of a linear combination of paths, given as (c, path),
+    as {coordinate: coefficient}."""
+    v = {}
     for c, p in terms:
-        v[coord_of[p.key()]] = f.add(v[coord_of[p.key()]], c)
+        pos = coord_of[p.key()]
+        v[pos] = f.add(v.get(pos, f.zero()), c)
     return v
 
 
@@ -812,7 +813,7 @@ def _relation_closure(f, rels, arrow_items, coord_of, width, max_len):
     """
     span = SpanBuilder(f, width)
     frontier = [
-        terms for terms in rels if span.add(_path_vector(f, coord_of, width, terms))
+        terms for terms in rels if span.add(_path_vector(f, coord_of, terms))
     ]
     while frontier:
         nxt = []
@@ -832,7 +833,7 @@ def _relation_closure(f, rels, arrow_items, coord_of, width, max_len):
                     if (
                         stepped
                         and all(len(p) <= max_len for _, p in stepped)
-                        and span.add(_path_vector(f, coord_of, width, stepped))
+                        and span.add(_path_vector(f, coord_of, stepped))
                     ):
                         nxt.append(stepped)
         frontier = nxt
@@ -846,14 +847,12 @@ def _stabilized(f, paths_by_len, rels, arrow_items, L):
     if any(max(len(p) for _, p in terms) > L for terms in rels):
         return False
     span = _relation_closure(f, rels, arrow_items, coord_of, width, L)
-    for p in paths_by_len[L]:
-        reduced = span._reduce(_unit_vec(f, width, coord_of[p.key()]))
-        if any(
-            not f.is_zero(reduced[coord_of[q.key()]])
-            for q in paths_by_len[L]
-        ):
-            return False
-    return True
+    top = {coord_of[q.key()] for q in paths_by_len[L]}
+    one = f.one()
+    return all(
+        top.isdisjoint(span._reduce({coord_of[p.key()]: one}))
+        for p in paths_by_len[L]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1088,8 +1087,8 @@ def lift_idempotents(a):
     pairwise orthogonal and sum to the unit, and every leaf of
     `_split_corner` passed its local-corner test, so it is primitive.
 
-    A quiver algebra whose arrow ideal J `_presented_radical` certifies
-    as the radical needs no corner test: A = span(e_v) ⊕ J, so
+    A quiver algebra whose arrow ideal J `radical` took as the radical
+    (`_radical_is_presented`) needs no corner test: A = span(e_v) ⊕ J, so
     e_v·A·e_v = k·e_v ⊕ e_v·J·e_v with e_v·J·e_v nilpotent, a local
     corner, and each vertex tag is primitive.  The tags are taken as
     they are, in the order of the corner search (last tag first), and
@@ -1111,7 +1110,7 @@ def lift_idempotents(a):
     op = a._opposite_cache
     if op is not None and op._idempotent_cache is not None:
         result = [list(e) for e in op._idempotent_cache]
-    elif _presented_radical(a) is not None:
+    elif _radical_is_presented(a):
         result = [list(v) for _, v in reversed(a.idempotents)]
     else:
         result = []

@@ -21,12 +21,14 @@ zeros, so the kernels are specialised for that:
   row operation;
 * zeros cost nothing: they are skipped by truthiness, ``mul`` walks the
   nonzeros of each row of A against the nonzero lists of the rows of B,
-  ``add``/``sub`` leave an entry alone where the other operand is 0, and
-  elimination (``rref``, `SpanBuilder`) touches only the nonzero columns
-  of the pivot row;
-* a system too sparse to hold densely goes row by row into
-  `SpanBuilder.add_sparse`, which keeps its reduced rows as dicts and
-  drops zero and dependent rows on arrival;
+  and ``add``/``sub`` leave an entry alone where the other operand is 0;
+* elimination has one kernel, `SpanBuilder`: it keeps its reduced rows
+  as dicts, reads each vector (a dense sequence, or a dict of entries
+  keyed by column for a system too sparse to hold densely) into its
+  nonzeros in one pass, reduces it over the pivots it touches and drops
+  zero and dependent rows on arrival.  ``rref`` (and so ``rank``,
+  ``kernel_basis`` and ``solve``), `SpanQuotient` and `Preimages` all
+  reduce through it;
 * an equality of products A·B = C·D (an action axiom, an intertwining
   or commuting square, a chain-map square) is tested as a sparse
   residual by `product_residual`, row by row on the (column, entry)
@@ -38,8 +40,8 @@ residue class, so a multiple of p is zero.  Every entry a kernel computes
 lies in [0, p).  An entry that ``add``/``sub`` pass through untouched keeps
 the form it came in; the package builds its F_p matrices from coerced
 entries, so in practice every entry lies in [0, p).  Where a kernel tests
-entries it has not computed itself for zero (pivots and multipliers in
-``rref`` and `SpanBuilder`, ``Matrix.is_zero``), it reads them modulo p.
+entries it has not computed itself for zero (the vectors `SpanBuilder`
+reduces, ``Matrix.is_zero``), it reads them modulo p.
 
 An algebra keeps its structure constants in the same (column, entry)
 form: ``Algebra.table[i][j]`` lists the nonzeros of bᵢ·bⱼ.  `Algebra.mul_vec`
@@ -58,7 +60,7 @@ from fractions import Fraction
 from bisect import insort
 from itertools import compress
 
-from .errors import FieldMismatch, ShapeError
+from .errors import FieldMismatch, ShapeError, SphertwistError
 
 
 class RationalField:
@@ -432,54 +434,22 @@ class Matrix:
 def rref(m):
     """Reduced row echelon form.  Returns (matrix, pivot column list).
 
-    Over F_p every pivot and multiplier is read modulo p, so a multiple of p
-    counts as zero even where the input holds it unreduced; the pivot rows
-    come out reduced and the rows past the rank as zero rows.
+    The rows of m go one by one into a `SpanBuilder`, whose rows are the
+    nonzero rows of the rref of everything added; the rows past the rank
+    are zero rows.  Over F_p every entry is read modulo p, so a multiple
+    of p counts as zero even where the input holds it unreduced, and the
+    pivot rows come out reduced.
     """
     f = m.field
-    p = f.characteristic
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = len(rows), m.ncols
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        if p:
-            sel = next((i for i in range(rank, nrows) if rows[i][col] % p), None)
-        else:
-            sel = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if sel is None:
-            continue
-        prow = rows[sel]
-        rows[sel] = rows[rank]
-        rows[rank] = prow
-        inv = f.inv(prow[col])
-        if p:
-            # the whole row: entries left of col are multiples of p
-            prow[:] = [e * inv % p for e in prow]
-            pairs = _nonzeros(prow)
-            for i, r in enumerate(rows):
-                c = r[col] % p
-                if c and i != rank:
-                    for j, e in pairs:
-                        r[j] = (r[j] - c * e) % p
-        else:
-            # entries left of col are zero in every row from rank on
-            nonzero_cols = compress(range(col, ncols), prow[col:])
-            pairs = [(j, prow[j] * inv) for j in nonzero_cols]
-            for j, e in pairs:
-                prow[j] = e
-            for i, r in enumerate(rows):
-                c = r[col]
-                if c and i != rank:
-                    for j, e in pairs:
-                        r[j] -= c * e
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
+    span = SpanBuilder(f, m.ncols)
+    for row in m.rows:
+        if len(span.pivots) == m.ncols:
+            break  # every further row lies in the span
+        span.add(row)
+    rows = span.rows
     zero = f.zero()
-    rows[rank:] = [[zero] * ncols for _ in range(nrows - rank)]
-    return Matrix(f, rows, ncols), pivots
+    rows += [[zero] * m.ncols for _ in range(m.nrows - len(rows))]
+    return Matrix(f, rows, m.ncols), list(span.pivots)
 
 
 def rank(m):
@@ -593,16 +563,17 @@ def kronecker(a, b):
 class SpanBuilder:
     """Incremental canonical span of row vectors.
 
-    Feed vectors with ``add`` (a dense list) or ``add_sparse`` (a dict of
-    entries keyed by column); the builder keeps the reduced row echelon
-    form of the span and reports whether each vector enlarged it.
-    ``contains`` answers membership without mutating, and
-    ``kernel_basis`` gives the null space of the span, and
-    `SpanQuotient` the quotient by it.  Used for ideal closures,
-    factor-through subspaces, radd-style intersections, the
-    intertwining systems of hom spaces and the balancing relations of
-    tensor products, where many candidate vectors are zero or redundant
-    and a full rref of everything at once would be wasteful.
+    Feed vectors with ``add``, each a sequence of ``width`` entries or a
+    dict of entries keyed by column (missing columns are zero); the
+    builder keeps the reduced row echelon form of the span and reports
+    whether each vector enlarged it.  ``contains`` answers membership
+    without mutating, and ``kernel_basis`` gives the null space of the
+    span, `SpanQuotient` the quotient by it and `Preimages` solutions
+    of u·M = v.  Used for `rref` itself, ideal closures, factor-through
+    subspaces, radd-style intersections, the intertwining systems of
+    hom spaces and the balancing relations of tensor products, where
+    many candidate vectors are zero or redundant and a full rref of
+    everything at once would be wasteful.
 
     The rows are held sparse, as dicts keyed by column, and fully
     reduced: each has 1 at its pivot and no entry at any other pivot.
@@ -631,38 +602,34 @@ class SpanBuilder:
         return out
 
     def _reduce(self, vec):
-        if len(vec) != self.width:
-            raise ShapeError("span vector length mismatch")
-        p = self.field.characteristic
-        v = [e % p for e in vec] if p else list(vec)
-        rows = self._rows
-        for pivot in self.pivots:
-            c = v[pivot]
-            if not c:
-                continue
-            if p:
-                for j, e in rows[pivot].items():
-                    v[j] = (v[j] - c * e) % p
-            else:
-                for j, e in rows[pivot].items():
-                    v[j] -= c * e
-        return v
+        """The remainder of a vector after reduction by the span, as a
+        dict of its nonzero entries keyed by column.
 
-    def _reduce_sparse(self, entries):
-        p = self.field.characteristic
+        The vector is read in one pass, which reduces each entry modulo
+        p and drops the zeros (a sequence's zero entries are skipped by
+        truthiness before any is read).  Subtracting the row of a pivot the
+        vector holds clears that pivot (the row has 1 there) and touches
+        no other pivot, so the pivots to clear are those of the vector
+        as read.
+        """
         width = self.width
-        if any(not 0 <= j < width for j in entries):
-            raise ShapeError("span vector column out of range")
-        if p:
-            v = {j: e % p for j, e in entries.items() if e % p}
+        if isinstance(vec, dict):
+            if any(not 0 <= j < width for j in vec):
+                raise ShapeError("span vector column out of range")
+            cols = vec
+        elif len(vec) != width:
+            raise ShapeError("span vector length mismatch")
         else:
-            v = {j: e for j, e in entries.items() if e}
+            cols = compress(range(width), vec)
+        p = self.field.characteristic
+        if p:
+            v = {j: x for j in cols if (x := vec[j] % p)}
+        else:
+            v = {j: x for j in cols if (x := vec[j])}
         rows = self._rows
         for pivot in [j for j in v if j in rows]:
-            c = v.pop(pivot)
+            c = v[pivot]
             for j, e in rows[pivot].items():
-                if j == pivot:
-                    continue
                 x = v.get(j, 0) - c * e
                 if p:
                     x %= p
@@ -673,25 +640,11 @@ class SpanBuilder:
         return v
 
     def contains(self, vec):
-        return not any(self._reduce(vec))
-
-    def contains_sparse(self, entries):
-        """Membership of a vector given as {column: entry}."""
-        return not self._reduce_sparse(entries)
+        return not self._reduce(vec)
 
     def add(self, vec):
-        """Insert a dense vector; returns True if the span grew."""
+        """Insert a vector; returns True if the span grew."""
         v = self._reduce(vec)
-        pivot = next((j for j, e in enumerate(v) if e), None)
-        if pivot is None:
-            return False
-        self._insert(pivot, {j: v[j] for j in compress(range(pivot, self.width), v[pivot:])})
-        return True
-
-    def add_sparse(self, entries):
-        """Insert a vector given as {column: entry}; returns True if the
-        span grew.  Missing columns are zero, zero entries are allowed."""
-        v = self._reduce_sparse(entries)
         if not v:
             return False
         self._insert(min(v), v)
@@ -766,12 +719,43 @@ class SpanQuotient:
         return len(self.kept)
 
     def project(self, vec):
-        """The class of a dense vector, in the kept coordinates."""
+        """The class of a vector, given as `SpanBuilder.add` takes it, in
+        the kept coordinates."""
         red = self.span._reduce(vec)
-        return [red[j] for j in self.kept]
-
-    def project_sparse(self, entries):
-        """The class of a vector given as {column: entry}."""
-        red = self.span._reduce_sparse(entries)
         zero = self.span.field.zero()
         return [red.get(j, zero) for j in self.kept]
+
+
+class Preimages:
+    """Preimages u with u·M = v under one matrix M, factored once.
+
+    The rows [Mᵣ | eᵣ] are reduced into one echelon span.  Reducing
+    [v | 0] by it leaves [v − u·M | −u] for the combination u of rows
+    it subtracted, so v has a preimage exactly when the first part
+    comes out zero, and then u is the negated second part: ``of``
+    returns a u with u·M = v exactly, or raises.  With independent rows
+    of M the preimage is unique, so ``of(u·M) == u``.
+    """
+
+    def __init__(self, mat):
+        f = mat.field
+        self.field = f
+        self.width = mat.ncols
+        self.span = SpanBuilder(f, mat.ncols + mat.nrows)
+        one = f.one()
+        for r, row in enumerate(mat.rows):
+            entries = {j: e for j, e in enumerate(row) if e}
+            entries[mat.ncols + r] = one
+            self.span.add(entries)
+        self.pad = [0] * mat.nrows  # int zeros: truthiness without a call
+
+    def of(self, v):
+        width = self.width
+        red = self.span._reduce(list(v) + self.pad)
+        if any(j < width for j in red):
+            raise SphertwistError("vector has no preimage")
+        u = [self.field.zero()] * len(self.pad)
+        neg = self.field.neg
+        for j, e in red.items():
+            u[j - width] = neg(e)
+        return u

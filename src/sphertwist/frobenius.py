@@ -500,7 +500,7 @@ def _generator_hom_basis(blocks, total):
                 actions = [sparse_rows(m) for m in total.action]
                 span = SpanBuilder(f, a.dim * s)
                 for r in range(s):
-                    span.add_sparse({
+                    span.add({
                         i * s + c: e for i, act in enumerate(actions) for c, e in act[r]
                     })
                 pieces[b] = span.basis_entries()

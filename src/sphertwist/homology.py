@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, NotConcentrated, SphertwistError
-from .exactlin import Matrix, SpanBuilder, product_residual, rank, rref, sparse_rows
+from .exactlin import Matrix, Preimages, product_residual, rank, rref, sparse_rows
 from .frobenius import dual_module
 from .modules import (
     Module,
@@ -397,33 +397,6 @@ def tor_from_resolution(res, other, count):
 # the derived tensor square of a surjection, with both actions
 
 
-class _Preimages:
-    """Preimages u with u·M = v under one matrix M, factored once.
-
-    The rows [Mᵣ | eᵣ] are reduced into one echelon span.  Reducing
-    [v | 0] by it leaves [v − u·M | −u] for the combination u of rows
-    it subtracted, so v has a preimage exactly when the first part
-    comes out zero, and then u is the negated second part.
-    """
-
-    def __init__(self, mat):
-        f = mat.field
-        self.field = f
-        self.width = mat.ncols
-        self.span = SpanBuilder(f, mat.ncols + mat.nrows)
-        for r, row in enumerate(mat.rows):
-            entries = {j: e for j, e in enumerate(row) if e}
-            entries[mat.ncols + r] = f.one()
-            self.span.add_sparse(entries)
-        self.pad = [f.zero()] * mat.nrows
-
-    def of(self, v):
-        red = self.span._reduce(list(v) + self.pad)
-        if any(red[: self.width]):
-            raise SphertwistError("vector has no preimage")
-        return [self.field.neg(x) for x in red[self.width :]]
-
-
 class _TensorSquare:
     """B ⊗ᴸ_A B for a surjection p : A → B, by duality through Yoneda.
 
@@ -563,16 +536,16 @@ def _extract_bimodule(square, t):
     """
     b, f = square.p.target, square.p.target.field
     cycles, incl = kernel_of(square.maps[t])
-    in_cycles = _Preimages(incl.matrix)
+    in_cycles = Preimages(incl.matrix)
     boundaries = [in_cycles.of(r) for r in square.maps[t - 1].matrix.rows]
     h, proj = quotient(cycles, boundaries)
-    section = _Preimages(proj.matrix)
+    section = Preimages(proj.matrix)
     reps = [
         incl.apply(section.of(m_basis_row(f, h.dim, s))) for s in range(h.dim)
     ]
     res = square.resolution
-    preimages = [_Preimages(res.augmentation.matrix)]
-    preimages += [_Preimages(d.matrix) for d in res.maps[:t]]
+    preimages = [Preimages(res.augmentation.matrix)]
+    preimages += [Preimages(d.matrix) for d in res.maps[:t]]
     covered, blocks = square.covered[t], square.blocks[t]
     left = []
     for i in range(b.dim):

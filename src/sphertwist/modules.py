@@ -23,6 +23,7 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
+    Preimages,
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
@@ -212,7 +213,7 @@ def hom_space(m, n):
     and −N_g[k][c] on X[r][k] (unknowns flattened row-major), so it is
     read straight off the nonzeros of row r of M_g and column c of N_g
     (gathered from the nonzeros of N_g's rows, in row order) and reduced
-    on arrival (`SpanBuilder.add_sparse`): a zero or
+    on arrival (`SpanBuilder.add`, as a dict): a zero or
     dependent row costs one sparse reduction, and no dense system is
     built.  The null space comes out of the reduced echelon form in the
     canonical form of `kernel_basis`, which depends only on the null
@@ -242,7 +243,7 @@ def hom_space(m, n):
                 row = {k * t + c: e for k, e in m_row}
                 for k, e in n_col:
                     row[at + k] = row.get(at + k, 0) - e
-                span.add_sparse(row)
+                span.add(row)
     null = span.kernel_basis()
     p = f.characteristic
     homs = []
@@ -263,61 +264,46 @@ class HomBasis:
     """Coordinates of maps against a fixed list of module maps.
 
     The list is factored once.  Its flattened maps are the rows of B
-    (n × w), and one rref of [B | I] gives [R | T] with T·B = R.  The
-    list is independent exactly when the n pivots of R all lie among
-    the first w columns; a dependent list raises SphertwistError.  Then
-    R on those pivot columns is the identity, so T inverts B's pivot
-    columns, and a map y = x·B of the span has coordinates
-    x = y[pivots]·T.  ``coords`` reads them off this way and then
-    recomposes Σ xᵢ·hᵢ and compares it with the map exactly, so a map
-    outside the span raises SphertwistError rather than returning the
-    coordinates of its pivot entries.
+    (n × w), held as the `Preimages` of B: the span of the n rows
+    [Bᵢ | eᵢ], independent by their last n columns.  A combination
+    x·[B | I] = [x·B | x] of them is zero in its first w columns
+    exactly when x is a relation among the maps, so the rows with a
+    pivot at a column ≥ w span the relations, and the list is
+    independent exactly when every pivot lies among the first w
+    columns; a dependent list raises SphertwistError.  ``coords``
+    reduces [y | 0] by the span to [y − x·B | −x] and returns x only
+    when y − x·B comes out zero, which is the exact equation
+    Σ xᵢ·hᵢ = y; a map outside the span leaves a nonzero part there and
+    raises SphertwistError rather than returning coordinates.  On an
+    independent list the coordinates are unique.
     """
 
     def __init__(self, field, homs):
         self.field = field
         self.homs = list(homs)
-        self._flats = []  # (column, entry) pairs of each flattened map
         if not homs:
             return
         self._shape = (homs[0].matrix.nrows, homs[0].matrix.ncols)
-        width, n = self._shape[0] * self._shape[1], len(homs)
-        zero, one = field.zero(), field.one()
-        aug = []
-        for i, h in enumerate(homs):
-            if (h.matrix.nrows, h.matrix.ncols) != self._shape:
-                raise ShapeError("hom basis maps of different shapes")
-            flat = _flatten(h.matrix)
-            self._flats.append([(j, e) for j, e in enumerate(flat) if e])
-            tail = [zero] * n
-            tail[i] = one
-            aug.append(flat + tail)
-        r, pivots = rref(Matrix(field, aug, width + n))
-        if pivots[-1] >= width:
+        if any((h.matrix.nrows, h.matrix.ncols) != self._shape for h in homs):
+            raise ShapeError("hom basis maps of different shapes")
+        width = self._shape[0] * self._shape[1]
+        flats = Matrix(field, [_flatten(h.matrix) for h in homs], width)
+        self._preimages = Preimages(flats)
+        if self._preimages.span.pivots[-1] >= width:
             raise SphertwistError("hom basis is linearly dependent")
-        self._pivots = pivots
-        self._transform = Matrix(field, [row[width:] for row in r.rows], n)
 
     def coords(self, mat):
         """The coordinates x with Σ xᵢ·hᵢ = mat; raises outside the span."""
-        f = self.field
-        if not self._flats:
+        if not self.homs:
             if mat.is_zero():
                 return []
             raise SphertwistError("nonzero map against an empty hom basis")
         if (mat.nrows, mat.ncols) != self._shape:
             raise ShapeError("map shape does not match the hom basis")
-        y = _flatten(mat)
-        x = self._transform.apply_to_row([y[j] for j in self._pivots])
-        residue = y  # becomes y − Σ xᵢ·hᵢ, which must vanish
-        for c, pairs in zip(x, self._flats):
-            if c:
-                for j, e in pairs:
-                    residue[j] -= c * e
-        p = f.characteristic
-        if any(e % p for e in residue) if p else any(residue):
-            raise SphertwistError("map escapes the hom basis")
-        return x
+        try:
+            return self._preimages.of(_flatten(mat))
+        except SphertwistError:
+            raise SphertwistError("map escapes the hom basis") from None
 
 
 def _flatten(mat):
@@ -380,14 +366,19 @@ def _as_rows(field, vectors, width):
 
 
 def submodule(m, vectors, check=True):
-    """(module on the subspace, inclusion hom).  Rows span the subspace."""
+    """(module on the subspace, inclusion hom).  Rows span the subspace.
+
+    The inclusion's rows are the nonzero rows of the rref, each 1 at its
+    pivot and 0 at the others, so a vector of the subspace has its
+    coordinates at the pivots.
+    """
     f = m.algebra.field
-    rows = row_space_canonical(_as_rows(f, vectors, m.dim))
+    r, pivots = rref(_as_rows(f, vectors, m.dim))
+    d = len(pivots)
+    rows = Matrix(f, r.rows[:d], m.dim)
     span = SpanBuilder(f, m.dim)
-    for r in rows.rows:
-        span.add(list(r))
-    d = rows.nrows
-    pivots = list(span.pivots)
+    for row in rows.rows:
+        span.add(row)
 
     def coords(vec):
         if check and not span.contains(vec):
@@ -426,7 +417,7 @@ def quotient(m, vectors):
     proj = ModuleHom(
         m,
         out,
-        Matrix(f, [q.project_sparse({j: one}) for j in range(m.dim)], q.dim),
+        Matrix(f, [q.project({j: one}) for j in range(m.dim)], q.dim),
         validate=False,
     )
     return out, proj
@@ -471,7 +462,7 @@ def balanced_tensor(a, right_mats, left_mats):
                 row = {k * nd + x: c for k, c in r_row}
                 for k, c in l_row:
                     row[at + k] = row.get(at + k, 0) - c
-                span.add_sparse(row)
+                span.add(row)
     return SpanQuotient(span)
 
 

@@ -3,7 +3,7 @@
 These are the dense routes `balanced_tensor`, `SpanQuotient` and the
 Kronecker-free Tor and equivariance code replaced: one dense relation
 row per basis element of the algebra (not only per generator) and per
-pair of basis vectors, a quotient read off a dense reduction, Tor from
+pair of basis vectors, a quotient read off unit vectors, Tor from
 the Kronecker product h ⊗ 1 times a projection matrix, and the
 equivariance products (A ⊗ 1)·μ and (1 ⊗ B)·μ formed in full.  They are
 slow and obviously right; the package must give exactly the same rows,
@@ -11,7 +11,7 @@ kept columns, projections, dimensions and products.
 """
 
 from sphertwist.errors import CapExceeded
-from sphertwist.exactlin import Matrix, SpanBuilder, kronecker, rank
+from sphertwist.exactlin import Matrix, SpanBuilder, SpanQuotient, kronecker, rank
 from sphertwist.resolutions import minimal_resolution
 
 
@@ -69,15 +69,13 @@ def reduction_data(f, rel_rows, dim):
     sb = SpanBuilder(f, dim)
     for r in rel_rows:
         sb.add(list(r))
-    piv = set(sb.pivots)
-    free = [j for j in range(dim) if j not in piv]
+    q = SpanQuotient(sb)
     rows = []
     for k in range(dim):
         e = [f.zero()] * dim
         e[k] = f.one()
-        red = sb._reduce(e)
-        rows.append([red[j] for j in free])
-    return Matrix(f, rows, len(free))
+        rows.append(q.project(e))
+    return Matrix(f, rows, q.dim)
 
 
 class FlatQuotient:
@@ -97,8 +95,7 @@ class FlatQuotient:
         return len(self.kept)
 
     def project(self, vec):
-        red = self.span._reduce(vec)
-        return [red[j] for j in self.kept]
+        return SpanQuotient(self.span).project(vec)
 
 
 def tor_from_resolution(a, res, other, count, second=False):

@@ -11,7 +11,13 @@ return exactly what these do.
 
 from sphertwist.algebra import lift_idempotents, radical
 from sphertwist.errors import NotASubmodule, SphertwistError
-from sphertwist.exactlin import Matrix, SpanBuilder, rank, row_space_canonical
+from sphertwist.exactlin import (
+    Matrix,
+    SpanBuilder,
+    SpanQuotient,
+    rank,
+    row_space_canonical,
+)
 from sphertwist.modules import Module, ModuleHom, _as_rows, direct_sum, m_basis_row
 
 
@@ -79,13 +85,8 @@ def quotient(m, vectors):
                 raise NotASubmodule(
                     "subspace not stable under basis element %d" % i, witness=list(r)
                 )
-    pivot_set = set(span.pivots)
-    keep = [j for j in range(m.dim) if j not in pivot_set]
-
-    def project(vec):
-        red = span._reduce(vec)
-        return [red[j] for j in keep]
-
+    q = SpanQuotient(span)
+    keep, project = q.kept, q.project
     d = len(keep)
     reps = [m_basis_row(f, m.dim, j) for j in keep]
     action = [

@@ -110,10 +110,10 @@ def test_balanced_tensor_matches_the_dense_builders(data):
         unit = [f.zero()] * width
         unit[k] = f.one()
         assert tensor.project(unit) == proj.rows[k]
-        assert tensor.project_sparse({k: f.one()}) == proj.rows[k]
+        assert tensor.project({k: f.one()}) == proj.rows[k]
     v = data.draw(coefficient_vectors(f, width))
     assert tensor.project(v) == flat.project(v)
-    assert tensor.project_sparse(dict(enumerate(v))) == flat.project(v)
+    assert tensor.project(dict(enumerate(v))) == flat.project(v)
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,7 +131,7 @@ def test_span_quotient_matches_the_flat_quotient(data):
     assert q.dim == flat.dim
     v = data.draw(coefficient_vectors(field, width))
     assert q.project(v) == flat.project(v)
-    assert q.project_sparse(dict(enumerate(v))) == flat.project(v)
+    assert q.project(dict(enumerate(v))) == flat.project(v)
 
 
 @settings(max_examples=40, deadline=None)

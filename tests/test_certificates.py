@@ -9,7 +9,7 @@
   witness (i, g, product).
 - The radical of a quiver algebra certified from its presentation, by
   hand in characteristics 2, 3 and 5 and against the trace form where
-  that is defined.
+  that is defined, and certified once per algebra.
 """
 
 import pytest
@@ -170,6 +170,16 @@ def test_the_certified_radical_is_the_trace_form_radical(name, field):
     assert certified is not None
     assert certified.rows == algebra._trace_form_radical(a).rows
     assert radical(a).rows == certified.rows
+
+
+def test_the_arrow_ideal_is_certified_once_per_algebra(monkeypatch):
+    # `radical` records its verdict on the arrow ideal, and
+    # `lift_idempotents` reads it there instead of certifying again
+    calls = count_calls(monkeypatch, algebra, "_presented_radical")
+    a = cyclic_nakayama(4)
+    assert [s.dim for s in simple_modules(a)] == [1, 1, 1, 1]
+    assert len(calls) == 1
+    assert a._arrow_ideal_is_radical
 
 
 def test_an_arrow_ideal_that_is_not_nilpotent_is_not_taken():

@@ -5,6 +5,7 @@ paper) before the implementation existed; they are the oracle, not a
 regression snapshot.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,16 +13,21 @@ from hypothesis import given, settings, strategies as st
 
 import exactlin_reference as ref
 from exactlin_reference import image_basis, intersect_subspaces
-from sphertwist.errors import FieldMismatch, ShapeError
+from fixture_algebras import dual_numbers
+from sphertwist import modules
+from sphertwist.errors import FieldMismatch, ShapeError, SphertwistError
 from sphertwist.exactlin import (
     QQ,
     Matrix,
+    Preimages,
     PrimeField,
     SpanBuilder,
+    SpanQuotient,
     kernel_basis,
     kronecker,
     product_residual,
     rank,
+    row_space_canonical,
     rref,
     solve,
     solve_matrix,
@@ -195,6 +201,14 @@ def test_span_builder_rejects_wrong_length():
             sb.contains([Fraction(e) for e in vec])
         with pytest.raises(ShapeError):
             sb._reduce([Fraction(e) for e in vec])
+    # a dict entry outside [0, width) raises through every entry point,
+    # an explicit zero included
+    q = SpanQuotient(sb)
+    for entries in ({3: Fraction(5)}, {-1: Fraction(1)}, {0: Fraction(1), 7: Fraction(0)}):
+        for call in (sb.add, sb.contains, q.project):
+            with pytest.raises(ShapeError):
+                call(entries)
+    assert sb.dim() == 1
 
 
 def test_multiple_of_p_is_zero():
@@ -404,6 +418,12 @@ def test_kronecker_matches_reference(data):
     assert kronecker(a, b).rows == ref.kronecker(a, b)
 
 
+def dense(field, width, entries):
+    """The dense vector of a {column: entry} dict."""
+    zero = field.zero()
+    return [entries.get(j, zero) for j in range(width)]
+
+
 @given(st.data())
 def test_span_builder_matches_reference(data):
     field = data.draw(st.sampled_from(FIELDS))
@@ -416,7 +436,132 @@ def test_span_builder_matches_reference(data):
     for _ in range(3):
         vec = draw_vector(data, field, m.ncols)
         assert sb.contains(vec) == rsb.contains(vec)
-        assert sb._reduce(vec) == rsb._reduce(vec)
+        red = sb._reduce(vec)
+        assert all(red.values())
+        assert dense(field, m.ncols, red) == rsb._reduce(vec)
+
+
+# ---------------------------------------------------------------------------
+# differential tests at workload shapes: seeded systems of 20 to 40 rows by
+# 40 to 80 columns with about 5 % nonzeros, a fifth of the rows
+# combinations of earlier ones, and over F_p a tenth of the entries
+# stored as their residue plus a multiple of p, zeros included
+
+
+def workload_matrix(field, seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(20, 40), rng.randint(40, 80)
+    values = [field.coerce(v) for v in (1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11))]
+    rows = []
+    for i in range(nrows):
+        if i >= 2 and rng.random() < 0.2:
+            a, b = rng.sample(rows, 2)
+            c, d = rng.choice(values), rng.choice(values)
+            row = [field.add(field.mul(c, x), field.mul(d, y)) for x, y in zip(a, b)]
+        else:
+            row = [
+                rng.choice(values) if rng.random() < 0.05 else field.zero()
+                for _ in range(ncols)
+            ]
+        rows.append(row)
+    p = field.characteristic
+    if p:
+        rows = [
+            [e + p * rng.choice([-2, -1, 1, 2]) if rng.random() < 0.1 else e for e in row]
+            for row in rows
+        ]
+    return Matrix(field, rows, ncols)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_elimination_matches_reference_at_workload_shapes(field, seed):
+    m = workload_matrix(field, seed)
+    r, pivots = rref(m)
+    ref_rows, ref_pivots = ref.rref(m)
+    k = len(pivots)
+    assert 0 < k < m.nrows
+    assert pivots == ref_pivots
+    assert r.rows[:k] == ref_rows[:k]
+    # past the rank the reference keeps a row it never touched as stored,
+    # multiples of p included, where rref writes zero rows
+    assert r.rows[k:] == [[field.zero()] * m.ncols] * (m.nrows - k)
+    assert all(field.is_zero(e) for row in ref_rows[k:] for e in row)
+    assert kernel_basis(m).transpose().rows == ref.kernel_basis(m)
+    sb, rsb = SpanBuilder(field, m.ncols), ref.SpanBuilder(field, m.ncols)
+    for row in m.rows:
+        assert sb.add(row) == rsb.add(row)
+    assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots)
+    rng = random.Random(seed)
+    pre = Preimages(m)
+    for _ in range(3):
+        u = [field.coerce(rng.choice([0, 0, 0, 1, -2, 5])) for _ in range(m.nrows)]
+        v = m.apply_to_row(u)
+        assert m.apply_to_row(pre.of(v)) == v
+
+
+# ---------------------------------------------------------------------------
+# Preimages, and the one elimination kernel every solver reaches
+
+
+def test_preimages_by_hand():
+    # (3, 7, 1) = 3·(1, 2, 0) + 1·(0, 1, 1); (0, 0, 1) = a·(1, 2, 0) +
+    # b·(0, 1, 1) forces a = 0 and then 0 = b = 1
+    pre = Preimages(mat([[1, 2, 0], [0, 1, 1]]))
+    assert pre.of([Fraction(e) for e in (3, 7, 1)]) == [3, 1]
+    with pytest.raises(SphertwistError, match="vector has no preimage"):
+        pre.of([Fraction(e) for e in (0, 0, 1)])
+
+
+@given(st.data())
+def test_preimages_solve_exactly(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    m = draw_matrix(data, field, max_dim=6)
+    pre = Preimages(m)
+    u = draw_vector(data, field, m.nrows)
+    v = m.apply_to_row(u)
+    assert m.apply_to_row(pre.of(v)) == v
+    # with independent rows the preimage is unique
+    basis = row_space_canonical(m)
+    x = u[: basis.nrows]
+    assert Preimages(basis).of(basis.apply_to_row(x)) == x
+    w = draw_vector(data, field, m.ncols)
+    span = SpanBuilder(field, m.ncols)
+    for row in m.rows:
+        span.add(row)
+    if span.contains(w):
+        assert m.apply_to_row(pre.of(w)) == w
+    else:
+        with pytest.raises(SphertwistError, match="vector has no preimage"):
+            pre.of(w)
+
+
+def test_every_solver_reduces_through_the_span_builder(monkeypatch):
+    calls = []
+    original = SpanBuilder._reduce
+
+    def counting(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(SpanBuilder, "_reduce", counting)
+    m = mat([[1, 2, 0], [0, 1, 1], [1, 3, 1]])
+    pre = Preimages(m)
+    reg = modules.Module.regular(dual_numbers())
+    homs = modules.hom_space(reg, reg)
+    basis = modules.HomBasis(QQ, homs)
+    solvers = {
+        "rref": lambda: rref(m),
+        "kernel_basis": lambda: kernel_basis(m),
+        "HomBasis.coords": lambda: basis.coords(homs[-1].matrix),
+        "Preimages.of": lambda: pre.of(m.rows[2]),
+    }
+    reached = {}
+    for name, solver in solvers.items():
+        calls.clear()
+        solver()
+        reached[name] = len(calls)
+    assert all(reached.values()), reached
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +621,7 @@ def test_span_builder_sparse_entry_matches_sympy(data):
     rank_before = 0
     for i, row in enumerate(m.rows):
         # nonzeros plus a few explicit zeros, which must be ignored
-        grew = sb.add_sparse({j: e for j, e in enumerate(row) if e or j % 2})
+        grew = sb.add({j: e for j, e in enumerate(row) if e or j % 2})
         rank_after = to_sympy(Matrix(field, m.rows[: i + 1], m.ncols)).rank()
         assert grew == (rank_after > rank_before)
         assert sb.dim() == rank_after

@@ -23,6 +23,7 @@ from sphertwist.exactlin import (
     QQ,
     Matrix,
     PrimeField,
+    Preimages,
     kernel_basis,
     rank,
     solve,
@@ -37,7 +38,6 @@ from sphertwist.frobenius import (
 from sphertwist.homology import (
     Bimodule,
     _lift_left_multiplication,
-    _Preimages,
     _yoneda_blocks,
     _yoneda_precompose,
     cotwist_data,
@@ -746,8 +746,8 @@ def test_precompose_from_generator_images_matches_the_map(surjection):
                 n, images, tgt, blocks[i + 1], blocks[i]
             ) == precompose_from_the_map(
                 n, d.matrix, src, tgt, blocks[i + 1], blocks[i])
-        preimages = [_Preimages(res.augmentation.matrix)]
-        preimages += [_Preimages(d.matrix) for d in res.maps]
+        preimages = [Preimages(res.augmentation.matrix)]
+        preimages += [Preimages(d.matrix) for d in res.maps]
         b = p.target
         for t in range(min(3, len(covered))):
             ct = covered[t]
