@@ -212,12 +212,6 @@ class Algebra:
     def is_idempotent(self, x):
         return self.mul_vec(x, x) == [self.field.coerce(c) for c in x]
 
-    def idempotent(self, role):
-        for r, v in self.idempotents or []:
-            if r == role:
-                return v
-        raise SphertwistError("no idempotent tagged %r" % role)
-
     def __repr__(self):
         return "Algebra(dim=%d over %r)" % (self.dim, self.field)
 

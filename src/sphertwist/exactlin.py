@@ -278,12 +278,6 @@ class Matrix:
         z = field.zero()
         return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
-    def row(self, i):
-        return list(self.rows[i])
-
     def column(self, j):
         return [r[j] for r in self.rows]
 
@@ -499,11 +493,8 @@ def _null_space(f, ncols, pivots, pivot_rows):
 
 
 def solve(m, b):
-    """One solution x of m·x = b (column vectors), or None if inconsistent."""
-    if isinstance(b, Matrix):
-        if b.ncols != 1:
-            raise ShapeError("right-hand side must be a single column")
-        b = b.column(0)
+    """One solution x of m·x = b (b a sequence of entries), or None if
+    inconsistent."""
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     f = m.field
@@ -518,20 +509,6 @@ def solve(m, b):
     for i, p in enumerate(pivots):
         x[p] = r.rows[i][m.ncols]
     return x
-
-
-def solve_matrix(m, b):
-    """Solve m·X = b column by column; None if any column is inconsistent."""
-    m._check_field(b)
-    if b.nrows != m.nrows:
-        raise ShapeError("solve_matrix shape mismatch")
-    cols = []
-    for j in range(b.ncols):
-        x = solve(m, b.column(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Matrix(m.field, cols, m.ncols).transpose() if cols else Matrix.zero(m.field, m.ncols, 0)
 
 
 def kronecker(a, b):
@@ -734,7 +711,9 @@ class Preimages:
     it subtracted, so v has a preimage exactly when the first part
     comes out zero, and then u is the negated second part: ``of``
     returns a u with u·M = v exactly, or raises.  With independent rows
-    of M the preimage is unique, so ``of(u·M) == u``.
+    of M the preimage is unique, so ``of(u·M) == u``.  ``inverse`` stacks
+    the preimages of the unit rows: X with X·M = I, which is M⁻¹ for an
+    invertible M, and raises when the rows of M do not span.
     """
 
     def __init__(self, mat):
@@ -759,3 +738,7 @@ class Preimages:
         for j, e in red.items():
             u[j - width] = neg(e)
         return u
+
+    def inverse(self):
+        units = Matrix.identity(self.field, self.width).rows
+        return Matrix(self.field, [self.of(e) for e in units], len(self.pad))

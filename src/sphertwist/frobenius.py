@@ -23,10 +23,10 @@ from .algebra import (
 from .errors import NotProgenerator, NotSelfInjective, SphertwistError
 from .exactlin import (
     Matrix,
+    Preimages,
     SpanBuilder,
     kernel_basis,
     rank,
-    solve_matrix,
     sparse_rows,
 )
 from .modules import (
@@ -267,9 +267,7 @@ def strip_projective_summands(m):
     be the identity.  Each hit is split off through the explicit
     idempotent v·(uv)⁻¹·u on m and the complement kept.
     """
-    a = m.algebra
-    f = a.field
-    projs = _indecomposable_projectives(a)
+    projs = _indecomposable_projectives(m.algebra)
     cur = m
     while cur.dim:
         split = None
@@ -291,7 +289,7 @@ def strip_projective_summands(m):
         if split is None:
             break
         p, u, v, w = split
-        w_inv = solve_matrix(w, Matrix.identity(f, p.dim))
+        w_inv = Preimages(w).inverse()
         proj_mat = v.matrix.mul(w_inv).mul(u.matrix)
         cur, _ = kernel_of(ModuleHom(cur, cur, proj_mat, validate=False))
     return cur

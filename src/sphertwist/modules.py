@@ -188,9 +188,6 @@ class ModuleHom:
             self.source, then.target, self.matrix.mul(then.matrix), validate=False
         )
 
-    def is_zero(self):
-        return self.matrix.is_zero()
-
     def __repr__(self):
         return "ModuleHom(%d→%d)" % (self.source.dim, self.target.dim)
 
@@ -357,11 +354,9 @@ def generator_indices(a):
 
 def _as_rows(field, vectors, width):
     if isinstance(vectors, Matrix):
-        if vectors.ncols == width:
-            return vectors
-        if vectors.nrows == width:
-            return vectors.transpose()
-        raise ShapeError("subspace matrix does not fit the module")
+        if vectors.ncols != width:
+            raise ShapeError("subspace matrix does not fit the module")
+        return vectors
     return Matrix(field, [[field.coerce(c) for c in v] for v in vectors], width)
 
 
@@ -370,15 +365,19 @@ def submodule(m, vectors, check=True):
 
     The inclusion's rows are the nonzero rows of the rref, each 1 at its
     pivot and 0 at the others, so a vector of the subspace has its
-    coordinates at the pivots.
+    coordinates at the pivots.  ``vectors`` is a Matrix of width m.dim or
+    a list of rows.  With ``check`` every image of a basis row under the
+    action is tested against the subspace (`NotASubmodule` when it
+    leaves); without it the subspace is trusted to be stable.
     """
     f = m.algebra.field
     r, pivots = rref(_as_rows(f, vectors, m.dim))
     d = len(pivots)
     rows = Matrix(f, r.rows[:d], m.dim)
-    span = SpanBuilder(f, m.dim)
-    for row in rows.rows:
-        span.add(row)
+    if check:
+        span = SpanBuilder(f, m.dim)
+        for row in rows.rows:
+            span.add(row)
 
     def coords(vec):
         if check and not span.contains(vec):

@@ -6,6 +6,11 @@ Hom in it is read by Yoneda, Hom(e·A, N) ≅ N·e, off a recorded
 resolution; no hom-space system is solved.  Write D = Hom_k(−, k)
 (`dual_module`), which swaps right A-modules and right Aᵒᵖ-modules.
 
+The inputs of `twist_apply` and `twist_triangle_check` are modules, read
+in degree 0.  The twist of m placed in degree d is
+``shift(twist_apply(p, m), -d)``, and the twist is additive, so that of
+a direct sum is the twist of ``direct_sum(mods)[0]``.
+
 - An injective coresolution of c is D of a projective resolution.  The
   injective envelope of c is D of the projective cover of D(c) over Aᵒᵖ
   (`injective_envelope`), so the minimal injective coresolution of c is
@@ -53,12 +58,12 @@ from .errors import (
 )
 from .exactlin import (
     Matrix,
+    Preimages,
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
     product_residual,
     rank,
-    solve_matrix,
     sparse_rows,
 )
 from .frobenius import _indecomposable_projectives, dual_module
@@ -134,7 +139,6 @@ class ChainComplex:
         self.maps = maps[first : max(last - 1, first)]
         self.covers = None if covers is None else list(covers[first:last])
         self.truncated = truncated
-        self.window = None
         if validate:
             self._validate()
 
@@ -323,14 +327,15 @@ def cohomology_dims(c):
     out = {}
     if not c.terms:
         return out
-    for k in range(c.lo, c.hi + 1):
-        cycles = c.term(k).dim - rank(c.differential(k).matrix)
-        boundaries = rank(c.differential(k - 1).matrix)
-        d = cycles - boundaries
+    # the rank of each differential, with the zero maps into the lowest
+    # term and out of the highest at either end
+    ranks = [0] + [rank(h.matrix) for h in c.maps] + [0]
+    for i, t in enumerate(c.terms):
+        d = t.dim - ranks[i + 1] - ranks[i]
         if d < 0:
             raise SphertwistError("negative cohomology dimension — broken complex")
         if d:
-            out[k] = d
+            out[c.lo + i] = d
     return out
 
 
@@ -465,51 +470,17 @@ def _kernel_module(p):
     return submodule(Module.regular(p.source), p.kernel_basis.transpose())
 
 
-class _TwistCore:
-    """Shared scaffolding for one twist computation.
-
-    ``res`` is the kernel's minimal resolution, truncated at the cap
-    when the kernel does not resolve within it; ``dual_res`` is the
-    minimal resolution of D(c) over the opposite algebra that the
-    twist read its injective coresolution off.  Both are None for a
-    zero kernel.
-    """
-
-    def __init__(self, lam, stalk, degree, kernel_module, res, dual_res,
-                 complex_):
-        self.lam = lam
-        self.stalk = stalk
-        self.degree = degree
-        self.kernel_module = kernel_module
-        self.res = res
-        self.dual_res = dual_res
-        self.complex = complex_
-
-
-def _stalk_data(c, lam):
-    """(module, degree) of a one-term input; modules read as degree 0."""
-    if isinstance(c, Module):
-        if c.algebra is not lam and c.algebra != lam:
-            raise AlgebraMismatch("module lives over a different algebra")
-        return _over(c, lam), 0
-    if isinstance(c, ChainComplex):
-        if c.algebra is not lam and c.algebra != lam:
-            raise AlgebraMismatch("complex lives over a different algebra")
-        if not c.terms:
-            return Module.zero(lam), 0
-        if len(c.terms) == 1:
-            return _over(c.terms[0], lam), c.lo
-        raise SphertwistError(
-            "twist inputs must be concentrated in a single degree; "
-            "split the complex and assemble additively"
-        )
-    raise SphertwistError("twist input must be a Module or a ChainComplex")
-
-
 def _over(m, lam):
-    """The same module carried by the given (equal) algebra object."""
+    """The module m carried by the algebra object lam.
+
+    Raises unless m is a `Module` over an algebra equal to lam.
+    """
+    if not isinstance(m, Module):
+        raise SphertwistError("twist input must be a Module")
     if m.algebra is lam:
         return m
+    if m.algebra != lam:
+        raise AlgebraMismatch("module lives over a different algebra")
     return Module(lam, m.dim, m.action, validate=False)
 
 
@@ -533,25 +504,24 @@ def _kernel_data(p, cap):
     return k_mod, lmults, resolve_within(k_mod, cap)
 
 
-def _twist_core(p, c, window=None, cap=None, kernel=None):
-    """The twist complex Hom_A(K, I•) of a one-degree input c.
+def _twist_core(p, c_mod, kernel, window=None):
+    """(twist complex Hom_A(K, I•) of a module, resolution read for I•).
 
-    I• = D(P•) for the minimal resolution P• → D(c) over Aᵒᵖ, so term j
-    is Hom_Aᵒᵖ(Pⱼ, D K) with A acting by postcomposition with D(λₐ) =
+    I• = D(P•) for the minimal resolution P• → D(c_mod) over Aᵒᵖ, so term
+    j is Hom_Aᵒᵖ(Pⱼ, D K) with A acting by postcomposition with D(λₐ) =
     (left multiplication by a on K)ᵀ (see the module docstring); terms
     0..depth + 1 are built, depth = pd K + 1.  A perfect kernel cuts the
     complex at degree depth with the kernel of the next differential,
     since Ext^i(K, c) = 0 past pd K; a truncated one needs a window and
     keeps degrees 0..depth, depth reaching the top of the window.
-    ``kernel`` is `_kernel_data` of p, computed here when not given.
+    ``kernel`` is `_kernel_data` of p, and c_mod lies over p.source
+    (`_over`).  The resolution P• is returned with the complex, None for
+    a zero kernel.
     """
     lam = p.source
-    c_mod, degree = _stalk_data(c, lam)
-    k_mod, lmults, res = kernel if kernel else _kernel_data(p, cap)
+    k_mod, lmults, res = kernel
     if k_mod.dim == 0:
-        cx = ChainComplex(lam, degree, [], [])
-        cx.window = (degree, degree)
-        return _TwistCore(lam, c_mod, degree, k_mod, None, None, cx)
+        return ChainComplex(lam, 0, [], []), None
     complete = not res.truncated
     if complete:
         depth = res.length + 1
@@ -562,34 +532,37 @@ def _twist_core(p, c, window=None, cap=None, kernel=None):
                 "pass an explicit window to accept a truncated twist",
                 witness=res,
             )
-        depth = max(window[1] - degree, 1)
+        depth = max(window[1], 1)
     dual_res = resolve_within(dual_module(c_mod), depth + 1)
     hom_modules, diffs, _blocks = _yoneda_cochain_modules(
         dual_res, lam, dual_module(k_mod), [m.transpose() for m in lmults],
         depth + 2,
     )
     if complete:
-        # the last differential corestricted to the kernel of the next
+        # the last differential corestricted to the kernel of the next:
+        # each of its rows is a combination of the kernel's basis rows
         ker_mod, ker_incl = kernel_of(diffs[depth])
         last = diffs[depth - 1]
-        co = solve_matrix(ker_incl.matrix.transpose(), last.matrix.transpose())
-        if co is None:
+        pre = Preimages(ker_incl.matrix)
+        try:
+            co = [pre.of(row) for row in last.matrix.rows]
+        except SphertwistError:
             raise AuditFailed("differential image escapes the kernel cut")
         terms = hom_modules[:depth] + [ker_mod]
-        maps = diffs[: depth - 1] + [ModuleHom(last.source, ker_mod, co.transpose())]
+        maps = diffs[: depth - 1] + [
+            ModuleHom(last.source, ker_mod, Matrix(lam.field, co, ker_mod.dim))
+        ]
     else:
         terms = hom_modules[: depth + 1]
         maps = diffs[:depth]
-    cx = ChainComplex(lam, degree, terms, maps, truncated=not complete)
-    cx.window = (degree, degree + depth)
-    return _TwistCore(lam, c_mod, degree, k_mod, res, dual_res, cx)
+    return ChainComplex(lam, 0, terms, maps, truncated=not complete), dual_res
 
 
-def twist_apply(p, c, window=None, cap=None):
-    """The twist of a one-degree complex: derived hom out of ker p.
+def twist_apply(p, m, window=None, cap=None):
+    """The twist of a module m, read in degree 0: derived hom out of ker p.
 
     Returns a bounded complex of right modules over the source algebra,
-    supported from the input degree up to the certified vanishing bound
+    supported from degree 0 up to the certified vanishing bound
     (projective dimension of the kernel plus one, where the tail is cut
     by a kernel term).  A kernel with no finite resolution within the
     cap needs an explicit window and yields a complex flagged
@@ -600,31 +573,31 @@ def twist_apply(p, c, window=None, cap=None):
     raises.  A perfect kernel's profile is read off the resolution the
     twist already holds; a truncated one is resolved again over the
     window, which can run past the cap.
+
+    m must be a `Module` over p.source.  The twist of m placed in degree
+    d is ``shift(twist_apply(p, m), -d)``; that of a direct sum is the
+    twist of ``direct_sum(mods)[0]``.
     """
-    core = _twist_core(p, c, window=window, cap=cap)
-    out = core.complex
-    res = core.res
-    if core.kernel_module.dim:
-        got = cohomology_dims(out)
-        if not res.truncated:
-            expected = ext_from_resolution(res, core.stalk, res.length + 2)
-            want = {core.degree + i: d for i, d in enumerate(expected) if d}
-        else:
-            depth = out.window[1] - out.window[0]
-            expected = ext_dims(
-                core.lam, core.kernel_module, core.stalk, depth + 1
-            )
-            want = {
-                core.degree + i: d
-                for i, d in enumerate(expected[:depth])
-                if d
-            }
-            got = {k: v for k, v in got.items() if k < core.degree + depth}
-        if want != got:
-            raise AuditFailed(
-                "coresolution route disagrees with the resolution route",
-                witness=(got, want),
-            )
+    lam = p.source
+    c_mod = _over(m, lam)
+    kernel = _kernel_data(p, cap)
+    out, _dual_res = _twist_core(p, c_mod, kernel, window)
+    k_mod, _lmults, res = kernel
+    if k_mod.dim == 0:
+        return out
+    got = cohomology_dims(out)
+    if res.truncated:
+        depth = max(window[1], 1)
+        expected = ext_dims(lam, k_mod, c_mod, depth + 1)[:depth]
+        got = {k: v for k, v in got.items() if k < depth}
+    else:
+        expected = ext_from_resolution(res, c_mod, res.length + 2)
+    want = {i: d for i, d in enumerate(expected) if d}
+    if want != got:
+        raise AuditFailed(
+            "coresolution route disagrees with the resolution route",
+            witness=(got, want),
+        )
     return out
 
 
@@ -642,13 +615,11 @@ class TriangleReport:
     ``counit_iso`` records whether the cone died entirely.
     """
 
-    def __init__(self, cone_profile, twist_profile, compare_window,
-                 counit_iso, pieces):
+    def __init__(self, cone_profile, twist_profile, compare_window, counit_iso):
         self.cone_profile = cone_profile
         self.twist_profile = twist_profile
         self.compare_window = compare_window
         self.counit_iso = counit_iso
-        self.pieces = pieces
         self.verdict = cone_profile == twist_profile
 
     def __repr__(self):
@@ -677,27 +648,32 @@ def _balanced_collapse_dim(p, blocks):
     return balanced_tensor(b, right_action, lefts).dim
 
 
-def _triangle_piece(p, c_mod, cap, kernel):
-    """(cone profile, twist profile, window, cone_dead) for one module.
+def twist_triangle_check(p, m, cap=None):
+    """Compare the cone of the evaluation counit against the twist of m.
 
-    The twist's resolution P• → D(c) over Aᵒᵖ serves all three
-    complexes: I• = Hom(P•, D A), Hom_A(B, I•) = Hom(P•, D B), each with
-    A acting by the transposed left multiplications, and the counit,
-    evaluation at the unit, is postcomposition with D(p) =
-    ``p.matrix``ᵀ, audited injective and audited to survive the collapse
-    of Hom_A(B, I) ⊗_B B.  A zero kernel still gets one step of P• so
-    the counit is genuinely checked to be an isomorphism.
+    m must be a `Module` over p.source, read in degree 0; for a direct
+    sum pass ``direct_sum(mods)[0]`` (both profiles are additive).  The
+    twist's resolution P• → D(m) over Aᵒᵖ serves all three complexes:
+    I• = Hom(P•, D A), Hom_A(B, I•) = Hom(P•, D B), each with A acting
+    by the transposed left multiplications, and the counit, evaluation
+    at the unit, is postcomposition with D(p) = ``p.matrix``ᵀ, audited
+    injective and audited to survive the collapse of Hom_A(B, I) ⊗_B B.
+    A zero kernel still gets one step of P•, so the counit is genuinely
+    checked to be an isomorphism.  The cone's cohomology must match the
+    twist's in every window degree, and a mismatch raises rather than
+    reporting.
     """
     lam = p.source
+    c_mod = _over(m, lam)
+    kernel = _kernel_data(p, cap)
     # without a window, `_twist_core` refuses a kernel that does not
     # resolve within the cap
-    core = _twist_core(p, c_mod, cap=cap, kernel=kernel)
-    if core.dual_res is None:
+    twist, dual_res = _twist_core(p, c_mod, kernel)
+    if dual_res is None:
         depth = 0
-        dual_res = resolve_within(dual_module(core.stalk), 1)
+        dual_res = resolve_within(dual_module(c_mod), 1)
     else:
-        depth = core.res.length + 1
-        dual_res = core.dual_res
+        depth = kernel[2].length + 1
     count = len(dual_res.terms)
     inj_terms, inj_maps, a_blocks = _yoneda_cochain_modules(
         dual_res, lam, dual_module(Module.regular(lam)),
@@ -707,7 +683,7 @@ def _triangle_piece(p, c_mod, cap, kernel):
     )
     srb_terms, srb_maps, b_blocks = _yoneda_cochain_modules(
         dual_res, lam, dual_module(restrict_scalars(p, Module.regular(p.target))),
-        [m.transpose() for m in left_module_along(p).action],
+        [mat.transpose() for mat in left_module_along(p).action],
         count,
     )
     d_p = p.matrix.transpose()
@@ -724,61 +700,17 @@ def _triangle_piece(p, c_mod, cap, kernel):
             )
         gammas.append(gamma)
     # the two complexes over the coresolution, and the cone between them
-    s = core.degree
-    srb_cx = ChainComplex(lam, s, srb_terms, srb_maps)
-    inj_cx = ChainComplex(lam, s, inj_terms, inj_maps)
-    gamma_map = ChainMap(srb_cx, inj_cx, s, gammas)
-    cn = cone(gamma_map)
-    window = (s - 1, s + depth)
-    cone_dims = {
-        k: v for k, v in cohomology_dims(cn).items() if window[0] <= k <= window[1]
-    }
-    twist_dims = cohomology_dims(core.complex)
-    return cone_dims, twist_dims, window, not cohomology_dims(cn)
-
-
-def twist_triangle_check(p, c, cap=None):
-    """Compare the cone of the evaluation counit against the twist.
-
-    ``c`` may be a module, a one-degree complex, or a list of modules
-    read as a direct sum and assembled additively — both profiles are
-    sums of the per-summand profiles, so the comparison distributes.
-    The counit is materialized degree-wise on an injective coresolution
-    as evaluation at the unit, after the tensor-collapse audit; the cone's
-    cohomology must match the twist's in every window degree, and a
-    mismatch raises rather than reporting.
-    """
-    lam = p.source
-    if isinstance(c, (list, tuple)):
-        pieces = [(m, 0) for m in c]
-    else:
-        pieces = [_stalk_data(c, lam)]
-    kernel = _kernel_data(p, cap)
-    cone_total = {}
-    twist_total = {}
-    windows = []
-    all_dead = True
-    for mod, deg in pieces:
-        if deg != 0 and len(pieces) > 1:
-            raise SphertwistError("additive battery entries must sit in degree 0")
-        stalk = mod if deg == 0 else ChainComplex(lam, deg, [mod], [])
-        cone_dims, twist_dims, window, dead = _triangle_piece(p, stalk, cap, kernel)
-        for k, v in cone_dims.items():
-            cone_total[k] = cone_total.get(k, 0) + v
-        for k, v in twist_dims.items():
-            twist_total[k] = twist_total.get(k, 0) + v
-        windows.append(window)
-        all_dead = all_dead and dead
-    window = (
-        min(w[0] for w in windows),
-        max(w[1] for w in windows),
-    ) if windows else (0, 0)
-    if cone_total != twist_total:
+    srb_cx = ChainComplex(lam, 0, srb_terms, srb_maps)
+    inj_cx = ChainComplex(lam, 0, inj_terms, inj_maps)
+    cone_all = cohomology_dims(cone(ChainMap(srb_cx, inj_cx, 0, gammas)))
+    cone_dims = {k: v for k, v in cone_all.items() if -1 <= k <= depth}
+    twist_dims = cohomology_dims(twist)
+    if cone_dims != twist_dims:
         raise AuditFailed(
             "cone of the counit disagrees with the twist",
-            witness=(cone_total, twist_total),
+            witness=(cone_dims, twist_dims),
         )
-    return TriangleReport(cone_total, twist_total, window, all_dead, len(pieces))
+    return TriangleReport(cone_dims, twist_dims, (-1, depth), not cone_all)
 
 
 # ---------------------------------------------------------------------------
@@ -953,7 +885,7 @@ def _eliminate_units(px):
             if not hit:
                 continue
             ri, ro, rd, ci, co, cd, block = hit
-            inv = solve_matrix(block, Matrix.identity(field, rd))
+            inv = Preimages(block).inverse()
             keep_rows = [r for r in range(d.nrows) if not ro <= r < ro + rd]
             keep_cols = [cc for cc in range(d.ncols) if not co <= cc < co + cd]
             d_oo = d.submatrix(keep_rows, keep_cols)
@@ -1123,10 +1055,10 @@ def equivalence_certificate(p, shift_window=None, cap=None):
     models = []
     perfect = True
     for piece in pieces:
-        core = _twist_core(p, piece, cap=cap, kernel=kernel)
-        images.append(core.complex)
+        image, _dual_res = _twist_core(p, piece, kernel)
+        images.append(image)
         try:
-            models.append(perfect_model(core.complex, cap=cap))
+            models.append(perfect_model(image, cap=cap))
         except CapExceeded:
             perfect = False
             models.append(None)

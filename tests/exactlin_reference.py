@@ -191,6 +191,20 @@ class SpanBuilder:
 # subspace helpers with no caller in the package, kept with their tests
 
 
+def solve_matrix(m, b):
+    """Solve m·X = b column by column; None if any column is inconsistent."""
+    m._check_field(b)
+    if b.nrows != m.nrows:
+        raise ShapeError("solve_matrix shape mismatch")
+    cols = []
+    for j in range(b.ncols):
+        x = exactlin.solve(m, b.column(j))
+        if x is None:
+            return None
+        cols.append(x)
+    return Matrix(m.field, cols, m.ncols).transpose() if cols else Matrix.zero(m.field, m.ncols, 0)
+
+
 def image_basis(m):
     """Canonical basis of the column space, returned as columns."""
     return exactlin.row_space_canonical(m.transpose()).transpose()

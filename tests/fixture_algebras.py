@@ -1,7 +1,8 @@
 """Shared small-algebra fixtures used across the test suite."""
 
 from sphertwist.algebra import from_quiver, from_structure_constants
-from sphertwist.exactlin import QQ, Matrix, solve_matrix
+from exactlin_reference import solve_matrix
+from sphertwist.exactlin import QQ, Matrix
 from sphertwist.modules import Module
 
 

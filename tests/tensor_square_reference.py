@@ -13,7 +13,8 @@ cone and an isomorphic Tor bimodule.
 
 from sphertwist.algebra import enveloping
 from sphertwist.errors import CapExceeded, NotConcentrated, SphertwistError
-from sphertwist.exactlin import Matrix, kronecker, rank, solve, solve_matrix
+from exactlin_reference import solve_matrix
+from sphertwist.exactlin import Matrix, kronecker, rank, solve
 from sphertwist.homology import Bimodule
 from sphertwist.modules import Module, ModuleHom, kernel_of, quotient
 from sphertwist.resolutions import minimal_resolution

@@ -164,3 +164,5 @@ def test_submodule_and_quotient_still_refuse_an_unstable_subspace(field):
         submodule(reg, one)
     with pytest.raises(NotASubmodule):
         quotient(reg, one)
+    # without the check the subspace is trusted
+    assert submodule(reg, one, check=False)[0].dim == 1

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exactlin_reference as ref
-from exactlin_reference import image_basis, intersect_subspaces
+from exactlin_reference import image_basis, intersect_subspaces, solve_matrix
 from fixture_algebras import dual_numbers
 from sphertwist import modules
 from sphertwist.errors import FieldMismatch, ShapeError, SphertwistError
@@ -30,7 +30,6 @@ from sphertwist.exactlin import (
     row_space_canonical,
     rref,
     solve,
-    solve_matrix,
     sparse_rows,
 )
 
@@ -534,6 +533,41 @@ def test_preimages_solve_exactly(data):
     else:
         with pytest.raises(SphertwistError, match="vector has no preimage"):
             pre.of(w)
+
+
+def seeded_invertible(field, seed):
+    """A random n×n matrix, 1 ≤ n ≤ 8, redrawn until it is invertible."""
+    rng = random.Random(seed)
+    values = [field.coerce(v) for v in (0, 0, 0, 1, -1, 2, 5, Fraction(1, 3))]
+    n = rng.randint(1, 8)
+    while True:
+        m = Matrix(field, [[rng.choice(values) for _ in range(n)] for _ in range(n)], n)
+        if rank(m) == n:
+            return m
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_preimages_inverse_matches_the_reference_solve(field, seed):
+    w = seeded_invertible(field, seed)
+    inv = Preimages(w).inverse()
+    assert inv == ref.solve_matrix(w, Matrix.identity(field, w.nrows))
+    assert inv.mul(w) == Matrix.identity(field, w.nrows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_preimages_inverse_of_a_singular_matrix_raises(field, seed):
+    # an invertible matrix with its last row replaced by the sum of the
+    # others (the zero row when n = 1) has rank n − 1, so some unit row
+    # has no preimage
+    w = seeded_invertible(field, seed)
+    n = w.nrows
+    others = Matrix(field, w.rows[:-1], n)
+    singular = Matrix(field, others.rows + [others.apply_to_row([field.one()] * (n - 1))], n)
+    assert rank(singular) == n - 1
+    with pytest.raises(SphertwistError, match="vector has no preimage"):
+        Preimages(singular).inverse()
 
 
 def test_every_solver_reduces_through_the_span_builder(monkeypatch):

@@ -97,7 +97,7 @@ def models_of(name):
     p = built(name)
     kernel = _kernel_data(p, None)
     return [
-        perfect_model(_twist_core(p, piece, kernel=kernel).complex)
+        perfect_model(_twist_core(p, piece, kernel)[0])
         for piece in _indecomposable_projectives(p.source)
     ]
 
@@ -268,7 +268,7 @@ def test_twist_and_counit_triangle_match_the_ladder_route(name):
     kernel = _kernel_data(p, None)
     for c in twist_inputs(p):
         want, cone_dims, window, dead = twist_reference.triangle_profiles(p, c, kernel)
-        assert shape(_twist_core(p, c, kernel=kernel).complex) == shape(want)
+        assert shape(_twist_core(p, c, kernel)[0]) == shape(want)
         rep = twist_triangle_check(p, c)
         assert (rep.cone_profile, rep.twist_profile, rep.compare_window,
                 rep.counit_iso) == (cone_dims, cohomology_dims(want), window, dead)
@@ -280,7 +280,7 @@ def test_truncated_twist_matches_the_ladder_route():
     p = kill(a, ["x"])
     kernel = _kernel_data(p, None)
     for c in [Module.regular(a)] + simple_modules(a):
-        got = _twist_core(p, c, window=(0, 3), kernel=kernel).complex
+        got = _twist_core(p, c, kernel, window=(0, 3))[0]
         want, _ladder, _maps = twist_reference.twist_complex(p, c, kernel, window=(0, 3))
         assert got.truncated and want.truncated
         assert shape(got) == shape(want)

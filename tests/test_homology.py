@@ -27,7 +27,6 @@ from sphertwist.exactlin import (
     kernel_basis,
     rank,
     solve,
-    solve_matrix,
 )
 from sphertwist.frobenius import (
     build_context,
@@ -63,6 +62,7 @@ from sphertwist.resolutions import (
     stable_module,
 )
 
+from exactlin_reference import solve_matrix
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,

@@ -13,7 +13,7 @@ import pytest
 
 from sphertwist import exactlin
 from sphertwist.algebra import from_structure_constants
-from sphertwist.errors import NotASubmodule, NotSplit, SphertwistError
+from sphertwist.errors import NotASubmodule, NotSplit, ShapeError, SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, SpanBuilder, rank
 from sphertwist.homology import Bimodule
 from sphertwist.modules import (
@@ -311,6 +311,18 @@ def test_quotient_rejects_non_submodule():
     reg = Module.regular(dual_numbers())
     with pytest.raises(NotASubmodule):
         quotient(reg, [[1, 0]])
+
+
+def test_submodule_rejects_a_matrix_of_the_wrong_width():
+    # rows must have the module's dimension as width; a 2×1 matrix is not
+    # read as the columns of a 1×2 one
+    reg = Module.regular(dual_numbers())
+    for m in (Matrix(QQ, [[Fraction(0)], [Fraction(1)]], 1),
+              Matrix(QQ, [[Fraction(0)] * 3], 3)):
+        with pytest.raises(ShapeError, match="does not fit"):
+            submodule(reg, m)
+        with pytest.raises(ShapeError, match="does not fit"):
+            quotient(reg, m)
 
 
 def test_direct_sum_shapes_and_homs():

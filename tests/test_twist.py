@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sphertwist.algebra import from_structure_constants, quotient_surjection
-from sphertwist.errors import CapExceeded, NotAChainMap
+from sphertwist.errors import AlgebraMismatch, CapExceeded, NotAChainMap, SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, kernel_basis
 from sphertwist.homology import identity_surjection
-from sphertwist.modules import Module, ModuleHom, simple_modules
+from sphertwist.modules import Module, ModuleHom, direct_sum, simple_modules
 from sphertwist.twist import (
     ChainComplex,
     ChainMap,
@@ -171,6 +171,73 @@ def test_ut2_hom_table(ut2):
     assert len(table) == 4
     for row in table.values():
         assert {s: k for s, k in row.items() if k} == {0: 1}
+
+
+def test_twist_inputs_are_modules_over_the_source(dual, ut2):
+    # a stalk complex, a list of modules and a module over another
+    # algebra are refused; a stalk in degree d is shift(twist_apply(p, m), -d)
+    a, reg, stalk = dual
+    p = identity_surjection(a)
+    other = Module.regular(dual_numbers(PrimeField(7)))
+    for check in (twist_apply, twist_triangle_check):
+        for bad in (stalk, [reg], [reg, reg]):
+            with pytest.raises(SphertwistError, match="must be a Module"):
+                check(p, bad)
+        with pytest.raises(AlgebraMismatch):
+            check(p, other)
+    u, q = ut2
+    moved = shift(twist_apply(q, Module.regular(u)), -2)
+    assert moved.support == (2, 2) and cohomology_dims(moved) == {2: 2}
+
+
+def sum_profiles(profiles):
+    total = {}
+    for prof in profiles:
+        for k, v in prof.items():
+            total[k] = total.get(k, 0) + v
+    return total
+
+
+def test_the_counit_triangle_is_additive(ut2):
+    # both profiles of a direct sum are the sums of the summands' profiles.
+    # UT2 onto k × k: Hom(e_2A, S) ≅ S·e_2 is k for S_2 and 0 for S_1, so
+    # the sum has {0: 1}.  k[x]/(x²) × k onto k: RHom(K, c) = c·one₁ in
+    # degree 0 (see above), so the simple of k, the simple of the block
+    # and the regular module give {}, {0: 1} and {0: 2}, summing to {0: 3}
+    u, p = ut2
+    a = dual_numbers_times_field(QQ)
+    q = quotient_surjection(a, [a.basis_vector(0), a.basis_vector(1)])
+    cases = (
+        (p, simple_modules(u), {0: 1}),
+        (q, simple_modules(a) + [Module.regular(a)], {0: 3}),
+    )
+    for surj, mods, want in cases:
+        parts = [twist_triangle_check(surj, m) for m in mods]
+        rep = twist_triangle_check(surj, direct_sum(mods)[0])
+        assert rep.cone_profile == rep.twist_profile == want
+        assert sum_profiles(r.twist_profile for r in parts) == want
+        assert sum_profiles(r.cone_profile for r in parts) == want
+
+
+def test_the_certificate_reports_its_honest_negatives(dual, ut2):
+    # identity of k[x]/(x²): K = 0, so the twist is zero — no images, K is
+    # trivially perfect, no endomorphisms to count, and no equivalence
+    a, _reg, _stalk = dual
+    cert = equivalence_certificate(identity_surjection(a))
+    assert cert.images == [] and cert.images_perfect
+    assert cert.endo_dim is None and not cert.verdict
+    # k[x]/(x²) onto k: K = xA ≅ k, whose syzygy is k again, so K has no
+    # finite resolution and no image gets a perfect model
+    cert = equivalence_certificate(quotient_surjection(a, [a.basis_vector(1)]))
+    assert not cert.images_perfect and not cert.verdict
+    # UT2 onto k × k: both twists are S_1 (test_ut2_hom_table), so the
+    # shift-zero counts are 1 + 1 + 1 + 1 = 4 ≠ dim A = 3, and the unit
+    # map cannot be bijective
+    u, p = ut2
+    cert = equivalence_certificate(p)
+    assert cert.images_perfect and cert.off_shift_zero
+    assert cert.endo_dim == 4 != u.dim
+    assert not cert.unit_map_bijective and not cert.verdict
 
 
 # ---------------------------------------------------------------------------

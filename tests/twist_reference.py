@@ -1,7 +1,7 @@
 """The twist and its counit triangle on the injective-ladder route, kept
 as a test oracle.
 
-`twist._twist_core` and `twist._triangle_piece` read every Hom into an
+`twist._twist_core` and `twist.twist_triangle_check` read every Hom into an
 injective coresolution by duality and Yoneda off a recorded resolution
 of D(c) over the opposite algebra.  The routines here compute the same
 complexes the older way: an explicit ladder of injective envelopes and
@@ -10,7 +10,8 @@ cokernels, one `hom_space` system per ladder term, each factored into a
 """
 
 from sphertwist.errors import AuditFailed, CapExceeded
-from sphertwist.exactlin import Matrix, rank, solve_matrix
+from exactlin_reference import solve_matrix
+from sphertwist.exactlin import Matrix, rank
 from sphertwist.frobenius import injective_envelope
 from sphertwist.homology import left_module_along
 from sphertwist.modules import (
@@ -26,7 +27,7 @@ from sphertwist.modules import (
 from sphertwist.twist import (
     ChainComplex,
     ChainMap,
-    _stalk_data,
+    _over,
     cohomology_dims,
     cone,
 )
@@ -95,22 +96,22 @@ def twist_complex(p, c, kernel, window=None):
     dimension of the kernel, or truncated at the window.  ``kernel`` is
     `twist._kernel_data` of p."""
     lam = p.source
-    c_mod, degree = _stalk_data(c, lam)
+    c_mod = _over(c, lam)
     k_mod, lmults, res = kernel
     if k_mod.dim == 0:
-        return ChainComplex(lam, degree, [], []), None, None
+        return ChainComplex(lam, 0, [], []), None, None
     complete = not res.truncated
     if complete:
         depth = res.length + 1
     elif window is None:
         raise CapExceeded("kernel has no finite resolution within the cap")
     else:
-        depth = max(window[1] - degree, 1)
+        depth = max(window[1], 1)
     ladder, ladder_maps = injective_ladder(c_mod, depth + 1)
     mods, _bases, _solvers, diffs = hom_into_ladder(
         lam, k_mod, lmults, ladder, ladder_maps, depth + 2)
     if not complete:
-        return (ChainComplex(lam, degree, mods[: depth + 1], diffs[:depth],
+        return (ChainComplex(lam, 0, mods[: depth + 1], diffs[:depth],
                              truncated=True), ladder, ladder_maps)
     ker_mod, ker_incl = kernel_of(diffs[depth])
     last = diffs[depth - 1]
@@ -121,7 +122,7 @@ def twist_complex(p, c, kernel, window=None):
         corestricted = ModuleHom(last.source, ker_mod,
                                  Matrix.zero(lam.field, last.source.dim, 0),
                                  validate=False)
-    cx = ChainComplex(lam, degree, mods[:depth] + [ker_mod],
+    cx = ChainComplex(lam, 0, mods[:depth] + [ker_mod],
                       diffs[: depth - 1] + [corestricted])
     return cx, ladder, ladder_maps
 
@@ -143,9 +144,9 @@ def balanced_collapse_dim(p, homs, solver):
 def triangle_profiles(p, c, kernel):
     """(twist complex, cone profile, window, cone dead) of the counit
     Hom_A(B, I•) → I• evaluated at the unit, on the ladder of one
-    module or one-degree complex c."""
+    module c in degree 0."""
     lam = p.source
-    stalk, s = _stalk_data(c, lam)
+    stalk = _over(c, lam)
     twist, ladder, ladder_maps = twist_complex(p, c, kernel)
     if ladder is None:
         depth = 0
@@ -164,10 +165,10 @@ def triangle_profiles(p, c, kernel):
         if balanced_collapse_dim(p, hb, sol) != hm.dim:
             raise AuditFailed("tensor collapse over the target changed the dimension")
         gammas.append(gamma)
-    srb_cx = ChainComplex(lam, s, srb_terms, srb_maps)
-    ladder_cx = ChainComplex(lam, s, list(ladder), list(ladder_maps))
-    cn = cone(ChainMap(srb_cx, ladder_cx, s, gammas))
-    window = (s - 1, s + depth)
+    srb_cx = ChainComplex(lam, 0, srb_terms, srb_maps)
+    ladder_cx = ChainComplex(lam, 0, list(ladder), list(ladder_maps))
+    cn = cone(ChainMap(srb_cx, ladder_cx, 0, gammas))
+    window = (-1, depth)
     cone_dims = {
         k: v for k, v in cohomology_dims(cn).items() if window[0] <= k <= window[1]
     }
