@@ -40,10 +40,10 @@ from .exactlin import (
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
+    _canonical,
     product_residual,
     rref,
     solve,
-    sparse_rows,
 )
 
 
@@ -120,9 +120,11 @@ class Algebra:
         d, f = self.dim, self.field
         if len(self.unit) != d:
             raise BadUnit("unit vector length %d != dim %d" % (len(self.unit), d))
-        left, right = self._mult_rows(self.unit, True), self._mult_rows(self.unit, False)
+        unit = list(enumerate(self.unit))
+        left, right = self._mult_rows(unit, True), self._mult_rows(unit, False)
+        one = f.one()
         for i in range(d):
-            ei = self.basis_vector(i)
+            ei = [(i, one)]
             if left[i] != ei or right[i] != ei:
                 raise BadUnit("unit law fails on basis element %d" % i, witness=i)
         # associativity is Lᵢ·Rₖ = Rₖ·Lᵢ for left multiplication by bᵢ
@@ -188,26 +190,32 @@ class Algebra:
 
     def left_mult_matrix(self, x):
         """Matrix of v ↦ x·v on row vectors: row i is x·bᵢ = Σₖ xₖ·bₖbᵢ."""
-        return Matrix(self.field, self._mult_rows(x, True), self.dim)
+        return Matrix.from_pairs(self.field, self._mult_rows(enumerate(x), True), self.dim)
 
     def right_mult_matrix(self, x):
         """Matrix of v ↦ v·x on row vectors: row i is bᵢ·x = Σₖ xₖ·bᵢbₖ."""
-        return Matrix(self.field, self._mult_rows(x, False), self.dim)
+        return Matrix.from_pairs(self.field, self._mult_rows(enumerate(x), False), self.dim)
 
     def _mult_rows(self, x, left):
-        """Row i is Σₖ xₖ·(bₖbᵢ if left else bᵢbₖ), summed over the
-        nonzero xₖ and the pairs of row k (column k) of the table."""
-        f, d = self.field, self.dim
-        p = f.characteristic
-        rows = [[f.zero()] * d for _ in range(d)]
-        for k, xk in enumerate(x):
-            if not (xk % p if p else xk):
-                continue
-            products = self.table[k] if left else [row[k] for row in self.table]
-            for out, pairs in zip(rows, products):
+        """The (column, entry) pairs of each row i = Σₖ xₖ·(bₖbᵢ if left
+        else bᵢbₖ), for x given by (k, xₖ) pairs, summed over the nonzero
+        xₖ and the pairs of row k (column k) of the table.  For a basis
+        vector x = bₖ the rows are those pairs themselves."""
+        p = self.field.characteristic
+        support = [(k, xk) for k, xk in x if (xk % p if p else xk)]
+        products = [
+            self.table[k] if left else [row[k] for row in self.table]
+            for k, _ in support
+        ]
+        if len(support) == 1 and support[0][1] == 1:
+            return list(products[0])
+        rows = [{} for _ in range(self.dim)]
+        for (_, xk), column in zip(support, products):
+            for out, pairs in zip(rows, column):
+                get = out.get
                 for t, c in pairs:
-                    out[t] += xk * c
-        return [[v % p for v in out] for out in rows] if p else rows
+                    out[t] = get(t, 0) + xk * c
+        return [_canonical(out, p) for out in rows]
 
     def is_idempotent(self, x):
         return self.mul_vec(x, x) == [self.field.coerce(c) for c in x]
@@ -275,7 +283,7 @@ class SurjectionData:
         # one residual row per pair, against the rows of p and the rows
         # of the target's table (row s·dim + u = bₛbᵤ), in pair order
         d, db = a.dim, b.dim
-        images = sparse_rows(p)
+        images = p.pairs
         lhs = (vec for row in a.table for vec in row)
         rhs = (
             [(s * db + u, x * y) for s, x in images[i] for u, y in images[j]]
@@ -366,8 +374,7 @@ def _ideal_escape(a, span):
     f, d = a.field, a.dim
     p = f.characteristic
     table = a.table
-    for g in span.rows:
-        support = [(j, c) for j, c in enumerate(g) if c]
+    for support in span.basis_pairs():
         for i in range(d):
             for left in (True, False):
                 acc = {}
@@ -376,7 +383,9 @@ def _ideal_escape(a, span):
                     for t, s in table[i][j] if left else table[j][i]:
                         acc[t] = get(t, 0) + c * s
                 if not span.contains(acc):
-                    product = [f.zero()] * d
+                    g, product = [f.zero()] * d, [f.zero()] * d
+                    for j, c in support:
+                        g[j] = c
                     for t, x in acc.items():
                         product[t] = x % p if p else x
                     return i, g, product, left
@@ -385,10 +394,9 @@ def _ideal_escape(a, span):
 
 def _trace(m):
     f = m.field
-    t = f.zero()
-    for i in range(min(m.nrows, m.ncols)):
-        t = f.add(t, m.rows[i][i])
-    return t
+    p = f.characteristic
+    t = sum((e for i, row in enumerate(m.pairs) for j, e in row if j == i), f.zero())
+    return t % p if p else t
 
 
 def radical(a):
@@ -467,9 +475,11 @@ def _presented_radical(a):
     span = SpanBuilder(f, d)
     for v in a._arrow_ideal:
         span.add(v)
-    if _ideal_escape(a, span) is not None or not _is_nilpotent(a, span.rows):
+    if _ideal_escape(a, span) is not None:
         return None
     rad = span.basis_matrix().transpose()
+    if not _is_nilpotent(a, [rad.column(j) for j in range(rad.ncols)]):
+        return None
     for _, v in a.idempotents:
         if not span.add(v):
             return None
@@ -492,9 +502,10 @@ def _is_nilpotent(a, base):
             return False
         nxt = SpanBuilder(f, d)
         for r in rights:
-            for row in current.mul(r).rows:
-                nxt.add(row)
-        current = Matrix(f, nxt.rows, d)
+            for row in current.mul(r).pairs:
+                if row:
+                    nxt.add(dict(row))
+        current = nxt.basis_matrix()
         steps += 1
     return True
 
@@ -924,12 +935,12 @@ def _matrix_min_poly(m):
     f = m.field
     n = m.nrows
     powers = [Matrix.identity(f, n)]
-    flat = lambda mm: [e for r in mm.rows for e in r]
+    flat = lambda mm: [(r * n + j, e) for r, row in enumerate(mm.pairs) for j, e in row]
     while True:
         powers.append(powers[-1].mul(m))
         k = len(powers) - 1
-        cols = Matrix(f, [flat(p) for p in powers[:k]], n * n).transpose()
-        x = solve(cols, flat(powers[k]))
+        cols = Matrix.from_pairs(f, [flat(p) for p in powers[:k]], n * n).transpose()
+        x = solve(cols, Matrix.from_pairs(f, [flat(powers[k])], n * n).transpose().column(0))
         if x is not None:
             coeffs = [f.neg(c) for c in x] + [f.one()]
             return _poly_trim(f, coeffs)
@@ -1142,7 +1153,8 @@ def _corner_basis(a, e):
     sb = SpanBuilder(a.field, a.dim)
     for i in range(a.dim):
         sb.add(a.mul_vec(a.mul_vec(e, a.basis_vector(i)), e))
-    return [list(r) for r in sb.rows], list(sb.pivots)
+    basis = sb.basis_matrix().transpose()  # its columns are the basis rows
+    return [basis.column(i) for i in range(basis.ncols)], list(sb.pivots)
 
 
 def _split_corner(a, e, out):

@@ -11,42 +11,38 @@ the operations in this file, so the contract here is strict:
 * all values are immutable after construction and safe to share between
   threads.
 
-A matrix is dense and row-major, but the systems built downstream
-(module actions, ideal closures, intertwining equations) are mostly
-zeros, so the kernels are specialised for that:
+A matrix stores only its nonzeros: ``Matrix.pairs[i]`` lists the
+(column, entry) pairs of row i, sorted by column, the form of
+`Algebra.table`.  ``Matrix(field, rows)`` reads dense rows once, and
+``Matrix.rows`` writes them back out as a view for tests and ``repr``;
+vectors (`Matrix.apply_to_row`, `Algebra.mul_vec`, the solvers) stay
+dense.  The systems built downstream (module actions, ideal closures,
+intertwining equations) hold well under 1 % nonzeros, so every kernel
+walks pairs and never reads a zero:
 
 * the field is dispatched once per kernel call, not once per element: the
   loops use Python's own ``+ - *`` on the elements (`Fraction` over Q,
-  `int` over F_p) and, over F_p, reduce modulo p once per output row or
-  row operation;
-* zeros cost nothing: they are skipped by truthiness, ``mul`` walks the
-  nonzeros of each row of A against the nonzero lists of the rows of B,
-  and ``add``/``sub`` leave an entry alone where the other operand is 0;
+  `int` over F_p) and, over F_p, reduce each computed entry modulo p once;
+* ``mul`` is Gustavson's (1978) row-wise product: row i of A·B is summed
+  in a dict over the pairs of the rows of B that the pairs of row i of A
+  name; ``add``/``sub`` merge two rows the same way, and ``transpose``,
+  the stacks, ``submatrix`` and `kronecker` move pairs;
 * elimination has one kernel, `SpanBuilder`: it keeps its reduced rows
   as dicts, reads each vector (a dense sequence, or a dict of entries
-  keyed by column for a system too sparse to hold densely) into its
-  nonzeros in one pass, reduces it over the pivots it touches and drops
-  zero and dependent rows on arrival.  ``rref`` (and so ``rank``,
-  ``kernel_basis`` and ``solve``), `SpanQuotient` and `Preimages` all
-  reduce through it;
+  keyed by column) into its nonzeros in one pass, reduces it over the
+  pivots it touches and drops zero and dependent rows on arrival.
+  ``rref`` (and so ``rank``, ``kernel_basis`` and ``solve``),
+  `SpanQuotient` and `Preimages` all reduce through it;
 * an equality of products A·B = C·D (an action axiom, an intertwining
   or commuting square, a chain-map square) is tested as a sparse
-  residual by `product_residual`, row by row on the (column, entry)
-  pairs of `sparse_rows`: neither product is formed densely, and the
-  test stops at the first row whose residual is nonzero.
+  residual by `product_residual`, row by row on the matrices' pairs:
+  neither product is formed, and the test stops at the first row whose
+  residual is nonzero.
 
-The F_p element invariant: an element is an int and stands for its
-residue class, so a multiple of p is zero.  Every entry a kernel computes
-lies in [0, p).  An entry that ``add``/``sub`` pass through untouched keeps
-the form it came in; the package builds its F_p matrices from coerced
-entries, so in practice every entry lies in [0, p).  Where a kernel tests
-entries it has not computed itself for zero (the vectors `SpanBuilder`
-reduces, ``Matrix.is_zero``), it reads them modulo p.
-
-An algebra keeps its structure constants in the same (column, entry)
-form: ``Algebra.table[i][j]`` lists the nonzeros of bᵢ·bⱼ.  `Algebra.mul_vec`
-and the multiplication matrices walk the nonzeros of their factors over
-it and reduce modulo p once at the end.
+The F_p element invariant: an element is an int standing for its
+residue class, and a matrix holds its entries reduced into [1, p), so
+equal matrices have equal pairs.  A vector entry a kernel tests for zero
+(the vectors `SpanBuilder` reduces) is read modulo p.
 
 One further specialisation was tried and dropped: integer rows with
 fraction-free elimination (Bareiss 1968) for Q.  A prototype's integer
@@ -184,40 +180,22 @@ class PrimeField:
 QQ = RationalField()
 
 
-def _nonzeros(row):
-    """The (column, entry) pairs of a row's nonzero entries."""
-    return [(j, row[j]) for j in compress(range(len(row)), row)]
-
-
-def sparse_rows(m):
-    """The (column, entry) pairs of the nonzeros of each row of m.
-
-    Over F_p an entry is nonzero when it is not a multiple of p; it is
-    kept as stored, reduced or not, since `product_residual` reads its
-    sums modulo p.
-    """
-    p = m.field.characteristic
-    if p:
-        return [[(j, c) for j, c in enumerate(row) if c % p] for row in m.rows]
-    cols = range(m.ncols)
-    return [[(j, row[j]) for j in compress(cols, row)] for row in m.rows]
-
-
 def product_residual(a_rows, b_rows, c_rows, d_rows, p):
     """The index of the first row r with (A·B)ᵣ ≠ (C·D)ᵣ, or None when
     A·B = C·D.
 
-    Each matrix is given by its rows' (column, entry) pairs
-    (`sparse_rows`, or pairs built by the caller); A and C have the same
-    number of rows and are iterated once, in step, so they may be
-    generators that build their rows on demand, and B and D are
+    Each matrix is given by its rows' (column, entry) pairs (a
+    `Matrix`'s ``pairs``, or pairs built by the caller); A and C have
+    the same number of rows and are iterated once, in step, so they may
+    be generators that build their rows on demand, and B and D are
     indexed.  Row r of the residual, Σₖ Aᵣₖ·Bₖ − Σₖ Cᵣₖ·Dₖ, is summed in
     a dict over the columns it touches, and it vanishes exactly when
     every sum is 0 — read modulo the characteristic p over F_p, where
-    entries may be stored unreduced, and by truthiness over Q (p = 0).
-    So the verdict and the first failing row are those of comparing the
-    dense products A·B and C·D row by row, and a check keeps its
-    failure order by listing its equations as rows in that order.
+    pairs built by a caller may hold entries unreduced, and by
+    truthiness over Q (p = 0).  So the verdict and the first failing
+    row are those of comparing the products A·B and C·D row by row, and
+    a check keeps its failure order by listing its equations as rows in
+    that order.
     """
     for r, (a_row, c_row) in enumerate(zip(a_rows, c_rows)):
         if not (a_row or c_row):
@@ -239,60 +217,100 @@ def product_residual(a_rows, b_rows, c_rows, d_rows, p):
     return None
 
 
-class Matrix:
-    """Dense exact matrix.  Rows of field elements; treat as immutable."""
+def _canonical(acc, p):
+    """The sorted (column, entry) pairs of the nonzero sums in a dict
+    keyed by column, each reduced modulo p over F_p."""
+    if p:
+        return [(j, v) for j in sorted(acc) if (v := acc[j] % p)]
+    return [(j, v) for j in sorted(acc) if (v := acc[j])]
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+
+class Matrix:
+    """Exact matrix that stores only its nonzeros; treat as immutable.
+
+    ``pairs[i]`` lists the (column, entry) pairs of the nonzero entries
+    of row i, sorted by column, each entry over F_p reduced into
+    [1, p).  ``Matrix(field, rows, ncols)`` reads dense rows into that
+    form once, and `from_pairs` takes the pairs themselves.  ``rows``
+    is a dense view, written out on each read, for tests and ``repr``.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "pairs")
 
     def __init__(self, field, rows, ncols=None):
+        """The matrix with the given dense rows.  ``ncols`` is the width
+        (needed only when there are no rows); a row of another length
+        raises ShapeError.  Entries are not coerced, but over F_p they
+        are reduced modulo p, so a multiple of p is a zero."""
         self.field = field
-        self.rows = [list(r) for r in rows]
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            for r in self.rows:
-                if len(r) != self.ncols:
-                    raise ShapeError("ragged rows")
-        else:
+        p = field.characteristic
+        pairs = []
+        for row in rows:
             if ncols is None:
-                ncols = 0
-            self.ncols = ncols
+                ncols = len(row)
+            elif len(row) != ncols:
+                raise ShapeError(
+                    "row of length %d in a matrix of width %d" % (len(row), ncols)
+                )
+            nonzero = compress(range(ncols), row)
+            if p:
+                pairs.append([(j, x) for j in nonzero if (x := row[j] % p)])
+            else:
+                pairs.append([(j, row[j]) for j in nonzero])
+        self.pairs = pairs
+        self.nrows = len(pairs)
+        self.ncols = ncols or 0
 
     @classmethod
-    def from_entries(cls, field, nrows, ncols, entries):
-        if len(entries) != nrows * ncols:
-            raise ShapeError(
-                "entry count %d does not match %dx%d" % (len(entries), nrows, ncols)
-            )
-        coerced = [field.coerce(e) for e in entries]
-        rows = [coerced[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-        return cls(field, rows, ncols)
+    def from_pairs(cls, field, pairs, ncols):
+        """The matrix whose row i has the (column, entry) pairs ``pairs[i]``.
+
+        The pairs are kept as given, so they must already be in the
+        stored form: entries nonzero and, over F_p, reduced into
+        [1, p).  A column outside [0, ncols), or the columns of a row
+        unsorted or repeated, raises ShapeError.
+        """
+        for row in pairs:
+            last = -1
+            for j, _ in row:
+                if not 0 <= j < ncols:
+                    raise ShapeError("matrix column %r outside [0, %d)" % (j, ncols))
+                if j <= last:
+                    raise ShapeError("matrix columns unsorted or repeated")
+                last = j
+        m = cls(field, (), ncols)
+        m.pairs = pairs
+        m.nrows = len(pairs)
+        return m
 
     @classmethod
     def identity(cls, field, n):
-        one, zero = field.one(), field.zero()
-        return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n)
+        one = field.one()
+        return cls.from_pairs(field, [[(i, one)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, field, nrows, ncols):
-        z = field.zero()
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls.from_pairs(field, [[] for _ in range(nrows)], ncols)
+
+    @property
+    def rows(self):
+        """The rows as dense lists (a view: built on each read)."""
+        zero, cols = self.field.zero(), range(self.ncols)
+        return [[row.get(j, zero) for j in cols] for row in map(dict, self.pairs)]
 
     def column(self, j):
-        return [r[j] for r in self.rows]
+        zero = self.field.zero()
+        return [dict(row).get(j, zero) for row in self.pairs]
 
     def transpose(self):
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            self.nrows,
-        )
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self.pairs):
+            for j, e in row:
+                cols[j].append((i, e))
+        return Matrix.from_pairs(self.field, cols, self.nrows)
 
     def is_zero(self):
-        p = self.field.characteristic
-        if p:
-            return not any(e % p for r in self.rows for e in r)
-        return not any(any(r) for r in self.rows)
+        return not any(self.pairs)
 
     def _check_field(self, other):
         if self.field != other.field:
@@ -303,47 +321,37 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeError("addition shape mismatch")
         p = self.field.characteristic
-        if p:
-            rows = [
-                [(a + b) % p if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        else:
-            rows = [
-                [a + b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        return Matrix(self.field, rows, self.ncols)
+        out = []
+        for ra, rb in zip(self.pairs, other.pairs):
+            if not rb:
+                out.append(ra)
+                continue
+            acc = dict(ra)
+            get = acc.get
+            for j, x in rb:
+                acc[j] = get(j, 0) + x
+            out.append(_canonical(acc, p))
+        return Matrix.from_pairs(self.field, out, self.ncols)
 
     def sub(self, other):
-        self._check_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ShapeError("subtraction shape mismatch")
-        p = self.field.characteristic
-        if p:
-            rows = [
-                [(a - b) % p if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        else:
-            rows = [
-                [a - b if b else a for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        return Matrix(self.field, rows, self.ncols)
+        return self.add(other.scale(-1))
 
     def scale(self, c):
         f = self.field
         c = f.coerce(c)
         p = f.characteristic
-        if p:
-            rows = [[c * e % p for e in r] for r in self.rows]
+        if not c:
+            rows = [[] for _ in self.pairs]
+        elif p:
+            rows = [[(j, c * e % p) for j, e in row] for row in self.pairs]
         else:
-            zero = f.zero()
-            rows = [[c * e if e else zero for e in r] for r in self.rows]
-        return Matrix(f, rows, self.ncols)
+            rows = [[(j, c * e) for j, e in row] for row in self.pairs]
+        return Matrix.from_pairs(f, rows, self.ncols)
 
     def mul(self, other):
+        """Gustavson's row-wise product: row i of self·other sums the
+        rows k of other named by the pairs (k, a) of row i, scaled by a.
+        A row with the one pair (k, 1) is row k of other."""
         self._check_field(other)
         if self.ncols != other.nrows:
             raise ShapeError(
@@ -352,23 +360,19 @@ class Matrix:
             )
         f = self.field
         p = f.characteristic
-        zero = f.zero()
-        n = other.ncols
-        b_rows = other.rows
-        b_nonzeros = [None] * other.nrows  # built on first use
-        cols = range(self.ncols)
+        b_rows = other.pairs
         out = []
-        for ra in self.rows:
-            acc = [zero] * n
-            for k in compress(cols, ra):
-                pairs = b_nonzeros[k]
-                if pairs is None:
-                    pairs = b_nonzeros[k] = _nonzeros(b_rows[k])
-                a = ra[k]
-                for j, b in pairs:
-                    acc[j] += a * b
-            out.append([x % p for x in acc] if p else acc)
-        return Matrix(f, out, n)
+        for ra in self.pairs:
+            if len(ra) == 1 and ra[0][1] == 1:
+                out.append(b_rows[ra[0][0]])
+                continue
+            acc = {}
+            get = acc.get
+            for k, a in ra:
+                for j, b in b_rows[k]:
+                    acc[j] = get(j, 0) + a * b
+            out.append(_canonical(acc, p))
+        return Matrix.from_pairs(f, out, other.ncols)
 
     def apply_to_row(self, vec):
         """Row vector times matrix: returns list of length ncols."""
@@ -377,35 +381,39 @@ class Matrix:
         f = self.field
         p = f.characteristic
         out = [f.zero()] * self.ncols
-        for a, r in zip(vec, self.rows):
+        for a, row in zip(vec, self.pairs):
             if a:
-                for j, e in enumerate(r):
-                    if e:
-                        out[j] += a * e
+                for j, e in row:
+                    out[j] += a * e
         return [x % p for x in out] if p else out
 
     def hstack(self, other):
         self._check_field(other)
         if self.nrows != other.nrows:
             raise ShapeError("hstack row mismatch")
-        return Matrix(
+        n = self.ncols
+        return Matrix.from_pairs(
             self.field,
-            [ra + rb for ra, rb in zip(self.rows, other.rows)],
-            self.ncols + other.ncols,
+            [ra + [(j + n, e) for j, e in rb] for ra, rb in zip(self.pairs, other.pairs)],
+            n + other.ncols,
         )
 
     def vstack(self, other):
         self._check_field(other)
         if self.ncols != other.ncols:
             raise ShapeError("vstack column mismatch")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        return Matrix.from_pairs(self.field, self.pairs + other.pairs, self.ncols)
 
     def submatrix(self, row_indices, col_indices):
-        return Matrix(
-            self.field,
-            [[self.rows[i][j] for j in col_indices] for i in row_indices],
-            len(col_indices),
-        )
+        """The entries at the given rows and columns, in the order given;
+        a repeated column raises ShapeError."""
+        at = {j: k for k, j in enumerate(col_indices)}
+        if len(at) != len(col_indices):
+            raise ShapeError("submatrix columns repeated")
+        rows = [
+            sorted((at[j], e) for j, e in self.pairs[i] if j in at) for i in row_indices
+        ]
+        return Matrix.from_pairs(self.field, rows, len(at))
 
     def __eq__(self, other):
         return (
@@ -413,7 +421,7 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.pairs == other.pairs
         )
 
     def __repr__(self):
@@ -430,20 +438,17 @@ def rref(m):
 
     The rows of m go one by one into a `SpanBuilder`, whose rows are the
     nonzero rows of the rref of everything added; the rows past the rank
-    are zero rows.  Over F_p every entry is read modulo p, so a multiple
-    of p counts as zero even where the input holds it unreduced, and the
-    pivot rows come out reduced.
+    are zero rows.
     """
-    f = m.field
-    span = SpanBuilder(f, m.ncols)
-    for row in m.rows:
+    span = SpanBuilder(m.field, m.ncols)
+    for row in m.pairs:
         if len(span.pivots) == m.ncols:
             break  # every further row lies in the span
-        span.add(row)
-    rows = span.rows
-    zero = f.zero()
-    rows += [[zero] * m.ncols for _ in range(m.nrows - len(rows))]
-    return Matrix(f, rows, m.ncols), list(span.pivots)
+        if row:
+            span.add(dict(row))
+    pairs = span.basis_pairs()
+    pairs += [[] for _ in range(m.nrows - len(pairs))]
+    return Matrix.from_pairs(m.field, pairs, m.ncols), list(span.pivots)
 
 
 def rank(m):
@@ -453,7 +458,7 @@ def rank(m):
 def row_space_canonical(m):
     """Canonical basis of the row space: nonzero rows of the rref."""
     r, pivots = rref(m)
-    return Matrix(m.field, [r.rows[i] for i in range(len(pivots))], m.ncols)
+    return Matrix.from_pairs(m.field, r.pairs[: len(pivots)], m.ncols)
 
 
 def kernel_basis(m):
@@ -463,9 +468,7 @@ def kernel_basis(m):
     solutions, so it depends only on the null space, not on m.
     """
     r, pivots = rref(m)
-    return _null_space(
-        m.field, m.ncols, pivots, [_nonzeros(r.rows[i]) for i in range(len(pivots))]
-    )
+    return _null_space(m.field, m.ncols, pivots, r.pairs[: len(pivots)])
 
 
 def _null_space(f, ncols, pivots, pivot_rows):
@@ -479,17 +482,15 @@ def _null_space(f, ncols, pivots, pivot_rows):
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     if not free:
-        return Matrix(f, [], 0) if ncols == 0 else Matrix.zero(f, ncols, 0)
-    zero, one = f.zero(), f.one()
-    slot = {j: k for k, j in enumerate(free)}
-    vecs = [[zero] * ncols for _ in free]
-    for k, j in enumerate(free):
-        vecs[k][j] = one
+        return Matrix.zero(f, ncols, 0)
+    one = f.one()
+    vecs = {j: {j: one} for j in free}
     for p, pairs in zip(pivots, pivot_rows):
         for j, e in pairs:
             if j != p:
-                vecs[slot[j]][p] = f.neg(e)
-    return row_space_canonical(Matrix(f, vecs, ncols)).transpose()
+                vecs[j][p] = f.neg(e)
+    rows = [sorted(vecs[j].items()) for j in free]
+    return row_space_canonical(Matrix.from_pairs(f, rows, ncols)).transpose()
 
 
 def solve(m, b):
@@ -498,43 +499,38 @@ def solve(m, b):
     if len(b) != m.nrows:
         raise ShapeError("right-hand side length mismatch")
     f = m.field
-    b = [f.coerce(e) for e in b]
-    aug = Matrix(f, [r + [be] for r, be in zip(m.rows, b)], m.ncols + 1)
-    if m.nrows == 0:
-        aug = Matrix(f, [], m.ncols + 1)
-    r, pivots = rref(aug)
-    if m.ncols in pivots:
+    n = m.ncols
+    aug = [
+        row + [(n, be)] if (be := f.coerce(e)) else row for row, e in zip(m.pairs, b)
+    ]
+    r, pivots = rref(Matrix.from_pairs(f, aug, n + 1))
+    if n in pivots:
         return None
-    x = [f.zero()] * m.ncols
-    for i, p in enumerate(pivots):
-        x[p] = r.rows[i][m.ncols]
+    x = [f.zero()] * n
+    for row, p in zip(r.pairs, pivots):
+        j, e = row[-1]
+        if j == n:
+            x[p] = e
     return x
 
 
 def kronecker(a, b):
-    """Kronecker product, shape (a.rows·b.rows) × (a.cols·b.cols).
+    """Kronecker product, shape (a.nrows·b.nrows) × (a.ncols·b.ncols).
 
     No package code forms one; the dense reference routes of the tests
     do.
     """
     a._check_field(b)
-    f = a.field
-    p = f.characteristic
-    zero = f.zero()
-    blank = [zero] * b.ncols
+    p = a.field.characteristic
+    n = b.ncols
     out = []
-    for ra in a.rows:
-        for rb in b.rows:
-            row = []
-            for x in ra:
-                if not x:
-                    row.extend(blank)
-                elif p:
-                    row.extend([x * e % p for e in rb])
-                else:
-                    row.extend([x * e if e else zero for e in rb])
-            out.append(row)
-    return Matrix(f, out, a.ncols * b.ncols)
+    for ra in a.pairs:
+        for rb in b.pairs:
+            if p:
+                out.append([(i * n + j, x * e % p) for i, x in ra for j, e in rb])
+            else:
+                out.append([(i * n + j, x * e) for i, x in ra for j, e in rb])
+    return Matrix.from_pairs(a.field, out, a.ncols * n)
 
 
 class SpanBuilder:
@@ -568,15 +564,9 @@ class SpanBuilder:
 
     @property
     def rows(self):
-        """The reduced basis rows as dense lists, in pivot order."""
-        zero = self.field.zero()
-        out = []
-        for pivot in self.pivots:
-            row = [zero] * self.width
-            for j, e in self._rows[pivot].items():
-                row[j] = e
-            out.append(row)
-        return out
+        """The reduced basis rows as dense lists, in pivot order (a view,
+        for the tests)."""
+        return self.basis_matrix().rows
 
     def _reduce(self, vec):
         """The remainder of a vector after reduction by the span, as a
@@ -655,13 +645,14 @@ class SpanBuilder:
     def dim(self):
         return len(self.pivots)
 
-    def basis_entries(self):
-        """The reduced basis rows as {column: entry} dicts, in pivot order."""
-        return [dict(self._rows[pivot]) for pivot in self.pivots]
+    def basis_pairs(self):
+        """The reduced basis rows as sorted (column, entry) pairs, in
+        pivot order."""
+        return [sorted(self._rows[pivot].items()) for pivot in self.pivots]
 
     def basis_matrix(self):
         """Rows = canonical basis (already rref by construction)."""
-        return Matrix(self.field, self.rows, self.width)
+        return Matrix.from_pairs(self.field, self.basis_pairs(), self.width)
 
     def kernel_basis(self):
         """Basis of the right null space of the span, as columns.
@@ -722,15 +713,21 @@ class Preimages:
         self.width = mat.ncols
         self.span = SpanBuilder(f, mat.ncols + mat.nrows)
         one = f.one()
-        for r, row in enumerate(mat.rows):
-            entries = {j: e for j, e in enumerate(row) if e}
+        for r, row in enumerate(mat.pairs):
+            entries = dict(row)
             entries[mat.ncols + r] = one
             self.span.add(entries)
         self.pad = [0] * mat.nrows  # int zeros: truthiness without a call
 
     def of(self, v):
+        """A u with u·M = v, for v a sequence of ``width`` entries or a
+        dict of entries keyed by column; raises when there is none."""
         width = self.width
-        red = self.span._reduce(list(v) + self.pad)
+        if not isinstance(v, dict):
+            v = list(v) + self.pad
+        elif any(j >= width for j in v):  # the span checks the rest
+            raise ShapeError("preimage vector column out of range")
+        red = self.span._reduce(v)
         if any(j < width for j in red):
             raise SphertwistError("vector has no preimage")
         u = [self.field.zero()] * len(self.pad)
@@ -740,5 +737,5 @@ class Preimages:
         return u
 
     def inverse(self):
-        units = Matrix.identity(self.field, self.width).rows
-        return Matrix(self.field, [self.of(e) for e in units], len(self.pad))
+        one = self.field.one()
+        return Matrix(self.field, [self.of({j: one}) for j in range(self.width)], len(self.pad))

@@ -27,7 +27,6 @@ from .exactlin import (
     SpanBuilder,
     kernel_basis,
     rank,
-    sparse_rows,
 )
 from .modules import (
     Module,
@@ -35,7 +34,7 @@ from .modules import (
     _endomorphism_table,
     _flatten,
     _idempotent_piece,
-    _nonzero_cells,
+    _unflatten,
     add_equivalent,
     cokernel_of,
     direct_sum,
@@ -149,13 +148,11 @@ def _through_projectives(m, n, emb=None):
         _, emb = injective_envelope(m)
     span = SpanBuilder(f, m.dim * n.dim)
     for g in hom_space(emb.target, n):
-        comp = emb.matrix.mul(g.matrix)
-        span.add([e for row in comp.rows for e in row])
-    basis = []
-    for r in span.basis_matrix().rows:
-        mat = Matrix(f, [list(r)[j * n.dim : (j + 1) * n.dim] for j in range(m.dim)], n.dim)
-        basis.append(ModuleHom(m, n, mat, validate=False))
-    return basis
+        span.add(_flatten(emb.matrix.mul(g.matrix)))
+    return [
+        ModuleHom(m, n, _unflatten(f, r, m.dim, n.dim), validate=False)
+        for r in span.basis_pairs()
+    ]
 
 
 def nakayama_permutation(a):
@@ -490,35 +487,27 @@ def _generator_hom_basis(blocks, total):
     a = total.algebra
     f, s = a.field, total.dim
     pieces = {}
-    rows = []  # {column in flattened T: entry}, in pivot order
+    rows = []  # (column in flattened T, entry) pairs, in pivot order
     at = 0
     for b in blocks:
         if b not in pieces:
             if b is Module.regular(a):
-                actions = [sparse_rows(m) for m in total.action]
+                actions = [m.pairs for m in total.action]
                 span = SpanBuilder(f, a.dim * s)
                 for r in range(s):
                     span.add({
                         i * s + c: e for i, act in enumerate(actions) for c, e in act[r]
                     })
-                pieces[b] = span.basis_entries()
+                pieces[b] = span.basis_pairs()
             else:
-                pieces[b] = [
-                    {j: e for j, e in enumerate(_flatten(h.matrix)) if e}
-                    for h in hom_space(b, total)
-                ]
+                pieces[b] = [_flatten(h.matrix).items() for h in hom_space(b, total)]
         shift = at * s
-        rows.extend({shift + j: e for j, e in entries.items()} for entries in pieces[b])
+        rows.extend([(shift + j, e) for j, e in pairs] for pairs in pieces[b])
         at += b.dim
-    zero = f.zero()
-    homs = []
-    for entries in rows:
-        flat = [zero] * (s * s)
-        for j, e in entries.items():
-            flat[j] = e
-        mat = Matrix(f, [flat[r * s : (r + 1) * s] for r in range(s)], s)
-        homs.append(ModuleHom(total, total, mat, validate=False))
-    return homs
+    return [
+        ModuleHom(total, total, _unflatten(f, pairs, s, s), validate=False)
+        for pairs in rows
+    ]
 
 
 def _projective_ideal(blocks, hom_coords):
@@ -557,7 +546,7 @@ def _projective_ideal(blocks, hom_coords):
     rows = []  # (pivot in flattened T, coordinates)
     extra_pairs = set()
     for k, h in enumerate(homs):
-        cells = _nonzero_cells(h.matrix)
+        cells = [(r, c) for r, row in enumerate(h.matrix.pairs) for c, _ in row]
         pairs = {(block_of[r], block_of[c]) for r, c in cells}
         if len(pairs) != 1:
             raise SphertwistError(
@@ -579,12 +568,11 @@ def _projective_ideal(blocks, hom_coords):
                 embeddings[x] = injective_envelope(x)[1]
             factoring[x, y] = _through_projectives(x, y, embeddings[x])
         for g in factoring[x, y]:
-            cells = _nonzero_cells(g.matrix)
-            placed = [[f.zero()] * s for _ in range(s)]
-            for r, c in cells:
-                placed[offset[a] + r][offset[b] + c] = g.matrix.rows[r][c]
-            r, c = cells[0]
-            pivot = (offset[a] + r) * s + offset[b] + c
-            rows.append((pivot, hom_coords.coords(Matrix(f, placed, s))))
+            placed = [[] for _ in range(s)]
+            for r, row in enumerate(g.matrix.pairs, offset[a]):
+                placed[r] = [(offset[b] + c, e) for c, e in row]
+            r = next(r for r, row in enumerate(placed) if row)
+            pivot = r * s + placed[r][0][0]
+            rows.append((pivot, hom_coords.coords(Matrix.from_pairs(f, placed, s))))
     rows.sort(key=lambda row: row[0])
     return [coords for _, coords in rows]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
 from .errors import AuditFailed, NotConcentrated, SphertwistError
-from .exactlin import Matrix, Preimages, product_residual, rank, rref, sparse_rows
+from .exactlin import Matrix, Preimages, product_residual, rank, rref
 from .frobenius import dual_module
 from .modules import (
     Module,
@@ -108,9 +108,9 @@ class Bimodule:
         self._left_projective = None
         p = right_algebra.field.characteristic
         for i in generator_indices(left_algebra):
-            li = sparse_rows(self.left_mats[i])
+            li = self.left_mats[i].pairs
             for j in generator_indices(right_algebra):
-                rj = sparse_rows(self.right_mats[j])
+                rj = self.right_mats[j].pairs
                 if product_residual(li, rj, rj, li, p) is not None:
                     raise AuditFailed(
                         "left and right actions fail to commute on generator pair",
@@ -158,11 +158,13 @@ def left_module_along(p):
     restricted along an algebra map is an action.  The tests run the
     full validation on the fixture and workload surjections.
     """
-    a, b = p.source, p.target
+    b = p.target
+    # row k of the surjection's matrix is p(bₖ)
     action = [
-        b.left_mult_matrix(p.apply(a.basis_vector(k))) for k in range(a.dim)
+        Matrix.from_pairs(b.field, b._mult_rows(row, True), b.dim)
+        for row in p.matrix.pairs
     ]
-    return Module(opposite(a), b.dim, action, validate=False)
+    return Module(opposite(p.source), b.dim, action, validate=False)
 
 
 def identity_surjection(a):
@@ -195,8 +197,9 @@ def ext_dims(a, m, n, count):
 
 
 def _yoneda_blocks(n, idempotents):
-    """Per idempotent e: the canonical rows of N·e and their pivots, a
-    basis of Hom(e·A, N) under φ ↦ φ(e).  A zero module has empty blocks.
+    """Per idempotent e: the canonical rows of N·e, as a Matrix, and
+    their pivots, a basis of Hom(e·A, N) under φ ↦ φ(e).  A zero module
+    has empty blocks.
 
     This is the Yoneda reading of Hom out of P = ⊕ₖ eₖ·A: Hom(P, N) ≅
     ⊕ₖ N·eₖ by φ ↦ (φ(eₖ))ₖ.  φ(eₖ) = φ(eₖ)·eₖ lies in N·eₖ, and any n
@@ -204,17 +207,15 @@ def _yoneda_blocks(n, idempotents):
     of N.action_of(eₖ) are a basis, and a vector of N·eₖ has its
     coordinates at their pivots.  No hom-space system is solved.
     """
-    if n.dim == 0:
-        return [([], []) for _ in idempotents]
     out = []
     for e in idempotents:
         r, pivots = rref(n.action_of(e))
-        out.append((r.rows[: len(pivots)], pivots))
+        out.append((Matrix.from_pairs(r.field, r.pairs[: len(pivots)], n.dim), pivots))
     return out
 
 
 def _yoneda_dim(blocks):
-    return sum(len(rows) for rows, _ in blocks)
+    return sum(rows.nrows for rows, _ in blocks)
 
 
 def _yoneda_precompose(n, images, target, source_blocks, target_blocks):
@@ -233,23 +234,20 @@ def _yoneda_precompose(n, images, target, source_blocks, target_blocks):
     """
     f = n.algebra.field
     width = _yoneda_dim(source_blocks)
-    rows = [[f.zero()] * width for _ in range(_yoneda_dim(target_blocks))]
+    rows = [[] for _ in range(_yoneda_dim(target_blocks))]
     comps = [target.components(x) for x in images]
     at_l = 0
     for l, (l_rows, l_pivots) in enumerate(source_blocks):
+        col = {j: at_l + c for c, j in enumerate(l_pivots)}
         at_k = 0
         for k, (k_rows, _) in enumerate(target_blocks):
             x = comps[l][k]
-            if k_rows and l_rows and any(x):
-                act = n.action_of(x)
-                for r, v in enumerate(k_rows):
-                    y = act.apply_to_row(v)
-                    row = rows[at_k + r]
-                    for c, j in enumerate(l_pivots):
-                        row[at_l + c] = y[j]
-            at_k += len(k_rows)
-        at_l += len(l_rows)
-    return Matrix(f, rows, width)
+            if k_rows.nrows and l_rows.nrows and any(x):
+                for r, y in enumerate(k_rows.mul(n.action_of(x)).pairs, at_k):
+                    rows[r] += [(col[j], e) for j, e in y if j in col]
+            at_k += k_rows.nrows
+        at_l += l_rows.nrows
+    return Matrix.from_pairs(f, rows, width)
 
 
 def _yoneda_postcompose(psi, blocks, image_blocks):
@@ -261,19 +259,15 @@ def _yoneda_postcompose(psi, blocks, image_blocks):
     because ψ is a module map, so each row v of the N·eₖ block goes to
     v·ψ read at the pivots of the N′·eₖ block.
     """
-    f = psi.field
     width = _yoneda_dim(image_blocks)
     rows = []
     at = 0
     for (k_rows, _), (img_rows, img_pivots) in zip(blocks, image_blocks):
-        for v in k_rows:
-            y = psi.apply_to_row(v)
-            row = [f.zero()] * width
-            for c, j in enumerate(img_pivots):
-                row[at + c] = y[j]
-            rows.append(row)
-        at += len(img_rows)
-    return Matrix(f, rows, width)
+        col = {j: at + c for c, j in enumerate(img_pivots)}
+        for y in k_rows.mul(psi).pairs:
+            rows.append([(col[j], e) for j, e in y if j in col])
+        at += img_rows.nrows
+    return Matrix.from_pairs(psi.field, rows, width)
 
 
 def _yoneda_cochains(res, n, count):
@@ -459,12 +453,14 @@ class _TensorSquare:
             (coregular.action_of(res.augmentation.apply(gen)), pivots)
             for gen, (_, pivots) in zip(self.covered[0].gens, self.blocks[0])
         ]
-        mult_dual = Matrix(
-            f,
-            [[act.rows[j][q] for act, pivots in acts for q in pivots]
-             for j in range(b.dim)],
-            self.terms[0].dim,
-        )
+        rows = [[] for _ in range(b.dim)]
+        at = 0
+        for act, pivots in acts:
+            col = {q: at + c for c, q in enumerate(pivots)}
+            for row, pairs in zip(rows, act.pairs):
+                row += [(col[q], e) for q, e in pairs if q in col]
+            at += len(pivots)
+        mult_dual = Matrix.from_pairs(f, rows, self.terms[0].dim)
         # cone of the multiplication map, indexed cohomologically: the
         # tensor term of degree i sits at -i-1, the target at 0
         rank_c0 = rank(mult_dual)
@@ -537,7 +533,7 @@ def _extract_bimodule(square, t):
     b, f = square.p.target, square.p.target.field
     cycles, incl = kernel_of(square.maps[t])
     in_cycles = Preimages(incl.matrix)
-    boundaries = [in_cycles.of(r) for r in square.maps[t - 1].matrix.rows]
+    boundaries = [in_cycles.of(dict(r)) for r in square.maps[t - 1].matrix.pairs]
     h, proj = quotient(cycles, boundaries)
     section = Preimages(proj.matrix)
     reps = [

@@ -12,8 +12,6 @@ intersections in ambient coordinates where they belong.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from .algebra import Algebra, _pairs, lift_idempotents, radical
 from .errors import (
     AlgebraMismatch,
@@ -26,12 +24,12 @@ from .exactlin import (
     Preimages,
     SpanBuilder,
     SpanQuotient,
+    _canonical,
     kernel_basis,
     product_residual,
     rank,
     row_space_canonical,
     rref,
-    sparse_rows,
 )
 
 
@@ -68,7 +66,7 @@ class Module:
         if unit_mat != Matrix.identity(f, self.dim):
             raise SphertwistError("unit does not act as identity")
         p, n = f.characteristic, self.dim
-        sparse = [sparse_rows(m) for m in self.action]
+        sparse = [m.pairs for m in self.action]
         stacked = [row for rows in sparse for row in rows]
         zero = [()] * n
         for i, products in enumerate(a.table):
@@ -85,23 +83,29 @@ class Module:
                     )
 
     def action_of(self, avec):
-        """The matrix Σ cᵢ·Mᵢ of the algebra element with coordinates avec,
-        summed in one pass over the nonzero coefficients."""
+        """The matrix Σ cᵢ·Mᵢ of the algebra element with coordinates avec."""
         f = self.algebra.field
         p = f.characteristic
-        d = self.dim
-        cols = range(d)
-        acc = [[f.zero()] * d for _ in cols]
-        for c, mat in zip(avec, self.action):
-            if not c or (p and not c % p):
-                continue
-            c = f.coerce(c)
-            for out, row in zip(acc, mat.rows):
-                for j in compress(cols, row):
-                    out[j] += c * row[j]
-        if p:
-            acc = [[x % p for x in out] for out in acc]
-        return Matrix(f, acc, d)
+        return self._combination(
+            [(i, f.coerce(c)) for i, c in enumerate(avec) if c and not (p and not c % p)]
+        )
+
+    def _combination(self, coeffs):
+        """Σ c·Mᵢ over the (i, c) pairs of coeffs, c ≠ 0, summed row by
+        row over the pairs of the Mᵢ.  A basis element acts by its own
+        matrix."""
+        if len(coeffs) == 1 and coeffs[0][1] == 1:
+            return self.action[coeffs[0][0]]
+        p = self.algebra.field.characteristic
+        acc = [{} for _ in range(self.dim)]
+        for i, c in coeffs:
+            for out, row in zip(acc, self.action[i].pairs):
+                get = out.get
+                for j, e in row:
+                    out[j] = get(j, 0) + c * e
+        return Matrix.from_pairs(
+            self.algebra.field, [_canonical(out, p) for out in acc], self.dim
+        )
 
     def apply(self, v, avec):
         return self.action_of(avec).apply_to_row(v)
@@ -168,11 +172,9 @@ class ModuleHom:
     def _validate(self):
         a = self.source.algebra
         p = a.field.characteristic
-        x_rows = sparse_rows(self.matrix)
-        for i in range(a.dim):
-            m_rows = sparse_rows(self.source.action[i])
-            n_rows = sparse_rows(self.target.action[i])
-            if product_residual(m_rows, x_rows, x_rows, n_rows, p) is not None:
+        x_rows = self.matrix.pairs
+        for i, (m_act, n_act) in enumerate(zip(self.source.action, self.target.action)):
+            if product_residual(m_act.pairs, x_rows, x_rows, n_act.pairs, p) is not None:
                 raise SphertwistError(
                     "matrix fails to intertwine basis element %d" % i
                 )
@@ -228,7 +230,7 @@ def hom_space(m, n):
     span = SpanBuilder(f, s * t)
     checks = []
     for g in gens:
-        m_rows, n_rows = sparse_rows(m.action[g]), sparse_rows(n.action[g])
+        m_rows, n_rows = m.action[g].pairs, n.action[g].pairs
         checks.append((g, m_rows, n_rows))
         n_cols = [[] for _ in range(t)]
         for k, n_row in enumerate(n_rows):
@@ -241,13 +243,12 @@ def hom_space(m, n):
                 for k, e in n_col:
                     row[at + k] = row.get(at + k, 0) - e
                 span.add(row)
-    null = span.kernel_basis()
+    null = span.kernel_basis().transpose()
     p = f.characteristic
     homs = []
-    for j in range(null.ncols):
-        flat = null.column(j)
-        mat = Matrix(f, [flat[r * t : (r + 1) * t] for r in range(s)], t)
-        x_rows = sparse_rows(mat)
+    for j, flat in enumerate(null.pairs):
+        mat = _unflatten(f, flat, s, t)
+        x_rows = mat.pairs
         for g, m_rows, n_rows in checks:
             if product_residual(m_rows, x_rows, x_rows, n_rows, p) is not None:
                 raise SphertwistError(
@@ -284,7 +285,9 @@ class HomBasis:
         if any((h.matrix.nrows, h.matrix.ncols) != self._shape for h in homs):
             raise ShapeError("hom basis maps of different shapes")
         width = self._shape[0] * self._shape[1]
-        flats = Matrix(field, [_flatten(h.matrix) for h in homs], width)
+        flats = Matrix.from_pairs(
+            field, [list(_flatten(h.matrix).items()) for h in homs], width
+        )
         self._preimages = Preimages(flats)
         if self._preimages.span.pivots[-1] >= width:
             raise SphertwistError("hom basis is linearly dependent")
@@ -304,19 +307,20 @@ class HomBasis:
 
 
 def _flatten(mat):
-    return [e for row in mat.rows for e in row]
+    """The nonzero entries of mat keyed by their row-major flat index
+    r·ncols + c, in that order."""
+    n = mat.ncols
+    return {r * n + c: e for r, row in enumerate(mat.pairs) for c, e in row}
 
 
-def _nonzero_cells(mat):
-    """The (row, column) cells of the nonzero entries of mat, in
-    row-major order; entries over F_p are read modulo p."""
-    p = mat.field.characteristic
-    return [
-        (r, c)
-        for r, row in enumerate(mat.rows)
-        for c, e in enumerate(row)
-        if (e % p if p else e)
-    ]
+def _unflatten(field, entries, nrows, ncols):
+    """The nrows × ncols matrix with the (flat index, entry) pairs
+    ``entries``, sorted by index, at the cells `_flatten` gives them."""
+    rows = [[] for _ in range(nrows)]
+    for k, e in entries:
+        r, c = divmod(k, ncols)
+        rows[r].append((c, e))
+    return Matrix.from_pairs(field, rows, ncols)
 
 
 def generator_indices(a):
@@ -327,7 +331,7 @@ def generator_indices(a):
     span = SpanBuilder(f, a.dim)
     span.add(a.unit)
     gens = []
-    elements = [list(r) for r in span.rows]
+    elements = [list(a.unit)]
     for i in range(a.dim):
         if span.contains(a.basis_vector(i)):
             continue
@@ -373,19 +377,20 @@ def submodule(m, vectors, check=True):
     f = m.algebra.field
     r, pivots = rref(_as_rows(f, vectors, m.dim))
     d = len(pivots)
-    rows = Matrix(f, r.rows[:d], m.dim)
+    rows = Matrix.from_pairs(f, r.pairs[:d], m.dim)
     if check:
         span = SpanBuilder(f, m.dim)
-        for row in rows.rows:
-            span.add(row)
+        for row in rows.pairs:
+            span.add(dict(row))
+    at = {q: k for k, q in enumerate(pivots)}
 
-    def coords(vec):
-        if check and not span.contains(vec):
-            raise NotASubmodule("vector leaves the subspace", witness=vec)
-        return [vec[p] for p in pivots]
+    def coords(image):
+        if check and not span.contains(dict(image)):
+            raise NotASubmodule("vector leaves the subspace", witness=dict(image))
+        return [(at[j], e) for j, e in image if j in at]
 
     action = [
-        Matrix(f, [coords(mat.apply_to_row(r)) for r in rows.rows], d)
+        Matrix.from_pairs(f, [coords(image) for image in rows.mul(mat).pairs], d)
         for mat in m.action
     ]
     sub = Module(m.algebra, d, action, validate=False)
@@ -397,19 +402,21 @@ def quotient(m, vectors):
     """(quotient module, projection hom) by an action-stable subspace."""
     f = m.algebra.field
     span = SpanBuilder(f, m.dim)
-    for r in _as_rows(f, vectors, m.dim).rows:
-        span.add(r)
-    for r in span.rows:
-        for i, mat in enumerate(m.action):
-            if not span.contains(mat.apply_to_row(r)):
+    for r in _as_rows(f, vectors, m.dim).pairs:
+        span.add(dict(r))
+    basis = span.basis_matrix()
+    images = [basis.mul(mat).pairs for mat in m.action]
+    for k, r in enumerate(basis.pairs):
+        for i, rows in enumerate(images):
+            if not span.contains(dict(rows[k])):
                 raise NotASubmodule(
-                    "subspace not stable under basis element %d" % i, witness=r
+                    "subspace not stable under basis element %d" % i, witness=dict(r)
                 )
     q = SpanQuotient(span)
     one = f.one()
     # the image of the j-th unit row under M is row j of M
     action = [
-        Matrix(f, [q.project(mat.rows[j]) for j in q.kept], q.dim)
+        Matrix(f, [q.project(dict(mat.pairs[j])) for j in q.kept], q.dim)
         for mat in m.action
     ]
     out = Module(m.algebra, q.dim, action, validate=False)
@@ -454,8 +461,8 @@ def balanced_tensor(a, right_mats, left_mats):
     nd = left_mats[0].nrows if left_mats else 0
     span = SpanBuilder(a.field, ni * nd)
     for s in generator_indices(a):
-        l_rows = sparse_rows(left_mats[s])
-        for u, r_row in enumerate(sparse_rows(right_mats[s])):
+        l_rows = left_mats[s].pairs
+        for u, r_row in enumerate(right_mats[s].pairs):
             at = u * nd
             for x, l_row in enumerate(l_rows):
                 row = {k * nd + x: c for k, c in r_row}
@@ -500,27 +507,20 @@ def direct_sum(mods):
         at += m.dim
     action = []
     for i in range(a.dim):
-        big = Matrix.zero(f, total, total)
-        rows = [row[:] for row in big.rows]
+        rows = []
         for off, m in zip(offsets, mods):
-            blk = m.action[i]
-            for r in range(m.dim):
-                for c in range(m.dim):
-                    rows[off + r][off + c] = blk.rows[r][c]
-        action.append(Matrix(f, rows, total))
+            rows += [[(off + c, e) for c, e in row] for row in m.action[i].pairs]
+        action.append(Matrix.from_pairs(f, rows, total))
     s = Module(a, total, action, validate=False)
     injections, projections = [], []
+    one = f.one()
     for off, m in zip(offsets, mods):
-        inj = Matrix.zero(f, m.dim, total)
-        rows = [row[:] for row in inj.rows]
+        inj = [[(off + r, one)] for r in range(m.dim)]
+        injections.append(ModuleHom(m, s, Matrix.from_pairs(f, inj, total), validate=False))
+        prj = [[] for _ in range(total)]
         for r in range(m.dim):
-            rows[r][off + r] = f.one()
-        injections.append(ModuleHom(m, s, Matrix(f, rows, total), validate=False))
-        prj = Matrix.zero(f, total, m.dim)
-        rows = [row[:] for row in prj.rows]
-        for r in range(m.dim):
-            rows[off + r][r] = f.one()
-        projections.append(ModuleHom(s, m, Matrix(f, rows, m.dim), validate=False))
+            prj[off + r] = [(r, one)]
+        projections.append(ModuleHom(s, m, Matrix.from_pairs(f, prj, m.dim), validate=False))
     return s, injections, projections
 
 
@@ -530,8 +530,9 @@ def module_radical(m):
     rad = radical(m.algebra)
     sb = SpanBuilder(f, m.dim)
     for j in range(rad.ncols):
-        for row in m.action_of(rad.column(j)).rows:
-            sb.add(row)
+        for row in m.action_of(rad.column(j)).pairs:
+            if row:
+                sb.add(dict(row))
     return sb.basis_matrix()
 
 
@@ -560,16 +561,17 @@ def simple_modules(a):
     """
     if a._simple_modules_cache is not None:
         return a._simple_modules_cache
-    rad_rows = radical(a).transpose()
+    rad = radical(a)
+    rad_rows = [rad.column(j) for j in range(rad.ncols)]
     out = []
     for e in lift_idempotents(a):
         pe, incl = _idempotent_piece(a, e)
         # top = eA / (eA ∩ rad) — eA·rad = e·rad ⊆ eA, whose coordinates
         # in pe sit at the pivots of pe's canonical rows
-        pivots = [next(j for j, c in enumerate(r) if c) for r in incl.matrix.rows]
+        pivots = [row[0][0] for row in incl.matrix.pairs]
         sub_rows = [
             [v[p] for p in pivots]
-            for v in (a.mul_vec(e, r) for r in rad_rows.rows)
+            for v in (a.mul_vec(e, r) for r in rad_rows)
         ]
         top, _ = quotient(pe, sub_rows)
         top.tag = e
@@ -634,26 +636,32 @@ def _cover_by_pieces(m, idempotents, what):
         epi.cover_idempotents = []
         return z, epi
     cover_span = SpanBuilder(f, m.dim)
-    for r in module_radical(m).rows:
-        cover_span.add(r)
+    for r in module_radical(m).pairs:
+        cover_span.add(dict(r))
     pieces = []
     idems = []
     rows = []
+    # [M₀ | M₁ | …]: a generator v times it is (v·b₀, v·b₁, …)
+    stacked = Matrix.from_pairs(f, [
+        [(i * m.dim + j, e) for i, mat in enumerate(m.action) for j, e in mat.pairs[r]]
+        for r in range(m.dim)
+    ], a.dim * m.dim)
     for e in idempotents:
-        for v in m.action_of(e).rows:
-            if cover_span.contains(v):
+        for v in m.action_of(e).pairs:
+            if cover_span.contains(dict(v)):
                 continue
             pe, incl = _idempotent_piece(a, e)
-            images = Matrix(f, [mat.apply_to_row(v) for mat in m.action], m.dim)
-            for img in images.rows:
-                cover_span.add(img)
-            rows.extend(images.apply_to_row(w) for w in incl.matrix.rows)
+            generator = Matrix.from_pairs(f, [v], m.dim)
+            images = _unflatten(f, generator.mul(stacked).pairs[0], a.dim, m.dim)
+            for img in images.pairs:
+                cover_span.add(dict(img))
+            rows += incl.matrix.mul(images).pairs
             pieces.append(pe)
             idems.append(e)
     if not pieces:
         raise SphertwistError("%s of a nonzero module found no generator" % what)
     p_sum, _, _ = direct_sum(pieces)
-    big = Matrix(f, rows, m.dim)
+    big = Matrix.from_pairs(f, rows, m.dim)
     epi = ModuleHom(p_sum, m, big)
     if rank(big) != m.dim:
         raise SphertwistError("%s candidate is not surjective" % what)
@@ -722,9 +730,9 @@ def restrict_scalars(surj, m):
     """A B-module viewed as a module over the source of p : A → B."""
     if m.algebra != surj.target:
         raise AlgebraMismatch("module is not over the surjection target")
-    a = surj.source
-    action = [m.action_of(surj.apply(a.basis_vector(i))) for i in range(a.dim)]
-    return Module(a, m.dim, action, validate=False)
+    # row i of the surjection's matrix is the image of bᵢ
+    action = [m._combination(row) for row in surj.matrix.pairs]
+    return Module(surj.source, m.dim, action, validate=False)
 
 
 def endomorphism_algebra(m, tags=()):
@@ -767,9 +775,8 @@ def _endomorphism_table(m, homs, tags):
     if d == 0:
         raise SphertwistError("zero module has no unital endomorphism algebra")
     basis = HomBasis(f, homs)
-    cells = [_nonzero_cells(h.matrix) for h in homs]
-    rows_of = [{r for r, _ in cs} for cs in cells]
-    cols_of = [{c for _, c in cs} for cs in cells]
+    rows_of = [{r for r, row in enumerate(h.matrix.pairs) if row} for h in homs]
+    cols_of = [{c for row in h.matrix.pairs for c, _ in row} for h in homs]
     table = [
         [
             _pairs(basis.coords(homs[j].matrix.mul(homs[i].matrix)))

@@ -92,8 +92,8 @@ class CoveredTerm:
         at = 0
         for e, incl in zip(cover, incls):
             gen = [f.zero()] * term.dim
-            for r, j in enumerate(_pivots(incl.rows)):
-                gen[at + r] = e[j]
+            for r, row in enumerate(incl.pairs):
+                gen[at + r] = e[row[0][0]]
             self.gens.append(gen)
             self.a_blocks.append((at, incl))
             at += incl.nrows
@@ -115,11 +115,6 @@ class CoveredTerm:
             if any(x):
                 out = [f.add(s, y) for s, y in zip(out, self.term.apply(g, x))]
         return out
-
-
-def _pivots(rows):
-    """Pivot columns of canonical (reduced echelon) rows."""
-    return [next(j for j, c in enumerate(r) if c) for r in rows]
 
 
 class Resolution:
@@ -245,11 +240,12 @@ def radd0(ctx, m):
     if m.dim == 0:
         return Matrix.zero(f, 0, 0)
     span = SpanBuilder(f, m.dim)
-    for v in m.action_of(ctx.e_proj).rows:
-        for mat in m.action:
-            span.add(mat.apply_to_row(v))
-    sub_rows = span.basis_matrix()
-    q, proj = quotient(m, [list(r) for r in sub_rows.rows])
+    e_rows = m.action_of(ctx.e_proj)
+    for mat in m.action:
+        for row in e_rows.mul(mat).pairs:
+            if row:
+                span.add(dict(row))
+    q, proj = quotient(m, span.basis_matrix())
     if q.dim == 0:
         return row_space_canonical(Matrix.identity(f, m.dim))
     rad_rows = module_radical(q)
@@ -264,10 +260,10 @@ def is_partially_essential(ctx, epi):
         raise NotSurjective("partial essentiality is a property of surjections")
     allowed = radd0(ctx, epi.source)
     span = SpanBuilder(ctx.endo.field, epi.source.dim)
-    for r in allowed.rows:
-        span.add(list(r))
+    for r in allowed.pairs:
+        span.add(dict(r))
     _, incl = kernel_of(epi)
-    return all(span.contains(list(r)) for r in incl.matrix.rows)
+    return all(span.contains(dict(r)) for r in incl.matrix.pairs)
 
 
 def _proj_type_primitives(ctx):
@@ -307,10 +303,10 @@ def is_minimal(res):
     for i, h in enumerate(maps):
         rad = module_radical(terms[i])
         span = SpanBuilder(terms[i].algebra.field, terms[i].dim)
-        for r in rad.rows:
-            span.add(list(r))
-        for r in h.matrix.rows:
-            if not span.contains(list(r)):
+        for r in rad.pairs:
+            span.add(dict(r))
+        for r in h.matrix.pairs:
+            if not span.contains(dict(r)):
                 return False
     return True
 
@@ -473,11 +469,12 @@ def _piece_type(ctx, e):
         prims = lift_idempotents(lam)
         if list(e) not in prims:
             prims.append(list(e))
+        rights = [(j, lam.right_mult_matrix(b)) for j, b in blocks]
         for p in prims:
-            rows = ctx.right_ideal(p)[1].matrix.rows
+            incl = ctx.right_ideal(p)[1].matrix
             cache[tuple(p)] = [
-                j for j, b in blocks
-                if not all(rad.contains(lam.mul_vec(v, b)) for v in rows)
+                j for j, right in rights
+                if not all(rad.contains(dict(v)) for v in incl.mul(right).pairs)
             ]
     hits = cache[key]
     if len(hits) != 1:

@@ -27,7 +27,7 @@ reports what it finds rather than asserting the identification.
 from __future__ import annotations
 
 from .errors import AuditFailed, ShapeMismatch, SphertwistError
-from .exactlin import Matrix, product_residual, rank, row_space_canonical, sparse_rows
+from .exactlin import Matrix, product_residual, rank, row_space_canonical
 from .frobenius import (
     is_self_injective,
     nakayama_permutation,
@@ -456,7 +456,7 @@ def _span_dim(f, mats):
     if not mats:
         return 0
     width = mats[0].nrows * mats[0].ncols
-    return rank(Matrix(f, [_flatten(m) for m in mats], width))
+    return rank(Matrix.from_pairs(f, [list(_flatten(m).items()) for m in mats], width))
 
 
 def _recovers(side_alg, mats, res):
@@ -645,9 +645,8 @@ def tilting_audit(report):
         for dh in dhoms:
             mu_rows.append(ctx.hom_coords.coords(dh.matrix.mul(ih.matrix)))
     mu = Matrix(f, mu_rows, lam.dim)
-    for r in tensor.span.rows:
-        if any(mu.apply_to_row(r)):
-            raise AuditFailed("composition pairing is not balanced")
+    if not tensor.span.basis_matrix().mul(mu).is_zero():
+        raise AuditFailed("composition pairing is not balanced")
 
     # two-sided equivariance of the pairing, on algebra generators —
     # products and the unit then follow from associativity.  The left
@@ -661,10 +660,10 @@ def tilting_audit(report):
     # residual; left multiplication by b_g has the table's row b_g·b_s
     # as its row s, and right multiplication the row b_s·b_g.
     p_char = f.characteristic
-    by_first, by_second = _pairing_blocks(sparse_rows(mu), ni, nd)
+    by_first, by_second = _pairing_blocks(mu.pairs, ni, nd)
     table = lam.table
     for g in generator_indices(lam):
-        act, left_mult = sparse_rows(fwd_l[g]), table[g]
+        act, left_mult = fwd_l[g].pairs, table[g]
         if any(
             product_residual(act, b, b, left_mult, p_char) is not None
             for b in by_second
@@ -672,7 +671,7 @@ def tilting_audit(report):
             raise AuditFailed(
                 "composition pairing breaks equivariance on the left", witness=g
             )
-        act, right_mult = sparse_rows(bwd_r[g]), [row[g] for row in table]
+        act, right_mult = bwd_r[g].pairs, [row[g] for row in table]
         if any(
             product_residual(act, b, b, right_mult, p_char) is not None
             for b in by_first

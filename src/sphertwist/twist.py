@@ -64,7 +64,6 @@ from .exactlin import (
     kernel_basis,
     product_residual,
     rank,
-    sparse_rows,
 )
 from .frobenius import _indecomposable_projectives, dual_module
 from .homology import (
@@ -262,7 +261,7 @@ class ChainMap:
                 self.component(k).matrix, self.target.differential(k).matrix,
                 self.source.differential(k).matrix, self.component(k + 1).matrix,
             )
-            if product_residual(*map(sparse_rows, square), p) is not None:
+            if product_residual(*(m.pairs for m in square), p) is not None:
                 lhs, rhs = square[0].mul(square[1]), square[2].mul(square[3])
                 raise NotAChainMap(
                     "square at degree %d does not commute" % k,
@@ -424,7 +423,7 @@ def hom_complex(c, d):
     maps = []
     for n in range(n_lo, n_hi):
         src, tgt = terms[n - n_lo], terms[n - n_lo + 1]
-        rows = [[field.zero()] * tgt.dim for _ in range(src.dim)]
+        rows = [[] for _ in range(src.dim)]
         sign = neg if n % 2 == 0 else field.one()  # −(−1)^n
         for k in covered:
             j = k + n
@@ -442,23 +441,22 @@ def hom_complex(c, d):
                     blocks[(k - 1, j)], blocks[(k, j)],
                 )
                 _place(rows, at, offsets[(k - 1, n + 1)], pre, sign)
-        maps.append(ModuleHom(src, tgt, Matrix(field, rows, tgt.dim), validate=False))
+        rows = [sorted(row) for row in rows]
+        maps.append(ModuleHom(src, tgt, Matrix.from_pairs(field, rows, tgt.dim), validate=False))
     return ChainComplex(_scalar_algebra(field), n_lo, terms, maps, validate=True)
 
 
 def _place(rows, at_r, at_c, mat, scalar):
-    """Write scalar·mat into rows at the block starting at (at_r, at_c).
+    """Add the pairs of scalar·mat to rows (lists of pairs, sorted at the
+    end) at the block starting at (at_r, at_c).
 
     Each block of a hom-complex differential gets one contribution:
     postcomposition keeps the source degree k, precomposition lowers it
     by one, so the two never share a block and nothing is summed.
     """
     f = mat.field
-    for r, src in enumerate(mat.rows):
-        row = rows[at_r + r]
-        for j, x in enumerate(src):
-            if x:
-                row[at_c + j] = f.mul(scalar, x)
+    for r, src in enumerate(mat.pairs, at_r):
+        rows[r] += [(at_c + j, f.mul(scalar, x)) for j, x in src]
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +543,7 @@ def _twist_core(p, c_mod, kernel, window=None):
         last = diffs[depth - 1]
         pre = Preimages(ker_incl.matrix)
         try:
-            co = [pre.of(row) for row in last.matrix.rows]
+            co = [pre.of(dict(row)) for row in last.matrix.pairs]
         except SphertwistError:
             raise AuditFailed("differential image escapes the kernel cut")
         terms = hom_modules[:depth] + [ker_mod]
@@ -1017,12 +1015,13 @@ def _unit_faithful_on_cohomology(p, res):
     for k in range(cx.lo, cx.hi + 1) if cx.terms else []:
         t = cx.term(k)
         boundaries = SpanBuilder(lam.field, t.dim)
-        for r in cx.differential(k - 1).matrix.rows:
-            boundaries.add(r)
+        for r in cx.differential(k - 1).matrix.pairs:
+            boundaries.add(dict(r))
         q = SpanQuotient(boundaries)
-        for z in _cycle_rows(cx, k).rows:
-            for g, flat in enumerate(flats):
-                flat.extend(q.project(t.action[g].apply_to_row(list(z))))
+        cycles = _cycle_rows(cx, k)
+        for act, flat in zip(t.action, flats):
+            for image in cycles.mul(act).pairs:
+                flat.extend(q.project(dict(image)))
     width = len(flats[0])
     return bool(width) and rank(Matrix(lam.field, flats, width)) == lam.dim
 

@@ -1,14 +1,182 @@
 """Reference kernels for the differential tests of `sphertwist.exactlin`.
 
-These are the straightforward per-element loops: every entry goes through
-the field's `add`/`sub`/`mul`/`is_zero`, and every zero test reads the
+`DenseMatrix` is the dense, row-major matrix with the kernels the package
+used before `Matrix` stored only its nonzeros.  The functions below are
+the straightforward per-element loops: every entry goes through the
+field's `add`/`sub`/`mul`/`is_zero`, and every zero test reads the
 element modulo p.  They are slow and obviously right; the specialised
 kernels in `exactlin` must return exactly the same rows and pivots.
 """
 
+from itertools import compress
+
 from sphertwist import exactlin
-from sphertwist.errors import ShapeError
+from sphertwist.errors import FieldMismatch, ShapeError
 from sphertwist.exactlin import Matrix
+
+
+class DenseMatrix:
+    """The dense, row-major matrix the package kept before `Matrix`
+    stored only its nonzeros, with its kernels as they were.
+
+    Its entries are kept as given, so over F_p an entry may be stored
+    unreduced, and ``==`` compares the stored rows; the differential
+    tests compare its results with `exactlin.Matrix` modulo p.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows")
+
+    def __init__(self, field, rows, ncols=None):
+        self.field = field
+        self.rows = [list(r) for r in rows]
+        self.nrows = len(self.rows)
+        if self.nrows:
+            self.ncols = len(self.rows[0])
+            for r in self.rows:
+                if len(r) != self.ncols:
+                    raise ShapeError("ragged rows")
+        else:
+            if ncols is None:
+                ncols = 0
+            self.ncols = ncols
+
+    def column(self, j):
+        return [r[j] for r in self.rows]
+
+    def transpose(self):
+        return DenseMatrix(
+            self.field,
+            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
+            self.nrows,
+        )
+
+    def is_zero(self):
+        p = self.field.characteristic
+        if p:
+            return not any(e % p for r in self.rows for e in r)
+        return not any(any(r) for r in self.rows)
+
+    def _check_field(self, other):
+        if self.field != other.field:
+            raise FieldMismatch("matrices over different fields")
+
+    def add(self, other):
+        self._check_field(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeError("addition shape mismatch")
+        p = self.field.characteristic
+        if p:
+            rows = [
+                [(a + b) % p if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        else:
+            rows = [
+                [a + b if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        return DenseMatrix(self.field, rows, self.ncols)
+
+    def sub(self, other):
+        self._check_field(other)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ShapeError("subtraction shape mismatch")
+        p = self.field.characteristic
+        if p:
+            rows = [
+                [(a - b) % p if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        else:
+            rows = [
+                [a - b if b else a for a, b in zip(ra, rb)]
+                for ra, rb in zip(self.rows, other.rows)
+            ]
+        return DenseMatrix(self.field, rows, self.ncols)
+
+    def scale(self, c):
+        f = self.field
+        c = f.coerce(c)
+        p = f.characteristic
+        if p:
+            rows = [[c * e % p for e in r] for r in self.rows]
+        else:
+            zero = f.zero()
+            rows = [[c * e if e else zero for e in r] for r in self.rows]
+        return DenseMatrix(f, rows, self.ncols)
+
+    def mul(self, other):
+        self._check_field(other)
+        if self.ncols != other.nrows:
+            raise ShapeError(
+                "product shape mismatch: %dx%d by %dx%d"
+                % (self.nrows, self.ncols, other.nrows, other.ncols)
+            )
+        f = self.field
+        p = f.characteristic
+        zero = f.zero()
+        n = other.ncols
+        b_rows = other.rows
+        b_nonzeros = [None] * other.nrows  # built on first use
+        cols = range(self.ncols)
+        out = []
+        for ra in self.rows:
+            acc = [zero] * n
+            for k in compress(cols, ra):
+                pairs = b_nonzeros[k]
+                if pairs is None:
+                    pairs = b_nonzeros[k] = [(j, e) for j, e in enumerate(b_rows[k]) if e]
+                a = ra[k]
+                for j, b in pairs:
+                    acc[j] += a * b
+            out.append([x % p for x in acc] if p else acc)
+        return DenseMatrix(f, out, n)
+
+    def apply_to_row(self, vec):
+        """Row vector times matrix: returns list of length ncols."""
+        if len(vec) != self.nrows:
+            raise ShapeError("row-vector length mismatch")
+        f = self.field
+        p = f.characteristic
+        out = [f.zero()] * self.ncols
+        for a, r in zip(vec, self.rows):
+            if a:
+                for j, e in enumerate(r):
+                    if e:
+                        out[j] += a * e
+        return [x % p for x in out] if p else out
+
+    def hstack(self, other):
+        self._check_field(other)
+        if self.nrows != other.nrows:
+            raise ShapeError("hstack row mismatch")
+        return DenseMatrix(
+            self.field,
+            [ra + rb for ra, rb in zip(self.rows, other.rows)],
+            self.ncols + other.ncols,
+        )
+
+    def vstack(self, other):
+        self._check_field(other)
+        if self.ncols != other.ncols:
+            raise ShapeError("vstack column mismatch")
+        return DenseMatrix(self.field, self.rows + other.rows, self.ncols)
+
+    def submatrix(self, row_indices, col_indices):
+        return DenseMatrix(
+            self.field,
+            [[self.rows[i][j] for j in col_indices] for i in row_indices],
+            len(col_indices),
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, DenseMatrix)
+            and self.field == other.field
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.rows == other.rows
+        )
 
 
 def is_zero(m):

@@ -30,7 +30,6 @@ from sphertwist.exactlin import (
     row_space_canonical,
     rref,
     solve,
-    sparse_rows,
 )
 
 
@@ -156,7 +155,7 @@ def test_prime_field_arithmetic():
     f5 = PrimeField(5)
     assert f5.inv(2) == 3
     assert f5.coerce("3/2") == f5.mul(3, f5.inv(2))
-    r, pivots = rref(Matrix.from_entries(f5, 2, 2, [2, 4, 1, 2]))
+    r, pivots = rref(Matrix(f5, [[2, 4], [1, 2]]))
     assert pivots == [0]
     assert r.rows[0] == [1, 2]
 
@@ -227,6 +226,33 @@ def test_multiple_of_p_is_zero():
     assert sb.contains([14, 0]) and not sb.add([21, 5])
 
 
+def test_equal_matrices_over_fp_have_equal_pairs():
+    # 7 ≡ 0 and 8 ≡ 1 in GF(7): equality agrees with a zero difference,
+    # and a sum that lands on a multiple of 7 is a zero, not a stored 7
+    f7 = PrimeField(7)
+    a, b = Matrix(f7, [[7, 8]]), Matrix(f7, [[0, 1]])
+    assert a.sub(b).is_zero()
+    assert a == b and a.pairs == b.pairs == [[(1, 1)]]
+    total = Matrix(f7, [[3, 1]]).add(Matrix(f7, [[4, 0]]))
+    assert total == b and total.pairs == [[(1, 1)]]
+
+
+def test_a_shape_that_disagrees_with_the_rows_raises():
+    assert (Matrix(QQ, [], 5).nrows, Matrix(QQ, [], 5).ncols) == (0, 5)
+    assert Matrix(QQ, [[1, 2]], 2).ncols == 2
+    for rows, ncols in (([[1, 2]], 5), ([[1, 2]], 1), ([[1, 2], [1]], None)):
+        with pytest.raises(ShapeError):
+            Matrix(QQ, rows, ncols)
+    one = Fraction(1)
+    assert Matrix.from_pairs(QQ, [[(0, one), (2, one)], []], 3).rows == [
+        [1, 0, 1], [0, 0, 0]
+    ]
+    # a column out of range, and columns unsorted or repeated
+    for pairs in ([[(3, one)]], [[(-1, one)]], [[(2, one), (0, one)]], [[(1, one), (1, one)]]):
+        with pytest.raises(ShapeError):
+            Matrix.from_pairs(QQ, pairs, 3)
+
+
 def test_span_builder_matches_rref_canonical():
     rows = [[1, 2, 3], [0, 1, 1], [1, 3, 4]]
     sb = SpanBuilder(QQ, 3)
@@ -257,8 +283,8 @@ FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 def matrices(draw, field=QQ, max_dim=4, nrows=None, ncols=None, entries=small_entries):
     n = nrows if nrows is not None else draw(st.integers(1, max_dim))
     c = ncols if ncols is not None else draw(st.integers(1, max_dim))
-    values = draw(st.lists(entries, min_size=n * c, max_size=n * c))
-    return Matrix.from_entries(field, n, c, values)
+    values = [field.coerce(v) for v in draw(st.lists(entries, min_size=n * c, max_size=n * c))]
+    return Matrix(field, [values[i * c : (i + 1) * c] for i in range(n)], c)
 
 
 @given(matrices())
@@ -315,7 +341,7 @@ def test_rank_nullity_mod_p(m):
 @given(matrices(max_dim=3), matrices(max_dim=3))
 def test_intersection_contained_in_both(u, v):
     if u.nrows != v.nrows:
-        u = Matrix.from_entries(QQ, v.nrows, u.ncols, [1] * (v.nrows * u.ncols))
+        u = Matrix(QQ, [[Fraction(1)] * u.ncols for _ in range(v.nrows)], u.ncols)
     w = intersect_subspaces(u, v)
     for j in range(w.ncols):
         col = Matrix(QQ, [[e] for e in w.column(j)], 1)
@@ -365,15 +391,18 @@ def test_arithmetic_matches_reference(data):
 
 
 def restored(data, m):
-    """m with each F_p entry stored as its residue plus a drawn multiple
-    of p, zeros included; over Q, m itself."""
+    """The pairs of m with each F_p entry given as its residue plus a
+    drawn multiple of p, zeros included (as pairs of their own); over Q,
+    m's pairs."""
     p = m.field.characteristic
     if not p:
-        return m
+        return m.pairs
     shifts = st.integers(-2, 2)
-    return Matrix(
-        m.field, [[e + p * data.draw(shifts) for e in row] for row in m.rows], m.ncols
-    )
+    out = []
+    for row in m.rows:
+        stored = ((j, e + p * data.draw(shifts)) for j, e in enumerate(row))
+        out.append([(j, e) for j, e in stored if e])
+    return out
 
 
 @given(st.data())
@@ -386,9 +415,9 @@ def test_product_residual_matches_dense_products(data):
     a = draw_matrix(data, field)
     b = draw_matrix(data, field, nrows=a.ncols)
     if data.draw(st.booleans()):
-        c, d = restored(data, a), restored(data, b)
+        c, d = a, b
         if data.draw(st.booleans()):
-            rows = [list(r) for r in d.rows]
+            rows = d.rows
             i = data.draw(st.integers(0, d.nrows - 1))
             j = data.draw(st.integers(0, d.ncols - 1))
             rows[i][j] += field.coerce(data.draw(sparse_entries))
@@ -396,15 +425,13 @@ def test_product_residual_matches_dense_products(data):
     else:
         c = draw_matrix(data, field, nrows=a.nrows)
         d = draw_matrix(data, field, nrows=c.ncols, ncols=b.ncols)
-    a, b = restored(data, a), restored(data, b)
     lhs, rhs = a.mul(b), c.mul(d)
     first = next(
         (r for r, (x, y) in enumerate(zip(lhs.rows, rhs.rows)) if x != y), None
     )
     assert (first is None) == (lhs == rhs)
     got = product_residual(
-        sparse_rows(a), sparse_rows(b), sparse_rows(c), sparse_rows(d),
-        field.characteristic,
+        *(restored(data, m) for m in (a, b, c, d)), field.characteristic
     )
     assert got == first
 
@@ -438,6 +465,124 @@ def test_span_builder_matches_reference(data):
         red = sb._reduce(vec)
         assert all(red.values())
         assert dense(field, m.ncols, red) == rsb._reduce(vec)
+
+
+# ---------------------------------------------------------------------------
+# the stored pairs against the dense oracle, `exactlin_reference.DenseMatrix`:
+# every kernel over Q and three prime fields at the sparsity of the
+# workloads (1 % to 5 % nonzeros, so most rows are empty), shapes 0×n and
+# n×0 included, and over F_p every cell, zeros included, given unreduced
+# as its residue plus k·p
+
+oracle_values = st.sampled_from([1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11)])
+
+
+@st.composite
+def oracle_rows(draw, field, nrows, ncols):
+    """Dense rows with 1 % to 5 % of their cells nonzero (at least one
+    drawn cell), stored over F_p as residue + k·p, −2 ≤ k ≤ 2."""
+    density = draw(st.sampled_from([0.01, 0.02, 0.05]))
+    rows = [[field.zero()] * ncols for _ in range(nrows)]
+    if nrows and ncols:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        count = max(1, round(density * nrows * ncols))
+        for i, j in draw(st.lists(cells, min_size=count, max_size=count)):
+            rows[i][j] = field.coerce(draw(oracle_values))
+    p = field.characteristic
+    if p:
+        rng = draw(st.randoms(use_true_random=False))
+        rows = [[e + p * rng.randint(-2, 2) for e in row] for row in rows]
+    return rows
+
+
+def reduced(field, rows):
+    p = field.characteristic
+    return [[e % p for e in row] for row in rows] if p else [list(row) for row in rows]
+
+
+def assert_matches(m, dense):
+    """m holds the oracle's matrix in the stored form: its rows view is
+    the oracle's rows read modulo p, and each row's pairs are sorted by
+    column, nonzero and, over F_p, reduced into [1, p)."""
+    f = m.field
+    assert (m.nrows, m.ncols) == (dense.nrows, dense.ncols)
+    assert m.rows == reduced(f, dense.rows)
+    p = f.characteristic
+    for row in m.pairs:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns))
+        assert all(0 < e < p if p else e for _, e in row)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_every_kernel_matches_the_dense_oracle(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    n, c, k = (data.draw(st.integers(0, 24)) for _ in range(3))
+    rows_a, rows_b = (data.draw(oracle_rows(field, n, c)) for _ in range(2))
+    rows_c = data.draw(oracle_rows(field, c, k))
+    a, b, cm = Matrix(field, rows_a, c), Matrix(field, rows_b, c), Matrix(field, rows_c, k)
+    da, db, dc = (
+        ref.DenseMatrix(field, rows_a, c),
+        ref.DenseMatrix(field, rows_b, c),
+        ref.DenseMatrix(field, rows_c, k),
+    )
+    assert_matches(a, da)
+    assert_matches(a.add(b), da.add(db))
+    assert_matches(a.sub(b), da.sub(db))
+    assert_matches(a.mul(cm), da.mul(dc))
+    scalar = data.draw(st.one_of(st.just(0), oracle_values))
+    assert_matches(a.scale(scalar), da.scale(scalar))
+    assert_matches(a.transpose(), da.transpose())
+    assert_matches(a.hstack(b), da.hstack(db))
+    assert_matches(a.vstack(b), da.vstack(db))
+    rows = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    cols = data.draw(st.permutations(range(c)))[: data.draw(st.integers(0, c))]
+    assert_matches(a.submatrix(rows, cols), da.submatrix(rows, cols))
+    # and on a denser matrix, whose rows the column order reshuffles
+    full = draw_matrix(data, field)
+    rows = data.draw(st.lists(st.integers(0, full.nrows - 1), max_size=6))
+    cols = data.draw(st.permutations(range(full.ncols)))
+    dense = ref.DenseMatrix(field, full.rows)
+    assert_matches(full.submatrix(rows, cols), dense.submatrix(rows, cols))
+    assert all(a.column(j) == reduced(field, [da.column(j)])[0] for j in range(c))
+    assert a.is_zero() == da.is_zero()
+    assert (a == b) == (reduced(field, rows_a) == reduced(field, rows_b))
+    assert a == Matrix(field, reduced(field, rows_a), c)
+    assert Matrix.from_pairs(field, a.pairs, c) == a
+    u = data.draw(oracle_rows(field, 1, n))[0] if n else []
+    assert a.apply_to_row(u) == da.apply_to_row(u)
+
+    r, pivots = rref(a)
+    ref_rows, ref_pivots = ref.rref(da)
+    assert pivots == ref_pivots
+    assert r.rows == reduced(field, ref_rows)
+    assert row_space_canonical(a).rows == reduced(field, ref_rows[: len(pivots)])
+    assert kernel_basis(a).transpose().rows == ref.kernel_basis(da)
+    rhs = data.draw(oracle_rows(field, 1, n))[0] if n else []
+    assert solve(a, rhs) == ref.solve(da, rhs)
+    span, ref_span = SpanBuilder(field, c), ref.SpanBuilder(field, c)
+    for row in rows_a:
+        assert span.add(row) == ref_span.add(row)
+    assert span.basis_matrix().rows == ref_span.rows
+    assert span.kernel_basis() == kernel_basis(a)
+
+    corner = (range(min(n, 4)), range(min(c, 4)))
+    ka, kb = a.submatrix(*corner), b.submatrix(*corner)
+    dka, dkb = da.submatrix(*corner), db.submatrix(*corner)
+    assert kronecker(ka, kb).rows == reduced(field, ref.kronecker(dka, dkb))
+
+    pre = Preimages(a)
+    v = da.apply_to_row(u)
+    x = pre.of(v)
+    assert da.apply_to_row(x) == v
+    assert pre.of({j: e for j, e in enumerate(v) if e}) == x
+    w = data.draw(oracle_rows(field, 1, c))[0] if c else []
+    if ref_span.contains(w):
+        assert da.apply_to_row(pre.of(w)) == reduced(field, [w])[0]
+    else:
+        with pytest.raises(SphertwistError, match="vector has no preimage"):
+            pre.of(w)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def yoneda_homs(term, cover, n):
     homs = []
     at = 0
     for incl, (rows, _) in zip(incls, _yoneda_blocks(n, cover)):
-        for v in rows:
+        for v in rows.rows:
             mat = [[f.zero()] * n.dim for _ in range(term.dim)]
             for r, w in enumerate(incl.rows):
                 mat[at + r] = n.apply(v, w)

@@ -716,7 +716,7 @@ def precompose_from_the_map(n, d_matrix, source, target, source_blocks,
     ]
     rows = []
     for k, (k_rows, _) in enumerate(target_blocks):
-        for v in k_rows:
+        for v in k_rows.rows:
             phi = Matrix(f, [n.apply(v, c[k]) for c in comps], n.dim)
             composite = d_matrix.mul(phi)
             row = []
@@ -724,7 +724,7 @@ def precompose_from_the_map(n, d_matrix, source, target, source_blocks,
                 value = composite.apply_to_row(g)
                 row.extend(value[j] for j in pivots)
             rows.append(row)
-    return Matrix(f, rows, sum(len(r) for r, _ in source_blocks))
+    return Matrix(f, rows, sum(r.nrows for r, _ in source_blocks))
 
 
 @pytest.mark.parametrize("surjection", SURJECTIONS, indirect=True)
