@@ -1,13 +1,16 @@
 """Finite-dimensional associative algebras over exact fields.
 
 An algebra is its table of structure constants, stored sparse:
-``table[i][j]`` lists the (t, c) pairs of the nonzero coordinates of
-``b_i * b_j``, sorted by t.  The algebras appearing in practice (path
-algebras, endomorphism algebras and their quotients) have very few
-nonzero structure constants, so every routine that makes an algebra
-writes the pairs directly and every reader (products, multiplication
-matrices, trace forms, the checks of surjections and modules) walks
-them.  A dense table enters only through `from_structure_constants`.
+``table[i][j]`` is the vector of ``b_i * b_j``, the (t, c) pairs of its
+nonzero coordinates sorted by t (the vector form of `exactlin`).  Its
+elements (the unit, the idempotent tags, the arguments and values of
+``mul_vec``) are vectors in the same form.  The algebras appearing in
+practice (path algebras, endomorphism algebras and their quotients)
+have very few nonzero structure constants, so every routine that makes
+an algebra writes the pairs directly and every reader (products,
+multiplication matrices, trace forms, the checks of surjections and
+modules) walks them.  Dense input enters only through
+`from_structure_constants`.
 Construction always runs the full battery of checks (associativity on
 every basis triple, two-sided unit law), so a value of type
 :class:`Algebra` is trusted everywhere else in the package.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import compress
 
 from .errors import (
     BadUnit,
@@ -41,6 +43,8 @@ from .exactlin import (
     SpanQuotient,
     kernel_basis,
     _canonical,
+    _check_vector,
+    combine,
     product_residual,
     rref,
     solve,
@@ -51,51 +55,42 @@ class Algebra:
     """Associative unital algebra with a distinguished basis.
 
     ``table`` is the sparse table of structure constants: a d×d array of
-    lists of (t, c) pairs with 0 ≤ t < d strictly increasing.  Only the
-    entries given are coerced into the field, and those that coerce to
-    zero are dropped, so equal algebras have equal tables.  A row of the
-    wrong length, an entry that is not a pair (a dense table, say) or a
-    column out of range, unsorted or repeated raises ShapeError.
+    vectors, lists of (t, c) pairs with 0 ≤ t < d strictly increasing.
+    The ``unit`` and each vector of the ``idempotents`` tags, a list of
+    (role, vector) pairs, are read the same way: only the entries given
+    are coerced into the field, and those that coerce to zero are
+    dropped, so equal algebras have equal tables, units and tags.  A
+    table row of the wrong length, an entry that is not a pair (a dense
+    vector, say) or an index out of range, unsorted or repeated raises
+    ShapeError.
     """
 
     def __init__(self, field, table, unit, basis_labels=None, idempotents=None):
         self.field = field
         self.dim = d = len(table)
         coerce = field.coerce
-        self.table = []
         try:
+            self.table = []
             for row in table:
                 if len(row) != d:
                     raise ShapeError("table row of length %d, dim %d" % (len(row), d))
-                out = []
-                for pairs in row:
-                    vec, last = [], -1
-                    for t, c in pairs:
-                        if not 0 <= t < d:
-                            raise ShapeError("table column %r outside [0, %d)" % (t, d))
-                        if t <= last:
-                            raise ShapeError("table columns unsorted or repeated")
-                        last = t
-                        c = coerce(c)
-                        if c:
-                            vec.append((t, c))
-                    out.append(vec)
-                self.table.append(out)
+                self.table.append([_read_vector(coerce, vec, d, "table") for vec in row])
+            self.unit = _read_vector(coerce, unit, d, "unit")
+            self.idempotents = (
+                [(role, _read_vector(coerce, vec, d, "tag")) for role, vec in idempotents]
+                if idempotents
+                else None
+            )
         except TypeError as exc:
-            raise ShapeError("table entries must be (column, coefficient) pairs") from exc
-        self.unit = [field.coerce(c) for c in unit]
+            raise ShapeError(
+                "table entries, unit and tags must be (index, coefficient) pairs"
+            ) from exc
         if basis_labels is None:
             basis_labels = ["b%d" % i for i in range(self.dim)]
         self.basis_labels = list(basis_labels)
-        # idempotents: list of (role, coordinate vector) — optional tags
-        self.idempotents = (
-            [(role, [field.coerce(c) for c in vec]) for role, vec in idempotents]
-            if idempotents
-            else None
-        )
         # the span of the non-trivial paths, recorded by `from_quiver` as
-        # {basis index: 1} vectors; `radical` takes it once certified,
-        # and records whether it did
+        # basis vectors; `radical` takes it once certified, and records
+        # whether it did
         self._arrow_ideal = None
         self._arrow_ideal_is_radical = False
         # per-algebra caches: of this module ...
@@ -118,10 +113,7 @@ class Algebra:
 
     def _validate(self):
         d, f = self.dim, self.field
-        if len(self.unit) != d:
-            raise BadUnit("unit vector length %d != dim %d" % (len(self.unit), d))
-        unit = list(enumerate(self.unit))
-        left, right = self._mult_rows(unit, True), self._mult_rows(unit, False)
+        left, right = self._mult_rows(self.unit, True), self._mult_rows(self.unit, False)
         one = f.one()
         for i in range(d):
             ei = [(i, one)]
@@ -152,11 +144,11 @@ class Algebra:
                 if self.mul_vec(va, va) != va:
                     raise SphertwistError("tagged element %r is not idempotent" % role_a)
                 for role_b, vb in self.idempotents[a + 1 :]:
-                    if any(not f.is_zero(c) for c in self.mul_vec(va, vb)):
+                    if self.mul_vec(va, vb):
                         raise SphertwistError(
                             "tagged idempotents %r, %r not orthogonal" % (role_a, role_b)
                         )
-                    if any(not f.is_zero(c) for c in self.mul_vec(vb, va)):
+                    if self.mul_vec(vb, va):
                         raise SphertwistError(
                             "tagged idempotents %r, %r not orthogonal" % (role_b, role_a)
                         )
@@ -164,91 +156,106 @@ class Algebra:
     # -- coordinate arithmetic
 
     def basis_vector(self, i):
-        v = [self.field.zero()] * self.dim
-        v[i] = self.field.one()
-        return v
+        return [(i, self.field.one())]
 
     def mul_vec(self, x, y):
-        """Coordinates of x·y: the nonzeros of x against those of y over
-        the table, reduced modulo p once at the end."""
-        f = self.field
-        p = f.characteristic
-        out = [f.zero()] * self.dim
-        if p:
-            xs = [(i, c) for i, c in enumerate(x) if c % p]
-            ys = [(j, c) for j, c in enumerate(y) if c % p]
-        else:
-            xs = [(i, x[i]) for i in compress(range(len(x)), x)]
-            ys = [(j, y[j]) for j in compress(range(len(y)), y)]
-        for i, xi in xs:
-            table = self.table[i]
-            for j, yj in ys:
+        """The vector x·y: the pairs of x against those of y over the
+        table, summed in a dict and reduced modulo p once at the end."""
+        d = self.dim
+        _check_vector(x, d)
+        _check_vector(y, d)
+        acc = {}
+        get = acc.get
+        table = self.table
+        for i, xi in x:
+            row = table[i]
+            for j, yj in y:
                 c = xi * yj
-                for t, s in table[j]:
-                    out[t] += c * s
-        return [v % p for v in out] if p else out
+                for t, s in row[j]:
+                    acc[t] = get(t, 0) + c * s
+        return _canonical(acc, self.field.characteristic)
 
     def left_mult_matrix(self, x):
         """Matrix of v ↦ x·v on row vectors: row i is x·bᵢ = Σₖ xₖ·bₖbᵢ."""
-        return Matrix.from_pairs(self.field, self._mult_rows(enumerate(x), True), self.dim)
+        return Matrix.from_pairs(self.field, self._mult_rows(x, True), self.dim)
 
     def right_mult_matrix(self, x):
         """Matrix of v ↦ v·x on row vectors: row i is bᵢ·x = Σₖ xₖ·bᵢbₖ."""
-        return Matrix.from_pairs(self.field, self._mult_rows(enumerate(x), False), self.dim)
+        return Matrix.from_pairs(self.field, self._mult_rows(x, False), self.dim)
 
     def _mult_rows(self, x, left):
-        """The (column, entry) pairs of each row i = Σₖ xₖ·(bₖbᵢ if left
-        else bᵢbₖ), for x given by (k, xₖ) pairs, summed over the nonzero
-        xₖ and the pairs of row k (column k) of the table.  For a basis
-        vector x = bₖ the rows are those pairs themselves."""
+        """The vectors of the rows i = Σₖ xₖ·(bₖbᵢ if left else bᵢbₖ) for
+        a vector x, summed over its pairs and the pairs of row k (column
+        k) of the table.  For a basis vector x = bₖ the rows are those
+        pairs themselves, and for x = 0 they are empty."""
+        _check_vector(x, self.dim)
         p = self.field.characteristic
-        support = [(k, xk) for k, xk in x if (xk % p if p else xk)]
         products = [
             self.table[k] if left else [row[k] for row in self.table]
-            for k, _ in support
+            for k, _ in x
         ]
-        if len(support) == 1 and support[0][1] == 1:
+        if len(x) == 1 and x[0][1] == 1:
             return list(products[0])
-        rows = [{} for _ in range(self.dim)]
-        for (_, xk), column in zip(support, products):
-            for out, pairs in zip(rows, column):
-                get = out.get
-                for t, c in pairs:
-                    out[t] = get(t, 0) + xk * c
-        return [_canonical(out, p) for out in rows]
+        if not x:
+            return [[] for _ in range(self.dim)]
+        terms = [(xk, column) for (_, xk), column in zip(x, products)]
+        return [
+            combine([(xk, column[i]) for xk, column in terms], p) for i in range(self.dim)
+        ]
 
     def is_idempotent(self, x):
-        return self.mul_vec(x, x) == [self.field.coerce(c) for c in x]
+        return self.mul_vec(x, x) == x
 
     def __repr__(self):
         return "Algebra(dim=%d over %r)" % (self.dim, self.field)
 
 
+def _read_vector(coerce, pairs, d, what):
+    """The vector of the given (index, entry) pairs: each entry coerced
+    into the field and the zeros dropped.  An index outside [0, d),
+    unsorted or repeated raises ShapeError."""
+    vec, last = [], -1
+    for t, c in pairs:
+        if not 0 <= t < d:
+            raise ShapeError("%s index %r outside [0, %d)" % (what, t, d))
+        if t <= last:
+            raise ShapeError("%s indices unsorted or repeated" % what)
+        last = t
+        c = coerce(c)
+        if c:
+            vec.append((t, c))
+    return vec
+
+
 def from_structure_constants(field, mult, unit, basis_labels=None, idempotents=None):
-    """Validated algebra from a dense multiplication table: ``mult[i][j]``
-    is the coordinate vector of bᵢ·bⱼ.  Every entry is coerced into the
-    field, and the nonzeros become the `Algebra` table."""
+    """Validated algebra from dense input, the one reader of dense vectors:
+    ``mult[i][j]`` is the coordinates of bᵢ·bⱼ, and the unit and the
+    tagged vectors are dense too.  Each goes to `Algebra` as its
+    enumerated pairs; a vector of the wrong length raises."""
     d = len(mult)
-    table = []
-    for row in mult:
-        if len(row) != d or any(len(vec) != d for vec in row):
-            raise SphertwistError("multiplication table shape mismatch")
-        table.append([_pairs(map(field.coerce, vec)) for vec in row])
-    return Algebra(field, table, unit, basis_labels=basis_labels, idempotents=idempotents)
-
-
-def _pairs(vec):
-    """The (t, c) pairs of the nonzero entries of a dense vector."""
-    return [(t, c) for t, c in enumerate(vec) if c]
+    if any(len(row) != d or any(len(vec) != d for vec in row) for row in mult):
+        raise SphertwistError("multiplication table shape mismatch")
+    if len(unit) != d:
+        raise BadUnit("unit vector length %d != dim %d" % (len(unit), d))
+    if any(len(vec) != d for _, vec in idempotents or ()):
+        raise ShapeError("tagged vector of the wrong length, dim %d" % d)
+    table = [[list(enumerate(vec)) for vec in row] for row in mult]
+    tags = [(role, list(enumerate(vec))) for role, vec in idempotents or ()]
+    return Algebra(
+        field, table, list(enumerate(unit)), basis_labels=basis_labels,
+        idempotents=tags or None,
+    )
 
 
 def _gram(a, form):
-    """The Gram matrix (λ(bᵢbⱼ))ᵢⱼ of the linear form λ with λ(bₜ) =
-    form[t], read off the table as Σₜ cᵢⱼᵗ·λ(bₜ)."""
+    """The Gram matrix (λ(bᵢbⱼ))ᵢⱼ of the linear form λ whose value
+    λ(bₜ) is the entry at t of the vector ``form``, read off the table as
+    Σₜ cᵢⱼᵗ·λ(bₜ)."""
     f = a.field
-    p, zero = f.characteristic, f.zero()
+    p = f.characteristic
+    get = dict(form).get
     rows = [
-        [sum((form[t] * c for t, c in vec), zero) for vec in products]
+        [sum(get(t, 0) * c for t, c in vec) for vec in products]
         for products in a.table
     ]
     if p:
@@ -305,17 +312,11 @@ class SurjectionData:
         return self.matrix.apply_to_row(vec)
 
 
-def _as_vector_list(field, basis, dim):
-    """Accept a Matrix (columns) or list of coordinate vectors."""
-    if isinstance(basis, Matrix):
-        return [basis.column(j) for j in range(basis.ncols)]
-    return [[field.coerce(c) for c in v] for v in basis]
-
-
 def quotient_surjection(a, ideal):
     """Quotient by a two-sided ideal; returns the surjection data.
 
-    The span of ``ideal`` is audited first (`_ideal_escape`): the first
+    ``ideal`` is a list of vectors, or a Matrix whose columns are the
+    vectors.  Their span is audited first (`_ideal_escape`): the first
     product bᵢ·g or g·bᵢ that leaves it raises NotAnIdeal with the
     witness (i, g, product).
 
@@ -328,10 +329,12 @@ def quotient_surjection(a, ideal):
     zero image is dropped: it is the unit of no corner.
     """
     f = a.field
-    gens = _as_vector_list(f, ideal, a.dim)
-    for g in gens:
-        if len(g) != a.dim:
-            raise SphertwistError("ideal vector length mismatch")
+    if isinstance(ideal, Matrix):
+        if ideal.nrows != a.dim:
+            raise ShapeError("ideal columns of length %d, dim %d" % (ideal.nrows, a.dim))
+        gens = ideal.transpose().pairs
+    else:
+        gens = ideal
     span = SpanBuilder(f, a.dim)
     for g in gens:
         span.add(g)
@@ -345,16 +348,15 @@ def quotient_surjection(a, ideal):
         )
     ideal_matrix = span.basis_matrix()
     q = SpanQuotient(span)
-    table = [
-        [_pairs(q.project(dict(a.table[i][j]))) for j in q.kept]
-        for i in q.kept
-    ]
+    table = [[q.project(a.table[i][j]) for j in q.kept] for i in q.kept]
     unit = q.project(a.unit)
     labels = [a.basis_labels[i] for i in q.kept]
     images = [(role, q.project(v)) for role, v in a.idempotents or []]
-    tags = [(role, v) for role, v in images if any(v)]
+    tags = [(role, v) for role, v in images if v]
     target = Algebra(f, table, unit, basis_labels=labels, idempotents=tags)
-    pmat = Matrix(f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim)
+    pmat = Matrix.from_pairs(
+        f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim
+    )
     kernel = ideal_matrix.transpose()
     return SurjectionData(a, target, pmat, kernel)
 
@@ -366,28 +368,19 @@ def _ideal_escape(a, span):
     The canonical rows g of the span are taken in order, and for each the
     basis elements bᵢ in order, bᵢ·g (``left``) before g·bᵢ; this is the
     order of multiplying by basis vectors with `Algebra.mul_vec`, and g
-    and the product are dense lists as that gives them.  The products are
+    and the product are vectors as that gives them.  The products are
     read off the sparse table as sums Σⱼ gⱼ·(bᵢbⱼ) and Σⱼ gⱼ·(bⱼbᵢ) over
-    the nonzero gⱼ, and each is tested against the span as the dict of
-    its sums.
+    the pairs of g.
     """
-    f, d = a.field, a.dim
-    p = f.characteristic
+    p = a.field.characteristic
     table = a.table
-    for support in span.basis_pairs():
-        for i in range(d):
+    for g in span.basis_pairs():
+        for i in range(a.dim):
             for left in (True, False):
-                acc = {}
-                get = acc.get
-                for j, c in support:
-                    for t, s in table[i][j] if left else table[j][i]:
-                        acc[t] = get(t, 0) + c * s
-                if not span.contains(acc):
-                    g, product = [f.zero()] * d, [f.zero()] * d
-                    for j, c in support:
-                        g[j] = c
-                    for t, x in acc.items():
-                        product[t] = x % p if p else x
+                product = combine(
+                    [(c, table[i][j] if left else table[j][i]) for j, c in g], p
+                )
+                if not span.contains(product):
                     return i, g, product, left
     return None
 
@@ -478,7 +471,7 @@ def _presented_radical(a):
     if _ideal_escape(a, span) is not None:
         return None
     rad = span.basis_matrix().transpose()
-    if not _is_nilpotent(a, [rad.column(j) for j in range(rad.ncols)]):
+    if not _is_nilpotent(a, rad.transpose().pairs):
         return None
     for _, v in a.idempotents:
         if not span.add(v):
@@ -495,7 +488,7 @@ def _is_nilpotent(a, base):
     ``base``."""
     f, d = a.field, a.dim
     rights = [a.right_mult_matrix(v) for v in base]
-    current = Matrix(f, base, d)
+    current = Matrix.from_pairs(f, base, d)
     steps = 1
     while current.nrows:
         if steps > d:
@@ -504,7 +497,7 @@ def _is_nilpotent(a, base):
         for r in rights:
             for row in current.mul(r).pairs:
                 if row:
-                    nxt.add(dict(row))
+                    nxt.add(row)
         current = nxt.basis_matrix()
         steps += 1
     return True
@@ -521,17 +514,18 @@ def _trace_form_radical(a):
     multiplication matrix is built.
     """
     f = a.field
-    if f.characteristic != 0 and f.characteristic <= a.dim:
+    p = f.characteristic
+    if p != 0 and p <= a.dim:
         raise UnsupportedCharacteristic(
             "trace-form radical needs char 0 or p > dim; got p=%d, dim=%d"
-            % (f.characteristic, a.dim)
+            % (p, a.dim)
         )
-    traces = [
-        sum((c for i, pairs in enumerate(row) for t, c in pairs if t == i), f.zero())
-        for row in a.table
-    ]
-    rad = kernel_basis(_gram(a, traces))
-    if not _is_nilpotent(a, [rad.column(j) for j in range(rad.ncols)]):
+    traces = {
+        t: sum(c for i, vec in enumerate(row) for s, c in vec if s == i)
+        for t, row in enumerate(a.table)
+    }
+    rad = kernel_basis(_gram(a, _canonical(traces, p)))
+    if not _is_nilpotent(a, rad.transpose().pairs):
         raise SphertwistError("radical candidate is not nilpotent")
     return rad
 
@@ -584,7 +578,6 @@ def enveloping(a, b):
         raise FieldMismatch("enveloping factors over different fields")
     f = a.field
     da, db = a.dim, b.dim
-    dim = da * db
     # (b_j ⊗ a_iᵒᵖ)(b_l ⊗ a_kᵒᵖ) = (b_j b_l) ⊗ (a_k a_i)ᵒᵖ; both pair lists
     # are sorted, so the flat columns m·dim(a) + n come out sorted
     table = [
@@ -594,8 +587,11 @@ def enveloping(a, b):
         ]
         for j in range(db) for i in range(da)
     ]
-    # a pure tensor y ⊗ x has the coordinates yₘ·xₙ at m·dim(a) + n
-    unit = [f.mul(cb, ca) for cb in b.unit for ca in a.unit]
+    def tensor(y, x):
+        # a pure tensor y ⊗ x has the coordinates yₘ·xₙ at m·dim(a) + n
+        return [(m * da + n, f.mul(cb, ca)) for m, cb in y for n, ca in x]
+
+    unit = tensor(b.unit, a.unit)
     labels = [
         "%s(x)%s" % (b.basis_labels[j], a.basis_labels[i])
         for j in range(db)
@@ -603,21 +599,16 @@ def enveloping(a, b):
     ]
     env = Algebra(f, table, unit, basis_labels=labels)
     prims = [
-        [f.mul(cb, ca) for cb in fb for ca in ea]
-        for fb in lift_idempotents(b) for ea in lift_idempotents(a)
+        tensor(fb, ea) for fb in lift_idempotents(b) for ea in lift_idempotents(a)
     ]
-    total = [f.zero()] * dim
     for e in prims:
         if env.mul_vec(e, e) != e:
             raise SphertwistError("seeded tensor idempotent fails to square")
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    if total != env.unit:
+    if combine([(1, e) for e in prims], f.characteristic) != env.unit:
         raise SphertwistError("seeded tensor idempotents do not sum to 1")
     for i, e in enumerate(prims):
         for e2 in prims[i + 1 :]:
-            if any(not f.is_zero(c) for c in env.mul_vec(e, e2)) or any(
-                not f.is_zero(c) for c in env.mul_vec(e2, e)
-            ):
+            if env.mul_vec(e, e2) or env.mul_vec(e2, e):
                 raise SphertwistError("seeded tensor idempotents not orthogonal")
     env._idempotent_cache = [list(e) for e in prims]
     return env
@@ -749,7 +740,7 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     # sanity: every enumerated path of length ≥ stab must be reducible
     for p in all_paths:
         if len(p) >= stab and coord_of[p.key()] not in pivot_set:
-            reduced = ideal._reduce({coord_of[p.key()]: one})
+            reduced = ideal._reduce([(coord_of[p.key()], one)])
             if any(len(all_paths[order[pos]]) >= stab for pos in reduced):
                 raise InfiniteDimensional(
                     "path of length %d fails to reduce below the stabilization length"
@@ -758,7 +749,7 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     index_of = {p.key(): i for i, p in enumerate(basis_paths)}
 
     def normal_coords(path):
-        v = ideal._reduce({coord_of[path.key()]: one})
+        v = ideal._reduce([(coord_of[path.key()], one)])
         return sorted((index_of[all_paths[order[pos]].key()], c) for pos, c in v.items())
 
     # a product of paths that do not compose is 0
@@ -770,17 +761,12 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
         ]
         for pi in basis_paths
     ]
-    unit = [f.zero()] * len(basis_paths)
-    idems = []
-    for i, v in enumerate(vlabels):
-        trivial = _Path(i, i, ())
-        unit[index_of[trivial.key()]] = f.one()
-        evec = [f.zero()] * len(basis_paths)
-        evec[index_of[trivial.key()]] = f.one()
-        idems.append(("vertex:%s" % v, evec))
+    vertex_at = [index_of[_Path(i, i, ()).key()] for i in range(len(vlabels))]
+    unit = sorted((k, one) for k in vertex_at)
+    idems = [("vertex:%s" % v, [(k, one)]) for v, k in zip(vlabels, vertex_at)]
     labels = [p.label(vlabels) for p in basis_paths]
     alg = Algebra(f, table, unit, basis_labels=labels, idempotents=idems)
-    alg._arrow_ideal = [{index_of[p.key()]: one} for p in basis_paths if p.arrows]
+    alg._arrow_ideal = [[(index_of[p.key()], one)] for p in basis_paths if p.arrows]
     return alg
 
 
@@ -799,13 +785,12 @@ def _path_coordinates(paths_by_len):
 
 
 def _path_vector(f, coord_of, terms):
-    """The entries of a linear combination of paths, given as (c, path),
-    as {coordinate: coefficient}."""
+    """The vector of a linear combination of paths, given as (c, path)."""
     v = {}
     for c, p in terms:
         pos = coord_of[p.key()]
         v[pos] = f.add(v.get(pos, f.zero()), c)
-    return v
+    return _canonical(v, f.characteristic)
 
 
 def _relation_closure(f, rels, arrow_items, coord_of, width, max_len):
@@ -855,7 +840,7 @@ def _stabilized(f, paths_by_len, rels, arrow_items, L):
     top = {coord_of[q.key()] for q in paths_by_len[L]}
     one = f.one()
     return all(
-        top.isdisjoint(span._reduce({coord_of[p.key()]: one}))
+        top.isdisjoint(span._reduce([(coord_of[p.key()], one)]))
         for p in paths_by_len[L]
     )
 
@@ -940,9 +925,11 @@ def _matrix_min_poly(m):
         powers.append(powers[-1].mul(m))
         k = len(powers) - 1
         cols = Matrix.from_pairs(f, [flat(p) for p in powers[:k]], n * n).transpose()
-        x = solve(cols, Matrix.from_pairs(f, [flat(powers[k])], n * n).transpose().column(0))
+        x = solve(cols, flat(powers[k]))
         if x is not None:
-            coeffs = [f.neg(c) for c in x] + [f.one()]
+            coeffs = [f.zero()] * k + [f.one()]
+            for j, c in x:
+                coeffs[j] = f.neg(c)
             return _poly_trim(f, coeffs)
 
 
@@ -1111,7 +1098,6 @@ def lift_idempotents(a):
     """
     if a._idempotent_cache is not None:
         return [list(e) for e in a._idempotent_cache]
-    f = a.field
     op = a._opposite_cache
     if op is not None and op._idempotent_cache is not None:
         result = [list(e) for e in op._idempotent_cache]
@@ -1121,18 +1107,14 @@ def lift_idempotents(a):
         result = []
         for e in reversed(_seed_idempotents(a)):
             _split_corner(a, e, result)
-    total = [f.zero()] * a.dim
     for e in result:
         if a.mul_vec(e, e) != e:
             raise SphertwistError("lifted idempotent does not square to itself")
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    if total != a.unit:
+    if combine([(1, e) for e in result], a.field.characteristic) != a.unit:
         raise SphertwistError("lifted idempotents do not sum to 1")
     for i, e in enumerate(result):
         for e2 in result[i + 1 :]:
-            if any(not f.is_zero(c) for c in a.mul_vec(e, e2)):
-                raise SphertwistError("lifted idempotents not orthogonal")
-            if any(not f.is_zero(c) for c in a.mul_vec(e2, e)):
+            if a.mul_vec(e, e2) or a.mul_vec(e2, e):
                 raise SphertwistError("lifted idempotents not orthogonal")
     a._idempotent_cache = [list(e) for e in result]
     return result
@@ -1141,20 +1123,19 @@ def lift_idempotents(a):
 def _seed_idempotents(a):
     """The nonzero ``idempotents`` tags of a when they sum to the unit,
     else [unit]."""
-    f = a.field
-    tags = [list(v) for _, v in a.idempotents or [] if any(v)]
-    total = [f.zero()] * a.dim
-    for v in tags:
-        total = [f.add(x, y) for x, y in zip(total, v)]
+    tags = [list(v) for _, v in a.idempotents or [] if v]
+    total = combine([(1, v) for v in tags], a.field.characteristic)
     return tags if tags and total == a.unit else [list(a.unit)]
 
 
 def _corner_basis(a, e):
+    """The rref basis of the corner e·a·e, spanned by the e·bᵢ·e (the
+    rows e·bᵢ of the left multiplication by e, times e), and its
+    pivots."""
     sb = SpanBuilder(a.field, a.dim)
-    for i in range(a.dim):
-        sb.add(a.mul_vec(a.mul_vec(e, a.basis_vector(i)), e))
-    basis = sb.basis_matrix().transpose()  # its columns are the basis rows
-    return [basis.column(i) for i in range(basis.ncols)], list(sb.pivots)
+    for row in a.left_mult_matrix(e).pairs:
+        sb.add(a.mul_vec(row, e))
+    return sb.basis_pairs(), list(sb.pivots)
 
 
 def _split_corner(a, e, out):
@@ -1167,24 +1148,24 @@ def _split_corner(a, e, out):
         out.append(e)
         return
 
+    at = {q: k for k, q in enumerate(pivots)}
+
     def coords(vec):
         # basis rows are rref, so coordinates sit at the pivots
-        return [vec[p] for p in pivots]
+        return [(at[j], x) for j, x in vec if j in at]
 
     def left_mat(x):
-        return Matrix(f, [coords(a.mul_vec(x, c)) for c in basis], n)
+        return Matrix.from_pairs(f, [coords(a.mul_vec(x, c)) for c in basis], n)
 
     # semisimple dimension of the corner via its own trace form
-    lmats = [left_mat(c) for c in basis]
+    traces = [_trace(left_mat(c)) for c in basis]
     gram = []
     for i in range(n):
         row = []
         for j in range(n):
-            prod = coords(a.mul_vec(basis[i], basis[j]))
             t = f.zero()
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    t = f.add(t, f.mul(c, _trace(lmats[k])))
+            for k, c in coords(a.mul_vec(basis[i], basis[j])):
+                t = f.add(t, f.mul(c, traces[k]))
             row.append(t)
         gram.append(row)
     if f.characteristic != 0 and f.characteristic <= n:
@@ -1205,7 +1186,7 @@ def _split_corner(a, e, out):
             witness=e,
         )
     e1 = split
-    e2 = [f.sub(x, y) for x, y in zip(e, e1)]
+    e2 = combine([(1, e), (-1, e1)], f.characteristic)
     _split_corner(a, e1, out)
     _split_corner(a, e2, out)
 
@@ -1213,6 +1194,7 @@ def _split_corner(a, e, out):
 def _find_corner_idempotent(a, e, basis, left_mat):
     """Nontrivial idempotent in eAe via spectral projectors, or None."""
     f = a.field
+    p = f.characteristic
 
     def candidates():
         # built on demand: the search almost always ends on a basis
@@ -1220,14 +1202,11 @@ def _find_corner_idempotent(a, e, basis, left_mat):
         yield from basis
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                yield [f.add(x, y) for x, y in zip(basis[i], basis[j])]
+                yield combine([(1, basis[i]), (1, basis[j])], p)
         rng = random.Random(91)
         for _ in range(160):
-            v = [f.zero()] * a.dim
-            for b in basis:
-                c = f.coerce(rng.randint(-3, 3))
-                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, b)]
-            yield v
+            # one coefficient per basis element, drawn in basis order
+            yield combine([(f.coerce(rng.randint(-3, 3)), b) for b in basis], p)
 
     for z in candidates():
         mp = _matrix_min_poly(left_mat(z))
@@ -1256,13 +1235,10 @@ def _find_corner_idempotent(a, e, basis, left_mat):
             q_poly = _poly_mul(f, v, rest)   # ≡1 mod (t−λ)^m, ≡0 mod rest
             q_poly = _poly_divmod(f, q_poly, mp)[1]
             # evaluate q(z) inside the algebra, with e as the unit
-            acc = [f.zero()] * a.dim
+            acc = []
             for c in reversed(q_poly):
-                acc = a.mul_vec(acc, z)
-                acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, e)]
-            if all(f.is_zero(c) for c in acc):
-                continue
-            if acc == e:
+                acc = combine([(1, a.mul_vec(acc, z)), (c, e)], p)
+            if not acc or acc == e:
                 continue
             if a.mul_vec(acc, acc) == acc:
                 return acc

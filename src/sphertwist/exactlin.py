@@ -11,12 +11,20 @@ the operations in this file, so the contract here is strict:
 * all values are immutable after construction and safe to share between
   threads.
 
-A matrix stores only its nonzeros: ``Matrix.pairs[i]`` lists the
-(column, entry) pairs of row i, sorted by column, the form of
-`Algebra.table`.  ``Matrix(field, rows)`` reads dense rows once, and
-``Matrix.rows`` writes them back out as a view for tests and ``repr``;
-vectors (`Matrix.apply_to_row`, `Algebra.mul_vec`, the solvers) stay
-dense.  The systems built downstream (module actions, ideal closures,
+There is one vector form: a list of (index, entry) pairs, sorted by
+index, holding only the nonzero entries, each over F_p reduced into
+[1, p).  It is the form of a row of ``Matrix.pairs`` and of an entry of
+`Algebra.table`, and every vector the package passes (algebra elements,
+module vectors, right-hand sides, preimages, coordinates) has it.  A
+kernel trusts the entries of the vectors it is given and checks only
+the first and last index against the length (`_check_vector`), so a
+vector of the wrong length raises ShapeError.  Sums and differences are
+one merge, `combine`.
+
+A matrix stores only its nonzeros: ``Matrix.pairs[i]`` is row i, a
+vector.  ``Matrix(field, rows)`` reads dense rows once, and
+``Matrix.rows`` writes them back out as a view for tests and ``repr``.
+The systems built downstream (module actions, ideal closures,
 intertwining equations) hold well under 1 % nonzeros, so every kernel
 walks pairs and never reads a zero:
 
@@ -25,14 +33,14 @@ walks pairs and never reads a zero:
   `int` over F_p) and, over F_p, reduce each computed entry modulo p once;
 * ``mul`` is Gustavson's (1978) row-wise product: row i of A·B is summed
   in a dict over the pairs of the rows of B that the pairs of row i of A
-  name; ``add``/``sub`` merge two rows the same way, and ``transpose``,
-  the stacks, ``submatrix`` and `kronecker` move pairs;
+  name; ``apply_to_row`` is the same product for one row, ``add`` and
+  `combine` merge rows the same way, and ``transpose``, the stacks,
+  ``submatrix`` and `kronecker` move pairs;
 * elimination has one kernel, `SpanBuilder`: it keeps its reduced rows
-  as dicts, reads each vector (a dense sequence, or a dict of entries
-  keyed by column) into its nonzeros in one pass, reduces it over the
-  pivots it touches and drops zero and dependent rows on arrival.
-  ``rref`` (and so ``rank``, ``kernel_basis`` and ``solve``),
-  `SpanQuotient` and `Preimages` all reduce through it;
+  as dicts, reads each vector into a dict, reduces it over the pivots it
+  touches and drops zero and dependent rows on arrival.  ``rref`` (and
+  so ``rank``, ``kernel_basis`` and ``solve``), `SpanQuotient` and
+  `Preimages` all reduce through it;
 * an equality of products A·B = C·D (an action axiom, an intertwining
   or commuting square, a chain-map square) is tested as a sparse
   residual by `product_residual`, row by row on the matrices' pairs:
@@ -40,9 +48,8 @@ walks pairs and never reads a zero:
   residual is nonzero.
 
 The F_p element invariant: an element is an int standing for its
-residue class, and a matrix holds its entries reduced into [1, p), so
-equal matrices have equal pairs.  A vector entry a kernel tests for zero
-(the vectors `SpanBuilder` reduces) is read modulo p.
+residue class, and matrices and vectors hold their entries reduced into
+[1, p), so equal matrices and equal vectors have equal pairs.
 
 One further specialisation was tried and dropped: integer rows with
 fraction-free elimination (Bareiss 1968) for Q.  A prototype's integer
@@ -225,6 +232,25 @@ def _canonical(acc, p):
     return [(j, v) for j in sorted(acc) if (v := acc[j])]
 
 
+def _check_vector(vec, n):
+    """Raise ShapeError unless the indices of a vector lie in [0, n).
+    The pairs are sorted, so the first and the last index decide."""
+    if vec and (vec[0][0] < 0 or vec[-1][0] >= n):
+        raise ShapeError("vector index outside [0, %d)" % n)
+
+
+def combine(terms, p):
+    """The vector Σ c·v over the (c, v) pairs of terms, for field
+    elements c and vectors v: the one merge behind every sum and
+    difference of vectors, reduced modulo p over F_p."""
+    acc = {}
+    get = acc.get
+    for c, vec in terms:
+        for j, x in vec:
+            acc[j] = get(j, 0) + c * x
+    return _canonical(acc, p)
+
+
 class Matrix:
     """Exact matrix that stores only its nonzeros; treat as immutable.
 
@@ -299,8 +325,8 @@ class Matrix:
         return [[row.get(j, zero) for j in cols] for row in map(dict, self.pairs)]
 
     def column(self, j):
-        zero = self.field.zero()
-        return [dict(row).get(j, zero) for row in self.pairs]
+        """Column j, as a vector of length nrows."""
+        return [(i, e) for i, row in enumerate(self.pairs) for c, e in row if c == j]
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
@@ -375,17 +401,18 @@ class Matrix:
         return Matrix.from_pairs(f, out, other.ncols)
 
     def apply_to_row(self, vec):
-        """Row vector times matrix: returns list of length ncols."""
-        if len(vec) != self.nrows:
-            raise ShapeError("row-vector length mismatch")
-        f = self.field
-        p = f.characteristic
-        out = [f.zero()] * self.ncols
-        for a, row in zip(vec, self.pairs):
-            if a:
-                for j, e in row:
-                    out[j] += a * e
-        return [x % p for x in out] if p else out
+        """The vector vec·self, for a vector vec of length nrows: the
+        rows named by the pairs of vec, scaled and summed as in ``mul``."""
+        _check_vector(vec, self.nrows)
+        rows = self.pairs
+        if len(vec) == 1 and vec[0][1] == 1:
+            return rows[vec[0][0]]
+        acc = {}
+        get = acc.get
+        for k, a in vec:
+            for j, e in rows[k]:
+                acc[j] = get(j, 0) + a * e
+        return _canonical(acc, self.field.characteristic)
 
     def hstack(self, other):
         self._check_field(other)
@@ -445,7 +472,7 @@ def rref(m):
         if len(span.pivots) == m.ncols:
             break  # every further row lies in the span
         if row:
-            span.add(dict(row))
+            span.add(row)
     pairs = span.basis_pairs()
     pairs += [[] for _ in range(m.nrows - len(pairs))]
     return Matrix.from_pairs(m.field, pairs, m.ncols), list(span.pivots)
@@ -494,24 +521,16 @@ def _null_space(f, ncols, pivots, pivot_rows):
 
 
 def solve(m, b):
-    """One solution x of m·x = b (b a sequence of entries), or None if
-    inconsistent."""
-    if len(b) != m.nrows:
-        raise ShapeError("right-hand side length mismatch")
-    f = m.field
+    """One solution x of m·x = b, for b a vector of length nrows, as a
+    vector of length ncols; None if inconsistent."""
+    _check_vector(b, m.nrows)
     n = m.ncols
-    aug = [
-        row + [(n, be)] if (be := f.coerce(e)) else row for row, e in zip(m.pairs, b)
-    ]
-    r, pivots = rref(Matrix.from_pairs(f, aug, n + 1))
+    rhs = dict(b)
+    aug = [row + [(n, rhs[r])] if r in rhs else row for r, row in enumerate(m.pairs)]
+    r, pivots = rref(Matrix.from_pairs(m.field, aug, n + 1))
     if n in pivots:
         return None
-    x = [f.zero()] * n
-    for row, p in zip(r.pairs, pivots):
-        j, e = row[-1]
-        if j == n:
-            x[p] = e
-    return x
+    return [(p, row[-1][1]) for row, p in zip(r.pairs, pivots) if row[-1][0] == n]
 
 
 def kronecker(a, b):
@@ -536,20 +555,21 @@ def kronecker(a, b):
 class SpanBuilder:
     """Incremental canonical span of row vectors.
 
-    Feed vectors with ``add``, each a sequence of ``width`` entries or a
-    dict of entries keyed by column (missing columns are zero); the
-    builder keeps the reduced row echelon form of the span and reports
-    whether each vector enlarged it.  ``contains`` answers membership
-    without mutating, and ``kernel_basis`` gives the null space of the
-    span, `SpanQuotient` the quotient by it and `Preimages` solutions
-    of u·M = v.  Used for `rref` itself, ideal closures, factor-through
-    subspaces, radd-style intersections, the intertwining systems of
-    hom spaces and the balancing relations of tensor products, where
-    many candidate vectors are zero or redundant and a full rref of
-    everything at once would be wasteful.
+    Feed vectors of length ``width`` with ``add``; the builder keeps the
+    reduced row echelon form of the span and reports whether each vector
+    enlarged it.  ``contains`` answers membership without mutating, and
+    ``kernel_basis`` gives the null space of the span, `SpanQuotient`
+    the quotient by it and `Preimages` solutions of u·M = v.  Used for
+    `rref` itself, ideal closures, factor-through subspaces, radd-style
+    intersections, the intertwining systems of hom spaces and the
+    balancing relations of tensor products, where many candidate vectors
+    are zero or redundant and a full rref of everything at once would be
+    wasteful.
 
-    The rows are held sparse, as dicts keyed by column, and fully
-    reduced: each has 1 at its pivot and no entry at any other pivot.
+    The rows are held as dicts keyed by column, the one internal form
+    that is not a vector, because reduction edits them in place; they
+    are fully reduced: each has 1 at its pivot and no entry at any other
+    pivot.
     So a vector is reduced in one pass over the pivots it touches —
     subtracting a pivot row never brings back an entry at another pivot
     column — and ``rows`` is exactly the nonzero part of the `rref` of
@@ -572,27 +592,15 @@ class SpanBuilder:
         """The remainder of a vector after reduction by the span, as a
         dict of its nonzero entries keyed by column.
 
-        The vector is read in one pass, which reduces each entry modulo
-        p and drops the zeros (a sequence's zero entries are skipped by
-        truthiness before any is read).  Subtracting the row of a pivot the
+        The vector's pairs are its nonzero entries, so they are read
+        into the dict as they are.  Subtracting the row of a pivot the
         vector holds clears that pivot (the row has 1 there) and touches
         no other pivot, so the pivots to clear are those of the vector
         as read.
         """
-        width = self.width
-        if isinstance(vec, dict):
-            if any(not 0 <= j < width for j in vec):
-                raise ShapeError("span vector column out of range")
-            cols = vec
-        elif len(vec) != width:
-            raise ShapeError("span vector length mismatch")
-        else:
-            cols = compress(range(width), vec)
+        _check_vector(vec, self.width)
+        v = dict(vec)
         p = self.field.characteristic
-        if p:
-            v = {j: x for j in cols if (x := vec[j] % p)}
-        else:
-            v = {j: x for j in cols if (x := vec[j])}
         rows = self._rows
         for pivot in [j for j in v if j in rows]:
             c = v[pivot]
@@ -674,24 +682,26 @@ class SpanQuotient:
     alike exactly when they differ by an element of the span.  The
     ``kept`` (non-pivot) columns, in increasing order, are therefore
     coordinates on the quotient, and ``project`` reads a vector's class
-    there.  The span must not grow afterwards.
+    there: the remainder's pairs, each column renamed by its position
+    in ``kept``.  The span must not grow afterwards.
     """
 
     def __init__(self, span):
         self.span = span
         pivots = set(span.pivots)
         self.kept = [j for j in range(span.width) if j not in pivots]
+        self._position = {j: k for k, j in enumerate(self.kept)}
 
     @property
     def dim(self):
         return len(self.kept)
 
     def project(self, vec):
-        """The class of a vector, given as `SpanBuilder.add` takes it, in
-        the kept coordinates."""
+        """The class of a vector of length ``span.width``, as a vector
+        of length ``dim`` in the kept coordinates."""
         red = self.span._reduce(vec)
-        zero = self.span.field.zero()
-        return [red.get(j, zero) for j in self.kept]
+        at = self._position
+        return [(at[j], red[j]) for j in sorted(red)]
 
 
 class Preimages:
@@ -700,11 +710,13 @@ class Preimages:
     The rows [Mᵣ | eᵣ] are reduced into one echelon span.  Reducing
     [v | 0] by it leaves [v − u·M | −u] for the combination u of rows
     it subtracted, so v has a preimage exactly when the first part
-    comes out zero, and then u is the negated second part: ``of``
-    returns a u with u·M = v exactly, or raises.  With independent rows
-    of M the preimage is unique, so ``of(u·M) == u``.  ``inverse`` stacks
-    the preimages of the unit rows: X with X·M = I, which is M⁻¹ for an
-    invertible M, and raises when the rows of M do not span.
+    comes out zero, and then u is the negated second part, its columns
+    shifted back by ``width``: ``of`` returns a u with u·M = v exactly,
+    or raises.  A vector v has the same pairs as [v | 0], so it is
+    reduced as it is.  With independent rows of M the preimage is
+    unique, so ``of(u·M) == u``.  ``inverse`` stacks the preimages of
+    the unit rows: X with X·M = I, which is M⁻¹ for an invertible M, and
+    raises when the rows of M do not span.
     """
 
     def __init__(self, mat):
@@ -714,28 +726,23 @@ class Preimages:
         self.span = SpanBuilder(f, mat.ncols + mat.nrows)
         one = f.one()
         for r, row in enumerate(mat.pairs):
-            entries = dict(row)
-            entries[mat.ncols + r] = one
-            self.span.add(entries)
-        self.pad = [0] * mat.nrows  # int zeros: truthiness without a call
+            self.span.add(row + [(mat.ncols + r, one)])
 
     def of(self, v):
-        """A u with u·M = v, for v a sequence of ``width`` entries or a
-        dict of entries keyed by column; raises when there is none."""
+        """A u with u·M = v, for a vector v of length ``width``, as a
+        vector of length nrows; raises when there is none."""
         width = self.width
-        if not isinstance(v, dict):
-            v = list(v) + self.pad
-        elif any(j >= width for j in v):  # the span checks the rest
-            raise ShapeError("preimage vector column out of range")
+        _check_vector(v, width)
         red = self.span._reduce(v)
         if any(j < width for j in red):
             raise SphertwistError("vector has no preimage")
-        u = [self.field.zero()] * len(self.pad)
         neg = self.field.neg
-        for j, e in red.items():
-            u[j - width] = neg(e)
-        return u
+        return [(j - width, neg(red[j])) for j in sorted(red)]
 
     def inverse(self):
         one = self.field.one()
-        return Matrix(self.field, [self.of({j: one}) for j in range(self.width)], len(self.pad))
+        return Matrix.from_pairs(
+            self.field,
+            [self.of([(j, one)]) for j in range(self.width)],
+            self.span.width - self.width,
+        )

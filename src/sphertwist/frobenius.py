@@ -25,6 +25,7 @@ from .exactlin import (
     Matrix,
     Preimages,
     SpanBuilder,
+    combine,
     kernel_basis,
     rank,
 )
@@ -86,7 +87,8 @@ def is_self_injective(a):
     if a._selfinj_cache is not None:
         return a._selfinj_cache
     rng = random.Random(61)
-    form = [a.field.coerce(rng.randint(1, 1 << 20)) for _ in range(a.dim)]
+    draws = [a.field.coerce(rng.randint(1, 1 << 20)) for _ in range(a.dim)]
+    form = [(t, c) for t, c in enumerate(draws) if c]
     verdict = rank(_gram(a, form)) == a.dim or add_equivalent(
         Module.regular(a), Module.coregular(a)
     )
@@ -205,25 +207,19 @@ def is_symmetric(a):
         return a._symmetric_cache
     f, d = a.field, a.dim
     p = f.characteristic
-    commutators = []
-    for i in range(d):
-        for j in range(i + 1, d):
-            row = [f.zero()] * d
-            for t, c in a.table[i][j]:
-                row[t] += c
-            for t, c in a.table[j][i]:
-                row[t] -= c
-            commutators.append([x % p for x in row] if p else row)
-    kernel = kernel_basis(Matrix(f, commutators, d))
-    forms = [kernel.column(s) for s in range(kernel.ncols)]
+    table = a.table
+    commutators = [
+        combine([(1, table[i][j]), (-1, table[j][i])], p)
+        for i in range(d) for j in range(i + 1, d)
+    ]
+    kernel = kernel_basis(Matrix.from_pairs(f, commutators, d))
+    forms = kernel.transpose().pairs
     found = any(rank(_gram(a, form)) == d for form in forms)
     if not found and forms:
         rng = random.Random(37)
         for _ in range(200):
             coeffs = [f.coerce(rng.randint(-4, 4)) for _ in forms]
-            form = [
-                sum(c * x[t] for c, x in zip(coeffs, forms)) for t in range(d)
-            ]
+            form = combine(zip(coeffs, forms), p)
             if rank(_gram(a, form)) == d:
                 found = True
                 break
@@ -319,6 +315,7 @@ class FrobeniusContext:
     the quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
     ``e_copies[i]`` lists one projector per copy of extra summand i.
+    These, like ``proj_ideal``, are vectors of ``endo``.
     The projectors of the blocks of ``total`` (``e_proj``, then every
     copy in order) are the recorded ``idempotents`` tags of ``endo``, so
     `lift_idempotents` refines each block in its own corner: a copy of
@@ -425,23 +422,16 @@ def build_context(ambient, projective_part, extra_summands):
     ]
     homs = _generator_hom_basis(blocks, total)
     endo, hom_coords = _endomorphism_table(total, homs, tags)
-    f = ambient.field
-
-    def vector_sum(vecs):
-        out = [f.zero()] * endo.dim
-        for v in vecs:
-            out = [f.add(x, y) for x, y in zip(out, v)]
-        return out
-
+    p = ambient.field.characteristic
     block_idems = [v for _, v in endo.idempotents]
-    if vector_sum(block_idems) != endo.unit:
+    if combine([(1, v) for v in block_idems], p) != endo.unit:
         raise SphertwistError("block idempotents do not sum to the identity")
     e_proj = block_idems[0]
     e_copies = [
         [v for v, owner in zip(block_idems, block_owner) if owner == idx]
         for idx in range(len(extra_summands))
     ]
-    e_extra = [vector_sum(copies) for copies in e_copies]
+    e_extra = [combine([(1, v) for v in copies], p) for copies in e_copies]
 
     ideal = _projective_ideal(blocks, hom_coords)
     pi = quotient_surjection(endo, ideal)
@@ -495,12 +485,12 @@ def _generator_hom_basis(blocks, total):
                 actions = [m.pairs for m in total.action]
                 span = SpanBuilder(f, a.dim * s)
                 for r in range(s):
-                    span.add({
-                        i * s + c: e for i, act in enumerate(actions) for c, e in act[r]
-                    })
+                    span.add([
+                        (i * s + c, e) for i, act in enumerate(actions) for c, e in act[r]
+                    ])
                 pieces[b] = span.basis_pairs()
             else:
-                pieces[b] = [_flatten(h.matrix).items() for h in hom_space(b, total)]
+                pieces[b] = [_flatten(h.matrix) for h in hom_space(b, total)]
         shift = at * s
         rows.extend([(shift + j, e) for j, e in pairs] for pairs in pieces[b])
         at += b.dim
@@ -511,7 +501,8 @@ def _generator_hom_basis(blocks, total):
 
 
 def _projective_ideal(blocks, hom_coords):
-    """Coordinates of the canonical basis of [P](T, T), T = ⊕ blocks.
+    """Coordinates of the canonical basis of [P](T, T), T = ⊕ blocks, as
+    vectors of End(T).
 
     Hom(T, T) = ⊕ Hom(B_a, B_b), the block (a, b) of a map holding the
     rows of B_a and the columns of B_b, so the block subspaces have
@@ -537,7 +528,6 @@ def _projective_ideal(blocks, hom_coords):
     """
     homs = hom_coords.homs
     f = hom_coords.field
-    d = len(homs)
     s = sum(b.dim for b in blocks)
     block_of, offset = [], []
     for b, x in enumerate(blocks):
@@ -556,10 +546,8 @@ def _projective_ideal(blocks, hom_coords):
         if a and b:
             extra_pairs.add((a, b))
             continue
-        unit = [f.zero()] * d
-        unit[k] = f.one()
         r, c = cells[0]
-        rows.append((r * s + c, unit))
+        rows.append((r * s + c, [(k, f.one())]))
     embeddings, factoring = {}, {}
     for a, b in sorted(extra_pairs):
         x, y = blocks[a], blocks[b]

@@ -42,7 +42,6 @@ from .modules import (
     ModuleHom,
     generator_indices,
     kernel_of,
-    m_basis_row,
     quotient,
     restrict_scalars,
 )
@@ -242,7 +241,7 @@ def _yoneda_precompose(n, images, target, source_blocks, target_blocks):
         at_k = 0
         for k, (k_rows, _) in enumerate(target_blocks):
             x = comps[l][k]
-            if k_rows.nrows and l_rows.nrows and any(x):
+            if k_rows.nrows and l_rows.nrows and x:
                 for r, y in enumerate(k_rows.mul(n.action_of(x)).pairs, at_k):
                     rows[r] += [(col[j], e) for j, e in y if j in col]
             at_k += k_rows.nrows
@@ -533,12 +532,11 @@ def _extract_bimodule(square, t):
     b, f = square.p.target, square.p.target.field
     cycles, incl = kernel_of(square.maps[t])
     in_cycles = Preimages(incl.matrix)
-    boundaries = [in_cycles.of(dict(r)) for r in square.maps[t - 1].matrix.pairs]
+    boundaries = [in_cycles.of(r) for r in square.maps[t - 1].matrix.pairs]
     h, proj = quotient(cycles, boundaries)
     section = Preimages(proj.matrix)
-    reps = [
-        incl.apply(section.of(m_basis_row(f, h.dim, s))) for s in range(h.dim)
-    ]
+    one = f.one()
+    reps = [incl.apply(section.of([(s, one)])) for s in range(h.dim)]
     res = square.resolution
     preimages = [Preimages(res.augmentation.matrix)]
     preimages += [Preimages(d.matrix) for d in res.maps[:t]]
@@ -547,7 +545,7 @@ def _extract_bimodule(square, t):
     for i in range(b.dim):
         images = _lift_left_multiplication(square, b.basis_vector(i), t, preimages)
         pre = _yoneda_precompose(square.dual, images, covered, blocks, blocks)
-        left.append(Matrix(
+        left.append(Matrix.from_pairs(
             f,
             [proj.apply(in_cycles.of(pre.apply_to_row(r))) for r in reps],
             h.dim,

@@ -7,12 +7,13 @@ h1 then h2 is the product h1.matrix · h2.matrix.
 
 Submodules are carried as embedded row-span matrices of the ambient
 module until explicitly converted; that keeps radical-style
-intersections in ambient coordinates where they belong.
+intersections in ambient coordinates where they belong.  Module vectors
+and algebra elements are vectors in the one form of `exactlin`.
 """
 
 from __future__ import annotations
 
-from .algebra import Algebra, _pairs, lift_idempotents, radical
+from .algebra import Algebra, lift_idempotents, radical
 from .errors import (
     AlgebraMismatch,
     NotASubmodule,
@@ -25,6 +26,8 @@ from .exactlin import (
     SpanBuilder,
     SpanQuotient,
     _canonical,
+    _check_vector,
+    combine,
     kernel_basis,
     product_residual,
     rank,
@@ -41,6 +44,7 @@ class Module:
         self.dim = dim
         self.action = list(action)
         self.tag = tag
+        self._stacked_action = None
         if len(self.action) != algebra.dim:
             raise ShapeError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -83,32 +87,37 @@ class Module:
                     )
 
     def action_of(self, avec):
-        """The matrix Σ cᵢ·Mᵢ of the algebra element with coordinates avec."""
-        f = self.algebra.field
-        p = f.characteristic
-        return self._combination(
-            [(i, f.coerce(c)) for i, c in enumerate(avec) if c and not (p and not c % p)]
-        )
+        """The matrix Σ cᵢ·Mᵢ of the algebra element avec, a vector."""
+        _check_vector(avec, self.algebra.dim)
+        return self._combination(avec)
 
     def _combination(self, coeffs):
         """Σ c·Mᵢ over the (i, c) pairs of coeffs, c ≠ 0, summed row by
         row over the pairs of the Mᵢ.  A basis element acts by its own
-        matrix."""
+        matrix, and 0 by the zero matrix."""
+        f = self.algebra.field
         if len(coeffs) == 1 and coeffs[0][1] == 1:
             return self.action[coeffs[0][0]]
-        p = self.algebra.field.characteristic
-        acc = [{} for _ in range(self.dim)]
-        for i, c in coeffs:
-            for out, row in zip(acc, self.action[i].pairs):
-                get = out.get
-                for j, e in row:
-                    out[j] = get(j, 0) + c * e
-        return Matrix.from_pairs(
-            self.algebra.field, [_canonical(out, p) for out in acc], self.dim
-        )
+        if not coeffs:
+            return Matrix.zero(f, self.dim, self.dim)
+        terms = [(c, self.action[i].pairs) for i, c in coeffs]
+        rows = [combine([(c, mat[r]) for c, mat in terms], f.characteristic)
+                for r in range(self.dim)]
+        return Matrix.from_pairs(f, rows, self.dim)
 
     def apply(self, v, avec):
         return self.action_of(avec).apply_to_row(v)
+
+    def stacked_action(self):
+        """[M₀ | M₁ | …], built once: row r holds r·bᵢ at the columns
+        from i·dim, so one product with it moves rows by every bᵢ."""
+        if self._stacked_action is None:
+            n, actions = self.dim, [mat.pairs for mat in self.action]
+            self._stacked_action = Matrix.from_pairs(self.algebra.field, [
+                [(i * n + j, e) for i, rows in enumerate(actions) for j, e in rows[r]]
+                for r in range(n)
+            ], self.algebra.dim * n)
+        return self._stacked_action
 
     @classmethod
     def zero(cls, algebra):
@@ -212,7 +221,7 @@ def hom_space(m, n):
     and −N_g[k][c] on X[r][k] (unknowns flattened row-major), so it is
     read straight off the nonzeros of row r of M_g and column c of N_g
     (gathered from the nonzeros of N_g's rows, in row order) and reduced
-    on arrival (`SpanBuilder.add`, as a dict): a zero or
+    on arrival (`SpanBuilder.add`): a zero or
     dependent row costs one sparse reduction, and no dense system is
     built.  The null space comes out of the reduced echelon form in the
     canonical form of `kernel_basis`, which depends only on the null
@@ -227,6 +236,7 @@ def hom_space(m, n):
     if s == 0 or t == 0:
         return []
     gens = generator_indices(m.algebra)
+    p = f.characteristic
     span = SpanBuilder(f, s * t)
     checks = []
     for g in gens:
@@ -242,9 +252,8 @@ def hom_space(m, n):
                 row = {k * t + c: e for k, e in m_row}
                 for k, e in n_col:
                     row[at + k] = row.get(at + k, 0) - e
-                span.add(row)
+                span.add(_canonical(row, p))
     null = span.kernel_basis().transpose()
-    p = f.characteristic
     homs = []
     for j, flat in enumerate(null.pairs):
         mat = _unflatten(f, flat, s, t)
@@ -285,15 +294,13 @@ class HomBasis:
         if any((h.matrix.nrows, h.matrix.ncols) != self._shape for h in homs):
             raise ShapeError("hom basis maps of different shapes")
         width = self._shape[0] * self._shape[1]
-        flats = Matrix.from_pairs(
-            field, [list(_flatten(h.matrix).items()) for h in homs], width
-        )
+        flats = Matrix.from_pairs(field, [_flatten(h.matrix) for h in homs], width)
         self._preimages = Preimages(flats)
         if self._preimages.span.pivots[-1] >= width:
             raise SphertwistError("hom basis is linearly dependent")
 
     def coords(self, mat):
-        """The coordinates x with Σ xᵢ·hᵢ = mat; raises outside the span."""
+        """The vector x with Σ xᵢ·hᵢ = mat; raises outside the span."""
         if not self.homs:
             if mat.is_zero():
                 return []
@@ -307,20 +314,25 @@ class HomBasis:
 
 
 def _flatten(mat):
-    """The nonzero entries of mat keyed by their row-major flat index
-    r·ncols + c, in that order."""
+    """mat read row-major as one vector: the entry at (r, c) sits at
+    r·ncols + c, so the row pairs in order are already sorted."""
     n = mat.ncols
-    return {r * n + c: e for r, row in enumerate(mat.pairs) for c, e in row}
+    return [(r * n + c, e) for r, row in enumerate(mat.pairs) for c, e in row]
 
 
-def _unflatten(field, entries, nrows, ncols):
-    """The nrows × ncols matrix with the (flat index, entry) pairs
-    ``entries``, sorted by index, at the cells `_flatten` gives them."""
+def _cut(vec, nrows, ncols):
+    """The rows of a vector of length nrows·ncols read row-major, the
+    inverse of `_flatten`: (r·ncols + c, e) goes to row r as (c, e)."""
     rows = [[] for _ in range(nrows)]
-    for k, e in entries:
+    for k, e in vec:
         r, c = divmod(k, ncols)
         rows[r].append((c, e))
-    return Matrix.from_pairs(field, rows, ncols)
+    return rows
+
+
+def _unflatten(field, vec, nrows, ncols):
+    """The nrows × ncols matrix that `_flatten` reads as vec."""
+    return Matrix.from_pairs(field, _cut(vec, nrows, ncols), ncols)
 
 
 def generator_indices(a):
@@ -357,11 +369,20 @@ def generator_indices(a):
 
 
 def _as_rows(field, vectors, width):
+    """A Matrix of width ``width``, or a list of vectors of that length,
+    as the Matrix of those rows."""
     if isinstance(vectors, Matrix):
         if vectors.ncols != width:
             raise ShapeError("subspace matrix does not fit the module")
         return vectors
-    return Matrix(field, [[field.coerce(c) for c in v] for v in vectors], width)
+    return Matrix.from_pairs(field, list(vectors), width)
+
+
+def _images(m, rows):
+    """images[k][i]: row k of the matrix ``rows`` under basis element i,
+    read off the one product of rows with `Module.stacked_action`."""
+    n, d = m.dim, m.algebra.dim
+    return [_cut(row, d, n) for row in rows.mul(m.stacked_action()).pairs]
 
 
 def submodule(m, vectors, check=True):
@@ -370,8 +391,9 @@ def submodule(m, vectors, check=True):
     The inclusion's rows are the nonzero rows of the rref, each 1 at its
     pivot and 0 at the others, so a vector of the subspace has its
     coordinates at the pivots.  ``vectors`` is a Matrix of width m.dim or
-    a list of rows.  With ``check`` every image of a basis row under the
-    action is tested against the subspace (`NotASubmodule` when it
+    a list of vectors of that length.  The images of the rows under every
+    basis element come from one product (`_images`).  With ``check``
+    each is tested against the subspace (`NotASubmodule` when it
     leaves); without it the subspace is trusted to be stable.
     """
     f = m.algebra.field
@@ -381,17 +403,18 @@ def submodule(m, vectors, check=True):
     if check:
         span = SpanBuilder(f, m.dim)
         for row in rows.pairs:
-            span.add(dict(row))
+            span.add(row)
     at = {q: k for k, q in enumerate(pivots)}
 
     def coords(image):
-        if check and not span.contains(dict(image)):
-            raise NotASubmodule("vector leaves the subspace", witness=dict(image))
+        if check and not span.contains(image):
+            raise NotASubmodule("vector leaves the subspace", witness=image)
         return [(at[j], e) for j, e in image if j in at]
 
+    images = _images(m, rows)
     action = [
-        Matrix.from_pairs(f, [coords(image) for image in rows.mul(mat).pairs], d)
-        for mat in m.action
+        Matrix.from_pairs(f, [coords(per_row[i]) for per_row in images], d)
+        for i in range(m.algebra.dim)
     ]
     sub = Module(m.algebra, d, action, validate=False)
     incl = ModuleHom(sub, m, rows, validate=False)
@@ -399,31 +422,32 @@ def submodule(m, vectors, check=True):
 
 
 def quotient(m, vectors):
-    """(quotient module, projection hom) by an action-stable subspace."""
+    """(quotient module, projection hom) by an action-stable subspace,
+    given as for `submodule`; the images of its basis rows under every
+    basis element come from one product (`_images`)."""
     f = m.algebra.field
     span = SpanBuilder(f, m.dim)
     for r in _as_rows(f, vectors, m.dim).pairs:
-        span.add(dict(r))
+        span.add(r)
     basis = span.basis_matrix()
-    images = [basis.mul(mat).pairs for mat in m.action]
-    for k, r in enumerate(basis.pairs):
-        for i, rows in enumerate(images):
-            if not span.contains(dict(rows[k])):
+    for r, per_row in zip(basis.pairs, _images(m, basis)):
+        for i, image in enumerate(per_row):
+            if not span.contains(image):
                 raise NotASubmodule(
-                    "subspace not stable under basis element %d" % i, witness=dict(r)
+                    "subspace not stable under basis element %d" % i, witness=r
                 )
     q = SpanQuotient(span)
     one = f.one()
     # the image of the j-th unit row under M is row j of M
     action = [
-        Matrix(f, [q.project(dict(mat.pairs[j])) for j in q.kept], q.dim)
+        Matrix.from_pairs(f, [q.project(mat.pairs[j]) for j in q.kept], q.dim)
         for mat in m.action
     ]
     out = Module(m.algebra, q.dim, action, validate=False)
     proj = ModuleHom(
         m,
         out,
-        Matrix(f, [q.project({j: one}) for j in range(m.dim)], q.dim),
+        Matrix.from_pairs(f, [q.project([(j, one)]) for j in range(m.dim)], q.dim),
         validate=False,
     )
     return out, proj
@@ -459,6 +483,7 @@ def balanced_tensor(a, right_mats, left_mats):
     """
     ni = right_mats[0].nrows if right_mats else 0
     nd = left_mats[0].nrows if left_mats else 0
+    p = a.field.characteristic
     span = SpanBuilder(a.field, ni * nd)
     for s in generator_indices(a):
         l_rows = left_mats[s].pairs
@@ -468,14 +493,8 @@ def balanced_tensor(a, right_mats, left_mats):
                 row = {k * nd + x: c for k, c in r_row}
                 for k, c in l_row:
                     row[at + k] = row.get(at + k, 0) - c
-                span.add(row)
+                span.add(_canonical(row, p))
     return SpanQuotient(span)
-
-
-def m_basis_row(field, dim, j):
-    v = [field.zero()] * dim
-    v[j] = field.one()
-    return v
 
 
 def kernel_of(h):
@@ -529,10 +548,10 @@ def module_radical(m):
     f = m.algebra.field
     rad = radical(m.algebra)
     sb = SpanBuilder(f, m.dim)
-    for j in range(rad.ncols):
-        for row in m.action_of(rad.column(j)).pairs:
+    for x in rad.transpose().pairs:
+        for row in m.action_of(x).pairs:
             if row:
-                sb.add(dict(row))
+                sb.add(row)
     return sb.basis_matrix()
 
 
@@ -543,8 +562,8 @@ def socle(m):
     if rad.ncols == 0:
         return Matrix.identity(f, m.dim)
     stacked = None
-    for j in range(rad.ncols):
-        act = m.action_of(rad.column(j))
+    for x in rad.transpose().pairs:
+        act = m.action_of(x)
         stacked = act if stacked is None else stacked.hstack(act)
     cols = kernel_basis(stacked.transpose())
     return row_space_canonical(cols.transpose())
@@ -562,16 +581,15 @@ def simple_modules(a):
     if a._simple_modules_cache is not None:
         return a._simple_modules_cache
     rad = radical(a)
-    rad_rows = [rad.column(j) for j in range(rad.ncols)]
+    rad_rows = rad.transpose().pairs
     out = []
     for e in lift_idempotents(a):
         pe, incl = _idempotent_piece(a, e)
         # top = eA / (eA ∩ rad) — eA·rad = e·rad ⊆ eA, whose coordinates
         # in pe sit at the pivots of pe's canonical rows
-        pivots = [row[0][0] for row in incl.matrix.pairs]
+        at = {row[0][0]: k for k, row in enumerate(incl.matrix.pairs)}
         sub_rows = [
-            [v[p] for p in pivots]
-            for v in (a.mul_vec(e, r) for r in rad_rows)
+            [(at[j], x) for j, x in a.mul_vec(e, r) if j in at] for r in rad_rows
         ]
         top, _ = quotient(pe, sub_rows)
         top.tag = e
@@ -589,14 +607,16 @@ def simple_modules(a):
 def _idempotent_piece(a, e):
     """(e·a as a module, its inclusion into the regular module).
 
-    The inclusion's matrix is the canonical row basis of e·a.  Cached
-    per algebra and idempotent.
+    The inclusion's matrix is the canonical row basis of e·a, spanned by
+    the rows e·bᵢ of the left multiplication by e.  Cached per algebra
+    and idempotent.
     """
     key = tuple(e)
     hit = a._piece_cache.get(key)
     if hit is None:
-        rows = [a.mul_vec(e, a.basis_vector(i)) for i in range(a.dim)]
-        hit = a._piece_cache[key] = submodule(Module.regular(a), rows, check=False)
+        hit = a._piece_cache[key] = submodule(
+            Module.regular(a), a.left_mult_matrix(e), check=False
+        )
     return hit
 
 
@@ -637,24 +657,19 @@ def _cover_by_pieces(m, idempotents, what):
         return z, epi
     cover_span = SpanBuilder(f, m.dim)
     for r in module_radical(m).pairs:
-        cover_span.add(dict(r))
+        cover_span.add(r)
     pieces = []
     idems = []
     rows = []
-    # [M₀ | M₁ | …]: a generator v times it is (v·b₀, v·b₁, …)
-    stacked = Matrix.from_pairs(f, [
-        [(i * m.dim + j, e) for i, mat in enumerate(m.action) for j, e in mat.pairs[r]]
-        for r in range(m.dim)
-    ], a.dim * m.dim)
     for e in idempotents:
         for v in m.action_of(e).pairs:
-            if cover_span.contains(dict(v)):
+            if cover_span.contains(v):
                 continue
             pe, incl = _idempotent_piece(a, e)
-            generator = Matrix.from_pairs(f, [v], m.dim)
-            images = _unflatten(f, generator.mul(stacked).pairs[0], a.dim, m.dim)
+            # v times [M₀ | M₁ | …] is (v·b₀, v·b₁, …)
+            images = _unflatten(f, m.stacked_action().apply_to_row(v), a.dim, m.dim)
             for img in images.pairs:
-                cover_span.add(dict(img))
+                cover_span.add(img)
             rows += incl.matrix.mul(images).pairs
             pieces.append(pe)
             idems.append(e)
@@ -779,7 +794,7 @@ def _endomorphism_table(m, homs, tags):
     cols_of = [{c for row in h.matrix.pairs for c, _ in row} for h in homs]
     table = [
         [
-            _pairs(basis.coords(homs[j].matrix.mul(homs[i].matrix)))
+            basis.coords(homs[j].matrix.mul(homs[i].matrix))
             if not cols_of[j].isdisjoint(rows_of[i])
             else []
             for j in range(d)

@@ -33,7 +33,9 @@ from .errors import (
     SphertwistError,
 )
 from .algebra import lift_idempotents, radical
-from .exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical
+from .exactlin import (
+    Matrix, SpanBuilder, combine, kernel_basis, rank, row_space_canonical,
+)
 from .frobenius import FrobeniusContext
 from .modules import (
     Module,
@@ -75,13 +77,14 @@ class CoveredTerm:
     so a vector of the term has the coordinates of its k-th component at
     the pivots of that piece's canonical rows.  ``gens[k]`` is eₖ in the
     term's coordinates: an A-map out of the term is fixed by its values
-    on the ``gens``, φ(Σₖ eₖ·xₖ) = Σₖ φ(eₖ)·xₖ.
+    on the ``gens``, φ(Σₖ eₖ·xₖ) = Σₖ φ(eₖ)·xₖ.  All of these are
+    vectors.
     """
 
     def __init__(self, term, cover):
         if cover is None:
             raise SphertwistError("the term has no recorded cover")
-        a, f = term.algebra, term.algebra.field
+        a = term.algebra
         self.term = term
         self.idempotents = cover
         self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
@@ -91,17 +94,20 @@ class CoveredTerm:
             raise SphertwistError("term is not the sum of its recorded cover")
         at = 0
         for e, incl in zip(cover, incls):
-            gen = [f.zero()] * term.dim
-            for r, row in enumerate(incl.pairs):
-                gen[at + r] = e[row[0][0]]
-            self.gens.append(gen)
+            entry = dict(e).get
+            self.gens.append([
+                (at + r, x) for r, row in enumerate(incl.pairs)
+                if (x := entry(row[0][0]))
+            ])
             self.a_blocks.append((at, incl))
             at += incl.nrows
 
     def components(self, v):
-        """The components of a term vector, as vectors of A in eₖ·A."""
+        """The components of a term vector, as vectors of A in eₖ·A: the
+        pairs of v in block k, shifted to it, times its inclusion."""
         return [
-            incl.apply_to_row(v[at : at + incl.nrows]) for at, incl in self.a_blocks
+            incl.apply_to_row([(j - at, x) for j, x in v if at <= j < at + incl.nrows])
+            for at, incl in self.a_blocks
         ]
 
     def extend(self, images, v):
@@ -109,12 +115,11 @@ class CoveredTerm:
 
         v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
         """
-        f = self.term.algebra.field
-        out = [f.zero()] * self.term.dim
-        for g, x in zip(images, self.components(v)):
-            if any(x):
-                out = [f.add(s, y) for s, y in zip(out, self.term.apply(g, x))]
-        return out
+        apply = self.term.apply
+        return combine(
+            [(1, apply(g, x)) for g, x in zip(images, self.components(v)) if x],
+            self.term.algebra.field.characteristic,
+        )
 
 
 class Resolution:
@@ -244,7 +249,7 @@ def radd0(ctx, m):
     for mat in m.action:
         for row in e_rows.mul(mat).pairs:
             if row:
-                span.add(dict(row))
+                span.add(row)
     q, proj = quotient(m, span.basis_matrix())
     if q.dim == 0:
         return row_space_canonical(Matrix.identity(f, m.dim))
@@ -261,9 +266,9 @@ def is_partially_essential(ctx, epi):
     allowed = radd0(ctx, epi.source)
     span = SpanBuilder(ctx.endo.field, epi.source.dim)
     for r in allowed.pairs:
-        span.add(dict(r))
+        span.add(r)
     _, incl = kernel_of(epi)
-    return all(span.contains(dict(r)) for r in incl.matrix.pairs)
+    return all(span.contains(r) for r in incl.matrix.pairs)
 
 
 def _proj_type_primitives(ctx):
@@ -304,9 +309,9 @@ def is_minimal(res):
         rad = module_radical(terms[i])
         span = SpanBuilder(terms[i].algebra.field, terms[i].dim)
         for r in rad.pairs:
-            span.add(dict(r))
+            span.add(r)
         for r in h.matrix.pairs:
-            if not span.contains(dict(r)):
+            if not span.contains(r):
                 return False
     return True
 
@@ -460,10 +465,9 @@ def _piece_type(ctx, e):
     key = tuple(e)
     if key not in cache:
         lam = ctx.endo
-        rad_cols = radical(lam)
         rad = SpanBuilder(lam.field, lam.dim)
-        for j in range(rad_cols.ncols):
-            rad.add(rad_cols.column(j))
+        for x in radical(lam).transpose().pairs:
+            rad.add(x)
         blocks = [(None, ctx.e_proj)]
         blocks.extend((j, copies[0]) for j, copies in enumerate(ctx.e_copies))
         prims = lift_idempotents(lam)
@@ -474,7 +478,7 @@ def _piece_type(ctx, e):
             incl = ctx.right_ideal(p)[1].matrix
             cache[tuple(p)] = [
                 j for j, right in rights
-                if not all(rad.contains(dict(v)) for v in incl.mul(right).pairs)
+                if not all(rad.contains(v) for v in incl.mul(right).pairs)
             ]
     hits = cache[key]
     if len(hits) != 1:

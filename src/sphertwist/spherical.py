@@ -260,8 +260,7 @@ def rigidity_check(ctx, t):
     extra part; vacuously true at t = 2."""
     if t < 2:
         raise SphertwistError("window must be at least 2")
-    xs = _extra_modules(ctx)
-    if not xs:
+    if t == 2 or not _extra_modules(ctx):
         return True
     x = _extra_sum(ctx)
     for i in range(1, t - 1):
@@ -393,8 +392,7 @@ def _assert_mirror_properties(ctx, t, cap):
         raise AuditFailed(
             "stable quotient is perfect on one side only"
         )
-    xs = _extra_modules(ctx)
-    if not xs:
+    if t == 2 or not _extra_modules(ctx):
         return
     x = _extra_sum(ctx)
     for i in range(1, t - 1):
@@ -456,7 +454,7 @@ def _span_dim(f, mats):
     if not mats:
         return 0
     width = mats[0].nrows * mats[0].ncols
-    return rank(Matrix.from_pairs(f, [list(_flatten(m).items()) for m in mats], width))
+    return rank(Matrix.from_pairs(f, [_flatten(m) for m in mats], width))
 
 
 def _recovers(side_alg, mats, res):
@@ -571,22 +569,22 @@ def tilting_audit(report):
     # algebra on the left, precomposition by the companion algebra on
     # the right
     fwd_l = [
-        Matrix(f, [icoords(ih.matrix.mul(h.matrix)) for ih in ihoms], ni)
+        Matrix.from_pairs(f, [icoords(ih.matrix.mul(h.matrix)) for ih in ihoms], ni)
         for h in ctx.hom_basis
     ]
     fwd_r = [
-        Matrix(f, [icoords(s.matrix.mul(ih.matrix)) for ih in ihoms], ni)
+        Matrix.from_pairs(f, [icoords(s.matrix.mul(ih.matrix)) for ih in ihoms], ni)
         for s in l1homs
     ]
     forward = Bimodule(lam, lam1, fwd_l, fwd_r)
 
     # maps generator → companion: the mirror actions
     bwd_l = [
-        Matrix(f, [dcoords(dh.matrix.mul(s.matrix)) for dh in dhoms], nd)
+        Matrix.from_pairs(f, [dcoords(dh.matrix.mul(s.matrix)) for dh in dhoms], nd)
         for s in l1homs
     ]
     bwd_r = [
-        Matrix(f, [dcoords(h.matrix.mul(dh.matrix)) for dh in dhoms], nd)
+        Matrix.from_pairs(f, [dcoords(h.matrix.mul(dh.matrix)) for dh in dhoms], nd)
         for h in ctx.hom_basis
     ]
     backward = Bimodule(lam1, lam, bwd_l, bwd_r)
@@ -644,7 +642,7 @@ def tilting_audit(report):
     for ih in ihoms:
         for dh in dhoms:
             mu_rows.append(ctx.hom_coords.coords(dh.matrix.mul(ih.matrix)))
-    mu = Matrix(f, mu_rows, lam.dim)
+    mu = Matrix.from_pairs(f, mu_rows, lam.dim)
     if not tensor.span.basis_matrix().mul(mu).is_zero():
         raise AuditFailed("composition pairing is not balanced")
 
@@ -680,7 +678,7 @@ def tilting_audit(report):
                 "composition pairing breaks equivariance on the right", witness=g
             )
 
-    ideal = Matrix(f, [list(r) for r in ctx.proj_ideal], lam.dim)
+    ideal = Matrix.from_pairs(f, ctx.proj_ideal, lam.dim)
     injective = rank(mu) == tensor_dim
     onto_ideal = row_space_canonical(mu) == row_space_canonical(ideal)
     codim_match = tensor_dim == lam.dim - ctx.stable_endo.dim

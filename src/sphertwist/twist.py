@@ -358,7 +358,8 @@ def _scalar_algebra(field):
     for f, alg in _SCALAR_CACHE:
         if f == field:
             return alg
-    alg = Algebra(field, [[[(0, field.one())]]], [field.one()])
+    one = [(0, field.one())]
+    alg = Algebra(field, [[one]], one)
     _SCALAR_CACHE.append((field, alg))
     return alg
 
@@ -543,12 +544,12 @@ def _twist_core(p, c_mod, kernel, window=None):
         last = diffs[depth - 1]
         pre = Preimages(ker_incl.matrix)
         try:
-            co = [pre.of(dict(row)) for row in last.matrix.pairs]
+            co = [pre.of(row) for row in last.matrix.pairs]
         except SphertwistError:
             raise AuditFailed("differential image escapes the kernel cut")
         terms = hom_modules[:depth] + [ker_mod]
         maps = diffs[: depth - 1] + [
-            ModuleHom(last.source, ker_mod, Matrix(lam.field, co, ker_mod.dim))
+            ModuleHom(last.source, ker_mod, Matrix.from_pairs(lam.field, co, ker_mod.dim))
         ]
     else:
         terms = hom_modules[: depth + 1]
@@ -1010,20 +1011,22 @@ def _unit_faithful_on_cohomology(p, res):
         len(res.terms),
     )
     cx = ChainComplex(opposite(lam), 0, terms, maps, validate=False)
-    # each g moves the cycles of every degree; read modulo boundaries
+    # each g moves the cycles of every degree; read modulo boundaries,
+    # the classes of the images side by side in one row per g
     flats = [[] for _ in range(lam.dim)]
+    width = 0
     for k in range(cx.lo, cx.hi + 1) if cx.terms else []:
         t = cx.term(k)
         boundaries = SpanBuilder(lam.field, t.dim)
         for r in cx.differential(k - 1).matrix.pairs:
-            boundaries.add(dict(r))
+            boundaries.add(r)
         q = SpanQuotient(boundaries)
         cycles = _cycle_rows(cx, k)
         for act, flat in zip(t.action, flats):
-            for image in cycles.mul(act).pairs:
-                flat.extend(q.project(dict(image)))
-    width = len(flats[0])
-    return bool(width) and rank(Matrix(lam.field, flats, width)) == lam.dim
+            for at, image in enumerate(cycles.mul(act).pairs):
+                flat.extend((width + at * q.dim + j, e) for j, e in q.project(image))
+        width += cycles.nrows * q.dim
+    return bool(width) and rank(Matrix.from_pairs(lam.field, flats, width)) == lam.dim
 
 
 def equivalence_certificate(p, shift_window=None, cap=None):

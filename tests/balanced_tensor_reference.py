@@ -13,6 +13,7 @@ kept columns, projections, dimensions and products.
 from sphertwist.errors import CapExceeded
 from sphertwist.exactlin import Matrix, SpanBuilder, SpanQuotient, kronecker, rank
 from sphertwist.resolutions import minimal_resolution
+from vectors import dense, pairs
 
 
 def balancing_rows(a, m, n):
@@ -68,13 +69,13 @@ def reduction_data(f, rel_rows, dim):
     """Projection matrix onto the quotient by a span, via free coordinates."""
     sb = SpanBuilder(f, dim)
     for r in rel_rows:
-        sb.add(list(r))
+        sb.add(pairs(f, r))
     q = SpanQuotient(sb)
     rows = []
     for k in range(dim):
         e = [f.zero()] * dim
         e[k] = f.one()
-        rows.append(q.project(e))
+        rows.append(dense(f, q.project(pairs(f, e)), q.dim))
     return Matrix(f, rows, q.dim)
 
 
@@ -86,7 +87,7 @@ class FlatQuotient:
         self.width = width
         self.span = SpanBuilder(field, width)
         for r in rows:
-            self.span.add(r)
+            self.span.add(pairs(field, r))
         pivots = set(self.span.pivots)
         self.kept = [j for j in range(width) if j not in pivots]
 
@@ -95,7 +96,9 @@ class FlatQuotient:
         return len(self.kept)
 
     def project(self, vec):
-        return SpanQuotient(self.span).project(vec)
+        """The class of a dense vector, as a dense vector."""
+        q = SpanQuotient(self.span)
+        return dense(self.field, q.project(pairs(self.field, vec)), q.dim)
 
 
 def tor_from_resolution(a, res, other, count, second=False):

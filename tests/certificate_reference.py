@@ -24,13 +24,13 @@ def dense_ideal_audit(a, ideal):
     vectors ``ideal``, or None when the span is a two-sided ideal."""
     span = SpanBuilder(a.field, a.dim)
     for g in ideal:
-        span.add([a.field.coerce(c) for c in g])
-    for g in list(span.rows):
+        span.add(g)
+    for g in span.basis_pairs():
         for i in range(a.dim):
-            left = a.mul_vec(a.basis_vector(i), list(g))
-            right = a.mul_vec(list(g), a.basis_vector(i))
+            left = a.mul_vec(a.basis_vector(i), g)
+            right = a.mul_vec(g, a.basis_vector(i))
             if not span.contains(left):
-                return "b%d · ideal element leaves the span" % i, (i, list(g), left)
+                return "b%d · ideal element leaves the span" % i, (i, g, left)
             if not span.contains(right):
-                return "ideal element · b%d leaves the span" % i, (i, list(g), right)
+                return "ideal element · b%d leaves the span" % i, (i, g, right)
     return None

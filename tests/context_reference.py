@@ -14,6 +14,7 @@ from sphertwist.algebra import from_structure_constants, quotient_surjection
 from sphertwist.exactlin import Matrix
 from sphertwist.frobenius import stable_hom
 from sphertwist.modules import HomBasis, direct_sum, hom_space
+from vectors import dense
 
 
 def whole_t_context(projective_part, extra_summands):
@@ -26,13 +27,17 @@ def whole_t_context(projective_part, extra_summands):
     homs = hom_space(total, total)
     d = len(homs)
     basis = HomBasis(f, homs)
+
+    def coords(mat):
+        return dense(f, basis.coords(mat), d)
+
     mult = [
-        [basis.coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
+        [coords(homs[j].matrix.mul(homs[i].matrix)) for j in range(d)]
         for i in range(d)
     ]
-    unit = basis.coords(Matrix.identity(f, total.dim))
+    unit = coords(Matrix.identity(f, total.dim))
     idempotents = [
-        ("block:%d" % b, basis.coords(prj.matrix.mul(inj.matrix)))
+        ("block:%d" % b, coords(prj.matrix.mul(inj.matrix)))
         for b, (inj, prj) in enumerate(zip(injs, projs))
     ]
     endo = from_structure_constants(f, mult, unit, idempotents=idempotents)

@@ -6,7 +6,8 @@ combination Σ cᵢ·Mᵢ is built term by term, e·A is rebuilt for every
 cover generator, and each row of the epi is v·action_of(w).  They are
 slow and obviously right; `projective_cover`, `module_radical`,
 `submodule`, `quotient`, `Module.action_of` and `Algebra.mul_vec` must
-return exactly what these do.
+return exactly what these do.  Their vectors are dense lists, read
+through `vectors` where they meet the package's spans and idempotents.
 """
 
 from sphertwist.algebra import lift_idempotents, radical
@@ -18,7 +19,21 @@ from sphertwist.exactlin import (
     rank,
     row_space_canonical,
 )
-from sphertwist.modules import Module, ModuleHom, _as_rows, direct_sum, m_basis_row
+from sphertwist.modules import Module, ModuleHom, direct_sum
+from vectors import dense, pairs
+
+
+def m_basis_row(field, dim, j):
+    v = [field.zero()] * dim
+    v[j] = field.one()
+    return v
+
+
+def _as_rows(field, vectors, width):
+    """A Matrix as it is, or a list of dense rows as their Matrix."""
+    if isinstance(vectors, Matrix):
+        return vectors
+    return Matrix(field, [[field.coerce(c) for c in v] for v in vectors], width)
 
 
 def mul_vec(a, x, y):
@@ -56,12 +71,12 @@ def submodule(m, vectors, check=True):
     rows = row_space_canonical(_as_rows(f, vectors, m.dim))
     span = SpanBuilder(f, m.dim)
     for r in rows.rows:
-        span.add(list(r))
+        span.add(pairs(f, r))
     d = rows.nrows
     pivots = list(span.pivots)
 
     def coords(vec):
-        if check and not span.contains(vec):
+        if check and not span.contains(pairs(f, vec)):
             raise NotASubmodule("vector leaves the subspace", witness=vec)
         return [vec[p] for p in pivots]
 
@@ -78,16 +93,20 @@ def quotient(m, vectors):
     rows = row_space_canonical(_as_rows(f, vectors, m.dim))
     span = SpanBuilder(f, m.dim)
     for r in rows.rows:
-        span.add(list(r))
+        span.add(pairs(f, r))
     for r in rows.rows:
         for i in range(m.algebra.dim):
-            if not span.contains(_row_times(f, r, m.action[i])):
+            if not span.contains(pairs(f, _row_times(f, r, m.action[i]))):
                 raise NotASubmodule(
                     "subspace not stable under basis element %d" % i, witness=list(r)
                 )
-    q = SpanQuotient(span)
-    keep, project = q.kept, q.project
+    quotient_span = SpanQuotient(span)
+    keep = quotient_span.kept
     d = len(keep)
+
+    def project(vec):
+        return dense(f, quotient_span.project(pairs(f, vec)), d)
+
     reps = [m_basis_row(f, m.dim, j) for j in keep]
     action = [
         Matrix(f, [project(_row_times(f, r, m.action[i])) for r in reps], d)
@@ -103,14 +122,15 @@ def module_radical(m):
     rad = radical(m.algebra)
     sb = SpanBuilder(f, m.dim)
     for j in range(rad.ncols):
-        act = action_of(m, rad.column(j))
+        act = action_of(m, dense(f, rad.column(j), m.algebra.dim))
         for r in range(m.dim):
-            sb.add(_row_times(f, m_basis_row(f, m.dim, r), act))
+            sb.add(pairs(f, _row_times(f, m_basis_row(f, m.dim, r), act)))
     return sb.basis_matrix()
 
 
 def projective_cover(m):
-    """(P, epi, cover idempotents) by the old greedy route."""
+    """(P, epi, cover idempotents) by the old greedy route; the
+    idempotents are the package's vectors."""
     a = m.algebra
     f = a.field
     if m.dim == 0:
@@ -119,20 +139,23 @@ def projective_cover(m):
     reg = Module.regular(a)
     cover_span = SpanBuilder(f, m.dim)
     for r in module_radical(m).rows:
-        cover_span.add(list(r))
+        cover_span.add(pairs(f, r))
     pieces, gens = [], []
     for e in lift_idempotents(a):
-        act_e = action_of(m, e)
+        e_dense = dense(f, e, a.dim)
+        act_e = action_of(m, e_dense)
         for r in range(m.dim):
             v = _row_times(f, m_basis_row(f, m.dim, r), act_e)
-            if cover_span.contains(v):
+            if cover_span.contains(pairs(f, v)):
                 continue
-            pe_rows = [mul_vec(a, e, a.basis_vector(i)) for i in range(a.dim)]
+            pe_rows = [
+                mul_vec(a, e_dense, m_basis_row(f, a.dim, i)) for i in range(a.dim)
+            ]
             pe, _ = submodule(reg, pe_rows, check=False)
             pieces.append(pe)
             gens.append((v, pe_rows, e))
             for i in range(a.dim):
-                cover_span.add(_row_times(f, v, m.action[i]))
+                cover_span.add(pairs(f, _row_times(f, v, m.action[i])))
     if not pieces:
         raise SphertwistError("nonzero module with no top")
     p_sum, _, _ = direct_sum(pieces)

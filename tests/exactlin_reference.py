@@ -13,6 +13,7 @@ from itertools import compress
 from sphertwist import exactlin
 from sphertwist.errors import FieldMismatch, ShapeError
 from sphertwist.exactlin import Matrix
+from vectors import dense
 
 
 class DenseMatrix:
@@ -369,7 +370,7 @@ def solve_matrix(m, b):
         x = exactlin.solve(m, b.column(j))
         if x is None:
             return None
-        cols.append(x)
+        cols.append(dense(m.field, x, m.ncols))
     return Matrix(m.field, cols, m.ncols).transpose() if cols else Matrix.zero(m.field, m.ncols, 0)
 
 
@@ -389,8 +390,9 @@ def intersect_subspaces(u, v):
     ker = exactlin.kernel_basis(stacked)
     cols = []
     for j in range(ker.ncols):
-        coeffs = ker.column(j)[: u.ncols]
-        cols.append(u.mul(Matrix(u.field, [[c] for c in coeffs], 1)).column(0))
+        coeffs = dense(u.field, ker.column(j), ker.nrows)[: u.ncols]
+        column = u.mul(Matrix(u.field, [[c] for c in coeffs], 1)).column(0)
+        cols.append(dense(u.field, column, u.nrows))
     if not cols:
         return Matrix.zero(u.field, u.nrows, 0)
     return exactlin.row_space_canonical(Matrix(u.field, cols, u.nrows)).transpose()

@@ -36,7 +36,7 @@ def ext_dims(a, m, n, count):
             continue
         coords = HomBasis(f, tgt).coords
         rows = [coords(h.compose(g).matrix) for g in src]
-        ranks.append(rank(Matrix(f, rows, len(tgt))))
+        ranks.append(rank(Matrix.from_pairs(f, rows, len(tgt))))
     out = []
     for i in range(count):
         if i < len(spaces):

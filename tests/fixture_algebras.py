@@ -4,6 +4,7 @@ from sphertwist.algebra import from_quiver, from_structure_constants
 from exactlin_reference import solve_matrix
 from sphertwist.exactlin import QQ, Matrix
 from sphertwist.modules import Module
+from vectors import dense
 
 
 def dual_numbers(field=QQ):
@@ -67,11 +68,15 @@ def rebased(a, rows):
     f = a.field
     t = Matrix(f, rows, a.dim)
     change = solve_matrix(t, Matrix.identity(f, a.dim))
+
+    def new_coordinates(vec):
+        return dense(f, change.apply_to_row(vec), a.dim)
+
     mult = [
-        [change.apply_to_row(a.mul_vec(t.rows[i], t.rows[j])) for j in range(a.dim)]
+        [new_coordinates(a.mul_vec(t.pairs[i], t.pairs[j])) for j in range(a.dim)]
         for i in range(a.dim)
     ]
-    return from_structure_constants(f, mult, change.apply_to_row(a.unit)), change
+    return from_structure_constants(f, mult, new_coordinates(a.unit)), change
 
 
 def change_of_basis(m):

@@ -16,6 +16,7 @@ from sphertwist.exactlin import Matrix, SpanBuilder, SpanQuotient, kernel_basis,
 from sphertwist.modules import HomBasis, Module, ModuleHom, hom_space
 from sphertwist.resolutions import minimal_resolution
 from sphertwist.twist import ChainComplex, _scalar_algebra, _vect
+from vectors import dense
 
 
 def hom_complex(c, d):
@@ -70,7 +71,7 @@ def _write_block(row, layout, solvers, k, n, mat, scalar):
         if not homs:
             assert mat.is_zero(), "hom image lands outside the recorded basis"
             return
-        for i, x in enumerate(solvers[(k, n)].coords(mat)):
+        for i, x in solvers[(k, n)].coords(mat):
             row[off + i] = field.add(row[off + i], field.mul(scalar, x))
         return
     assert mat.is_zero(), "hom image lands outside the block layout"
@@ -89,7 +90,7 @@ def unit_faithful_on_cohomology(p, k_mod, cap=None):
     pre = []
     for i, h in enumerate(res.maps):
         rows = [solvers[i + 1].coords(h.matrix.mul(f.matrix)) for f in spaces[i]]
-        pre.append(Matrix(field, rows, len(spaces[i + 1])))
+        pre.append(Matrix.from_pairs(field, rows, len(spaces[i + 1])))
     cycles, quotients = [], []
     for i, basis in enumerate(spaces):
         n = len(basis)
@@ -104,7 +105,7 @@ def unit_faithful_on_cohomology(p, k_mod, cap=None):
             else Matrix.identity(field, n)
         )
         boundaries = SpanBuilder(field, n)
-        for r in pre[i - 1].rows if i > 0 else []:
+        for r in pre[i - 1].pairs if i > 0 else []:
             boundaries.add(r)
         cycles.append(z)
         quotients.append(SpanQuotient(boundaries))
@@ -115,12 +116,13 @@ def unit_faithful_on_cohomology(p, k_mod, cap=None):
         for i, basis in enumerate(spaces):
             if not basis:
                 continue
-            op = Matrix(field, [solvers[i].coords(f.matrix.mul(left)) for f in basis],
-                        len(basis))
+            op = Matrix.from_pairs(
+                field, [solvers[i].coords(f.matrix.mul(left)) for f in basis], len(basis)
+            )
             z, q = cycles[i], quotients[i]
             for r in range(z.nrows):
                 moved = Matrix(field, [list(z.rows[r])], z.ncols).mul(op)
-                flat.extend(q.project(moved.rows[0]))
+                flat.extend(dense(field, q.project(moved.pairs[0]), q.dim))
         flats.append(flat)
     width = len(flats[0]) if flats else 0
     if width == 0:

@@ -12,6 +12,7 @@ from sphertwist import modules
 from sphertwist.errors import AlgebraMismatch
 from sphertwist.exactlin import Matrix, kernel_basis, kronecker
 from sphertwist.modules import ModuleHom, generator_indices
+from vectors import dense
 
 
 def hom_space(m, n):
@@ -39,7 +40,7 @@ def hom_space(m, n):
         null = Matrix.identity(f, s * t)
     homs = []
     for j in range(null.ncols):
-        flat = null.column(j)
+        flat = dense(f, null.column(j), s * t)
         mat = Matrix(f, [flat[r * t : (r + 1) * t] for r in range(s)], t)
         homs.append(ModuleHom(m, n, mat))  # validates on all basis elements
     return homs
@@ -63,7 +64,7 @@ def hom_module(ctx, n):
         return modules.Module.zero(ctx.endo), []
     coords = modules.HomBasis(f, homs).coords
     action = [
-        Matrix(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
+        Matrix.from_pairs(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
         for lam in ctx.hom_basis
     ]
     return modules.Module(ctx.endo, d, action), homs

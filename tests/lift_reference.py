@@ -14,6 +14,7 @@ before it took certified tags as they are.
 """
 
 from sphertwist.algebra import _split_corner
+from vectors import dense
 
 
 def unit_started_lift(a):
@@ -26,8 +27,8 @@ def unit_started_lift(a):
         assert a.mul_vec(e, e) == e
         for e2 in out[i + 1 :]:
             assert not any(a.mul_vec(e, e2)) and not any(a.mul_vec(e2, e))
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    assert total == a.unit
+        total = [f.add(x, y) for x, y in zip(total, dense(f, e, a.dim))]
+    assert total == dense(f, a.unit, a.dim)
     return out
 
 
@@ -41,8 +42,8 @@ def refine_idempotent(a, e):
     _split_corner(a, list(e), out)
     total = [f.zero()] * a.dim
     for piece in out:
-        total = [f.add(x, y) for x, y in zip(total, piece)]
-    assert total == list(e)
+        total = [f.add(x, y) for x, y in zip(total, dense(f, piece, a.dim))]
+    assert total == dense(f, e, a.dim)
     return out
 
 
@@ -55,6 +56,6 @@ def tag_started_lift(a):
         _split_corner(a, list(v), out)
     total = [f.zero()] * a.dim
     for e in out:
-        total = [f.add(x, y) for x, y in zip(total, e)]
-    assert total == a.unit
+        total = [f.add(x, y) for x, y in zip(total, dense(f, e, a.dim))]
+    assert total == dense(f, a.unit, a.dim)
     return out

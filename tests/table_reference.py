@@ -5,7 +5,7 @@ test oracles.
 `algebra._trace_form_radical` read the structure constants off the
 sparse table.  The routes here build the same things from products
 instead: row i of a multiplication matrix is x·bᵢ or bᵢ·x by
-`Algebra.mul_vec` against a dense basis vector, and the Gram matrix of
+`Algebra.mul_vec` against a basis vector, and the Gram matrix of
 the trace form is summed from the traces of the left multiplication
 matrices of the basis, audited nilpotent by multiplying its basis
 vectors pairwise.
@@ -18,12 +18,14 @@ from sphertwist.exactlin import Matrix, SpanBuilder, kernel_basis
 
 def left_mult_matrix(a, x):
     """Row i is x·bᵢ."""
-    return Matrix(a.field, [a.mul_vec(x, a.basis_vector(i)) for i in range(a.dim)], a.dim)
+    rows = [a.mul_vec(x, a.basis_vector(i)) for i in range(a.dim)]
+    return Matrix.from_pairs(a.field, rows, a.dim)
 
 
 def right_mult_matrix(a, x):
     """Row i is bᵢ·x."""
-    return Matrix(a.field, [a.mul_vec(a.basis_vector(i), x) for i in range(a.dim)], a.dim)
+    rows = [a.mul_vec(a.basis_vector(i), x) for i in range(a.dim)]
+    return Matrix.from_pairs(a.field, rows, a.dim)
 
 
 def is_nilpotent(a, base):
@@ -37,7 +39,7 @@ def is_nilpotent(a, base):
         for u in current:
             for v in base:
                 nxt.add(a.mul_vec(u, v))
-        current = nxt.rows
+        current = nxt.basis_pairs()
         steps += 1
     return True
 
@@ -54,9 +56,8 @@ def trace_form_radical(a):
         row = []
         for j in range(a.dim):
             t = f.zero()
-            for k, c in enumerate(a.mul_vec(a.basis_vector(i), a.basis_vector(j))):
-                if not f.is_zero(c):
-                    t = f.add(t, f.mul(c, traces[k]))
+            for k, c in a.mul_vec(a.basis_vector(i), a.basis_vector(j)):
+                t = f.add(t, f.mul(c, traces[k]))
             row.append(t)
         gram.append(row)
     rad = kernel_basis(Matrix(f, gram, a.dim))

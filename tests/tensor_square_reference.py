@@ -18,28 +18,31 @@ from sphertwist.exactlin import Matrix, kronecker, rank, solve
 from sphertwist.homology import Bimodule
 from sphertwist.modules import Module, ModuleHom, kernel_of, quotient
 from sphertwist.resolutions import minimal_resolution
+from vectors import dense, pairs
 
 
 def left_embed(env_left, env_right, vec):
     """Coordinates in enveloping(left, right) of a left-algebra element."""
     f = env_left.field
     out = [f.zero()] * (env_left.dim * env_right.dim)
-    unit = env_right.unit
+    unit = dense(f, env_right.unit, env_right.dim)
+    vec = dense(f, vec, env_left.dim)
     for j in range(env_right.dim):
         for i in range(env_left.dim):
             out[j * env_left.dim + i] = f.mul(f.coerce(unit[j]), f.coerce(vec[i]))
-    return out
+    return pairs(f, out)
 
 
 def right_embed(env_left, env_right, vec):
     """Coordinates in enveloping(left, right) of a right-algebra element."""
     f = env_left.field
     out = [f.zero()] * (env_left.dim * env_right.dim)
-    unit = env_left.unit
+    unit = dense(f, env_left.unit, env_left.dim)
+    vec = dense(f, vec, env_right.dim)
     for j in range(env_right.dim):
         for i in range(env_left.dim):
             out[j * env_left.dim + i] = f.mul(f.coerce(vec[j]), f.coerce(unit[i]))
-    return out
+    return pairs(f, out)
 
 
 def regular_bimodule(a, env):
@@ -69,13 +72,13 @@ def _target_as_bimodule_carrier(p):
     env = enveloping(a, b)
     action = []
     for j in range(b.dim):
-        rmat = Matrix(
+        rmat = Matrix.from_pairs(
             f, [b.mul_vec(b.basis_vector(r), b.basis_vector(j)) for r in range(b.dim)],
             b.dim,
         )
         for i in range(a.dim):
             img = p.apply(a.basis_vector(i))
-            lmat = Matrix(
+            lmat = Matrix.from_pairs(
                 f,
                 [b.mul_vec(img, b.basis_vector(r)) for r in range(b.dim)],
                 b.dim,
@@ -117,7 +120,7 @@ class TensorSquare:
             for j in range(b.dim):
                 rq = q.action_of(right_embed(a, b, b.basis_vector(j)))
                 for i in range(b.dim):
-                    lrows = Matrix(
+                    lrows = Matrix.from_pairs(
                         f,
                         [
                             b.mul_vec(b.basis_vector(i), b.basis_vector(r))
@@ -131,7 +134,7 @@ class TensorSquare:
             rel = []
             for k in range(a.dim):
                 img = p.apply(a.basis_vector(k))
-                xm = Matrix(
+                xm = Matrix.from_pairs(
                     f,
                     [b.mul_vec(b.basis_vector(r), img) for r in range(b.dim)],
                     b.dim,
@@ -149,7 +152,7 @@ class TensorSquare:
                             if not f.is_zero(yj[t]):
                                 row[i * q.dim + t] = f.sub(row[i * q.dim + t], yj[t])
                         rel.append(row)
-            tq, proj = quotient(flat_mod, rel)
+            tq, proj = quotient(flat_mod, Matrix(f, rel, flat_dim))
             terms.append(tq)
             projections.append(proj)
         self.terms = terms
@@ -167,8 +170,8 @@ class TensorSquare:
         flat_rows = []
         for i in range(b.dim):
             for jj in range(res.terms[0].dim):
-                flat_rows.append(b.mul_vec(b.basis_vector(i), aug.matrix.rows[jj]))
-        c0 = solve_matrix(projections[0].matrix, Matrix(f, flat_rows, b.dim))
+                flat_rows.append(b.mul_vec(b.basis_vector(i), aug.matrix.pairs[jj]))
+        c0 = solve_matrix(projections[0].matrix, Matrix.from_pairs(f, flat_rows, b.dim))
         if c0 is None:
             raise SphertwistError("multiplication does not descend to the quotient")
         self.mult_map = ModuleHom(terms[0], reg_bb, c0)
@@ -201,10 +204,10 @@ def homology_carrier(square, t):
     else:
         cycles, incl = kernel_of(square.dbars[t - 1])
         incl_matrix = incl.matrix
-    boundary_rows = square.dbars[t].matrix.rows if t < len(square.dbars) else []
+    boundary_rows = square.dbars[t].matrix.pairs if t < len(square.dbars) else []
     in_cycle_coords = []
     for r in boundary_rows:
-        x = solve(incl_matrix.transpose(), list(r))
+        x = solve(incl_matrix.transpose(), r)
         if x is None:
             raise SphertwistError("boundary escapes the cycles")
         in_cycle_coords.append(x)

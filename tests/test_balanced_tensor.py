@@ -26,6 +26,7 @@ from sphertwist.homology import tor_dims
 from sphertwist.modules import Module, balanced_tensor, direct_sum, simple_modules
 from sphertwist.spherical import _pairing_blocks
 
+import vectors
 from fixture_algebras import (
     change_of_basis,
     cyclic_nakayama,
@@ -99,7 +100,7 @@ def test_balanced_tensor_matches_the_dense_builders(data):
     assert rows == ref.tensor_balancing_rows(a, m.action, n.action, m.dim, n.dim)
     span = SpanBuilder(f, width)
     for r in rows:
-        span.add(r)
+        span.add(vectors.pairs(f, r))
     tensor = balanced_tensor(a, m.action, n.action)
     assert tensor.span.rows == span.rows
     flat = ref.FlatQuotient(f, width, rows)
@@ -109,11 +110,13 @@ def test_balanced_tensor_matches_the_dense_builders(data):
     for k in range(width):
         unit = [f.zero()] * width
         unit[k] = f.one()
-        assert tensor.project(unit) == proj.rows[k]
-        assert tensor.project({k: f.one()}) == proj.rows[k]
+        got = tensor.project(vectors.pairs(f, unit))
+        assert vectors.dense(f, got, tensor.dim) == proj.rows[k]
+        assert tensor.project([(k, f.one())]) == proj.pairs[k]
     v = data.draw(coefficient_vectors(f, width))
-    assert tensor.project(v) == flat.project(v)
-    assert tensor.project(dict(enumerate(v))) == flat.project(v)
+    got = tensor.project(vectors.pairs(f, v))
+    assert vectors.dense(f, got, tensor.dim) == flat.project(v)
+    assert got == vectors.pairs(f, flat.project(v))
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,14 +127,15 @@ def test_span_quotient_matches_the_flat_quotient(data):
     rows = data.draw(st.lists(coefficient_vectors(field, width), max_size=5))
     span = SpanBuilder(field, width)
     for r in rows:
-        span.add(r)
+        span.add(vectors.pairs(field, r))
     q = SpanQuotient(span)
     flat = ref.FlatQuotient(field, width, rows)
     assert q.kept == flat.kept
     assert q.dim == flat.dim
     v = data.draw(coefficient_vectors(field, width))
-    assert q.project(v) == flat.project(v)
-    assert q.project(dict(enumerate(v))) == flat.project(v)
+    got = q.project(vectors.pairs(field, v))
+    assert vectors.dense(field, got, q.dim) == flat.project(v)
+    assert got == vectors.pairs(field, flat.project(v))
 
 
 @settings(max_examples=40, deadline=None)

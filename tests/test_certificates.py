@@ -34,6 +34,7 @@ from fixture_algebras import (
     two_vertex_arrow,
 )
 from patching import count_calls
+import vectors
 
 GF = PrimeField(32003)
 FIELDS = [QQ, GF]
@@ -142,7 +143,7 @@ def test_dropping_a_row_of_the_ideal_fails_as_the_dense_loop(name, field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF"])
 def test_a_vertex_is_not_an_ideal(field):
-    assert assert_audit_matches(two_vertex_arrow(field), [[1, 0, 0]])
+    assert assert_audit_matches(two_vertex_arrow(field), [vectors.pairs(field, [1, 0, 0])])
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +156,7 @@ def test_the_three_cycle_in_small_characteristic(p):
     # and there are three simples, one per vertex
     a = cyclic_nakayama(3, PrimeField(p))
     rad = radical(a)
-    assert [rad.column(j) for j in range(rad.ncols)] == [
+    assert [vectors.dense(a.field, rad.column(j), 6) for j in range(rad.ncols)] == [
         [1 if i == k else 0 for i in range(6)] for k in (3, 4, 5)
     ]
     sims = simple_modules(a)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exactlin_reference as ref
+import vectors
 from exactlin_reference import image_basis, intersect_subspaces, solve_matrix
 from fixture_algebras import dual_numbers
 from sphertwist import modules
@@ -87,24 +88,24 @@ def test_kernel_sum_zero():
     # the leading coordinate to 1.
     k = kernel_basis(mat([[1, 1]]))
     assert k.ncols == 1
-    col = k.column(0)
+    col = vectors.dense(QQ, k.column(0), 2)
     assert col[0] != 0
     scale = col[0]
     assert [c / scale for c in col] == [Fraction(1), Fraction(-1)]
 
 
 def test_solve_identity():
-    b = [Fraction(3), Fraction(-7)]
+    b = vectors.pairs(QQ, [Fraction(3), Fraction(-7)])
     assert solve(Matrix.identity(QQ, 2), b) == b
 
 
 def test_solve_inconsistent_none():
-    assert solve(mat([[1, 1], [1, 1]]), [1, 2]) is None
+    assert solve(mat([[1, 1], [1, 1]]), vectors.pairs(QQ, [1, 2])) is None
 
 
 def test_solve_exact_fraction():
-    x = solve(mat([[2, 0], [0, 3]]), [1, 1])
-    assert x == [Fraction(1, 2), Fraction(1, 3)]
+    x = solve(mat([[2, 0], [0, 3]]), vectors.pairs(QQ, [1, 1]))
+    assert vectors.dense(QQ, x, 2) == [Fraction(1, 2), Fraction(1, 3)]
 
 
 def test_image_basis_canonical():
@@ -178,31 +179,35 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         mat([[1], [2]]).add(mat([[1, 2]]))
     with pytest.raises(ShapeError):
-        solve(mat([[1, 2]]), [1, 2])
+        solve(mat([[1, 2]]), vectors.pairs(QQ, [1, 2]))
 
 
 def test_span_builder_membership():
     sb = SpanBuilder(QQ, 3)
-    assert sb.add([Fraction(1), Fraction(1), Fraction(0)])
-    assert not sb.add([Fraction(2), Fraction(2), Fraction(0)])
-    assert sb.add([Fraction(0), Fraction(0), Fraction(1)])
+    v = lambda *entries: vectors.pairs(QQ, entries)
+    assert sb.add(v(1, 1, 0))
+    assert not sb.add(v(2, 2, 0))
+    assert sb.add(v(0, 0, 1))
     assert sb.dim() == 2
-    assert sb.contains([Fraction(3), Fraction(3), Fraction(-1)])
-    assert not sb.contains([Fraction(1), Fraction(0), Fraction(0)])
+    assert sb.contains(v(3, 3, -1))
+    assert not sb.contains(v(1, 0, 0))
 
 
 def test_span_builder_rejects_wrong_length():
     sb = SpanBuilder(QQ, 3)
-    sb.add([Fraction(1), Fraction(0), Fraction(0)])
-    for vec in ([1, 0, 0, 5], [0, 0]):
+    sb.add(vectors.pairs(QQ, [1, 0, 0]))
+    # a vector longer than the width, and one with a negative index
+    for vec in (vectors.pairs(QQ, [1, 0, 0, 5]), [(-1, Fraction(1))]):
         with pytest.raises(ShapeError):
-            sb.contains([Fraction(e) for e in vec])
+            sb.contains(vec)
         with pytest.raises(ShapeError):
-            sb._reduce([Fraction(e) for e in vec])
-    # a dict entry outside [0, width) raises through every entry point,
+            sb._reduce(vec)
+    # an index outside [0, width) raises through every entry point,
     # an explicit zero included
     q = SpanQuotient(sb)
-    for entries in ({3: Fraction(5)}, {-1: Fraction(1)}, {0: Fraction(1), 7: Fraction(0)}):
+    for entries in (
+        [(3, Fraction(5))], [(-1, Fraction(1))], [(0, Fraction(1)), (7, Fraction(0))]
+    ):
         for call in (sb.add, sb.contains, q.project):
             with pytest.raises(ShapeError):
                 call(entries)
@@ -221,9 +226,10 @@ def test_multiple_of_p_is_zero():
     assert (r.rows, pivots) == ref.rref(m) == ([[1, 0], [0, 0]], [0])
     assert Matrix(f7, [[7, 14]]).is_zero()
     sb, rsb = SpanBuilder(f7, 2), ref.SpanBuilder(f7, 2)
-    assert sb.add([7, 1]) == rsb.add([7, 1])
+    assert sb.add(vectors.pairs(f7, [7, 1])) == rsb.add([7, 1])
     assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots) == ([[0, 1]], [1])
-    assert sb.contains([14, 0]) and not sb.add([21, 5])
+    assert sb.contains(vectors.pairs(f7, [14, 0]))
+    assert not sb.add(vectors.pairs(f7, [21, 5]))
 
 
 def test_equal_matrices_over_fp_have_equal_pairs():
@@ -257,7 +263,7 @@ def test_span_builder_matches_rref_canonical():
     rows = [[1, 2, 3], [0, 1, 1], [1, 3, 4]]
     sb = SpanBuilder(QQ, 3)
     for r in rows:
-        sb.add([Fraction(e) for e in r])
+        sb.add(vectors.pairs(QQ, r))
     from sphertwist.exactlin import row_space_canonical
 
     assert sb.basis_matrix() == row_space_canonical(mat(rows))
@@ -311,11 +317,12 @@ def test_solve_iff_rank(m, bvals):
     b = [Fraction(v) for v in bvals[: m.nrows]]
     b += [Fraction(0)] * (m.nrows - len(b))
     aug = m.hstack(Matrix(QQ, [[e] for e in b], 1))
-    x = solve(m, b)
+    x = solve(m, vectors.pairs(QQ, b))
     if rank(aug) == rank(m):
         assert x is not None
+        x = vectors.dense(QQ, x, m.ncols)
         got = m.mul(Matrix(QQ, [[e] for e in x], 1)).column(0)
-        assert got == b
+        assert vectors.dense(QQ, got, m.nrows) == b
     else:
         assert x is None
 
@@ -344,7 +351,7 @@ def test_intersection_contained_in_both(u, v):
         u = Matrix(QQ, [[Fraction(1)] * u.ncols for _ in range(v.nrows)], u.ncols)
     w = intersect_subspaces(u, v)
     for j in range(w.ncols):
-        col = Matrix(QQ, [[e] for e in w.column(j)], 1)
+        col = Matrix(QQ, [[e] for e in vectors.dense(QQ, w.column(j), w.nrows)], 1)
         assert solve_matrix(u, col) is not None
         assert solve_matrix(v, col) is not None
 
@@ -372,7 +379,8 @@ def test_rref_kernel_solve_match_reference(data):
     assert m.is_zero() == ref.is_zero(m)
     assert kernel_basis(m).transpose().rows == ref.kernel_basis(m)
     b = draw_vector(data, field, m.nrows)
-    assert solve(m, b) == ref.solve(m, b)
+    x = solve(m, vectors.pairs(field, b))
+    assert (x if x is None else vectors.dense(field, x, m.ncols)) == ref.solve(m, b)
 
 
 @given(st.data())
@@ -387,7 +395,9 @@ def test_arithmetic_matches_reference(data):
     scalar = data.draw(sparse_entries)
     assert a.scale(scalar).rows == ref.scale(a, scalar)
     vec = draw_vector(data, field, a.nrows)
-    assert a.apply_to_row(vec) == ref.apply_to_row(a, vec)
+    assert a.apply_to_row(vectors.pairs(field, vec)) == vectors.pairs(
+        field, ref.apply_to_row(a, vec)
+    )
 
 
 def restored(data, m):
@@ -456,13 +466,13 @@ def test_span_builder_matches_reference(data):
     m = draw_matrix(data, field, max_dim=6)
     sb, rsb = SpanBuilder(field, m.ncols), ref.SpanBuilder(field, m.ncols)
     for row in m.rows:
-        assert sb.add(row) == rsb.add(row)
+        assert sb.add(vectors.pairs(field, row)) == rsb.add(row)
         assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots)
-    assert all(sb.contains(row) for row in m.rows)
+    assert all(sb.contains(row) for row in m.pairs)
     for _ in range(3):
         vec = draw_vector(data, field, m.ncols)
-        assert sb.contains(vec) == rsb.contains(vec)
-        red = sb._reduce(vec)
+        assert sb.contains(vectors.pairs(field, vec)) == rsb.contains(vec)
+        red = sb._reduce(vectors.pairs(field, vec))
         assert all(red.values())
         assert dense(field, m.ncols, red) == rsb._reduce(vec)
 
@@ -545,13 +555,18 @@ def test_every_kernel_matches_the_dense_oracle(data):
     cols = data.draw(st.permutations(range(full.ncols)))
     dense = ref.DenseMatrix(field, full.rows)
     assert_matches(full.submatrix(rows, cols), dense.submatrix(rows, cols))
-    assert all(a.column(j) == reduced(field, [da.column(j)])[0] for j in range(c))
+    assert all(
+        vectors.dense(field, a.column(j), n) == reduced(field, [da.column(j)])[0]
+        for j in range(c)
+    )
     assert a.is_zero() == da.is_zero()
     assert (a == b) == (reduced(field, rows_a) == reduced(field, rows_b))
     assert a == Matrix(field, reduced(field, rows_a), c)
     assert Matrix.from_pairs(field, a.pairs, c) == a
     u = data.draw(oracle_rows(field, 1, n))[0] if n else []
-    assert a.apply_to_row(u) == da.apply_to_row(u)
+    assert a.apply_to_row(vectors.pairs(field, u)) == vectors.pairs(
+        field, da.apply_to_row(u)
+    )
 
     r, pivots = rref(a)
     ref_rows, ref_pivots = ref.rref(da)
@@ -560,10 +575,11 @@ def test_every_kernel_matches_the_dense_oracle(data):
     assert row_space_canonical(a).rows == reduced(field, ref_rows[: len(pivots)])
     assert kernel_basis(a).transpose().rows == ref.kernel_basis(da)
     rhs = data.draw(oracle_rows(field, 1, n))[0] if n else []
-    assert solve(a, rhs) == ref.solve(da, rhs)
+    x = solve(a, vectors.pairs(field, rhs))
+    assert (x if x is None else vectors.dense(field, x, c)) == ref.solve(da, rhs)
     span, ref_span = SpanBuilder(field, c), ref.SpanBuilder(field, c)
     for row in rows_a:
-        assert span.add(row) == ref_span.add(row)
+        assert span.add(vectors.pairs(field, row)) == ref_span.add(row)
     assert span.basis_matrix().rows == ref_span.rows
     assert span.kernel_basis() == kernel_basis(a)
 
@@ -574,15 +590,17 @@ def test_every_kernel_matches_the_dense_oracle(data):
 
     pre = Preimages(a)
     v = da.apply_to_row(u)
-    x = pre.of(v)
-    assert da.apply_to_row(x) == v
-    assert pre.of({j: e for j, e in enumerate(v) if e}) == x
+    x = pre.of(vectors.pairs(field, v))
+    assert da.apply_to_row(vectors.dense(field, x, n)) == v
+    # a second factoring of the same matrix gives the same preimage
+    assert Preimages(a).of(vectors.pairs(field, v)) == x
     w = data.draw(oracle_rows(field, 1, c))[0] if c else []
     if ref_span.contains(w):
-        assert da.apply_to_row(pre.of(w)) == reduced(field, [w])[0]
+        got = vectors.dense(field, pre.of(vectors.pairs(field, w)), n)
+        assert da.apply_to_row(got) == reduced(field, [w])[0]
     else:
         with pytest.raises(SphertwistError, match="vector has no preimage"):
-            pre.of(w)
+            pre.of(vectors.pairs(field, w))
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +652,13 @@ def test_elimination_matches_reference_at_workload_shapes(field, seed):
     assert kernel_basis(m).transpose().rows == ref.kernel_basis(m)
     sb, rsb = SpanBuilder(field, m.ncols), ref.SpanBuilder(field, m.ncols)
     for row in m.rows:
-        assert sb.add(row) == rsb.add(row)
+        assert sb.add(vectors.pairs(field, row)) == rsb.add(row)
     assert (sb.rows, sb.pivots) == (rsb.rows, rsb.pivots)
     rng = random.Random(seed)
     pre = Preimages(m)
     for _ in range(3):
         u = [field.coerce(rng.choice([0, 0, 0, 1, -2, 5])) for _ in range(m.nrows)]
-        v = m.apply_to_row(u)
+        v = m.apply_to_row(vectors.pairs(field, u))
         assert m.apply_to_row(pre.of(v)) == v
 
 
@@ -652,9 +670,9 @@ def test_preimages_by_hand():
     # (3, 7, 1) = 3·(1, 2, 0) + 1·(0, 1, 1); (0, 0, 1) = a·(1, 2, 0) +
     # b·(0, 1, 1) forces a = 0 and then 0 = b = 1
     pre = Preimages(mat([[1, 2, 0], [0, 1, 1]]))
-    assert pre.of([Fraction(e) for e in (3, 7, 1)]) == [3, 1]
+    assert pre.of(vectors.pairs(QQ, [3, 7, 1])) == vectors.pairs(QQ, [3, 1])
     with pytest.raises(SphertwistError, match="vector has no preimage"):
-        pre.of([Fraction(e) for e in (0, 0, 1)])
+        pre.of(vectors.pairs(QQ, [0, 0, 1]))
 
 
 @given(st.data())
@@ -663,15 +681,15 @@ def test_preimages_solve_exactly(data):
     m = draw_matrix(data, field, max_dim=6)
     pre = Preimages(m)
     u = draw_vector(data, field, m.nrows)
-    v = m.apply_to_row(u)
+    v = m.apply_to_row(vectors.pairs(field, u))
     assert m.apply_to_row(pre.of(v)) == v
     # with independent rows the preimage is unique
     basis = row_space_canonical(m)
-    x = u[: basis.nrows]
+    x = vectors.pairs(field, u[: basis.nrows])
     assert Preimages(basis).of(basis.apply_to_row(x)) == x
-    w = draw_vector(data, field, m.ncols)
+    w = vectors.pairs(field, draw_vector(data, field, m.ncols))
     span = SpanBuilder(field, m.ncols)
-    for row in m.rows:
+    for row in m.pairs:
         span.add(row)
     if span.contains(w):
         assert m.apply_to_row(pre.of(w)) == w
@@ -709,7 +727,8 @@ def test_preimages_inverse_of_a_singular_matrix_raises(field, seed):
     w = seeded_invertible(field, seed)
     n = w.nrows
     others = Matrix(field, w.rows[:-1], n)
-    singular = Matrix(field, others.rows + [others.apply_to_row([field.one()] * (n - 1))], n)
+    total = others.apply_to_row([(i, field.one()) for i in range(n - 1)])
+    singular = Matrix(field, others.rows + [vectors.dense(field, total, n)], n)
     assert rank(singular) == n - 1
     with pytest.raises(SphertwistError, match="vector has no preimage"):
         Preimages(singular).inverse()
@@ -733,7 +752,7 @@ def test_every_solver_reduces_through_the_span_builder(monkeypatch):
         "rref": lambda: rref(m),
         "kernel_basis": lambda: kernel_basis(m),
         "HomBasis.coords": lambda: basis.coords(homs[-1].matrix),
-        "Preimages.of": lambda: pre.of(m.rows[2]),
+        "Preimages.of": lambda: pre.of(m.pairs[2]),
     }
     reached = {}
     for name, solver in solvers.items():
@@ -799,8 +818,7 @@ def test_span_builder_sparse_entry_matches_sympy(data):
     sb = SpanBuilder(field, m.ncols)
     rank_before = 0
     for i, row in enumerate(m.rows):
-        # nonzeros plus a few explicit zeros, which must be ignored
-        grew = sb.add({j: e for j, e in enumerate(row) if e or j % 2})
+        grew = sb.add(vectors.pairs(field, row))
         rank_after = to_sympy(Matrix(field, m.rows[: i + 1], m.ncols)).rank()
         assert grew == (rank_after > rank_before)
         assert sb.dim() == rank_after

@@ -90,11 +90,11 @@ def yoneda_homs(term, cover, n):
     homs = []
     at = 0
     for incl, (rows, _) in zip(incls, _yoneda_blocks(n, cover)):
-        for v in rows.rows:
-            mat = [[f.zero()] * n.dim for _ in range(term.dim)]
-            for r, w in enumerate(incl.rows):
+        for v in rows.pairs:
+            mat = [[] for _ in range(term.dim)]
+            for r, w in enumerate(incl.pairs):
                 mat[at + r] = n.apply(v, w)
-            homs.append(ModuleHom(term, n, Matrix(f, mat, n.dim)))  # validates
+            homs.append(ModuleHom(term, n, Matrix.from_pairs(f, mat, n.dim)))  # validates
         at += incl.nrows
     return homs
 

@@ -41,6 +41,7 @@ from sphertwist.modules import (
     submodule,
 )
 
+import vectors
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,
@@ -72,7 +73,7 @@ def vertex_of(a, s):
 
 
 def _flat(mat):
-    return [e for row in mat.rows for e in row]
+    return vectors.pairs(mat.field, [e for row in mat.rows for e in row])
 
 
 def oracle_factor_through(m, n):
@@ -93,11 +94,14 @@ def oracle_factor_through(m, n):
 def oracle_symmetric(a):
     """Search for a nondegenerate form with form(xy) = form(yx)."""
     f = a.field
+
+    def product(i, j):
+        return vectors.dense(f, a.mul_vec(a.basis_vector(i), a.basis_vector(j)), a.dim)
+
     rows = []
     for i in range(a.dim):
         for j in range(i + 1, a.dim):
-            ij = a.mul_vec(a.basis_vector(i), a.basis_vector(j))
-            ji = a.mul_vec(a.basis_vector(j), a.basis_vector(i))
+            ij, ji = product(i, j), product(j, i)
             rows.append([f.sub(x, y) for x, y in zip(ij, ji)])
     if not rows:
         forms = Matrix.identity(f, a.dim)
@@ -106,21 +110,19 @@ def oracle_symmetric(a):
     import random
 
     rng = random.Random(11)
-    candidates = [forms.column(j) for j in range(forms.ncols)]
+    candidates = [vectors.dense(f, forms.column(j), a.dim) for j in range(forms.ncols)]
     for _ in range(150):
         acc = [f.zero()] * a.dim
         for j in range(forms.ncols):
             c = f.coerce(rng.randint(-3, 3))
-            acc = [
-                f.add(x, f.mul(c, y)) for x, y in zip(acc, forms.column(j))
-            ]
+            acc = [f.add(x, f.mul(c, y)) for x, y in zip(acc, candidates[j])]
         candidates.append(acc)
     for lam in candidates:
         gram = Matrix(
             f,
             [
                 [
-                    sum_apply(f, lam, a.mul_vec(a.basis_vector(i), a.basis_vector(j)))
+                    sum_apply(f, lam, product(i, j))
                     for j in range(a.dim)
                 ]
                 for i in range(a.dim)

@@ -42,6 +42,7 @@ from sphertwist.twist import (
 
 import hom_complex_reference as reference
 import twist_reference
+import vectors
 from patching import count_calls, patch_everywhere
 from fixture_algebras import (
     cyclic_nakayama,
@@ -147,7 +148,12 @@ def test_a_complex_rejects_a_cover_that_does_not_rebuild_its_term():
     assert model.covers and all(model.covers)
     # each recorded e replaced by its complement 1 − e, still idempotent
     a = model.algebra
-    complement = [[a.field.sub(u, x) for u, x in zip(a.unit, e)] for e in model.covers[0]]
+    f = a.field
+    unit = vectors.dense(f, a.unit, a.dim)
+    complement = [
+        vectors.pairs(f, [f.sub(u, x) for u, x in zip(unit, vectors.dense(f, e, a.dim))])
+        for e in model.covers[0]
+    ]
     wrong = [complement] + model.covers[1:]
     with pytest.raises(SphertwistError, match="recorded cover"):
         ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=wrong)

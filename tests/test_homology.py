@@ -73,6 +73,7 @@ from fixture_algebras import (
 )
 from patching import patch_everywhere
 import tensor_square_reference as reference
+import vectors
 from tensor_square_reference import bimodule_carrier, regular_bimodule
 
 
@@ -158,9 +159,10 @@ def ideal_bimodule(p):
 
     def action(side):
         return [
-            Matrix(f, [solve(ideal.transpose(), side(x, v)) for v in ideal.rows],
-                   ideal.nrows)
-            for x in lifts.rows
+            Matrix.from_pairs(
+                f, [solve(ideal.transpose(), side(x, v)) for v in ideal.pairs], ideal.nrows
+            )
+            for x in lifts.pairs
         ]
 
     return Bimodule(b, b, action(lambda x, v: a.mul_vec(x, v)),
@@ -185,7 +187,7 @@ def bimodule_isomorphism(m, n):
             col.extend(e for row in lm.mul(h).sub(h.mul(ln)).rows for e in row)
         cols.append(col)
     both = kernel_basis(Matrix(f, cols, len(cols[0])).transpose())
-    tries = [both.column(j) for j in range(both.ncols)]
+    tries = [vectors.dense(f, both.column(j), both.nrows) for j in range(both.ncols)]
     tries += [[f.add(x, y) for x, y in zip(u, v)]
               for i, u in enumerate(tries) for v in tries[i + 1:]]
     for coeffs in tries:
@@ -710,18 +712,15 @@ def precompose_from_the_map(n, d_matrix, source, target, source_blocks,
     blocks."""
     f = n.algebra.field
     dim = target.term.dim
-    comps = [
-        target.components([f.one() if j == i else f.zero() for j in range(dim)])
-        for i in range(dim)
-    ]
+    comps = [target.components([(i, f.one())]) for i in range(dim)]
     rows = []
     for k, (k_rows, _) in enumerate(target_blocks):
-        for v in k_rows.rows:
-            phi = Matrix(f, [n.apply(v, c[k]) for c in comps], n.dim)
+        for v in k_rows.pairs:
+            phi = Matrix.from_pairs(f, [n.apply(v, c[k]) for c in comps], n.dim)
             composite = d_matrix.mul(phi)
             row = []
             for g, (_, pivots) in zip(source.gens, source_blocks):
-                value = composite.apply_to_row(g)
+                value = vectors.dense(f, composite.apply_to_row(g), composite.ncols)
                 row.extend(value[j] for j in pivots)
             rows.append(row)
     return Matrix(f, rows, sum(r.nrows for r, _ in source_blocks))
@@ -754,10 +753,8 @@ def test_precompose_from_generator_images_matches_the_map(surjection):
             for c in range(b.dim):
                 images = _lift_left_multiplication(
                     square, b.basis_vector(c), t, preimages)
-                lift = Matrix(f, [
-                    ct.extend(images, [f.one() if j == i else f.zero()
-                                       for j in range(ct.term.dim)])
-                    for i in range(ct.term.dim)
+                lift = Matrix.from_pairs(f, [
+                    ct.extend(images, [(i, f.one())]) for i in range(ct.term.dim)
                 ], ct.term.dim)
                 assert _yoneda_precompose(
                     n, images, ct, blocks[t], blocks[t]
@@ -791,7 +788,7 @@ def assert_left_module_along_is_valid(p):
     b = p.target
     for k in range(p.source.dim):
         img = p.apply(p.source.basis_vector(k))
-        assert left.action[k].rows == [
+        assert left.action[k].pairs == [
             b.mul_vec(img, b.basis_vector(j)) for j in range(b.dim)]
 
 

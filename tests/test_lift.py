@@ -39,6 +39,7 @@ from fixture_algebras import (
 )
 from lift_reference import refine_idempotent, tag_started_lift, unit_started_lift
 from patching import count_calls
+import vectors
 
 GF = PrimeField(32003)
 
@@ -114,7 +115,8 @@ def test_both_starts_refuse_the_gaussian_field():
 def test_tags_short_of_the_unit_fall_back_to_the_unit(monkeypatch):
     # u alone of k × k, and two of the three vertices of the 3-cycle
     pair = Algebra(
-        QQ, product_field_pair().table, [1, 1], idempotents=[("u", [1, 0])]
+        QQ, product_field_pair().table, vectors.pairs(QQ, [1, 1]),
+        idempotents=[("u", vectors.pairs(QQ, [1, 0]))],
     )
     c3 = cyclic_nakayama(3)
     short = Algebra(QQ, c3.table, c3.unit, idempotents=c3.idempotents[:2])
@@ -198,7 +200,8 @@ def test_a_decomposable_summand_refines_into_primitives():
     under = [e for e in es if lam.mul_vec(copy, e) == e]
     assert len(es) == 5 and len(under) == 2
     assert copy not in es and not _is_primitive(lam, copy)
-    assert [x + y for x, y in zip(*under)] == copy
+    dense = [vectors.dense(lam.field, e, lam.dim) for e in under]
+    assert vectors.pairs(lam.field, [x + y for x, y in zip(*dense)]) == copy
 
 
 def test_a_projective_summand_stays_one_primitive():

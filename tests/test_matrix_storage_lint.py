@@ -1,12 +1,21 @@
-"""Lint: only `exactlin` knows how a matrix is stored.
+"""Lint: only `exactlin` knows how a matrix is stored, and vectors have
+one form.
 
 Package code reads a `Matrix` through its (column, entry) ``pairs`` and
 a `SpanBuilder` through its basis pairs or entries.  The dense ``rows``
 views of the two classes exist for the tests and ``repr``, so no module
 under ``src/sphertwist`` may read an attribute ``rows`` outside those two
 view definitions and ``Matrix.__repr__``, and none may name the format
-converters the pairs replaced.  The scan is static, so it covers the
-routes no workload runs as well as those it does.
+converters the pairs replaced.
+
+A vector is a list of sorted (index, entry) pairs, so no module may name
+the dense-vector converters ``_pairs`` and ``m_basis_row``, build a
+dense buffer ``[x.zero()] * n`` outside the polynomial helpers (whose
+coefficient lists are not vectors), call ``compress`` (which reads a
+dense sequence) outside ``Matrix.__init__``, the one reader of dense
+rows, or test ``isinstance(…, dict)`` in `exactlin`, where a dict was
+the second vector form.  The scan is static, so it covers the routes no
+workload runs as well as those it does.
 """
 
 import ast
@@ -20,17 +29,59 @@ VIEWS = {
     ("exactlin", "SpanBuilder.rows"),
     ("exactlin", "Matrix.__repr__"),
 }
-CONVERTERS = {"sparse_rows", "_nonzeros", "_nonzero_cells"}
+CONVERTERS = {"sparse_rows", "_nonzeros", "_nonzero_cells", "_pairs", "m_basis_row"}
+# (module, qualified name) allowed to call compress
+DENSE_READERS = {("exactlin", "Matrix.__init__")}
+
+
+def _polynomial_helper(scope):
+    return any(name.startswith("_poly_") or name == "_matrix_min_poly" for name in scope)
+
+
+def _zero_buffer(node):
+    """Whether node is [x.zero()] * n or n * [x.zero()]."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    return any(
+        isinstance(side, ast.List)
+        and len(side.elts) == 1
+        and isinstance(side.elts[0], ast.Call)
+        and isinstance(side.elts[0].func, ast.Attribute)
+        and side.elts[0].func.attr == "zero"
+        for side in (node.left, node.right)
+    )
+
+
+def _dict_test(node):
+    """Whether node is isinstance(x, dict) or isinstance(x, (…, dict, …))."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2):
+        return False
+    kinds = node.args[1]
+    kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+    return any(isinstance(k, ast.Name) and k.id == "dict" for k in kinds)
 
 
 def offences(source, module):
-    """(line, what) for each read of ``.rows`` outside the views and each
-    name, attribute, import or definition of a converter."""
+    """(line, what) for each read of ``.rows`` outside the views, each
+    name, attribute, import or definition of a converter, each dense
+    zero buffer outside the polynomial helpers, each call of compress
+    outside the dense-row reader and each dict test in exactlin."""
     out = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
+            where = ".".join(scope)
+            if _zero_buffer(child) and not _polynomial_helper(scope):
+                out.append((child.lineno, "builds a dense zero buffer in " + where))
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "compress" and (module, where) not in DENSE_READERS:
+                    out.append((child.lineno, "calls compress in " + where))
+                if module == "exactlin" and _dict_test(child):
+                    out.append((child.lineno, "tests for a dict in " + where))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
                 if child.name in CONVERTERS:
@@ -91,3 +142,46 @@ def _nonzero_cells(m):
     # the views are allowed in exactlin only
     assert offences("class Matrix:\n    def __repr__(self):\n        return self.rows\n",
                     "modules") == [(3, "reads .rows in Matrix.__repr__")]
+
+
+def test_the_lint_flags_a_dense_vector():
+    source = '''
+from itertools import compress
+from .algebra import _pairs
+
+class Matrix:
+    def __init__(self, field, rows):
+        self.nonzero = compress(range(3), rows[0])
+
+    def column(self, j):
+        out = [self.field.zero()] * self.nrows
+        return list(compress(range(3), out)) + m_basis_row(self.field, 3, j)
+
+def _reduce(vec, width):
+    if isinstance(vec, dict):
+        return vec
+    if isinstance(vec, (list, dict)):
+        return width * [f.zero()]
+    return [0] * width
+
+def _poly_mul(f, p, q):
+    return [f.zero()] * (len(p) + len(q) - 1)
+'''
+    assert offences(source, "exactlin") == [
+        (3, "imports _pairs"),
+        (10, "builds a dense zero buffer in Matrix.column"),
+        (11, "calls compress in Matrix.column"),
+        (11, "names m_basis_row"),
+        (14, "tests for a dict in _reduce"),
+        (16, "tests for a dict in _reduce"),
+        (17, "builds a dense zero buffer in _reduce"),
+    ]
+    # a dict test is allowed outside exactlin
+    assert offences(source, "modules") == [
+        (3, "imports _pairs"),
+        (7, "calls compress in Matrix.__init__"),
+        (10, "builds a dense zero buffer in Matrix.column"),
+        (11, "calls compress in Matrix.column"),
+        (11, "names m_basis_row"),
+        (17, "builds a dense zero buffer in _reduce"),
+    ]

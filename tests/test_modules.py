@@ -46,6 +46,7 @@ from fixture_algebras import (
     two_vertex_arrow,
 )
 from hom_reference import image_of
+import vectors
 
 
 def oracle_in_add(m, n):
@@ -72,7 +73,7 @@ def oracle_in_add(m, n):
 
 
 def _flat(mat):
-    return [e for row in mat.rows for e in row]
+    return vectors.pairs(mat.field, [e for row in mat.rows for e in row])
 
 
 def simple_over(algebra, kill_index):
@@ -125,7 +126,7 @@ def test_a_non_multiplicative_action_names_the_dense_first_pair(field):
     a = cyclic_nakayama(3, field)
     reg = Module.regular(a)
     base = [unreduced(mat) for mat in reg.action] if field.characteristic else reg.action
-    arrows = [g for g in range(a.dim) if not a.unit[g]]
+    arrows = [g for g in range(a.dim) if not vectors.dense(field, a.unit, a.dim)[g]]
     named = []
     for g in arrows:
         for r in range(reg.dim):
@@ -262,12 +263,12 @@ def test_cover_kernel_inside_radical():
         p, epi = projective_cover(s)
         rad_rows = module_radical(p)
         span = SpanBuilder(QQ, p.dim)
-        for r in rad_rows.rows:
-            span.add(list(r))
+        for r in rad_rows.pairs:
+            span.add(r)
         ker, incl = kernel_of(epi)
         for i in range(ker.dim):
-            row = incl.matrix.rows[i]
-            assert span.contains(list(row))
+            row = incl.matrix.pairs[i]
+            assert span.contains(row)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +311,7 @@ def test_cokernel_of_socle_inclusion():
 def test_quotient_rejects_non_submodule():
     reg = Module.regular(dual_numbers())
     with pytest.raises(NotASubmodule):
-        quotient(reg, [[1, 0]])
+        quotient(reg, [vectors.pairs(QQ, [1, 0])])
 
 
 def test_submodule_rejects_a_matrix_of_the_wrong_width():
@@ -426,7 +427,7 @@ def test_coregular_two_vertex_not_regular():
 
 def test_restrict_scalars_pullback():
     a = dual_numbers()
-    surj = quotient_surjection(a, [[0, 1]])
+    surj = quotient_surjection(a, [vectors.pairs(QQ, [0, 1])])
     b_reg = Module.regular(surj.target)
     pulled = restrict_scalars(surj, b_reg)
     assert pulled.dim == 1
@@ -468,7 +469,7 @@ def test_an_exhausted_idempotent_search_is_not_a_verdict():
     alg = from_structure_constants(
         QQ, [[[1, 0], [0, 1]], [[0, 1], [-a * b, a + b]]], [1, 0]
     )
-    u = [Fraction(-b, a - b), Fraction(1, a - b)]
+    u = vectors.pairs(QQ, [Fraction(-b, a - b), Fraction(1, a - b)])
     assert alg.mul_vec(u, u) == u and u != alg.unit
     with pytest.raises(NotSplit):
         is_indecomposable(Module.regular(alg))

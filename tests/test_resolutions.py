@@ -60,6 +60,7 @@ from sphertwist.resolutions import (
 from fixture_algebras import cyclic_nakayama, dual_numbers
 from hom_reference import hom_module
 from lift_reference import refine_idempotent
+import vectors
 
 
 @pytest.fixture(autouse=True)
@@ -116,7 +117,7 @@ def vertex_of(a, s):
 def span_rows(f, width, rows):
     sb = SpanBuilder(f, width)
     for r in rows:
-        sb.add(list(r))
+        sb.add(vectors.pairs(f, r))
     return sb
 
 
@@ -135,7 +136,7 @@ def oracle_radd0(ctx, m):
     for r in range(m.dim):
         v = list(act0.rows[r])
         for i in range(lam.dim):
-            reach.add(Matrix(f, [v], m.dim).mul(m.action[i]).rows[0])
+            reach.add(vectors.pairs(f, Matrix(f, [v], m.dim).mul(m.action[i]).rows[0]))
     urows = reach.basis_matrix()
     mats = []
     for s in simple_modules(lam):
@@ -154,7 +155,7 @@ def oracle_radd0(ctx, m):
         else:
             sol = Matrix.identity(f, len(homs))
         for cidx in range(sol.ncols):
-            coeffs = sol.column(cidx)
+            coeffs = vectors.dense(f, sol.column(cidx), sol.nrows)
             hmat = Matrix.zero(f, m.dim, s.dim)
             for k, c in enumerate(coeffs):
                 hmat = hmat.add(homs[k].matrix.scale(c))
@@ -202,7 +203,7 @@ def test_radd0_contains_radical(ctx_dual, ctx_cycle):
         for m in (Module.regular(ctx.endo), ctx.right_ideal(ctx.e_extra[0])[0]):
             allowed = span_rows(ctx.endo.field, m.dim, radd0(ctx, m).rows)
             for r in module_radical(m).rows:
-                assert allowed.contains(list(r))
+                assert allowed.contains(vectors.pairs(ctx.endo.field, r))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +219,7 @@ def test_identity_is_partially_essential(ctx_dual):
 def test_partial_essentiality_rejects_non_surjections(ctx_dual):
     pe1, _ = ctx_dual.right_ideal(ctx_dual.e_extra[0])
     rad = module_radical(pe1)
-    sub_rows = [list(r) for r in rad.rows]
+    sub_rows = rad.pairs
     from sphertwist.modules import submodule
 
     _, incl = submodule(pe1, sub_rows)
@@ -241,7 +242,7 @@ def test_stable_quotient_of_summand_ideal_is_partially_essential(ctx_dual):
     push = ModuleHom(pe1, stable_module(ctx), to_con)
     k, kincl = kernel_of(push)
     assert k.dim == 1
-    q, proj = quotient(pe1, [list(r) for r in kincl.matrix.rows])
+    q, proj = quotient(pe1, kincl.matrix.pairs)
     assert is_partially_essential(ctx, proj)
     assert find_isomorphism(q, stable_idempotent_module(ctx, 0)) is not None
 
@@ -259,7 +260,7 @@ def test_composites_of_partially_essential_epis(ctx_dual, ctx_cycle_one):
                 Matrix(f, [row], m.dim).mul(m.action[i]).rows[0]
                 for i in range(lam.dim)
             ]
-            q1, p1 = quotient(m, gen_rows)
+            q1, p1 = quotient(m, Matrix(f, gen_rows, m.dim))
             assert is_partially_essential(ctx, p1)
             second = radd0(ctx, q1)
             if second.nrows == 0:
@@ -269,7 +270,7 @@ def test_composites_of_partially_essential_epis(ctx_dual, ctx_cycle_one):
                 Matrix(f, [row2], q1.dim).mul(q1.action[i]).rows[0]
                 for i in range(lam.dim)
             ]
-            q2, p2 = quotient(q1, gen2)
+            q2, p2 = quotient(q1, Matrix(f, gen2, q1.dim))
             assert is_partially_essential(ctx, p2)
             assert is_partially_essential(ctx, p1.compose(p2))
 
@@ -306,7 +307,7 @@ def test_partial_cover_takes_summand_pieces_first(ctx_cycle):
     ctx = ctx_cycle
     prims = refine_idempotent(ctx.endo, ctx.e_proj)
     pe, _ = ctx.right_ideal(prims[0])
-    top, _ = quotient(pe, [list(r) for r in module_radical(pe).rows])
+    top, _ = quotient(pe, module_radical(pe).pairs)
     mixed, _, _ = direct_sum([stable_simples(ctx)[1], top])
     q, epi = partial_cover(ctx, mixed)
     assert epi.cover_idempotents[0] == ctx.e_copies[1][0]
@@ -516,7 +517,7 @@ def test_the_audit_certifies_from_the_cover_record():
     others = [e for e in lift_idempotents(a) if e not in (first, second)]
     tampered = [
         # a non-idempotent: 2e spans the same piece as e
-        [[f.mul(f.coerce(2), c) for c in first], second],
+        [[(j, f.mul(f.coerce(2), c)) for j, c in first], second],
         # the two pieces swapped
         [second, first],
         # a piece replaced by a same-dimension piece of another idempotent
@@ -632,7 +633,7 @@ def test_is_projective_agrees_with_additive_membership(ctx_dual, ctx_cycle):
         rad1 = module_radical(pe1)
         from sphertwist.modules import submodule
 
-        sub1, _ = submodule(pe1, [list(r) for r in rad1.rows])
+        sub1, _ = submodule(pe1, rad1.pairs)
         cases = [pe1, sub1, stable_simples(ctx)[0]]
         for m in cases:
             if m.dim <= 8:
@@ -704,7 +705,7 @@ def _quotient_piece_hits(ctx, e):
     built as a quotient module: the route `_piece_type` took before it
     tested span membership against the radical."""
     pe, _ = ctx.right_ideal(e)
-    top, _ = quotient(pe, [list(r) for r in module_radical(pe).rows])
+    top, _ = quotient(pe, module_radical(pe).pairs)
     hits = [] if top.action_of(ctx.e_proj).is_zero() else [None]
     for j, copies in enumerate(ctx.e_copies):
         if not top.action_of(copies[0]).is_zero():

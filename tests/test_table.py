@@ -36,6 +36,7 @@ from sphertwist.homology import left_module_along
 from sphertwist.modules import Module, simple_modules
 
 import table_reference as ref
+import vectors
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,
@@ -102,7 +103,7 @@ def sample_vectors(a, seed):
     """The basis vectors and three seeded combinations of them."""
     f = a.field
     rng = random.Random(seed)
-    combos = [[f.coerce(rng.randint(-3, 3)) for _ in range(a.dim)] for _ in range(3)]
+    combos = [vectors.pairs(f, [rng.randint(-3, 3) for _ in range(a.dim)]) for _ in range(3)]
     return [a.basis_vector(i) for i in range(a.dim)] + combos
 
 
@@ -113,7 +114,7 @@ def sample_vectors(a, seed):
 def test_algebra_refuses_a_column_out_of_range():
     for t in (1, -1):
         with pytest.raises(ShapeError, match="outside"):
-            Algebra(QQ, [[[(t, 1)]]], [1])
+            Algebra(QQ, [[[(t, 1)]]], [(0, 1)])
 
 
 @pytest.mark.parametrize("pairs", [[(1, 1), (0, 1)], [(0, 1), (0, 2)]],
@@ -121,13 +122,13 @@ def test_algebra_refuses_a_column_out_of_range():
 def test_algebra_refuses_unsorted_or_repeated_columns(pairs):
     table = [[[(0, 1)], [(1, 1)]], [[(1, 1)], pairs]]
     with pytest.raises(ShapeError, match="unsorted or repeated"):
-        Algebra(QQ, table, [1, 0])
+        Algebra(QQ, table, [(0, 1)])
 
 
 def test_algebra_refuses_a_short_row():
     table = [[[(0, 1)], [(1, 1)]], [[(1, 1)]]]
     with pytest.raises(ShapeError, match="row of length 1"):
-        Algebra(QQ, table, [1, 0])
+        Algebra(QQ, table, [(0, 1)])
 
 
 def test_algebra_refuses_a_dense_table():

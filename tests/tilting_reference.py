@@ -20,4 +20,4 @@ def embedding_bijective(side_alg, mats, module):
     f = module.algebra.field
     coords = HomBasis(f, homs).coords
     rows = [coords(m) for m in mats]
-    return rank(Matrix(f, rows, len(homs))) == side_alg.dim
+    return rank(Matrix.from_pairs(f, rows, len(homs))) == side_alg.dim

@@ -60,7 +60,9 @@ def hom_into(lam, src, src_left_mults, tgt):
         return Module.zero(lam), [], HomBasis(lam.field, [])
     solver = HomBasis(lam.field, homs)
     action = [
-        Matrix(lam.field, [solver.coords(pre.mul(h.matrix)) for h in homs], len(homs))
+        Matrix.from_pairs(
+            lam.field, [solver.coords(pre.mul(h.matrix)) for h in homs], len(homs)
+        )
         for pre in src_left_mults
     ]
     return Module(lam, len(homs), action), homs, solver
@@ -86,7 +88,7 @@ def hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
                                    validate=False))
             continue
         rows = [solvers[j + 1].coords(h.matrix.mul(maps[j].matrix)) for h in bases[j]]
-        diffs.append(ModuleHom(s, t, Matrix(lam.field, rows, t.dim)))
+        diffs.append(ModuleHom(s, t, Matrix.from_pairs(lam.field, rows, t.dim)))
     return mods, bases, solvers, diffs
 
 
@@ -135,7 +137,9 @@ def balanced_collapse_dim(p, homs, solver):
         return 0
     lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
     right_action = [
-        Matrix(b.field, [solver.coords(pre.mul(h.matrix)) for h in homs], len(homs))
+        Matrix.from_pairs(
+            b.field, [solver.coords(pre.mul(h.matrix)) for h in homs], len(homs)
+        )
         for pre in lefts
     ]
     return balanced_tensor(b, right_action, lefts).dim
@@ -159,7 +163,7 @@ def triangle_profiles(p, c, kernel):
     gammas = []
     for hm, hb, sol, i_term in zip(srb_terms, srb_bases, srb_solvers, ladder):
         rows = [h.apply(p.target.unit) for h in hb]
-        gamma = ModuleHom(hm, i_term, Matrix(lam.field, rows, i_term.dim))
+        gamma = ModuleHom(hm, i_term, Matrix.from_pairs(lam.field, rows, i_term.dim))
         if rank(gamma.matrix) != hm.dim:
             raise AuditFailed("evaluation at the unit failed to be injective")
         if balanced_collapse_dim(p, hb, sol) != hm.dim:
