@@ -42,6 +42,7 @@ from .exactlin import (
     SpanBuilder,
     SpanQuotient,
     kernel_basis,
+    rank,
     _canonical,
     _check_vector,
     combine,
@@ -89,10 +90,8 @@ class Algebra:
             basis_labels = ["b%d" % i for i in range(self.dim)]
         self.basis_labels = list(basis_labels)
         # the span of the non-trivial paths, recorded by `from_quiver` as
-        # basis vectors; `radical` takes it once certified, and records
-        # whether it did
+        # basis vectors; `radical` takes it once certified
         self._arrow_ideal = None
-        self._arrow_ideal_is_radical = False
         # per-algebra caches: of this module ...
         self._radical_cache = None
         self._opposite_cache = None
@@ -267,7 +266,10 @@ class SurjectionData:
     """A surjective algebra map p : source → target with its kernel.
 
     ``matrix`` acts on coordinate rows: v ↦ v·matrix.  ``kernel_basis``
-    has the kernel as canonical columns in source coordinates.
+    has the kernel as canonical columns in source coordinates.  The
+    audit checks that the map is a unital, multiplicative surjection and
+    that the columns are a basis of its kernel: independent, dim source −
+    dim target of them, each sent to 0.
     """
 
     def __init__(self, source, target, matrix, kernel):
@@ -305,8 +307,23 @@ class SurjectionData:
             )
         if len(rref(p)[1]) != b.dim:
             raise SphertwistError("map is not surjective")
-        if self.kernel_basis.nrows != a.dim:
+        k = self.kernel_basis
+        if k.nrows != a.dim:
             raise SphertwistError("kernel basis lives in the wrong space")
+        columns = k.transpose()
+        if rank(columns) != k.ncols:
+            raise SphertwistError("kernel basis columns are dependent")
+        if k.ncols != a.dim - b.dim:
+            raise SphertwistError(
+                "kernel basis has %d columns, the kernel has dim %d"
+                % (k.ncols, a.dim - b.dim)
+            )
+        images = columns.mul(p).pairs
+        if any(images):
+            raise SphertwistError(
+                "kernel basis column %d is not in the kernel"
+                % next(j for j, row in enumerate(images) if row)
+            )
 
     def apply(self, vec):
         return self.matrix.apply_to_row(vec)
@@ -385,21 +402,19 @@ def _ideal_escape(a, span):
     return None
 
 
-def _trace(m):
-    f = m.field
-    p = f.characteristic
-    t = sum((e for i, row in enumerate(m.pairs) for j, e in row if j == i), f.zero())
-    return t % p if p else t
-
-
 def radical(a):
     """Basis (canonical columns) of the Jacobson radical.
 
-    An algebra presented by a quiver takes the arrow ideal it recorded
-    once `_presented_radical` has certified it; that holds in every
-    characteristic.  Otherwise the trace form of the left regular
-    representation is used, valid in characteristic 0 or p > dim; the
-    computed span is verified nilpotent by powering it until it dies.
+    It is the one radical of the package, from one of three sources:
+    - an algebra presented by a quiver takes the arrow ideal it recorded
+      once `_presented_radical` has certified it, in every
+      characteristic;
+    - an opposite algebra that knows its radical lends it (below);
+    - otherwise the trace form of the left regular representation is
+      used, valid in characteristic 0 or p > dim (UnsupportedCharacteristic
+      otherwise); the computed span is verified nilpotent by powering it
+      until it dies.
+    `_split_corner` reads the locality of every corner e·a·e off it.
 
     An opposite algebra (cached in pairs with `opposite`) that already
     knows its radical lends it: the Jacobson radical is the largest
@@ -407,34 +422,19 @@ def radical(a):
     ideal of a exactly when it is one of aᵒᵖ (same space, products
     reversed, so the powers of the ideal are the same subspaces).  The
     canonical basis depends only on the subspace, so the reused matrix is
-    the one this function would compute.  Its verdict on the arrow ideal
-    is lent with it: `opposite` shares the recorded ideal and the tags,
-    and each check of `_presented_radical` holds in a exactly when it
-    holds in aᵒᵖ.
+    the one this function would compute.
     """
     if a._radical_cache is not None:
         return a._radical_cache
     op = a._opposite_cache
     if op is not None and op._radical_cache is not None:
         a._radical_cache = op._radical_cache
-        a._arrow_ideal_is_radical = op._arrow_ideal_is_radical
         return a._radical_cache
     rad = _presented_radical(a)
-    a._arrow_ideal_is_radical = rad is not None
     if rad is None:
         rad = _trace_form_radical(a)
     a._radical_cache = rad
     return rad
-
-
-def _radical_is_presented(a):
-    """Whether `radical(a)` is the recorded arrow ideal, certified by
-    `_presented_radical`.  `radical` records the verdict when it computes
-    the radical, so the certificate runs once per algebra."""
-    if a._arrow_ideal is None or not a.idempotents:
-        return False
-    radical(a)
-    return a._arrow_ideal_is_radical
 
 
 def _presented_radical(a):
@@ -461,6 +461,12 @@ def _presented_radical(a):
     and no bound on the characteristic enters.  The columns are the rref
     basis of J, the canonical basis `kernel_basis` gives the trace-form
     route for the same subspace.
+
+    The certificate also makes each vertex tag primitive: e_v·A·e_v =
+    k·e_v ⊕ e_v·J·e_v, so e_v·rad(A)·e_v has codimension 1 in the corner,
+    which is the local-corner test of `_split_corner`.  So
+    `lift_idempotents` keeps the tags whole, in any characteristic, and
+    runs no corner search on them.
     """
     if a._arrow_ideal is None or not a.idempotents:
         return None
@@ -1052,12 +1058,12 @@ def _split_linear(f, g, out):
 def lift_idempotents(a):
     """Complete list of orthogonal primitive idempotents summing to 1.
 
-    Recursive corner splitting: inside each corner eAe, hunt for an
-    element whose minimal polynomial has a root in the base field with a
-    nontrivial complementary factor; the corresponding spectral
-    idempotent splits the corner.  A corner whose semisimple quotient is
-    one-dimensional is local, so its unit is primitive.  If a corner of
-    semisimple dimension > 1 defeats the search, the split-semisimplicity
+    Recursive corner splitting (`_split_corner`): a corner e·a·e whose
+    radical has codimension 1 is local, so its unit is primitive;
+    otherwise an element whose minimal polynomial has a root in the
+    base field with a nontrivial complementary factor gives a spectral
+    idempotent that splits the corner.  If a corner of semisimple
+    dimension > 1 defeats the search, the split-semisimplicity
     precondition fails and NotSplit is raised.  The zero algebra (the
     stable quotient of T = A ⊕ A, say) has the empty list: its unit is
     0, the sum of no idempotents.
@@ -1074,17 +1080,13 @@ def lift_idempotents(a):
     companion algebra of `spherical.tilting_audit` both starts give the
     same list in the same order (`tests/test_lift.py` compares them on
     every fixture and workload algebra, `tests/test_spherical.py` on the
-    companion).  The checks below do not
-    depend on the start: the elements square to themselves, are
-    pairwise orthogonal and sum to the unit, and every leaf of
-    `_split_corner` passed its local-corner test, so it is primitive.
-
-    A quiver algebra whose arrow ideal J `radical` took as the radical
-    (`_radical_is_presented`) needs no corner test: A = span(e_v) ⊕ J, so
-    e_v·A·e_v = k·e_v ⊕ e_v·J·e_v with e_v·J·e_v nilpotent, a local
-    corner, and each vertex tag is primitive.  The tags are taken as
-    they are, in the order of the corner search (last tag first), and
-    in any characteristic: over F_2 the corner trace form is undefined.
+    companion).  The vertex tags of a quiver algebra whose arrow ideal
+    `radical` certified pass the local-corner test as they are (see
+    `_presented_radical`), so they come out whole, last tag first, in
+    any characteristic.  The checks below do not depend on the start:
+    the elements square to themselves, are pairwise orthogonal and sum
+    to the unit, and every leaf of `_split_corner` passed its
+    local-corner test, so it is primitive.
 
     An opposite algebra (cached in pairs with `opposite`) that already
     holds its list lends it instead of a new search.  Both algebras have
@@ -1101,8 +1103,6 @@ def lift_idempotents(a):
     op = a._opposite_cache
     if op is not None and op._idempotent_cache is not None:
         result = [list(e) for e in op._idempotent_cache]
-    elif _radical_is_presented(a):
-        result = [list(v) for _, v in reversed(a.idempotents)]
     else:
         result = []
         for e in reversed(_seed_idempotents(a)):
@@ -1128,61 +1128,53 @@ def _seed_idempotents(a):
     return tags if tags and total == a.unit else [list(a.unit)]
 
 
-def _corner_basis(a, e):
-    """The rref basis of the corner e·a·e, spanned by the e·bᵢ·e (the
-    rows e·bᵢ of the left multiplication by e, times e), and its
-    pivots."""
-    sb = SpanBuilder(a.field, a.dim)
-    for row in a.left_mult_matrix(e).pairs:
-        sb.add(a.mul_vec(row, e))
-    return sb.basis_pairs(), list(sb.pivots)
-
-
 def _split_corner(a, e, out):
+    """Append to ``out`` orthogonal primitive idempotents summing to the
+    idempotent e.
+
+    The corner e·a·e is spanned by the products e·bᵢ·e.  It is local
+    exactly when its radical has codimension 1 in it (the quotient is
+    then the base field), and rad(e·A·e) = e·rad(A)·e (Lam, *A First
+    Course in Noncommutative Rings*, GTM 131, Thm 21.10).  So the test
+    reads the algebra's own `radical`: e·x·e for x = Σ xᵢ·bᵢ is
+    Σ xᵢ·(e·bᵢ·e), and the radical's basis times the matrix of the
+    products spans e·rad(A)·e.  A local corner has e primitive; any
+    other is split by a spectral idempotent e₁ of the corner
+    (`_find_corner_idempotent`) into e₁ and e − e₁, each split again.
+    A corner of dimension 0 (e = 0) adds nothing, and one of dimension
+    1 is k·e, local without a radical.
+    """
     f = a.field
-    basis, pivots = _corner_basis(a, e)
+    products = [a.mul_vec(row, e) for row in a.left_mult_matrix(e).pairs]
+    sb = SpanBuilder(f, a.dim)
+    for v in products:
+        sb.add(v)
+    basis, pivots = sb.basis_pairs(), sb.pivots
     n = len(basis)
     if n == 0:
         return  # e = 0, the unit of a zero algebra: the empty family sums to it
     if n == 1:
         out.append(e)
         return
+    corner = Matrix.from_pairs(f, products, a.dim)
+    top = n - rank(radical(a).transpose().mul(corner))
+    if top == 1:
+        out.append(e)          # local corner: e is primitive
+        return
 
     at = {q: k for k, q in enumerate(pivots)}
 
-    def coords(vec):
-        # basis rows are rref, so coordinates sit at the pivots
-        return [(at[j], x) for j, x in vec if j in at]
-
     def left_mat(x):
-        return Matrix.from_pairs(f, [coords(a.mul_vec(x, c)) for c in basis], n)
-
-    # semisimple dimension of the corner via its own trace form
-    traces = [_trace(left_mat(c)) for c in basis]
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            t = f.zero()
-            for k, c in coords(a.mul_vec(basis[i], basis[j])):
-                t = f.add(t, f.mul(c, traces[k]))
-            row.append(t)
-        gram.append(row)
-    if f.characteristic != 0 and f.characteristic <= n:
-        raise UnsupportedCharacteristic(
-            "corner of dim %d over char %d: radical criterion unavailable"
-            % (n, f.characteristic)
+        # basis rows are rref, so coordinates sit at the pivots
+        return Matrix.from_pairs(
+            f, [[(at[j], y) for j, y in a.mul_vec(x, c) if j in at] for c in basis], n
         )
-    rad_dim = kernel_basis(Matrix(f, gram, n)).ncols
-    if n - rad_dim == 1:
-        out.append(e)          # local corner: e is primitive
-        return
 
     split = _find_corner_idempotent(a, e, basis, left_mat)
     if split is None:
         raise NotSplit(
             "corner of semisimple dimension %d admits no field-rational splitting"
-            % (n - rad_dim),
+            % top,
             witness=e,
         )
     e1 = split

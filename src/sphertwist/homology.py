@@ -474,9 +474,8 @@ class _TensorSquare:
 
 
 def tensor_square(p, cap=None):
-    """The derived tensor square of a surjection, from B resolved over A."""
-    if cap is None:
-        cap = 2 * p.source.dim + 2
+    """The derived tensor square of a surjection, from B resolved over A
+    within the cap (default 2·dim A + 2, the one of `resolve_within`)."""
     return _TensorSquare(p, cap)
 
 

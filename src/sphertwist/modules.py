@@ -218,14 +218,14 @@ def hom_space(m, n):
     generators from `generator_indices` cut out the whole hom space.
 
     The row of cell (r, c) of M_g·X − X·N_g has M_g[r][k] on X[k][c]
-    and −N_g[k][c] on X[r][k] (unknowns flattened row-major), so it is
-    read straight off the nonzeros of row r of M_g and column c of N_g
-    (gathered from the nonzeros of N_g's rows, in row order) and reduced
-    on arrival (`SpanBuilder.add`): a zero or
-    dependent row costs one sparse reduction, and no dense system is
-    built.  The null space comes out of the reduced echelon form in the
-    canonical form of `kernel_basis`, which depends only on the null
-    space, so the basis is the one the stacked dense system would give.
+    and −N_g[k][c] on X[r][k] (unknowns flattened row-major): the
+    `_add_relation_rows` of L = M_g and R = N_gᵀ (the columns of N_g,
+    gathered from the nonzeros of its rows, in row order).  Each row is
+    reduced on arrival (`SpanBuilder.add`): a zero or dependent row costs
+    one sparse reduction, and no dense system is built.  The null space
+    comes out of the reduced echelon form in the canonical form of
+    `kernel_basis`, which depends only on the null space, so the basis
+    is the one the stacked dense system would give.
     Each basis hom is re-verified on the generators, which by the same
     closure argument is a check on every basis element.
     """
@@ -242,17 +242,7 @@ def hom_space(m, n):
     for g in gens:
         m_rows, n_rows = m.action[g].pairs, n.action[g].pairs
         checks.append((g, m_rows, n_rows))
-        n_cols = [[] for _ in range(t)]
-        for k, n_row in enumerate(n_rows):
-            for c, e in n_row:
-                n_cols[c].append((k, e))
-        for r, m_row in enumerate(m_rows):
-            at = r * t
-            for c, n_col in enumerate(n_cols):
-                row = {k * t + c: e for k, e in m_row}
-                for k, e in n_col:
-                    row[at + k] = row.get(at + k, 0) - e
-                span.add(_canonical(row, p))
+        _add_relation_rows(span, m_rows, n.action[g].transpose().pairs, p)
     null = span.kernel_basis().transpose()
     homs = []
     for j, flat in enumerate(null.pairs):
@@ -265,6 +255,22 @@ def hom_space(m, n):
                 )
         homs.append(ModuleHom(m, n, mat, validate=False))
     return homs
+
+
+def _add_relation_rows(span, left, right, p):
+    """Add to ``span`` the rows (r, c) = Σₖ Lᵣₖ·e₍ₖ,c₎ − Σₖ R_c,ₖ·e₍ᵣ,ₖ₎,
+    r over the rows of L and c over the rows of R, in that order, with
+    e₍ᵢ,ⱼ₎ the unit vector at i·len(R) + j: the relations of `hom_space`
+    and `balanced_tensor`, each read off the nonzeros of row r of L and
+    row c of R."""
+    width = len(right)
+    for r, l_row in enumerate(left):
+        at = r * width
+        for c, r_row in enumerate(right):
+            row = {k * width + c: e for k, e in l_row}
+            for k, e in r_row:
+                row[at + k] = row.get(at + k, 0) - e
+            span.add(_canonical(row, p))
 
 
 class HomBasis:
@@ -463,9 +469,10 @@ def balanced_tensor(a, right_mats, left_mats):
     factor major.  Returns the `SpanQuotient` of the span of the
     relations (u·s) ⊗ x − u ⊗ (s·x); its ``dim`` is dim M ⊗_A N.
 
-    The relations are fed sparsely into one `SpanBuilder`, and only for
-    s in `generator_indices`.  That spans the same subspace as the
-    relations of every s.  For a product st,
+    The relations are fed sparsely into one `SpanBuilder`, as the
+    `_add_relation_rows` of L = right_mats[s] and R = left_mats[s], and
+    only for s in `generator_indices`.  That spans the same subspace as
+    the relations of every s.  For a product st,
 
         (u·st) ⊗ x − u ⊗ (st·x)
             = [(u·s)·t ⊗ x − (u·s) ⊗ (t·x)] + [(u·s) ⊗ (t·x) − u ⊗ s·(t·x)],
@@ -486,14 +493,7 @@ def balanced_tensor(a, right_mats, left_mats):
     p = a.field.characteristic
     span = SpanBuilder(a.field, ni * nd)
     for s in generator_indices(a):
-        l_rows = left_mats[s].pairs
-        for u, r_row in enumerate(right_mats[s].pairs):
-            at = u * nd
-            for x, l_row in enumerate(l_rows):
-                row = {k * nd + x: c for k, c in r_row}
-                for k, c in l_row:
-                    row[at + k] = row.get(at + k, 0) - c
-                span.add(_canonical(row, p))
+        _add_relation_rows(span, right_mats[s].pairs, left_mats[s].pairs, p)
     return SpanQuotient(span)
 
 

@@ -416,10 +416,9 @@ def projective_dimension(ring, m, cap=None):
     a = ring.endo if isinstance(ring, FrobeniusContext) else ring
     if m.algebra is not a:
         raise SphertwistError("module lives over a different algebra")
-    if cap is None:
-        cap = 2 * a.dim + 2
+    # a truncated resolution stops at length exactly the cap
     res = resolve_within(m, cap)
-    return "≥ %d" % cap if res.truncated else res.length
+    return "≥ %d" % res.length if res.truncated else res.length
 
 
 def is_perfect(m, cap=None):

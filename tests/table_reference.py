@@ -11,7 +11,6 @@ matrices of the basis, audited nilpotent by multiplying its basis
 vectors pairwise.
 """
 
-from sphertwist.algebra import _trace
 from sphertwist.errors import SphertwistError, UnsupportedCharacteristic
 from sphertwist.exactlin import Matrix, SpanBuilder, kernel_basis
 
@@ -42,6 +41,15 @@ def is_nilpotent(a, base):
         current = nxt.basis_pairs()
         steps += 1
     return True
+
+
+def _trace(m):
+    """The sum of the diagonal entries of a square matrix."""
+    f, rows = m.field, m.rows
+    t = f.zero()
+    for i in range(m.nrows):
+        t = f.add(t, rows[i][i])
+    return t
 
 
 def trace_form_radical(a):

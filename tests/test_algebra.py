@@ -29,8 +29,9 @@ from sphertwist.errors import (
     SphertwistError,
     UnsupportedCharacteristic,
 )
-from sphertwist.exactlin import QQ, Matrix, PrimeField, kernel_basis, row_space_canonical
+from sphertwist.exactlin import QQ, Matrix, PrimeField
 
+from lift_reference import corner_is_local
 from vectors import dense, pairs
 from fixture_algebras import (
     cyclic_nakayama,
@@ -328,6 +329,23 @@ def test_surjection_audit_names_the_first_non_multiplicative_pair(field):
     assert len(named) > 3
 
 
+def test_surjection_audit_rejects_a_kernel_basis_that_is_not_the_kernel():
+    # A₂ onto k × k, killing the arrow b2: the kernel is span(b2)
+    a = two_vertex_arrow()
+    s = quotient_surjection(a, [a.basis_vector(2)])
+
+    def columns(*vecs):
+        return Matrix.from_pairs(QQ, list(vecs), a.dim).transpose()
+
+    assert SurjectionData(a, s.target, s.matrix, columns(a.basis_vector(2)))
+    with pytest.raises(SphertwistError, match="kernel basis has 0 columns, .* dim 1"):
+        SurjectionData(a, s.target, s.matrix, Matrix.zero(QQ, a.dim, 0))
+    with pytest.raises(SphertwistError, match="column 0 is not in the kernel"):
+        SurjectionData(a, s.target, s.matrix, columns(a.basis_vector(0)))
+    with pytest.raises(SphertwistError, match="columns are dependent"):
+        SurjectionData(a, s.target, s.matrix, columns(*[a.basis_vector(2)] * 2))
+
+
 @pytest.mark.parametrize("images", [[0, 1], [2, 0]])
 def test_surjection_audit_rejects_a_map_that_moves_the_unit(images):
     a = dual_numbers()
@@ -470,35 +488,6 @@ SPLIT_FIXTURES = {
 BASIC = sorted(set(SPLIT_FIXTURES) - {"matrix_units_2"})
 
 
-def _corner_is_local(a, e):
-    """Trace-form test: e·a·e has a one-dimensional semisimple quotient.
-
-    The radical of the corner is the kernel of the form
-    (x, y) ↦ tr(left multiplication by xy on the corner), valid in
-    characteristic 0 or above the corner's dimension.
-    """
-    f = a.field
-
-    def mul_vec(x, y):
-        return dense(f, a.mul_vec(pairs(f, x), pairs(f, y)), a.dim)
-
-    e = dense(f, e, a.dim)
-    corner = [
-        mul_vec(mul_vec(e, dense(f, a.basis_vector(i), a.dim)), e) for i in range(a.dim)
-    ]
-    rows = row_space_canonical(Matrix(f, corner, a.dim)).rows
-    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
-
-    def trace_of_left_mult(x):
-        t = f.zero()
-        for i, b in enumerate(rows):
-            t = f.add(t, mul_vec(x, b)[pivots[i]])
-        return t
-
-    gram = [[trace_of_left_mult(mul_vec(x, y)) for y in rows] for x in rows]
-    return len(rows) - kernel_basis(Matrix(f, gram, len(rows))).ncols == 1
-
-
 @pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
 @pytest.mark.parametrize("name", sorted(SPLIT_FIXTURES))
 def test_opposite_inherits_a_complete_orthogonal_primitive_list(name, field):
@@ -512,7 +501,7 @@ def test_opposite_inherits_a_complete_orthogonal_primitive_list(name, field):
         assert op.mul_vec(e, e) == e
         for e2 in inherited[i + 1 :]:
             assert not any(op.mul_vec(e, e2)) and not any(op.mul_vec(e2, e))
-        assert _corner_is_local(op, e)
+        assert corner_is_local(op, e)
         total = [field.add(x, y) for x, y in zip(total, dense(field, e, op.dim))]
     assert total == dense(field, op.unit, op.dim)
 

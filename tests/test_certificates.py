@@ -17,7 +17,7 @@ import pytest
 from sphertwist import algebra, modules
 from sphertwist.algebra import from_quiver, quotient_surjection, radical
 from sphertwist.errors import NotAnIdeal
-from sphertwist.exactlin import QQ, PrimeField
+from sphertwist.exactlin import QQ, Matrix, PrimeField
 from sphertwist.frobenius import build_context, is_self_injective
 from sphertwist.modules import Module, simple_modules
 
@@ -174,13 +174,14 @@ def test_the_certified_radical_is_the_trace_form_radical(name, field):
 
 
 def test_the_arrow_ideal_is_certified_once_per_algebra(monkeypatch):
-    # `radical` records its verdict on the arrow ideal, and
-    # `lift_idempotents` reads it there instead of certifying again
+    # `radical` caches the certified arrow ideal, and `lift_idempotents`
+    # reads the locality of each vertex corner off that one radical
     calls = count_calls(monkeypatch, algebra, "_presented_radical")
     a = cyclic_nakayama(4)
     assert [s.dim for s in simple_modules(a)] == [1, 1, 1, 1]
     assert len(calls) == 1
-    assert a._arrow_ideal_is_radical
+    arrows = Matrix.from_pairs(a.field, a._arrow_ideal, a.dim).transpose()
+    assert radical(a) == arrows
 
 
 def test_an_arrow_ideal_that_is_not_nilpotent_is_not_taken():

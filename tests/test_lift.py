@@ -6,14 +6,17 @@ tests here compare it with `lift_reference.unit_started_lift`, the
 search from the unit, and asks for the same list in the same order: on
 every fixture algebra, and on End(T), its opposite and its stable
 quotient for the generators of the benchmark's workloads and a few
-more.  The certified vertex tags of a quiver algebra, taken with no
-corner search, are compared with `lift_reference.tag_started_lift`, and
-in characteristic 2 they are the only route.
+more.  The certified vertex tags of a quiver algebra pass the
+local-corner test as they are, with no corner search, in any
+characteristic; they are compared with `lift_reference.tag_started_lift`.
+`lift_reference.check_corners` asks a trace form of each corner, not the
+algebra's radical, that every primitive is local and every split corner
+is not.
 """
 
 import pytest
 
-from sphertwist import algebra
+from sphertwist import algebra, spherical
 from sphertwist.algebra import (
     Algebra,
     lift_idempotents,
@@ -24,6 +27,7 @@ from sphertwist.exactlin import QQ, PrimeField
 from sphertwist.frobenius import build_context
 from sphertwist.modules import Module, _idempotent_piece, direct_sum, simple_modules
 from sphertwist.resolutions import _proj_type_primitives
+from sphertwist.spherical import syz_audit, tilting_audit
 
 from fixture_algebras import (
     cyclic_nakayama,
@@ -37,7 +41,12 @@ from fixture_algebras import (
     truncated_cycle,
     two_vertex_arrow,
 )
-from lift_reference import refine_idempotent, tag_started_lift, unit_started_lift
+from lift_reference import (
+    check_corners,
+    refine_idempotent,
+    tag_started_lift,
+    unit_started_lift,
+)
 from patching import count_calls
 import vectors
 
@@ -85,10 +94,10 @@ def test_the_seeded_lift_is_the_unit_started_lift(name, field, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF])
 @pytest.mark.parametrize("name", sorted(QUIVERS) + ["loewy4"])
 def test_certified_tags_are_the_corner_search_from_the_tags(name, field, monkeypatch):
-    # the vertex tags of a quiver algebra with a certified radical are
-    # taken as they are, and they are what the corner search finds
+    # the vertex tags of a quiver algebra with a certified radical pass
+    # the local-corner test as they are, so no corner is searched
     a = FIXTURES.get(name, lambda f: truncated_cycle(3, 4, f))(field)
-    calls = count_calls(monkeypatch, algebra, "_split_corner")
+    calls = count_calls(monkeypatch, algebra, "_find_corner_idempotent")
     es = lift_idempotents(a)
     assert calls == []
     monkeypatch.undo()
@@ -98,10 +107,22 @@ def test_certified_tags_are_the_corner_search_from_the_tags(name, field, monkeyp
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_certified_tags_need_no_corner_trace_form(p):
     # each corner e_v·A·e_v has dim 2, at or above the characteristic 2,
-    # where the corner search has no trace form to decide locality
+    # where a trace form of the corner is undefined; the certified
+    # radical decides locality in every characteristic
     a = truncated_cycle(3, 4, PrimeField(p))
     assert lift_idempotents(a) == [v for _, v in reversed(a.idempotents)]
     assert [s.dim for s in simple_modules(a)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_every_primitive_is_local_and_every_split_corner_is_not(
+        name, field, monkeypatch):
+    a = FIXTURES[name](field)
+    calls = count_calls(monkeypatch, algebra, "_split_corner")
+    split = check_corners(a, lift_idempotents(a), calls)
+    # only an untagged algebra with more than one primitive splits a corner
+    assert bool(split) == (name not in QUIVERS and len(lift_idempotents(a)) > 1)
 
 
 def test_both_starts_refuse_the_gaussian_field():
@@ -180,6 +201,38 @@ def test_context_lifts_match_the_unit_started_lift(name):
     # the projective-type primitives are those under e_proj, in the
     # order of its own refinement
     assert _proj_type_primitives(ctx) == refine_idempotent(lam, ctx.e_proj)
+
+
+# the three workload contexts with the window their audit passes
+WORKLOAD_WINDOWS = {"tilting_cycle3": 4, "ladder_cycle4": 2, "twist_cycle3_gf": 2}
+
+
+@pytest.mark.parametrize("field", [QQ, GF])
+@pytest.mark.parametrize("name", sorted(WORKLOAD_WINDOWS))
+def test_context_corners_are_local_exactly_at_the_primitives(name, field, monkeypatch):
+    # End(T), its stable quotient and the companion algebra of the
+    # tilting audit, each lifted under a recording of every corner split
+    calls = count_calls(monkeypatch, algebra, "_split_corner")
+    n, _, extra = CONTEXTS[name]
+    ctx = _context(n, field, extra)
+    built = []
+    original = spherical.endomorphism_algebra
+
+    def recording(*args):
+        out = original(*args)
+        built.append(out[0])
+        return out
+
+    monkeypatch.setattr(spherical, "endomorphism_algebra", recording)
+    tilting_audit(syz_audit(ctx, WORKLOAD_WINDOWS[name]))
+    (companion,) = built
+    splits = []
+    for lam in (ctx.endo, ctx.stable_endo, companion):
+        es = lift_idempotents(lam)
+        splits.append(check_corners(lam, es, calls))
+        assert es == unit_started_lift(lam)
+    # the block of A in End(T) holds one primitive per vertex
+    assert ctx.e_proj in splits[0]
 
 
 @pytest.mark.parametrize("field", [QQ, GF])
