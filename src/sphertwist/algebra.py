@@ -940,7 +940,15 @@ def _matrix_min_poly(m):
 
 
 def _rational_roots(poly):
-    """Roots in Q of a polynomial with Fraction coefficients."""
+    """(roots, complete): the distinct roots in Q of a polynomial over Q,
+    each in the Q element form (an int when integral, else a `Fraction`
+    with denominator > 1), and whether the search was complete.
+
+    Scaled to integer coefficients, a root p/q in lowest terms has p
+    dividing the lowest nonzero coefficient and q the leading one.  The
+    divisor search is cut off when either exceeds 10¹²: then only the
+    root 0 (if any) is listed and ``complete`` is False.
+    """
     denom_lcm = 1
     for c in poly:
         denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
@@ -950,26 +958,28 @@ def _rational_roots(poly):
     while low < len(ints) and ints[low] == 0:
         low += 1
     if low > 0:
-        roots.append(Fraction(0))
+        roots.append(0)
     if low >= len(ints) - 1:
-        return roots
+        return roots, True
     a0, an = abs(ints[low]), abs(ints[-1])
     if a0 > 10**12 or an > 10**12:
-        return roots
+        return roots, False
     seen = set()
     for p in _divisors(a0):
         for q in _divisors(an):
             for sign in (1, -1):
                 cand = Fraction(sign * p, q)
+                if cand.denominator == 1:
+                    cand = cand.numerator
                 if cand in seen:
                     continue
                 seen.add(cand)
-                acc = Fraction(0)
+                acc = 0
                 for c in reversed(poly):
                     acc = acc * cand + c
                 if acc == 0:
                     roots.append(cand)
-    return roots
+    return roots, True
 
 
 def _gcd(a, b):
@@ -1004,9 +1014,11 @@ def _poly_powmod(f, base, e, m):
 
 
 def _field_roots(f, poly):
-    """The distinct roots in the base field of a nonzero polynomial.
+    """(roots, complete): the distinct roots in the base field of a
+    nonzero polynomial, and whether the search for them was complete.
 
-    Over Q they come from `_rational_roots`.  Over F_p they come in the
+    Over Q they come from `_rational_roots`, which may be cut off.  Over
+    F_p the search is always complete, and the roots come in the
     order 0, 1, …, then p−1, p−2, ….  xᵖ − x is the product of all
     x − a over F_p, so g = gcd(poly, xᵖ − x) is the product of the
     distinct linear factors of poly; xᵖ is reduced mod poly by repeated
@@ -1015,14 +1027,14 @@ def _field_roots(f, poly):
     """
     p = f.characteristic
     if p == 0:
-        return list(_rational_roots(poly))
+        return _rational_roots(poly)
     if p == 2:
-        return [x for x in (0, 1) if f.is_zero(_poly_eval(f, poly, x))]
+        return [x for x in (0, 1) if f.is_zero(_poly_eval(f, poly, x))], True
     x = [f.zero(), f.one()]
     xp = _poly_powmod(f, x, p, poly)
     roots = []
     _split_linear(f, _poly_ext_gcd(f, poly, _poly_sub(f, xp, x))[0], roots)
-    return sorted(roots, key=lambda r: (r > p - r, min(r, p - r)))
+    return sorted(roots, key=lambda r: (r > p - r, min(r, p - r))), True
 
 
 def _split_linear(f, g, out):
@@ -1170,21 +1182,25 @@ def _split_corner(a, e, out):
             f, [[(at[j], y) for j, y in a.mul_vec(x, c) if j in at] for c in basis], n
         )
 
-    split = _find_corner_idempotent(a, e, basis, left_mat)
-    if split is None:
+    e1, complete = _find_corner_idempotent(a, e, basis, left_mat)
+    if e1 is None:
         raise NotSplit(
-            "corner of semisimple dimension %d admits no field-rational splitting"
-            % top,
+            "corner of semisimple dimension %d %s" % (top, (
+                "admits no field-rational splitting" if complete else
+                "was not split, but the rational root search was cut off at a "
+                "coefficient above 10^12, so a splitting is not ruled out"
+            )),
             witness=e,
         )
-    e1 = split
     e2 = combine([(1, e), (-1, e1)], f.characteristic)
     _split_corner(a, e1, out)
     _split_corner(a, e2, out)
 
 
 def _find_corner_idempotent(a, e, basis, left_mat):
-    """Nontrivial idempotent in eAe via spectral projectors, or None."""
+    """(e₁, complete): a nontrivial idempotent e₁ in eAe via spectral
+    projectors, or None, and whether every root search run on the way
+    was complete (see `_rational_roots`)."""
     f = a.field
     p = f.characteristic
 
@@ -1200,11 +1216,14 @@ def _find_corner_idempotent(a, e, basis, left_mat):
             # one coefficient per basis element, drawn in basis order
             yield combine([(f.coerce(rng.randint(-3, 3)), b) for b in basis], p)
 
+    complete = True
     for z in candidates():
         mp = _matrix_min_poly(left_mat(z))
         if len(mp) <= 2:
             continue
-        for lam in _field_roots(f, mp):
+        roots, searched = _field_roots(f, mp)
+        complete = complete and searched
+        for lam in roots:
             linear = [f.neg(lam), f.one()]
             m = 0
             rest = list(mp)
@@ -1233,5 +1252,5 @@ def _find_corner_idempotent(a, e, basis, left_mat):
             if not acc or acc == e:
                 continue
             if a.mul_vec(acc, acc) == acc:
-                return acc
-    return None
+                return acc, complete
+    return None, complete

@@ -3,7 +3,8 @@
 Everything downstream (algebras, modules, resolutions, homology) reduces to
 the operations in this file, so the contract here is strict:
 
-* arithmetic is exact — rationals are reduced fractions, prime-field
+* arithmetic is exact — a rational is an `int` when it is integral and
+  a reduced `Fraction` with denominator > 1 otherwise, prime-field
   elements are residues in [0, p);
 * every returned basis is in a canonical form (reduced row echelon of the
   spanning rows), so equal subspaces produce equal matrices and golden-file
@@ -29,8 +30,9 @@ intertwining equations) hold well under 1 % nonzeros, so every kernel
 walks pairs and never reads a zero:
 
 * the field is dispatched once per kernel call, not once per element: the
-  loops use Python's own ``+ - *`` on the elements (`Fraction` over Q,
-  `int` over F_p) and, over F_p, reduce each computed entry modulo p once;
+  loops use Python's own ``+ - *`` on the elements (`int` or `Fraction`
+  over Q, `int` over F_p) and, over F_p, reduce each computed entry
+  modulo p once;
 * ``mul`` is Gustavson's (1978) row-wise product: row i of A·B is summed
   in a dict over the pairs of the rows of B that the pairs of row i of A
   name; ``apply_to_row`` is the same product for one row, ``add`` and
@@ -46,6 +48,19 @@ walks pairs and never reads a zero:
   residual by `product_residual`, row by row on the matrices' pairs:
   neither product is formed, and the test stops at the first row whose
   residual is nonzero.
+
+The Q element invariant: a stored entry is an `int` when it is
+integral and a `Fraction` with denominator > 1 otherwise, so each value
+has one type, and integer-on-integer arithmetic, comparison and truth
+tests run in C, not in `Fraction`'s Python methods.  A sum or product
+that involves a `Fraction` is a `Fraction` even when it is integral, so
+every place that stores a computed value turns an integral `Fraction`
+back into its `int`: `_canonical` (behind `combine`, ``mul``,
+``apply_to_row`` and ``add``), ``Matrix(field, rows)``, ``scale``,
+`kronecker`, and the reduction and the rows of `SpanBuilder`, which
+`SpanQuotient` and `Preimages` read.  Mixed input needs no care for
+correctness: ``int == Fraction`` and the hashes of equal values agree,
+so sums, pair equality and dict keys stay exact when the types mix.
 
 The F_p element invariant: an element is an int standing for its
 residue class, and matrices and vectors hold their entries reduced into
@@ -67,24 +82,28 @@ from .errors import FieldMismatch, ShapeError, SphertwistError
 
 
 class RationalField:
-    """The field Q.  Elements are `fractions.Fraction` (auto-normalized)."""
+    """The field Q.  An element is an `int` when it is integral and a
+    reduced `fractions.Fraction` with denominator > 1 otherwise;
+    ``coerce``, ``zero``, ``one`` and ``inv`` return that form, while
+    ``add``, ``sub``, ``mul`` and ``neg`` are the plain operators, so
+    their result may be an integral `Fraction` until it is stored."""
 
     characteristic = 0
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
+        if type(value) is int:
             return value
-        if isinstance(value, int):
-            return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
-        raise FieldMismatch("cannot coerce %r into Q" % (value,))
+        if isinstance(value, (int, str)):
+            value = Fraction(value)
+        elif not isinstance(value, Fraction):
+            raise FieldMismatch("cannot coerce %r into Q" % (value,))
+        return value.numerator if value.denominator == 1 else value
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -99,9 +118,12 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        if a == 0:
+        if not a:
             raise ZeroDivisionError("division by zero in Q")
-        return 1 / Fraction(a)
+        n, d = a.numerator, a.denominator
+        if n == 1 or n == -1:
+            return n * d
+        return Fraction(d, n)
 
     def is_zero(self, a):
         return a == 0
@@ -226,10 +248,12 @@ def product_residual(a_rows, b_rows, c_rows, d_rows, p):
 
 def _canonical(acc, p):
     """The sorted (column, entry) pairs of the nonzero sums in a dict
-    keyed by column, each reduced modulo p over F_p."""
+    keyed by column, each reduced modulo p over F_p and, over Q, an
+    integral `Fraction` turned into its `int`."""
     if p:
         return [(j, v) for j in sorted(acc) if (v := acc[j] % p)]
-    return [(j, v) for j in sorted(acc) if (v := acc[j])]
+    return [(j, v if type(v) is int or v.denominator != 1 else v.numerator)
+            for j in sorted(acc) if (v := acc[j])]
 
 
 def _check_vector(vec, n):
@@ -267,7 +291,8 @@ class Matrix:
         """The matrix with the given dense rows.  ``ncols`` is the width
         (needed only when there are no rows); a row of another length
         raises ShapeError.  Entries are not coerced, but over F_p they
-        are reduced modulo p, so a multiple of p is a zero."""
+        are reduced modulo p, so a multiple of p is a zero, and over Q
+        an integral `Fraction` is stored as its `int`."""
         self.field = field
         p = field.characteristic
         pairs = []
@@ -282,7 +307,8 @@ class Matrix:
             if p:
                 pairs.append([(j, x) for j in nonzero if (x := row[j] % p)])
             else:
-                pairs.append([(j, row[j]) for j in nonzero])
+                pairs.append([(j, x if type(x := row[j]) is int or x.denominator != 1
+                               else x.numerator) for j in nonzero])
         self.pairs = pairs
         self.nrows = len(pairs)
         self.ncols = ncols or 0
@@ -371,7 +397,8 @@ class Matrix:
         elif p:
             rows = [[(j, c * e % p) for j, e in row] for row in self.pairs]
         else:
-            rows = [[(j, c * e) for j, e in row] for row in self.pairs]
+            rows = [[(j, x if type(x := c * e) is int or x.denominator != 1 else x.numerator)
+                     for j, e in row] for row in self.pairs]
         return Matrix.from_pairs(f, rows, self.ncols)
 
     def mul(self, other):
@@ -548,7 +575,8 @@ def kronecker(a, b):
             if p:
                 out.append([(i * n + j, x * e % p) for i, x in ra for j, e in rb])
             else:
-                out.append([(i * n + j, x * e) for i, x in ra for j, e in rb])
+                out.append([(i * n + j, y if type(y := x * e) is int or y.denominator != 1
+                             else y.numerator) for i, x in ra for j, e in rb])
     return Matrix.from_pairs(a.field, out, a.ncols * n)
 
 
@@ -590,7 +618,9 @@ class SpanBuilder:
 
     def _reduce(self, vec):
         """The remainder of a vector after reduction by the span, as a
-        dict of its nonzero entries keyed by column.
+        dict of its nonzero entries keyed by column.  Over Q each entry
+        it computes is in the element form; an entry that no pivot row
+        touches is kept as given.
 
         The vector's pairs are its nonzero entries, so they are read
         into the dict as they are.  Subtracting the row of a pivot the
@@ -608,6 +638,8 @@ class SpanBuilder:
                 x = v.get(j, 0) - c * e
                 if p:
                     x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
                 if x:
                     v[j] = x
                 else:
@@ -626,14 +658,17 @@ class SpanBuilder:
         return True
 
     def _insert(self, pivot, row):
-        """Normalise a reduced row and back-substitute it into the others."""
+        """Normalise a reduced row and back-substitute it into the others.
+        Over Q an entry that comes out an integral `Fraction` is stored
+        as its `int`."""
         f = self.field
         p = f.characteristic
         inv = f.inv(row[pivot])
         if p:
             row = {j: e * inv % p for j, e in row.items()}
         else:
-            row = {j: e * inv for j, e in row.items()}
+            row = {j: x if type(x := e * inv) is int or x.denominator != 1 else x.numerator
+                   for j, e in row.items()}
         items = list(row.items())
         for other in self._rows.values():
             c = other.get(pivot)
@@ -643,6 +678,8 @@ class SpanBuilder:
                 x = other.get(j, 0) - c * e
                 if p:
                     x %= p
+                elif type(x) is not int and x.denominator == 1:
+                    x = x.numerator
                 if x:
                     other[j] = x
                 else:

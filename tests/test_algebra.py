@@ -428,7 +428,8 @@ def test_lift_idempotents_matrix_algebra():
 
 
 def test_lift_idempotents_not_split():
-    with pytest.raises(NotSplit):
+    # x² + 1 has no rational root, and the root search ran to the end
+    with pytest.raises(NotSplit, match="admits no field-rational splitting"):
         lift_idempotents(gaussian_field())
 
 
@@ -459,7 +460,22 @@ def test_prime_field_roots_match_brute_force(data):
         poly = _poly_mul(f, poly, [c, b, 1])
     roots = {x for x in range(p) if f.is_zero(_poly_eval(f, poly, x))}
     scan = list(range((p + 1) // 2)) + list(range(p - 1, (p - 1) // 2, -1))
-    assert _field_roots(f, poly) == [x for x in scan if x in roots]
+    assert _field_roots(f, poly) == ([x for x in scan if x in roots], True)
+
+
+def test_rational_roots_are_in_form_and_say_when_cut_off():
+    # 5·x·(x − 2)(x + 1/2)(x − 3): the integral roots come out as ints
+    poly = [5]
+    for r in (0, 2, Fraction(-1, 2), 3):
+        poly = _poly_mul(QQ, poly, [-r, 1])
+    roots, complete = _field_roots(QQ, poly)
+    assert complete and sorted(roots) == [Fraction(-1, 2), 0, 2, 3]
+    assert [type(r) for r in sorted(roots)] == [Fraction, int, int, int]
+    # a coefficient above 10¹² cuts the divisor search off; the root 0
+    # is still listed
+    big = 10**7 * (3 * 10**7 + 1)
+    assert _field_roots(QQ, [big, -(4 * 10**7 + 1), 1]) == ([], False)
+    assert _field_roots(QQ, [0, -(10**13), 1]) == ([0], False)
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])

@@ -24,6 +24,7 @@ from sphertwist.exactlin import (
     PrimeField,
     SpanBuilder,
     SpanQuotient,
+    combine,
     kernel_basis,
     kronecker,
     product_residual,
@@ -274,23 +275,50 @@ def test_span_builder_matches_rref_canonical():
 
 small_entries = st.integers(min_value=-6, max_value=6)
 # mostly zeros, with fractions whose denominators are units in every field
-# below (3 and 11 are prime to 2, 7 and 32003)
+# below (3 and 11 are prime to 2, 7 and 32003), and integers given as
+# integral Fractions as well as ints
 sparse_entries = st.one_of(
     st.just(0),
     st.just(0),
     st.just(0),
     small_entries,
     st.builds(Fraction, small_entries, st.sampled_from([3, 11])),
+    st.builds(Fraction, small_entries),
+    st.sampled_from([Fraction(3), Fraction(-6, 3)]),
 )
 FIELDS = [QQ, PrimeField(2), PrimeField(7), PrimeField(32003)]
 
 
+def in_form(field, c):
+    """A stored entry: over F_p in [1, p); over Q a nonzero int or a
+    Fraction that is not integral."""
+    p = field.characteristic
+    if p:
+        return 0 < c < p
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+
+
+def given_as_drawn(field, dense):
+    """The vector of a dense list with its Q entries as drawn: ints and
+    Fractions, integral ones included, uncoerced.  Over F_p the entries
+    are coerced (reduced), as a vector's must be."""
+    if field.characteristic:
+        return vectors.pairs(field, dense)
+    return [(j, e) for j, e in enumerate(dense) if e]
+
+
 @st.composite
 def matrices(draw, field=QQ, max_dim=4, nrows=None, ncols=None, entries=small_entries):
+    """A matrix read from dense rows: over Q the drawn entries go into
+    ``Matrix`` uncoerced, a mix of ints and Fractions."""
     n = nrows if nrows is not None else draw(st.integers(1, max_dim))
     c = ncols if ncols is not None else draw(st.integers(1, max_dim))
-    values = [field.coerce(v) for v in draw(st.lists(entries, min_size=n * c, max_size=n * c))]
-    return Matrix(field, [values[i * c : (i + 1) * c] for i in range(n)], c)
+    values = draw(st.lists(entries, min_size=n * c, max_size=n * c))
+    if field.characteristic:
+        values = [field.coerce(v) for v in values]
+    m = Matrix(field, [values[i * c : (i + 1) * c] for i in range(n)], c)
+    assert all(in_form(field, e) for row in m.pairs for _, e in row)
+    return m
 
 
 @given(matrices())
@@ -477,6 +505,41 @@ def test_span_builder_matches_reference(data):
         assert dense(field, m.ncols, red) == rsb._reduce(vec)
 
 
+@given(st.data())
+def test_mixed_q_input_gives_the_pairs_of_all_fraction_input(data):
+    # the same rows given three ways, uncoerced: every entry a Fraction,
+    # every entry as drawn, and each entry an int or a Fraction at random
+    # (so integral Fractions like Fraction(3) and Fraction(-6, 3) mix with
+    # raw ints in one row); the kernels store the same pairs by ==, in
+    # the one form: ints for integral values, Fractions otherwise
+    n, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    values = data.draw(st.lists(sparse_entries, min_size=n * c, max_size=n * c))
+    flip = data.draw(st.lists(st.booleans(), min_size=n * c, max_size=n * c))
+    mixed = [
+        Fraction(v) if f else (int(v) if Fraction(v).denominator == 1 else v)
+        for v, f in zip(values, flip)
+    ]
+    givens = [[Fraction(v) for v in values], values, mixed]
+    rowss = [[g[i * c : (i + 1) * c] for i in range(n)] for g in givens]
+    mats = [Matrix(QQ, rows, c) for rows in rowss]
+    for m in mats:
+        assert m.pairs == mats[0].pairs
+        assert all(in_form(QQ, e) for row in m.pairs for _, e in row)
+    vecss = [[given_as_drawn(QQ, row) for row in rows] for rows in rowss]
+    scalars = data.draw(st.lists(sparse_entries, min_size=n, max_size=n))
+    sums = [combine(list(zip(scalars, vecs)), 0) for vecs in vecss]
+    for total in sums:
+        assert total == sums[0]
+        assert all(in_form(QQ, e) for _, e in total)
+    spans = [SpanBuilder(QQ, c) for _ in givens]
+    grew = [[span.add(v) for v in vecs] for span, vecs in zip(spans, vecss)]
+    assert grew == [grew[0]] * len(givens)
+    for span in spans:
+        assert span.basis_pairs() == spans[0].basis_pairs()
+        assert all(in_form(QQ, e) for row in span.basis_pairs() for _, e in row)
+        assert span.kernel_basis() == kernel_basis(mats[0])
+
+
 # ---------------------------------------------------------------------------
 # the stored pairs against the dense oracle, `exactlin_reference.DenseMatrix`:
 # every kernel over Q and three prime fields at the sparsity of the
@@ -484,24 +547,27 @@ def test_span_builder_matches_reference(data):
 # n×0 included, and over F_p every cell, zeros included, given unreduced
 # as its residue plus k·p
 
-oracle_values = st.sampled_from([1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11)])
+oracle_values = st.sampled_from(
+    [1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11), Fraction(3), Fraction(-6, 3)]
+)
 
 
 @st.composite
 def oracle_rows(draw, field, nrows, ncols):
     """Dense rows with 1 % to 5 % of their cells nonzero (at least one
-    drawn cell), stored over F_p as residue + k·p, −2 ≤ k ≤ 2."""
+    drawn cell), given over Q as drawn (ints and Fractions, integral
+    ones included) and stored over F_p as residue + k·p, −2 ≤ k ≤ 2."""
     density = draw(st.sampled_from([0.01, 0.02, 0.05]))
     rows = [[field.zero()] * ncols for _ in range(nrows)]
     if nrows and ncols:
         cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
         count = max(1, round(density * nrows * ncols))
         for i, j in draw(st.lists(cells, min_size=count, max_size=count)):
-            rows[i][j] = field.coerce(draw(oracle_values))
+            rows[i][j] = draw(oracle_values)
     p = field.characteristic
     if p:
         rng = draw(st.randoms(use_true_random=False))
-        rows = [[e + p * rng.randint(-2, 2) for e in row] for row in rows]
+        rows = [[field.coerce(e) + p * rng.randint(-2, 2) for e in row] for row in rows]
     return rows
 
 
@@ -513,15 +579,15 @@ def reduced(field, rows):
 def assert_matches(m, dense):
     """m holds the oracle's matrix in the stored form: its rows view is
     the oracle's rows read modulo p, and each row's pairs are sorted by
-    column, nonzero and, over F_p, reduced into [1, p)."""
+    column and `in_form`: over F_p reduced into [1, p), over Q a
+    nonzero int or a Fraction that is not integral."""
     f = m.field
     assert (m.nrows, m.ncols) == (dense.nrows, dense.ncols)
     assert m.rows == reduced(f, dense.rows)
-    p = f.characteristic
     for row in m.pairs:
         columns = [j for j, _ in row]
         assert columns == sorted(set(columns))
-        assert all(0 < e < p if p else e for _, e in row)
+        assert all(in_form(f, e) for _, e in row)
 
 
 @settings(deadline=None)
@@ -564,9 +630,9 @@ def test_every_kernel_matches_the_dense_oracle(data):
     assert a == Matrix(field, reduced(field, rows_a), c)
     assert Matrix.from_pairs(field, a.pairs, c) == a
     u = data.draw(oracle_rows(field, 1, n))[0] if n else []
-    assert a.apply_to_row(vectors.pairs(field, u)) == vectors.pairs(
-        field, da.apply_to_row(u)
-    )
+    image = a.apply_to_row(given_as_drawn(field, u))
+    assert image == vectors.pairs(field, da.apply_to_row(u))
+    assert all(in_form(field, e) for _, e in image)
 
     r, pivots = rref(a)
     ref_rows, ref_pivots = ref.rref(da)
@@ -575,12 +641,14 @@ def test_every_kernel_matches_the_dense_oracle(data):
     assert row_space_canonical(a).rows == reduced(field, ref_rows[: len(pivots)])
     assert kernel_basis(a).transpose().rows == ref.kernel_basis(da)
     rhs = data.draw(oracle_rows(field, 1, n))[0] if n else []
-    x = solve(a, vectors.pairs(field, rhs))
+    x = solve(a, given_as_drawn(field, rhs))
     assert (x if x is None else vectors.dense(field, x, c)) == ref.solve(da, rhs)
+    assert x is None or all(in_form(field, e) for _, e in x)
     span, ref_span = SpanBuilder(field, c), ref.SpanBuilder(field, c)
     for row in rows_a:
-        assert span.add(vectors.pairs(field, row)) == ref_span.add(row)
+        assert span.add(given_as_drawn(field, row)) == ref_span.add(row)
     assert span.basis_matrix().rows == ref_span.rows
+    assert all(in_form(field, e) for row in span.basis_pairs() for _, e in row)
     assert span.kernel_basis() == kernel_basis(a)
 
     corner = (range(min(n, 4)), range(min(c, 4)))
@@ -590,8 +658,9 @@ def test_every_kernel_matches_the_dense_oracle(data):
 
     pre = Preimages(a)
     v = da.apply_to_row(u)
-    x = pre.of(vectors.pairs(field, v))
+    x = pre.of(given_as_drawn(field, v))
     assert da.apply_to_row(vectors.dense(field, x, n)) == v
+    assert all(in_form(field, e) for _, e in x)
     # a second factoring of the same matrix gives the same preimage
     assert Preimages(a).of(vectors.pairs(field, v)) == x
     w = data.draw(oracle_rows(field, 1, c))[0] if c else []

@@ -16,6 +16,13 @@ dense sequence) outside ``Matrix.__init__``, the one reader of dense
 rows, or test ``isinstance(…, dict)`` in `exactlin`, where a dict was
 the second vector form.  The scan is static, so it covers the routes no
 workload runs as well as those it does.
+
+A Q element is an int when integral and a `Fraction` with denominator
+> 1 otherwise, so no module may name ``Fraction`` outside `RationalField`
+(the one maker of Q elements), ``PrimeField.coerce`` (which reads one)
+and `algebra._rational_roots` (which builds its candidate roots in
+that form), apart from the imports of the two modules that hold them.
+Then no new code path builds integral `Fraction` values.
 """
 
 import ast
@@ -32,6 +39,24 @@ VIEWS = {
 CONVERTERS = {"sparse_rows", "_nonzeros", "_nonzero_cells", "_pairs", "m_basis_row"}
 # (module, qualified name) allowed to call compress
 DENSE_READERS = {("exactlin", "Matrix.__init__")}
+# (module, qualified name of a definition) allowed to name Fraction, in
+# the definition and anything nested in it
+FRACTION_SCOPES = {
+    ("exactlin", "RationalField"),
+    ("exactlin", "PrimeField.coerce"),
+    ("algebra", "_rational_roots"),
+}
+
+
+def _names_fraction_allowed(module, scope, node):
+    """Whether naming Fraction at node is allowed: inside one of the
+    FRACTION_SCOPES, or as a module-level import in their modules."""
+    if any(module == m and scope[: len(q.split("."))] == tuple(q.split("."))
+           for m, q in FRACTION_SCOPES):
+        return True
+    return not scope and isinstance(node, ast.alias) and module in {
+        m for m, _ in FRACTION_SCOPES
+    }
 
 
 def _polynomial_helper(scope):
@@ -66,7 +91,8 @@ def offences(source, module):
     """(line, what) for each read of ``.rows`` outside the views, each
     name, attribute, import or definition of a converter, each dense
     zero buffer outside the polynomial helpers, each call of compress
-    outside the dense-row reader and each dict test in exactlin."""
+    outside the dense-row reader, each dict test in exactlin and each
+    name, attribute or import ``Fraction`` outside the FRACTION_SCOPES."""
     out = []
 
     def visit(node, scope):
@@ -82,6 +108,11 @@ def offences(source, module):
                     out.append((child.lineno, "calls compress in " + where))
                 if module == "exactlin" and _dict_test(child):
                     out.append((child.lineno, "tests for a dict in " + where))
+            named = getattr(child, "id", None) or getattr(child, "attr", None)
+            if isinstance(child, ast.alias):
+                named = child.name
+            if named == "Fraction" and not _names_fraction_allowed(module, scope, child):
+                out.append((child.lineno, "names Fraction in " + (where or "the module")))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = scope + (child.name,)
                 if child.name in CONVERTERS:
@@ -185,3 +216,41 @@ def _poly_mul(f, p, q):
         (11, "names m_basis_row"),
         (17, "builds a dense zero buffer in _reduce"),
     ]
+
+
+def test_the_lint_flags_a_fraction_outside_the_q_field():
+    source = '''
+from fractions import Fraction
+import fractions
+
+class RationalField:
+    def coerce(self, value):
+        return Fraction(value)
+
+class PrimeField:
+    def coerce(self, value):
+        return isinstance(value, Fraction)
+
+    def inv(self, a):
+        return fractions.Fraction(1, a)
+
+def _canonical(acc):
+    return [Fraction(v) for v in acc]
+
+def _rational_roots(poly):
+    def cand(p, q):
+        return Fraction(p, q)
+'''
+    assert offences(source, "exactlin") == [
+        (14, "names Fraction in PrimeField.inv"),
+        (17, "names Fraction in _canonical"),
+        (21, "names Fraction in _rational_roots.cand"),
+    ]
+    assert offences(source, "algebra") == [
+        (7, "names Fraction in RationalField.coerce"),
+        (11, "names Fraction in PrimeField.coerce"),
+        (14, "names Fraction in PrimeField.inv"),
+        (17, "names Fraction in _canonical"),
+    ]
+    # the import is allowed only in the modules that hold a scope
+    assert offences(source, "modules")[0] == (2, "names Fraction in the module")

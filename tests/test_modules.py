@@ -464,15 +464,16 @@ def test_an_exhausted_idempotent_search_is_not_a_verdict():
     # split by u = (x − b)/(a − b), but the rational root search gives
     # up on coefficients this large and raises NotSplit; the regular
     # module is decomposable, so NotSplit must not read as
-    # "indecomposable"
+    # "indecomposable", and its message says the search was cut off
     a, b = 10**7, 3 * 10**7 + 1
     alg = from_structure_constants(
         QQ, [[[1, 0], [0, 1]], [[0, 1], [-a * b, a + b]]], [1, 0]
     )
     u = vectors.pairs(QQ, [Fraction(-b, a - b), Fraction(1, a - b)])
     assert alg.mul_vec(u, u) == u and u != alg.unit
-    with pytest.raises(NotSplit):
+    with pytest.raises(NotSplit, match="root search was cut off") as caught:
         is_indecomposable(Module.regular(alg))
+    assert "admits no" not in str(caught.value)
 
 
 def test_find_isomorphism_distinguishes_simples():

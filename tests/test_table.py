@@ -195,7 +195,10 @@ def test_the_dense_route_gives_the_direct_table(name, field, data):
             columns = [t for t, _ in pairs]
             assert columns == sorted(set(columns))
             for _, c in pairs:
-                assert 0 < c < p if p else (isinstance(c, Fraction) and c)
+                # over Q, a nonzero int or a Fraction that is not integral
+                assert 0 < c < p if p else (
+                    (type(c) is int and c) or (type(c) is Fraction and c.denominator > 1)
+                )
 
 
 # ---------------------------------------------------------------------------

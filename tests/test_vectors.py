@@ -12,6 +12,12 @@ unreduced as residue + k·p, empty vectors and a dim-0 algebra included:
   `exactlin_reference`, and `SpanQuotient.project`, `Preimages.of` and
   `combine` against dense sums checked by the same oracles.
 
+Over Q the vectors and dense rows are given as drawn: ints and
+Fractions mixed, integral Fractions such as ``Fraction(-6, 3)``
+included, uncoerced.  Every kernel output is checked in the stored form,
+over Q an int when integral and a Fraction with denominator > 1
+otherwise.
+
 A vector of the wrong length, which the dense lists read zero-padded or
 truncated, is an index outside [0, length) in the vector form, and each
 entry point raises ShapeError for it.
@@ -56,30 +62,36 @@ ALGEBRAS = {
     "product_field_pair": product_field_pair,
     "matrix_units_2": matrix_units_2,
 }
-VALUES = [0, 0, 0, 1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11)]
+VALUES = [0, 0, 0, 1, -1, 2, 3, -5, Fraction(1, 3), Fraction(-2, 11),
+          Fraction(3), Fraction(-6, 3)]
 
 
 def assert_stored(field, vec):
-    """vec is in the vector form: sorted distinct indices, nonzero and,
-    over F_p, reduced entries."""
+    """vec is in the vector form: sorted distinct indices, and entries
+    over F_p reduced into [1, p), over Q nonzero ints or Fractions that
+    are not integral."""
     indices = [j for j, _ in vec]
     assert indices == sorted(set(indices))
     p = field.characteristic
-    assert all(0 < e < p if p else e for _, e in vec)
+    assert all(
+        0 < e < p if p else
+        (type(e) is int and e) or (type(e) is Fraction and e.denominator > 1)
+        for _, e in vec
+    )
 
 
 @st.composite
 def oracle_vectors(draw, field, n):
-    """(dense list for the oracle, the package's vector of it): over F_p
-    each oracle entry, zeros included, is its residue plus k·p."""
-    entries = [field.coerce(v) for v in draw(st.lists(st.sampled_from(VALUES),
-                                                       min_size=n, max_size=n))]
-    vec = vectors.pairs(field, entries)
+    """(dense list for the oracle, the package's vector of it): over Q
+    both hold the entries as drawn, uncoerced; over F_p each oracle
+    entry, zeros included, is its residue plus k·p."""
+    entries = draw(st.lists(st.sampled_from(VALUES), min_size=n, max_size=n))
     p = field.characteristic
-    if p:
-        shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
-        entries = [e + p * k for e, k in zip(entries, shifts)]
-    return entries, vec
+    if not p:
+        return entries, [(i, e) for i, e in enumerate(entries) if e]
+    vec = vectors.pairs(field, entries)
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    return [field.coerce(v) + p * k for v, k in zip(entries, shifts)], vec
 
 
 def reduced(field, dense):
@@ -113,6 +125,8 @@ def test_every_vector_kernel_matches_the_dense_oracle(data):
     # a row vector times a matrix
     rows = [data.draw(oracle_vectors(field, m.dim))[0] for _ in range(m.dim)]
     mat, dense = Matrix(field, rows, m.dim), ref.DenseMatrix(field, rows, m.dim)
+    for row in mat.pairs:
+        assert_stored(field, row)
     du, u = data.draw(oracle_vectors(field, m.dim))
     image = mat.apply_to_row(u)
     assert_stored(field, image)
@@ -125,11 +139,15 @@ def test_every_vector_kernel_matches_the_dense_oracle(data):
     for row, vec in zip(rows, mat.pairs):
         assert span.add(vec) == oracle.add(row)
     assert (span.rows, span.pivots) == (oracle.rows, oracle.pivots)
+    for row in span.basis_pairs():
+        assert_stored(field, row)
     dw, w = data.draw(oracle_vectors(field, m.dim))
     inside = oracle.contains(dw)
     assert span.contains(w) == inside
     quotient = SpanQuotient(span)
-    cls = quotient.project(w)
+    # project passes the entries no pivot row touches through as given,
+    # so it takes the coerced vector
+    cls = quotient.project(vectors.pairs(field, dw))
     assert_stored(field, cls)
     assert all(0 <= j < quotient.dim for j, _ in cls)
     assert (not cls) == inside
