@@ -11,9 +11,10 @@ an algebra writes the pairs directly and every reader (products,
 multiplication matrices, trace forms, the checks of surjections and
 modules) walks them.  Dense input enters only through
 `from_structure_constants`.
-Construction always runs the full battery of checks (associativity on
-every basis triple, two-sided unit law), so a value of type
-:class:`Algebra` is trusted everywhere else in the package.
+Construction runs the full battery of checks (associativity on every
+basis triple, two-sided unit law, the tags), so a value of type
+:class:`Algebra` is trusted everywhere else in the package.  The one
+exception is `opposite`, whose audit follows from that of its source.
 
 Quotients by two-sided ideals produce a :class:`SurjectionData` — the
 surjection is the central object the rest of the package revolves
@@ -63,10 +64,13 @@ class Algebra:
     dropped, so equal algebras have equal tables, units and tags.  A
     table row of the wrong length, an entry that is not a pair (a dense
     vector, say) or an index out of range, unsorted or repeated raises
-    ShapeError.
+    ShapeError.  ``validate=False`` skips the audit of `_validate`; only
+    a builder that proves the audit from one already passed (`opposite`)
+    passes it.
     """
 
-    def __init__(self, field, table, unit, basis_labels=None, idempotents=None):
+    def __init__(self, field, table, unit, basis_labels=None, idempotents=None,
+                 validate=True):
         self.field = field
         self.dim = d = len(table)
         coerce = field.coerce
@@ -102,11 +106,16 @@ class Algebra:
         self._generator_cache = None
         self._simple_modules_cache = None
         self._piece_cache = {}
+        # ⊕ eₖ·A of `modules._piece_sum`, keyed by the tuple of the eₖ as
+        # tuples of pairs; a recorded term built as a cover is this shared
+        # object, which `_rebuilt_by` compares against
+        self._piece_sum_cache = {}
         # ... and of the frobenius layer
         self._selfinj_cache = None
         self._nakayama_cache = None
         self._symmetric_cache = None
-        self._validate()
+        if validate:
+            self._validate()
 
     # -- construction-time checks
 
@@ -541,6 +550,14 @@ def opposite(a):
 
     Cached both ways, so opposite(opposite(a)) is the original object;
     dualizing a module twice then lands over the algebra it started on.
+
+    The table is the transpose of a's, x∘y = y·x, and a passed the audit
+    of `Algebra._validate`, so it is not run again:
+    - associativity: (x∘y)∘z = z·(y·x) = (z·y)·x = x∘(y∘z);
+    - the unit: 1∘x = x·1 = x and x∘1 = 1·x = x, for the same vector 1;
+    - the tags, the same vectors: e∘e = e·e = e, and e∘f = f·e and
+      f∘e = e·f are both 0, since a checked both orders.
+    The tests run the full audit on the opposites.
     """
     if a._opposite_cache is not None:
         return a._opposite_cache
@@ -552,6 +569,7 @@ def opposite(a):
         a.unit,
         basis_labels=[l + "^op" for l in a.basis_labels],
         idempotents=idem,
+        validate=False,
     )
     # the arrow ideal is a subspace, the same in aᵒᵖ, where `radical`
     # certifies it again

@@ -620,6 +620,27 @@ def _idempotent_piece(a, e):
     return hit
 
 
+def _piece_sum(a, idempotents):
+    """⊕ₖ eₖ·A: the direct sum of the pieces `_idempotent_piece(a, eₖ)`
+    in the order of the list, and the zero module for an empty list.
+
+    Built once per algebra and idempotent list, and cached in
+    ``a._piece_sum_cache`` under the tuple of the eₖ as tuples of pairs,
+    so every caller gets the same object: the source of each cover
+    (`_cover_by_pieces`), the terms the unit elimination rebuilds and the
+    sum the resolution audit compares a recorded term against.  No
+    caller changes it, so its `stacked_action` is built once as well.
+    """
+    key = tuple(tuple(e) for e in idempotents)
+    hit = a._piece_sum_cache.get(key)
+    if hit is None:
+        hit = a._piece_sum_cache[key] = (
+            direct_sum([_idempotent_piece(a, e)[0] for e in idempotents])[0]
+            if idempotents else Module.zero(a)
+        )
+    return hit
+
+
 def projective_cover(m):
     """(P, epi) with P a sum of idempotent projectives covering top(m).
 
@@ -646,7 +667,8 @@ def _cover_by_pieces(m, idempotents, what):
     carries ``cover_idempotents``, naming the summand each block came
     from (the piece is `_idempotent_piece` of it), for callers that need
     the indecomposable decomposition of a module they know to be
-    projective.
+    projective.  The source is the shared `_piece_sum` of that list, so
+    two covers by the same idempotents have the same source object.
     """
     a = m.algebra
     f = a.field
@@ -658,24 +680,22 @@ def _cover_by_pieces(m, idempotents, what):
     cover_span = SpanBuilder(f, m.dim)
     for r in module_radical(m).pairs:
         cover_span.add(r)
-    pieces = []
     idems = []
     rows = []
     for e in idempotents:
         for v in m.action_of(e).pairs:
             if cover_span.contains(v):
                 continue
-            pe, incl = _idempotent_piece(a, e)
+            incl = _idempotent_piece(a, e)[1]
             # v times [M₀ | M₁ | …] is (v·b₀, v·b₁, …)
             images = _unflatten(f, m.stacked_action().apply_to_row(v), a.dim, m.dim)
             for img in images.pairs:
                 cover_span.add(img)
             rows += incl.matrix.mul(images).pairs
-            pieces.append(pe)
             idems.append(e)
-    if not pieces:
+    if not idems:
         raise SphertwistError("%s of a nonzero module found no generator" % what)
-    p_sum, _, _ = direct_sum(pieces)
+    p_sum = _piece_sum(a, idems)
     big = Matrix.from_pairs(f, rows, m.dim)
     epi = ModuleHom(p_sum, m, big)
     if rank(big) != m.dim:

@@ -14,9 +14,13 @@ Exactness is audited degree-wise by rank bookkeeping.  Every builder
 records the cover each term came from, and a term with a record is
 certified projective by rebuilding it from that record: for e² = e,
 A_A = e·A ⊕ (1−e)·A, so e·A is projective and so is a direct sum of
-such pieces.  A term without a record (only a resolution built by
-hand has one) is checked by the cover criterion: a module is
-projective exactly when its projective cover has the same dimension.
+such pieces.  The rebuilt sum is built once per algebra and idempotent
+list (`modules._piece_sum`), and a term built as a cover is that very
+object, so the certificate costs a comparison of the matrices as
+objects; a term built elsewhere is compared entry by entry.  A term
+without a record (only a resolution built by hand has one) is checked
+by the cover criterion: a module is projective exactly when its
+projective cover has the same dimension.
 
 Resolutions are deterministic, so the one built at cap c is a
 term-by-term prefix of the one built at any larger cap (see
@@ -41,7 +45,7 @@ from .modules import (
     Module,
     _cover_by_pieces,
     _idempotent_piece,
-    direct_sum,
+    _piece_sum,
     hom_space,
     kernel_of,
     module_radical,
@@ -60,13 +64,19 @@ def is_projective(m):
 
 def _rebuilt_by(term, cover):
     """Whether every entry of the cover is idempotent and the term is
-    the direct sum of the pieces e·A, action matrix for action matrix."""
+    the direct sum of the pieces e·A, action matrix for action matrix.
+
+    The sum is the shared `_piece_sum` of the cover, keyed by the algebra
+    and the idempotent list.  A term built as a cover, or rebuilt by the
+    unit elimination, is that object, and then the list comparison
+    meets each matrix as itself, in O(dim A) steps.  A term built
+    elsewhere (by hand, or conjugated) is another object, and the same
+    comparison reads it entry by entry, so the check stays a full one.
+    """
     a = term.algebra
     if not all(a.is_idempotent(e) for e in cover):
         return False
-    if not cover:
-        return term.dim == 0
-    built, _, _ = direct_sum([_idempotent_piece(a, e)[0] for e in cover])
+    built = _piece_sum(a, cover)
     return built.dim == term.dim and built.action == term.action
 
 
@@ -136,11 +146,15 @@ class Resolution:
     that was not built as a cover.  A cover's source is the direct sum
     of the pieces ``_idempotent_piece(a, eₖ)`` in that order, so the
     term's basis is the concatenation of the canonical row bases of
-    the eₖ·A.
+    the eₖ·A.  That sum is the shared ``_piece_sum(a, covers[i])``,
+    cached on the algebra under the idempotent list, so a recorded term
+    built as a cover is that object.
 
     The record is the projectivity certificate of its term: the audit
     checks that every eₖ is idempotent and that the term's action
-    matrices are exactly those of the direct sum of the eₖ·A.  Then the
+    matrices are exactly those of the direct sum of the eₖ·A
+    (`_rebuilt_by`; on the shared object the matrices compare as
+    themselves, and any other term is read entry by entry).  Then the
     term is that direct sum, and each eₖ·A is projective because
     e² = e splits A_A = e·A ⊕ (1−e)·A.  This is stronger than the cover
     criterion it replaces: a projective term whose record does not

@@ -80,6 +80,7 @@ from .modules import (
     Module,
     ModuleHom,
     _idempotent_piece,
+    _piece_sum,
     balanced_tensor,
     direct_sum,
     identity_hom,
@@ -745,6 +746,9 @@ def _projective_staircase(c, cap=None):
     phis[hi] = epi0
     k = hi
     steps = 0
+    # the probe's target c_{k+1} ⊕ P_{k+2} is the pair of the step
+    # before, and c_hi itself (P_{hi+1} = 0) on the first step
+    tgt = c.term(hi)
     while True:
         k -= 1
         steps += 1
@@ -756,19 +760,15 @@ def _projective_staircase(c, cap=None):
         pk = p_terms[k + 1]
         pair, injs, prjs = direct_sum([ck, pk])
         # map (x, q) ↦ (d x − φ q, δ q) whose kernel is the fiber product
-        tgt_c = c.term(k + 1)
         nxt = p_terms.get(k + 2)
         delta_next = deltas.get(k + 1)
-        tgt_p = nxt if nxt is not None else Module.zero(lam)
-        tgt, _i2, _p2 = direct_sum([tgt_c, tgt_p])
+        width = nxt.dim if nxt is not None else 0
         neg = field.neg(field.one())
-        top = c.differential(k).matrix.hstack(
-            Matrix.zero(field, ck.dim, tgt_p.dim)
-        )
+        top = c.differential(k).matrix.hstack(Matrix.zero(field, ck.dim, width))
         phi_block = phis[k + 1].matrix.scale(neg)
         delta_block = (
             delta_next.matrix if delta_next is not None
-            else Matrix.zero(field, pk.dim, tgt_p.dim)
+            else Matrix.zero(field, pk.dim, width)
         )
         bottom = phi_block.hstack(delta_block)
         probe = ModuleHom(pair, tgt, top.vstack(bottom))
@@ -777,8 +777,8 @@ def _projective_staircase(c, cap=None):
             break
         if w_mod.dim == 0:
             # nothing to cover here, but the support continues below, so
-            # record a zero term and keep descending
-            q = Module.zero(lam)
+            # record a zero term, the sum of no pieces, and keep descending
+            q = _piece_sum(lam, [])
             epi = ModuleHom(
                 q, w_mod, Matrix.zero(field, 0, 0), validate=False
             )
@@ -790,6 +790,7 @@ def _projective_staircase(c, cap=None):
         p_terms[k] = q
         phis[k] = into_pair.compose(prjs[0])
         deltas[k] = into_pair.compose(prjs[1])
+        tgt = pair
     lo_p = min(p_terms)
     terms = [p_terms[j] for j in range(lo_p, hi + 1)]
     maps = [deltas[j] for j in range(lo_p, hi)]
@@ -841,8 +842,8 @@ def _eliminate_units(px):
     summand of the next spans a contractible pair; removing it and
     correcting the surviving block by the standard complement keeps the
     homotopy type.  Loops until no block qualifies, then rebuilds each
-    term from the idempotents left (`_idempotent_piece` is cached, so
-    the pieces are the same modules) and re-audits the cohomology
+    term as the shared `_piece_sum` of the idempotents left (a term that
+    lost no summand is the term it was) and re-audits the cohomology
     against the original.  The result records its covers.
     """
     if not px.terms:
@@ -902,14 +903,7 @@ def _eliminate_units(px):
             idems[k + 1] = [e for i, e in enumerate(idems[k + 1]) if i != ci]
             changed = True
             break
-    rebuilt = {}
-    for k in degs:
-        if idems[k]:
-            pieces = [_idempotent_piece(lam, e)[0] for e in idems[k]]
-            summed, _i, _p = direct_sum(pieces)
-        else:
-            summed = Module.zero(lam)
-        rebuilt[k] = summed
+    rebuilt = {k: _piece_sum(lam, idems[k]) for k in degs}
     lo, hi = degs[0], degs[-1]
     term_list = [rebuilt[k] for k in degs]
     map_list = []

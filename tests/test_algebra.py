@@ -36,12 +36,16 @@ from vectors import dense, pairs
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,
+    dual_numbers_times_field,
     gaussian_field,
+    linear_path,
     matrix_units_2,
     nakayama3_hand_table,
     product_field_pair,
+    truncated_cycle,
     two_vertex_arrow,
 )
+from workload_contexts import WORKLOADS
 
 
 def test_base_field_as_algebra():
@@ -379,6 +383,47 @@ def test_opposite_reverses_products():
     b = opposite(a)
     e1, arr = a.basis_vector(0), a.basis_vector(2)
     assert b.mul_vec(arr, e1) == a.mul_vec(e1, arr)
+
+
+OPPOSITE_FIXTURES = [
+    dual_numbers, two_vertex_arrow, product_field_pair, dual_numbers_times_field,
+    matrix_units_2, nakayama3_hand_table,
+    lambda f: cyclic_nakayama(2, f), lambda f: cyclic_nakayama(3, f),
+    lambda f: cyclic_nakayama(4, f), lambda f: truncated_cycle(3, 3, f),
+    lambda f: linear_path(3, f),
+]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)])
+def test_the_opposite_passes_the_full_audit(field, monkeypatch):
+    # `opposite` runs no audit of its own, so the full one runs here on
+    # the opposite of every fixture and of every algebra the three
+    # workloads build, over each field
+    built = []
+    init = Algebra.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Algebra, "__init__", recording)
+    for make in OPPOSITE_FIXTURES:
+        make(field)
+    if field == QQ:
+        gaussian_field()
+    for setup, solve, _ in WORKLOADS.values():
+        solve(setup(field))
+    monkeypatch.undo()
+    audit = Algebra._validate
+    audited = []
+    monkeypatch.setattr(Algebra, "_validate", lambda self: audited.append(self))
+    ops = [opposite(a) for a in built]
+    monkeypatch.undo()
+    assert audited == []
+    # End(T) of the 3-cycle and of the 4-cycle with all simples among them
+    assert {15, 20} <= {op.dim for op in ops}
+    for op in ops:
+        audit(op)
 
 
 def test_enveloping_of_fields():

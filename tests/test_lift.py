@@ -22,7 +22,7 @@ from sphertwist.algebra import (
     lift_idempotents,
     opposite,
 )
-from sphertwist.errors import NotSplit
+from sphertwist.errors import NotSplit, UnsupportedCharacteristic
 from sphertwist.exactlin import QQ, PrimeField
 from sphertwist.frobenius import build_context
 from sphertwist.modules import Module, _idempotent_piece, direct_sum, simple_modules
@@ -131,6 +131,34 @@ def test_both_starts_refuse_the_gaussian_field():
         lift_idempotents(gaussian_field())
     with pytest.raises(NotSplit):
         unit_started_lift(gaussian_field())
+
+
+def tagged_dual_numbers_times_field(field):
+    """k[x]/(x²) × k on the basis u₁, x, u₂, tagged by its two block
+    units ``one1`` = u₁ and ``e2`` = u₂: a table with no presentation,
+    whose tag corners have dims 2 and 1."""
+    a = dual_numbers_times_field(field)
+    return Algebra(field, a.table, a.unit, idempotents=[
+        ("one1", a.basis_vector(0)), ("e2", a.basis_vector(2)),
+    ])
+
+
+def test_block_tags_of_a_table_lift_above_its_dimension():
+    # both tags are primitive: the corner of u₂ is k and that of u₁ is
+    # k[x]/(x²), local; the list runs from the last tag, as for vertex tags
+    assert lift_idempotents(tagged_dual_numbers_times_field(PrimeField(5))) == [
+        [(2, 1)], [(0, 1)],
+    ]
+
+
+@pytest.mark.xfail(raises=UnsupportedCharacteristic, strict=True, reason=(
+    "every corner test reads radical(A), and the trace-form radical of "
+    "a table needs p > dim; a radical in small characteristic lifts it"))
+def test_block_tags_of_a_table_lift_at_or_below_its_dimension():
+    # GF(3) with dim 3: the corners have dims 2 and 1, both below p
+    assert lift_idempotents(tagged_dual_numbers_times_field(PrimeField(3))) == [
+        [(2, 1)], [(0, 1)],
+    ]
 
 
 def test_tags_short_of_the_unit_fall_back_to_the_unit(monkeypatch):

@@ -23,6 +23,13 @@ A Q element is an int when integral and a `Fraction` with denominator
 and `algebra._rational_roots` (which builds its candidate roots in
 that form), apart from the imports of the two modules that hold them.
 Then no new code path builds integral `Fraction` values.
+
+A covered projective ⊕ eₖ·A has one builder, `modules._piece_sum`,
+which shares one object per algebra and idempotent list.  So no
+function but it may pass `direct_sum` a list built from
+`_idempotent_piece`: a list or comprehension that calls it, or a name
+bound to, appended or extended with something that does or with a name
+so marked, followed through the function to a fixed point.
 """
 
 import ast
@@ -254,3 +261,105 @@ def _rational_roots(poly):
     ]
     # the import is allowed only in the modules that hold a scope
     assert offences(source, "modules")[0] == (2, "names Fraction in the module")
+
+
+# ---------------------------------------------------------------------------
+# one builder of covered projectives
+
+
+def _called(node, name):
+    """Whether node is a call of ``name`` or ``x.name``."""
+    return isinstance(node, ast.Call) and (
+        getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == name
+
+
+def piece_sum_offences(source):
+    """(line, function) for each call of `direct_sum`, outside
+    `_piece_sum`, whose first argument is built from `_idempotent_piece`.
+
+    Within each function a name is marked when it is bound (by an
+    assignment, an augmented assignment or a for target) to an
+    expression holding such a call or a marked name, or when such an
+    expression is appended, extended or inserted into it; the marks are
+    propagated until nothing changes, so a loop that fills a list before
+    the sum is followed whatever the order of its statements."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name == "_piece_sum":
+            continue
+        marked = set()
+
+        def built(expr):
+            return any(_called(n, "_idempotent_piece")
+                       or (isinstance(n, ast.Name) and n.id in marked)
+                       for n in ast.walk(expr))
+
+        def names(target):
+            return {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+        grew = True
+        while grew:
+            before = len(marked)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and built(node.value):
+                    for target in node.targets:
+                        marked |= names(target)
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and (
+                        node.value is not None and built(node.value)):
+                    marked |= names(node.target)
+                elif isinstance(node, ast.For) and built(node.iter):
+                    marked |= names(node.target)
+                elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr in ("append", "extend", "insert")
+                      and any(built(arg) for arg in node.args)):
+                    marked |= names(node.func.value)
+            grew = len(marked) > before
+        out += [(node.lineno, fn.name) for node in ast.walk(fn)
+                if _called(node, "direct_sum") and node.args and built(node.args[0])]
+    return sorted(out)
+
+
+def test_no_module_sums_pieces_outside_the_one_builder():
+    found = {
+        path.name: piece_sum_offences(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert len(found) > 5
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_sum_of_pieces():
+    source = '''
+def _piece_sum(a, idempotents):
+    return direct_sum([_idempotent_piece(a, e)[0] for e in idempotents])[0]
+
+def cover(a, es):
+    pieces = []
+    for e in es:
+        pe, incl = _idempotent_piece(a, e)
+        pieces.append(pe)
+    return direct_sum(pieces)
+
+def rebuild(a, es):
+    return modules.direct_sum([_idempotent_piece(a, e)[0] for e in es])
+
+def relabelled(a, es):
+    parts = [_idempotent_piece(a, e) for e in es]
+    mods = []
+    mods.extend(p for p, _ in parts)
+    return direct_sum(mods)
+
+def late(a, es):
+    for e in es:
+        if acc:
+            total = direct_sum(acc)
+        acc = []
+        acc += [_idempotent_piece(a, e)[0]]
+
+def cone(x, y, a, e):
+    piece = _idempotent_piece(a, e)[0]
+    return direct_sum([x, y]), piece
+'''
+    assert piece_sum_offences(source) == [
+        (10, "cover"), (13, "rebuild"), (19, "relabelled"), (24, "late"),
+    ]

@@ -5,11 +5,15 @@ denominator > 1.
   and ``inv``, and still refuses a float.
 - Nothing the package stores breaks it.  The three benchmark workload
   contexts (built over Q, the GF(32003) one included) and every Q
-  fixture are set up and solved with `Matrix.from_pairs` and
+  fixture, one of them a table with constants that are not all
+  integral, are set up and solved with `Matrix.from_pairs` and
   `SpanBuilder.basis_pairs` checked on every call, and then every object
   reachable from the results is walked: each entry of a `Matrix`, of an
   `Algebra`'s table, unit and tags is a nonzero int or a `Fraction`
   that is not integral, and no integral `Fraction` is held anywhere.
+- A remainder of `SpanBuilder._reduce` that cancels to an integer is an
+  int, read through `SpanQuotient.project` and `Preimages.of`.  No
+  walked input cancels so, and the reduction normalises only there.
 """
 
 from fractions import Fraction
@@ -17,13 +21,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sphertwist import homology, twist
 from sphertwist.algebra import Algebra, lift_idempotents, opposite, radical
 from sphertwist.errors import FieldMismatch
-from sphertwist.exactlin import QQ, Matrix, SpanBuilder
-from sphertwist.frobenius import build_context
+from sphertwist.exactlin import QQ, Matrix, Preimages, SpanBuilder, SpanQuotient
 from sphertwist.modules import Module, endomorphism_algebra, simple_modules
-from sphertwist.spherical import syz_audit
 
 from fixture_algebras import (
     cyclic_nakayama,
@@ -33,9 +34,12 @@ from fixture_algebras import (
     matrix_units_2,
     nakayama3_hand_table,
     product_field_pair,
+    rebased,
+    shear,
     truncated_cycle,
     two_vertex_arrow,
 )
+from workload_contexts import WORKLOADS
 
 
 def in_form(c):
@@ -84,6 +88,23 @@ def test_inv_is_the_inverse_in_form(x):
     for a in (x, QQ.coerce(x)):
         inv = QQ.inv(a)
         assert in_form(inv) and inv * a == 1
+
+
+# ---------------------------------------------------------------------------
+# the reduction's remainder
+
+
+def test_a_remainder_that_cancels_to_an_integer_is_an_int():
+    # (1, 1, 3/2) less the row (1, 0, 1/2) leaves 3/2 − 1/2 = 1 at column 2
+    span = SpanBuilder(QQ, 3)
+    span.add([(0, 1), (2, Fraction(1, 2))])
+    got = SpanQuotient(span).project([(0, 1), (1, 1), (2, Fraction(3, 2))])
+    assert got == [(0, 1), (1, 1)] and all(type(c) is int for _, c in got)
+    # u·M = (1, 3) for M = [[2, 2], [0, 2]] is u = (1/2, 1); the 1 comes
+    # out of 1/2 − 3·(1/2) in the reduction by the rows of [M | I]
+    pre = Preimages(Matrix(QQ, [[2, 2], [0, 2]], 2))
+    got = pre.of([(0, 1), (1, 3)])
+    assert got == [(0, Fraction(1, 2)), (1, 1)] and all(in_form(c) for _, c in got)
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +177,11 @@ def checked_stores(monkeypatch):
     assert calls["from_pairs"] and calls["basis_pairs"]
 
 
-def _context(n, one_summand):
-    a = cyclic_nakayama(n, QQ)
-    sims = simple_modules(a)
-    extra = [(sims[0], 1)] if one_summand else [(s, 1) for s in sims]
-    return build_context(a, Module.regular(a), extra)
-
-
 # the benchmark's three workloads at seed 0, each set up and solved over Q
-WORKLOADS = {
-    "tilting_cycle3": (
-        lambda: _context(3, True), lambda ctx: syz_audit(ctx, 4, with_tilting=True)
-    ),
-    "ladder_cycle4": (lambda: _context(4, False), lambda ctx: syz_audit(ctx, 2)),
-    "twist_cycle3_gf": (
-        lambda: _context(3, False),
-        lambda ctx: (homology.cotwist_data(ctx.to_stable),
-                     twist.equivalence_certificate(ctx.to_stable)),
-    ),
-}
-
-
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workload_contexts_store_q_elements_in_form(name, checked_stores):
-    setup, solve = WORKLOADS[name]
-    ctx = setup()
+    setup, solve, _ = WORKLOADS[name]
+    ctx = setup(QQ)
     result = solve(ctx)
     assert_stored_in_form(ctx, result)
     # End(T) and the action matrices of T and its summands, named explicitly
@@ -198,7 +199,24 @@ FIXTURES = {
     "dual_numbers_times_field": dual_numbers_times_field,
     "matrix_units_2": matrix_units_2,
     "nakayama3_hand_table": nakayama3_hand_table,
+    # a table whose structure constants are not all integral
+    "rebased_cycle3": lambda f: rebased_cycle(3, f),
 }
+
+
+def rebased_cycle(n, field):
+    """The n-cycle in the basis of the rows of `shear` with a 2 on the
+    diagonal at the second arrow: its inverse has halves in that column,
+    so some structure constants have denominator 2, and the unit is no
+    0/1 vector."""
+    rows = shear(2 * n)
+    rows[n + 1][n + 1] = 2
+    return rebased(cyclic_nakayama(n, field), rows)[0]
+
+
+def test_the_rebased_cycle_has_fractional_constants():
+    a = rebased_cycle(3, QQ)
+    assert any(type(c) is Fraction for row in a.table for vec in row for _, c in vec)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
