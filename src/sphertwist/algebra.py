@@ -107,8 +107,8 @@ class Algebra:
         self._simple_modules_cache = None
         self._piece_cache = {}
         # ⊕ eₖ·A of `modules._piece_sum`, keyed by the tuple of the eₖ as
-        # tuples of pairs; a recorded term built as a cover is this shared
-        # object, which `_rebuilt_by` compares against
+        # tuples of pairs; the source of every cover is this shared
+        # object, and it carries its record
         self._piece_sum_cache = {}
         # ... and of the frobenius layer
         self._selfinj_cache = None

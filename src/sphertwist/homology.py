@@ -2,7 +2,8 @@
 
 Everything here is computed from finite projective resolutions, and
 every derived functor is read through one kernel: Yoneda,
-Hom(e·A, N) ≅ N·e, off the covers a resolution records.  Ext comes from
+Hom(e·A, N) ≅ N·e, off the record each resolution term carries
+(``covered``, the pieces of a sum ⊕ eₖ·A).  Ext comes from
 a minimal resolution of the first argument.  Tor and the derived tensor
 square come from the same cochains by duality.  Write
 D = Hom_k(−, k) (`frobenius.dual_module`), which swaps right A-modules
@@ -40,12 +41,13 @@ from .frobenius import dual_module
 from .modules import (
     Module,
     ModuleHom,
+    _covered,
     generator_indices,
     kernel_of,
     quotient,
     restrict_scalars,
 )
-from .resolutions import CoveredTerm, is_projective, resolve_within
+from .resolutions import is_projective, resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,7 @@ def _yoneda_precompose(n, images, target, source_blocks, target_blocks):
 
     P′ = ⊕ₗ e′ₗ·A, so d is fixed by its generator images, and only those
     are read: a differential, a comparison map or a lift serves alike.
-    target is P read through its cover (`CoveredTerm`); the blocks are
+    target is P's record (`CoveredTerm`); the blocks are
     `_yoneda_blocks` of N over P′ and P.  The rows follow target_blocks
     and the columns source_blocks.  φ is (nₖ) with nₖ = φ(eₖ), and φ∘d
     is (Σₖ nₖ·xₖₗ)ₗ, where xₖₗ ∈ eₖ·A is the k-th component of d(e′ₗ):
@@ -272,15 +274,13 @@ def _yoneda_postcompose(psi, blocks, image_blocks):
 def _yoneda_cochains(res, n, count):
     """(blocks, differentials) of Hom(P•, N) on terms 0..count−1 of res.
 
-    Each term is P = ⊕ₖ eₖ·A over its recorded cover (`CoveredTerm`;
-    a term without a record raises), so Hom(P, N) ≅ ⊕ₖ N·eₖ
+    Each term is P = ⊕ₖ eₖ·A over its record (``covered``, a
+    `CoveredTerm`; a term without one raises), so Hom(P, N) ≅ ⊕ₖ N·eₖ
     (`_yoneda_blocks`), and the differential out of degree i is
     precomposition with maps[i] (`_yoneda_precompose`), or None where
     either end is zero.  No hom-space system is solved.
     """
-    covered = [
-        CoveredTerm(t, c) for t, c in zip(res.terms[:count], res.covers[:count])
-    ]
+    covered = [_covered(t) for t in res.terms[:count]]
     blocks = [_yoneda_blocks(n, ct.idempotents) for ct in covered]
     diffs = []
     for i, d in enumerate(res.maps[: len(covered) - 1]):
@@ -400,7 +400,7 @@ class _TensorSquare:
     f ↦ f(p(a)·−).  The adjunction D(P ⊗_A B) ≅ Hom_A(P, N) of the
     module docstring is natural in P, so D carries the tensored complex
     onto the cochains Hom(P•, N), which `_yoneda_cochain_modules` reads
-    off the recorded covers; over a field dim Tor_i = dim Hⁱ.
+    off the terms' records; over a field dim Tor_i = dim Hⁱ.
 
     B acts on the right of P ⊗_A B by 1 ⊗ ρ_b, for ρ_b : y ↦ y·b, a map
     of left A-modules.  The adjunction is natural in B as well, so
@@ -410,8 +410,7 @@ class _TensorSquare:
     b ↦ D(ρ_b) is a right action of Bᵒᵖ: ``terms`` and ``maps`` are the
     cochains as validated modules over opposite(B) and validated module
     maps, with one zero term past the top, so that every degree has an
-    outgoing map; ``blocks`` are their Yoneda blocks and ``covered`` the
-    terms of P• read through their covers.
+    outgoing map; ``blocks`` are their Yoneda blocks.
 
     The multiplication map P₀ ⊗_A B → B sends eₖ ⊗ y to βₖ·y, with
     βₖ = ε(eₖ) for the augmentation ε.  Its rank is that of its dual
@@ -434,7 +433,6 @@ class _TensorSquare:
         self.resolution = res
         self.p = p
         self.dual = restrict_scalars(p, Module.coregular(b))
-        self.covered = [CoveredTerm(t, c) for t, c in zip(res.terms, res.covers)]
         rights = [
             b.right_mult_matrix(b.basis_vector(j)).transpose() for j in range(b.dim)
         ]
@@ -450,7 +448,7 @@ class _TensorSquare:
         coregular = Module.coregular(b)
         acts = [
             (coregular.action_of(res.augmentation.apply(gen)), pivots)
-            for gen, (_, pivots) in zip(self.covered[0].gens, self.blocks[0])
+            for gen, (_, pivots) in zip(_covered(res.terms[0]).gens, self.blocks[0])
         ]
         rows = [[] for _ in range(b.dim)]
         at = 0
@@ -492,7 +490,8 @@ def _lift_left_multiplication(square, c, t, preimages):
     is the image of d.  ``preimages[i]`` is factored from the
     augmentation (i = 0) and from maps[i-1].
     """
-    res, covered, b = square.resolution, square.covered, square.p.target
+    res, b = square.resolution, square.p.target
+    covered = [_covered(term) for term in res.terms[: t + 1]]
     first = covered[0]
     images = []
     for gen, e in zip(first.gens, first.idempotents):
@@ -539,7 +538,7 @@ def _extract_bimodule(square, t):
     res = square.resolution
     preimages = [Preimages(res.augmentation.matrix)]
     preimages += [Preimages(d.matrix) for d in res.maps[:t]]
-    covered, blocks = square.covered[t], square.blocks[t]
+    covered, blocks = _covered(res.terms[t]), square.blocks[t]
     left = []
     for i in range(b.dim):
         images = _lift_left_multiplication(square, b.basis_vector(i), t, preimages)

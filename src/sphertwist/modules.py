@@ -37,13 +37,19 @@ from .exactlin import (
 
 
 class Module:
-    """Right module given by its action matrices."""
+    """Right module given by its action matrices.
 
-    def __init__(self, algebra, dim, action, tag=None, validate=True):
+    ``tag`` is the lifted idempotent e of a simple that `simple_modules`
+    cut from e·A, and ``covered`` the `CoveredTerm` record of a shared
+    sum ⊕ eₖ·A (`_piece_sum`); both are None on every other module.
+    """
+
+    def __init__(self, algebra, dim, action, validate=True):
         self.algebra = algebra
         self.dim = dim
         self.action = list(action)
-        self.tag = tag
+        self.tag = None
+        self.covered = None
         self._stacked_action = None
         if len(self.action) != algebra.dim:
             raise ShapeError("need one action matrix per algebra basis element")
@@ -168,7 +174,7 @@ class ModuleHom:
     """Intertwiner between two modules over the same algebra."""
 
     def __init__(self, source, target, matrix, validate=True):
-        if source.algebra is not target.algebra and source.algebra != target.algebra:
+        if source.algebra is not target.algebra:
             raise AlgebraMismatch("hom between modules over different algebras")
         self.source = source
         self.target = target
@@ -192,8 +198,8 @@ class ModuleHom:
         return self.matrix.apply_to_row(v)
 
     def compose(self, then):
-        """self : m → n followed by then : n → p."""
-        if then.source is not self.target and then.source.dim != self.target.dim:
+        """self : m → n followed by then : n → p, n the one module object."""
+        if then.source is not self.target:
             raise ShapeError("composition endpoints do not match")
         return ModuleHom(
             self.source, then.target, self.matrix.mul(then.matrix), validate=False
@@ -627,27 +633,92 @@ def _piece_sum(a, idempotents):
     Built once per algebra and idempotent list, and cached in
     ``a._piece_sum_cache`` under the tuple of the eₖ as tuples of pairs,
     so every caller gets the same object: the source of each cover
-    (`_cover_by_pieces`), the terms the unit elimination rebuilds and the
-    sum the resolution audit compares a recorded term against.  No
-    caller changes it, so its `stacked_action` is built once as well.
+    (`_cover_by_pieces`) and the terms the unit elimination rebuilds.
+    No caller changes it, so its `stacked_action` is built once as well.
+
+    The sum carries its record, ``covered`` (`CoveredTerm`), set here and
+    nowhere else.  Every eₖ is checked to be idempotent first, and
+    e² = e splits A_A = e·A ⊕ (1−e)·A, so each eₖ·A is projective and so
+    is the sum: a module with a record is a projective ⊕ eₖ·A by
+    construction, and readers take its pieces from the record.
     """
     key = tuple(tuple(e) for e in idempotents)
     hit = a._piece_sum_cache.get(key)
     if hit is None:
-        hit = a._piece_sum_cache[key] = (
+        if not all(a.is_idempotent(e) for e in idempotents):
+            raise SphertwistError("a piece of a covered projective is not idempotent")
+        hit = (
             direct_sum([_idempotent_piece(a, e)[0] for e in idempotents])[0]
             if idempotents else Module.zero(a)
         )
+        hit.covered = CoveredTerm(hit, list(idempotents))
+        a._piece_sum_cache[key] = hit
     return hit
+
+
+class CoveredTerm:
+    """The record of a covered projective ⊕ₖ eₖ·A (`_piece_sum`).
+
+    Block k is the piece eₖ·A (`_idempotent_piece`) at a running offset,
+    so a vector of the term has the coordinates of its k-th component at
+    the pivots of that piece's canonical rows.  ``gens[k]`` is eₖ in the
+    term's coordinates: an A-map out of the term is fixed by its values
+    on the ``gens``, φ(Σₖ eₖ·xₖ) = Σₖ φ(eₖ)·xₖ.  All of these are
+    vectors.
+    """
+
+    def __init__(self, term, idempotents):
+        a = term.algebra
+        self.term = term
+        self.idempotents = idempotents
+        self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
+        self.gens = []
+        at = 0
+        for e in idempotents:
+            incl = _idempotent_piece(a, e)[1].matrix
+            entry = dict(e).get
+            self.gens.append([
+                (at + r, x) for r, row in enumerate(incl.pairs)
+                if (x := entry(row[0][0]))
+            ])
+            self.a_blocks.append((at, incl))
+            at += incl.nrows
+
+    def components(self, v):
+        """The components of a term vector, as vectors of A in eₖ·A: the
+        pairs of v in block k, shifted to it, times its inclusion."""
+        return [
+            incl.apply_to_row([(j - at, x) for j, x in v if at <= j < at + incl.nrows])
+            for at, incl in self.a_blocks
+        ]
+
+    def extend(self, images, v):
+        """φ(v) for the A-map φ of the term to itself, φ(eₖ) = images[k].
+
+        v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
+        """
+        apply = self.term.apply
+        return combine(
+            [(1, apply(g, x)) for g, x in zip(images, self.components(v)) if x],
+            self.term.algebra.field.characteristic,
+        )
+
+
+def _covered(term):
+    """The `CoveredTerm` record of a term; raises when it has none."""
+    if term.covered is None:
+        raise SphertwistError("the term has no recorded cover")
+    return term.covered
 
 
 def projective_cover(m):
     """(P, epi) with P a sum of idempotent projectives covering top(m).
 
     The pieces come from the lifted primitive idempotents, in order (see
-    `_cover_by_pieces`).  Each generator v is multiplied by the basis of
-    A once, and the epi row of a basis row w of e·A is read off those
-    images as v·w = Σ wᵢ·(v·bᵢ), so no action_of(w) is formed.
+    `_cover_by_pieces`), and ``P.covered`` names them.  Each generator v
+    is multiplied by the basis of A once, and the epi row of a basis row
+    w of e·A is read off those images as v·w = Σ wᵢ·(v·bᵢ), so no
+    action_of(w) is formed.
     """
     return _cover_by_pieces(m, lift_idempotents(m.algebra), "projective cover")
 
@@ -663,20 +734,17 @@ def _cover_by_pieces(m, idempotents, what):
     the row for a basis row w of e·A is v·w = Σ wᵢ·(v·bᵢ), the
     coordinates of w times the matrix of those images.
 
-    The epi is validated as a module map and must have full rank.  It
-    carries ``cover_idempotents``, naming the summand each block came
-    from (the piece is `_idempotent_piece` of it), for callers that need
-    the indecomposable decomposition of a module they know to be
-    projective.  The source is the shared `_piece_sum` of that list, so
-    two covers by the same idempotents have the same source object.
+    The epi is validated as a module map and must have full rank.  The
+    source is the shared `_piece_sum` of the generators' idempotents, in
+    order (the sum of none for a zero module), so two covers by the same
+    idempotents have the same source object, and its record
+    (``P.covered``) names the summand each block came from.
     """
     a = m.algebra
     f = a.field
     if m.dim == 0:
-        z = Module.zero(a)
-        epi = ModuleHom(z, m, Matrix.zero(f, 0, 0), validate=False)
-        epi.cover_idempotents = []
-        return z, epi
+        z = _piece_sum(a, [])
+        return z, ModuleHom(z, m, Matrix.zero(f, 0, 0), validate=False)
     cover_span = SpanBuilder(f, m.dim)
     for r in module_radical(m).pairs:
         cover_span.add(r)
@@ -700,7 +768,6 @@ def _cover_by_pieces(m, idempotents, what):
     epi = ModuleHom(p_sum, m, big)
     if rank(big) != m.dim:
         raise SphertwistError("%s candidate is not surjective" % what)
-    epi.cover_idempotents = idems
     return p_sum, epi
 
 
@@ -765,8 +832,10 @@ def restrict_scalars(surj, m):
     """A B-module viewed as a module over the source of p : A → B."""
     if m.algebra != surj.target:
         raise AlgebraMismatch("module is not over the surjection target")
-    # row i of the surjection's matrix is the image of bᵢ
-    action = [m._combination(row) for row in surj.matrix.pairs]
+    # row i of the surjection's matrix is the image of bᵢ; the basis
+    # elements of the kernel all act by one zero matrix
+    zero = Matrix.zero(m.algebra.field, m.dim, m.dim)
+    action = [m._combination(row) if row else zero for row in surj.matrix.pairs]
     return Module(surj.source, m.dim, action, validate=False)
 
 

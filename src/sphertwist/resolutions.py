@@ -11,16 +11,14 @@ into a projective-type part plus the image of a single summand.
 Conventions: a resolution of m is terms[0] ← terms[1] ← ... with
 maps[i] : terms[i+1] → terms[i] and an augmentation terms[0] → m.
 Exactness is audited degree-wise by rank bookkeeping.  Every builder
-records the cover each term came from, and a term with a record is
-certified projective by rebuilding it from that record: for e² = e,
+takes its terms from covers, and the source of a cover is the shared sum
+⊕ eₖ·A of `modules._piece_sum`, which carries its own record
+(``covered``): its eₖ are idempotent, and for e² = e,
 A_A = e·A ⊕ (1−e)·A, so e·A is projective and so is a direct sum of
-such pieces.  The rebuilt sum is built once per algebra and idempotent
-list (`modules._piece_sum`), and a term built as a cover is that very
-object, so the certificate costs a comparison of the matrices as
-objects; a term built elsewhere is compared entry by entry.  A term
-without a record (only a resolution built by hand has one) is checked
-by the cover criterion: a module is projective exactly when its
-projective cover has the same dimension.
+such pieces.  A term with a record is therefore projective, and readers
+take its pieces from the record.  A term without one (only a resolution
+built by hand has one) is checked by the cover criterion: a module is
+projective exactly when its projective cover has the same dimension.
 
 Resolutions are deterministic, so the one built at cap c is a
 term-by-term prefix of the one built at any larger cap (see
@@ -38,14 +36,14 @@ from .errors import (
 )
 from .algebra import lift_idempotents, radical
 from .exactlin import (
-    Matrix, SpanBuilder, combine, kernel_basis, rank, row_space_canonical,
+    Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical,
 )
 from .frobenius import FrobeniusContext
 from .modules import (
     Module,
     _cover_by_pieces,
+    _covered,
     _idempotent_piece,
-    _piece_sum,
     hom_space,
     kernel_of,
     module_radical,
@@ -62,76 +60,6 @@ def is_projective(m):
     return p.dim == m.dim
 
 
-def _rebuilt_by(term, cover):
-    """Whether every entry of the cover is idempotent and the term is
-    the direct sum of the pieces e·A, action matrix for action matrix.
-
-    The sum is the shared `_piece_sum` of the cover, keyed by the algebra
-    and the idempotent list.  A term built as a cover, or rebuilt by the
-    unit elimination, is that object, and then the list comparison
-    meets each matrix as itself, in O(dim A) steps.  A term built
-    elsewhere (by hand, or conjugated) is another object, and the same
-    comparison reads it entry by entry, so the check stays a full one.
-    """
-    a = term.algebra
-    if not all(a.is_idempotent(e) for e in cover):
-        return False
-    built = _piece_sum(a, cover)
-    return built.dim == term.dim and built.action == term.action
-
-
-class CoveredTerm:
-    """A resolution term read through its recorded cover, ⊕ₖ eₖ·A.
-
-    Block k is the piece eₖ·A (`_idempotent_piece`) at a running offset,
-    so a vector of the term has the coordinates of its k-th component at
-    the pivots of that piece's canonical rows.  ``gens[k]`` is eₖ in the
-    term's coordinates: an A-map out of the term is fixed by its values
-    on the ``gens``, φ(Σₖ eₖ·xₖ) = Σₖ φ(eₖ)·xₖ.  All of these are
-    vectors.
-    """
-
-    def __init__(self, term, cover):
-        if cover is None:
-            raise SphertwistError("the term has no recorded cover")
-        a = term.algebra
-        self.term = term
-        self.idempotents = cover
-        self.a_blocks = []  # (offset, inclusion matrix of eₖ·A)
-        self.gens = []
-        incls = [_idempotent_piece(a, e)[1].matrix for e in cover]
-        if sum(m.nrows for m in incls) != term.dim:
-            raise SphertwistError("term is not the sum of its recorded cover")
-        at = 0
-        for e, incl in zip(cover, incls):
-            entry = dict(e).get
-            self.gens.append([
-                (at + r, x) for r, row in enumerate(incl.pairs)
-                if (x := entry(row[0][0]))
-            ])
-            self.a_blocks.append((at, incl))
-            at += incl.nrows
-
-    def components(self, v):
-        """The components of a term vector, as vectors of A in eₖ·A: the
-        pairs of v in block k, shifted to it, times its inclusion."""
-        return [
-            incl.apply_to_row([(j - at, x) for j, x in v if at <= j < at + incl.nrows])
-            for at, incl in self.a_blocks
-        ]
-
-    def extend(self, images, v):
-        """φ(v) for the A-map φ of the term to itself, φ(eₖ) = images[k].
-
-        v = Σₖ eₖ·xₖ over its components, so φ(v) = Σₖ φ(eₖ)·xₖ.
-        """
-        apply = self.term.apply
-        return combine(
-            [(1, apply(g, x)) for g, x in zip(images, self.components(v)) if x],
-            self.term.algebra.field.characteristic,
-        )
-
-
 class Resolution:
     """A finite (or truncated) projective resolution, audited at birth.
 
@@ -141,25 +69,12 @@ class Resolution:
     resolution is complete — injectivity at the top together with the
     alternating dimension count against the target.
 
-    ``covers[i]`` is the idempotent list e₁, …, eₙ of the cover epi
-    that built term i (its ``cover_idempotents``), or None for a term
-    that was not built as a cover.  A cover's source is the direct sum
-    of the pieces ``_idempotent_piece(a, eₖ)`` in that order, so the
-    term's basis is the concatenation of the canonical row bases of
-    the eₖ·A.  That sum is the shared ``_piece_sum(a, covers[i])``,
-    cached on the algebra under the idempotent list, so a recorded term
-    built as a cover is that object.
-
-    The record is the projectivity certificate of its term: the audit
-    checks that every eₖ is idempotent and that the term's action
-    matrices are exactly those of the direct sum of the eₖ·A
-    (`_rebuilt_by`; on the shared object the matrices compare as
-    themselves, and any other term is read entry by entry).  Then the
-    term is that direct sum, and each eₖ·A is projective because
-    e² = e splits A_A = e·A ⊕ (1−e)·A.  This is stronger than the cover
-    criterion it replaces: a projective term whose record does not
-    rebuild it is rejected.  A term without a record, which only a
-    resolution built by hand has, is checked by `is_projective`.
+    A term built as a cover is the shared sum ⊕ eₖ·A of
+    `modules._piece_sum`, whose record (``term.covered``) certifies it
+    projective: every eₖ was checked idempotent when the sum was built,
+    and e² = e splits A_A = e·A ⊕ (1−e)·A.  A term without a record,
+    which only a resolution built by hand has, is checked by
+    `is_projective`.
     """
 
     def __init__(
@@ -169,7 +84,6 @@ class Resolution:
         maps,
         augmentation,
         truncated=False,
-        covers=None,
     ):
         if not terms:
             raise SphertwistError("a resolution needs at least one term")
@@ -181,17 +95,11 @@ class Resolution:
         for i, h in enumerate(maps):
             if h.source is not terms[i + 1] or h.target is not terms[i]:
                 raise SphertwistError("map %d endpoints do not match" % i)
-        if covers is None:
-            covers = [None] * len(terms)
-        if len(covers) != len(terms):
-            raise SphertwistError("resolution has %d terms but %d covers" % (
-                len(terms), len(covers)))
         self.target = target
         self.terms = terms
         self.maps = maps
         self.augmentation = augmentation
         self.truncated = truncated
-        self.covers = covers
         self._audit()
 
     @property
@@ -226,14 +134,9 @@ class Resolution:
                 total += t.dim if i % 2 == 0 else -t.dim
             if total != self.target.dim:
                 raise SphertwistError("alternating dimension count misses the target")
-        for i, (t, cover) in enumerate(zip(self.terms, self.covers)):
-            if cover is None:
-                if not is_projective(t):
-                    raise SphertwistError("term %d is not projective" % i)
-            elif not _rebuilt_by(t, cover):
-                raise SphertwistError(
-                    "term %d is not the sum of its recorded cover" % i, witness=i
-                )
+        for i, t in enumerate(self.terms):
+            if t.covered is None and not is_projective(t):
+                raise SphertwistError("term %d is not projective" % i)
 
     def __repr__(self):
         dims = "<-".join(str(d) for d in self.term_dims)
@@ -380,7 +283,6 @@ def _resolve_by(m, cap, cover):
     p0, aug = cover(m)
     terms = [p0]
     maps = []
-    covers = [aug.cover_idempotents]
     k, incl = kernel_of(aug)
     truncated = False
     while k.dim:
@@ -390,9 +292,8 @@ def _resolve_by(m, cap, cover):
         q, epi = cover(k)
         maps.append(epi.compose(incl))
         terms.append(q)
-        covers.append(epi.cover_idempotents)
         k, incl = kernel_of(epi)
-    res = Resolution(m, terms, maps, aug, truncated=truncated, covers=covers)
+    res = Resolution(m, terms, maps, aug, truncated=truncated)
     if truncated:
         raise CapExceeded(
             "resolution does not terminate within length %d" % cap, witness=res
@@ -511,6 +412,13 @@ def extract_shape(ctx, res, t):
     projective multiplicity of the tail) in a ShapeReport.  Any
     violation raises ShapeMismatch — the relative-sphericity hypothesis
     fails for this summand.
+
+    The pieces of each term are read off its record (``covered``): a
+    term built by a cover is ⊕ eₖ·A over the idempotents the cover took,
+    each a primitive of `lift_idempotents` or the projector of one copy
+    of an extra summand.  `_piece_type` depends only on the isomorphism
+    type of e·Λ, so the verdict is the one a fresh projective cover of
+    the term would give.  A term without a record raises.
     """
     if t < 2:
         raise SphertwistError("shape extraction needs a window of at least 2")
@@ -521,21 +429,14 @@ def extract_shape(ctx, res, t):
             "resolution length %d does not match the window %d" % (res.length, t)
         )
     for i in range(1, t):
-        _, epi = projective_cover(res.terms[i])
-        if epi.source.dim != res.terms[i].dim:
-            raise ShapeMismatch("middle term %d is not projective" % i)
-        for e in epi.cover_idempotents:
+        for e in _covered(res.terms[i]).idempotents:
             if _piece_type(ctx, e) is not None:
                 raise ShapeMismatch(
                     "middle term %d leaves the projective-type closure" % i
                 )
-    tail = res.terms[t]
-    p, epi = projective_cover(tail)
-    if p.dim != tail.dim:
-        raise ShapeMismatch("tail is not projective")
     extra_hits = []
     proj_count = 0
-    for e in epi.cover_idempotents:
+    for e in _covered(res.terms[t]).idempotents:
         j = _piece_type(ctx, e)
         if j is None:
             proj_count += 1

@@ -14,8 +14,8 @@ a direct sum is the twist of ``direct_sum(mods)[0]``.
 - An injective coresolution of c is D of a projective resolution.  The
   injective envelope of c is D of the projective cover of D(c) over Aᵒᵖ
   (`injective_envelope`), so the minimal injective coresolution of c is
-  I• = D(P•) for the minimal resolution P• → D(c) over Aᵒᵖ, and P•
-  records its covers.
+  I• = D(P•) for the minimal resolution P• → D(c) over Aᵒᵖ, whose
+  terms carry their cover records.
 - Hom into it is Hom out of a projective.  Hom_A(K, D P) ≅ D(K ⊗_A P)
   ≅ Hom_Aᵒᵖ(P, D K), naturally in P, so the twist term in degree j is
   Hom(Pⱼ, D K) ≅ ⊕ₖ D(K)·eₖ and the differential out of it is
@@ -37,13 +37,13 @@ comparison is a genuine two-route test.
 Morphism counts in the homotopy category are computed against a
 replacement of the source by a complex of projectives, built by a
 descending staircase of covers and then shrunk by cancelling every
-invertible block in a differential.  The replacement records its
-covers, so hom out of it is read by Yoneda as well.  The equivalence
-certificate runs the whole battery for one surjection: twists of the
-idempotent slices of the regular module, their pairwise hom tables
-across a shift window, the endomorphism count in shift zero, and a
-faithfulness certificate for the algebra acting on the cohomology of
-its own twist.
+invertible block in a differential.  The replacement's terms carry
+their cover records, so hom out of it is read by Yoneda as well.  The
+equivalence certificate runs the whole battery for one surjection:
+twists of the idempotent slices of the regular module, their pairwise
+hom tables across a shift window, the endomorphism count in shift zero,
+and a faithfulness certificate for the algebra acting on the cohomology
+of its own twist.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ from .homology import (
 from .modules import (
     Module,
     ModuleHom,
+    _covered,
     _idempotent_piece,
     _piece_sum,
     balanced_tensor,
@@ -89,7 +90,7 @@ from .modules import (
     restrict_scalars,
     submodule,
 )
-from .resolutions import CoveredTerm, _rebuilt_by, resolve_within
+from .resolutions import resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -107,25 +108,18 @@ class ChainComplex:
     complex whose top was cut by a cap rather than by a certified
     vanishing bound.
 
-    ``covers`` is None, or one idempotent list per term naming the
-    pieces eₖ·A whose direct sum the term is, as `Resolution.covers`
-    does; it is trimmed with the terms, and validation certifies each
-    record by rebuilding its term (`_rebuilt_by`).  A covered complex is
-    a complex of projectives that `hom_complex` can read by Yoneda.
+    A complex whose terms all carry cover records (``covered``, set by
+    `modules._piece_sum`) is a complex of projectives ⊕ eₖ·A that
+    `hom_complex` can read by Yoneda.
     """
 
-    def __init__(self, algebra, lo, terms, maps, validate=True, truncated=False,
-                 covers=None):
+    def __init__(self, algebra, lo, terms, maps, validate=True, truncated=False):
         terms = list(terms)
         maps = list(maps)
         if len(maps) != max(len(terms) - 1, 0):
             raise SphertwistError(
                 "complex with %d terms needs %d differentials, got %d"
                 % (len(terms), max(len(terms) - 1, 0), len(maps))
-            )
-        if covers is not None and len(covers) != len(terms):
-            raise SphertwistError(
-                "complex with %d terms has %d covers" % (len(terms), len(covers))
             )
         first = 0
         while first < len(terms) and terms[first].dim == 0:
@@ -137,14 +131,13 @@ class ChainComplex:
         self.lo = lo + first if last > first else 0
         self.terms = terms[first:last]
         self.maps = maps[first : max(last - 1, first)]
-        self.covers = None if covers is None else list(covers[first:last])
         self.truncated = truncated
         if validate:
             self._validate()
 
     def _validate(self):
         for t in self.terms:
-            if t.algebra is not self.algebra and t.algebra != self.algebra:
+            if t.algebra is not self.algebra:
                 raise AlgebraMismatch("complex term over the wrong algebra")
         for i, h in enumerate(self.maps):
             if h.source is not self.terms[i] or h.target is not self.terms[i + 1]:
@@ -153,13 +146,6 @@ class ChainComplex:
             if not self.maps[i].compose(self.maps[i + 1]).matrix.is_zero():
                 raise SphertwistError(
                     "differential fails d∘d = 0 at degree %d" % (self.lo + i)
-                )
-        for i, cover in enumerate(self.covers or []):
-            if not _rebuilt_by(self.terms[i], cover):
-                raise SphertwistError(
-                    "term in degree %d is not the sum of its recorded cover"
-                    % (self.lo + i),
-                    witness=self.lo + i,
                 )
 
     @property
@@ -193,7 +179,7 @@ class ChainComplex:
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
-        if self.algebra is not other.algebra and self.algebra != other.algebra:
+        if self.algebra is not other.algebra:
             return False
         if self.lo != other.lo or len(self.terms) != len(other.terms):
             return False
@@ -222,7 +208,7 @@ class ChainMap:
     """
 
     def __init__(self, source, target, lo, comps, validate=True):
-        if source.algebra is not target.algebra and source.algebra != target.algebra:
+        if source.algebra is not target.algebra:
             raise AlgebraMismatch("chain map between complexes over different algebras")
         self.source = source
         self.target = target
@@ -289,8 +275,7 @@ def shift(c, n):
             for h in c.maps
         ]
     return ChainComplex(
-        c.algebra, c.lo - n, c.terms, maps, validate=False,
-        truncated=c.truncated, covers=c.covers,
+        c.algebra, c.lo - n, c.terms, maps, validate=False, truncated=c.truncated
     )
 
 
@@ -376,9 +361,9 @@ def hom_complex(c, d):
 
     Degree n collects the maps c^k → d^{k+n} for every k; the
     differential sends f to f∘d_d − (−1)^n d_c∘f (maps written on the
-    right, so f∘d_d follows f by the differential of d).  The source
-    must be a complex of projectives with recorded covers (a
-    `perfect_model`); a source without them raises.  Each c^k is
+    right, so f∘d_d follows f by the differential of d).  Every term of
+    the source must carry a cover record (``covered``), as the terms of
+    a `perfect_model` do; a term without one raises.  Each c^k is
     ⊕ᵢ eᵢ·A, so Hom(c^k, d^{k+n}) ≅ ⊕ᵢ d^{k+n}·eᵢ by Yoneda
     (`_yoneda_blocks`): following f by d_d is postcomposition
     (`_yoneda_postcompose`) and preceding it by d_c is precomposition
@@ -388,19 +373,12 @@ def hom_complex(c, d):
     cohomology in degree n counts chain maps to the n-fold shift modulo
     homotopy.
     """
-    if c.algebra is not d.algebra and c.algebra != d.algebra:
+    if c.algebra is not d.algebra:
         raise AlgebraMismatch("hom complex across different algebras")
     field = c.algebra.field
     if not c.terms or not d.terms:
         return ChainComplex(_scalar_algebra(field), 0, [], [])
-    if c.covers is None:
-        raise SphertwistError(
-            "hom complex needs a source of projectives with recorded covers"
-        )
-    covered = {
-        c.lo + i: CoveredTerm(t, cover)
-        for i, (t, cover) in enumerate(zip(c.terms, c.covers))
-    }
+    covered = {c.lo + i: _covered(t) for i, t in enumerate(c.terms)}
     blocks = {
         (k, j): _yoneda_blocks(d.term(j), ct.idempotents)
         for k, ct in covered.items()
@@ -471,17 +449,12 @@ def _kernel_module(p):
 
 
 def _over(m, lam):
-    """The module m carried by the algebra object lam.
-
-    Raises unless m is a `Module` over an algebra equal to lam.
-    """
+    """The module m, which must be a `Module` over lam itself."""
     if not isinstance(m, Module):
         raise SphertwistError("twist input must be a Module")
-    if m.algebra is lam:
-        return m
-    if m.algebra != lam:
+    if m.algebra is not lam:
         raise AlgebraMismatch("module lives over a different algebra")
-    return Module(lam, m.dim, m.action, validate=False)
+    return m
 
 
 def _kernel_data(p, cap):
@@ -725,24 +698,22 @@ def _projective_staircase(c, cap=None):
     already built, which keeps the comparison map a quasi-isomorphism;
     once below the support the loop is resolving one kernel module and
     terminates exactly when that kernel is perfect.  Raises when the
-    cap is passed first.  Returns (complex, comparison chain map); the
-    complex records each term's cover idempotents as its ``covers``.
+    cap is passed first.  Returns (complex, comparison chain map); each
+    term is the source of a cover, so it carries its cover record.
     """
     lam = c.algebra
     field = lam.field
     if not c.terms:
-        empty = ChainComplex(lam, 0, [], [], covers=[])
+        empty = ChainComplex(lam, 0, [], [])
         return empty, ChainMap(empty, c, 0, [])
     if cap is None:
         cap = 2 * lam.dim + 2 + len(c.terms)
     hi = c.hi
     p_terms = {}
-    p_covers = {}
     deltas = {}
     phis = {}
     q0, epi0 = projective_cover(c.term(hi))
     p_terms[hi] = q0
-    p_covers[hi] = epi0.cover_idempotents
     phis[hi] = epi0
     k = hi
     steps = 0
@@ -775,17 +746,9 @@ def _projective_staircase(c, cap=None):
         w_mod, w_incl = kernel_of(probe)
         if w_mod.dim == 0 and k < c.lo:
             break
-        if w_mod.dim == 0:
-            # nothing to cover here, but the support continues below, so
-            # record a zero term, the sum of no pieces, and keep descending
-            q = _piece_sum(lam, [])
-            epi = ModuleHom(
-                q, w_mod, Matrix.zero(field, 0, 0), validate=False
-            )
-            p_covers[k] = []
-        else:
-            q, epi = projective_cover(w_mod)
-            p_covers[k] = epi.cover_idempotents
+        # a zero fiber with the support continuing below is covered by
+        # the sum of no pieces, and the descent goes on
+        q, epi = projective_cover(w_mod)
         into_pair = epi.compose(w_incl)
         p_terms[k] = q
         phis[k] = into_pair.compose(prjs[0])
@@ -794,8 +757,7 @@ def _projective_staircase(c, cap=None):
     lo_p = min(p_terms)
     terms = [p_terms[j] for j in range(lo_p, hi + 1)]
     maps = [deltas[j] for j in range(lo_p, hi)]
-    covers = [p_covers[j] for j in range(lo_p, hi + 1)]
-    px = ChainComplex(lam, lo_p, terms, maps, covers=covers)
+    px = ChainComplex(lam, lo_p, terms, maps)
     comp = ChainMap(px, c, lo_p, [phis[j] for j in range(lo_p, hi + 1)])
     _audit_quasi_iso(px, comp, c)
     return px, comp
@@ -834,24 +796,24 @@ def _cycle_rows(c, k):
 
 
 def _eliminate_units(px):
-    """Cancel invertible blocks in the differentials of a covered complex
-    of projectives.
+    """Cancel invertible blocks in the differentials of a complex of
+    covered projectives.
 
-    The summands are the pieces eₖ·A of each term's recorded cover.  A
+    The summands are the pieces eₖ·A of each term's record.  A
     square invertible component between a summand of one term and a
     summand of the next spans a contractible pair; removing it and
     correcting the surviving block by the standard complement keeps the
     homotopy type.  Loops until no block qualifies, then rebuilds each
     term as the shared `_piece_sum` of the idempotents left (a term that
     lost no summand is the term it was) and re-audits the cohomology
-    against the original.  The result records its covers.
+    against the original.  The result's terms carry their records.
     """
     if not px.terms:
         return px
     lam = px.algebra
     field = lam.field
     degs = list(range(px.lo, px.hi + 1))
-    idems = {k: list(cover) for k, cover in zip(degs, px.covers)}
+    idems = {k: _covered(t).idempotents for k, t in zip(degs, px.terms)}
     mats = {k: px.differential(k).matrix for k in range(px.lo, px.hi)}
     before = cohomology_dims(px)
 
@@ -916,7 +878,7 @@ def _eliminate_units(px):
             map_list.append(ModuleHom(src, tgt, mat, validate=False))
         else:
             map_list.append(ModuleHom(src, tgt, mat))
-    out = ChainComplex(lam, lo, term_list, map_list, covers=[idems[k] for k in degs])
+    out = ChainComplex(lam, lo, term_list, map_list)
     if cohomology_dims(out) != before:
         raise AuditFailed("unit elimination changed the cohomology")
     return out
@@ -927,8 +889,8 @@ def perfect_model(c, cap=None):
 
     Existence of the finite model is the perfection certificate for the
     complex; the returned model has been through unit elimination and
-    its cohomology re-audited against the input.  It records the cover
-    of each term (``covers``), which `hom_complex` reads.
+    its cohomology re-audited against the input.  Each of its terms
+    carries its cover record (``covered``), which `hom_complex` reads.
     """
     px, _comp = _projective_staircase(c, cap=cap)
     return _eliminate_units(px)

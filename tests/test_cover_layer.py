@@ -103,8 +103,8 @@ def test_projective_cover_matches_reference(data):
     assert p.dim == p_ref.dim
     assert p.action == p_ref.action
     assert epi.matrix == epi_ref.matrix
-    assert epi.cover_idempotents == idems_ref
-    assert [_idempotent_piece(m.algebra, e)[0].action for e in epi.cover_idempotents] == [
+    assert p.covered.idempotents == idems_ref
+    assert [_idempotent_piece(m.algebra, e)[0].action for e in p.covered.idempotents] == [
         ref.submodule(Module.regular(m.algebra), [
             ref.mul_vec(m.algebra, dense(m.algebra.field, e, m.algebra.dim),
                         ref.m_basis_row(m.algebra.field, m.algebra.dim, i))

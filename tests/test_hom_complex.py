@@ -24,7 +24,7 @@ from sphertwist.algebra import quotient_surjection
 from sphertwist.errors import SphertwistError
 from sphertwist.exactlin import QQ, PrimeField, rank
 from sphertwist.frobenius import _indecomposable_projectives, build_context
-from sphertwist.modules import Module, simple_modules
+from sphertwist.modules import Module, ModuleHom, simple_modules
 from sphertwist import resolutions
 from sphertwist.twist import (
     ChainComplex,
@@ -42,7 +42,6 @@ from sphertwist.twist import (
 
 import hom_complex_reference as reference
 import twist_reference
-import vectors
 from patching import count_calls, patch_everywhere
 from fixture_algebras import (
     cyclic_nakayama,
@@ -111,7 +110,7 @@ def name(request):
 def test_hom_complex_matches_the_hom_space_route(name):
     models = models_of(name)
     for x in models:
-        assert x.covers is not None
+        assert all(t.covered is not None for t in x.terms)
         for y in models:
             for s in SHIFTS:
                 target = shift(y, s)
@@ -143,24 +142,6 @@ def ut2_model():
     return perfect_model(twist_apply(p, Module.regular(u)))
 
 
-def test_a_complex_rejects_a_cover_that_does_not_rebuild_its_term():
-    model = ut2_model()
-    assert model.covers and all(model.covers)
-    # each recorded e replaced by its complement 1 − e, still idempotent
-    a = model.algebra
-    f = a.field
-    unit = vectors.dense(f, a.unit, a.dim)
-    complement = [
-        vectors.pairs(f, [f.sub(u, x) for u, x in zip(unit, vectors.dense(f, e, a.dim))])
-        for e in model.covers[0]
-    ]
-    wrong = [complement] + model.covers[1:]
-    with pytest.raises(SphertwistError, match="recorded cover"):
-        ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=wrong)
-    with pytest.raises(SphertwistError, match="covers"):
-        ChainComplex(model.algebra, model.lo, model.terms, model.maps, covers=[])
-
-
 FIXTURE_ALGEBRAS = {
     "dual_Q": lambda: dual_numbers(QQ),
     "dual_GF7": lambda: dual_numbers(PrimeField(7)),
@@ -187,8 +168,14 @@ def test_degree_zero_of_hom_out_of_a_model_is_hom(algebra):
 
 def test_hom_complex_refuses_a_source_without_covers():
     model = ut2_model()
-    bare = ChainComplex(model.algebra, model.lo, model.terms, model.maps)
-    with pytest.raises(SphertwistError, match="covers"):
+    a = model.algebra
+    # the model's terms carry records; copies of them carry none
+    bare_terms = [Module(a, t.dim, t.action) for t in model.terms]
+    bare_maps = [ModuleHom(bare_terms[i], bare_terms[i + 1], h.matrix)
+                 for i, h in enumerate(model.maps)]
+    bare = ChainComplex(a, model.lo, bare_terms, bare_maps)
+    assert all(t.covered is not None for t in model.terms)
+    with pytest.raises(SphertwistError, match="no recorded cover"):
         hom_complex(bare, model)
     # the hom-space route needs no covers.  The twist of A is S₁ ⊕ S₁
     # (see tests/test_twist.py), whose endomorphisms are 2×2 matrices,

@@ -734,7 +734,8 @@ def test_precompose_from_generator_images_matches_the_map(surjection):
     name, p = surjection
     cap = 4 if name.startswith("cycle_arrow") else None
     square = tensor_square(p, cap=cap)
-    res, covered = square.resolution, square.covered
+    res = square.resolution
+    covered = [t.covered for t in res.terms]
     f = p.source.field
     for n in (square.dual, Module.regular(p.source)):
         blocks = [_yoneda_blocks(n, ct.idempotents) for ct in covered]

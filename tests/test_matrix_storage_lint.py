@@ -30,6 +30,13 @@ function but it may pass `direct_sum` a list built from
 `_idempotent_piece`: a list or comprehension that calls it, or a name
 bound to, appended or extended with something that does or with a name
 so marked, followed through the function to a fixed point.
+
+The sum carries its record, ``covered``, and it is the one place the
+record is kept.  So no function but `_piece_sum` may assign an attribute
+``covered`` (by assignment or ``setattr``), apart from the None that
+`Module.__init__` starts every module with, and the name of the
+idempotent list once patched onto a cover's epi, ``cover_idempotents``,
+appears nowhere in the package.
 """
 
 import ast
@@ -362,4 +369,96 @@ def cone(x, y, a, e):
 '''
     assert piece_sum_offences(source) == [
         (10, "cover"), (13, "rebuild"), (19, "relabelled"), (24, "late"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one writer of the cover record
+
+
+def record_offences(source, module):
+    """(line, what) for each assignment of an attribute ``covered``
+    outside `modules._piece_sum` (bar ``self.covered = None`` in
+    `modules.Module.__init__`), each ``setattr`` of it there, and each
+    line naming ``cover_idempotents``."""
+    out = [(n, "names cover_idempotents")
+           for n, line in enumerate(source.splitlines(), 1) if "cover_idempotents" in line]
+
+    def allowed(where, value):
+        return module == "modules" and (where == "_piece_sum" or (
+            where == "Module.__init__"
+            and isinstance(value, ast.Constant) and value.value is None))
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope)
+            if isinstance(child, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = child.targets if isinstance(child, ast.Assign) else [child.target]
+                hit = any(isinstance(n, ast.Attribute) and n.attr == "covered"
+                          for t in targets for n in ast.walk(t))
+                if hit and not allowed(where, child.value):
+                    out.append((child.lineno, "assigns .covered in " + (where or "the module")))
+            if (_called(child, "setattr") and len(child.args) > 1
+                    and isinstance(child.args[1], ast.Constant)
+                    and child.args[1].value == "covered"
+                    and not allowed(where, child.args[2] if len(child.args) > 2 else None)):
+                out.append((child.lineno, "assigns .covered in " + (where or "the module")))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_only_the_piece_sum_writes_the_cover_record():
+    found = {
+        path.name: record_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert len(found) > 5
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_second_writer_of_the_record():
+    source = '''
+class Module:
+    def __init__(self, algebra):
+        self.covered = None
+        self.tag = None
+
+    def mark(self, record):
+        self.covered = record
+
+def _piece_sum(a, idempotents):
+    hit = Module(a)
+    hit.covered = CoveredTerm(hit, idempotents)
+    return hit
+
+def _cover_by_pieces(m, idems):
+    p_sum = _piece_sum(m.algebra, idems)
+    epi = ModuleHom(p_sum, m)
+    epi.cover_idempotents = idems
+    return p_sum, epi
+
+def relabel(p, q, record):
+    p.covered, q.covered = record, None
+    setattr(p, "covered", record)
+    return [e for e in p.covered.idempotents]
+'''
+    assert record_offences(source, "modules") == [
+        (8, "assigns .covered in Module.mark"),
+        (18, "names cover_idempotents"),
+        (22, "assigns .covered in relabel"),
+        (23, "assigns .covered in relabel"),
+    ]
+    # the two allowed writers are those of `modules` only
+    assert record_offences(source, "twist") == [
+        (4, "assigns .covered in Module.__init__"),
+        (8, "assigns .covered in Module.mark"),
+        (12, "assigns .covered in _piece_sum"),
+        (18, "names cover_idempotents"),
+        (22, "assigns .covered in relabel"),
+        (23, "assigns .covered in relabel"),
     ]

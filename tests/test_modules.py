@@ -12,13 +12,14 @@ from fractions import Fraction
 import pytest
 
 from sphertwist import exactlin
-from sphertwist.algebra import from_structure_constants
+from sphertwist.algebra import from_quiver, from_structure_constants
 from sphertwist.errors import NotASubmodule, NotSplit, ShapeError, SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, SpanBuilder, rank
 from sphertwist.homology import Bimodule
 from sphertwist.modules import (
     Module,
     ModuleHom,
+    _piece_sum,
     add_equivalent,
     cokernel_of,
     direct_sum,
@@ -209,6 +210,17 @@ def test_hom_composition_is_a_hom():
         assert comp.source is reg
 
 
+def test_composition_goes_through_the_one_middle_module():
+    # over k × k the simples S₁ and S₂ have equal dimension but no map
+    # between them, so id(S₁) followed by id(S₂) is no composite
+    a = from_quiver(["1", "2"], [], [])
+    s1, s2 = simple_modules(a)
+    assert s1.dim == s2.dim and hom_space(s1, s2) == []
+    with pytest.raises(ShapeError, match="endpoints"):
+        identity_hom(s1).compose(identity_hom(s2))
+    assert identity_hom(s1).compose(identity_hom(s1)).target is s1
+
+
 # ---------------------------------------------------------------------------
 # simples and covers
 
@@ -230,6 +242,17 @@ def test_simples_cyclic_three_all_dim_one():
 def test_simples_two_vertex():
     simples = simple_modules(two_vertex_arrow())
     assert [s.dim for s in simples] == [1, 1]
+
+
+def test_only_a_shared_piece_sum_carries_a_record():
+    a = dual_numbers()
+    assert Module.regular(a).covered is None and Module.regular(a).tag is None
+    p, _ = projective_cover(Module.regular(a))
+    assert p.covered.term is p and p is _piece_sum(a, p.covered.idempotents)
+    # a zero module is covered by the shared sum of no pieces
+    z, epi = projective_cover(Module.zero(a))
+    assert z is _piece_sum(a, []) and z.covered.idempotents == []
+    assert epi.matrix.nrows == epi.matrix.ncols == 0
 
 
 def test_cover_of_projective_is_identity_sized():

@@ -13,6 +13,7 @@ term with the full cover criterion `is_projective` as well.
 
 import pytest
 
+from sphertwist import resolutions
 from sphertwist.algebra import lift_idempotents
 from sphertwist.errors import (
     CapExceeded,
@@ -26,9 +27,11 @@ from sphertwist.modules import (
     Module,
     ModuleHom,
     _idempotent_piece,
+    _piece_sum,
     direct_sum,
     find_isomorphism,
     hom_space,
+    identity_hom,
     in_add,
     kernel_of,
     module_radical,
@@ -58,6 +61,7 @@ from sphertwist.resolutions import (
 )
 
 from fixture_algebras import cyclic_nakayama, dual_numbers
+from patching import count_calls
 from hom_reference import hom_module
 from lift_reference import refine_idempotent
 import vectors
@@ -310,7 +314,7 @@ def test_partial_cover_takes_summand_pieces_first(ctx_cycle):
     top, _ = quotient(pe, module_radical(pe).pairs)
     mixed, _, _ = direct_sum([stable_simples(ctx)[1], top])
     q, epi = partial_cover(ctx, mixed)
-    assert epi.cover_idempotents[0] == ctx.e_copies[1][0]
+    assert q.covered.idempotents[0] == ctx.e_copies[1][0]
     assert is_partially_essential(ctx, epi)
     assert rank(epi.matrix) == mixed.dim
 
@@ -443,12 +447,10 @@ def test_hom_into_stable_simples_kills_internal_maps(ctx_cycle_one):
 
 
 def assert_built_from_covers(res):
-    # a term with a recorded cover is the direct sum of its pieces e·A,
-    # basis and action alike
-    for term, cover in zip(res.terms, res.covers):
-        if cover is None:
-            continue
-        pieces = [_idempotent_piece(term.algebra, e)[0] for e in cover]
+    # every term carries its record, and is the direct sum of the pieces
+    # e·A it names, basis and action alike
+    for term in res.terms:
+        pieces = [_idempotent_piece(term.algebra, e)[0] for e in term.covered.idempotents]
         total, _, _ = direct_sum(pieces)
         assert total.dim == term.dim
         assert total.action == term.action
@@ -458,14 +460,12 @@ def test_resolutions_record_their_covers(ctx_dual, ctx_cycle):
     for ctx in (ctx_dual, ctx_cycle):
         m = stable_idempotent_module(ctx, 0)
         res = minimal_resolution(m)
-        assert all(cover is not None for cover in res.covers)
-        assert [len(c) for c in res.covers] == [1, 1, 1]
+        assert [len(t.covered.idempotents) for t in res.terms] == [1, 1, 1]
         assert_built_from_covers(res)
         # the partially minimal builder covers its projective kernel by
         # an isomorphism, so that term is recorded too
         res = partially_minimal_resolution(ctx, m)
         assert res.term_dims == [2, 3, 2]
-        assert all(cover is not None for cover in res.covers)
         assert_built_from_covers(res)
 
 
@@ -473,82 +473,51 @@ def test_truncated_resolution_records_every_cover(ctx_cycle_one):
     m = stable_idempotent_module(ctx_cycle_one, 0)
     with pytest.raises(CapExceeded) as exc:
         minimal_resolution(m, cap=2)
-    res = exc.value.witness
-    assert len(res.covers) == len(res.terms)
-    assert_built_from_covers(res)
+    assert_built_from_covers(exc.value.witness)
 
 
-def two_piece_resolution():
-    """A truncated minimal resolution of S₁ ⊕ S₂ over the 3-cycle, whose
-    terms are each the sum of two different pieces e·A of dimension 2."""
+def test_the_piece_sum_refuses_a_non_idempotent():
     a = cyclic_nakayama(3)
+    f = a.field
+    e = lift_idempotents(a)[0]
+    twice = [(j, f.mul(f.coerce(2), c)) for j, c in e]
+    assert _idempotent_piece(a, twice)[0].dim == _idempotent_piece(a, e)[0].dim
+    with pytest.raises(SphertwistError, match="not idempotent"):
+        _piece_sum(a, [e, twice])
+    assert _piece_sum(a, [e]).covered.idempotents == [e]
+
+
+def test_a_term_without_a_record_is_checked_by_the_cover_criterion():
+    # a truncated minimal resolution of S₁ ⊕ S₂ over the 3-cycle, whose
+    # terms are each the sum of two different pieces e·A of dimension 2
+    a = cyclic_nakayama(3)
+    f = a.field
     sims = simple_modules(a)
     pair, _, _ = direct_sum([sims[0], sims[1]])
     with pytest.raises(CapExceeded) as exc:
         minimal_resolution(pair, cap=2)
     res = exc.value.witness
-    assert [len(c) for c in res.covers] == [2, 2, 2]
-    return res
-
-
-def rebuilt(res, covers=None, term0=None):
-    """The resolution re-audited with another cover record, or with
-    term 0 replaced by ``term0`` = (module, q) in the coordinates x·q."""
-    terms, maps, aug = list(res.terms), list(res.maps), res.augmentation
-    if term0 is not None:
-        t0, q = term0
-        q_inv = q.transpose()
-        terms[0] = t0
-        aug = ModuleHom(t0, res.target, q_inv.mul(aug.matrix))
-        if maps:
-            maps[0] = ModuleHom(terms[1], t0, maps[0].matrix.mul(q))
-    return Resolution(
-        res.target, terms, maps, aug,
-        truncated=res.truncated,
-        covers=res.covers if covers is None else covers,
-    )
-
-
-def test_the_audit_certifies_from_the_cover_record():
-    res = two_piece_resolution()
-    rebuilt(res)  # the record as built passes
-    a, f = res.target.algebra, res.target.algebra.field
-    first, second = res.covers[1]
-    others = [e for e in lift_idempotents(a) if e not in (first, second)]
-    tampered = [
-        # a non-idempotent: 2e spans the same piece as e
-        [[(j, f.mul(f.coerce(2), c)) for j, c in first], second],
-        # the two pieces swapped
-        [second, first],
-        # a piece replaced by a same-dimension piece of another idempotent
-        [first, others[0]],
-    ]
-    assert _idempotent_piece(a, others[0])[0].dim == _idempotent_piece(a, second)[0].dim
-    for cover in tampered:
-        covers = list(res.covers)
-        covers[1] = cover
-        with pytest.raises(SphertwistError):
-            rebuilt(res, covers=covers)
-
-
-def test_the_audit_rejects_a_projective_term_its_record_does_not_rebuild():
-    res = two_piece_resolution()
+    assert [len(t.covered.idempotents) for t in res.terms] == [2, 2, 2]
     t = res.terms[0]
-    a, f = t.algebra, t.algebra.field
-    # the coordinate permutation x·q exchanging the first two basis vectors
+    # term 0 conjugated by the coordinate permutation x·q exchanging the
+    # first two basis vectors: projective, with no record
     perm = [1, 0] + list(range(2, t.dim))
     q = Matrix(f, [[f.one() if j == perm[i] else f.zero() for j in range(t.dim)]
                    for i in range(t.dim)], t.dim)
     conj = Module(a, t.dim, [q.transpose().mul(m).mul(q) for m in t.action])
-    assert conj.action != t.action and is_projective(conj)
-    with pytest.raises(SphertwistError):
-        rebuilt(res, term0=(conj, q))
-    # without a record, as in a resolution built by hand, the term is
-    # checked by the cover criterion, which the projective conjugate passes
-    rebuilt(res, covers=[None] + res.covers[1:], term0=(conj, q))
-    # the identity permutation leaves the record intact
-    ident = Matrix.identity(f, t.dim)
-    rebuilt(res, term0=(Module(a, t.dim, t.action), ident))
+    assert conj.action != t.action and conj.covered is None
+
+    aug = ModuleHom(conj, res.target, q.transpose().mul(res.augmentation.matrix))
+    maps = [ModuleHom(res.terms[1], conj, res.maps[0].matrix.mul(q))] + res.maps[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_calls(mp, resolutions, "is_projective")
+        Resolution(res.target, [conj] + res.terms[1:], maps, aug, truncated=True)
+    # only the term without a record went through the criterion
+    assert calls == [(conj,)]
+    # and a term without a record that fails it is refused
+    s = sims[0]
+    with pytest.raises(SphertwistError, match="term 0 is not projective"):
+        Resolution(s, [s], [], identity_hom(s))
 
 
 def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
@@ -563,7 +532,8 @@ def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
             n = len(short.terms)
             assert short.term_dims == long.term_dims[:n]
             assert [h.matrix for h in short.maps] == [h.matrix for h in long.maps[: n - 1]]
-            assert short.covers == long.covers[:n]
+            assert [t.covered.idempotents for t in short.terms] == [
+                t.covered.idempotents for t in long.terms[:n]]
             assert short.augmentation.matrix == long.augmentation.matrix
             if not short.truncated:
                 assert long.term_dims == short.term_dims
@@ -676,9 +646,16 @@ def test_extract_shape_rejects_stable_piece_in_middle(ctx_cycle):
     ctx = ctx_cycle
     f = ctx.endo.field
     base = partially_minimal_resolution(ctx, stable_idempotent_module(ctx, 0))
-    pe1, _ = ctx.right_ideal(ctx.e_copies[1][0])
-    mid, _, _ = direct_sum([base.terms[1], pe1])
-    tail, _, _ = direct_sum([base.terms[2], pe1])
+    e1 = ctx.e_copies[1][0]
+    pe1, _ = ctx.right_ideal(e1)
+    # the padded terms are the shared sums of the records plus e1, whose
+    # actions are those of the direct sums term ⊕ pe1
+    mid, tail = (
+        _piece_sum(ctx.endo, base.terms[i].covered.idempotents + [e1]) for i in (1, 2)
+    )
+    for i, padded_term in ((1, mid), (2, tail)):
+        plain, _, _ = direct_sum([base.terms[i], pe1])
+        assert padded_term.action == plain.action
     f1 = base.maps[0].matrix.vstack(Matrix.zero(f, pe1.dim, base.terms[0].dim))
     top = base.maps[1].matrix.hstack(Matrix.zero(f, base.terms[2].dim, pe1.dim))
     bottom = Matrix.zero(f, pe1.dim, base.terms[1].dim).hstack(
