@@ -44,7 +44,6 @@ from .modules import (
     projective_cover,
     simple_modules,
     socle,
-    submodule,
 )
 
 
@@ -161,7 +160,9 @@ def nakayama_permutation(a):
     """The socle permutation: sigma[i] = j when the socle of the i-th
     idempotent projective is the j-th simple.
 
-    Indices refer to positions in ``simple_modules(a)``.
+    Indices refer to positions in ``simple_modules(a)``.  The socle is
+    semisimple, so it is Sⱼ exactly when dim soc = dim Sⱼ and soc·eⱼ ≠ 0
+    (`meets`), read off its rows in the piece eᵢ·A.
     """
     if a._nakayama_cache is not None:
         return a._nakayama_cache
@@ -169,17 +170,13 @@ def nakayama_permutation(a):
     simples = simple_modules(a)
     sigma = []
     for s in simples:
-        e = s.tag
-        pe, _ = _idempotent_piece(a, e)
-        soc_mod, _ = submodule(pe, socle(pe), check=False)
-        hits = [
-            j
-            for j, t in enumerate(simples)
-            if soc_mod.dim == t.dim and hom_space(soc_mod, t)
-        ]
+        pe, _ = _idempotent_piece(a, s.tag)
+        soc = socle(pe)
+        hits = [j for j, t in enumerate(simples)
+                if soc.nrows == t.dim and not soc.mul(pe.action_of(t.tag)).is_zero()]
         if len(hits) != 1:
             raise SphertwistError(
-                "socle of an idempotent projective is not simple", witness=e
+                "socle of an idempotent projective is not simple", witness=s.tag
             )
         sigma.append(hits[0])
     if sorted(sigma) != list(range(len(simples))):

@@ -39,8 +39,8 @@ from .exactlin import (
 class Module:
     """Right module given by its action matrices.
 
-    ``tag`` is the lifted idempotent e of a simple that `simple_modules`
-    cut from e·A, and ``covered`` the `CoveredTerm` record of a shared
+    ``tag`` is the idempotent e of a simple `simple_modules` cut from e·A,
+    which `meets` reads; ``covered`` the `CoveredTerm` record of a shared
     sum ⊕ eₖ·A (`_piece_sum`); both are None on every other module.
     """
 
@@ -582,14 +582,18 @@ def socle(m):
 def simple_modules(a):
     """One simple per isomorphism class, tagged by a lifted idempotent.
 
-    Cached per algebra — callers share the module objects.
+    The top of e·A is a simple already found, r, exactly when r·e ≠ 0
+    (`meets`), and then it is not built.  Cached per algebra — callers
+    share the module objects.
     """
     if a._simple_modules_cache is not None:
         return a._simple_modules_cache
     rad = radical(a)
     rad_rows = rad.transpose().pairs
-    out = []
+    reps = []
     for e in lift_idempotents(a):
+        if any(meets(r, e) for r in reps):
+            continue
         pe, incl = _idempotent_piece(a, e)
         # top = eA / (eA ∩ rad) — eA·rad = e·rad ⊆ eA, whose coordinates
         # in pe sit at the pivots of pe's canonical rows
@@ -599,15 +603,23 @@ def simple_modules(a):
         ]
         top, _ = quotient(pe, sub_rows)
         top.tag = e
-        out.append(top)
-    # dedupe isomorphism classes: simples are isomorphic iff a nonzero hom exists
-    reps = []
-    for s in out:
-        if any(hom_space(s, r) for r in reps):
-            continue
-        reps.append(s)
+        reps.append(top)
     a._simple_modules_cache = reps
     return reps
+
+
+def meets(m, e):
+    """Whether m·e ≠ 0, for an idempotent e of m's algebra A.
+
+    By Yoneda, Hom_A(e·A, m) ≅ m·e: a map φ is fixed by φ(e) = φ(e)·e,
+    which lies in m·e, and each v in m·e is the image of e under
+    e·x ↦ v·x (Assem–Simson–Skowroński, Elements 1, §I.4).  So m·e ≠ 0
+    exactly when a nonzero map e·A → m exists.  For a primitive e, whose
+    e·A has the simple top S, that is when S is a composition factor of
+    m: a simple T is S exactly when T·e ≠ 0, and a semisimple m has S as
+    a summand exactly when m·e ≠ 0.
+    """
+    return not m.action_of(e).is_zero()
 
 
 def _idempotent_piece(a, e):

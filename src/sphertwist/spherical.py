@@ -44,7 +44,6 @@ from .homology import (
 from .modules import (
     HomBasis,
     _flatten,
-    _idempotent_piece,
     add_equivalent,
     balanced_tensor,
     direct_sum,
@@ -53,6 +52,7 @@ from .modules import (
     hom_space,
     in_add,
     kernel_of,
+    meets,
     projective_cover,
     simple_modules,
 )
@@ -342,8 +342,8 @@ def _summand_simple_positions(ctx):
     simples = simple_modules(con)
     pos = []
     for copies in ctx.e_copies:
-        ideal, _ = _idempotent_piece(con, ctx.to_stable.apply(copies[0]))
-        hits = [j for j, s in enumerate(simples) if hom_space(ideal, s)]
+        e = ctx.to_stable.apply(copies[0])
+        hits = [j for j, s in enumerate(simples) if meets(s, e)]
         if len(hits) != 1:
             return None
         pos.append(hits[0])

@@ -15,11 +15,17 @@ import sys
 import pytest
 
 import ext_reference
+import simple_reference
 import tilting_reference
 from sphertwist import algebra, exactlin, modules, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
 from sphertwist.exactlin import QQ, Matrix
-from sphertwist.frobenius import build_context, suspension_power
+from sphertwist.frobenius import (
+    build_context,
+    is_self_injective,
+    nakayama_permutation,
+    suspension_power,
+)
 from sphertwist.homology import left_module_along, tor_dims
 from sphertwist.modules import Module, add_equivalent, direct_sum, simple_modules
 from sphertwist.resolutions import (
@@ -88,10 +94,14 @@ def report_cycle_one(ctx_cycle_one):
 
 
 @pytest.fixture(scope="module")
-def report_loewy3():
+def ctx_loewy3():
     a = truncated_cycle(3, 3)
-    ctx = build_context(a, Module.regular(a), [(simple_modules(a)[0], 1)])
-    return syz_audit(ctx, 3, with_tilting=True)
+    return build_context(a, Module.regular(a), [(simple_modules(a)[0], 1)])
+
+
+@pytest.fixture(scope="module")
+def report_loewy3(ctx_loewy3):
+    return syz_audit(ctx_loewy3, 3, with_tilting=True)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +182,25 @@ def test_add_periodicity_agrees_with_the_whole_sum_route(ctx_dual):
         add_periodicity_check(ctx_dual, k) == _whole_sum_periodicity(ctx_dual, k)
         for k in range(4)
     )
+
+
+@pytest.mark.parametrize("name", [
+    "ctx_dual", "ctx_cycle", "ctx_cycle_one", "ctx_loewy3", *sorted(PERIODICITY)
+])
+def test_the_simple_reads_match_the_hom_scans(name, request):
+    """The simple of each summand, and σ of the ambient algebra and of
+    the stable quotient, agree with the hom-scan reference."""
+    if name in PERIODICITY:
+        ctx = _cycle3_context(name)
+    else:
+        ctx = request.getfixturevalue(name)
+    assert spherical._summand_simple_positions(ctx) == (
+        simple_reference.summand_simple_positions(ctx))
+    for alg in (ctx.ambient, ctx.stable_endo):
+        ref = simple_reference.simple_reps(alg)
+        assert [s.tag for s in simple_modules(alg)] == [s.tag for s in ref]
+        if is_self_injective(alg):
+            assert nakayama_permutation(alg) == simple_reference.nakayama_permutation(alg)
 
 
 def test_the_stable_module_is_built_once_per_audit(monkeypatch):
