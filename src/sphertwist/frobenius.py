@@ -4,8 +4,8 @@ Over a self-injective algebra the projective and injective modules
 coincide, so homs modulo maps-through-projectives form a triangulated
 quotient whose shift is the cosyzygy functor.  This module supplies the
 detectors (self-injectivity, symmetry, the socle permutation of the
-simples), stable hom spaces, syzygy/cosyzygy with projective-summand
-stripping, and the bundled context around a chosen additive generator:
+simples), stable hom spaces, minimal syzygies and cosyzygies and their
+iterates, and the bundled context around a chosen additive generator:
 its endomorphism algebra, the ideal of maps factoring through a
 projective, and the quotient onto the stable endomorphism algebra.
 """
@@ -23,7 +23,6 @@ from .algebra import (
 from .errors import NotProgenerator, NotSelfInjective, SphertwistError
 from .exactlin import (
     Matrix,
-    Preimages,
     SpanBuilder,
     combine,
     kernel_basis,
@@ -225,7 +224,7 @@ def is_symmetric(a):
 
 
 # ---------------------------------------------------------------------------
-# syzygy, cosyzygy, stripped suspension powers
+# syzygy, cosyzygy, suspension powers
 
 
 def syzygy(m):
@@ -248,52 +247,29 @@ def _indecomposable_projectives(a):
     return [_idempotent_piece(a, e)[0] for e in lift_idempotents(a)]
 
 
-def strip_projective_summands(m):
-    """Split off projective direct summands until none remain.
-
-    An idempotent projective P divides m exactly when some pair of
-    hom-basis elements u : P → m, v : m → P composes to an invertible
-    endomorphism of P — End(P) is local, so a sum of non-units can never
-    be the identity.  Each hit is split off through the explicit
-    idempotent v·(uv)⁻¹·u on m and the complement kept.
-    """
-    projs = _indecomposable_projectives(m.algebra)
-    cur = m
-    while cur.dim:
-        split = None
-        for p in projs:
-            if p.dim > cur.dim:
-                continue
-            into = hom_space(p, cur)
-            back = hom_space(cur, p)
-            for u in into:
-                for v in back:
-                    w = u.matrix.mul(v.matrix)
-                    if rank(w) == p.dim:
-                        split = (p, u, v, w)
-                        break
-                if split:
-                    break
-            if split:
-                break
-        if split is None:
-            break
-        p, u, v, w = split
-        w_inv = Preimages(w).inverse()
-        proj_mat = v.matrix.mul(w_inv).mul(u.matrix)
-        cur, _ = kernel_of(ModuleHom(cur, cur, proj_mat, validate=False))
-    return cur
-
-
 def suspension_power(m, k):
-    """Iterated cosyzygy (k > 0) or syzygy (k < 0), with projective
-    summands stripped after every step so dimensions stay tight."""
+    """Σᵏm: k cosyzygy steps for k > 0, |k| syzygy steps for k < 0, and
+    m itself for k = 0.
+
+    No step leaves a projective summand, so none is split off (Happel,
+    *Triangulated categories in the representation theory of
+    finite-dimensional algebras*, LMS LN 119, 1988, ch. I).  Over a
+    self-injective algebra a projective module is injective.
+    - Syzygy: the cover P → m is minimal (`resolutions.is_minimal`
+      checks it), so its kernel K lies in rad P.  A projective summand
+      Q of K is injective, so Q ⊆ P splits off P through some
+      ε : P → Q with ε = 1 on Q.  Then Q = ε(Q) ⊆ ε(rad P) = rad Q, and
+      Q = 0 by Nakayama's lemma.
+    - Cosyzygy: the envelope m ⊆ E is essential.  A projective summand
+      Q of E/m splits off E through a section s : Q → E of
+      E → E/m → Q, and s(Q) meets m in 0, since m maps to 0 in Q.  So
+      s(Q) = 0 and Q = 0.
+    """
     _require_self_injective(m.algebra)
-    cur = strip_projective_summands(m)
     step = cosyzygy if k > 0 else syzygy
     for _ in range(abs(k)):
-        cur = strip_projective_summands(step(cur))
-    return cur
+        m = step(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -306,10 +282,11 @@ class FrobeniusContext:
     ``total`` is the chosen module (projective part first, then the
     extra summands with multiplicities); ``endo`` its endomorphism
     algebra on the canonical hom basis ``hom_basis``, whose coordinates
-    ``hom_coords`` reads; ``proj_ideal`` the coordinates of the canonical
-    basis of the maps factoring through projectives, read block by block
-    off the summand decomposition (`_projective_ideal`); ``to_stable``
-    the quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
+    ``hom_coords`` reads and which it holds; ``proj_ideal`` the
+    coordinates of the canonical basis of the maps factoring through
+    projectives, read block by block off the summand decomposition
+    (`_projective_ideal`); ``to_stable`` the quotient onto
+    ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
     ``e_copies[i]`` lists one projector per copy of extra summand i.
     These, like ``proj_ideal``, are vectors of ``endo``.
@@ -328,7 +305,6 @@ class FrobeniusContext:
         summands,
         total,
         endo,
-        hom_basis,
         hom_coords,
         proj_ideal,
         to_stable,
@@ -340,7 +316,6 @@ class FrobeniusContext:
         self.summands = summands
         self.total = total
         self.endo = endo
-        self.hom_basis = hom_basis
         self.hom_coords = hom_coords
         self.proj_ideal = proj_ideal
         self.to_stable = to_stable
@@ -352,8 +327,13 @@ class FrobeniusContext:
         self._piece_type_cache = {}
         self._stable_module = None
         self._stable_simples = None
-        # ... and of the spherical layer
-        self._extra_syzygies = {}
+        # ... and of the spherical layer: the ladder [m, Σ^{±1}m, …] of
+        # each (module, direction), extended by `spherical._suspension`
+        self._ladders = {}
+
+    @property
+    def hom_basis(self):
+        return self.hom_coords.homs
 
     def right_ideal(self, e):
         """(e·endo as a right module, inclusion into the regular module)."""
@@ -438,7 +418,6 @@ def build_context(ambient, projective_part, extra_summands):
         summands,
         total,
         endo,
-        hom_coords.homs,
         hom_coords,
         ideal,
         pi,

@@ -32,7 +32,6 @@ from .frobenius import (
     is_self_injective,
     nakayama_permutation,
     stable_hom,
-    strip_projective_summands,
     suspension_power,
 )
 from .homology import (
@@ -51,9 +50,7 @@ from .modules import (
     generator_indices,
     hom_space,
     in_add,
-    kernel_of,
     meets,
-    projective_cover,
     simple_modules,
 )
 from .resolutions import (
@@ -210,14 +207,27 @@ def _extra_sum(ctx):
     return xs[0] if len(xs) == 1 else direct_sum(xs)[0]
 
 
+def _suspension(ctx, m, k):
+    """Σᵏm (`suspension_power`), read off the context's ladder
+    [m, Σ^{±1}m, Σ^{±2}m, …] of m in the direction of k.
+
+    The ladder is kept per module object and direction and grows one
+    step at a time, so each rung is built once per context, whatever
+    the order of the calls: Σᵏm is the one-step suspension of
+    Σ^{k∓1}m.  Σ⁰m is m itself.
+    """
+    step = 1 if k > 0 else -1
+    ladder = ctx._ladders.setdefault((m, step), [m])
+    while len(ladder) <= abs(k):
+        ladder.append(suspension_power(ladder[-1], step))
+    return ladder[abs(k)]
+
+
 def _extra_syzygies(ctx, k):
-    """Ωᵏ of each extra summand in catalog order, stripped of projective
-    summands (`suspension_power`); computed once per context and k, for
-    `add_periodicity_check` and `permutation_tau` alike."""
-    cache = ctx._extra_syzygies
-    if k not in cache:
-        cache[k] = [suspension_power(x, -k) for x in _extra_modules(ctx)]
-    return cache[k]
+    """Ωᵏ of each extra summand in catalog order, the k-th rung of its
+    syzygy ladder (`_suspension`), for `add_periodicity_check` and
+    `permutation_tau` alike."""
+    return [_suspension(ctx, x, -k) for x in _extra_modules(ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +274,7 @@ def rigidity_check(ctx, t):
         return True
     x = _extra_sum(ctx)
     for i in range(1, t - 1):
-        if stable_hom(suspension_power(x, -i), x)[0]:
+        if stable_hom(_suspension(ctx, x, -i), x)[0]:
             return False
     return True
 
@@ -286,8 +296,9 @@ def add_periodicity_check(ctx, k):
       up to projective summands, and so do their k-fold iterates.
     - Every projective lies in add P, since P generates add(A) and, by
       Krull–Schmidt, every projective is a sum of summands of A.  So
-      ⊕ Ωᵏxᵢ ⊕ P and Ωᵏ(⊕ xᵢ) ⊕ P have the same additive closure,
-      whatever projective summands `suspension_power` strips.
+      ⊕ Ωᵏxᵢ ⊕ P and Ωᵏ(⊕ xᵢ) ⊕ P have the same additive closure.
+      (A minimal Ωᵏ with k ≥ 1 has no projective summand at all, by
+      `suspension_power`; at k = 0 a projective xᵢ stays, in add P.)
 
     So this answers as `add_equivalent` on the two whole sums does.
     Membership is `in_add`, by the identity-factoring criterion.
@@ -396,7 +407,7 @@ def _assert_mirror_properties(ctx, t, cap):
         return
     x = _extra_sum(ctx)
     for i in range(1, t - 1):
-        if stable_hom(x, suspension_power(x, i))[0]:
+        if stable_hom(x, _suspension(ctx, x, i))[0]:
             raise AuditFailed(
                 "rigidity fails in the cosuspension direction at step %d" % i
             )
@@ -526,12 +537,7 @@ def tilting_audit(report):
     copies = _extra_with_multiplicity(ctx)
     if copies:
         xsum = copies[0] if len(copies) == 1 else direct_sum(copies)[0]
-        _, epi = projective_cover(xsum)
-        om, _ = kernel_of(epi)
-        if strip_projective_summands(om).dim != om.dim:
-            raise AuditFailed(
-                "syzygy of the extra part keeps a projective summand"
-            )
+        om = _suspension(ctx, xsum, -1)
         companion, injs, prjs = direct_sum([p, om])
         # the block projectors of P ⊕ Ω are the companion algebra's
         # idempotent tags, as for End(T) in `build_context`, so

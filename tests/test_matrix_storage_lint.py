@@ -37,6 +37,13 @@ record is kept.  So no function but `_piece_sum` may assign an attribute
 `Module.__init__` starts every module with, and the name of the
 idempotent list once patched onto a cover's epi, ``cover_idempotents``,
 appears nowhere in the package.
+
+A minimal syzygy or cosyzygy has no projective summand (the proof is in
+`frobenius.suspension_power`), so the name of the stripper that once
+split them off, ``strip_projective_summands``, appears nowhere in the
+package.  The audits read every suspension off the context's ladder, so
+`spherical` calls `syzygy`, `cosyzygy` and `suspension_power` only
+inside `_suspension`, the one function that extends a ladder.
 """
 
 import ast
@@ -461,4 +468,74 @@ def relabel(p, q, record):
         (18, "names cover_idempotents"),
         (22, "assigns .covered in relabel"),
         (23, "assigns .covered in relabel"),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# one ladder of suspensions
+
+
+LADDER_STEPS = {"syzygy", "cosyzygy", "suspension_power"}
+
+
+def ladder_offences(source, module):
+    """(line, what) for each line naming ``strip_projective_summands``
+    and, in `spherical`, each call of `syzygy`, `cosyzygy` or
+    `suspension_power` outside `_suspension`."""
+    out = [(n, "names strip_projective_summands")
+           for n, line in enumerate(source.splitlines(), 1)
+           if "strip_projective_summands" in line]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope)
+            called = next((name for name in LADDER_STEPS if _called(child, name)), None)
+            if module == "spherical" and called and where != "_suspension":
+                out.append((child.lineno, "calls %s in %s" % (called, where or "the module")))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_suspensions_are_read_off_the_ladder():
+    found = {
+        path.name: ladder_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert len(found) > 5
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_suspension_off_the_ladder():
+    source = '''
+from .frobenius import strip_projective_summands, suspension_power
+
+def _suspension(ctx, m, k):
+    return suspension_power(m, k)
+
+def rigidity_check(ctx, x):
+    return stable_hom(frobenius.suspension_power(x, -1), x)
+
+def tilting_audit(ctx, x):
+    om = syzygy(x)
+    return strip_projective_summands(om), cosyzygy(om)
+
+RUNG = suspension_power(None, 0)
+'''
+    assert ladder_offences(source, "spherical") == [
+        (2, "names strip_projective_summands"),
+        (8, "calls suspension_power in rigidity_check"),
+        (11, "calls syzygy in tilting_audit"),
+        (12, "calls cosyzygy in tilting_audit"),
+        (12, "names strip_projective_summands"),
+        (14, "calls suspension_power in the module"),
+    ]
+    # the steps may be called anywhere outside `spherical`
+    assert ladder_offences(source, "frobenius") == [
+        (2, "names strip_projective_summands"),
+        (12, "names strip_projective_summands"),
     ]

@@ -16,6 +16,7 @@ import pytest
 
 import ext_reference
 import simple_reference
+import strip_reference
 import tilting_reference
 from sphertwist import algebra, exactlin, modules, spherical
 from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
@@ -159,8 +160,8 @@ def _whole_sum_periodicity(ctx, k):
 # permutation_values`), so Ωᵏ of one simple, or of S₁ and S₂ together,
 # is the same set of simples again exactly when 3 divides k.  With all
 # three simples the set is always the same.  A projective summand lies
-# in add P, and its Ωᵏ is 0 once projective summands are stripped, even
-# at k = 0, so both sides are add P.
+# in add P: its Ω⁰ is the summand itself and its Ωᵏ for k ≥ 1 is 0, so
+# both sides are add P.
 PERIODICITY = {
     "one simple": [True, False, False, True, False],
     "all simples": [True] * 5,
@@ -318,6 +319,30 @@ def test_cycle_one_passing_window(report_cycle_one):
 
 # ---------------------------------------------------------------------------
 # tilting certificates
+
+
+@pytest.mark.parametrize(
+    "report_name", ["report_dual", "report_cycle", "report_cycle_one", "report_loewy3"])
+def test_the_companion_syzygy_has_no_projective_summand(
+        request, report_name, monkeypatch):
+    # the companion keeps the projective part and takes one minimal
+    # syzygy of the extra part, which the stripping oracle returns as
+    # it is: the audit has no projective summand to refuse
+    report = request.getfixturevalue(report_name)
+    p = report.ctx.summands[0][0]
+    companions = []
+    original = spherical.direct_sum
+
+    def recording(mods):
+        if len(mods) == 2 and mods[0] is p:
+            companions.append(mods[1])
+        return original(mods)
+
+    monkeypatch.setattr(spherical, "direct_sum", recording)
+    tilting_audit(report)
+    (om,) = companions
+    assert om.dim
+    assert strip_reference.strip_projective_summands(om) is om
 
 
 def test_tilting_degenerate_window_dual(report_dual):
