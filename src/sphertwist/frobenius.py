@@ -106,10 +106,8 @@ def injective_envelope(m):
     opposite algebra; minimality of the cover dualizes to essentiality
     of the embedding.
     """
-    a = m.algebra
-    dm = dual_module(m)
-    p, c = projective_cover(dm)
-    env = Module(a, p.dim, [mat.transpose() for mat in p.action], validate=False)
+    p, c = projective_cover(dual_module(m))
+    env = dual_module(p)
     # the double dual has the same coordinates as m, so the dual of the
     # cover matrix is already the embedding matrix
     emb = ModuleHom(m, env, c.matrix.transpose(), validate=False)
@@ -297,6 +295,9 @@ class FrobeniusContext:
     ``e_proj`` splits into the primitives that `partial_cover` uses.
     The stable module and the stable simples are built once, on first
     use (`resolutions.stable_module`, `resolutions.stable_simples`).
+    Each extra summand x has two suspension ladders, [x, Σx, Σ²x, …]
+    and [x, Ωx, Ω²x, …], which `spherical._suspension` extends one rung
+    at a time; they start as [x], and no other module has a ladder.
     """
 
     def __init__(
@@ -327,9 +328,11 @@ class FrobeniusContext:
         self._piece_type_cache = {}
         self._stable_module = None
         self._stable_simples = None
-        # ... and of the spherical layer: the ladder [m, Σ^{±1}m, …] of
-        # each (module, direction), extended by `spherical._suspension`
-        self._ladders = {}
+        # ... and of the spherical layer: the ladders, keyed by (extra
+        # summand, direction ±1)
+        self._ladders = {
+            (x, step): [x] for x, _ in summands[1:] for step in (1, -1)
+        }
 
     @property
     def hom_basis(self):
@@ -359,18 +362,15 @@ def build_context(ambient, projective_part, extra_summands):
     - when the projective part is the regular module object itself,
       `add_equivalent` answers by reflexivity; any other projective part
       takes the full check;
-    - Hom(total, total) is read block row by block row
-      (`_generator_hom_basis`): the maps out of A_A are read off the
-      action of total by Yoneda, and Hom(X, total) is solved once per
-      distinct extra summand; no system in the unknowns of the whole of
-      Hom(total, total) is solved;
-    - `modules._endomorphism_table` builds End(total) on that basis,
-      skipping the composites of basis maps whose supports miss;
-    - the ideal [P] of maps through projectives is read off that basis
-      block by block (`_projective_ideal`): the blocks in the projective
-      part's row or column lie in [P] whole, and only pairs of extra
-      summands take an injective envelope, one per distinct summand.
-      No envelope of the whole of total is built;
+    - `_tagged_generator` builds total, its block tags and End(total),
+      reading Hom(total, total) block row by block row, so no system in
+      the unknowns of the whole of Hom(total, total) is solved; the
+      companion of `spherical.tilting_audit` is built by the same code;
+    - the ideal [P] of maps through projectives is read off the hom
+      basis block by block (`_projective_ideal`): the blocks in the
+      projective part's row or column lie in [P] whole, and only pairs of
+      extra summands take an injective envelope, one per distinct
+      summand.  No envelope of the whole of total is built;
     - `quotient_surjection` audits [P] as an ideal off the sparse table
       and carries the block projectors that survive in the stable
       quotient over as its idempotent tags.
@@ -389,16 +389,7 @@ def build_context(ambient, projective_part, extra_summands):
         for _ in range(mult):
             blocks.append(x)
             block_owner.append(idx)
-    total, injs, projs = direct_sum(blocks)
-    # the block projectors are the endomorphism algebra's idempotent
-    # tags: its constructor checks that they square to themselves and
-    # are pairwise orthogonal, and `lift_idempotents` refines them
-    tags = [
-        ("block:%d" % b, prj.matrix.mul(inj.matrix))
-        for b, (inj, prj) in enumerate(zip(injs, projs))
-    ]
-    homs = _generator_hom_basis(blocks, total)
-    endo, hom_coords = _endomorphism_table(total, homs, tags)
+    total, endo, hom_coords = _tagged_generator(blocks)
     p = ambient.field.characteristic
     block_idems = [v for _, v in endo.idempotents]
     if combine([(1, v) for v in block_idems], p) != endo.unit:
@@ -427,38 +418,61 @@ def build_context(ambient, projective_part, extra_summands):
     )
 
 
-def _generator_hom_basis(blocks, total):
-    """The rref basis of Hom(T, T), T = total = ⊕ blocks, block row by
-    block row; the basis `hom_space(total, total)` would give.
+def _tagged_generator(blocks):
+    """(total, End(total), its `HomBasis`) for total = ⊕ blocks.
 
-    Hom(T, T) = ⊕ₐ Hom(B_a, T), and a map out of B_a holds only the rows
-    of B_a, so the pieces have disjoint supports in flattened T.  A map
-    B_a → T flattens row-major to the cells of those rows, in the order
-    they have in T, at an offset of (first row of B_a)·dim T.  So each
-    piece's rref basis, shifted, stays rref in T, and the rref basis of
-    the whole is the union sorted by pivot (the argument of
-    `_projective_ideal`).  The pieces' cells come in block order, so
-    listing the pieces in block order is that sort.
+    Block b's projector ι_b·π_b is recorded as the algebra's idempotent
+    tag "block:b": the `Algebra` constructor checks that the tags square
+    to themselves and are pairwise orthogonal, and `lift_idempotents`
+    refines each in its own corner, so a primitive never straddles two
+    blocks.  Hom(total, total) is read block row by block row
+    (`_generator_hom_basis`), and `modules._endomorphism_table` builds
+    End(total) on that basis.  `build_context` builds the generator T
+    here, and `spherical.tilting_audit` its companion.
+    """
+    total, injs, projs = direct_sum(blocks)
+    tags = [
+        ("block:%d" % b, prj.matrix.mul(inj.matrix))
+        for b, (inj, prj) in enumerate(zip(injs, projs))
+    ]
+    homs = _generator_hom_basis(blocks, total, total)
+    endo, hom_coords = _endomorphism_table(total, homs, tags)
+    return total, endo, hom_coords
 
-    The projective part, when it is the regular module object A_A, is
-    read by Yoneda: Hom(e·A, N) ≅ N·e by φ ↦ φ(e), here with e = 1, as
-    `homology._yoneda_blocks` reads it.  The map of n ∈ T sends bᵢ to
+
+def _generator_hom_basis(blocks, source, target):
+    """The rref basis of Hom(source, target), source = ⊕ blocks, block
+    row by block row; the basis `hom_space(source, target)` would give.
+
+    Hom(source, N) = ⊕ₐ Hom(B_a, N), and a map out of B_a holds only the
+    rows of B_a, so the pieces have disjoint supports in flattened
+    Hom(source, N), whatever N is.  A map B_a → N flattens row-major to
+    the cells of those rows, in the order they have in source, at an
+    offset of (first row of B_a)·dim N.  So each piece's rref basis,
+    shifted, stays rref, and the rref basis of the whole is the union
+    sorted by pivot (the argument of `_projective_ideal`).  The pieces'
+    cells come in block order, so listing the pieces in block order is
+    that sort.
+
+    A block that is the regular module object A_A is read by Yoneda:
+    Hom(e·A, N) ≅ N·e by φ ↦ φ(e), here with e = 1, as
+    `homology._yoneda_blocks` reads it.  The map of n ∈ N sends bᵢ to
     n·bᵢ, so its matrix has row i equal to n·Mᵢ for the action Mᵢ of bᵢ
-    on T, and the maps of the unit rows of T are the rows of
+    on N, and the maps of the unit rows of N are the rows of
     [M₀ | M₁ | …]; their rref, taken sparsely, is the piece's basis, and
     no intertwining system is solved.  Every other block B solves
-    `hom_space(B, total)`, once per distinct module, and its copies
+    `hom_space(B, target)`, once per distinct module, and its copies
     share the basis.
     """
-    a = total.algebra
-    f, s = a.field, total.dim
+    a = target.algebra
+    f, s = a.field, target.dim
     pieces = {}
-    rows = []  # (column in flattened T, entry) pairs, in pivot order
+    rows = []  # flattened (column, entry) pairs, in pivot order
     at = 0
     for b in blocks:
         if b not in pieces:
             if b is Module.regular(a):
-                actions = [m.pairs for m in total.action]
+                actions = [m.pairs for m in target.action]
                 span = SpanBuilder(f, a.dim * s)
                 for r in range(s):
                     span.add([
@@ -466,12 +480,12 @@ def _generator_hom_basis(blocks, total):
                     ])
                 pieces[b] = span.basis_pairs()
             else:
-                pieces[b] = [_flatten(h.matrix) for h in hom_space(b, total)]
+                pieces[b] = [_flatten(h.matrix) for h in hom_space(b, target)]
         shift = at * s
         rows.extend([(shift + j, e) for j, e in pairs] for pairs in pieces[b])
         at += b.dim
     return [
-        ModuleHom(total, total, _unflatten(f, pairs, s, s), validate=False)
+        ModuleHom(source, target, _unflatten(f, pairs, source.dim, s), validate=False)
         for pairs in rows
     ]
 

@@ -873,9 +873,11 @@ def _endomorphism_table(m, homs, tags):
     (``homs``) and reads coordinates against them; it raises on a
     composite outside their span, so a list short of Hom(m, m) is
     refused.  ``tags`` are (role, matrix) pairs as in
-    `endomorphism_algebra`.  `frobenius.build_context` passes the basis
-    it reads block by block (`frobenius._generator_hom_basis`), which is
-    the one `hom_space` gives.
+    `endomorphism_algebra`.  `frobenius._tagged_generator`, which builds
+    the generator of a context and its tilting companion, passes the
+    basis it reads block row by block row
+    (`frobenius._generator_hom_basis`), which is the one `hom_space`
+    gives.
 
     Entry (r, c) of the composite H_j·H_i is Σ_k H_j[r][k]·H_i[k][c],
     and every term vanishes unless column k of H_j and row k of H_i are

@@ -29,6 +29,8 @@ from __future__ import annotations
 from .errors import AuditFailed, ShapeMismatch, SphertwistError
 from .exactlin import Matrix, product_residual, rank, row_space_canonical
 from .frobenius import (
+    _generator_hom_basis,
+    _tagged_generator,
     is_self_injective,
     nakayama_permutation,
     stable_hom,
@@ -46,9 +48,7 @@ from .modules import (
     add_equivalent,
     balanced_tensor,
     direct_sum,
-    endomorphism_algebra,
     generator_indices,
-    hom_space,
     in_add,
     meets,
     simple_modules,
@@ -191,33 +191,23 @@ def _extra_modules(ctx):
     return [x for x, _ in ctx.summands[1:]]
 
 
-def _extra_with_multiplicity(ctx):
-    out = []
-    for x, mult in ctx.summands[1:]:
-        out.extend([x] * mult)
-    return out
-
-
 def _projective_part(ctx):
     return ctx.summands[0][0]
 
 
-def _extra_sum(ctx):
-    xs = _extra_modules(ctx)
-    return xs[0] if len(xs) == 1 else direct_sum(xs)[0]
-
-
 def _suspension(ctx, m, k):
-    """Σᵏm (`suspension_power`), read off the context's ladder
-    [m, Σ^{±1}m, Σ^{±2}m, …] of m in the direction of k.
+    """Σᵏm (`suspension_power`) of an extra summand m, read off the
+    context's ladder [m, Σ^{±1}m, Σ^{±2}m, …] of m in the direction of k.
 
-    The ladder is kept per module object and direction and grows one
-    step at a time, so each rung is built once per context, whatever
-    the order of the calls: Σᵏm is the one-step suspension of
-    Σ^{k∓1}m.  Σ⁰m is m itself.
+    A ladder grows one step at a time, so each rung is built once per
+    context, whatever the order of the calls.  Σ⁰m is m itself.  Any
+    other module has no ladder (`FrobeniusContext`) and raises
+    SphertwistError: a sum of summands is suspended summand by summand.
     """
     step = 1 if k > 0 else -1
-    ladder = ctx._ladders.setdefault((m, step), [m])
+    ladder = ctx._ladders.get((m, step))
+    if ladder is None:
+        raise SphertwistError("only an extra summand has a suspension ladder", witness=m)
     while len(ladder) <= abs(k):
         ladder.append(suspension_power(ladder[-1], step))
     return ladder[abs(k)]
@@ -267,16 +257,22 @@ def relatively_spherical_check(ctx, t, cap=None):
 
 def rigidity_check(ctx, t):
     """No stable maps from any syzygy power below the window back to the
-    extra part; vacuously true at t = 2."""
+    extra part; vacuously true at t = 2.
+
+    With X = ⊕ xⱼ the extra part, the stable Hom(ΩⁱX, X), 1 ≤ i ≤ t − 2,
+    is read one pair of catalog summands at a time.  A sum of minimal
+    projective covers is minimal, so Ωⁱ(⊕ xⱼ) ≅ ⊕ Ωⁱxⱼ (Happel, LMS LN
+    119, 1988, ch. I), and stable Hom is additive in each argument, so
+    it is ⊕ stable Hom(Ωⁱx, y) over the pairs (x, y).  A multiplicity
+    only repeats pairs.
+    """
     if t < 2:
         raise SphertwistError("window must be at least 2")
-    if t == 2 or not _extra_modules(ctx):
-        return True
-    x = _extra_sum(ctx)
-    for i in range(1, t - 1):
-        if stable_hom(_suspension(ctx, x, -i), x)[0]:
-            return False
-    return True
+    xs = _extra_modules(ctx)
+    return not any(
+        stable_hom(_suspension(ctx, x, -i), y)[0]
+        for i in range(1, t - 1) for x in xs for y in xs
+    )
 
 
 def add_periodicity_check(ctx, k):
@@ -398,16 +394,18 @@ def _assert_shape_tau(ctx, t, tau, cap):
 def _assert_mirror_properties(ctx, t, cap):
     """The left-handed halves of a passing audit, asserted outright:
     the stable quotient resolves finitely on the other side too, and
-    rigidity holds in the cosuspension direction."""
+    rigidity holds in the cosuspension direction.
+
+    The stable Hom(X, ΣⁱX) is read pair by pair as in `rigidity_check`:
+    a sum of injective envelopes is one, so Σ commutes with sums too.
+    """
     if not is_perfect(left_module_along(ctx.to_stable), cap=cap):
         raise AuditFailed(
             "stable quotient is perfect on one side only"
         )
-    if t == 2 or not _extra_modules(ctx):
-        return
-    x = _extra_sum(ctx)
+    xs = _extra_modules(ctx)
     for i in range(1, t - 1):
-        if stable_hom(x, _suspension(ctx, x, i))[0]:
+        if any(stable_hom(x, _suspension(ctx, y, i))[0] for x in xs for y in xs):
             raise AuditFailed(
                 "rigidity fails in the cosuspension direction at step %d" % i
             )
@@ -453,19 +451,16 @@ def syz_audit(ctx, t, cap=None, with_tilting=False):
 #
 # The companion keeps the projective part and replaces the extra part by
 # its syzygy.  Maps from the companion into the generator, and back, are
-# plain hom spaces; composition gives each two families of action
-# matrices, one per side algebra.  Bimodule validates each family as a
-# module over its side algebra (the left one over the opposite) and checks
-# that the two commute, so an action that falsifies its algebra raises
-# AuditFailed before anything is built on it.
+# read block row by block row; composition gives each two families of
+# action matrices, one per side algebra.  Bimodule validates each family
+# as a module over its side algebra (the left one over the opposite) and
+# checks that the two commute, so an action that falsifies its algebra
+# raises AuditFailed before anything is built on it.
 
 
-def _span_dim(f, mats):
-    """Dimension of the span of equal-shape matrices, read as flat vectors."""
-    if not mats:
-        return 0
-    width = mats[0].nrows * mats[0].ncols
-    return rank(Matrix.from_pairs(f, [_flatten(m) for m in mats], width))
+def _first_cell(h):
+    """(row, column) of the first nonzero entry of a nonzero map."""
+    return next((r, c) for r, row in enumerate(h.matrix.pairs) for c, _ in row)
 
 
 def _recovers(side_alg, mats, res):
@@ -484,8 +479,9 @@ def _recovers(side_alg, mats, res):
     the window of two degrees always exists.
     """
     end_dim, ext1 = ext_from_resolution(res, res.target, 2)
-    dim = side_alg.dim
-    return end_dim == dim == _span_dim(side_alg.field, mats) and ext1 == 0
+    width = res.target.dim ** 2
+    flats = Matrix.from_pairs(side_alg.field, [_flatten(m) for m in mats], width)
+    return end_dim == side_alg.dim == rank(flats) and ext1 == 0
 
 
 def _pairing_blocks(mu_rows, ni, nd):
@@ -520,9 +516,14 @@ def tilting_audit(report):
     two bimodules is resolved once (`resolve_past`): its perfectness,
     the dimension of its endomorphism ring and its first
     self-extensions read that one resolution, and so do the projective
-    dimension and Tor of the forward bimodule's right module.  So the
-    audit solves three hom spaces: End of the companion and the maps
-    each way between it and the generator.
+    dimension and Tor of the forward bimodule's right module.
+
+    The companion C = P ⊕ ⊕ Ωx, over the copies x of the extra
+    summands, takes each Ωx off x's ladder and is built like the
+    generator T (`frobenius._tagged_generator`).  End(C), Hom(C, T) and
+    Hom(T, C) are read block row by block row, A_A's row by Yoneda, so
+    with P = A_A and one distinct summand x the audit solves three hom
+    spaces: out of Ωx into C and T, and out of x into C.
     """
     if not report.side1.verdict:
         raise AuditFailed(
@@ -534,42 +535,22 @@ def tilting_audit(report):
     f = lam.field
     total = ctx.total
     p = _projective_part(ctx)
-    copies = _extra_with_multiplicity(ctx)
-    if copies:
-        xsum = copies[0] if len(copies) == 1 else direct_sum(copies)[0]
-        om = _suspension(ctx, xsum, -1)
-        companion, injs, prjs = direct_sum([p, om])
-        # the block projectors of P ⊕ Ω are the companion algebra's
-        # idempotent tags, as for End(T) in `build_context`, so
-        # `lift_idempotents` splits each block in its own corner
-        tags = [
-            ("block:%d" % b, prj.matrix.mul(inj.matrix))
-            for b, (inj, prj) in enumerate(zip(injs, prjs))
-        ]
-    else:
-        companion, tags = p, ()
-    lam1, l1basis = endomorphism_algebra(companion, tags)
+    copies = [x for x, mult in ctx.summands[1:] for _ in range(mult)]
+    blocks = [p] + [_suspension(ctx, x, -1) for x in copies]
+    companion, lam1, l1basis = _tagged_generator(blocks)
     l1homs = l1basis.homs
-    ihoms = hom_space(companion, total)
-    dhoms = hom_space(total, companion)
+    ihoms = _generator_hom_basis(blocks, companion, total)
+    dhoms = _generator_hom_basis([p] + copies, total, companion)
     ni, nd = len(ihoms), len(dhoms)
     icoords = HomBasis(f, ihoms).coords
     dcoords = HomBasis(f, dhoms).coords
 
-    # restriction along a split injection and corestriction along a
-    # split projection are onto on Hom, so each block's hom space is
-    # spanned by the restricted (corestricted) companion homs
-    if copies:
-        I0_dims = tuple(
-            _span_dim(f, [inj.matrix.mul(ih.matrix) for ih in ihoms])
-            for inj in injs
-        )
-        D0_dims = tuple(
-            _span_dim(f, [dh.matrix.mul(prj.matrix) for dh in dhoms])
-            for prj in prjs
-        )
-    else:
-        I0_dims, D0_dims = (ni, 0), (nd, 0)
+    # the block subspaces of Hom(C, T) and Hom(T, C) have disjoint
+    # supports, so each rref basis map lies in one block (as in
+    # `frobenius._projective_ideal`); P is the first P.dim rows and columns
+    from_p = sum(_first_cell(ih)[0] < p.dim for ih in ihoms)
+    into_p = sum(_first_cell(dh)[1] < p.dim for dh in dhoms)
+    I0_dims, D0_dims = (from_p, ni - from_p), (into_p, nd - into_p)
 
     # maps companion → generator: postcomposition by the endomorphism
     # algebra on the left, precomposition by the companion algebra on

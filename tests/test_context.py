@@ -9,11 +9,16 @@ which forms all d² composites and takes the ideal from one
 `stable_hom(T, T)`.  The testbeds include one whose ideal has nonzero
 blocks between two extra summands: the 3-cycle with the paths of length
 3 killed, with the radicals rad(eᵢA) of its projectives as summands.
+
+The block-row reader serves the tilting companion C = P ⊕ ⊕ ΩXᵢ too,
+so Hom(T, T), Hom(T, C), Hom(C, T) and Hom(C, C) read by it are
+compared with `hom_space`, with A_A read by Yoneda and, on the sheared
+and rebased 3-cycles, with a copy of A_A whose row takes `hom_space`.
 """
 
 import pytest
 
-from sphertwist import frobenius, modules
+from sphertwist import frobenius, modules, spherical
 from sphertwist.algebra import from_quiver, lift_idempotents
 from sphertwist.exactlin import QQ, PrimeField
 from sphertwist.frobenius import build_context, stable_hom
@@ -34,6 +39,7 @@ from sphertwist.modules import (
 from context_reference import whole_t_context
 from fixture_algebras import cyclic_nakayama, dual_numbers
 from patching import count_calls
+from test_yoneda_reads import scaled_shear, sheared
 
 GF = PrimeField(32003)
 GF31 = PrimeField(31)
@@ -204,6 +210,44 @@ def test_a_projective_part_besides_the_regular_object_solves_its_rows():
     ]
     assert ctx.endo.table == ref.endo.table
     assert ctx.proj_ideal == ref.proj_ideal
+
+
+def _reader_case(name):
+    """(algebra, projective part, extra summands) of a block-row reader
+    case; a copy of A_A is another object, so its row takes hom_space."""
+    if name.startswith("radicals"):
+        a = nakayama3_loewy3(QQ)
+        rads = radicals(a)
+        return a, Module.regular(a), [(rads[0], 2), (rads[1], 1)]
+    a = cyclic_nakayama(3)
+    if name.startswith("shear"):
+        a = sheared(a)
+    elif name.startswith("rebased"):
+        a = scaled_shear(a)
+    reg = Module.regular(a)
+    p = Module(a, reg.dim, reg.action) if name.endswith("copy") else reg
+    sims = simple_modules(a)
+    return a, p, [(sims[0], 2), (sims[1], 1)]
+
+
+@pytest.mark.parametrize(
+    "name", ["cycle3", "radicals", "shear_copy", "rebased_copy", "rebased"])
+def test_the_block_row_reader_gives_the_hom_space_basis(name):
+    # Hom out of T = P ⊕ ⊕ X and out of the tilting companion
+    # C = P ⊕ ⊕ ΩX, into either, read block row by block row, is the
+    # rref basis hom_space solves in the unknowns of the whole
+    a, p, extra = _reader_case(name)
+    ctx = build_context(a, p, extra)
+    copies = [x for x, mult in extra for _ in range(mult)]
+    t_blocks = [p] + copies
+    c_blocks = [p] + [spherical._suspension(ctx, x, -1) for x in copies]
+    companion = frobenius._tagged_generator(c_blocks)[0]
+    for blocks, source in ((t_blocks, ctx.total), (c_blocks, companion)):
+        for target in (ctx.total, companion):
+            got = frobenius._generator_hom_basis(blocks, source, target)
+            want = hom_space(source, target)
+            assert [h.matrix.rows for h in got] == [h.matrix.rows for h in want]
+            assert all(h.source is source and h.target is target for h in got)
 
 
 def test_add_equivalent_of_one_object_makes_no_hom_space_call(monkeypatch):

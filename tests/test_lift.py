@@ -244,14 +244,14 @@ def test_context_corners_are_local_exactly_at_the_primitives(name, field, monkey
     n, _, extra = CONTEXTS[name]
     ctx = _context(n, field, extra)
     built = []
-    original = spherical.endomorphism_algebra
+    original = spherical._tagged_generator
 
-    def recording(*args):
-        out = original(*args)
-        built.append(out[0])
+    def recording(blocks):
+        out = original(blocks)
+        built.append(out[1])
         return out
 
-    monkeypatch.setattr(spherical, "endomorphism_algebra", recording)
+    monkeypatch.setattr(spherical, "_tagged_generator", recording)
     tilting_audit(syz_audit(ctx, WORKLOAD_WINDOWS[name]))
     (companion,) = built
     splits = []

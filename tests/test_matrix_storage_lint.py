@@ -44,6 +44,12 @@ split them off, ``strip_projective_summands``, appears nowhere in the
 package.  The audits read every suspension off the context's ladder, so
 `spherical` calls `syzygy`, `cosyzygy` and `suspension_power` only
 inside `_suspension`, the one function that extends a ladder.
+
+The generator and its tilting companion have one builder,
+`frobenius._tagged_generator`, and their hom spaces are read block row
+by block row (`frobenius._generator_hom_basis`).  So `spherical`
+imports neither `hom_space` nor `endomorphism_algebra`, and reads
+neither as an attribute of another module.
 """
 
 import ast
@@ -539,3 +545,53 @@ RUNG = suspension_power(None, 0)
         (2, "names strip_projective_summands"),
         (12, "names strip_projective_summands"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# spherical solves no whole-sum hom space
+
+
+UNSOLVED = {"hom_space", "endomorphism_algebra"}
+
+
+def solve_offences(source, module):
+    """(line, what) for each import of `hom_space` or
+    `endomorphism_algebra` into `spherical`, and each read of either as
+    an attribute there."""
+    if module != "spherical":
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(node.lineno, "imports " + alias.name) for alias in node.names
+                    if alias.name.rsplit(".", 1)[-1] in UNSOLVED]
+        elif isinstance(node, ast.Attribute) and node.attr in UNSOLVED:
+            out.append((node.lineno, "reads ." + node.attr))
+    return sorted(out)
+
+
+def test_spherical_imports_no_hom_solver():
+    found = {
+        path.name: solve_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert "spherical.py" in found
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_hom_solver_in_spherical():
+    source = '''
+from .modules import HomBasis, hom_space
+from .modules import endomorphism_algebra as end
+from . import modules
+
+def tilting_audit(ctx, c):
+    return modules.hom_space(c, ctx.total), end(c)
+'''
+    assert solve_offences(source, "spherical") == [
+        (2, "imports hom_space"),
+        (3, "imports endomorphism_algebra"),
+        (7, "reads .hom_space"),
+    ]
+    # other modules may solve hom spaces
+    assert solve_offences(source, "frobenius") == []

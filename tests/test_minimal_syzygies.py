@@ -17,17 +17,19 @@ projectives, their radicals, S₁² ⊕ S₂ and S ⊕ A_A ⊕ A_A:
 `truncated_cycle(n, 2)` is `cyclic_nakayama(n)`, so the Loewy length 2
 is the cyclic fixtures'.
 
-`spherical._suspension` reads Σᵏm off one ladder per module and
-direction, kept on the context.  The ladder is checked against
-`suspension_power`, and over the benchmark's three workloads no module
-object is covered twice and the companion Ω of `tilting_audit` is the
-ladder's rung.
+`spherical._suspension` reads Σᵏm off one ladder per extra summand and
+direction, made with the context; any other module is refused.  The
+ladder is checked against `suspension_power`, repeated rigidity checks
+add no ladder and no rung, and over the benchmark's three workloads no
+module object is covered twice and the companion Ω of `tilting_audit`
+is the ladder's rung.
 """
 
 import pytest
 
 import strip_reference
 from sphertwist import modules, spherical
+from sphertwist.errors import SphertwistError
 from sphertwist.exactlin import QQ, PrimeField
 from sphertwist.frobenius import (
     _indecomposable_projectives,
@@ -128,6 +130,23 @@ def ctx_cycle():
     return build_context(a, Module.regular(a), [(s, 1) for s in simple_modules(a)])
 
 
+def test_repeated_rigidity_keys_no_ladder_and_builds_no_rung(ctx_cycle):
+    # side 2 suspends only catalog summands, whose ladders the context
+    # makes, two per summand; a repeated call finds every rung built.
+    # The whole-sum route keyed one more ladder, on a fresh sum, per call
+    ctx = ctx_cycle
+    xs = [x for x, _ in ctx.summands[1:]]
+    assert set(ctx._ladders) == {(x, step) for x in xs for step in (1, -1)}
+    assert not spherical.rigidity_check(ctx, 3)
+    lengths = {key: len(ladder) for key, ladder in ctx._ladders.items()}
+    for _ in range(2):
+        assert not spherical.rigidity_check(ctx, 3)
+        assert len(ctx._ladders) == 2 * len(xs)
+        assert {key: len(ladder) for key, ladder in ctx._ladders.items()} == lengths
+    with pytest.raises(SphertwistError, match="suspension ladder"):
+        spherical._suspension(ctx, direct_sum(xs[:2])[0], -1)
+
+
 def test_the_ladder_matches_suspension_power_in_any_order(ctx_cycle, monkeypatch):
     # the rungs are asked for out of order, in both directions, for two
     # modules; each is suspension_power's module, built once
@@ -152,22 +171,22 @@ _RUNS = {}
 
 def run(name):
     """(ctx, the modules `projective_cover` was called on, in order, the
-    companions Ω that `tilting_audit` summed with the projective part),
-    from one set-up and solve of the workload; the covered modules are
-    kept alive, so their ids stay distinct."""
+    syzygy blocks Ωx that `tilting_audit` built its companion from, after
+    the projective part), from one set-up and solve of the workload; the
+    covered modules are kept alive, so their ids stay distinct."""
     if name not in _RUNS:
         setup, solve, field = WORKLOADS[name]
         companions = []
         with pytest.MonkeyPatch.context() as mp:
             calls = count_calls(mp, modules, "projective_cover")
-            original = spherical.direct_sum
+            original = spherical._tagged_generator
 
-            def recording(mods):
-                if len(mods) == 2 and mods[0] is ctx.summands[0][0]:
-                    companions.append(mods[1])
-                return original(mods)
+            def recording(blocks):
+                assert blocks[0] is ctx.summands[0][0]
+                companions.extend(blocks[1:])
+                return original(blocks)
 
-            mp.setattr(spherical, "direct_sum", recording)
+            mp.setattr(spherical, "_tagged_generator", recording)
             ctx = setup(field)
             solve(ctx)
         _RUNS[name] = ctx, [args[0] for args in calls], companions
@@ -194,3 +213,4 @@ def test_the_companion_is_the_first_syzygy_rung(monkeypatch):
     assert spherical._suspension(ctx, x, -1) is om
     assert calls == []
     assert any(m is x for m in covered)
+    assert strip_reference.strip_projective_summands(om) is om

@@ -326,23 +326,26 @@ def test_cycle_one_passing_window(report_cycle_one):
 def test_the_companion_syzygy_has_no_projective_summand(
         request, report_name, monkeypatch):
     # the companion keeps the projective part and takes one minimal
-    # syzygy of the extra part, which the stripping oracle returns as
-    # it is: the audit has no projective summand to refuse
+    # syzygy of each copy of an extra summand, which the stripping oracle
+    # returns as it is: the audit has no projective summand to refuse
     report = request.getfixturevalue(report_name)
-    p = report.ctx.summands[0][0]
-    companions = []
-    original = spherical.direct_sum
+    ctx = report.ctx
+    built = []
+    original = spherical._tagged_generator
 
-    def recording(mods):
-        if len(mods) == 2 and mods[0] is p:
-            companions.append(mods[1])
-        return original(mods)
+    def recording(blocks):
+        built.append(blocks)
+        return original(blocks)
 
-    monkeypatch.setattr(spherical, "direct_sum", recording)
+    monkeypatch.setattr(spherical, "_tagged_generator", recording)
     tilting_audit(report)
-    (om,) = companions
-    assert om.dim
-    assert strip_reference.strip_projective_summands(om) is om
+    (blocks,) = built
+    assert blocks[0] is ctx.summands[0][0]
+    oms = blocks[1:]
+    assert len(oms) == sum(mult for _, mult in ctx.summands[1:])
+    for om in oms:
+        assert om.dim
+        assert strip_reference.strip_projective_summands(om) is om
 
 
 def test_tilting_degenerate_window_dual(report_dual):
@@ -438,17 +441,21 @@ def test_the_tilting_audit_runs_the_two_sided_audit_once(ctx_cycle_one, monkeypa
 
 def test_the_tilting_audit_reads_block_dims_off_the_companion_homs(
         ctx_cycle_one, monkeypatch):
-    # I0 and D0 restrict the companion's hom spaces along the direct-sum
-    # injections and projections instead of solving hom(p, total),
-    # hom(om, total), hom(total, p) and hom(total, om), and each side
-    # module's End is read off its resolution as Ext⁰ instead of solved:
-    # three systems (End of the companion and the maps each way), where
-    # solving the four blocks and the four Ends as well took eleven
+    # I0 and D0 count the companion homs by block instead of solving
+    # hom(p, total), hom(om, total), hom(total, p) and hom(total, om),
+    # and each side module's End is read off its resolution as Ext⁰
+    # instead of solved.  End(C), Hom(C, T) and Hom(T, C) are read block
+    # row by block row, A_A's row by Yoneda: three systems, hom(om, C),
+    # hom(om, T) and hom(x, C), in 7 unknowns each.  The whole-sum
+    # route solved End(C), Hom(C, T) and Hom(T, C) in 49 each, 147 in
+    # all, and solving the four blocks and the four Ends as well took
+    # eleven systems
     report = syz_audit(ctx_cycle_one, 4)
     calls = count_calls(monkeypatch, modules, "hom_space")
     ta = tilting_audit(report)
     assert (ta.I0_dims, ta.D0_dims) == ((7, 1), (7, 1))
     assert len(calls) == 3
+    assert sum(m.dim * n.dim for m, n in calls) == 21
 
 
 def test_the_companion_algebra_is_split_from_its_block_tags(
@@ -458,14 +465,14 @@ def test_the_companion_algebra_is_split_from_its_block_tags(
     # by block; the list is the one the search from the unit gives
     report = syz_audit(ctx_cycle_one, 4)
     built = []
-    original = spherical.endomorphism_algebra
+    original = spherical._tagged_generator
 
-    def recording(*args):
-        out = original(*args)
-        built.append(out[0])
+    def recording(blocks):
+        out = original(blocks)
+        built.append(out[1])
         return out
 
-    monkeypatch.setattr(spherical, "endomorphism_algebra", recording)
+    monkeypatch.setattr(spherical, "_tagged_generator", recording)
     tilting_audit(report)
     (lam1,) = built
     tags = [v for _, v in lam1.idempotents]
