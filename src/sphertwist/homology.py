@@ -350,13 +350,13 @@ def ext_from_resolution(res, n, count):
 # Tor of one-sided modules
 
 
-def tor_dims(a, m, n, count, resolve_second=False):
+def tor_dims(a, m, n, count):
     """[dim Tor_i(m, n) for i in 0..count).
 
     m is a right module over a, n a left module carried over the
-    opposite algebra.  By default the first argument is resolved;
-    resolve_second=True resolves the other one instead, which must give
-    the same answer and serves as an independent route.
+    opposite algebra; m is resolved.  Resolving n instead,
+    ``tor_from_resolution(resolve_within(n, count), m, count)``, must
+    give the same answer.
     """
     if m.algebra is not a:
         raise SphertwistError("first tor argument must live over the algebra")
@@ -364,8 +364,6 @@ def tor_dims(a, m, n, count, resolve_second=False):
         raise SphertwistError("second tor argument must live over the opposite")
     if count < 1:
         return []
-    if resolve_second:
-        return tor_from_resolution(resolve_within(n, count), m, count)
     return tor_from_resolution(resolve_within(m, count), n, count)
 
 

@@ -783,61 +783,46 @@ def _cover_by_pieces(m, idempotents, what):
     return p_sum, epi
 
 
-def in_add(m, n):
-    """True iff m is a direct summand of a finite power of n.
+def in_add(m, *blocks):
+    """True iff m is a direct summand of a finite power of ⊕ blocks.
 
-    Linear criterion: id_m lies in the span of composites m → n → m.
+    Linear criterion: id_m lies in the span of the composites
+    m → ⊕ blocks → m, and that span is the sum over the blocks B of the
+    spans of the composites m → B → m.  A map into ⊕ B is the tuple of
+    its components g_B, a map out of it the sum of its restrictions
+    h_C, and ι_B·π_C = 0 for B ≠ C, so g·h = Σ_B g_B·h_B.  So no sum is
+    built: the blocks are read in order, Hom(B, m) is solved only when
+    Hom(m, B) is nonzero (else B adds no composite), and the answer is
+    True as soon as the span holds id_m; it only grows, so id_m is
+    tested again only when a composite enlarged it.
+
+    Reflexivity needs no hom space: the zero module lies in any add,
+    and m lies in add(m ⊕ …) when m is one of the blocks.  Distinct
+    objects, even with equal actions, take the full check.
     """
-    if m.algebra != n.algebra:
+    if any(b.algebra != m.algebra for b in blocks):
         raise AlgebraMismatch("add-membership across different algebras")
-    return _identity_factors(m, hom_space(m, n), hom_space(n, m))
+    if m.dim == 0 or any(b is m for b in blocks):
+        return True
+    f = m.algebra.field
+    span = SpanBuilder(f, m.dim * m.dim)
+    ident = _flatten(Matrix.identity(f, m.dim))
+    for b in blocks:
+        into = hom_space(m, b)
+        back = hom_space(b, m) if into else ()
+        for g in into:
+            for h in back:
+                if span.add(_flatten(g.matrix.mul(h.matrix))) and span.contains(ident):
+                    return True
+    return False
 
 
 def add_equivalent(m, n):
     """True iff m and n generate the same additive closure: each is a
-    summand of a finite power of the other.
-
-    The same criterion as `in_add`, both ways round, from one
-    computation of each hom space: id_m is tested first, and id_n only
-    when it passes.  A nonzero m with no map into n fails at once (no
-    composite is nonzero), so the maps back are then not computed.
-
-    The relation is reflexive: m is a summand of m¹.  So one module
-    object passed on both sides is add-equivalent to itself, and no hom
-    space is computed (`build_context` passes the cached regular module
-    on both sides when the projective part is A_A).  Distinct objects,
-    even with equal actions, take the full check.
+    summand of a finite power of the other (`in_add` both ways round;
+    one object on both sides solves nothing).
     """
-    if m is n:
-        return True
-    if m.algebra != n.algebra:
-        raise AlgebraMismatch("add-membership across different algebras")
-    into = hom_space(m, n)
-    if m.dim and not into:
-        return False
-    back = hom_space(n, m)
-    return _identity_factors(m, into, back) and _identity_factors(n, back, into)
-
-
-def _identity_factors(m, into, back):
-    """Whether id_m lies in the span of the composites g·h of maps
-    g : m → n from ``into`` and h : n → m from ``back``.
-
-    The span only grows as composites are added, so once id_m lies in
-    the span built so far it lies in the whole span, and the answer is
-    True without forming the remaining composites.  id_m is tested
-    again only when a composite enlarged the span.
-    """
-    f = m.algebra.field
-    if m.dim == 0:
-        return True
-    span = SpanBuilder(f, m.dim * m.dim)
-    ident = _flatten(Matrix.identity(f, m.dim))
-    for g in into:
-        for h in back:
-            if span.add(_flatten(g.matrix.mul(h.matrix))) and span.contains(ident):
-                return True
-    return False
+    return in_add(m, n) and in_add(n, m)
 
 
 def restrict_scalars(surj, m):

@@ -47,7 +47,6 @@ from .modules import (
     _flatten,
     add_equivalent,
     balanced_tensor,
-    direct_sum,
     generator_indices,
     in_add,
     meets,
@@ -296,27 +295,31 @@ def add_periodicity_check(ctx, k):
       (A minimal Ωᵏ with k ≥ 1 has no projective summand at all, by
       `suspension_power`; at k = 0 a projective xᵢ stays, in add P.)
 
-    So this answers as `add_equivalent` on the two whole sums does.
-    Membership is `in_add`, by the identity-factoring criterion.
+    So this answers as `add_equivalent` on the two whole sums does, and
+    neither sum is built: `in_add` reads membership in add(⊕ blocks)
+    block by block, since Hom into or out of a sum is the sum of the
+    Homs to or from its blocks.
     """
     xs = _extra_modules(ctx)
     if not xs:
         return True
     p = _projective_part(ctx)
     oms = _extra_syzygies(ctx, k)
-    with_p = direct_sum(xs + [p])[0]
-    om_with_p = direct_sum(oms + [p])[0]
-    return all(in_add(om, with_p) for om in oms) and all(
-        in_add(x, om_with_p) for x in xs
+    return all(in_add(om, *xs, p) for om in oms) and all(
+        in_add(x, *oms, p) for x in xs
     )
 
 
 def permutation_tau(ctx, t):
     """Match each extra summand with the one its (t−1)-fold syzygy hits.
 
-    Mutual additive membership at equal dimension pins the partner
-    uniquely; any summand without exactly one partner, or a matching
-    that fails to be a bijection, yields None.
+    The partner of Ωᵗ⁻¹xᵢ is the summand of equal dimension that is
+    add-equivalent to it.  Add-equivalence is transitive, so two
+    partners would be add-equivalent to each other: the catalog is not
+    basic, and lists twice what it should list once with a
+    multiplicity.  That raises SphertwistError naming the two.  A
+    summand without a partner, or a matching that fails to be a
+    bijection, yields None.
     """
     if t < 2:
         raise SphertwistError("window must be at least 2")
@@ -324,13 +327,19 @@ def permutation_tau(ctx, t):
     if not xs:
         return ()
     tau = []
-    for om in _extra_syzygies(ctx, t - 1):
+    for i, om in enumerate(_extra_syzygies(ctx, t - 1)):
         hits = [
             j
             for j, y in enumerate(xs)
             if y.dim == om.dim and add_equivalent(om, y)
         ]
-        if len(hits) != 1:
+        if len(hits) > 1:
+            raise SphertwistError(
+                "extra summands %d and %d are both partners of summand %d: "
+                "they are add-equivalent, so pass one of them with a "
+                "multiplicity" % (hits[0], hits[1], i)
+            )
+        if not hits:
             return None
         tau.append(hits[0])
     if sorted(tau) != list(range(len(xs))):

@@ -46,6 +46,7 @@ from sphertwist.homology import (
     tensor_square,
     tor_bimodule,
     tor_dims,
+    tor_from_resolution,
 )
 from sphertwist.modules import (
     Module,
@@ -58,6 +59,7 @@ from sphertwist.modules import (
 from sphertwist.resolutions import (
     extract_shape,
     partially_minimal_resolution,
+    resolve_within,
     stable_idempotent_module,
     stable_module,
 )
@@ -274,7 +276,7 @@ def test_tor_point_with_point_never_dies(dual, dual_to_point):
     right = restrict_scalars(p, Module.regular(p.target))
     left = left_module_along(p)
     assert tor_dims(a, right, left, 6) == [1] * 6
-    assert tor_dims(a, right, left, 6, resolve_second=True) == [1] * 6
+    assert tor_from_resolution(resolve_within(left, 6), right, 6) == [1] * 6
 
 
 def test_tor_balance_battery(dual, ctx_dual):
@@ -289,7 +291,7 @@ def test_tor_balance_battery(dual, ctx_dual):
     cases.append((ctx_dual.endo, con, left_module_along(ctx_dual.to_stable)))
     for alg, m, n in cases:
         first = tor_dims(alg, m, n, 4)
-        second = tor_dims(alg, m, n, 4, resolve_second=True)
+        second = tor_from_resolution(resolve_within(n, 4), m, 4)
         assert first == second
 
 
@@ -297,8 +299,7 @@ def test_tor_of_stable_quotient_with_itself(ctx_dual):
     con = stable_module(ctx_dual)
     left = left_module_along(ctx_dual.to_stable)
     assert tor_dims(ctx_dual.endo, con, left, 5) == [1, 0, 1, 0, 0]
-    assert tor_dims(ctx_dual.endo, con, left, 5, resolve_second=True) == [
-        1, 0, 1, 0, 0]
+    assert tor_from_resolution(resolve_within(left, 5), con, 5) == [1, 0, 1, 0, 0]
 
 
 def test_tor_rejects_wrong_sided_arguments(dual):
@@ -496,8 +497,8 @@ def test_cotwist_profile_matches_one_sided_route(ctx_dual, ctx_cycle,
         left = left_module_along(p)
         count = len(data.tor_dims)
         assert data.tor_dims == tor_dims(alg, right, left, count)
-        assert data.tor_dims == tor_dims(alg, right, left, count,
-                                         resolve_second=True)
+        assert data.tor_dims == tor_from_resolution(
+            resolve_within(left, count), right, count)
 
 
 def test_cotwist_degree_zero_always_the_target(ctx_dual, ctx_cycle,
@@ -691,12 +692,11 @@ def test_tor_and_the_cotwist_use_no_balanced_tensor(ctx_dual, ctx_cycle,
     right = restrict_scalars(p, Module.regular(p.target))
     left = left_module_along(p)
     assert tor_dims(p.source, right, left, 6) == [1] * 6
-    assert tor_dims(p.source, right, left, 6, resolve_second=True) == [1] * 6
+    assert tor_from_resolution(resolve_within(left, 6), right, 6) == [1] * 6
     con = stable_module(ctx_dual)
     left = left_module_along(ctx_dual.to_stable)
-    for second in (False, True):
-        assert tor_dims(ctx_dual.endo, con, left, 5, resolve_second=second) == [
-            1, 0, 1, 0, 0]
+    assert tor_dims(ctx_dual.endo, con, left, 5) == [1, 0, 1, 0, 0]
+    assert tor_from_resolution(resolve_within(left, 5), con, 5) == [1, 0, 1, 0, 0]
     data = cotwist_data(ctx_cycle.to_stable)
     assert data.tor_dims == [3, 0, 3] and data.cotwist_bimodule.dim == 3
 

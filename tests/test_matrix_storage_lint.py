@@ -50,6 +50,10 @@ The generator and its tilting companion have one builder,
 by block row (`frobenius._generator_hom_basis`).  So `spherical`
 imports neither `hom_space` nor `endomorphism_algebra`, and reads
 neither as an attribute of another module.
+
+Side 2 asks add-membership of the catalog summands one block at a time
+(`modules.in_add`), so `spherical` builds no sum of them either: it
+imports no `direct_sum` and reads none as an attribute.
 """
 
 import ast
@@ -554,20 +558,24 @@ RUNG = suspension_power(None, 0)
 UNSOLVED = {"hom_space", "endomorphism_algebra"}
 
 
-def solve_offences(source, module):
-    """(line, what) for each import of `hom_space` or
-    `endomorphism_algebra` into `spherical`, and each read of either as
-    an attribute there."""
+def spherical_name_offences(source, module, names):
+    """(line, what) for each import of one of ``names`` into
+    `spherical`, and each read of one as an attribute there."""
     if module != "spherical":
         return []
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            out += [(node.lineno, "imports " + alias.name) for alias in node.names
-                    if alias.name.rsplit(".", 1)[-1] in UNSOLVED]
-        elif isinstance(node, ast.Attribute) and node.attr in UNSOLVED:
+            out += [(alias.lineno, "imports " + alias.name) for alias in node.names
+                    if alias.name.rsplit(".", 1)[-1] in names]
+        elif isinstance(node, ast.Attribute) and node.attr in names:
             out.append((node.lineno, "reads ." + node.attr))
     return sorted(out)
+
+
+def solve_offences(source, module):
+    """`spherical_name_offences` of `hom_space` and `endomorphism_algebra`."""
+    return spherical_name_offences(source, module, UNSOLVED)
 
 
 def test_spherical_imports_no_hom_solver():
@@ -595,3 +603,42 @@ def tilting_audit(ctx, c):
     ]
     # other modules may solve hom spaces
     assert solve_offences(source, "frobenius") == []
+
+
+# ---------------------------------------------------------------------------
+# spherical builds no sum of catalog summands
+
+
+def sum_offences(source, module):
+    """`spherical_name_offences` of `direct_sum`."""
+    return spherical_name_offences(source, module, {"direct_sum"})
+
+
+def test_spherical_builds_no_direct_sum():
+    found = {
+        path.name: sum_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert "spherical.py" in found
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_direct_sum_in_spherical():
+    source = '''
+from .modules import (
+    balanced_tensor,
+    direct_sum,
+    in_add,
+)
+from . import modules
+
+def add_periodicity_check(xs, oms, p):
+    whole = modules.direct_sum(xs + [p])[0]
+    return all(in_add(om, whole) for om in oms)
+'''
+    assert sum_offences(source, "spherical") == [
+        (4, "imports direct_sum"),
+        (10, "reads .direct_sum"),
+    ]
+    # other modules may build sums
+    assert sum_offences(source, "twist") == []

@@ -13,7 +13,7 @@ import pytest
 
 from sphertwist import exactlin
 from sphertwist.algebra import from_quiver, from_structure_constants
-from sphertwist.errors import NotASubmodule, NotSplit, ShapeError, SphertwistError
+from sphertwist.errors import AlgebraMismatch, NotASubmodule, NotSplit, ShapeError, SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, SpanBuilder, rank
 from sphertwist.homology import Bimodule
 from sphertwist.modules import (
@@ -47,6 +47,7 @@ from fixture_algebras import (
     two_vertex_arrow,
 )
 from hom_reference import image_of
+from test_yoneda_reads import sheared
 import vectors
 
 
@@ -425,6 +426,37 @@ def test_in_add_matches_oracle_on_fixture_pairs():
         assert add_equivalent(m, n) == add_equivalent(n, m) == both_ways
     double, _, _ = direct_sum([reg, reg])
     assert add_equivalent(reg, double) and not add_equivalent(reg, both)
+
+
+@pytest.mark.parametrize("name", ["dual", "cycle3", "sheared"])
+def test_in_add_of_blocks_matches_the_oracle_on_their_sum(name):
+    # m ∈ add(⊕ blocks), read block by block, against the ideal oracle
+    # on the whole sum, for 0 to 3 blocks: repeated blocks, m itself
+    # among them and the zero module included
+    a = {
+        "dual": dual_numbers,
+        "cycle3": lambda: cyclic_nakayama(3),
+        "sheared": lambda: sheared(cyclic_nakayama(3)),
+    }[name]()
+    sims = simple_modules(a)
+    pool = sims[:2] + [projective_cover(sims[0])[0]]
+    zero = Module.zero(a)
+    lists = [[]] + [[b] for b in pool] + [
+        [pool[0], pool[0]], pool[:2], pool[1:], pool[:3], [pool[0], zero, pool[-1]]]
+    for m in pool + [zero]:
+        copy = Module(a, m.dim, m.action)
+        for blocks in lists + [[m], [pool[-1], m, pool[0]], [pool[0], copy]]:
+            whole = direct_sum(blocks)[0] if blocks else zero
+            assert in_add(m, *blocks) == oracle_in_add(m, whole), (m.dim, blocks)
+
+
+def test_in_add_refuses_a_block_over_another_algebra():
+    a, b = dual_numbers(), cyclic_nakayama(3)
+    m, other = Module.regular(a), Module.regular(b)
+    s = simple_modules(a)[0]
+    for blocks in ([other], [s, other], [s, s, other], [m, other]):
+        with pytest.raises(AlgebraMismatch):
+            in_add(m, *blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -17,21 +17,25 @@ pair and one simple twice as the extra summands, for t = 2..5:
   gave them, every `TiltingAudit` field included.
 
 The dual numbers have one simple S, so their pair is S and ΩS ≅ S: two
-isomorphic catalog summands, so τ has no unique partner, side 2 fails
-while side 1 passes at t = 2, and the audit raises that the verdicts
-disagree, as the whole-sum route did.
+isomorphic catalog summands, so the syzygy of each has two partners and
+`permutation_tau` refuses the catalog at every t, with a SphertwistError
+that is not an AuditFailed and names summands 0 and 1.  The whole-sum
+route had τ None there, and at t = 2, where side 1 passes, raised that
+the verdicts disagree.
 """
 
 import pytest
 
 import side_two_reference
-from sphertwist import spherical
-from sphertwist.errors import AuditFailed
+from sphertwist import modules, spherical
+from sphertwist.errors import AuditFailed, SphertwistError
 from sphertwist.exactlin import PrimeField
 from sphertwist.frobenius import build_context, syzygy
 from sphertwist.modules import Module, simple_modules
 
 from fixture_algebras import cyclic_nakayama, dual_numbers, truncated_cycle
+from patching import count_calls, patch_everywhere
+from workload_contexts import WORKLOADS
 
 GF = PrimeField(32003)
 
@@ -59,7 +63,9 @@ def extra(a, kind):
 
 COSUSPENSION = "rigidity fails in the cosuspension direction at step %d"
 ONE_SIDED = "stable quotient is perfect on one side only"
-DISAGREE = "resolution-side and periodicity-side verdicts disagree"
+# what `_audit` returns when `permutation_tau` refuses a catalog
+NOT_BASIC = ("refused", "extra summands 0 and 1 are both partners of summand 0: "
+             "they are add-equivalent, so pass one of them with a multiplicity")
 
 # per (algebra, extra summands) and t = 2..5: the audit with tilting as
 # (side-1 verdict, rigid, add-periodic, τ, the `TiltingAudit` fields
@@ -80,10 +86,10 @@ PINNED = {
         ((False, False, True, (0,), None), False, COSUSPENSION % 1),
     ],
     ("dual", "pair"): [
-        (DISAGREE, True, None),
-        ((False, False, True, None, None), False, COSUSPENSION % 1),
-        ((False, False, True, None, None), False, COSUSPENSION % 1),
-        ((False, False, True, None, None), False, COSUSPENSION % 1),
+        (NOT_BASIC, True, None),
+        (NOT_BASIC, False, COSUSPENSION % 1),
+        (NOT_BASIC, False, COSUSPENSION % 1),
+        (NOT_BASIC, False, COSUSPENSION % 1),
     ],
     ("dual", "mult2"): [
         ((True, True, True, (0,), ((4, 6), (4, 6), True, True, True, False, 10)), True, None),
@@ -179,6 +185,8 @@ def _audit(ctx, t):
         r = spherical.syz_audit(ctx, t, with_tilting=True)
     except AuditFailed as exc:
         return str(exc)
+    except SphertwistError as exc:
+        return "refused", str(exc)
     ta = r.tilting_audit
     fields = None if ta is None else (
         ta.I0_dims, ta.D0_dims, ta.biperfect, ta.rho_iso, ta.lambda_iso,
@@ -200,3 +208,67 @@ def test_side_two_matches_the_whole_sum_route(name, kind):
         assert mirror == _mirror(side_two_reference._assert_mirror_properties, ctx, t), t
         got.append((_audit(ctx, t), rigid, mirror))
     assert got == PINNED[name, kind]
+
+
+def test_a_catalog_listing_one_summand_twice_is_refused():
+    # over the dual numbers ΩS ≅ S, so in the catalog S, ΩS the syzygy
+    # of S has both summands as partners
+    a = dual_numbers()
+    s = simple_modules(a)[0]
+    ctx = build_context(a, Module.regular(a), [(s, 1), (syzygy(s), 1)])
+    for t in WINDOWS:
+        with pytest.raises(SphertwistError, match="summands 0 and 1 ") as exc:
+            spherical.permutation_tau(ctx, t)
+        assert not isinstance(exc.value, AuditFailed)
+    # S once, with multiplicity 2, audits cleanly
+    ctx = build_context(a, Module.regular(a), [(s, 2)])
+    assert spherical.permutation_tau(ctx, 2) == (0,)
+    report = spherical.syz_audit(ctx, 2, with_tilting=True)
+    assert report.side1.verdict and report.side2.verdict
+    assert report.tilting_audit.tensor_dim == 10
+
+
+# per workload at seed 0: (hom_space calls, unknowns) of the set-up, and
+# the most unknowns the solve may take; the whole-sum add-membership
+# took 212 (36 calls) on ladder_cycle4 and 55 (13 calls) on tilting_cycle3
+HOM_COUNTS = {
+    "ladder_cycle4": ((8, 56), 56),
+    "tilting_cycle3": ((2, 9), 33),
+    "twist_cycle3_gf": ((6, 33), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_side_two_solves_small_hom_spaces_and_builds_no_sum(name, monkeypatch):
+    setup, solve, field = WORKLOADS[name]
+    homs = count_calls(monkeypatch, modules, "hom_space")
+    # the direct_sum calls add_periodicity_check makes itself, outside
+    # the ladder steps of `_suspension` (whose covers are sums of pieces)
+    stack, opened_names, sums = [], [], []
+
+    def opened(fn):
+        def call(*args):
+            stack.append(fn.__name__)
+            opened_names.append(fn.__name__)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return call
+
+    def summing(*args, _direct_sum=modules.direct_sum):
+        if stack[-1:] == ["add_periodicity_check"]:
+            sums.append(args)
+        return _direct_sum(*args)
+
+    patch_everywhere(monkeypatch, modules, "direct_sum", summing)
+    patch_everywhere(monkeypatch, spherical, "add_periodicity_check",
+                     opened(spherical.add_periodicity_check))
+    monkeypatch.setattr(spherical, "_suspension", opened(spherical._suspension))
+    ctx = setup(field)
+    (calls, unknowns), bound = HOM_COUNTS[name]
+    assert (len(homs), sum(m.dim * n.dim for m, n in homs)) == (calls, unknowns)
+    solve(ctx)
+    assert sum(m.dim * n.dim for m, n in homs[calls:]) <= bound
+    assert opened_names.count("add_periodicity_check") == (name != "twist_cycle3_gf")
+    assert sums == []
