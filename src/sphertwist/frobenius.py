@@ -51,10 +51,12 @@ def dual_module(m):
 
     In dual-basis coordinates every action matrix simply transposes, and
     dualizing twice lands on a module with the original matrices over the
-    original algebra (opposite algebras are cached in pairs).
+    original algebra (opposite algebras are cached in pairs).  The basis
+    elements that act by zero on m share one zero matrix.
     """
     aop = opposite(m.algebra)
-    action = [mat.transpose() for mat in m.action]
+    zero = Matrix.zero(aop.field, m.dim, m.dim)
+    action = [mat.transpose() if i in m.acting else zero for i, mat in enumerate(m.action)]
     return Module(aop, m.dim, action, validate=False)
 
 

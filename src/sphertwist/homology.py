@@ -41,6 +41,7 @@ from .frobenius import dual_module
 from .modules import (
     Module,
     ModuleHom,
+    _action_matrices,
     _covered,
     generator_indices,
     kernel_of,
@@ -157,14 +158,13 @@ def left_module_along(p):
     audited, and L_1 is the identity.  An audited surjection is a unital
     multiplicative map A → B, hence also Aᵒᵖ → Bᵒᵖ, and an action
     restricted along an algebra map is an action.  The tests run the
-    full validation on the fixture and workload surjections.
+    full validation on the fixture and workload surjections.  The
+    kernel of p acts by one shared zero matrix.
     """
     b = p.target
     # row k of the surjection's matrix is p(bₖ)
-    action = [
-        Matrix.from_pairs(b.field, b._mult_rows(row, True), b.dim)
-        for row in p.matrix.pairs
-    ]
+    action = _action_matrices(
+        b.field, b.dim, (b._mult_rows(row, True) if row else () for row in p.matrix.pairs))
     return Module(opposite(p.source), b.dim, action, validate=False)
 
 
@@ -260,7 +260,12 @@ def _yoneda_postcompose(psi, blocks, image_blocks):
     because ψ is a module map, so each row v of the N·eₖ block goes to
     v·ψ read at the pivots of the N′·eₖ block.
     """
-    width = _yoneda_dim(image_blocks)
+    return Matrix.from_pairs(psi.field, _postcompose_rows(psi, blocks, image_blocks),
+                             _yoneda_dim(image_blocks))
+
+
+def _postcompose_rows(psi, blocks, image_blocks):
+    """The rows' pairs of the matrix `_yoneda_postcompose` returns."""
     rows = []
     at = 0
     for (k_rows, _), (img_rows, img_pivots) in zip(blocks, image_blocks):
@@ -268,7 +273,7 @@ def _yoneda_postcompose(psi, blocks, image_blocks):
         for y in k_rows.mul(psi).pairs:
             rows.append([(col[j], e) for j, e in y if j in col])
         at += img_rows.nrows
-    return Matrix.from_pairs(psi.field, rows, width)
+    return rows
 
 
 def _yoneda_cochains(res, n, count):
@@ -302,13 +307,15 @@ def _yoneda_cochain_modules(res, algebra, n, endos, count):
     validated module and every differential (`_yoneda_cochains`) a
     validated module map, which certifies that the action commutes with
     the differentials.  Degrees past the end of res get zero modules,
-    ``blocks`` covers the degrees res reaches.
+    ``blocks`` covers the degrees res reaches.  A zero endomorphism
+    postcomposes to zero, and every g that acts by zero on a term
+    shares one zero matrix there.
     """
     f = algebra.field
     blocks, diffs = _yoneda_cochains(res, n, count)
     terms = [
-        Module(algebra, _yoneda_dim(b),
-               [_yoneda_postcompose(e, b, b) for e in endos])
+        Module(algebra, _yoneda_dim(b), _action_matrices(f, _yoneda_dim(b), (
+            _postcompose_rows(e, b, b) if any(e.pairs) else () for e in endos)))
         if _yoneda_dim(b) else Module.zero(algebra)
         for b in blocks
     ]

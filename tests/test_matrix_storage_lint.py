@@ -54,6 +54,14 @@ neither as an attribute of another module.
 Side 2 asks add-membership of the catalog summands one block at a time
 (`modules.in_add`), so `spherical` builds no sum of them either: it
 imports no `direct_sum` and reads none as an attribute.
+
+A module records which basis elements act by a nonzero matrix in
+``acting``, which `Module.__init__` reads off the action matrices, and
+the kernels skip every other element.  A record written elsewhere, or
+actions changed after it was read, would skip an element that acts.  So
+no function but `Module.__init__` may assign an attribute ``acting`` or
+``action`` (by assignment, ``setattr`` or ``del``), assign to an item of
+an ``action``, or call a list method that changes one.
 """
 
 import ast
@@ -642,3 +650,110 @@ def add_periodicity_check(xs, oms, p):
     ]
     # other modules may build sums
     assert sum_offences(source, "twist") == []
+
+
+# ---------------------------------------------------------------------------
+# one writer of the acting record
+
+
+ACTION_CHANGERS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def acting_offences(source, module):
+    """(line, what) for each write of an attribute ``acting`` or
+    ``action``, of an item of an ``action``, and each call of a list
+    method that changes an ``action``, outside `modules.Module.__init__`."""
+    out = []
+
+    def written(target):
+        """The record attribute a target writes, or None."""
+        if isinstance(target, ast.Subscript):
+            target = target.value
+            return "action" if isinstance(target, ast.Attribute) and target.attr == "action" else None
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return next(filter(None, map(written, target.elts)), None)
+        if isinstance(target, ast.Starred):
+            return written(target.value)
+        if isinstance(target, ast.Attribute) and target.attr in ("acting", "action"):
+            return target.attr
+        return None
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            where = ".".join(scope)
+            allowed = module == "modules" and where == "Module.__init__"
+            hits = []
+            if isinstance(child, ast.Assign):
+                hits = [written(t) for t in child.targets]
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                hits = [written(child.target)]
+            elif isinstance(child, ast.Delete):
+                hits = [written(t) for t in child.targets]
+            elif (_called(child, "setattr") and len(child.args) > 1
+                  and isinstance(child.args[1], ast.Constant)
+                  and child.args[1].value in ("acting", "action")):
+                hits = [child.args[1].value]
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in ACTION_CHANGERS
+                  and isinstance(child.func.value, ast.Attribute)
+                  and child.func.value.attr == "action"):
+                hits = ["action"]
+            for attr in filter(None, hits):
+                if not allowed:
+                    out.append((child.lineno, "writes .%s in %s" % (attr, where or "the module")))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return sorted(out)
+
+
+def test_only_the_module_constructor_writes_the_acting_record():
+    found = {
+        path.name: acting_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert len(found) > 5
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_second_writer_of_the_acting_record():
+    source = '''
+class Module:
+    def __init__(self, algebra, action):
+        self.action = list(action)
+        self.acting = frozenset(i for i, m in enumerate(self.action) if any(m.pairs))
+
+    def kill(self, i, zero):
+        self.action[i] = zero
+        self.acting -= {i}
+
+def tamper(m, mat, others):
+    m.action.append(mat)
+    setattr(m, "acting", frozenset())
+    m.acting, m.dim = others, 0
+    del m.action[0]
+    readers = [g for g in m.acting if m.action[g].pairs]
+    return sorted(m.action, key=id)
+'''
+    assert acting_offences(source, "modules") == [
+        (8, "writes .action in Module.kill"),
+        (9, "writes .acting in Module.kill"),
+        (12, "writes .action in tamper"),
+        (13, "writes .acting in tamper"),
+        (14, "writes .acting in tamper"),
+        (15, "writes .action in tamper"),
+    ]
+    # the constructor is the one writer, and only that of `modules`
+    assert acting_offences(source, "twist") == [
+        (4, "writes .action in Module.__init__"),
+        (5, "writes .acting in Module.__init__"),
+        (8, "writes .action in Module.kill"),
+        (9, "writes .acting in Module.kill"),
+        (12, "writes .action in tamper"),
+        (13, "writes .acting in tamper"),
+        (14, "writes .acting in tamper"),
+        (15, "writes .action in tamper"),
+    ]

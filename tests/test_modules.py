@@ -119,6 +119,44 @@ def test_unreduced_entries_over_a_prime_field_count_as_their_class():
     assert dense_first_incompatible_pair(m) is None
 
 
+def tamper_names(m, base, elements):
+    """Raise one entry of the matrix of one basis element g in
+    ``elements`` by 1, over ``base``, the actions of m, for every cell,
+    and check that validation refuses the result naming the pair the
+    dense pair-by-pair comparison meets first, or accepts it when that
+    comparison finds none.  When g has a coefficient u_g in the unit
+    1 = Σ uₖ·bₖ, the same cell of the last other h in the unit's support
+    is lowered by u_g/u_h, so the unit still acts as the identity.
+    Returns the (pair, tampered action) of each refusal."""
+    a, field = m.algebra, m.algebra.field
+    unit = vectors.dense(field, a.unit, a.dim)
+    named = []
+    for g in elements:
+        steps = [(g, 1)]
+        if unit[g]:
+            h = max(k for k in range(a.dim) if unit[k] and k != g)
+            steps.append((h, field.neg(field.mul(unit[g], field.inv(unit[h])))))
+        for r in range(m.dim):
+            for c in range(m.dim):
+                action = list(base)
+                for k, step in steps:
+                    rows = [list(row) for row in action[k].rows]
+                    rows[r][c] += step
+                    action[k] = Matrix(field, rows, m.dim)
+                want = dense_first_incompatible_pair(
+                    Module(a, m.dim, action, validate=False))
+                if want is None:
+                    # a raised entry the other actions never meet
+                    Module(a, m.dim, action)
+                    continue
+                with pytest.raises(
+                    SphertwistError, match=r"on pair \(%d,%d\)$" % want
+                ):
+                    Module(a, m.dim, action)
+                named.append((want, action))
+    return named
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
 def test_a_non_multiplicative_action_names_the_dense_first_pair(field):
     # one entry of one arrow's matrix on the regular module of the
@@ -129,26 +167,69 @@ def test_a_non_multiplicative_action_names_the_dense_first_pair(field):
     reg = Module.regular(a)
     base = [unreduced(mat) for mat in reg.action] if field.characteristic else reg.action
     arrows = [g for g in range(a.dim) if not vectors.dense(field, a.unit, a.dim)[g]]
-    named = []
-    for g in arrows:
-        for r in range(reg.dim):
-            for c in range(reg.dim):
-                rows = [list(row) for row in base[g].rows]
-                rows[r][c] += 1
-                action = list(base)
-                action[g] = Matrix(field, rows, reg.dim)
-                want = dense_first_incompatible_pair(
-                    Module(a, reg.dim, action, validate=False))
-                if want is None:
-                    # a raised entry the other actions never meet
-                    Module(a, reg.dim, action)
-                    continue
-                with pytest.raises(
-                    SphertwistError, match=r"on pair \(%d,%d\)$" % want
-                ):
-                    Module(a, reg.dim, action)
-                named.append(want)
+    named = [want for want, _ in tamper_names(reg, base, arrows)]
     assert len(named) > 50 and len(set(named)) > 3
+
+
+def zero_acting_modules(field):
+    """Modules of the 3-cycle on which some basis elements act by zero:
+    a simple, the radical of A_A, the kernel of the cover of S₀ ⊕ S₁,
+    and a simple and the radical over the 3-cycle in the sheared basis."""
+    out = {}
+    for label, a in (("", cyclic_nakayama(3, field)),
+                     ("sheared ", sheared(cyclic_nakayama(3, field)))):
+        reg, sims = Module.regular(a), simple_modules(a)
+        out[label + "simple"] = sims[0]
+        out[label + "radical"] = submodule(reg, module_radical(reg), check=False)[0]
+        if not label:
+            two = direct_sum(sims[:2])[0]
+            out["cover kernel"] = kernel_of(projective_cover(two)[1])[0]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_a_tampered_module_with_zero_actions_names_the_dense_first_pair(field):
+    # the tampers of the regular module above, on every basis element of
+    # modules where some act by zero, which validation skips in a pair
+    # only when both sides are identically zero.  A raised entry can
+    # make a zero matrix nonzero, so that M(bᵢbⱼ) ≠ 0 on a pair where
+    # Mᵢ = 0: on the simple and the cover kernel such a pair is the
+    # dense first one
+    zero_first = set()
+    for label, m in zero_acting_modules(field).items():
+        assert any(mat.is_zero() for mat in m.action), label
+        base = [unreduced(mat) for mat in m.action] if field.characteristic else m.action
+        named = tamper_names(m, base, range(m.algebra.dim))
+        assert named, label
+        if any(action[i].is_zero() for (i, _), action in named):
+            zero_first.add(label)
+    assert zero_first == {"simple", "cover kernel"}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_a_tampered_hom_names_the_dense_first_basis_element(field):
+    # a map S → A_A from a simple into the regular module of the
+    # 3-cycle, with one entry raised by 1 at every cell: ModuleHom names
+    # the first basis element i with Mᵢ·X ≠ X·Nᵢ, and one tamper fails
+    # first on an element that acts on the target only
+    a = cyclic_nakayama(3, field)
+    reg = Module.regular(a)
+    named = []
+    for s in simple_modules(a):
+        (h,) = hom_space(s, reg)
+        for c in range(reg.dim):
+            rows = [list(row) for row in h.matrix.rows]
+            rows[0][c] += 1
+            x = Matrix(field, rows, reg.dim)
+            want = next((i for i in range(a.dim)
+                         if s.action[i].mul(x) != x.mul(reg.action[i])), None)
+            if want is None:
+                ModuleHom(s, reg, x)
+                continue
+            with pytest.raises(SphertwistError, match="intertwine basis element %d$" % want):
+                ModuleHom(s, reg, x)
+            named.append((s, want))
+    assert any(s.action[i].is_zero() and not reg.action[i].is_zero() for s, i in named)
 
 
 def test_validated_modules_and_bimodules_form_no_dense_product(monkeypatch):
