@@ -27,6 +27,7 @@ from .exactlin import (
     combine,
     kernel_basis,
     rank,
+    row_space_canonical,
 )
 from .modules import (
     Module,
@@ -117,42 +118,32 @@ def injective_envelope(m):
 
 
 def stable_hom(m, n):
-    """(stable dimension, basis of the maps factoring through a projective).
+    """(stable dimension, canonical basis of [P](m, n), the maps m → n
+    that factor through a projective).
 
-    The stable dimension is dim Hom(m, n) less the dimension of the
-    factoring subspace, which `_through_projectives` spans.  A zero hom
-    space has no factoring maps, so its envelope is not built.
+    Over a self-injective algebra projectives are injective.  A map
+    m → Q into an injective extends along the injective envelope
+    emb : m → E, and E is projective, so a map factors through some
+    projective exactly when it factors through E: the subspace is
+    spanned by the composites emb·g, g : E → n.  Its basis is the rref
+    of the flattened (row-major) matrices, as `ModuleHom`s, and the
+    stable dimension is dim Hom(m, n) less its length.  A zero hom space
+    has no factoring maps, so its envelope is not built.
     """
     _require_self_injective(m.algebra)
     homs = hom_space(m, n)
     if not homs:
         return 0, []
-    basis = _through_projectives(m, n)
-    return len(homs) - len(basis), basis
-
-
-def _through_projectives(m, n, emb=None):
-    """Canonical basis of [P](m, n), the maps m → n that factor through
-    a projective.
-
-    Over a self-injective algebra projectives are injective.  A map
-    m → Q into an injective extends along the injective envelope
-    ``emb`` : m → E, and E is projective, so a map factors through some
-    projective exactly when it factors through E: the subspace is
-    spanned by the composites emb·g, g : E → n.  Its basis is the rref
-    of the flattened (row-major) matrices, as `ModuleHom`s.  ``emb`` is
-    built from m when not given.
-    """
     f = m.algebra.field
-    if emb is None:
-        _, emb = injective_envelope(m)
+    _, emb = injective_envelope(m)
     span = SpanBuilder(f, m.dim * n.dim)
     for g in hom_space(emb.target, n):
         span.add(_flatten(emb.matrix.mul(g.matrix)))
-    return [
+    basis = [
         ModuleHom(m, n, _unflatten(f, r, m.dim, n.dim), validate=False)
         for r in span.basis_pairs()
     ]
+    return len(homs) - len(basis), basis
 
 
 def nakayama_permutation(a):
@@ -283,10 +274,9 @@ class FrobeniusContext:
     extra summands with multiplicities); ``endo`` its endomorphism
     algebra on the canonical hom basis ``hom_basis``, whose coordinates
     ``hom_coords`` reads and which it holds; ``proj_ideal`` the
-    coordinates of the canonical basis of the maps factoring through
-    projectives, read block by block off the summand decomposition
-    (`_projective_ideal`); ``to_stable`` the quotient onto
-    ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
+    canonical rows of the ideal of maps factoring through projectives,
+    which is endo·e_proj·endo (`_projective_ideal`); ``to_stable`` the
+    quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
     block idempotents of the summand decomposition inside ``endo``;
     ``e_copies[i]`` lists one projector per copy of extra summand i.
     These, like ``proj_ideal``, are vectors of ``endo``.
@@ -295,8 +285,9 @@ class FrobeniusContext:
     `lift_idempotents` refines each block in its own corner: a copy of
     an indecomposable summand is primitive and stays whole, and
     ``e_proj`` splits into the primitives that `partial_cover` uses.
-    The stable module and the stable simples are built once, on first
-    use (`resolutions.stable_module`, `resolutions.stable_simples`).
+    Those primitives, the stable module and the stable simples are built
+    once, on first use (`resolutions._proj_type_primitives`,
+    `resolutions.stable_module`, `resolutions.stable_simples`).
     Each extra summand x has two suspension ladders, [x, Σx, Σ²x, …]
     and [x, Ωx, Ω²x, …], which `spherical._suspension` extends one rung
     at a time; they start as [x], and no other module has a ladder.
@@ -328,6 +319,7 @@ class FrobeniusContext:
         self.e_copies = e_copies
         # caches of the resolutions layer
         self._piece_type_cache = {}
+        self._proj_primitives = None
         self._stable_module = None
         self._stable_simples = None
         # ... and of the spherical layer: the ladders, keyed by (extra
@@ -368,11 +360,11 @@ def build_context(ambient, projective_part, extra_summands):
       reading Hom(total, total) block row by block row, so no system in
       the unknowns of the whole of Hom(total, total) is solved; the
       companion of `spherical.tilting_audit` is built by the same code;
-    - the ideal [P] of maps through projectives is read off the hom
-      basis block by block (`_projective_ideal`): the blocks in the
-      projective part's row or column lie in [P] whole, and only pairs of
-      extra summands take an injective envelope, one per distinct
-      summand.  No envelope of the whole of total is built;
+    - the ideal [P] of maps through projectives is the two-sided ideal
+      of End(total) generated by the projector onto the projective part,
+      read off the table just built (`_projective_ideal`, whose argument
+      rests on the add-equivalence checked above), so set-up builds no
+      injective envelope and solves no hom space for it;
     - `quotient_surjection` audits [P] as an ideal off the sparse table
       and carries the block projectors that survive in the stable
       quotient over as its idempotent tags.
@@ -403,7 +395,7 @@ def build_context(ambient, projective_part, extra_summands):
     ]
     e_extra = [combine([(1, v) for v in copies], p) for copies in e_copies]
 
-    ideal = _projective_ideal(blocks, hom_coords)
+    ideal = _projective_ideal(endo, e_proj)
     pi = quotient_surjection(endo, ideal)
     summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
     return FrobeniusContext(
@@ -446,25 +438,33 @@ def _generator_hom_basis(blocks, source, target):
     """The rref basis of Hom(source, target), source = ⊕ blocks, block
     row by block row; the basis `hom_space(source, target)` would give.
 
+    Let V = V₁ + … + V_k be a sum of subspaces whose coordinate supports
+    are disjoint, and let R_j be the rref basis of V_j.  The rows of R_j
+    vanish off the support of V_j, so every pivot column of the union
+    holds one nonzero entry, a 1, in its own row; sorted by pivot, the
+    union is in rref, and it spans V, so it is the rref basis of V.
+
     Hom(source, N) = ⊕ₐ Hom(B_a, N), and a map out of B_a holds only the
     rows of B_a, so the pieces have disjoint supports in flattened
     Hom(source, N), whatever N is.  A map B_a → N flattens row-major to
     the cells of those rows, in the order they have in source, at an
     offset of (first row of B_a)·dim N.  So each piece's rref basis,
     shifted, stays rref, and the rref basis of the whole is the union
-    sorted by pivot (the argument of `_projective_ideal`).  The pieces'
-    cells come in block order, so listing the pieces in block order is
-    that sort.
+    sorted by pivot.  The pieces' cells come in block order, so listing
+    the pieces in block order is that sort.  When N = ⊕_b C_b is a sum
+    too, Hom(B_a, N) = ⊕_b Hom(B_a, C_b) by the columns, again with
+    disjoint supports, so every basis map lies in one block pair (a, b):
+    `spherical.tilting_audit` reads the pair off its first cell.
 
     A block that is the regular module object A_A is read by Yoneda:
     Hom(e·A, N) ≅ N·e by φ ↦ φ(e), here with e = 1, as
     `homology._yoneda_blocks` reads it.  The map of n ∈ N sends bᵢ to
     n·bᵢ, so its matrix has row i equal to n·Mᵢ for the action Mᵢ of bᵢ
     on N, and the maps of the unit rows of N are the rows of
-    [M₀ | M₁ | …]; their rref, taken sparsely, is the piece's basis, and
-    no intertwining system is solved.  Every other block B solves
-    `hom_space(B, target)`, once per distinct module, and its copies
-    share the basis.
+    [M₀ | M₁ | …] (`Module.stacked_action`); their canonical rows are
+    the piece's basis, and no intertwining system is solved.  Every
+    other block B solves `hom_space(B, target)`, once per distinct
+    module, and its copies share the basis.
     """
     a = target.algebra
     f, s = a.field, target.dim
@@ -474,13 +474,7 @@ def _generator_hom_basis(blocks, source, target):
     for b in blocks:
         if b not in pieces:
             if b is Module.regular(a):
-                actions = [m.pairs for m in target.action]
-                span = SpanBuilder(f, a.dim * s)
-                for r in range(s):
-                    span.add([
-                        (i * s + c, e) for i, act in enumerate(actions) for c, e in act[r]
-                    ])
-                pieces[b] = span.basis_pairs()
+                pieces[b] = row_space_canonical(target.stacked_action()).pairs
             else:
                 pieces[b] = [_flatten(h.matrix) for h in hom_space(b, target)]
         shift = at * s
@@ -492,67 +486,31 @@ def _generator_hom_basis(blocks, source, target):
     ]
 
 
-def _projective_ideal(blocks, hom_coords):
-    """Coordinates of the canonical basis of [P](T, T), T = ⊕ blocks, as
-    vectors of End(T).
+def _projective_ideal(endo, e_proj):
+    """Canonical rows of [P](T, T), the maps T → T that factor through a
+    projective, as vectors of Λ = End(T): the ideal Λ·e_P·Λ.
 
-    Hom(T, T) = ⊕ Hom(B_a, B_b), the block (a, b) of a map holding the
-    rows of B_a and the columns of B_b, so the block subspaces have
-    disjoint coordinate supports.  The rref basis of a sum of subspaces
-    with disjoint supports is the union of their rref bases, sorted by
-    pivot; and row-major flattening orders a block's cells as it orders
-    them in T, so a block's rref basis stays rref in T.  Hence every map
-    of the rref hom basis lies in one block (SphertwistError otherwise),
-    and the basis maps in block (a, b) are the rref basis of
-    Hom(B_a, B_b).
+    e_P = ``e_proj`` is the projector onto the projective part P of T,
+    and `build_context` has checked add P = add A.  A map x·e_P·y factors
+    through P.  Conversely a map through a projective Q factors through
+    Pⁿ for some n, since Q lies in add A = add P, so it is a sum of maps
+    T → P → T, each of the form x·e_P·y.  So [P](T, T) = Λ·e_P·Λ
+    (Auslander–Reiten–Smalø, *Representation Theory of Artin Algebras*,
+    CUP 1995, §IV.1): the span of bᵢ·v over the basis bᵢ of Λ and the
+    canonical rows v of e_P·Λ (`_idempotent_piece`), each product read
+    off the table as Σⱼ vⱼ·(bᵢbⱼ).
 
-    [P] is additive: f factors through a projective exactly when each
-    block πᵦ·f·ιₐ does, so [P](T, T) = ⊕ [P](B_a, B_b).  Block 0 is the
-    projective part, and a map out of or into a projective factors
-    through it, so for a = 0 or b = 0 the block of the ideal is all of
-    Hom(B_a, B_b): its canonical basis is the hom-basis maps there, with
-    unit coordinates.  A pair of extra blocks with a nonzero Hom takes
-    the envelope route of `_through_projectives`, with one envelope per
-    distinct extra summand and one basis per pair of summands, shared by
-    their copies; its rows are placed in T and read by ``hom_coords``.  The
-    union sorted by pivot in flattened T is the canonical basis of the
-    whole factoring subspace, in the order the whole-T route gives.
+    The hom basis of Λ is rref in flattened Hom(T, T), so a map's
+    coordinates are its entries at the basis pivots, a projection that
+    keeps the pivot order.  So these rows are the coordinates of the
+    canonical basis of the factoring subspace, in the order
+    `stable_hom(T, T)` would give it.
     """
-    homs = hom_coords.homs
-    f = hom_coords.field
-    s = sum(b.dim for b in blocks)
-    block_of, offset = [], []
-    for b, x in enumerate(blocks):
-        offset.append(len(block_of))
-        block_of.extend([b] * x.dim)
-    rows = []  # (pivot in flattened T, coordinates)
-    extra_pairs = set()
-    for k, h in enumerate(homs):
-        cells = [(r, c) for r, row in enumerate(h.matrix.pairs) for c, _ in row]
-        pairs = {(block_of[r], block_of[c]) for r, c in cells}
-        if len(pairs) != 1:
-            raise SphertwistError(
-                "hom basis map %d of the generator straddles blocks" % k, witness=k
-            )
-        (a, b), = pairs
-        if a and b:
-            extra_pairs.add((a, b))
-            continue
-        r, c = cells[0]
-        rows.append((r * s + c, [(k, f.one())]))
-    embeddings, factoring = {}, {}
-    for a, b in sorted(extra_pairs):
-        x, y = blocks[a], blocks[b]
-        if (x, y) not in factoring:
-            if x not in embeddings:
-                embeddings[x] = injective_envelope(x)[1]
-            factoring[x, y] = _through_projectives(x, y, embeddings[x])
-        for g in factoring[x, y]:
-            placed = [[] for _ in range(s)]
-            for r, row in enumerate(g.matrix.pairs, offset[a]):
-                placed[r] = [(offset[b] + c, e) for c, e in row]
-            r = next(r for r, row in enumerate(placed) if row)
-            pivot = r * s + placed[r][0][0]
-            rows.append((pivot, hom_coords.coords(Matrix.from_pairs(f, placed, s))))
-    rows.sort(key=lambda row: row[0])
-    return [coords for _, coords in rows]
+    p = endo.field.characteristic
+    table = endo.table
+    span = SpanBuilder(endo.field, endo.dim)
+    for v in _idempotent_piece(endo, e_proj)[1].matrix.pairs:
+        for i in range(endo.dim):
+            if product := combine([(c, table[i][j]) for j, c in v], p):
+                span.add(product)
+    return span.basis_pairs()

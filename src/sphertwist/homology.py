@@ -48,7 +48,7 @@ from .modules import (
     quotient,
     restrict_scalars,
 )
-from .resolutions import is_projective, resolve_within
+from .resolutions import resolve_within
 
 
 # ---------------------------------------------------------------------------
@@ -89,10 +89,7 @@ class Bimodule:
     closed under products, a subalgebra; it holds every generator s, so
     it is the whole left algebra.  Then for any fixed x, the y whose rᵧ
     commutes with lₓ form a subalgebra holding every generator t, so
-    every lₓ commutes with every rᵧ.  ``right_projective`` and
-    ``left_projective`` say whether each side module is projective, by
-    the cover criterion (`is_projective`); each is computed on first use
-    and kept.
+    every lₓ commutes with every rᵧ.
     """
 
     def __init__(self, left_algebra, right_algebra, left_mats, right_mats):
@@ -106,8 +103,6 @@ class Bimodule:
         self._left = _side_module(
             opposite(left_algebra), self.dim, self.left_mats, "left"
         )
-        self._right_projective = None
-        self._left_projective = None
         p = right_algebra.field.characteristic
         for i in generator_indices(left_algebra):
             li = self.left_mats[i].pairs
@@ -126,20 +121,6 @@ class Bimodule:
     def restrict_left(self):
         """The left structure, as a right module over the opposite algebra."""
         return self._left
-
-    @property
-    def right_projective(self):
-        """Whether the bimodule is projective as a right module."""
-        if self._right_projective is None:
-            self._right_projective = is_projective(self._right)
-        return self._right_projective
-
-    @property
-    def left_projective(self):
-        """Whether the bimodule is projective as a left module."""
-        if self._left_projective is None:
-            self._left_projective = is_projective(self._left)
-        return self._left_projective
 
     def __repr__(self):
         return "Bimodule(dim %d over %d x %d)" % (

@@ -194,9 +194,15 @@ def _proj_type_primitives(ctx):
     ``e_proj`` is one of the algebra's recorded block tags, so
     `lift_idempotents` splits it in its own corner, and the primitives
     it yields are those e with e_proj·e = e, in the order of that split.
+    The list depends on the context alone, so it is filtered once and
+    kept in ``ctx._proj_primitives``.
     """
-    lam, e_proj = ctx.endo, ctx.e_proj
-    return [e for e in lift_idempotents(lam) if lam.mul_vec(e_proj, e) == e]
+    if ctx._proj_primitives is None:
+        lam, e_proj = ctx.endo, ctx.e_proj
+        ctx._proj_primitives = [
+            e for e in lift_idempotents(lam) if lam.mul_vec(e_proj, e) == e
+        ]
+    return ctx._proj_primitives
 
 
 def partial_cover(ctx, m):

@@ -555,8 +555,9 @@ def tilting_audit(report):
     dcoords = HomBasis(f, dhoms).coords
 
     # the block subspaces of Hom(C, T) and Hom(T, C) have disjoint
-    # supports, so each rref basis map lies in one block (as in
-    # `frobenius._projective_ideal`); P is the first P.dim rows and columns
+    # supports, so each rref basis map lies in one block pair (the
+    # argument is in `frobenius._generator_hom_basis`); P is the first
+    # P.dim rows and columns
     from_p = sum(_first_cell(ih)[0] < p.dim for ih in ihoms)
     into_p = sum(_first_cell(dh)[1] < p.dim for dh in dhoms)
     I0_dims, D0_dims = (from_p, ni - from_p), (into_p, nd - into_p)

@@ -985,13 +985,14 @@ def _unit_faithful_on_cohomology(p, res):
     return bool(width) and rank(Matrix.from_pairs(lam.field, flats, width)) == lam.dim
 
 
-def equivalence_certificate(p, shift_window=None, cap=None):
+def equivalence_certificate(p, cap=None):
     """Audit whether the twist of a surjection acts like an equivalence.
 
     Twists every idempotent slice of the regular module, replaces each
     by a finite projective model (failure of the replacement to
     terminate is an honest negative on perfection), tabulates homotopy
-    maps between models across the shift window, and checks the three
+    maps between models across the shift window (−(pd K + 1), 1), for
+    the projective dimension pd K of the kernel, and checks the three
     equivalence marks: no maps off shift zero, endomorphism count equal
     to the algebra dimension, and the unit certificate of faithful
     action on cohomology.  All flags report findings; nothing raises on
@@ -1007,7 +1008,7 @@ def equivalence_certificate(p, shift_window=None, cap=None):
             p, [], {}, (0, 0), None, k_mod.dim == 0, True, False, False
         )
     pd = res.length
-    window = shift_window if shift_window is not None else (-(pd + 1), 1)
+    window = (-(pd + 1), 1)
     pieces = _indecomposable_projectives(lam)
     images = []
     models = []

@@ -1,7 +1,8 @@
 """The Frobenius context on the whole-T route, kept as a test oracle.
 
 `frobenius.build_context` reads the composites of End(T) off the supports
-of the hom-basis maps and the ideal [P](T, T) off the summand blocks of
+of the hom-basis maps and the ideal [P](T, T) off the table of
+Λ = End(T), as Λ·e_P·Λ for the projector e_P onto the projective part of
 T = P ⊕ ⊕ Xᵢ.  The routine here builds the same fields the older way:
 every one of the d² composites of the hom basis is formed and written
 back in coordinates, and the ideal is the factoring subspace of all of T

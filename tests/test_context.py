@@ -3,12 +3,15 @@
 `build_context` reads Hom(T, T) block row by block row (the maps out of
 A_A by Yoneda, one system per distinct extra summand), forms only the
 composites of End(T) whose supports meet, and reads the ideal [P](T, T)
-of maps through projectives off the blocks of T = P ⊕ ⊕ Xᵢ.  Every field here is
-compared, order included, with `context_reference.whole_t_context`,
-which forms all d² composites and takes the ideal from one
-`stable_hom(T, T)`.  The testbeds include one whose ideal has nonzero
-blocks between two extra summands: the 3-cycle with the paths of length
-3 killed, with the radicals rad(eᵢA) of its projectives as summands.
+of maps through projectives as the ideal Λ·e_P·Λ of Λ = End(T), with
+e_P the projector onto the projective part of T = P ⊕ ⊕ Xᵢ.  Every
+field here is compared, order included, with
+`context_reference.whole_t_context`, which forms all d² composites and
+takes the ideal from one `stable_hom(T, T)`.  The testbeds include one
+whose ideal has nonzero blocks between two extra summands: the 3-cycle
+with the paths of length 3 killed, with the radicals rad(eᵢA) of its
+projectives as summands; and the non-basic progenerator P = A_A ⊕ e₁A
+of the 3-cycle, where add P = add A but P ≠ A_A.
 
 The block-row reader serves the tilting companion C = P ⊕ ⊕ ΩXᵢ too,
 so Hom(T, T), Hom(T, C), Hom(C, T) and Hom(C, C) read by it are
@@ -22,22 +25,19 @@ from sphertwist import frobenius, modules, spherical
 from sphertwist.algebra import from_quiver, lift_idempotents
 from sphertwist.exactlin import QQ, PrimeField
 from sphertwist.frobenius import build_context, stable_hom
-from sphertwist.errors import SphertwistError
 from sphertwist.modules import (
-    HomBasis,
     Module,
     _idempotent_piece,
     add_equivalent,
     direct_sum,
     hom_space,
-    identity_hom,
     module_radical,
     simple_modules,
     submodule,
 )
 
 from context_reference import whole_t_context
-from fixture_algebras import cyclic_nakayama, dual_numbers
+from fixture_algebras import cyclic_nakayama
 from patching import count_calls
 from test_yoneda_reads import scaled_shear, sheared
 
@@ -126,12 +126,20 @@ def _cases():
 CASES = _cases()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_context_matches_the_whole_t_route(name):
-    a, extra = CASES[name]()
-    reg = Module.regular(a)
-    ctx = build_context(a, reg, extra)
-    ref = whole_t_context(reg, extra)
+def progenerator(field):
+    """(A, P, extra): the 3-cycle with all simples, and for the
+    projective part the non-basic progenerator P = A_A ⊕ e₁A, a sum
+    that is not the regular module object."""
+    a = cyclic_nakayama(3, field)
+    p = direct_sum([Module.regular(a), _idempotent_piece(a, lift_idempotents(a)[0])[0]])[0]
+    return a, p, [(s, 1) for s in simple_modules(a)]
+
+
+def assert_matches_whole_t(a, p, extra):
+    """The context on (a, p, extra) and the whole-T route give the same
+    fields, order included; returns the context."""
+    ctx = build_context(a, p, extra)
+    ref = whole_t_context(p, extra)
     assert [h.matrix.rows for h in ctx.hom_basis] == [
         h.matrix.rows for h in ref.hom_basis
     ]
@@ -140,6 +148,61 @@ def test_context_matches_the_whole_t_route(name):
     assert ctx.proj_ideal == ref.proj_ideal
     assert ctx.to_stable.matrix.rows == ref.to_stable.matrix.rows
     assert ctx.stable_endo.table == ref.stable_endo.table
+    return ctx
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_context_matches_the_whole_t_route(name):
+    a, extra = CASES[name]()
+    assert_matches_whole_t(a, Module.regular(a), extra)
+
+
+@pytest.mark.parametrize("field", [QQ, GF31], ids=["Q", "GF31"])
+def test_a_non_basic_progenerator_matches_the_whole_t_route(field):
+    # add P = add A with P ≠ A_A: T = A_A ⊕ e₁A ⊕ S₁ ⊕ S₂ ⊕ S₃ has
+    # End(T) of dim 6 + 2 + 2 + 1 (P to P), 4 (P to the simples), 4
+    # (the simples to P) and 3 = 22, and only the identities of the
+    # simples survive in the stable quotient: 19 ideal rows
+    ctx = assert_matches_whole_t(*progenerator(field))
+    assert ctx.endo.dim == 22
+    assert len(ctx.proj_ideal) == 19
+    assert ctx.stable_endo.dim == 3
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["progenerator/Q"])
+def test_every_rref_hom_basis_map_lies_in_one_block_pair(name):
+    # the premise of reading T and its tilting companion C = P ⊕ ⊕ ΩXᵢ
+    # block by block: the rref basis maps of Hom(T, T), Hom(C, T) and
+    # Hom(T, C) each have their entries in one block pair, which
+    # `spherical.tilting_audit` reads off the first cell
+    if name.startswith("progenerator"):
+        a, p, extra = progenerator(QQ)
+    else:
+        a, extra = CASES[name]()
+        p = Module.regular(a)
+    ctx = build_context(a, p, extra)
+    copies = [x for x, mult in extra for _ in range(mult)]
+    t_blocks = [p] + copies
+    c_blocks = [p] + [spherical._suspension(ctx, x, -1) for x in copies]
+    companion = frobenius._tagged_generator(c_blocks)[0]
+
+    def block_of(blocks):
+        return [b for b, x in enumerate(blocks) for _ in range(x.dim)]
+
+    t_of, c_of = block_of(t_blocks), block_of(c_blocks)
+    for (source, rows_of), (target, cols_of) in (
+        ((ctx.total, t_of), (ctx.total, t_of)),
+        ((companion, c_of), (ctx.total, t_of)),
+        ((ctx.total, t_of), (companion, c_of)),
+    ):
+        homs = hom_space(source, target)
+        assert homs
+        for h in homs:
+            pairs = {
+                (rows_of[r], cols_of[c])
+                for r, row in enumerate(h.matrix.pairs) for c, _ in row
+            }
+            assert len(pairs) == 1, (name, h.matrix)
 
 
 @pytest.mark.parametrize("name", ["ladder_cycle4/0", "multiplicity_two", "regular_twice"])
@@ -263,9 +326,9 @@ def test_add_equivalent_of_one_object_makes_no_hom_space_call(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["all_simples", "square", "radical_simples"])
-def test_one_envelope_per_extra_summand_and_none_of_the_generator(
-    monkeypatch, kind
-):
+def test_build_context_builds_no_envelope_and_no_stable_hom(monkeypatch, kind):
+    # [P](T, T) is the ideal Λ·e_P·Λ, read off the table of End(T): no
+    # module is embedded in an injective and no factoring map is solved
     if kind == "radical_simples":
         a = nakayama3_loewy3(QQ)
         extra = [(radicals(a)[0], 2)] + [(s, 1) for s in simple_modules(a)]
@@ -277,20 +340,8 @@ def test_one_envelope_per_extra_summand_and_none_of_the_generator(
             if kind == "all_simples"
             else [(sims[0], 2), (sims[1], 1)]
         )
-    reg = Module.regular(a)
-    calls = count_calls(monkeypatch, frobenius, "injective_envelope")
-    ctx = build_context(a, reg, extra)
-    sources = [args[0] for args in calls]
-    assert all(m is not ctx.total for m in sources)
-    assert len(sources) == len(extra)
-    assert {id(m) for m in sources} == {id(x) for x, _ in extra}
-
-
-def test_a_hom_basis_map_across_blocks_is_refused():
-    a = dual_numbers()
-    s = simple_modules(a)[0]
-    total, _, _ = direct_sum([s, s])
-    # id of S ⊕ S has entries in the blocks (0, 0) and (1, 1)
-    across = HomBasis(a.field, [identity_hom(total)])
-    with pytest.raises(SphertwistError, match="straddles blocks"):
-        frobenius._projective_ideal([s, s], across)
+    envelopes = count_calls(monkeypatch, frobenius, "injective_envelope")
+    stable = count_calls(monkeypatch, frobenius, "stable_hom")
+    ctx = build_context(a, Module.regular(a), extra)
+    assert envelopes == [] and stable == []
+    assert ctx.proj_ideal

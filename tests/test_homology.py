@@ -58,6 +58,7 @@ from sphertwist.modules import (
 )
 from sphertwist.resolutions import (
     extract_shape,
+    is_projective,
     partially_minimal_resolution,
     resolve_within,
     stable_idempotent_module,
@@ -317,7 +318,7 @@ def test_tor_bimodule_of_stable_point(ctx_dual):
     assert bi.dim == 1
     assert bi.left_algebra is ctx_dual.stable_endo
     assert bi.right_algebra is ctx_dual.stable_endo
-    assert bi.right_projective and bi.left_projective
+    assert is_projective(bi.restrict_right()) and is_projective(bi.restrict_left())
 
 
 def test_tor_bimodule_refuses_spread_homology(dual_to_point):
@@ -422,12 +423,14 @@ def test_bimodule_side_projectivity_of_the_regular_and_the_simple_bimodule():
         [a.left_mult_matrix(a.basis_vector(i)) for i in range(a.dim)],
         [a.right_mult_matrix(a.basis_vector(j)) for j in range(a.dim)],
     )
-    assert regular.right_projective and regular.left_projective
+    assert is_projective(regular.restrict_right())
+    assert is_projective(regular.restrict_left())
     # k = A/(x), x acting by zero on both sides: a projective over the
     # local algebra A is free, of even dimension, and k has dimension 1
     one, zero = Matrix.identity(a.field, 1), Matrix.zero(a.field, 1, 1)
     simple = Bimodule(a, a, [one, zero], [one, zero])
-    assert not simple.right_projective and not simple.left_projective
+    assert not is_projective(simple.restrict_right())
+    assert not is_projective(simple.restrict_left())
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +470,8 @@ def test_cotwist_readout_of_cycle(cycle_cotwist):
     assert data.tor_dims == [3, 0, 3]
     assert data.concentrated == 2
     assert data.shift == -3
-    assert data.cotwist_bimodule.right_projective
-    assert data.cotwist_bimodule.left_projective
+    assert is_projective(data.cotwist_bimodule.restrict_right())
+    assert is_projective(data.cotwist_bimodule.restrict_left())
 
 
 def test_cotwist_of_non_perfect_quotient_reports_profile(dual_to_point):
@@ -553,7 +556,7 @@ def test_cotwist_of_killing_a_long_path():
     assert bi.right_mats == [one if x == "e_3" else zero for x in labels]
     # no arrow leaves 3 and none enters 1, so e_3·B = k·e_3 and
     # B·e_1 = k·e_1 are one-dimensional: k·ab is projective on each side
-    assert bi.right_projective and bi.left_projective
+    assert is_projective(bi.restrict_right()) and is_projective(bi.restrict_left())
 
 
 def test_cotwist_builds_no_enveloping_algebra(ctx_cycle, monkeypatch):
@@ -650,8 +653,8 @@ def test_tensor_square_matches_enveloping_reference(surjection):
     env = enveloping(b, b)
     assert find_isomorphism(bimodule_carrier(ours, env),
                             bimodule_carrier(theirs, env)) is not None
-    assert ours.right_projective == theirs.right_projective
-    assert ours.left_projective == theirs.left_projective
+    assert is_projective(ours.restrict_right()) == is_projective(theirs.restrict_right())
+    assert is_projective(ours.restrict_left()) == is_projective(theirs.restrict_left())
 
 
 @pytest.mark.parametrize("n, paths, sheared", [

@@ -51,6 +51,11 @@ by block row (`frobenius._generator_hom_basis`).  So `spherical`
 imports neither `hom_space` nor `endomorphism_algebra`, and reads
 neither as an attribute of another module.
 
+The ideal [P](T, T) of maps through projectives is the ideal Λ·e_P·Λ of
+Λ = End(T), read off its table (`frobenius._projective_ideal`).  So
+that function names no `hom_space`, `stable_hom`, `injective_envelope`
+or `direct_sum`, as a name or as an attribute.
+
 Side 2 asks add-membership of the catalog summands one block at a time
 (`modules.in_add`), so `spherical` builds no sum of them either: it
 imports no `direct_sum` and reads none as an attribute.
@@ -611,6 +616,59 @@ def tilting_audit(ctx, c):
     ]
     # other modules may solve hom spaces
     assert solve_offences(source, "frobenius") == []
+
+
+# ---------------------------------------------------------------------------
+# the projective ideal is read off End(T)
+
+
+MODULE_BUILDERS = {"hom_space", "stable_hom", "injective_envelope", "direct_sum"}
+
+
+def ideal_offences(source, module):
+    """(line, what) for each name or attribute of MODULE_BUILDERS inside
+    `frobenius._projective_ideal`."""
+    if module != "frobenius":
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_projective_ideal":
+            for inner in ast.walk(node):
+                named = getattr(inner, "id", None) or getattr(inner, "attr", None)
+                if isinstance(inner, (ast.Name, ast.Attribute)) and named in MODULE_BUILDERS:
+                    out.append((inner.lineno, "names " + named))
+    return sorted(out)
+
+
+def test_the_projective_ideal_names_no_module_builder():
+    source = (SRC / "frobenius.py").read_text(encoding="utf-8")
+    assert "def _projective_ideal(" in source
+    assert ideal_offences(source, "frobenius") == []
+
+
+def test_the_lint_flags_a_module_builder_in_the_projective_ideal():
+    source = '''
+from . import modules
+from .modules import direct_sum, hom_space
+
+def _projective_ideal(blocks, hom_coords):
+    total = direct_sum(blocks)[0]
+    env, emb = injective_envelope(blocks[1])
+    rows = [stable_hom(x, y)[1] for x in blocks for y in blocks]
+    return rows + modules.hom_space(env, total)
+
+def stable_hom(m, n):
+    return hom_space(m, n)
+'''
+    assert ideal_offences(source, "frobenius") == [
+        (6, "names direct_sum"),
+        (7, "names injective_envelope"),
+        (8, "names stable_hom"),
+        (9, "names hom_space"),
+    ]
+    # the imports and the other functions are not its concern, nor are
+    # other modules
+    assert ideal_offences(source, "spherical") == []
 
 
 # ---------------------------------------------------------------------------

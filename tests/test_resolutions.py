@@ -11,6 +11,8 @@ alone; every resolution that any test here builds is re-checked term by
 term with the full cover criterion `is_projective` as well.
 """
 
+import sys
+
 import pytest
 
 from sphertwist import resolutions
@@ -317,6 +319,30 @@ def test_partial_cover_takes_summand_pieces_first(ctx_cycle):
     assert q.covered.idempotents[0] == ctx.e_copies[1][0]
     assert is_partially_essential(ctx, epi)
     assert rank(epi.matrix) == mixed.dim
+
+
+def test_one_context_filters_its_projective_type_primitives_once(monkeypatch):
+    # the primitives under e_proj depend on the context alone: however
+    # many partial covers a context makes, lift_idempotents is filtered
+    # for them once
+    a = cyclic_nakayama(3)
+    ctx = build_context(a, Module.regular(a), [(s, 1) for s in simple_modules(a)])
+    lift = resolutions.lift_idempotents
+    filtered = []
+
+    def lifting(alg):
+        if sys._getframe(1).f_code.co_name == "_proj_type_primitives":
+            filtered.append(alg)
+        return lift(alg)
+
+    monkeypatch.setattr(resolutions, "lift_idempotents", lifting)
+    covers = count_calls(monkeypatch, resolutions, "partial_cover")
+    for m in [stable_module(ctx)] + stable_simples(ctx):
+        partially_minimal_resolution(ctx, m, cap=4)
+    assert len(covers) > 3
+    assert filtered == [ctx.endo]
+    assert resolutions._proj_type_primitives(ctx) == refine_idempotent(ctx.endo, ctx.e_proj)
+    assert filtered == [ctx.endo]
 
 
 def test_partial_cover_kernels_sit_in_relative_radical(ctx_dual, ctx_cycle_one):

@@ -135,7 +135,10 @@ def test_no_zero_relation_row_and_no_idle_transpose(name, monkeypatch):
         live = [g for g in gens if not (m.action[g].is_zero() and n.action[g].is_zero())]
         assert transposed == (len(live) if m.dim and n.dim else 0), (m, n)
         idle += len(gens) - len(live)
-    assert idle > 0
+    # the twist workload solves hom spaces only in set-up, Hom(S, T) for
+    # its simples S, and every generator acts on the A_A inside T
+    if name != "twist_cycle3_gf":
+        assert idle > 0
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
