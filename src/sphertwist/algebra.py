@@ -48,7 +48,6 @@ from .exactlin import (
     _check_vector,
     combine,
     product_residual,
-    rref,
     solve,
 )
 
@@ -204,8 +203,6 @@ class Algebra:
         ]
         if len(x) == 1 and x[0][1] == 1:
             return list(products[0])
-        if not x:
-            return [[] for _ in range(self.dim)]
         terms = [(xk, column) for (_, xk), column in zip(x, products)]
         return [
             combine([(xk, column[i]) for xk, column in terms], p) for i in range(self.dim)
@@ -274,18 +271,19 @@ def _gram(a, form):
 class SurjectionData:
     """A surjective algebra map p : source → target with its kernel.
 
-    ``matrix`` acts on coordinate rows: v ↦ v·matrix.  ``kernel_basis``
-    has the kernel as canonical columns in source coordinates.  The
-    audit checks that the map is a unital, multiplicative surjection and
-    that the columns are a basis of its kernel: independent, dim source −
-    dim target of them, each sent to 0.
+    ``matrix`` acts on coordinate rows: v ↦ v·matrix.  The audit checks
+    that the map is a unital, multiplicative surjection.  The kernel is
+    computed, not given: ``kernel_basis`` holds the v with v·matrix = 0,
+    the null space of the transpose, as the canonical columns
+    `exactlin.kernel_basis` gives, which depend on the kernel alone.  Its
+    dimension is dim source − rank, so the map is onto exactly when it
+    has dim source − dim target columns.
     """
 
-    def __init__(self, source, target, matrix, kernel):
+    def __init__(self, source, target, matrix):
         self.source = source
         self.target = target
         self.matrix = matrix
-        self.kernel_basis = kernel
         self._check()
 
     def _check(self):
@@ -314,25 +312,9 @@ class SurjectionData:
                 "surjection is not multiplicative on basis pair (%d,%d)"
                 % divmod(bad, d)
             )
-        if len(rref(p)[1]) != b.dim:
+        self.kernel_basis = kernel_basis(p.transpose())
+        if self.kernel_basis.ncols != d - db:
             raise SphertwistError("map is not surjective")
-        k = self.kernel_basis
-        if k.nrows != a.dim:
-            raise SphertwistError("kernel basis lives in the wrong space")
-        columns = k.transpose()
-        if rank(columns) != k.ncols:
-            raise SphertwistError("kernel basis columns are dependent")
-        if k.ncols != a.dim - b.dim:
-            raise SphertwistError(
-                "kernel basis has %d columns, the kernel has dim %d"
-                % (k.ncols, a.dim - b.dim)
-            )
-        images = columns.mul(p).pairs
-        if any(images):
-            raise SphertwistError(
-                "kernel basis column %d is not in the kernel"
-                % next(j for j, row in enumerate(images) if row)
-            )
 
     def apply(self, vec):
         return self.matrix.apply_to_row(vec)
@@ -372,7 +354,6 @@ def quotient_surjection(a, ideal):
              else "ideal element · b%d leaves the span") % i,
             witness=(i, g, product),
         )
-    ideal_matrix = span.basis_matrix()
     q = SpanQuotient(span)
     table = [[q.project(a.table[i][j]) for j in q.kept] for i in q.kept]
     unit = q.project(a.unit)
@@ -383,8 +364,7 @@ def quotient_surjection(a, ideal):
     pmat = Matrix.from_pairs(
         f, [q.project(a.basis_vector(i)) for i in range(a.dim)], q.dim
     )
-    kernel = ideal_matrix.transpose()
-    return SurjectionData(a, target, pmat, kernel)
+    return SurjectionData(a, target, pmat)
 
 
 def _ideal_escape(a, span):

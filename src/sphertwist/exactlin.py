@@ -375,9 +375,6 @@ class Matrix:
         p = self.field.characteristic
         out = []
         for ra, rb in zip(self.pairs, other.pairs):
-            if not rb:
-                out.append(ra)
-                continue
             acc = dict(ra)
             get = acc.get
             for j, x in rb:

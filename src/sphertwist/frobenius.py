@@ -270,20 +270,20 @@ def suspension_power(m, k):
 class FrobeniusContext:
     """Everything downstream layers need about one additive generator.
 
-    ``total`` is the chosen module (projective part first, then the
-    extra summands with multiplicities); ``endo`` its endomorphism
-    algebra on the canonical hom basis ``hom_basis``, whose coordinates
-    ``hom_coords`` reads and which it holds; ``proj_ideal`` the
-    canonical rows of the ideal of maps factoring through projectives,
-    which is endo·e_proj·endo (`_projective_ideal`); ``to_stable`` the
-    quotient onto ``stable_endo``.  ``e_proj`` and ``e_extra`` are the
-    block idempotents of the summand decomposition inside ``endo``;
-    ``e_copies[i]`` lists one projector per copy of extra summand i.
-    These, like ``proj_ideal``, are vectors of ``endo``.
-    The projectors of the blocks of ``total`` (``e_proj``, then every
-    copy in order) are the recorded ``idempotents`` tags of ``endo``, so
-    `lift_idempotents` refines each block in its own corner: a copy of
-    an indecomposable summand is primitive and stays whole, and
+    ``total`` is the chosen module, the sum of the blocks of
+    ``summands``: the projective part first, then each extra summand as
+    many times as its multiplicity.  ``endo`` is its endomorphism algebra
+    on the canonical hom basis ``hom_basis``, whose coordinates
+    ``hom_coords`` reads and which it holds.  The rest is read off these:
+    - ``endo.idempotents`` are the projectors of the blocks of ``total``,
+      in block order (`_tagged_generator`), so ``e_proj`` is the first
+      and ``e_copies[i]`` lists the next multiplicity-many, one per copy
+      of extra summand i.  These are vectors of ``endo``;
+    - ``proj_ideal`` is the canonical rows of the ideal of maps factoring
+      through projectives, endo·e_proj·endo (`_projective_ideal`), and
+      ``to_stable`` the quotient by it onto ``stable_endo``.
+    `lift_idempotents` refines each block projector in its own corner: a
+    copy of an indecomposable summand is primitive and stays whole, and
     ``e_proj`` splits into the primitives that `partial_cover` uses.
     Those primitives, the stable module and the stable simples are built
     once, on first use (`resolutions._proj_type_primitives`,
@@ -293,30 +293,18 @@ class FrobeniusContext:
     at a time; they start as [x], and no other module has a ladder.
     """
 
-    def __init__(
-        self,
-        ambient,
-        summands,
-        total,
-        endo,
-        hom_coords,
-        proj_ideal,
-        to_stable,
-        e_proj,
-        e_extra,
-        e_copies,
-    ):
+    def __init__(self, ambient, summands, total, endo, hom_coords):
         self.ambient = ambient
         self.summands = summands
         self.total = total
         self.endo = endo
         self.hom_coords = hom_coords
-        self.proj_ideal = proj_ideal
-        self.to_stable = to_stable
-        self.stable_endo = to_stable.target
-        self.e_proj = e_proj
-        self.e_extra = e_extra
-        self.e_copies = e_copies
+        tags = iter(v for _, v in endo.idempotents)
+        self.e_proj = next(tags)
+        self.e_copies = [[next(tags) for _ in range(m)] for _, m in summands[1:]]
+        self.proj_ideal = _projective_ideal(endo, self.e_proj)
+        self.to_stable = quotient_surjection(endo, self.proj_ideal)
+        self.stable_endo = self.to_stable.target
         # caches of the resolutions layer
         self._piece_type_cache = {}
         self._proj_primitives = None
@@ -360,6 +348,8 @@ def build_context(ambient, projective_part, extra_summands):
       reading Hom(total, total) block row by block row, so no system in
       the unknowns of the whole of Hom(total, total) is solved; the
       companion of `spherical.tilting_audit` is built by the same code;
+    - the block tags must sum to the unit, and `FrobeniusContext` reads
+      the projectors off them;
     - the ideal [P] of maps through projectives is the two-sided ideal
       of End(total) generated by the projector onto the projective part,
       read off the table just built (`_projective_ideal`, whose argument
@@ -375,41 +365,16 @@ def build_context(ambient, projective_part, extra_summands):
         raise NotProgenerator(
             "projective part does not generate the module category"
         )
-    blocks = [projective_part]
-    block_owner = [None]  # which extra summand each block belongs to
-    for idx, (x, mult) in enumerate(extra_summands):
-        if mult < 1:
-            raise SphertwistError("summand multiplicity must be positive")
-        for _ in range(mult):
-            blocks.append(x)
-            block_owner.append(idx)
-    total, endo, hom_coords = _tagged_generator(blocks)
-    p = ambient.field.characteristic
-    block_idems = [v for _, v in endo.idempotents]
-    if combine([(1, v) for v in block_idems], p) != endo.unit:
-        raise SphertwistError("block idempotents do not sum to the identity")
-    e_proj = block_idems[0]
-    e_copies = [
-        [v for v, owner in zip(block_idems, block_owner) if owner == idx]
-        for idx in range(len(extra_summands))
-    ]
-    e_extra = [combine([(1, v) for v in copies], p) for copies in e_copies]
-
-    ideal = _projective_ideal(endo, e_proj)
-    pi = quotient_surjection(endo, ideal)
+    if any(mult < 1 for _, mult in extra_summands):
+        raise SphertwistError("summand multiplicity must be positive")
     summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
-    return FrobeniusContext(
-        ambient,
-        summands,
-        total,
-        endo,
-        hom_coords,
-        ideal,
-        pi,
-        e_proj,
-        e_extra,
-        e_copies,
+    total, endo, hom_coords = _tagged_generator(
+        [x for x, mult in summands for _ in range(mult)]
     )
+    p = ambient.field.characteristic
+    if combine([(1, v) for _, v in endo.idempotents], p) != endo.unit:
+        raise SphertwistError("block idempotents do not sum to the identity")
+    return FrobeniusContext(ambient, summands, total, endo, hom_coords)
 
 
 def _tagged_generator(blocks):

@@ -151,9 +151,7 @@ def left_module_along(p):
 
 def identity_surjection(a):
     """The identity of an algebra, packaged as a surjection."""
-    return SurjectionData(
-        a, a, Matrix.identity(a.field, a.dim), Matrix.zero(a.field, a.dim, 0)
-    )
+    return SurjectionData(a, a, Matrix.identity(a.field, a.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +166,12 @@ def _window_check(res, count):
         )
 
 
-def ext_dims(a, m, n, count):
-    """[dim Ext^i(m, n) for i in 0..count), from a minimal resolution of m
-    read by `ext_from_resolution`."""
-    if m.algebra is not a or n.algebra is not a:
-        raise SphertwistError("ext arguments live over a different algebra")
+def ext_dims(m, n, count):
+    """[dim Ext^i(m, n) for i in 0..count) over the algebra of m, from a
+    minimal resolution of m read by `ext_from_resolution`; n must live
+    over the same algebra."""
+    if n.algebra is not m.algebra:
+        raise SphertwistError("ext arguments live over different algebras")
     if count < 1:
         return []
     return ext_from_resolution(resolve_within(m, count), n, count)
@@ -338,17 +337,15 @@ def ext_from_resolution(res, n, count):
 # Tor of one-sided modules
 
 
-def tor_dims(a, m, n, count):
-    """[dim Tor_i(m, n) for i in 0..count).
+def tor_dims(m, n, count):
+    """[dim Tor_i(m, n) for i in 0..count) over the algebra A of m.
 
-    m is a right module over a, n a left module carried over the
-    opposite algebra; m is resolved.  Resolving n instead,
+    m is a right A-module, n a left A-module carried over the opposite
+    algebra; m is resolved.  Resolving n instead,
     ``tor_from_resolution(resolve_within(n, count), m, count)``, must
     give the same answer.
     """
-    if m.algebra is not a:
-        raise SphertwistError("first tor argument must live over the algebra")
-    if n.algebra is not opposite(a):
+    if n.algebra is not opposite(m.algebra):
         raise SphertwistError("second tor argument must live over the opposite")
     if count < 1:
         return []
@@ -537,18 +534,19 @@ def _extract_bimodule(square, t):
     return Bimodule(b, b, left, [m.transpose() for m in h.action])
 
 
-def tor_bimodule(p, t, square=None):
+def tor_bimodule(p, t):
     """Tor_t of the target with itself, carrying both actions.
 
-    Requires the tensor square to be concentrated in degrees {0, t}
-    within the window; raises NotConcentrated otherwise (also when a
-    truncated window leaves concentration uncertified).  The actions
-    are built as in `_extract_bimodule`.
+    Requires the tensor square of p (`tensor_square`, at its default
+    cap) to be concentrated in degrees {0, t} within the window; raises
+    NotConcentrated otherwise (also when a truncated window leaves
+    concentration uncertified).  The actions are built as in
+    `_extract_bimodule`.  `cotwist_data` reads the bimodule off its own
+    square, whose checks imply these.
     """
     if t < 1:
         raise SphertwistError("positive degree expected")
-    if square is None:
-        square = tensor_square(p)
+    square = tensor_square(p)
     dims = square.homology_dims
     if t >= len(dims):
         raise NotConcentrated("window too short to reach the requested degree")
@@ -633,7 +631,7 @@ def cotwist_data(p, cap=None):
     if square.complete and len(positive) == 1:
         t = positive[0]
         concentrated = t
-        bimod = tor_bimodule(p, t, square=square)
+        bimod = _extract_bimodule(square, t)
         shift = -t - 1
         expected = {-t - 1: dims[t]}
         for deg, d in square.cone_dims.items():

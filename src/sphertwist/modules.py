@@ -31,7 +31,6 @@ from .exactlin import (
     kernel_basis,
     product_residual,
     rank,
-    row_space_canonical,
     rref,
 )
 
@@ -110,12 +109,10 @@ class Module:
     def _combination(self, coeffs):
         """Σ c·Mᵢ over the (i, c) pairs of coeffs, c ≠ 0, summed row by
         row over the pairs of the Mᵢ.  A basis element acts by its own
-        matrix, and 0 by the zero matrix."""
+        matrix, and 0, with no pairs, by the zero matrix."""
         f = self.algebra.field
         if len(coeffs) == 1 and coeffs[0][1] == 1:
             return self.action[coeffs[0][0]]
-        if not coeffs:
-            return Matrix.zero(f, self.dim, self.dim)
         terms = [(c, self.action[i].pairs) for i, c in coeffs]
         rows = [combine([(c, mat[r]) for c, mat in terms], f.characteristic)
                 for r in range(self.dim)]
@@ -607,8 +604,7 @@ def socle(m):
     for x in rad.transpose().pairs:
         act = m.action_of(x)
         stacked = act if stacked is None else stacked.hstack(act)
-    cols = kernel_basis(stacked.transpose())
-    return row_space_canonical(cols.transpose())
+    return kernel_basis(stacked.transpose()).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -873,15 +869,13 @@ def restrict_scalars(surj, m):
     return Module(surj.source, m.dim, action, validate=False)
 
 
-def endomorphism_algebra(m, tags=()):
+def endomorphism_algebra(m):
     """(End(m) as an Algebra, its factored hom basis).
 
     The basis is the rref basis of `hom_space(m, m)`, and the table is
-    built on it by `_endomorphism_table`.  ``tags`` are (role, matrix)
-    pairs of endomorphisms of m, recorded by their coordinates as the
-    algebra's ``idempotents``, which its constructor checks.
+    built on it by `_endomorphism_table`.
     """
-    return _endomorphism_table(m, hom_space(m, m), tags)
+    return _endomorphism_table(m, hom_space(m, m), ())
 
 
 def _endomorphism_table(m, homs, tags):
@@ -894,10 +888,11 @@ def _endomorphism_table(m, homs, tags):
     module into that summand.  The returned `HomBasis` holds the maps
     (``homs``) and reads coordinates against them; it raises on a
     composite outside their span, so a list short of Hom(m, m) is
-    refused.  ``tags`` are (role, matrix) pairs as in
-    `endomorphism_algebra`.  `frobenius._tagged_generator`, which builds
-    the generator of a context and its tilting companion, passes the
-    basis it reads block row by block row
+    refused.  ``tags`` are (role, matrix) pairs of endomorphisms of m,
+    recorded by their coordinates as the algebra's ``idempotents``,
+    which its constructor checks.  `frobenius._tagged_generator`, which
+    builds the generator of a context and its tilting companion, passes
+    the basis it reads block row by block row
     (`frobenius._generator_hom_basis`), which is the one `hom_space`
     gives.
 

@@ -36,9 +36,8 @@ from .errors import (
 )
 from .algebra import lift_idempotents, radical
 from .exactlin import (
-    Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical,
+    Matrix, SpanBuilder, kernel_basis, rank,
 )
-from .frobenius import FrobeniusContext
 from .modules import (
     Module,
     _cover_by_pieces,
@@ -169,11 +168,10 @@ def radd0(ctx, m):
                 span.add(row)
     q, proj = quotient(m, span.basis_matrix())
     if q.dim == 0:
-        return row_space_canonical(Matrix.identity(f, m.dim))
+        return Matrix.identity(f, m.dim)
     rad_rows = module_radical(q)
     z = kernel_basis(rad_rows)
-    pulled = kernel_basis(proj.matrix.mul(z).transpose())
-    return row_space_canonical(pulled.transpose())
+    return kernel_basis(proj.matrix.mul(z).transpose()).transpose()
 
 
 def is_partially_essential(ctx, epi):
@@ -328,15 +326,9 @@ def resolve_past(m, cap=None):
     return res, not res.truncated and res.length <= cap, min(res.length, cap)
 
 
-def projective_dimension(ring, m, cap=None):
-    """Length of the minimal resolution, or "≥ cap" when it overruns.
-
-    The first argument may be a context (resolving over its
-    endomorphism algebra) or the algebra itself.
-    """
-    a = ring.endo if isinstance(ring, FrobeniusContext) else ring
-    if m.algebra is not a:
-        raise SphertwistError("module lives over a different algebra")
+def projective_dimension(m, cap=None):
+    """Length of the minimal resolution of m over its algebra, or
+    "≥ cap" when it overruns."""
     # a truncated resolution stops at length exactly the cap
     res = resolve_within(m, cap)
     return "≥ %d" % res.length if res.truncated else res.length
@@ -349,19 +341,6 @@ def is_perfect(m, cap=None):
 
 # ---------------------------------------------------------------------------
 # shape extraction
-
-
-class ShapeReport:
-    """What the tail of a window-length resolution splits into."""
-
-    def __init__(self, tau, tail_projective_count, length):
-        self.tau = tau
-        self.tail_projective_count = tail_projective_count
-        self.length = length
-
-    def __repr__(self):
-        return "ShapeReport(tau=%d, tail_projective_count=%d, length=%d)" % (
-            self.tau, self.tail_projective_count, self.length)
 
 
 def _piece_type(ctx, e):
@@ -414,8 +393,7 @@ def extract_shape(ctx, res, t):
     Requires a complete resolution of length exactly t whose middle
     terms lie in the additive closure of the projective-type ideal and
     whose tail splits as a projective-type part plus the one-copy ideal
-    of a single extra summand; returns that summand's index (with the
-    projective multiplicity of the tail) in a ShapeReport.  Any
+    of a single extra summand; returns that summand's index.  Any
     violation raises ShapeMismatch — the relative-sphericity hypothesis
     fails for this summand.
 
@@ -440,20 +418,16 @@ def extract_shape(ctx, res, t):
                 raise ShapeMismatch(
                     "middle term %d leaves the projective-type closure" % i
                 )
-    extra_hits = []
-    proj_count = 0
-    for e in _covered(res.terms[t]).idempotents:
-        j = _piece_type(ctx, e)
-        if j is None:
-            proj_count += 1
-        else:
-            extra_hits.append(j)
+    extra_hits = [
+        j for e in _covered(res.terms[t]).idempotents
+        if (j := _piece_type(ctx, e)) is not None
+    ]
     if len(extra_hits) != 1:
         raise ShapeMismatch(
             "tail does not split as projective-type plus one summand ideal",
             witness=extra_hits,
         )
-    return ShapeReport(extra_hits[0], proj_count, t)
+    return extra_hits[0]
 
 
 # ---------------------------------------------------------------------------

@@ -387,16 +387,16 @@ def _assert_shape_tau(ctx, t, tau, cap):
         m = stable_idempotent_module(ctx, i)
         res = partially_minimal_resolution(ctx, m, cap=cap)
         try:
-            shape = extract_shape(ctx, res, t)
+            j = extract_shape(ctx, res, t)
         except ShapeMismatch as exc:
             raise AuditFailed(
                 "shape extraction failed although the periodicity side passed",
                 witness=(i, exc),
             )
-        if shape.tau != tau[i]:
+        if j != tau[i]:
             raise AuditFailed(
                 "shape-derived permutation disagrees with the syzygy one",
-                witness=(i, shape.tau, tau[i]),
+                witness=(i, j, tau[i]),
             )
 
 

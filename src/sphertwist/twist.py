@@ -561,7 +561,7 @@ def twist_apply(p, m, window=None, cap=None):
     got = cohomology_dims(out)
     if res.truncated:
         depth = max(window[1], 1)
-        expected = ext_dims(lam, k_mod, c_mod, depth + 1)[:depth]
+        expected = ext_dims(k_mod, c_mod, depth + 1)[:depth]
         got = {k: v for k, v in got.items() if k < depth}
     else:
         expected = ext_from_resolution(res, c_mod, res.length + 2)

@@ -7,6 +7,9 @@ T = P ⊕ ⊕ Xᵢ.  The routine here builds the same fields the older way:
 every one of the d² composites of the hom basis is formed and written
 back in coordinates, and the ideal is the factoring subspace of all of T
 from one `stable_hom(T, T)`, through the injective envelope of T.
+`FrobeniusContext` splits the block tags of End(T) into e_P and the copy
+projectors by the multiplicities; `block_projectors` groups them by
+marking each block with the summand it is a copy of.
 """
 
 from types import SimpleNamespace
@@ -53,3 +56,19 @@ def whole_t_context(projective_part, extra_summands):
         to_stable=to_stable,
         stable_endo=to_stable.target,
     )
+
+
+def block_projectors(endo, extra_summands):
+    """(e_proj, e_copies) by block bookkeeping: each block of
+    T = P ⊕ ⊕ Xᵢ^{aᵢ} is marked with the extra summand it is a copy of
+    (None for P), and the block tags of End(T), one per block in block
+    order, are grouped by that mark."""
+    block_owner = [None]
+    for idx, (_, mult) in enumerate(extra_summands):
+        block_owner.extend([idx] * mult)
+    block_idems = [v for _, v in endo.idempotents]
+    e_copies = [
+        [v for v, owner in zip(block_idems, block_owner) if owner == idx]
+        for idx in range(len(extra_summands))
+    ]
+    return block_idems[0], e_copies

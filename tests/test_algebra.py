@@ -29,7 +29,7 @@ from sphertwist.errors import (
     SphertwistError,
     UnsupportedCharacteristic,
 )
-from sphertwist.exactlin import QQ, Matrix, PrimeField
+from sphertwist.exactlin import QQ, Matrix, PrimeField, row_space_canonical
 
 from lift_reference import corner_is_local
 from vectors import dense, pairs
@@ -283,7 +283,7 @@ def _onto_the_field(a, images):
     """SurjectionData for the map Q[x]/(x²) → Q with the given images of 1, x."""
     q = from_structure_constants(QQ, [[[1]]], [1])
     matrix = Matrix(QQ, [[QQ.coerce(c)] for c in images], 1)
-    return SurjectionData(a, q, matrix, Matrix(QQ, [[0], [1]], 1))
+    return SurjectionData(a, q, matrix)
 
 
 def test_surjection_audit_accepts_the_augmentation():
@@ -328,26 +328,41 @@ def test_surjection_audit_names_the_first_non_multiplicative_pair(field):
             with pytest.raises(
                 SphertwistError, match=r"on basis pair \(%d,%d\)$" % want
             ):
-                SurjectionData(a, s.target, matrix, s.kernel_basis)
+                SurjectionData(a, s.target, matrix)
             named.add(want)
     assert len(named) > 3
 
 
-def test_surjection_audit_rejects_a_kernel_basis_that_is_not_the_kernel():
-    # A₂ onto k × k, killing the arrow b2: the kernel is span(b2)
-    a = two_vertex_arrow()
+def test_surjection_audit_rejects_a_map_that_is_not_onto():
+    # k → k × k, 1 ↦ (1, 1), is unital and multiplicative, and its image
+    # is the diagonal
+    k = from_structure_constants(QQ, [[[1]]], [1])
+    with pytest.raises(SphertwistError, match="map is not surjective"):
+        SurjectionData(k, product_field_pair(), Matrix(QQ, [[1, 1]], 2))
+
+
+def ideal_columns(field, rows, dim):
+    """The canonical basis of the span of the rows, as columns."""
+    return row_space_canonical(Matrix.from_pairs(field, rows, dim)).transpose()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(31)], ids=["QQ", "GF31"])
+def test_the_computed_kernel_is_the_ideal_in_canonical_columns(field):
+    # the surjection reads its kernel off its matrix; on the quotient of
+    # every fixture by its radical, and on the stable quotient of every
+    # workload context, that is the ideal quotiented by
+    a = two_vertex_arrow(field)
     s = quotient_surjection(a, [a.basis_vector(2)])
-
-    def columns(*vecs):
-        return Matrix.from_pairs(QQ, list(vecs), a.dim).transpose()
-
-    assert SurjectionData(a, s.target, s.matrix, columns(a.basis_vector(2)))
-    with pytest.raises(SphertwistError, match="kernel basis has 0 columns, .* dim 1"):
-        SurjectionData(a, s.target, s.matrix, Matrix.zero(QQ, a.dim, 0))
-    with pytest.raises(SphertwistError, match="column 0 is not in the kernel"):
-        SurjectionData(a, s.target, s.matrix, columns(a.basis_vector(0)))
-    with pytest.raises(SphertwistError, match="columns are dependent"):
-        SurjectionData(a, s.target, s.matrix, columns(*[a.basis_vector(2)] * 2))
+    assert s.kernel_basis == ideal_columns(field, [a.basis_vector(2)], a.dim)
+    for make in OPPOSITE_FIXTURES:
+        a = make(field)
+        rad = radical(a)
+        s = quotient_surjection(a, rad)
+        assert s.kernel_basis == ideal_columns(field, rad.transpose().pairs, a.dim)
+    for setup, _, _ in WORKLOADS.values():
+        ctx = setup(field)
+        assert ctx.to_stable.kernel_basis == ideal_columns(
+            field, ctx.proj_ideal, ctx.endo.dim)
 
 
 @pytest.mark.parametrize("images", [[0, 1], [2, 0]])

@@ -143,7 +143,7 @@ def test_span_quotient_matches_the_flat_quotient(data):
 @given(st.data())
 def test_tor_dims_match_the_kronecker_route(data):
     a, m, n = draw_pair(data)
-    assert tor_dims(a, m, n, 3) == ref.tor_dims(a, m, n, 3)
+    assert tor_dims(m, n, 3) == ref.tor_dims(a, m, n, 3)
     assert tor_from_resolution(resolve_within(n, 3), m, 3) == ref.tor_dims(
         a, m, n, 3, resolve_second=True)
 

@@ -36,7 +36,7 @@ from sphertwist.modules import (
     submodule,
 )
 
-from context_reference import whole_t_context
+from context_reference import block_projectors, whole_t_context
 from fixture_algebras import cyclic_nakayama
 from patching import count_calls
 from test_yoneda_reads import scaled_shear, sheared
@@ -137,7 +137,9 @@ def progenerator(field):
 
 def assert_matches_whole_t(a, p, extra):
     """The context on (a, p, extra) and the whole-T route give the same
-    fields, order included; returns the context."""
+    fields, order included, and the block projectors are those the
+    block bookkeeping of `context_reference` groups; returns the
+    context."""
     ctx = build_context(a, p, extra)
     ref = whole_t_context(p, extra)
     assert [h.matrix.rows for h in ctx.hom_basis] == [
@@ -148,6 +150,7 @@ def assert_matches_whole_t(a, p, extra):
     assert ctx.proj_ideal == ref.proj_ideal
     assert ctx.to_stable.matrix.rows == ref.to_stable.matrix.rows
     assert ctx.stable_endo.table == ref.stable_endo.table
+    assert (ctx.e_proj, ctx.e_copies) == block_projectors(ref.endo, extra)
     return ctx
 
 

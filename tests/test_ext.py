@@ -109,7 +109,7 @@ def test_yoneda_ext_matches_the_hom_space_route(data):
     n = data.draw(st.sampled_from(pool))
     count = data.draw(st.integers(1, 4))
     a = m.algebra
-    assert ext_dims(a, m, n, count) == ref.ext_dims(a, m, n, count)
+    assert ext_dims(m, n, count) == ref.ext_dims(a, m, n, count)
     try:
         res = minimal_resolution(m, cap=count)
     except CapExceeded as exc:

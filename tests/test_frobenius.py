@@ -452,7 +452,7 @@ def test_context_dual_numbers_with_simple():
     # becomes its unit
     f = a.field
     assert all(f.is_zero(c) for c in ctx.to_stable.apply(ctx.e_proj))
-    assert ctx.to_stable.apply(ctx.e_extra[0]) == ctx.stable_endo.unit
+    assert ctx.to_stable.apply(ctx.e_copies[0][0]) == ctx.stable_endo.unit
 
 
 def test_context_right_ideal_dimensions():
@@ -461,7 +461,7 @@ def test_context_right_ideal_dimensions():
     s = simple_modules(a)[0]
     ctx = build_context(a, reg, [(s, 1)])
     p0, _ = ctx.right_ideal(ctx.e_proj)
-    p1, _ = ctx.right_ideal(ctx.e_extra[0])
+    p1, _ = ctx.right_ideal(ctx.e_copies[0][0])
     assert (p0.dim, p1.dim) == (3, 2)
 
 
@@ -484,7 +484,7 @@ def test_context_multiplicity_two():
     s = simple_modules(a)[0]
     ctx = build_context(a, reg, [(s, 2)])
     assert ctx.endo.dim == 10
-    assert len(ctx.e_extra) == 1
+    assert [len(copies) for copies in ctx.e_copies] == [2]
     assert ctx.stable_endo.dim == 4
     assert radical(ctx.stable_endo).ncols == 0
 

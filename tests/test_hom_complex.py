@@ -22,12 +22,20 @@ import pytest
 from sphertwist import modules
 from sphertwist.algebra import quotient_surjection
 from sphertwist.errors import SphertwistError
-from sphertwist.exactlin import QQ, PrimeField, rank
+from sphertwist.exactlin import QQ, Matrix, PrimeField, rank
 from sphertwist.frobenius import _indecomposable_projectives, build_context
-from sphertwist.modules import Module, ModuleHom, simple_modules
+from sphertwist.algebra import lift_idempotents
+from sphertwist.modules import (
+    Module,
+    ModuleHom,
+    _idempotent_piece,
+    _piece_sum,
+    simple_modules,
+)
 from sphertwist import resolutions
 from sphertwist.twist import (
     ChainComplex,
+    _eliminate_units,
     _kernel_data,
     _twist_core,
     _unit_faithful_on_cohomology,
@@ -164,6 +172,37 @@ def test_degree_zero_of_hom_out_of_a_model_is_hom(algebra):
         for n in targets:
             got = cohomology_dims(hom_complex(model, ChainComplex(a, 0, [n], [])))
             assert got.get(0, 0) == len(modules.hom_space(piece, n))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_a_unit_cancelled_below_a_differential_corrects_it(field):
+    # e₀A → e₀A ⊕ e₁A → eₓA with differentials (1, 0) and (0, g) for a
+    # nonzero radical map g : e₁A → eₓA.  The identity block cancels
+    # first, and the differential above it loses its e₀A rows, leaving
+    # e₁A → eₓA by g, with the cohomology and the hom complexes of the
+    # staircase it came from
+    a = cyclic_nakayama(3, field)
+    es = lift_idempotents(a)
+    pieces = [_idempotent_piece(a, e)[0] for e in es]
+    x, g = next(
+        (x, h) for x in (0, 2) for h in modules.hom_space(pieces[1], pieces[x])
+    )
+    terms = [_piece_sum(a, [es[0]]), _piece_sum(a, es[:2]), _piece_sum(a, [es[x]])]
+    n0, n1 = pieces[0].dim, pieces[1].dim
+    d0 = Matrix.identity(field, n0).hstack(Matrix.zero(field, n0, n1))
+    d1 = Matrix.zero(field, n0, pieces[x].dim).vstack(g.matrix)
+    px = ChainComplex(a, 0, terms, [
+        ModuleHom(terms[0], terms[1], d0), ModuleHom(terms[1], terms[2], d1)])
+    out = _eliminate_units(px)
+    assert out.lo == 1
+    assert [t.covered.idempotents for t in out.terms] == [[es[1]], [es[x]]]
+    assert out.maps[0].matrix == g.matrix
+    assert cohomology_dims(out) == cohomology_dims(px) != {}
+    for n in simple_modules(a) + [Module.regular(a)]:
+        for s in (0, -1, -2):
+            target = shift(ChainComplex(a, 0, [n], []), s)
+            assert cohomology_dims(hom_complex(out, target)) == cohomology_dims(
+                hom_complex(px, target))
 
 
 def test_hom_complex_refuses_a_source_without_covers():

@@ -420,7 +420,7 @@ def test_tilting_and_tor_form_no_kronecker_product(ctx_cycle_one, monkeypatch):
     # algebra is concentrated in degrees 0 and the window 4
     ctx = ctx_cycle_one
     con, left = stable_module(ctx), left_module_along(ctx.to_stable)
-    assert tor_dims(ctx.endo, con, left, 6) == [1, 0, 0, 0, 1, 0]
+    assert tor_dims(con, left, 6) == [1, 0, 0, 0, 1, 0]
     assert tor_from_resolution(resolve_within(left, 6), con, 6) == [1, 0, 0, 0, 1, 0]
 
 
@@ -625,8 +625,8 @@ def test_tilting_flags_match_the_resolve_per_query_route(
         embeds(lam, forward.left_mats, fr) and rigid(fr)
         and embeds(lam1, backward.left_mats, br) and rigid(br)
     )
-    pd = projective_dimension(lam1, fr, cap=cap)
-    tor = tor_dims(lam1, fr, bl, pd + 2 if isinstance(pd, int) else 3)
+    pd = projective_dimension(fr, cap=cap)
+    tor = tor_dims(fr, bl, pd + 2 if isinstance(pd, int) else 3)
     assert tor[0] == ta.tensor_dim
     concentrated = isinstance(pd, int) and not any(tor[1:])
     assert ta.composite_iso_to_projE is composite
