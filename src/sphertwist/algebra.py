@@ -23,6 +23,7 @@ around.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .errors import (
     UnsupportedCharacteristic,
 )
 from .exactlin import (
+    QQ,
     Matrix,
     SpanBuilder,
     SpanQuotient,
@@ -652,8 +654,6 @@ def from_quiver(vertices, arrows, relations, max_path_length=64, field=None):
     enumeration stops at ``max_path_length``; failure to stabilize below
     the cap raises InfiniteDimensional.
     """
-    from .exactlin import QQ
-
     if field is None:
         field = QQ
     f = field
@@ -949,7 +949,7 @@ def _rational_roots(poly):
     """
     denom_lcm = 1
     for c in poly:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
     ints = [int(c * denom_lcm) for c in poly]
     roots = []
     low = 0
@@ -978,12 +978,6 @@ def _rational_roots(poly):
                 if acc == 0:
                     roots.append(cand)
     return roots, True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -271,14 +271,15 @@ class FrobeniusContext:
     """Everything downstream layers need about one additive generator.
 
     ``total`` is the chosen module, the sum of the blocks of
-    ``summands``: the projective part first, then each extra summand as
-    many times as its multiplicity.  ``endo`` is its endomorphism algebra
+    ``summands`` (`_tagged_generator`): the projective part first, then
+    each extra summand as many times as its multiplicity.  ``ambient``
+    is the algebra they live over.  ``endo`` is its endomorphism algebra
     on the canonical hom basis ``hom_basis``, whose coordinates
     ``hom_coords`` reads and which it holds.  The rest is read off these:
     - ``endo.idempotents`` are the projectors of the blocks of ``total``,
-      in block order (`_tagged_generator`), so ``e_proj`` is the first
-      and ``e_copies[i]`` lists the next multiplicity-many, one per copy
-      of extra summand i.  These are vectors of ``endo``;
+      in block order, which must sum to the unit, so ``e_proj`` is the
+      first and ``e_copies[i]`` lists the next multiplicity-many, one per
+      copy of extra summand i.  These are vectors of ``endo``;
     - ``proj_ideal`` is the canonical rows of the ideal of maps factoring
       through projectives, endo·e_proj·endo (`_projective_ideal`), and
       ``to_stable`` the quotient by it onto ``stable_endo``.
@@ -293,12 +294,15 @@ class FrobeniusContext:
     at a time; they start as [x], and no other module has a ladder.
     """
 
-    def __init__(self, ambient, summands, total, endo, hom_coords):
-        self.ambient = ambient
+    def __init__(self, summands):
+        self.ambient = summands[0][0].algebra
         self.summands = summands
-        self.total = total
+        self.total, endo, self.hom_coords = _tagged_generator(
+            [x for x, mult in summands for _ in range(mult)])
         self.endo = endo
-        self.hom_coords = hom_coords
+        p = endo.field.characteristic
+        if combine([(1, v) for _, v in endo.idempotents], p) != endo.unit:
+            raise SphertwistError("block idempotents do not sum to the identity")
         tags = iter(v for _, v in endo.idempotents)
         self.e_proj = next(tags)
         self.e_copies = [[next(tags) for _ in range(m)] for _, m in summands[1:]]
@@ -344,12 +348,12 @@ def build_context(ambient, projective_part, extra_summands):
     - when the projective part is the regular module object itself,
       `add_equivalent` answers by reflexivity; any other projective part
       takes the full check;
-    - `_tagged_generator` builds total, its block tags and End(total),
-      reading Hom(total, total) block row by block row, so no system in
-      the unknowns of the whole of Hom(total, total) is solved; the
-      companion of `spherical.tilting_audit` is built by the same code;
-    - the block tags must sum to the unit, and `FrobeniusContext` reads
-      the projectors off them;
+    - `FrobeniusContext` builds total, its block tags and End(total) by
+      `_tagged_generator`, reading Hom(total, total) block row by block
+      row, so no system in the unknowns of the whole of Hom(total, total)
+      is solved (the companion of `spherical.tilting_audit` is built by
+      the same code); it checks that the block tags sum to the unit and
+      reads the projectors off them;
     - the ideal [P] of maps through projectives is the two-sided ideal
       of End(total) generated by the projector onto the projective part,
       read off the table just built (`_projective_ideal`, whose argument
@@ -367,14 +371,7 @@ def build_context(ambient, projective_part, extra_summands):
         )
     if any(mult < 1 for _, mult in extra_summands):
         raise SphertwistError("summand multiplicity must be positive")
-    summands = [(projective_part, 1)] + [(x, m) for x, m in extra_summands]
-    total, endo, hom_coords = _tagged_generator(
-        [x for x, mult in summands for _ in range(mult)]
-    )
-    p = ambient.field.characteristic
-    if combine([(1, v) for _, v in endo.idempotents], p) != endo.unit:
-        raise SphertwistError("block idempotents do not sum to the identity")
-    return FrobeniusContext(ambient, summands, total, endo, hom_coords)
+    return FrobeniusContext([(projective_part, 1)] + list(extra_summands))
 
 
 def _tagged_generator(blocks):
@@ -395,7 +392,7 @@ def _tagged_generator(blocks):
         for b, (inj, prj) in enumerate(zip(injs, projs))
     ]
     homs = _generator_hom_basis(blocks, total, total)
-    endo, hom_coords = _endomorphism_table(total, homs, tags)
+    endo, hom_coords = _endomorphism_table(homs, tags)
     return total, endo, hom_coords
 
 

@@ -278,24 +278,26 @@ def _yoneda_cochains(res, n, count):
     return blocks, diffs
 
 
-def _yoneda_cochain_modules(res, algebra, n, endos, count):
+def _yoneda_cochain_modules(res, n, acting, count):
     """(terms, maps, blocks) of Hom(P•, N) on degrees 0..count−1, as
-    modules over ``algebra``.
+    modules over the algebra of ``acting``, a module on N's space.
 
-    The basis element g acts on every term by postcomposition with the
-    N-endomorphism ``endos[g]`` (`_yoneda_postcompose`); every term is a
-    validated module and every differential (`_yoneda_cochains`) a
-    validated module map, which certifies that the action commutes with
-    the differentials.  Degrees past the end of res get zero modules,
-    ``blocks`` covers the degrees res reaches.  A zero endomorphism
-    postcomposes to zero, and every g that acts by zero on a term
-    shares one zero matrix there.
+    Its basis element g acts on every term by postcomposition with the
+    N-endomorphism ``acting.action[g]`` (`_yoneda_postcompose`); every
+    term is a validated module and every differential
+    (`_yoneda_cochains`) a validated module map, which certifies that the
+    action commutes with the differentials.  Degrees past the end of res
+    get zero modules, ``blocks`` covers the degrees res reaches.  A g
+    outside ``acting.acting`` postcomposes to zero, and every g that acts
+    by zero on a term shares one zero matrix there.
     """
+    algebra = acting.algebra
     f = algebra.field
     blocks, diffs = _yoneda_cochains(res, n, count)
     terms = [
         Module(algebra, _yoneda_dim(b), _action_matrices(f, _yoneda_dim(b), (
-            _postcompose_rows(e, b, b) if any(e.pairs) else () for e in endos)))
+            _postcompose_rows(e, b, b) if g in acting.acting else ()
+            for g, e in enumerate(acting.action))))
         if _yoneda_dim(b) else Module.zero(algebra)
         for b in blocks
     ]
@@ -388,7 +390,8 @@ class _TensorSquare:
     B acts on the right of P ⊗_A B by 1 ⊗ ρ_b, for ρ_b : y ↦ y·b, a map
     of left A-modules.  The adjunction is natural in B as well, so
     D(1 ⊗ ρ_b) is postcomposition with D(ρ_b), whose matrix is ρ_b's
-    transposed.  It is an A-endomorphism of N, because left and right
+    transposed: the action of b on D(B_B), `dual_module` of the regular
+    module.  It is an A-endomorphism of N, because left and right
     multiplications of B commute.  D reverses composition, so
     b ↦ D(ρ_b) is a right action of Bᵒᵖ: ``terms`` and ``maps`` are the
     cochains as validated modules over opposite(B) and validated module
@@ -416,12 +419,9 @@ class _TensorSquare:
         self.resolution = res
         self.p = p
         self.dual = restrict_scalars(p, Module.coregular(b))
-        rights = [
-            b.right_mult_matrix(b.basis_vector(j)).transpose() for j in range(b.dim)
-        ]
         count = len(res.terms)
         self.terms, self.maps, self.blocks = _yoneda_cochain_modules(
-            res, opposite(b), self.dual, rights, count + 1)
+            res, self.dual, dual_module(Module.regular(b)), count + 1)
         ranks = [rank(h.matrix) for h in self.maps]
         dims = [
             self.terms[i].dim - ranks[i] - (ranks[i - 1] if i else 0)
@@ -567,9 +567,9 @@ class CotwistData:
 
     tor_dims lists the homology of the derived tensor square on the
     half-open window [0, len); concentrated carries the unique positive
-    degree when the profile is {0, t} and certified complete; the
+    degree t when the profile is {0, t} and certified complete; the
     bimodule is that degree's homology with both actions, and shift is
-    where the cone sits, namely -t-1.
+    where the cone sits, namely -t-1 (None with concentrated).
 
     All of it is read by duality (`_TensorSquare`).  D(P• ⊗_A B) is
     Hom(P•, D(_A B)) naturally in P, and over a field D keeps
@@ -597,7 +597,7 @@ class CotwistData:
     """
 
     def __init__(self, surjection, tor_dims, cone_dims, concentrated,
-                 cotwist_bimodule, shift, complete):
+                 cotwist_bimodule, complete):
         if tor_dims and tor_dims[0] != surjection.target.dim:
             raise SphertwistError(
                 "degree-zero tensor square must match the target dimension"
@@ -607,8 +607,12 @@ class CotwistData:
         self.cone_dims = cone_dims
         self.concentrated = concentrated
         self.cotwist_bimodule = cotwist_bimodule
-        self.shift = shift
         self.complete = complete
+
+    @property
+    def shift(self):
+        t = self.concentrated
+        return None if t is None else -t - 1
 
     def __repr__(self):
         return "CotwistData(tor %s, concentrated=%s, shift=%s)" % (
@@ -627,12 +631,10 @@ def cotwist_data(p, cap=None):
     positive = [i for i, d in enumerate(dims) if d and i > 0]
     concentrated = None
     bimod = None
-    shift = None
     if square.complete and len(positive) == 1:
         t = positive[0]
         concentrated = t
         bimod = _extract_bimodule(square, t)
-        shift = -t - 1
         expected = {-t - 1: dims[t]}
         for deg, d in square.cone_dims.items():
             want = expected.get(deg, 0)
@@ -647,6 +649,5 @@ def cotwist_data(p, cap=None):
         square.cone_dims,
         concentrated,
         bimod,
-        shift,
         square.complete,
     )

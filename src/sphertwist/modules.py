@@ -13,7 +13,9 @@ and algebra elements are vectors in the one form of `exactlin`.
 
 from __future__ import annotations
 
-from .algebra import Algebra, lift_idempotents, radical
+import random
+
+from .algebra import Algebra, lift_idempotents, opposite, radical
 from .errors import (
     AlgebraMismatch,
     NotASubmodule,
@@ -497,18 +499,18 @@ def quotient(m, vectors):
     return out, proj
 
 
-def balanced_tensor(a, right_mats, left_mats):
+def balanced_tensor(m, n):
     """M ⊗_A N, as the flat space M ⊗ N modulo its balancing relations.
 
-    ``right_mats[s]`` is the action of basis element s of a on M (row u
-    is u·s), and ``left_mats[s]`` its action on N (row x is s·x): the
-    action lists of a right module over a and of a right module over
-    opposite(a) serve.  The pair (u, x) sits at u·dim N + x, first
-    factor major.  Returns the `SpanQuotient` of the span of the
-    relations (u·s) ⊗ x − u ⊗ (s·x); its ``dim`` is dim M ⊗_A N.
+    m is a right module over A, and n a right module over opposite(A)
+    (else AlgebraMismatch), so s acts on M by ``m.action[s]`` (row u is
+    u·s) and on N by ``n.action[s]`` (row x is s·x).  The pair (u, x)
+    sits at u·dim N + x, first factor major.  Returns the `SpanQuotient`
+    of the span of the relations (u·s) ⊗ x − u ⊗ (s·x); its ``dim`` is
+    dim M ⊗_A N.
 
     The relations are fed sparsely into one `SpanBuilder`, as the
-    `_add_relation_rows` of L = right_mats[s] and R = left_mats[s], and
+    `_add_relation_rows` of L = m.action[s] and R = n.action[s], and
     only for s in `generator_indices`.  That spans the same subspace as
     the relations of every s.  For a product st,
 
@@ -522,16 +524,18 @@ def balanced_tensor(a, right_mats, left_mats):
 
     It has two callers, and each uses it as the flat route beside a
     derived one read through the Yoneda kernel: step (d) of
-    `spherical.tilting_audit`, against Tor₀, and the collapse audit of
-    the counit triangle, `twist._balanced_collapse_dim`.  Tor and the
-    derived tensor square do not use it (see `homology`).
+    `spherical.tilting_audit`, on side modules of its hom bimodules,
+    against Tor₀, and the collapse audit of the counit triangle,
+    `twist._balanced_collapse_dim`.  Tor and the derived tensor square
+    do not use it (see `homology`).
     """
-    ni = right_mats[0].nrows if right_mats else 0
-    nd = left_mats[0].nrows if left_mats else 0
+    a = m.algebra
+    if n.algebra is not opposite(a):
+        raise AlgebraMismatch("balanced tensor needs a left module over the same algebra")
     p = a.field.characteristic
-    span = SpanBuilder(a.field, ni * nd)
+    span = SpanBuilder(a.field, m.dim * n.dim)
     for s in generator_indices(a):
-        _add_relation_rows(span, right_mats[s].pairs, left_mats[s].pairs, p)
+        _add_relation_rows(span, m.action[s].pairs, n.action[s].pairs, p)
     return SpanQuotient(span)
 
 
@@ -764,10 +768,10 @@ def projective_cover(m):
     w of e·A is read off those images as v·w = Σ wᵢ·(v·bᵢ), so no
     action_of(w) is formed.
     """
-    return _cover_by_pieces(m, lift_idempotents(m.algebra), "projective cover")
+    return _cover_by_pieces(m, lift_idempotents(m.algebra))
 
 
-def _cover_by_pieces(m, idempotents, what):
+def _cover_by_pieces(m, idempotents):
     """(P, epi): m covered by one piece e·A per generator, e from the list.
 
     Greedy over the idempotents in order: for each e and each basis row
@@ -806,12 +810,12 @@ def _cover_by_pieces(m, idempotents, what):
             rows += incl.matrix.mul(images).pairs
             idems.append(e)
     if not idems:
-        raise SphertwistError("%s of a nonzero module found no generator" % what)
+        raise SphertwistError("the cover of a nonzero module found no generator")
     p_sum = _piece_sum(a, idems)
     big = Matrix.from_pairs(f, rows, m.dim)
     epi = ModuleHom(p_sum, m, big)
     if rank(big) != m.dim:
-        raise SphertwistError("%s candidate is not surjective" % what)
+        raise SphertwistError("the cover candidate is not surjective")
     return p_sum, epi
 
 
@@ -875,10 +879,10 @@ def endomorphism_algebra(m):
     The basis is the rref basis of `hom_space(m, m)`, and the table is
     built on it by `_endomorphism_table`.
     """
-    return _endomorphism_table(m, hom_space(m, m), ())
+    return _endomorphism_table(hom_space(m, m), ())
 
 
-def _endomorphism_table(m, homs, tags):
+def _endomorphism_table(homs, tags):
     """(End(m) on the basis ``homs`` of Hom(m, m), its `HomBasis`).
 
     Structure constants come from composing basis maps and re-expanding
@@ -906,9 +910,10 @@ def _endomorphism_table(m, homs, tags):
     the whole table.
     """
     d = len(homs)
-    f = m.algebra.field
     if d == 0:
         raise SphertwistError("zero module has no unital endomorphism algebra")
+    m = homs[0].source
+    f = m.algebra.field
     basis = HomBasis(f, homs)
     rows_of = [{r for r, row in enumerate(h.matrix.pairs) if row} for h in homs]
     cols_of = [{c for row in h.matrix.pairs for c, _ in row} for h in homs]
@@ -963,8 +968,6 @@ def find_isomorphism(m, n):
     for h in homs:
         if rank(h.matrix) == m.dim:
             return h
-    import random
-
     rng = random.Random(23)
     for _ in range(120):
         mat = Matrix.zero(f, m.dim, n.dim)

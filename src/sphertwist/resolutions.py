@@ -215,7 +215,7 @@ def partial_cover(ctx, m):
     `projective_cover`, from each generator's images taken once.
     """
     order = [copies[0] for copies in ctx.e_copies] + _proj_type_primitives(ctx)
-    return _cover_by_pieces(m, order, "partial cover")
+    return _cover_by_pieces(m, order)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ def is_perfect(m, cap=None):
 
 
 def _piece_type(ctx, e):
-    """Classify a primitive idempotent of the endomorphism algebra.
+    """Classify a piece of a cover, an idempotent of the endomorphism algebra.
 
     Returns None for a projective-type piece, otherwise the index of the
     extra summand whose one-copy ideal it matches.  The test reads which
@@ -357,29 +357,30 @@ def _piece_type(ctx, e):
     own coordinates rad(e·Λ) = e·Λ·J = e·J for J = rad Λ, and
     e·J = e·Λ ∩ J, since x = e·x for x in e·Λ.  v·b lies in e·Λ, so the
     test is span membership of v·b in J, and no quotient module is
-    built.  The first call reads the blocks of every lifted primitive
-    of Λ against one span of J and caches them.
+    built.  A cover takes its pieces from the lifted primitives of Λ
+    and the first copy projector of each extra summand, so the first
+    call reads the blocks of all of them against one span of J and
+    caches them, and any other idempotent raises.
     """
     cache = ctx._piece_type_cache
-    key = tuple(e)
-    if key not in cache:
+    if not cache:
         lam = ctx.endo
         rad = SpanBuilder(lam.field, lam.dim)
         for x in radical(lam).transpose().pairs:
             rad.add(x)
         blocks = [(None, ctx.e_proj)]
         blocks.extend((j, copies[0]) for j, copies in enumerate(ctx.e_copies))
-        prims = lift_idempotents(lam)
-        if list(e) not in prims:
-            prims.append(list(e))
         rights = [(j, lam.right_mult_matrix(b)) for j, b in blocks]
-        for p in prims:
+        pieces = lift_idempotents(lam) + [b for _, b in blocks[1:]]
+        for key, p in {tuple(p): p for p in pieces}.items():
             incl = ctx.right_ideal(p)[1].matrix
-            cache[tuple(p)] = [
+            cache[key] = [
                 j for j, right in rights
                 if not all(rad.contains(v) for v in incl.mul(right).pairs)
             ]
-    hits = cache[key]
+    hits = cache.get(tuple(e))
+    if hits is None:
+        raise SphertwistError("not a piece a cover takes", witness=e)
     if len(hits) != 1:
         raise SphertwistError(
             "top of a primitive ideal meets %d blocks" % len(hits), witness=hits

@@ -619,7 +619,7 @@ def tilting_audit(report):
     # no kernel: the flat balancing quotient (`balanced_tensor`) and the
     # zeroth derived product, which `tor_from_resolution` reads by
     # duality through the Yoneda kernel
-    tensor = balanced_tensor(lam1, fwd_r, bwd_l)
+    tensor = balanced_tensor(forward.restrict_right(), backward.restrict_left())
     tensor_dim = tensor.dim
 
     # a module without a finite resolution is not concentrated whatever

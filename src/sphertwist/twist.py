@@ -56,15 +56,7 @@ from .errors import (
     NotAChainMap,
     SphertwistError,
 )
-from .exactlin import (
-    Matrix,
-    Preimages,
-    SpanBuilder,
-    SpanQuotient,
-    kernel_basis,
-    product_residual,
-    rank,
-)
+from .exactlin import Matrix, Preimages, kernel_basis, product_residual, rank
 from .frobenius import _indecomposable_projectives, dual_module
 from .homology import (
     _yoneda_blocks,
@@ -80,6 +72,7 @@ from .modules import (
     Module,
     ModuleHom,
     _covered,
+    _flatten,
     _idempotent_piece,
     _piece_sum,
     balanced_tensor,
@@ -87,6 +80,7 @@ from .modules import (
     identity_hom,
     kernel_of,
     projective_cover,
+    quotient,
     restrict_scalars,
     submodule,
 )
@@ -458,23 +452,24 @@ def _over(m, lam):
 
 
 def _kernel_data(p, cap):
-    """(kernel module, its left multiplications, its minimal resolution).
+    """(kernel module, D of its left module, its minimal resolution).
 
     K = ker p is a two-sided ideal, because p is an audited algebra map,
     so left multiplication keeps it.  The regular module of Aᵒᵖ is A with
     g acting by x ↦ g·x, and K is a submodule of it; `submodule` writes
     that action in the canonical rows of K, which are the coordinates of
-    the kernel module too.  So the left multiplications are its action
-    matrices, and a kernel basis that is not left-stable still raises
-    `NotASubmodule`.  The resolution is truncated when the kernel does
-    not resolve within the cap (`resolve_within`), and None for a zero
-    kernel.
+    the kernel module too, and a kernel basis that is not left-stable
+    still raises `NotASubmodule`.  The second entry is the `dual_module`
+    of that left module: a right A-module on D K whose g acts by
+    D(λ_g), the transposed left multiplication.  The resolution is
+    truncated when the kernel does not resolve within the cap
+    (`resolve_within`).  A zero kernel gives (K, None, None).
     """
     k_mod, k_incl = _kernel_module(p)
     if k_mod.dim == 0:
         return k_mod, None, None
-    lmults = submodule(Module.regular(opposite(p.source)), k_incl.matrix)[0].action
-    return k_mod, lmults, resolve_within(k_mod, cap)
+    left = submodule(Module.regular(opposite(p.source)), k_incl.matrix)[0]
+    return k_mod, dual_module(left), resolve_within(k_mod, cap)
 
 
 def _twist_core(p, c_mod, kernel, window=None):
@@ -482,8 +477,9 @@ def _twist_core(p, c_mod, kernel, window=None):
 
     I• = D(P•) for the minimal resolution P• → D(c_mod) over Aᵒᵖ, so term
     j is Hom_Aᵒᵖ(Pⱼ, D K) with A acting by postcomposition with D(λₐ) =
-    (left multiplication by a on K)ᵀ (see the module docstring); terms
-    0..depth + 1 are built, depth = pd K + 1.  A perfect kernel cuts the
+    (left multiplication by a on K)ᵀ, the action ``kernel`` carries (see
+    the module docstring); terms 0..depth + 1 are built, depth =
+    pd K + 1.  A perfect kernel cuts the
     complex at degree depth with the kernel of the next differential,
     since Ext^i(K, c) = 0 past pd K; a truncated one needs a window and
     keeps degrees 0..depth, depth reaching the top of the window.
@@ -492,7 +488,7 @@ def _twist_core(p, c_mod, kernel, window=None):
     a zero kernel.
     """
     lam = p.source
-    k_mod, lmults, res = kernel
+    k_mod, acting, res = kernel
     if k_mod.dim == 0:
         return ChainComplex(lam, 0, [], []), None
     complete = not res.truncated
@@ -508,9 +504,7 @@ def _twist_core(p, c_mod, kernel, window=None):
         depth = max(window[1], 1)
     dual_res = resolve_within(dual_module(c_mod), depth + 1)
     hom_modules, diffs, _blocks = _yoneda_cochain_modules(
-        dual_res, lam, dual_module(k_mod), [m.transpose() for m in lmults],
-        depth + 2,
-    )
+        dual_res, dual_module(k_mod), acting, depth + 2)
     if complete:
         # the last differential corestricted to the kernel of the next:
         # each of its rows is a combination of the kernel's basis rows
@@ -555,7 +549,7 @@ def twist_apply(p, m, window=None, cap=None):
     c_mod = _over(m, lam)
     kernel = _kernel_data(p, cap)
     out, _dual_res = _twist_core(p, c_mod, kernel, window)
-    k_mod, _lmults, res = kernel
+    k_mod, _acting, res = kernel
     if k_mod.dim == 0:
         return out
     got = cohomology_dims(out)
@@ -606,19 +600,19 @@ def _balanced_collapse_dim(p, blocks):
     The hom space, read as Hom_Aᵒᵖ(P, D B) through its Yoneda
     ``blocks``, is a right module over the target through precomposition
     with left multiplication, (f·b)(x) = f(b·x), which is
-    postcomposition with D(λ_b) = (left multiplication by b)ᵀ;
-    tensoring back over the target against the regular bimodule must
-    return the same dimension, and that identity is what lets
-    evaluation at the unit stand in for the whole derived tensor.
+    postcomposition with D(λ_b) = (left multiplication by b)ᵀ, the
+    action of b on `Module.coregular`; tensoring back over the target
+    against B as a left module over itself, `Module.regular` of the
+    opposite, must return the same dimension, and that identity is what
+    lets evaluation at the unit stand in for the whole derived tensor.
     """
     b = p.target
     if not _yoneda_dim(blocks):
         return 0
-    lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
-    right_action = [
-        _yoneda_postcompose(left.transpose(), blocks, blocks) for left in lefts
-    ]
-    return balanced_tensor(b, right_action, lefts).dim
+    right = Module(b, _yoneda_dim(blocks), [
+        _yoneda_postcompose(act, blocks, blocks) for act in Module.coregular(b).action
+    ], validate=False)
+    return balanced_tensor(right, Module.regular(opposite(b))).dim
 
 
 def twist_triangle_check(p, m, cap=None):
@@ -649,16 +643,10 @@ def twist_triangle_check(p, m, cap=None):
         depth = kernel[2].length + 1
     count = len(dual_res.terms)
     inj_terms, inj_maps, a_blocks = _yoneda_cochain_modules(
-        dual_res, lam, dual_module(Module.regular(lam)),
-        [lam.left_mult_matrix(lam.basis_vector(g)).transpose()
-         for g in range(lam.dim)],
-        count,
-    )
+        dual_res, dual_module(Module.regular(lam)), Module.coregular(lam), count)
     srb_terms, srb_maps, b_blocks = _yoneda_cochain_modules(
-        dual_res, lam, dual_module(restrict_scalars(p, Module.regular(p.target))),
-        [mat.transpose() for mat in left_module_along(p).action],
-        count,
-    )
+        dual_res, dual_module(restrict_scalars(p, Module.regular(p.target))),
+        dual_module(left_module_along(p)), count)
     d_p = p.matrix.transpose()
     gammas = []
     for hm, i_term, bb, ab in zip(srb_terms, inj_terms, b_blocks, a_blocks):
@@ -916,14 +904,16 @@ class TwistCertificate:
     ``endo_dim`` sums the shift-zero counts, which is the endomorphism
     dimension of the twist of the regular module by additivity.  The
     verdict requires finite projective models for every image, no maps
-    in nonzero shifts, an endomorphism count matching the algebra, and
-    the unit certificate: the algebra acts faithfully on the cohomology
-    of its own twist, which pins the unit map as injective, hence — the
-    counts matching — bijective.  Every flag reports what was found.
+    in nonzero shifts, and the unit certificate: an endomorphism count
+    matching the algebra, and the algebra acting faithfully on the
+    cohomology of its own twist, which pins the unit map as injective,
+    hence — the counts matching — bijective.  ``unit_map_bijective``
+    holds both, so the verdict is read off the three flags.  Every flag
+    reports what was found.
     """
 
     def __init__(self, surjection, images, hom_table, window, endo_dim,
-                 images_perfect, off_shift_zero, unit_map_bijective, verdict):
+                 images_perfect, off_shift_zero, unit_map_bijective):
         self.surjection = surjection
         self.images = images
         self.hom_table = hom_table
@@ -932,7 +922,10 @@ class TwistCertificate:
         self.images_perfect = images_perfect
         self.off_shift_zero = off_shift_zero
         self.unit_map_bijective = unit_map_bijective
-        self.verdict = verdict
+
+    @property
+    def verdict(self):
+        return self.images_perfect and self.off_shift_zero and self.unit_map_bijective
 
     def __repr__(self):
         return (
@@ -954,34 +947,34 @@ def _unit_faithful_on_cohomology(p, res):
     (`_yoneda_cochain_modules`) on ``res``, the kernel's minimal
     resolution, with N = A_A: each term is Pᵢ = ⊕ₖ eₖ·A, so
     Hom(Pᵢ, A) ≅ ⊕ₖ A·eₖ, and g acts by postcomposition with the module
-    map x ↦ g·x, which makes each term a right module over the opposite
-    algebra.  Validating the differentials as module maps certifies
-    that the action commutes with them, so it descends to cohomology,
-    and the stacked matrices of the induced operators must have full
-    rank.  No hom-space system is solved.
+    map x ↦ g·x, the action of `Module.regular` of the opposite algebra,
+    which makes each term a right module over it.  Validating the
+    differentials as module maps certifies that the action commutes
+    with them, so it descends to cohomology: each Hᵏ is the quotient of
+    the cycles (`kernel_of`) by the boundaries, read in the cycles'
+    coordinates, as `homology._extract_bimodule` reads Hᵗ.  The action
+    is faithful exactly when the flattened actions of the basis on all
+    the Hᵏ side by side have rank dim A.  No hom-space system is solved.
+
+    Reading the action on Hᵏ itself loses nothing against reading g on
+    the cycles followed by the projection π onto Hᵏ: π is a module map,
+    so that composite is π∘g_H, and π is onto, so X ↦ π∘X is injective
+    on End(Hᵏ) and the flattened families have the same rank.
     """
     lam = p.source
     terms, maps, _blocks = _yoneda_cochain_modules(
-        res, opposite(lam), Module.regular(lam),
-        [lam.left_mult_matrix(lam.basis_vector(g)) for g in range(lam.dim)],
-        len(res.terms),
-    )
+        res, Module.regular(lam), Module.regular(opposite(lam)), len(res.terms))
     cx = ChainComplex(opposite(lam), 0, terms, maps, validate=False)
-    # each g moves the cycles of every degree; read modulo boundaries,
-    # the classes of the images side by side in one row per g
     flats = [[] for _ in range(lam.dim)]
     width = 0
     for k in range(cx.lo, cx.hi + 1) if cx.terms else []:
-        t = cx.term(k)
-        boundaries = SpanBuilder(lam.field, t.dim)
-        for r in cx.differential(k - 1).matrix.pairs:
-            boundaries.add(r)
-        q = SpanQuotient(boundaries)
-        cycles = _cycle_rows(cx, k)
-        for act, flat in zip(t.action, flats):
-            for at, image in enumerate(cycles.mul(act).pairs):
-                flat.extend((width + at * q.dim + j, e) for j, e in q.project(image))
-        width += cycles.nrows * q.dim
+        cycles, incl = kernel_of(cx.differential(k))
+        in_cycles = Preimages(incl.matrix)
+        h, _ = quotient(
+            cycles, [in_cycles.of(r) for r in cx.differential(k - 1).matrix.pairs])
+        for act, flat in zip(h.action, flats):
+            flat.extend((width + j, e) for j, e in _flatten(act))
+        width += h.dim * h.dim
     return bool(width) and rank(Matrix.from_pairs(lam.field, flats, width)) == lam.dim
 
 
@@ -1000,13 +993,11 @@ def equivalence_certificate(p, cap=None):
     """
     lam = p.source
     kernel = _kernel_data(p, cap)
-    k_mod, _lmults, res = kernel
+    k_mod, _acting, res = kernel
     if k_mod.dim == 0 or res.truncated:
         # no kernel means the twist is zero; an imperfect kernel means no
         # certified model — both are honest negatives
-        return TwistCertificate(
-            p, [], {}, (0, 0), None, k_mod.dim == 0, True, False, False
-        )
+        return TwistCertificate(p, [], {}, (0, 0), None, k_mod.dim == 0, True, False)
     pd = res.length
     window = (-(pd + 1), 1)
     pieces = _indecomposable_projectives(lam)
@@ -1036,9 +1027,4 @@ def equivalence_certificate(p, cap=None):
     else:
         endo = None
         unit = False
-    verdict = bool(
-        perfect and off_zero and endo == lam.dim and unit
-    )
-    return TwistCertificate(
-        p, images, table, window, endo, perfect, off_zero, unit, verdict
-    )
+    return TwistCertificate(p, images, table, window, endo, perfect, off_zero, unit)

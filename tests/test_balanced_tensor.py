@@ -102,7 +102,7 @@ def test_balanced_tensor_matches_the_dense_builders(data):
     span = SpanBuilder(f, width)
     for r in rows:
         span.add(vectors.pairs(f, r))
-    tensor = balanced_tensor(a, m.action, n.action)
+    tensor = balanced_tensor(m, n)
     assert tensor.span.rows == span.rows
     flat = ref.FlatQuotient(f, width, rows)
     assert tensor.kept == flat.kept

@@ -128,7 +128,7 @@ def test_hom_complex_matches_the_hom_space_route(name):
 
 def test_unit_verdict_matches_the_hom_space_route(name):
     surjection = built(name)
-    k_mod, _lmults, res = _kernel_data(surjection, None)
+    k_mod, _acting, res = _kernel_data(surjection, None)
     assert _unit_faithful_on_cohomology(surjection, res) == (
         reference.unit_faithful_on_cohomology(surjection, k_mod))
 
@@ -139,7 +139,7 @@ def test_unit_verdict_is_negative_for_k_times_k_onto_k(field):
     # in degree 0; u acts on it by zero, so A does not act faithfully
     a = product_field_pair(field)
     p = quotient_surjection(a, [a.basis_vector(1)])
-    k_mod, _lmults, res = _kernel_data(p, None)
+    k_mod, _acting, res = _kernel_data(p, None)
     assert _unit_faithful_on_cohomology(p, res) is False
     assert reference.unit_faithful_on_cohomology(p, k_mod) is False
 

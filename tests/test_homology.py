@@ -55,6 +55,7 @@ from sphertwist.modules import (
     hom_space,
     restrict_scalars,
     simple_modules,
+    submodule,
 )
 from sphertwist.resolutions import (
     extract_shape,
@@ -69,10 +70,15 @@ from exactlin_reference import solve_matrix
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,
+    dual_numbers_times_field,
     linear_path,
     matrix_units_2,
+    nakayama3_hand_table,
+    product_field_pair,
     rebased,
     shear,
+    truncated_cycle,
+    two_vertex_arrow,
 )
 from patching import patch_everywhere
 import tensor_square_reference as reference
@@ -792,17 +798,65 @@ def assert_left_module_along_is_valid(p):
 
 
 def assert_kernel_left_family_intertwines(p):
-    # the matrix of g on K = ker p, followed by K ⊆ A, is K ⊆ A followed
-    # by left multiplication by g
+    # the kernel data carries D of K's left module: a right A-module whose
+    # g acts by a matrix whose transpose, followed by K ⊆ A, is K ⊆ A
+    # followed by left multiplication by g
     k_mod, k_incl = twist._kernel_module(p)
     if not k_mod.dim:
         return
-    mats = twist._kernel_data(p, 1)[1]
+    acting = twist._kernel_data(p, 1)[1]
     a = p.source
-    assert len(mats) == a.dim
-    for g, mat in enumerate(mats):
-        assert mat.mul(k_incl.matrix) == k_incl.matrix.mul(
+    assert acting.algebra is a and acting.dim == k_mod.dim
+    left = submodule(Module.regular(opposite(a)), k_incl.matrix)[0]
+    assert acting.action == [mat.transpose() for mat in left.action]
+    for g, mat in enumerate(acting.action):
+        assert mat.transpose().mul(k_incl.matrix) == k_incl.matrix.mul(
             a.left_mult_matrix(a.basis_vector(g)))
+
+
+def assert_actions_are_the_multiplication_families(a):
+    # the modules the twist and tensor layers take their actions from
+    lefts = [a.left_mult_matrix(a.basis_vector(g)) for g in range(a.dim)]
+    rights = [a.right_mult_matrix(a.basis_vector(g)) for g in range(a.dim)]
+    assert Module.coregular(a).action == [mat.transpose() for mat in lefts]
+    assert Module.regular(opposite(a)).action == lefts
+    assert dual_module(Module.regular(a)).action == [mat.transpose() for mat in rights]
+
+
+FIXTURE_ALGEBRAS = {
+    "dual_numbers": dual_numbers,
+    "cyclic3": lambda f: cyclic_nakayama(3, f),
+    "truncated_cycle": lambda f: truncated_cycle(3, 3, f),
+    "two_vertex_arrow": two_vertex_arrow,
+    "linear_path3": lambda f: linear_path(3, f),
+    "product_field_pair": product_field_pair,
+    "dual_numbers_times_field": dual_numbers_times_field,
+    "matrix_units_2": matrix_units_2,
+    "nakayama3_hand_table": nakayama3_hand_table,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
+@pytest.mark.parametrize("name", sorted(FIXTURE_ALGEBRAS))
+def test_action_modules_are_the_multiplication_families(name, field):
+    a = FIXTURE_ALGEBRAS[name](field)
+    for alg in (a, opposite(a)):
+        assert_actions_are_the_multiplication_families(alg)
+
+
+@pytest.mark.parametrize("surjection", SURJECTIONS, indirect=True)
+def test_action_modules_are_the_multiplication_families_on_surjections(surjection):
+    p = surjection[1]
+    assert_actions_are_the_multiplication_families(p.source)
+    assert_actions_are_the_multiplication_families(p.target)
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_action_modules_are_the_multiplication_families_on_workloads(
+        name, workload_contexts):
+    ctx = workload_contexts[name]
+    for a in (ctx.ambient, ctx.endo, ctx.stable_endo):
+        assert_actions_are_the_multiplication_families(a)
 
 
 @pytest.mark.parametrize("surjection", SURJECTIONS, indirect=True)

@@ -67,6 +67,12 @@ actions changed after it was read, would skip an element that acts.  So
 no function but `Module.__init__` may assign an attribute ``acting`` or
 ``action`` (by assignment, ``setattr`` or ``del``), assign to an item of
 an ``action``, or call a list method that changes one.
+
+Every action the twist and tensor layers read is a `Module` that holds
+it: `Module.coregular`, `Module.regular` of an opposite algebra,
+`frobenius.dual_module` and `homology.left_module_along`.  So `twist`
+and `homology` call neither ``left_mult_matrix`` nor
+``right_mult_matrix`` to build one by hand.
 """
 
 import ast
@@ -815,3 +821,52 @@ def tamper(m, mat, others):
         (14, "writes .acting in tamper"),
         (15, "writes .action in tamper"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# the twist and tensor layers take actions from modules
+
+
+MULT_MATRICES = {"left_mult_matrix", "right_mult_matrix"}
+
+
+def mult_matrix_offences(source, module):
+    """(line, what) for each call of ``left_mult_matrix`` or
+    ``right_mult_matrix`` in `twist` or `homology`."""
+    if module not in ("twist", "homology"):
+        return []
+    return sorted(
+        (node.lineno, "calls " + name)
+        for node in ast.walk(ast.parse(source))
+        for name in MULT_MATRICES if _called(node, name)
+    )
+
+
+def test_the_twist_and_tensor_layers_build_no_multiplication_family():
+    found = {
+        path.name: mult_matrix_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {"twist.py", "homology.py"} <= set(found)
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_a_multiplication_family_in_the_twist():
+    source = '''
+def _balanced_collapse_dim(p, blocks):
+    b = p.target
+    lefts = [b.left_mult_matrix(b.basis_vector(g)) for g in range(b.dim)]
+    rights = [right_mult_matrix(x) for x in lefts]
+    # the docstring may name left_mult_matrix
+    return balanced_tensor(b, rights, lefts), b.left_mult_matrix
+'''
+    assert mult_matrix_offences(source, "twist") == [
+        (4, "calls left_mult_matrix"),
+        (5, "calls right_mult_matrix"),
+    ]
+    assert mult_matrix_offences(source, "homology") == [
+        (4, "calls left_mult_matrix"),
+        (5, "calls right_mult_matrix"),
+    ]
+    # other modules build the families the modules hold
+    assert mult_matrix_offences(source, "modules") == []

@@ -737,6 +737,33 @@ def test_piece_type_matches_the_quotient_route(ctx_dual, ctx_cycle, ctx_cycle_on
     assert _quotient_piece_hits(mixed, e) == [0] == [_piece_type(mixed, e)]
 
 
+def test_piece_type_classifies_every_cover_piece_in_one_pass(monkeypatch):
+    # the first call classifies the lifted primitives and every first
+    # copy projector against one radical; a later key reads nothing, and
+    # an idempotent no cover takes is refused
+    a = cyclic_nakayama(3)
+    sims = simple_modules(a)
+    mixed = build_context(
+        a, Module.regular(a), [(direct_sum([sims[0], sims[1]])[0], 1), (sims[2], 2)]
+    )
+    reads = []
+    radical = resolutions.radical
+
+    def reading(lam):
+        reads.append(lam)
+        return radical(lam)
+
+    monkeypatch.setattr(resolutions, "radical", reading)
+    types = [_piece_type(mixed, e) for e in lift_idempotents(mixed.endo)]
+    assert types == [1, 1, 0, 0, None, None, None]
+    assert _piece_type(mixed, mixed.e_copies[0][0]) == 0
+    assert reads == [mixed.endo]
+    assert mixed.e_proj not in lift_idempotents(mixed.endo)
+    with pytest.raises(SphertwistError, match="not a piece a cover takes"):
+        _piece_type(mixed, mixed.e_proj)
+    assert reads == [mixed.endo]
+
+
 def test_refined_projective_type_pieces(ctx_dual, ctx_cycle):
     prims1 = refine_idempotent(ctx_dual.endo, ctx_dual.e_proj)
     assert len(prims1) == 1

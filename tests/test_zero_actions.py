@@ -199,7 +199,7 @@ def test_skipping_kernels_match_the_dense_references_in_sheared_bases(name, fiel
             span = SpanBuilder(field, m.dim * n.dim)
             for row in tensor_ref.balancing_rows(a, m, n):
                 span.add(vectors.pairs(field, row))
-            assert balanced_tensor(a, m.action, n.action).span.rows == span.rows
+            assert balanced_tensor(m, n).span.rows == span.rows
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ cokernels, one `hom_space` system per ladder term, each factored into a
 `HomBasis`, and every composite written back in hom-basis coordinates.
 """
 
+from sphertwist.algebra import opposite
 from sphertwist.errors import AuditFailed, CapExceeded
 from exactlin_reference import solve_matrix
 from sphertwist.exactlin import Matrix, rank
@@ -96,10 +97,11 @@ def twist_complex(p, c, kernel, window=None):
     """(twist complex, ladder terms, ladder maps): Hom(ker p, I•) on an
     injective ladder of c, cut by a kernel term past the projective
     dimension of the kernel, or truncated at the window.  ``kernel`` is
-    `twist._kernel_data` of p."""
+    `twist._kernel_data` of p, whose second entry carries the transposed
+    left multiplications of the kernel."""
     lam = p.source
     c_mod = _over(c, lam)
-    k_mod, lmults, res = kernel
+    k_mod, acting, res = kernel
     if k_mod.dim == 0:
         return ChainComplex(lam, 0, [], []), None, None
     complete = not res.truncated
@@ -110,6 +112,7 @@ def twist_complex(p, c, kernel, window=None):
     else:
         depth = max(window[1], 1)
     ladder, ladder_maps = injective_ladder(c_mod, depth + 1)
+    lmults = [mat.transpose() for mat in acting.action]
     mods, _bases, _solvers, diffs = hom_into_ladder(
         lam, k_mod, lmults, ladder, ladder_maps, depth + 2)
     if not complete:
@@ -142,7 +145,8 @@ def balanced_collapse_dim(p, homs, solver):
         )
         for pre in lefts
     ]
-    return balanced_tensor(b, right_action, lefts).dim
+    return balanced_tensor(Module(b, len(homs), right_action, validate=False),
+                           Module(opposite(b), b.dim, lefts, validate=False)).dim
 
 
 def triangle_profiles(p, c, kernel):
