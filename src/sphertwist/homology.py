@@ -35,7 +35,7 @@ throughout, so a single module engine serves both sides.
 from __future__ import annotations
 
 from .algebra import SurjectionData, opposite
-from .errors import AuditFailed, NotConcentrated, SphertwistError
+from .errors import AuditFailed, SphertwistError
 from .exactlin import Matrix, Preimages, product_residual, rank, rref
 from .frobenius import dual_module
 from .modules import (
@@ -48,7 +48,7 @@ from .modules import (
     quotient,
     restrict_scalars,
 )
-from .resolutions import resolve_within
+from .resolutions import minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +174,7 @@ def ext_dims(m, n, count):
         raise SphertwistError("ext arguments live over different algebras")
     if count < 1:
         return []
-    return ext_from_resolution(resolve_within(m, count), n, count)
+    return ext_from_resolution(minimal_resolution(m, count), n, count)
 
 
 def _yoneda_blocks(n, idempotents):
@@ -344,14 +344,14 @@ def tor_dims(m, n, count):
 
     m is a right A-module, n a left A-module carried over the opposite
     algebra; m is resolved.  Resolving n instead,
-    ``tor_from_resolution(resolve_within(n, count), m, count)``, must
+    ``tor_from_resolution(minimal_resolution(n, count), m, count)``, must
     give the same answer.
     """
     if n.algebra is not opposite(m.algebra):
         raise SphertwistError("second tor argument must live over the opposite")
     if count < 1:
         return []
-    return tor_from_resolution(resolve_within(m, count), n, count)
+    return tor_from_resolution(minimal_resolution(m, count), n, count)
 
 
 def tor_from_resolution(res, other, count):
@@ -414,7 +414,7 @@ class _TensorSquare:
     def __init__(self, p, cap):
         b = p.target
         f = b.field
-        res = resolve_within(restrict_scalars(p, Module.regular(b)), cap)
+        res = minimal_resolution(restrict_scalars(p, Module.regular(b)), cap)
         self.complete = not res.truncated
         self.resolution = res
         self.p = p
@@ -456,7 +456,8 @@ class _TensorSquare:
 
 def tensor_square(p, cap=None):
     """The derived tensor square of a surjection, from B resolved over A
-    within the cap (default 2·dim A + 2, the one of `resolve_within`)."""
+    within the cap (default 2·dim A + 2, that of `minimal_resolution`);
+    ``complete`` is False when that resolution is truncated."""
     return _TensorSquare(p, cap)
 
 
@@ -532,34 +533,6 @@ def _extract_bimodule(square, t):
             h.dim,
         ).transpose())
     return Bimodule(b, b, left, [m.transpose() for m in h.action])
-
-
-def tor_bimodule(p, t):
-    """Tor_t of the target with itself, carrying both actions.
-
-    Requires the tensor square of p (`tensor_square`, at its default
-    cap) to be concentrated in degrees {0, t} within the window; raises
-    NotConcentrated otherwise (also when a truncated window leaves
-    concentration uncertified).  The actions are built as in
-    `_extract_bimodule`.  `cotwist_data` reads the bimodule off its own
-    square, whose checks imply these.
-    """
-    if t < 1:
-        raise SphertwistError("positive degree expected")
-    square = tensor_square(p)
-    dims = square.homology_dims
-    if t >= len(dims):
-        raise NotConcentrated("window too short to reach the requested degree")
-    for i, d in enumerate(dims):
-        if d and i not in (0, t):
-            raise NotConcentrated(
-                "tensor square has homology in degree %d" % i, witness=dims
-            )
-    if not square.complete:
-        raise NotConcentrated(
-            "resolution truncated; concentration cannot be certified", witness=dims
-        )
-    return _extract_bimodule(square, t)
 
 
 class CotwistData:

@@ -20,20 +20,17 @@ take its pieces from the record.  A term without one (only a resolution
 built by hand has one) is checked by the cover criterion: a module is
 projective exactly when its projective cover has the same dimension.
 
-Resolutions are deterministic, so the one built at cap c is a
-term-by-term prefix of the one built at any larger cap (see
-`resolve_past`); one resolution therefore serves every window and
-every cap at or below its own.
+Each builder stops at a cap, 2·dim + 2 unless one is given, and a
+resolution it stops there with a kernel left over comes back marked
+``truncated``; nothing raises.  Resolutions are deterministic, so the
+one built at cap c is a term-by-term prefix of the one built at any
+larger cap (see `resolve_past`); one resolution therefore serves every
+window and every cap at or below its own.
 """
 
 from __future__ import annotations
 
-from .errors import (
-    CapExceeded,
-    NotSurjective,
-    ShapeMismatch,
-    SphertwistError,
-)
+from .errors import NotSurjective, ShapeMismatch, SphertwistError
 from .algebra import lift_idempotents, radical
 from .exactlin import (
     Matrix, SpanBuilder, kernel_basis, rank,
@@ -62,11 +59,14 @@ def is_projective(m):
 class Resolution:
     """A finite (or truncated) projective resolution, audited at birth.
 
-    The constructor re-verifies everything a builder claims: shapes,
-    zero composites, degree-wise exactness via ranks, surjectivity of
-    the augmentation, projectivity of each term, and — when the
-    resolution is complete — injectivity at the top together with the
-    alternating dimension count against the target.
+    ``truncated`` marks a resolution a builder stopped at its cap with a
+    kernel left over; it is the one signal that the target did not
+    resolve within the cap (`_resolve_by`).  The constructor re-verifies
+    everything a builder claims: shapes, zero composites, degree-wise
+    exactness via ranks, surjectivity of the augmentation, projectivity
+    of each term, and — when the resolution is complete — injectivity at
+    the top together with the alternating dimension count against the
+    target.
 
     A term built as a cover is the shared sum ⊕ eₖ·A of
     `modules._piece_sum`, whose record (``term.covered``) certifies it
@@ -250,13 +250,11 @@ def is_partially_minimal(ctx, res):
 
 
 def partially_minimal_resolution(ctx, m, cap=None):
-    """Resolve m by iterated partial covers.
+    """Resolve m by iterated partial covers (`_resolve_by`).
 
     Stops when the kernel vanishes: a projective kernel is covered by an
     isomorphism (`partial_cover`), whose kernel is zero, so it ends the
-    resolution with a recorded cover like every other term.  Raises
-    CapExceeded — carrying the truncated resolution as witness — if the
-    length would pass the cap (default 2·dim + 2).
+    resolution with a recorded cover like every other term.
     """
     if m.algebra is not ctx.endo:
         raise SphertwistError("module lives over a different algebra")
@@ -264,79 +262,56 @@ def partially_minimal_resolution(ctx, m, cap=None):
 
 
 def minimal_resolution(m, cap=None):
-    """Resolve m by iterated projective covers (kernels inside radicals)."""
+    """Resolve m by iterated projective covers (kernels inside radicals),
+    within the cap (`_resolve_by`)."""
     return _resolve_by(m, cap, projective_cover)
 
 
-def resolve_within(m, cap=None):
-    """The minimal resolution of m, truncated at the cap when it does
-    not end within it; ``truncated`` tells the two apart."""
-    try:
-        return minimal_resolution(m, cap=cap)
-    except CapExceeded as exc:
-        return exc.witness
-
-
-def _resolve_by(m, cap, cover):
-    """The resolution of m whose terms are cover(kernel), one per degree,
-    until a kernel vanishes or the length would pass the cap."""
+def _cap(m, cap):
+    """The cap given, or 2·dim + 2 for the algebra of m; at least 1."""
     if cap is None:
         cap = 2 * m.algebra.dim + 2
     if cap < 1:
         raise SphertwistError("resolution cap must be at least 1")
+    return cap
+
+
+def _resolve_by(m, cap, cover):
+    """The resolution of m whose terms are cover(kernel), one per degree,
+    until a kernel vanishes or the length reaches the cap (`_cap`).
+
+    A kernel left at the cap makes the result ``truncated``, of length
+    exactly the cap: the covers do not end within it.
+    """
+    cap = _cap(m, cap)
     p0, aug = cover(m)
     terms = [p0]
     maps = []
     k, incl = kernel_of(aug)
-    truncated = False
-    while k.dim:
-        if len(terms) > cap:
-            truncated = True
-            break
+    while k.dim and len(terms) <= cap:
         q, epi = cover(k)
         maps.append(epi.compose(incl))
         terms.append(q)
         k, incl = kernel_of(epi)
-    res = Resolution(m, terms, maps, aug, truncated=truncated)
-    if truncated:
-        raise CapExceeded(
-            "resolution does not terminate within length %d" % cap, witness=res
-        )
-    return res
+    return Resolution(m, terms, maps, aug, truncated=bool(k.dim))
 
 
 def resolve_past(m, cap=None):
     """(res, perfect, length) from one minimal resolution of m at cap
-    c + 1, where c is the cap given or 2·dim + 2.
+    c + 1, where c is the cap given or 2·dim + 2 (`_cap`).
 
     `minimal_resolution` is deterministic — each term is the cover of
     the previous kernel — so its result at cap c is a term-by-term
-    prefix of ``res``, truncated or not (`resolve_within`).  Hence
-    ``perfect``, that m resolves within c (`is_perfect`), holds exactly
+    prefix of ``res``, truncated or not.  Hence ``perfect``, that m
+    resolves within c (the cap-c result is not truncated), holds exactly
     when ``res`` is complete with length at most c, and ``length`` =
     min(res.length, c) is the length the cap-c call reports.  The extra
     term carries the differential out of degree c, so Ext over that
     length is read off ``res`` without resolving again.
     """
-    if cap is None:
-        cap = 2 * m.algebra.dim + 2
-    if cap < 1:
-        raise SphertwistError("resolution cap must be at least 1")
-    res = resolve_within(m, cap + 1)
+    cap = _cap(m, cap)
+    res = minimal_resolution(m, cap + 1)
     return res, not res.truncated and res.length <= cap, min(res.length, cap)
-
-
-def projective_dimension(m, cap=None):
-    """Length of the minimal resolution of m over its algebra, or
-    "≥ cap" when it overruns."""
-    # a truncated resolution stops at length exactly the cap
-    res = resolve_within(m, cap)
-    return "≥ %d" % res.length if res.truncated else res.length
-
-
-def is_perfect(m, cap=None):
-    """True iff m has a finite projective resolution within the cap."""
-    return not resolve_within(m, cap).truncated
 
 
 # ---------------------------------------------------------------------------

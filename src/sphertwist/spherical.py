@@ -54,7 +54,7 @@ from .modules import (
 )
 from .resolutions import (
     extract_shape,
-    is_perfect,
+    minimal_resolution,
     partially_minimal_resolution,
     resolve_past,
     stable_idempotent_module,
@@ -408,7 +408,7 @@ def _assert_mirror_properties(ctx, t, cap):
     The stable Hom(X, ΣⁱX) is read pair by pair as in `rigidity_check`:
     a sum of injective envelopes is one, so Σ commutes with sums too.
     """
-    if not is_perfect(left_module_along(ctx.to_stable), cap=cap):
+    if minimal_resolution(left_module_along(ctx.to_stable), cap=cap).truncated:
         raise AuditFailed(
             "stable quotient is perfect on one side only"
         )

@@ -84,7 +84,7 @@ from .modules import (
     restrict_scalars,
     submodule,
 )
-from .resolutions import resolve_within
+from .resolutions import minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +201,14 @@ class ChainMap:
     (`product_residual`); the composites are formed only for a witness.
     """
 
-    def __init__(self, source, target, lo, comps, validate=True):
+    def __init__(self, source, target, lo, comps):
         if source.algebra is not target.algebra:
             raise AlgebraMismatch("chain map between complexes over different algebras")
         self.source = source
         self.target = target
         self.lo = lo
         self.comps = list(comps)
-        if validate:
-            self._validate()
+        self._validate()
 
     def component(self, k):
         if self.comps and self.lo <= k < self.lo + len(self.comps):
@@ -251,7 +250,7 @@ class ChainMap:
 
 
 def identity_chain_map(c):
-    return ChainMap(c, c, c.lo, [identity_hom(t) for t in c.terms], validate=False)
+    return ChainMap(c, c, c.lo, [identity_hom(t) for t in c.terms])
 
 
 def shift(c, n):
@@ -462,14 +461,14 @@ def _kernel_data(p, cap):
     still raises `NotASubmodule`.  The second entry is the `dual_module`
     of that left module: a right A-module on D K whose g acts by
     D(λ_g), the transposed left multiplication.  The resolution is
-    truncated when the kernel does not resolve within the cap
-    (`resolve_within`).  A zero kernel gives (K, None, None).
+    `minimal_resolution` at the cap, ``truncated`` when the kernel does
+    not resolve within it.  A zero kernel gives (K, None, None).
     """
     k_mod, k_incl = _kernel_module(p)
     if k_mod.dim == 0:
         return k_mod, None, None
     left = submodule(Module.regular(opposite(p.source)), k_incl.matrix)[0]
-    return k_mod, dual_module(left), resolve_within(k_mod, cap)
+    return k_mod, dual_module(left), minimal_resolution(k_mod, cap)
 
 
 def _twist_core(p, c_mod, kernel, window=None):
@@ -502,7 +501,7 @@ def _twist_core(p, c_mod, kernel, window=None):
                 witness=res,
             )
         depth = max(window[1], 1)
-    dual_res = resolve_within(dual_module(c_mod), depth + 1)
+    dual_res = minimal_resolution(dual_module(c_mod), depth + 1)
     hom_modules, diffs, _blocks = _yoneda_cochain_modules(
         dual_res, dual_module(k_mod), acting, depth + 2)
     if complete:
@@ -638,7 +637,7 @@ def twist_triangle_check(p, m, cap=None):
     twist, dual_res = _twist_core(p, c_mod, kernel)
     if dual_res is None:
         depth = 0
-        dual_res = resolve_within(dual_module(c_mod), 1)
+        dual_res = minimal_resolution(dual_module(c_mod), 1)
     else:
         depth = kernel[2].length + 1
     count = len(dual_res.terms)

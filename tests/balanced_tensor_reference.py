@@ -10,7 +10,6 @@ slow and obviously right; the package must give exactly the same rows,
 kept columns, projections, dimensions and products.
 """
 
-from sphertwist.errors import CapExceeded
 from sphertwist.exactlin import Matrix, SpanBuilder, SpanQuotient, kronecker, rank
 from sphertwist.resolutions import minimal_resolution
 from vectors import dense, pairs
@@ -128,10 +127,7 @@ def tor_from_resolution(a, res, other, count, second=False):
 
 def tor_dims(a, m, n, count, resolve_second=False):
     """[dim Tor_i(m, n) for i in 0..count) by the Kronecker route."""
-    try:
-        res = minimal_resolution(n if resolve_second else m, cap=count)
-    except CapExceeded as exc:
-        res = exc.witness
+    res = minimal_resolution(n if resolve_second else m, cap=count)
     return tor_from_resolution(a, res, m if resolve_second else n, count, resolve_second)
 
 

@@ -8,7 +8,7 @@ reads nothing from the recorded covers; the Yoneda route must return
 exactly the same dimensions.
 """
 
-from sphertwist.errors import CapExceeded, SphertwistError
+from sphertwist.errors import SphertwistError
 from sphertwist.exactlin import Matrix, rank
 from sphertwist.modules import HomBasis, hom_space
 from sphertwist.resolutions import minimal_resolution
@@ -20,10 +20,7 @@ def ext_dims(a, m, n, count):
         raise SphertwistError("ext arguments live over a different algebra")
     if count < 1:
         return []
-    try:
-        res = minimal_resolution(m, cap=count)
-    except CapExceeded as exc:
-        res = exc.witness
+    res = minimal_resolution(m, cap=count)
     f = a.field
     spaces = [hom_space(t, n) for t in res.terms]
     # matrix of precomposition with maps[i]: hom(terms[i], n) -> hom(terms[i+1], n)

@@ -12,7 +12,7 @@ cone and an isomorphic Tor bimodule.
 """
 
 from sphertwist.algebra import enveloping
-from sphertwist.errors import CapExceeded, NotConcentrated, SphertwistError
+from sphertwist.errors import NotConcentrated, SphertwistError
 from exactlin_reference import solve_matrix
 from sphertwist.exactlin import Matrix, kronecker, rank, solve
 from sphertwist.homology import Bimodule
@@ -101,12 +101,8 @@ class TensorSquare:
         if cap is None:
             cap = 2 * a.dim + 2
         carrier = _target_as_bimodule_carrier(p)
-        try:
-            res = minimal_resolution(carrier, cap=cap)
-            self.complete = True
-        except CapExceeded as exc:
-            res = exc.witness
-            self.complete = False
+        res = minimal_resolution(carrier, cap=cap)
+        self.complete = not res.truncated
         self.resolution = res
         self.p = p
         env_bb = enveloping(b, b)

@@ -24,7 +24,7 @@ from sphertwist.algebra import opposite
 from sphertwist.exactlin import QQ, Matrix, PrimeField, SpanBuilder, SpanQuotient
 from sphertwist.homology import tor_dims, tor_from_resolution
 from sphertwist.modules import Module, balanced_tensor, direct_sum, simple_modules
-from sphertwist.resolutions import resolve_within
+from sphertwist.resolutions import minimal_resolution
 from sphertwist.spherical import _pairing_blocks
 
 import vectors
@@ -144,7 +144,7 @@ def test_span_quotient_matches_the_flat_quotient(data):
 def test_tor_dims_match_the_kronecker_route(data):
     a, m, n = draw_pair(data)
     assert tor_dims(m, n, 3) == ref.tor_dims(a, m, n, 3)
-    assert tor_from_resolution(resolve_within(n, 3), m, 3) == ref.tor_dims(
+    assert tor_from_resolution(minimal_resolution(n, 3), m, 3) == ref.tor_dims(
         a, m, n, 3, resolve_second=True)
 
 

@@ -21,7 +21,7 @@ import pytest
 
 from sphertwist import modules
 from sphertwist.algebra import quotient_surjection
-from sphertwist.errors import SphertwistError
+from sphertwist.errors import CapExceeded, SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, rank
 from sphertwist.frobenius import _indecomposable_projectives, build_context
 from sphertwist.algebra import lift_idempotents
@@ -269,6 +269,30 @@ def test_the_certificate_resolves_the_kernel_once(monkeypatch):
     cert = equivalence_certificate(p)
     assert cert.verdict
     assert len(over_source(calls, p)) == 1
+
+
+def test_the_certificate_reports_a_capped_model_as_imperfect():
+    # the kernel resolves in length 1, within cap 2, but three of the six
+    # twists spread over degrees 0..2, and the staircase of a perfect
+    # model steps down past its support one degree per step, so cap 2
+    # stops it: an honest negative, reported rather than raised
+    p = built("cycle3_all_GF32003")
+    res = _kernel_data(p, 2)[2]
+    assert not res.truncated and res.length == 1
+    cert = equivalence_certificate(p, cap=2)
+    assert len(cert.images) == 6
+    spread = [im for im in cert.images if im.support == (0, 2)]
+    assert len(spread) == 3
+    for im in spread:
+        with pytest.raises(CapExceeded):
+            perfect_model(im, cap=2)
+    assert not cert.images_perfect and not cert.unit_map_bijective
+    assert cert.endo_dim is None and cert.hom_table == {}
+    assert not cert.verdict
+    # one step more and the twist is certified an equivalence
+    cert = equivalence_certificate(p, cap=3)
+    assert cert.images_perfect and cert.verdict
+    assert cert.endo_dim == p.source.dim == 15
 
 
 def test_the_twist_resolves_the_kernel_once(monkeypatch):

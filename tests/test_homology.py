@@ -18,7 +18,7 @@ import pytest
 
 from sphertwist import algebra, exactlin, modules, twist
 from sphertwist.algebra import enveloping, opposite, quotient_surjection
-from sphertwist.errors import AuditFailed, NotConcentrated, SphertwistError
+from sphertwist.errors import AuditFailed, SphertwistError
 from sphertwist.exactlin import (
     QQ,
     Matrix,
@@ -44,7 +44,6 @@ from sphertwist.homology import (
     identity_surjection,
     left_module_along,
     tensor_square,
-    tor_bimodule,
     tor_dims,
     tor_from_resolution,
 )
@@ -60,8 +59,8 @@ from sphertwist.modules import (
 from sphertwist.resolutions import (
     extract_shape,
     is_projective,
+    minimal_resolution,
     partially_minimal_resolution,
-    resolve_within,
     stable_idempotent_module,
     stable_module,
 )
@@ -283,7 +282,7 @@ def test_tor_point_with_point_never_dies(dual, dual_to_point):
     right = restrict_scalars(p, Module.regular(p.target))
     left = left_module_along(p)
     assert tor_dims(right, left, 6) == [1] * 6
-    assert tor_from_resolution(resolve_within(left, 6), right, 6) == [1] * 6
+    assert tor_from_resolution(minimal_resolution(left, 6), right, 6) == [1] * 6
 
 
 def test_tor_balance_battery(dual, ctx_dual):
@@ -297,7 +296,7 @@ def test_tor_balance_battery(dual, ctx_dual):
     cases.append((con, left_module_along(ctx_dual.to_stable)))
     for m, n in cases:
         first = tor_dims(m, n, 4)
-        second = tor_from_resolution(resolve_within(n, 4), m, 4)
+        second = tor_from_resolution(minimal_resolution(n, 4), m, 4)
         assert first == second
 
 
@@ -305,7 +304,7 @@ def test_tor_of_stable_quotient_with_itself(ctx_dual):
     con = stable_module(ctx_dual)
     left = left_module_along(ctx_dual.to_stable)
     assert tor_dims(con, left, 5) == [1, 0, 1, 0, 0]
-    assert tor_from_resolution(resolve_within(left, 5), con, 5) == [1, 0, 1, 0, 0]
+    assert tor_from_resolution(minimal_resolution(left, 5), con, 5) == [1, 0, 1, 0, 0]
 
 
 def test_tor_rejects_wrong_sided_arguments(dual):
@@ -319,7 +318,9 @@ def test_tor_rejects_wrong_sided_arguments(dual):
 
 
 def test_tor_bimodule_of_stable_point(ctx_dual):
-    bi = tor_bimodule(ctx_dual.to_stable, 2)
+    data = cotwist_data(ctx_dual.to_stable)
+    assert data.concentrated == 2
+    bi = data.cotwist_bimodule
     assert bi.dim == 1
     assert bi.left_algebra is ctx_dual.stable_endo
     assert bi.right_algebra is ctx_dual.stable_endo
@@ -327,8 +328,8 @@ def test_tor_bimodule_of_stable_point(ctx_dual):
 
 
 def test_tor_bimodule_refuses_spread_homology(dual_to_point):
-    with pytest.raises(NotConcentrated):
-        tor_bimodule(dual_to_point, 2)
+    data = cotwist_data(dual_to_point)
+    assert data.concentrated is None and data.cotwist_bimodule is None
 
 
 def test_tor_bimodule_realizes_resolution_permutation(ctx_cycle, cycle_cotwist):
@@ -502,7 +503,7 @@ def test_cotwist_profile_matches_one_sided_route(ctx_dual, ctx_cycle,
         count = len(data.tor_dims)
         assert data.tor_dims == tor_dims(right, left, count)
         assert data.tor_dims == tor_from_resolution(
-            resolve_within(left, count), right, count)
+            minimal_resolution(left, count), right, count)
 
 
 def test_cotwist_degree_zero_always_the_target(ctx_dual, ctx_cycle,
@@ -579,7 +580,7 @@ def test_cotwist_builds_no_enveloping_algebra(ctx_cycle, monkeypatch):
     p = ctx_cycle.to_stable
     data = cotwist_data(p)
     assert data.tor_dims == [3, 0, 3]
-    assert tor_bimodule(p, 2).dim == 3
+    assert data.concentrated == 2 and data.cotwist_bimodule.dim == 3
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +697,11 @@ def test_tor_and_the_cotwist_use_no_balanced_tensor(ctx_dual, ctx_cycle,
     right = restrict_scalars(p, Module.regular(p.target))
     left = left_module_along(p)
     assert tor_dims(right, left, 6) == [1] * 6
-    assert tor_from_resolution(resolve_within(left, 6), right, 6) == [1] * 6
+    assert tor_from_resolution(minimal_resolution(left, 6), right, 6) == [1] * 6
     con = stable_module(ctx_dual)
     left = left_module_along(ctx_dual.to_stable)
     assert tor_dims(con, left, 5) == [1, 0, 1, 0, 0]
-    assert tor_from_resolution(resolve_within(left, 5), con, 5) == [1, 0, 1, 0, 0]
+    assert tor_from_resolution(minimal_resolution(left, 5), con, 5) == [1, 0, 1, 0, 0]
     data = cotwist_data(ctx_cycle.to_stable)
     assert data.tor_dims == [3, 0, 3] and data.cotwist_bimodule.dim == 3
 

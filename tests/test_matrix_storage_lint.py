@@ -73,6 +73,12 @@ it: `Module.coregular`, `Module.regular` of an opposite algebra,
 `frobenius.dual_module` and `homology.left_module_along`.  So `twist`
 and `homology` call neither ``left_mult_matrix`` nor
 ``right_mult_matrix`` to build one by hand.
+
+A resolution stopped by its cap comes back flagged ``truncated``, and
+no resolver raises on it.  So no module names ``CapExceeded`` (as a
+name, an attribute, an import or a class) but `errors`, which defines
+it, and `twist`, whose window-less twist of an imperfect kernel and
+whose perfect model raise it.
 """
 
 import ast
@@ -870,3 +876,69 @@ def _balanced_collapse_dim(p, blocks):
     ]
     # other modules build the families the modules hold
     assert mult_matrix_offences(source, "modules") == []
+
+
+# ---------------------------------------------------------------------------
+# a capped resolution is flagged, never raised
+
+
+CAP_RAISERS = {"errors", "twist"}
+
+
+def cap_exceeded_offences(source, module):
+    """(line, what) for each import, name, attribute or class
+    ``CapExceeded`` outside `errors` and `twist`."""
+    if module in CAP_RAISERS:
+        return []
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(alias.lineno, "imports " + alias.name) for alias in node.names
+                    if alias.name.rsplit(".", 1)[-1] == "CapExceeded"]
+        elif isinstance(node, ast.Name) and node.id == "CapExceeded":
+            out.append((node.lineno, "names CapExceeded"))
+        elif isinstance(node, ast.Attribute) and node.attr == "CapExceeded":
+            out.append((node.lineno, "reads .CapExceeded"))
+        elif isinstance(node, ast.ClassDef) and node.name == "CapExceeded":
+            out.append((node.lineno, "defines CapExceeded"))
+    return sorted(out)
+
+
+def test_only_the_twist_raises_cap_exceeded():
+    found = {
+        path.name: cap_exceeded_offences(path.read_text(encoding="utf-8"), path.stem)
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {"resolutions.py", "homology.py", "spherical.py"} <= set(found)
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_lint_flags_cap_exceeded_outside_the_twist():
+    source = '''
+from .errors import CapExceeded, SphertwistError
+from . import errors
+
+def resolve_within(m, cap):
+    """Catches CapExceeded: the docstring may name it."""
+    try:
+        return minimal_resolution(m, cap)
+    except errors.CapExceeded as exc:
+        return exc.witness
+
+def refuse(m):
+    raise CapExceeded("overrun")
+
+class CapExceeded(SphertwistError):
+    pass
+'''
+    hits = [
+        (2, "imports CapExceeded"),
+        (9, "reads .CapExceeded"),
+        (13, "names CapExceeded"),
+        (15, "defines CapExceeded"),
+    ]
+    for module in ("resolutions", "homology", "spherical"):
+        assert cap_exceeded_offences(source, module) == hits
+    # the module that defines it and the one that raises it may name it
+    assert cap_exceeded_offences(source, "errors") == []
+    assert cap_exceeded_offences(source, "twist") == []

@@ -17,12 +17,7 @@ import pytest
 
 from sphertwist import resolutions
 from sphertwist.algebra import lift_idempotents
-from sphertwist.errors import (
-    CapExceeded,
-    NotSurjective,
-    ShapeMismatch,
-    SphertwistError,
-)
+from sphertwist.errors import NotSurjective, ShapeMismatch, SphertwistError
 from sphertwist.exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical
 from sphertwist.frobenius import build_context, syzygy
 from sphertwist.modules import (
@@ -49,14 +44,12 @@ from sphertwist.resolutions import (
     is_minimal,
     is_partially_essential,
     is_partially_minimal,
-    is_perfect,
     is_projective,
     minimal_resolution,
     partial_cover,
     partially_minimal_resolution,
-    projective_dimension,
     radd0,
-    resolve_within,
+    resolve_past,
     stable_idempotent_module,
     stable_module,
     stable_simples,
@@ -427,11 +420,9 @@ def test_single_summand_cycle_resolution(ctx_cycle_one):
             extract_shape(ctx, res, t)
 
 
-def test_cap_exceeded_carries_truncated_witness(ctx_cycle_one):
+def test_a_capped_resolution_is_flagged_truncated(ctx_cycle_one):
     ctx = ctx_cycle_one
-    with pytest.raises(CapExceeded) as info:
-        partially_minimal_resolution(ctx, stable_module(ctx), cap=2)
-    partial = info.value.witness
+    partial = partially_minimal_resolution(ctx, stable_module(ctx), cap=2)
     assert isinstance(partial, Resolution)
     assert partial.truncated
     assert partial.length == 2
@@ -495,9 +486,9 @@ def test_resolutions_record_their_covers(ctx_dual, ctx_cycle):
 
 def test_truncated_resolution_records_every_cover(ctx_cycle_one):
     m = stable_idempotent_module(ctx_cycle_one, 0)
-    with pytest.raises(CapExceeded) as exc:
-        minimal_resolution(m, cap=2)
-    assert_built_from_covers(exc.value.witness)
+    res = minimal_resolution(m, cap=2)
+    assert res.truncated
+    assert_built_from_covers(res)
 
 
 def test_the_piece_sum_refuses_a_non_idempotent():
@@ -518,9 +509,8 @@ def test_a_term_without_a_record_is_checked_by_the_cover_criterion():
     f = a.field
     sims = simple_modules(a)
     pair, _, _ = direct_sum([sims[0], sims[1]])
-    with pytest.raises(CapExceeded) as exc:
-        minimal_resolution(pair, cap=2)
-    res = exc.value.witness
+    res = minimal_resolution(pair, cap=2)
+    assert res.truncated
     assert [len(t.covered.idempotents) for t in res.terms] == [2, 2, 2]
     t = res.terms[0]
     # term 0 conjugated by the coordinate permutation x·q exchanging the
@@ -552,7 +542,7 @@ def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
         mods += stable_simples(ctx) + [stable_idempotent_module(ctx, 0)]
     for m in mods:
         for cap in (1, 2, 3, 4):
-            short, long = resolve_within(m, cap), resolve_within(m, cap + 2)
+            short, long = minimal_resolution(m, cap), minimal_resolution(m, cap + 2)
             n = len(short.terms)
             assert short.term_dims == long.term_dims[:n]
             assert [h.matrix for h in short.maps] == [h.matrix for h in long.maps[: n - 1]]
@@ -595,22 +585,35 @@ def test_resolution_audit_rejects_non_projective_term(ctx_dual):
 def test_projective_dimension_of_projectives(ctx_dual):
     ctx = ctx_dual
     pe0, _ = ctx.right_ideal(ctx.e_proj)
-    assert projective_dimension(pe0) == 0
-    amb = ctx.ambient
-    assert projective_dimension(Module.regular(amb)) == 0
+    for m in (pe0, Module.regular(ctx.ambient)):
+        res = minimal_resolution(m)
+        assert not res.truncated and res.length == 0
 
 
 def test_projective_dimension_of_stable_algebra(ctx_dual):
-    assert projective_dimension(stable_module(ctx_dual)) == 2
+    res = minimal_resolution(stable_module(ctx_dual))
+    assert not res.truncated and res.length == 2
 
 
 def test_infinite_dimension_reports_the_cap(ctx_dual):
+    # the default cap is 2·dim + 2 = 6 over the dual numbers
     amb = ctx_dual.ambient
     s = simple_modules(amb)[0]
-    assert projective_dimension(s) == "≥ 6"
-    assert projective_dimension(s, cap=9) == "≥ 9"
-    assert not is_perfect(s)
-    assert is_perfect(stable_module(ctx_dual))
+    for cap, length in ((None, 6), (9, 9)):
+        res = minimal_resolution(s, cap=cap)
+        assert res.truncated and res.length == length
+    assert not minimal_resolution(stable_module(ctx_dual)).truncated
+
+
+def test_a_cap_below_one_is_refused(ctx_cycle_one):
+    ctx = ctx_cycle_one
+    m = stable_module(ctx)
+    with pytest.raises(SphertwistError, match="cap must be at least 1"):
+        minimal_resolution(m, cap=0)
+    with pytest.raises(SphertwistError, match="cap must be at least 1"):
+        partially_minimal_resolution(ctx, m, cap=0)
+    with pytest.raises(SphertwistError, match="cap must be at least 1"):
+        resolve_past(m, 0)
 
 
 def test_is_projective_agrees_with_additive_membership(ctx_dual, ctx_cycle):
@@ -640,10 +643,10 @@ def test_extract_shape_window_floor(ctx_dual):
 
 def test_extract_shape_rejects_truncated(ctx_cycle_one):
     ctx = ctx_cycle_one
-    with pytest.raises(CapExceeded) as info:
-        partially_minimal_resolution(ctx, stable_module(ctx), cap=2)
+    res = partially_minimal_resolution(ctx, stable_module(ctx), cap=2)
+    assert res.truncated
     with pytest.raises(ShapeMismatch):
-        extract_shape(ctx, info.value.witness, 2)
+        extract_shape(ctx, res, 2)
 
 
 def test_extract_shape_rejects_twin_tails(ctx_cycle):

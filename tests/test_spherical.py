@@ -19,7 +19,7 @@ import simple_reference
 import strip_reference
 import tilting_reference
 from sphertwist import algebra, exactlin, modules, spherical
-from sphertwist.errors import AuditFailed, CapExceeded, SphertwistError
+from sphertwist.errors import AuditFailed, SphertwistError
 from sphertwist.exactlin import QQ, Matrix
 from sphertwist.frobenius import (
     build_context,
@@ -30,11 +30,8 @@ from sphertwist.frobenius import (
 from sphertwist.homology import left_module_along, tor_dims, tor_from_resolution
 from sphertwist.modules import Module, add_equivalent, direct_sum, simple_modules
 from sphertwist.resolutions import (
-    is_perfect,
     minimal_resolution,
-    projective_dimension,
     resolve_past,
-    resolve_within,
     stable_module,
     stable_simples,
 )
@@ -421,7 +418,7 @@ def test_tilting_and_tor_form_no_kronecker_product(ctx_cycle_one, monkeypatch):
     ctx = ctx_cycle_one
     con, left = stable_module(ctx), left_module_along(ctx.to_stable)
     assert tor_dims(con, left, 6) == [1, 0, 0, 0, 1, 0]
-    assert tor_from_resolution(resolve_within(left, 6), con, 6) == [1, 0, 0, 0, 1, 0]
+    assert tor_from_resolution(minimal_resolution(left, 6), con, 6) == [1, 0, 0, 0, 1, 0]
 
 
 def test_tilting_gate_refuses_failing_window(ctx_cycle_one):
@@ -548,12 +545,8 @@ def two_call_side_one(ctx, t, cap):
     once: a cap-c resolution for perfectness and length, then a fresh
     resolution and hom spaces for every simple's profile."""
     con = stable_module(ctx)
-    try:
-        length = minimal_resolution(con, cap=cap).length
-        perfect = True
-    except CapExceeded as exc:
-        length = exc.witness.length
-        perfect = False
+    res = minimal_resolution(con, cap=cap)
+    length, perfect = res.length, not res.truncated
     profile = [
         ext_reference.ext_dims(ctx.endo, con, s, length + 1)
         for s in stable_simples(ctx)
@@ -616,7 +609,8 @@ def test_tilting_flags_match_the_resolve_per_query_route(
         return ext_reference.ext_dims(m.algebra, m, m, 2)[1] == 0
 
     embeds = tilting_reference.embedding_bijective
-    assert ta.biperfect == all(is_perfect(m, cap=cap) for m in (fr, fl, br, bl))
+    assert ta.biperfect == all(
+        not minimal_resolution(m, cap=cap).truncated for m in (fr, fl, br, bl))
     assert ta.rho_iso == (
         embeds(lam1, forward.right_mats, fl) and rigid(fl)
         and embeds(lam, backward.right_mats, bl) and rigid(bl)
@@ -625,9 +619,9 @@ def test_tilting_flags_match_the_resolve_per_query_route(
         embeds(lam, forward.left_mats, fr) and rigid(fr)
         and embeds(lam1, backward.left_mats, br) and rigid(br)
     )
-    pd = projective_dimension(fr, cap=cap)
-    tor = tor_dims(fr, bl, pd + 2 if isinstance(pd, int) else 3)
+    fr_res = minimal_resolution(fr, cap=cap)
+    tor = tor_dims(fr, bl, 3 if fr_res.truncated else fr_res.length + 2)
     assert tor[0] == ta.tensor_dim
-    concentrated = isinstance(pd, int) and not any(tor[1:])
+    concentrated = not fr_res.truncated and not any(tor[1:])
     assert ta.composite_iso_to_projE is composite
     assert concentrated or not composite
