@@ -80,10 +80,6 @@ class ShapeMismatch(SphertwistError):
     pass
 
 
-class NotConcentrated(SphertwistError):
-    pass
-
-
 class AuditFailed(SphertwistError):
     pass
 

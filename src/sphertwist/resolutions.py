@@ -20,10 +20,13 @@ take its pieces from the record.  A term without one (only a resolution
 built by hand has one) is checked by the cover criterion: a module is
 projective exactly when its projective cover has the same dimension.
 
-Each builder stops at a cap, 2·dim + 2 unless one is given, and a
-resolution it stops there with a kernel left over comes back marked
-``truncated``; nothing raises.  Resolutions are deterministic, so the
-one built at cap c is a term-by-term prefix of the one built at any
+Each builder stops at a cap, 2·dim + 2 unless one is given.  `_cap` is
+the one place that default is written, and the twist's projective
+staircase takes it as its budget below the support.  A resolution
+stopped at its cap with a kernel left over comes back marked
+``truncated``, which the resolution reads off its own audit (its top
+map has a kernel); nothing raises.  Resolutions are deterministic, so
+the one built at cap c is a term-by-term prefix of the one built at any
 larger cap (see `resolve_past`); one resolution therefore serves every
 window and every cap at or below its own.
 """
@@ -59,14 +62,14 @@ def is_projective(m):
 class Resolution:
     """A finite (or truncated) projective resolution, audited at birth.
 
-    ``truncated`` marks a resolution a builder stopped at its cap with a
-    kernel left over; it is the one signal that the target did not
-    resolve within the cap (`_resolve_by`).  The constructor re-verifies
-    everything a builder claims: shapes, zero composites, degree-wise
-    exactness via ranks, surjectivity of the augmentation, projectivity
-    of each term, and — when the resolution is complete — injectivity at
-    the top together with the alternating dimension count against the
-    target.
+    ``truncated`` marks a resolution whose top map has a kernel, which is
+    what a builder stopped at its cap leaves (`_resolve_by`); it is read
+    off the audit's own ranks and is the one signal that the target did
+    not resolve within the cap.  The constructor re-verifies everything
+    a builder claims: shapes, zero composites, exactness via ranks at
+    every degree below the top, surjectivity of the augmentation,
+    projectivity of each term, and — when the resolution is complete —
+    the alternating dimension count against the target.
 
     A term built as a cover is the shared sum ⊕ eₖ·A of
     `modules._piece_sum`, whose record (``term.covered``) certifies it
@@ -76,14 +79,7 @@ class Resolution:
     `is_projective`.
     """
 
-    def __init__(
-        self,
-        target,
-        terms,
-        maps,
-        augmentation,
-        truncated=False,
-    ):
+    def __init__(self, target, terms, maps, augmentation):
         if not terms:
             raise SphertwistError("a resolution needs at least one term")
         if len(maps) != len(terms) - 1:
@@ -98,7 +94,6 @@ class Resolution:
         self.terms = terms
         self.maps = maps
         self.augmentation = augmentation
-        self.truncated = truncated
         self._audit()
 
     @property
@@ -124,10 +119,8 @@ class Resolution:
                 raise SphertwistError("resolution is not exact at degree %d" % i)
             ranks.append(r)
             prev = h
+        self.truncated = ranks[-1] != self.terms[-1].dim
         if not self.truncated:
-            top = self.terms[-1]
-            if ranks[-1] != top.dim:
-                raise SphertwistError("resolution is not exact at the top degree")
             total = 0
             for i, t in enumerate(self.terms):
                 total += t.dim if i % 2 == 0 else -t.dim
@@ -293,7 +286,7 @@ def _resolve_by(m, cap, cover):
         maps.append(epi.compose(incl))
         terms.append(q)
         k, incl = kernel_of(epi)
-    return Resolution(m, terms, maps, aug, truncated=bool(k.dim))
+    return Resolution(m, terms, maps, aug)
 
 
 def resolve_past(m, cap=None):

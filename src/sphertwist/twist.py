@@ -37,16 +37,21 @@ comparison is a genuine two-route test.
 Morphism counts in the homotopy category are computed against a
 replacement of the source by a complex of projectives, built by a
 descending staircase of covers and then shrunk by cancelling every
-invertible block in a differential.  The replacement's terms carry
-their cover records, so hom out of it is read by Yoneda as well.  The
-equivalence certificate runs the whole battery for one surjection:
-twists of the idempotent slices of the regular module, their pairwise
-hom tables across a shift window, the endomorphism count in shift zero,
-and a faithfulness certificate for the algebra acting on the cohomology
-of its own twist.
+invertible block in a differential, in one pass up the degrees.  Below
+the support the staircase resolves one kernel module, so it gets a
+resolution's budget, and a complex whose staircase runs out of it has
+no model (None), which the certificate reports as not perfect.  The
+replacement's terms carry their cover records, so hom out of it is read
+by Yoneda as well.  The equivalence certificate runs the whole battery
+for one surjection: twists of the idempotent slices of the regular
+module, their pairwise hom tables across a shift window, the
+endomorphism count in shift zero, and a faithfulness certificate for
+the algebra acting on the cohomology of its own twist.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .algebra import Algebra, opposite
 from .errors import (
@@ -77,14 +82,13 @@ from .modules import (
     _piece_sum,
     balanced_tensor,
     direct_sum,
-    identity_hom,
     kernel_of,
     projective_cover,
     quotient,
     restrict_scalars,
     submodule,
 )
-from .resolutions import minimal_resolution
+from .resolutions import _cap, minimal_resolution
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +253,6 @@ class ChainMap:
                 )
 
 
-def identity_chain_map(c):
-    return ChainMap(c, c, c.lo, [identity_hom(t) for t in c.terms])
-
-
 def shift(c, n):
     """The complex moved n degrees down, differentials flipped for odd n."""
     if n % 2 == 0:
@@ -330,17 +330,11 @@ def euler_characteristic(c):
 # scalar-coefficient complexes: hom and tensor totalizations
 
 
-_SCALAR_CACHE = []
-
-
+@functools.cache
 def _scalar_algebra(field):
-    for f, alg in _SCALAR_CACHE:
-        if f == field:
-            return alg
+    """The one-dimensional algebra over field, one object per field."""
     one = [(0, field.one())]
-    alg = Algebra(field, [[one]], one)
-    _SCALAR_CACHE.append((field, alg))
-    return alg
+    return Algebra(field, [[one]], one)
 
 
 def _vect(field, n):
@@ -586,7 +580,6 @@ class TriangleReport:
         self.twist_profile = twist_profile
         self.compare_window = compare_window
         self.counit_iso = counit_iso
-        self.verdict = cone_profile == twist_profile
 
     def __repr__(self):
         return "TriangleReport(window %s, cone %s, twist %s)" % (
@@ -677,51 +670,39 @@ def twist_triangle_check(p, m, cap=None):
 # projective replacement, minimization, homotopy hom tables
 
 
-def _projective_staircase(c, cap=None):
-    """A quasi-isomorphic complex of projectives mapping onto c.
+def _projective_staircase(c):
+    """A quasi-isomorphic complex of projectives mapping onto c, or None.
 
     Built from the top degree downwards: each new term covers the fiber
     product of the incoming differential with the cycles of the part
-    already built, which keeps the comparison map a quasi-isomorphism;
-    once below the support the loop is resolving one kernel module and
-    terminates exactly when that kernel is perfect.  Raises when the
-    cap is passed first.  Returns (complex, comparison chain map); each
-    term is the source of a cover, so it carries its cover record.
+    already built, which keeps the comparison map a quasi-isomorphism.
+    Once below the support the loop is resolving one kernel module and
+    terminates exactly when that kernel is perfect, so it gets a
+    resolution's budget, the default cap of `resolutions._cap`, on top
+    of one step per term of c; a staircase that runs out of it returns
+    None.  Each term of the result is the source of a cover, so it
+    carries its cover record.
     """
     lam = c.algebra
     field = lam.field
     if not c.terms:
-        empty = ChainComplex(lam, 0, [], [])
-        return empty, ChainMap(empty, c, 0, [])
-    if cap is None:
-        cap = 2 * lam.dim + 2 + len(c.terms)
+        return ChainComplex(lam, 0, [], [])
     hi = c.hi
-    p_terms = {}
-    deltas = {}
-    phis = {}
     q0, epi0 = projective_cover(c.term(hi))
-    p_terms[hi] = q0
-    phis[hi] = epi0
-    k = hi
-    steps = 0
+    p_terms, phis, deltas = {hi: q0}, {hi: epi0}, {}
+    neg = field.neg(field.one())
     # the probe's target c_{k+1} ⊕ P_{k+2} is the pair of the step
     # before, and c_hi itself (P_{hi+1} = 0) on the first step
     tgt = c.term(hi)
-    while True:
-        k -= 1
-        steps += 1
-        if steps > cap:
-            raise CapExceeded(
-                "projective replacement does not terminate within %d steps" % cap
-            )
+    budget = len(c.terms) + _cap(c.terms[0], None)
+    for k in range(hi - 1, hi - 1 - budget, -1):
         ck = c.term(k)
         pk = p_terms[k + 1]
-        pair, injs, prjs = direct_sum([ck, pk])
+        pair, _injs, prjs = direct_sum([ck, pk])
         # map (x, q) ↦ (d x − φ q, δ q) whose kernel is the fiber product
         nxt = p_terms.get(k + 2)
         delta_next = deltas.get(k + 1)
         width = nxt.dim if nxt is not None else 0
-        neg = field.neg(field.one())
         top = c.differential(k).matrix.hstack(Matrix.zero(field, ck.dim, width))
         phi_block = phis[k + 1].matrix.scale(neg)
         delta_block = (
@@ -741,13 +722,15 @@ def _projective_staircase(c, cap=None):
         phis[k] = into_pair.compose(prjs[0])
         deltas[k] = into_pair.compose(prjs[1])
         tgt = pair
+    else:
+        return None
     lo_p = min(p_terms)
     terms = [p_terms[j] for j in range(lo_p, hi + 1)]
     maps = [deltas[j] for j in range(lo_p, hi)]
     px = ChainComplex(lam, lo_p, terms, maps)
     comp = ChainMap(px, c, lo_p, [phis[j] for j in range(lo_p, hi + 1)])
     _audit_quasi_iso(px, comp, c)
-    return px, comp
+    return px
 
 
 def _audit_quasi_iso(px, comp, c):
@@ -758,15 +741,9 @@ def _audit_quasi_iso(px, comp, c):
         raise AuditFailed(
             "replacement changed the cohomology", witness=(hp, hc)
         )
-    field = c.algebra.field
-    degrees = set(hp) | set(hc)
-    for k in degrees:
-        zp = _cycle_rows(px, k)
-        pushed = zp.mul(comp.component(k).matrix) if zp.nrows else zp
-        bc = c.differential(k - 1).matrix
-        stacked = bc if not pushed.nrows else (
-            pushed if not bc.nrows else pushed.vstack(bc)
-        )
+    for k in set(hp) | set(hc):
+        pushed = _cycle_rows(px, k).mul(comp.component(k).matrix)
+        stacked = pushed.vstack(c.differential(k - 1).matrix)
         want = c.term(k).dim - rank(c.differential(k).matrix)
         if rank(stacked) != want:
             raise AuditFailed(
@@ -782,26 +759,48 @@ def _cycle_rows(c, k):
     return kernel_basis(d.transpose()).transpose()
 
 
+def _first_unit(d, src_off, tgt_off):
+    """(row piece, column piece, their rows, their columns, block) of the
+    first invertible square block of d between a piece of its source and
+    one of its target, rows scanned before columns, or None."""
+    for ri, (ro, rd) in enumerate(src_off):
+        for ci, (co, cd) in enumerate(tgt_off):
+            if rd == cd and rd:
+                rows, cols = range(ro, ro + rd), range(co, co + cd)
+                block = d.submatrix(rows, cols)
+                if rank(block) == rd:
+                    return ri, ci, rows, cols, block
+    return None
+
+
 def _eliminate_units(px):
     """Cancel invertible blocks in the differentials of a complex of
     covered projectives.
 
-    The summands are the pieces eₖ·A of each term's record.  A
-    square invertible component between a summand of one term and a
-    summand of the next spans a contractible pair; removing it and
-    correcting the surviving block by the standard complement keeps the
-    homotopy type.  Loops until no block qualifies, then rebuilds each
-    term as the shared `_piece_sum` of the idempotents left (a term that
-    lost no summand is the term it was) and re-audits the cohomology
-    against the original.  The result's terms carry their records.
+    The summands are the pieces eₖ·A of each term's record.  A square
+    invertible component between a summand of one term and a summand of
+    the next spans a contractible pair; removing it and correcting the
+    surviving block by the standard complement keeps the homotopy type
+    (Gaussian elimination for complexes).
+
+    One pass up the degrees finds every cancellation.  A cancellation at
+    degree k changes d_k only by that correction; it deletes columns of
+    d_{k−1} and rows of d_{k+1} and leaves their other entries alone, so
+    it makes no block of d_{k−1} invertible, and a degree cleared stays
+    clear.  Within a degree the blocks are rescanned after each hit until
+    none qualifies, so the cancellations come out in the same order as
+    a rescan from the lowest degree after every hit.  Each term is then
+    rebuilt as the shared `_piece_sum` of the idempotents left (a term
+    that lost no summand is the term it was) and the cohomology is
+    re-audited against the original.  The result's terms carry their
+    records.
     """
     if not px.terms:
         return px
     lam = px.algebra
-    field = lam.field
     degs = list(range(px.lo, px.hi + 1))
-    idems = {k: _covered(t).idempotents for k, t in zip(degs, px.terms)}
-    mats = {k: px.differential(k).matrix for k in range(px.lo, px.hi)}
+    idems = {k: list(_covered(t).idempotents) for k, t in zip(degs, px.terms)}
+    mats = {k: px.differential(k).matrix for k in degs[:-1]}
     before = cohomology_dims(px)
 
     def offsets(k):
@@ -813,74 +812,41 @@ def _eliminate_units(px):
             at += dim
         return out
 
-    changed = True
-    while changed:
-        changed = False
-        for k in sorted(mats):
+    for k in degs[:-1]:
+        while (hit := _first_unit(mats[k], offsets(k), offsets(k + 1))) is not None:
+            ri, ci, rows, cols, block = hit
             d = mats[k]
-            src_off = offsets(k)
-            tgt_off = offsets(k + 1)
-            hit = None
-            for ri, (ro, rd) in enumerate(src_off):
-                for ci, (co, cd) in enumerate(tgt_off):
-                    if rd != cd or rd == 0:
-                        continue
-                    block = d.submatrix(range(ro, ro + rd), range(co, co + cd))
-                    if rank(block) == rd:
-                        hit = (ri, ro, rd, ci, co, cd, block)
-                        break
-                if hit:
-                    break
-            if not hit:
-                continue
-            ri, ro, rd, ci, co, cd, block = hit
-            inv = Preimages(block).inverse()
-            keep_rows = [r for r in range(d.nrows) if not ro <= r < ro + rd]
-            keep_cols = [cc for cc in range(d.ncols) if not co <= cc < co + cd]
-            d_oo = d.submatrix(keep_rows, keep_cols)
-            d_os = d.submatrix(keep_rows, range(co, co + cd))
-            d_ro = d.submatrix(range(ro, ro + rd), keep_cols)
-            correction = d_os.mul(inv).mul(d_ro)
-            mats[k] = d_oo.sub(correction)
-            up = mats.get(k - 1)
-            if up is not None:
-                mats[k - 1] = up.submatrix(range(up.nrows), keep_rows)
-            down = mats.get(k + 1)
-            if down is not None:
-                mats[k + 1] = down.submatrix(keep_cols, range(down.ncols))
-            idems[k] = [e for i, e in enumerate(idems[k]) if i != ri]
-            idems[k + 1] = [e for i, e in enumerate(idems[k + 1]) if i != ci]
-            changed = True
-            break
-    rebuilt = {k: _piece_sum(lam, idems[k]) for k in degs}
-    lo, hi = degs[0], degs[-1]
-    term_list = [rebuilt[k] for k in degs]
-    map_list = []
-    for k in range(lo, hi):
-        src = rebuilt[k]
-        tgt = rebuilt[k + 1]
-        mat = mats.get(k)
-        if mat is None or src.dim == 0 or tgt.dim == 0:
-            mat = Matrix.zero(field, src.dim, tgt.dim)
-            map_list.append(ModuleHom(src, tgt, mat, validate=False))
-        else:
-            map_list.append(ModuleHom(src, tgt, mat))
-    out = ChainComplex(lam, lo, term_list, map_list)
+            keep_rows = [r for r in range(d.nrows) if r not in rows]
+            keep_cols = [j for j in range(d.ncols) if j not in cols]
+            correction = d.submatrix(keep_rows, cols).mul(
+                Preimages(block).inverse()).mul(d.submatrix(rows, keep_cols))
+            mats[k] = d.submatrix(keep_rows, keep_cols).sub(correction)
+            if k - 1 in mats:
+                mats[k - 1] = mats[k - 1].submatrix(range(mats[k - 1].nrows), keep_rows)
+            if k + 1 in mats:
+                mats[k + 1] = mats[k + 1].submatrix(keep_cols, range(mats[k + 1].ncols))
+            del idems[k][ri], idems[k + 1][ci]
+    terms = [_piece_sum(lam, idems[k]) for k in degs]
+    maps = [ModuleHom(src, tgt, mats[k])
+            for k, src, tgt in zip(degs, terms, terms[1:])]
+    out = ChainComplex(lam, px.lo, terms, maps)
     if cohomology_dims(out) != before:
         raise AuditFailed("unit elimination changed the cohomology")
     return out
 
 
-def perfect_model(c, cap=None):
-    """A small quasi-isomorphic complex of projectives, or CapExceeded.
+def perfect_model(c):
+    """A small quasi-isomorphic complex of projectives, or None.
 
     Existence of the finite model is the perfection certificate for the
-    complex; the returned model has been through unit elimination and
-    its cohomology re-audited against the input.  Each of its terms
-    carries its cover record (``covered``), which `hom_complex` reads.
+    complex: None when the staircase runs out of its budget
+    (`_projective_staircase`).  The returned model has been through unit
+    elimination and its cohomology re-audited against the input.  Each
+    of its terms carries its cover record (``covered``), which
+    `hom_complex` reads.
     """
-    px, _comp = _projective_staircase(c, cap=cap)
-    return _eliminate_units(px)
+    px = _projective_staircase(c)
+    return None if px is None else _eliminate_units(px)
 
 
 def _hom_table_entry(model, target, window):
@@ -981,14 +947,15 @@ def equivalence_certificate(p, cap=None):
     """Audit whether the twist of a surjection acts like an equivalence.
 
     Twists every idempotent slice of the regular module, replaces each
-    by a finite projective model (failure of the replacement to
-    terminate is an honest negative on perfection), tabulates homotopy
-    maps between models across the shift window (−(pd K + 1), 1), for
-    the projective dimension pd K of the kernel, and checks the three
+    by a finite projective model (`perfect_model`; an image without one
+    is an honest negative on perfection), tabulates homotopy maps
+    between models across the shift window (−(pd K + 1), 1), for the
+    projective dimension pd K of the kernel, and checks the three
     equivalence marks: no maps off shift zero, endomorphism count equal
     to the algebra dimension, and the unit certificate of faithful
-    action on cohomology.  All flags report findings; nothing raises on
-    a mathematical 'no'.
+    action on cohomology.  ``cap`` bounds the length of the kernel's
+    minimal resolution only; each model's staircase has its own budget.
+    All flags report findings; nothing raises on a mathematical 'no'.
     """
     lam = p.source
     kernel = _kernel_data(p, cap)
@@ -999,31 +966,14 @@ def equivalence_certificate(p, cap=None):
         return TwistCertificate(p, [], {}, (0, 0), None, k_mod.dim == 0, True, False)
     pd = res.length
     window = (-(pd + 1), 1)
-    pieces = _indecomposable_projectives(lam)
-    images = []
-    models = []
-    perfect = True
-    for piece in pieces:
-        image, _dual_res = _twist_core(p, piece, kernel)
-        images.append(image)
-        try:
-            models.append(perfect_model(image, cap=cap))
-        except CapExceeded:
-            perfect = False
-            models.append(None)
-    table = {}
-    off_zero = True
-    endo = 0
-    if perfect:
-        for i, model in enumerate(models):
-            for j, image in enumerate(models):
-                entry = _hom_table_entry(model, image, window)
-                table[(i, j)] = entry
-                endo += entry.get(0, 0)
-                if any(v for n, v in entry.items() if n != 0):
-                    off_zero = False
-        unit = endo == lam.dim and _unit_faithful_on_cohomology(p, res)
-    else:
-        endo = None
-        unit = False
-    return TwistCertificate(p, images, table, window, endo, perfect, off_zero, unit)
+    images = [_twist_core(p, piece, kernel)[0]
+              for piece in _indecomposable_projectives(lam)]
+    models = [perfect_model(image) for image in images]
+    if None in models:
+        return TwistCertificate(p, images, {}, window, None, False, True, False)
+    table = {(i, j): _hom_table_entry(x, y, window)
+             for i, x in enumerate(models) for j, y in enumerate(models)}
+    endo = sum(entry.get(0, 0) for entry in table.values())
+    off_zero = not any(v for entry in table.values() for n, v in entry.items() if n)
+    unit = endo == lam.dim and _unit_faithful_on_cohomology(p, res)
+    return TwistCertificate(p, images, table, window, endo, True, off_zero, unit)

@@ -12,7 +12,7 @@ cone and an isomorphic Tor bimodule.
 """
 
 from sphertwist.algebra import enveloping
-from sphertwist.errors import NotConcentrated, SphertwistError
+from sphertwist.errors import SphertwistError
 from exactlin_reference import solve_matrix
 from sphertwist.exactlin import Matrix, kronecker, rank, solve
 from sphertwist.homology import Bimodule
@@ -216,7 +216,7 @@ def tor_bimodule(square, t):
     dims = square.homology_dims
     if not square.complete or t >= len(dims) or any(
             d for i, d in enumerate(dims) if i not in (0, t)):
-        raise NotConcentrated("reference profile is not concentrated in {0, t}")
+        raise SphertwistError("reference profile is not concentrated in {0, t}")
     carrier = homology_carrier(square, t)
     b = square.p.target
     basis = [b.basis_vector(i) for i in range(b.dim)]

@@ -19,9 +19,9 @@ import functools
 
 import pytest
 
-from sphertwist import modules
+from sphertwist import modules, twist
 from sphertwist.algebra import quotient_surjection
-from sphertwist.errors import CapExceeded, SphertwistError
+from sphertwist.errors import SphertwistError
 from sphertwist.exactlin import QQ, Matrix, PrimeField, rank
 from sphertwist.frobenius import _indecomposable_projectives, build_context
 from sphertwist.algebra import lift_idempotents
@@ -37,6 +37,7 @@ from sphertwist.twist import (
     ChainComplex,
     _eliminate_units,
     _kernel_data,
+    _projective_staircase,
     _twist_core,
     _unit_faithful_on_cohomology,
     cohomology_dims,
@@ -48,9 +49,11 @@ from sphertwist.twist import (
     twist_triangle_check,
 )
 
+import eliminate_units_reference
 import hom_complex_reference as reference
 import twist_reference
 from patching import count_calls, patch_everywhere
+from workload_contexts import WORKLOADS
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,
@@ -203,6 +206,77 @@ def test_a_unit_cancelled_below_a_differential_corrects_it(field):
             target = shift(ChainComplex(a, 0, [n], []), s)
             assert cohomology_dims(hom_complex(out, target)) == cohomology_dims(
                 hom_complex(px, target))
+    assert_one_pass_matches_the_rescan(px)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_every_unit_of_one_differential_cancels(field):
+    # e₀A ⊕ e₁A → e₀A ⊕ e₁A ⊕ e₂A → e₂A with differentials (1 0) and
+    # (0 0 1)ᵀ is contractible: two units cancel in degree 0 and one in
+    # degree 1, so the model is the zero complex
+    a = cyclic_nakayama(3, field)
+    es = lift_idempotents(a)
+    dims = [_idempotent_piece(a, e)[0].dim for e in es]
+    terms = [_piece_sum(a, es[:2]), _piece_sum(a, es), _piece_sum(a, es[2:])]
+    n01 = dims[0] + dims[1]
+    d0 = Matrix.identity(field, n01).hstack(Matrix.zero(field, n01, dims[2]))
+    d1 = Matrix.zero(field, n01, dims[2]).vstack(Matrix.identity(field, dims[2]))
+    px = ChainComplex(a, 0, terms, [
+        ModuleHom(terms[0], terms[1], d0), ModuleHom(terms[1], terms[2], d1)])
+    assert cohomology_dims(px) == {}
+    assert _eliminate_units(px).terms == []
+    assert_one_pass_matches_the_rescan(px)
+
+
+def assert_one_pass_matches_the_rescan(px):
+    """The one-pass elimination returns the complex the rescan from the
+    lowest degree returns: the same lowest degree, term records and
+    differentials."""
+    got = _eliminate_units(px)
+    want = eliminate_units_reference.eliminate_units(px)
+    assert got.lo == want.lo
+    assert [t.covered.idempotents for t in got.terms] == [
+        t.covered.idempotents for t in want.terms]
+    assert [h.matrix for h in got.maps] == [h.matrix for h in want.maps]
+
+
+def twist_staircases(p):
+    # the staircases under the models of the images the certificate takes
+    kernel = _kernel_data(p, None)
+    return [_projective_staircase(_twist_core(p, piece, kernel)[0])
+            for piece in _indecomposable_projectives(p.source)]
+
+
+def test_one_pass_elimination_matches_the_rescan(name):
+    for px in twist_staircases(built(name)):
+        assert_one_pass_matches_the_rescan(px)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_one_pass_elimination_matches_the_rescan_on_workloads(workload):
+    setup, _solve, field = WORKLOADS[workload]
+    for px in twist_staircases(setup(field).to_stable):
+        assert_one_pass_matches_the_rescan(px)
+
+
+def test_one_pass_elimination_matches_the_rescan_on_small_models():
+    u = two_vertex_arrow(QQ)
+    assert_one_pass_matches_the_rescan(
+        _projective_staircase(twist_apply(kill(u, ["a"]), Module.regular(u))))
+    for make in FIXTURE_ALGEBRAS.values():
+        a = make()
+        for piece in _indecomposable_projectives(a):
+            assert_one_pass_matches_the_rescan(
+                _projective_staircase(ChainComplex(a, 0, [piece], [])))
+
+
+def test_perfect_model_of_the_dual_numbers():
+    # over k[x]/(x²) the simple k has syzygy k again, so its stalk has no
+    # finite model, while A_A is projective and is its own model
+    a = dual_numbers(QQ)
+    assert perfect_model(ChainComplex(a, 0, simple_modules(a), [])) is None
+    stalk = ChainComplex(a, 0, [Module.regular(a)], [])
+    assert perfect_model(stalk) == stalk
 
 
 def test_hom_complex_refuses_a_source_without_covers():
@@ -253,7 +327,7 @@ def test_the_twist_layer_solves_no_hom_space_system(monkeypatch):
     # the values of tests/test_twist.py: Hom(e_2A, A) ≅ A·e_2
     assert cohomology_dims(twist_apply(q, Module.regular(u))) == {0: 2}
     rep = twist_triangle_check(q, Module.regular(u))
-    assert rep.verdict and rep.cone_profile == {0: 2}
+    assert rep.cone_profile == rep.twist_profile == {0: 2}
 
 
 def over_source(calls, p):
@@ -271,28 +345,34 @@ def test_the_certificate_resolves_the_kernel_once(monkeypatch):
     assert len(over_source(calls, p)) == 1
 
 
-def test_the_certificate_reports_a_capped_model_as_imperfect():
-    # the kernel resolves in length 1, within cap 2, but three of the six
-    # twists spread over degrees 0..2, and the staircase of a perfect
-    # model steps down past its support one degree per step, so cap 2
-    # stops it: an honest negative, reported rather than raised
+def test_the_certificate_reports_an_image_without_a_model_as_imperfect(monkeypatch):
+    # the cap bounds the kernel's resolution only: the kernel resolves in
+    # length 1, within cap 2, and the models of the three twists spread
+    # over degrees 0..2 take their own budget, so the twist is certified
     p = built("cycle3_all_GF32003")
     res = _kernel_data(p, 2)[2]
     assert not res.truncated and res.length == 1
     cert = equivalence_certificate(p, cap=2)
+    assert cert.images_perfect and cert.verdict
+    assert cert.endo_dim == p.source.dim == 15
     assert len(cert.images) == 6
-    spread = [im for im in cert.images if im.support == (0, 2)]
-    assert len(spread) == 3
-    for im in spread:
-        with pytest.raises(CapExceeded):
-            perfect_model(im, cap=2)
+    assert len([im for im in cert.images if im.support == (0, 2)]) == 3
+    # with no model for those three, the certificate reports an honest
+    # negative rather than raising
+    original, refused = twist.perfect_model, []
+
+    def no_model_when_spread(c):
+        if c.support == (0, 2):
+            refused.append(c)
+            return None
+        return original(c)
+
+    monkeypatch.setattr(twist, "perfect_model", no_model_when_spread)
+    cert = equivalence_certificate(p, cap=2)
+    assert len(cert.images) == 6 and len(refused) == 3
     assert not cert.images_perfect and not cert.unit_map_bijective
     assert cert.endo_dim is None and cert.hom_table == {}
     assert not cert.verdict
-    # one step more and the twist is certified an equivalence
-    cert = equivalence_certificate(p, cap=3)
-    assert cert.images_perfect and cert.verdict
-    assert cert.endo_dim == p.source.dim == 15
 
 
 def test_the_twist_resolves_the_kernel_once(monkeypatch):

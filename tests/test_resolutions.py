@@ -525,7 +525,7 @@ def test_a_term_without_a_record_is_checked_by_the_cover_criterion():
     maps = [ModuleHom(res.terms[1], conj, res.maps[0].matrix.mul(q))] + res.maps[1:]
     with pytest.MonkeyPatch.context() as mp:
         calls = count_calls(mp, resolutions, "is_projective")
-        Resolution(res.target, [conj] + res.terms[1:], maps, aug, truncated=True)
+        assert Resolution(res.target, [conj] + res.terms[1:], maps, aug).truncated
     # only the term without a record went through the criterion
     assert calls == [(conj,)]
     # and a term without a record that fails it is refused

@@ -75,7 +75,7 @@ def run(name):
 
             def build(*args, **kwargs):
                 out = original(*args, **kwargs)
-                models.append(out[0] if isinstance(out, tuple) else out)
+                models.append(out)
                 return out
             return build
 
