@@ -114,7 +114,6 @@ class Algebra:
         # ... and of the frobenius layer
         self._selfinj_cache = None
         self._nakayama_cache = None
-        self._symmetric_cache = None
         if validate:
             self._validate()
 

@@ -60,10 +60,6 @@ class NotASubmodule(SphertwistError):
     pass
 
 
-class NotSurjective(SphertwistError):
-    pass
-
-
 class NotSelfInjective(SphertwistError):
     pass
 

@@ -25,7 +25,6 @@ from .exactlin import (
     Matrix,
     SpanBuilder,
     combine,
-    kernel_basis,
     rank,
     row_space_canonical,
 )
@@ -176,44 +175,6 @@ def nakayama_permutation(a):
     return out
 
 
-def is_symmetric(a):
-    """Whether the algebra is isomorphic to its dual as a bimodule.
-
-    A bimodule map A → A* is fixed by the functional λ it sends the unit
-    to, and λ must vanish on every commutator [x, y]; the map is an
-    isomorphism exactly when the Gram matrix λ(bᵢbⱼ) (`_gram`, shared
-    with `is_self_injective`) is nondegenerate.  So the candidates are
-    the kernel of the commutator conditions, in dim(a) unknowns.  A
-    nondegenerate Gram matrix is searched among the kernel basis and 200
-    seeded combinations of it with coefficients in [−4, 4].  A positive
-    is exact.  A negative is not proven: over a large field it is
-    near-certain, but a symmetric algebra whose forms the search misses
-    would be reported as not symmetric.
-    """
-    if a._symmetric_cache is not None:
-        return a._symmetric_cache
-    f, d = a.field, a.dim
-    p = f.characteristic
-    table = a.table
-    commutators = [
-        combine([(1, table[i][j]), (-1, table[j][i])], p)
-        for i in range(d) for j in range(i + 1, d)
-    ]
-    kernel = kernel_basis(Matrix.from_pairs(f, commutators, d))
-    forms = kernel.transpose().pairs
-    found = any(rank(_gram(a, form)) == d for form in forms)
-    if not found and forms:
-        rng = random.Random(37)
-        for _ in range(200):
-            coeffs = [f.coerce(rng.randint(-4, 4)) for _ in forms]
-            form = combine(zip(coeffs, forms), p)
-            if rank(_gram(a, form)) == d:
-                found = True
-                break
-    a._symmetric_cache = found
-    return found
-
-
 # ---------------------------------------------------------------------------
 # syzygy, cosyzygy, suspension powers
 
@@ -246,10 +207,11 @@ def suspension_power(m, k):
     *Triangulated categories in the representation theory of
     finite-dimensional algebras*, LMS LN 119, 1988, ch. I).  Over a
     self-injective algebra a projective module is injective.
-    - Syzygy: the cover P → m is minimal (`resolutions.is_minimal`
-      checks it), so its kernel K lies in rad P.  A projective summand
-      Q of K is injective, so Q ⊆ P splits off P through some
-      ε : P → Q with ε = 1 on Q.  Then Q = ε(Q) ⊆ ε(rad P) = rad Q, and
+    - Syzygy: the cover P → m is minimal: `projective_cover` takes one
+      piece e·A, e primitive, per generator of the top of m, so P → m
+      is an isomorphism on tops and its kernel K lies in rad P.  A
+      projective summand Q of K is injective, so Q ⊆ P splits off P
+      through some ε : P → Q with ε = 1 on Q.  Then Q = ε(Q) ⊆ ε(rad P) = rad Q, and
       Q = 0 by Nakayama's lemma.
     - Cosyzygy: the envelope m ⊆ E is essential.  A projective summand
       Q of E/m splits off E through a section s : Q → E of

@@ -34,7 +34,7 @@ throughout, so a single module engine serves both sides.
 
 from __future__ import annotations
 
-from .algebra import SurjectionData, opposite
+from .algebra import opposite
 from .errors import AuditFailed, SphertwistError
 from .exactlin import Matrix, Preimages, product_residual, rank, rref
 from .frobenius import dual_module
@@ -147,11 +147,6 @@ def left_module_along(p):
     action = _action_matrices(
         b.field, b.dim, (b._mult_rows(row, True) if row else () for row in p.matrix.pairs))
     return Module(opposite(p.source), b.dim, action, validate=False)
-
-
-def identity_surjection(a):
-    """The identity of an algebra, packaged as a surjection."""
-    return SurjectionData(a, a, Matrix.identity(a.field, a.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ and algebra elements are vectors in the one form of `exactlin`.
 
 from __future__ import annotations
 
-import random
-
 from .algebra import Algebra, lift_idempotents, opposite, radical
 from .errors import (
     AlgebraMismatch,
@@ -219,10 +217,6 @@ class ModuleHom:
 
     def __repr__(self):
         return "ModuleHom(%d→%d)" % (self.source.dim, self.target.dim)
-
-
-def identity_hom(m):
-    return ModuleHom(m, m, Matrix.identity(m.algebra.field, m.dim), validate=False)
 
 
 def hom_space(m, n):
@@ -929,52 +923,3 @@ def _endomorphism_table(homs, tags):
     unit = basis.coords(Matrix.identity(f, m.dim))
     idempotents = [(role, basis.coords(mat)) for role, mat in tags]
     return Algebra(f, table, unit, idempotents=idempotents), basis
-
-
-def is_indecomposable(m):
-    """(verdict, method) — idempotent search in End(m).
-
-    m is indecomposable exactly when 1 is primitive in End(m), that is,
-    when `lift_idempotents` finds one primitive idempotent.  When the
-    corner search runs out it raises NotSplit, and that is not a
-    verdict: the residue of End(m) may be a division algebra larger than
-    the field (m indecomposable), or a split product whose spectral
-    idempotents the search did not reach (m decomposable).  So NotSplit
-    propagates.
-    """
-    if m.dim == 0:
-        return False, "zero module"
-    alg, _ = endomorphism_algebra(m)
-    return len(lift_idempotents(alg)) == 1, "idempotent search"
-
-
-def find_isomorphism(m, n):
-    """An explicit invertible hom m → n, or None.
-
-    Tries hom-basis elements and small deterministic combinations; a
-    None answer is evidence, not proof, unless dims differ or the hom
-    space is zero.
-    """
-    if m.algebra != n.algebra:
-        raise AlgebraMismatch("isomorphism across different algebras")
-    if m.dim != n.dim:
-        return None
-    if m.dim == 0:
-        return ModuleHom(m, n, Matrix.zero(m.algebra.field, 0, 0), validate=False)
-    f = m.algebra.field
-    homs = hom_space(m, n)
-    if not homs:
-        return None
-    for h in homs:
-        if rank(h.matrix) == m.dim:
-            return h
-    rng = random.Random(23)
-    for _ in range(120):
-        mat = Matrix.zero(f, m.dim, n.dim)
-        acc = mat
-        for h in homs:
-            c = f.coerce(rng.randint(-4, 4))
-            acc = acc.add(h.matrix.scale(c))
-        if rank(acc) == m.dim:
-            return ModuleHom(m, n, acc, validate=False)
-    return None

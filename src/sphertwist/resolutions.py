@@ -33,21 +33,16 @@ window and every cap at or below its own.
 
 from __future__ import annotations
 
-from .errors import NotSurjective, ShapeMismatch, SphertwistError
+from .errors import ShapeMismatch, SphertwistError
 from .algebra import lift_idempotents, radical
-from .exactlin import (
-    Matrix, SpanBuilder, kernel_basis, rank,
-)
+from .exactlin import SpanBuilder, rank
 from .modules import (
     Module,
     _cover_by_pieces,
     _covered,
     _idempotent_piece,
-    hom_space,
     kernel_of,
-    module_radical,
     projective_cover,
-    quotient,
     restrict_scalars,
     simple_modules,
 )
@@ -67,9 +62,16 @@ class Resolution:
     off the audit's own ranks and is the one signal that the target did
     not resolve within the cap.  The constructor re-verifies everything
     a builder claims: shapes, zero composites, exactness via ranks at
-    every degree below the top, surjectivity of the augmentation,
-    projectivity of each term, and — when the resolution is complete —
-    the alternating dimension count against the target.
+    every degree below the top, surjectivity of the augmentation and
+    projectivity of each term.
+
+    A complete resolution needs no alternating dimension count on top of
+    the ranks.  Write rᵢ for the rank of the map out of Tᵢ (the
+    augmentation for i = 0).  Surjectivity is r₀ = dim target, the
+    exactness checks force dim Tᵢ = rᵢ + rᵢ₊₁ at every degree below the
+    top, and completeness is r_top = dim T_top.  So Σ (−1)ⁱ dim Tᵢ
+    telescopes to r₀ = dim target, and no resolution that passes the rank
+    checks can miss the count.
 
     A term built as a cover is the shared sum ⊕ eₖ·A of
     `modules._piece_sum`, whose record (``term.covered``) certifies it
@@ -120,12 +122,6 @@ class Resolution:
             ranks.append(r)
             prev = h
         self.truncated = ranks[-1] != self.terms[-1].dim
-        if not self.truncated:
-            total = 0
-            for i, t in enumerate(self.terms):
-                total += t.dim if i % 2 == 0 else -t.dim
-            if total != self.target.dim:
-                raise SphertwistError("alternating dimension count misses the target")
         for i, t in enumerate(self.terms):
             if t.covered is None and not is_projective(t):
                 raise SphertwistError("term %d is not projective" % i)
@@ -137,46 +133,7 @@ class Resolution:
 
 
 # ---------------------------------------------------------------------------
-# the relative radical and partial covers
-
-
-def radd0(ctx, m):
-    """Row basis of the radical relative to the projective-type block.
-
-    This is the preimage in m of rad(m / m·e·Λ) for the projective-type
-    idempotent e: the intersection of the maximal submodules that
-    contain everything reachable through the projective-type ideal.  A
-    quotient map kills it exactly when the quotient is semisimple with
-    the projective-type block acting by zero.
-    """
-    lam = ctx.endo
-    f = lam.field
-    if m.dim == 0:
-        return Matrix.zero(f, 0, 0)
-    span = SpanBuilder(f, m.dim)
-    e_rows = m.action_of(ctx.e_proj)
-    for mat in m.action:
-        for row in e_rows.mul(mat).pairs:
-            if row:
-                span.add(row)
-    q, proj = quotient(m, span.basis_matrix())
-    if q.dim == 0:
-        return Matrix.identity(f, m.dim)
-    rad_rows = module_radical(q)
-    z = kernel_basis(rad_rows)
-    return kernel_basis(proj.matrix.mul(z).transpose()).transpose()
-
-
-def is_partially_essential(ctx, epi):
-    """True iff the kernel of the surjection sits inside radd0(source)."""
-    if rank(epi.matrix) != epi.target.dim:
-        raise NotSurjective("partial essentiality is a property of surjections")
-    allowed = radd0(ctx, epi.source)
-    span = SpanBuilder(ctx.endo.field, epi.source.dim)
-    for r in allowed.pairs:
-        span.add(r)
-    _, incl = kernel_of(epi)
-    return all(span.contains(r) for r in incl.matrix.pairs)
+# partial covers
 
 
 def _proj_type_primitives(ctx):
@@ -202,10 +159,12 @@ def partial_cover(ctx, m):
     Top constituents coming from the extra summands are covered by the
     matching one-copy right ideals (taken in scenario order), everything
     else by primitive pieces of the projective-type idempotent.  The
-    kernel lands inside the radical, hence inside radd0(Q) — each stage
-    is partially essential, and a projective input is covered by an
-    isomorphism.  The pieces and the epi are built as in
-    `projective_cover`, from each generator's images taken once.
+    kernel lands inside the radical of Q, so each stage is partially
+    essential: its kernel lies in the preimage of rad(Q / Q·e·Λ) for
+    the projective-type idempotent e, which contains rad Q.  A
+    projective input is covered by an isomorphism.  The pieces and the
+    epi are built as in `projective_cover`, from each generator's images
+    taken once.
     """
     order = [copies[0] for copies in ctx.e_copies] + _proj_type_primitives(ctx)
     return _cover_by_pieces(m, order)
@@ -213,33 +172,6 @@ def partial_cover(ctx, m):
 
 # ---------------------------------------------------------------------------
 # resolution builders
-
-
-def is_minimal(res):
-    """True iff every differential of res lands in the radical of its
-    target, so each kernel sits inside the radical of its cover."""
-    terms, maps = res.terms, res.maps
-    for i, h in enumerate(maps):
-        rad = module_radical(terms[i])
-        span = SpanBuilder(terms[i].algebra.field, terms[i].dim)
-        for r in rad.pairs:
-            span.add(r)
-        for r in h.matrix.pairs:
-            if not span.contains(r):
-                return False
-    return True
-
-
-def is_partially_minimal(ctx, res):
-    """True iff no differential of res survives a map into a simple of
-    the stable quotient."""
-    sims = stable_simples(ctx)
-    for h in res.maps:
-        for s in sims:
-            for g in hom_space(h.target, s):
-                if not h.compose(g).matrix.is_zero():
-                    return False
-    return True
 
 
 def partially_minimal_resolution(ctx, m, cap=None):

@@ -317,15 +317,6 @@ def cohomology_dims(c):
     return out
 
 
-def euler_characteristic(c):
-    """Alternating sum of term dimensions (equals that of cohomology)."""
-    total = 0
-    for i, t in enumerate(c.terms):
-        k = c.lo + i
-        total += t.dim if k % 2 == 0 else -t.dim
-    return total
-
-
 # ---------------------------------------------------------------------------
 # scalar-coefficient complexes: hom and tensor totalizations
 
@@ -465,7 +456,7 @@ def _kernel_data(p, cap):
     return k_mod, dual_module(left), minimal_resolution(k_mod, cap)
 
 
-def _twist_core(p, c_mod, kernel, window=None):
+def _twist_core(p, c_mod, kernel, top=None):
     """(twist complex Hom_A(K, I•) of a module, resolution read for I•).
 
     I• = D(P•) for the minimal resolution P• → D(c_mod) over Aᵒᵖ, so term
@@ -474,8 +465,8 @@ def _twist_core(p, c_mod, kernel, window=None):
     the module docstring); terms 0..depth + 1 are built, depth =
     pd K + 1.  A perfect kernel cuts the
     complex at degree depth with the kernel of the next differential,
-    since Ext^i(K, c) = 0 past pd K; a truncated one needs a window and
-    keeps degrees 0..depth, depth reaching the top of the window.
+    since Ext^i(K, c) = 0 past pd K; a truncated one needs a top degree
+    and keeps degrees 0..depth, depth = max(top, 1).
     ``kernel`` is `_kernel_data` of p, and c_mod lies over p.source
     (`_over`).  The resolution P• is returned with the complex, None for
     a zero kernel.
@@ -488,13 +479,13 @@ def _twist_core(p, c_mod, kernel, window=None):
     if complete:
         depth = res.length + 1
     else:
-        if window is None:
+        if top is None:
             raise CapExceeded(
                 "kernel has no finite resolution within the cap; "
-                "pass an explicit window to accept a truncated twist",
+                "pass a top degree to accept a truncated twist",
                 witness=res,
             )
-        depth = max(window[1], 1)
+        depth = max(top, 1)
     dual_res = minimal_resolution(dual_module(c_mod), depth + 1)
     hom_modules, diffs, _blocks = _yoneda_cochain_modules(
         dual_res, dual_module(k_mod), acting, depth + 2)
@@ -518,21 +509,21 @@ def _twist_core(p, c_mod, kernel, window=None):
     return ChainComplex(lam, 0, terms, maps, truncated=not complete), dual_res
 
 
-def twist_apply(p, m, window=None, cap=None):
+def twist_apply(p, m, top=None, cap=None):
     """The twist of a module m, read in degree 0: derived hom out of ker p.
 
     Returns a bounded complex of right modules over the source algebra,
     supported from degree 0 up to the certified vanishing bound
     (projective dimension of the kernel plus one, where the tail is cut
     by a kernel term).  A kernel with no finite resolution within the
-    cap needs an explicit window and yields a complex flagged
-    ``truncated``.  The cohomology is cross-checked against the same
-    dimensions computed from a projective resolution of the kernel —
-    the whole profile when the kernel is perfect, the prefix below the
-    cut when truncated — and a disagreement between the two routes
-    raises.  A perfect kernel's profile is read off the resolution the
-    twist already holds; a truncated one is resolved again over the
-    window, which can run past the cap.
+    cap needs a top degree and yields a complex flagged ``truncated``,
+    built in degrees 0..max(top, 1).  The cohomology is cross-checked
+    against the same dimensions computed from a projective resolution of
+    the kernel — the whole profile when the kernel is perfect, the
+    prefix below the cut when truncated — and a disagreement between the
+    two routes raises.  A perfect kernel's profile is read off the resolution the
+    twist already holds; a truncated one is resolved again up to its top
+    degree, which can run past the cap.
 
     m must be a `Module` over p.source.  The twist of m placed in degree
     d is ``shift(twist_apply(p, m), -d)``; that of a direct sum is the
@@ -541,13 +532,13 @@ def twist_apply(p, m, window=None, cap=None):
     lam = p.source
     c_mod = _over(m, lam)
     kernel = _kernel_data(p, cap)
-    out, _dual_res = _twist_core(p, c_mod, kernel, window)
+    out, _dual_res = _twist_core(p, c_mod, kernel, top)
     k_mod, _acting, res = kernel
     if k_mod.dim == 0:
         return out
     got = cohomology_dims(out)
     if res.truncated:
-        depth = max(window[1], 1)
+        depth = max(top, 1)
         expected = ext_dims(k_mod, c_mod, depth + 1)[:depth]
         got = {k: v for k, v in got.items() if k < depth}
     else:

@@ -139,6 +139,26 @@ def test_bad_unit():
         from_structure_constants(QQ, mult, [1, 0])
 
 
+def test_tags_that_are_not_orthogonal_idempotents_are_refused():
+    # in the path algebra of 1 → 2 (basis e_1, e_2, a): a² = 0, and
+    # f = e_1 + a is idempotent with e_2·f = 0 but f·e_2 = a
+    a = two_vertex_arrow()
+    e1, e2, arrow = (a.basis_vector(i) for i in range(3))
+    f = [(0, QQ.one()), (2, QQ.one())]
+
+    def tagged(*tags):
+        return Algebra(QQ, a.table, a.unit, idempotents=list(tags))
+
+    assert tagged(("1", e1), ("2", e2)).idempotents == [("1", e1), ("2", e2)]
+    with pytest.raises(SphertwistError, match="'a' is not idempotent"):
+        tagged(("a", arrow))
+    # f·e_2 ≠ 0 fails whichever of the two is listed first
+    with pytest.raises(SphertwistError, match="'f', '2' not orthogonal"):
+        tagged(("f", f), ("2", e2))
+    with pytest.raises(SphertwistError, match="'f', '2' not orthogonal"):
+        tagged(("2", e2), ("f", f))
+
+
 def test_quiver_single_vertex():
     a = from_quiver(["v"], [], [])
     assert a.dim == 1

@@ -22,7 +22,6 @@ from sphertwist.frobenius import (
     dual_module,
     injective_envelope,
     is_self_injective,
-    is_symmetric,
     nakayama_permutation,
     stable_hom,
     suspension_power,
@@ -31,7 +30,6 @@ from sphertwist.frobenius import (
 from sphertwist.modules import (
     Module,
     direct_sum,
-    find_isomorphism,
     hom_space,
     in_add,
     kernel_of,
@@ -42,6 +40,7 @@ from sphertwist.modules import (
 
 import strip_reference
 import vectors
+from checks_reference import find_isomorphism, is_symmetric
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,

@@ -228,6 +228,69 @@ def test_every_unit_of_one_differential_cancels(field):
     assert_one_pass_matches_the_rescan(px)
 
 
+def dual_free_complex(field, diffs):
+    """The complex of free modules Aⁿ over A = k[x]/(x²) in degrees 0, 1,
+    … whose differentials have the entries (c, d), meaning c + d·x, each
+    acting by left multiplication; every term is the covered sum of
+    copies of A."""
+    a = dual_numbers(field)
+    one = lift_idempotents(a)[0]
+
+    def element(c, d):
+        return a.left_mult_matrix([(i, field.coerce(v)) for i, v in enumerate((c, d)) if v])
+
+    mats = [
+        functools.reduce(Matrix.vstack, [
+            functools.reduce(Matrix.hstack, [element(*entry) for entry in row])
+            for row in rows])
+        for rows in diffs
+    ]
+    sizes = [len(diffs[0])] + [len(rows[0]) for rows in diffs]
+    terms = [_piece_sum(a, [one] * n) for n in sizes]
+    return a, ChainComplex(a, 0, terms, [
+        ModuleHom(s, t, m) for s, t, m in zip(terms, terms[1:], mats)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_two_cancellations_in_one_differential(field):
+    # A³ → A³ with rows Q₁ = (1, 1, 0), Q₂ = (1, x, 1), T = (0, 1, −1).
+    # Q₁ → P₁ cancels first and corrects the block of rows Q₂, T and
+    # columns P₂, S to ((x − 1, 1), (1, −1)); x − 1 is a unit, with
+    # inverse −(1 + x), and only then does Q₂ → P₂ cancel, leaving
+    # T → S by −1 − 1·(−(1 + x))·1 = x.  The unit −1 that T → S started
+    # as is not the one the scan takes first
+    a, px = dual_free_complex(field, [
+        [[(1, 0), (1, 0), (0, 0)], [(1, 0), (0, 1), (1, 0)], [(0, 0), (1, 0), (-1, 0)]],
+    ])
+    out = _eliminate_units(px)
+    assert out.lo == 0
+    assert [len(t.covered.idempotents) for t in out.terms] == [1, 1]
+    assert out.maps[0].matrix == a.left_mult_matrix(a.basis_vector(1))
+    # H⁰ = ker x = xA and H¹ = A/xA
+    assert cohomology_dims(out) == cohomology_dims(px) == {0: 1, 1: 1}
+    assert_one_pass_matches_the_rescan(px)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_two_cancellations_that_share_a_term(field):
+    # A → A³ → A² by Q ↦ (1, 0, 1) and the rows P₁ = (1, 0), P₂ = (−1, x),
+    # P₃ = (−1, 0).  P₁ is a unit onto both of its neighbours Q and R₁,
+    # and whichever pair is cancelled first takes the other with it.  Up
+    # the degrees Q → P₁ goes first; then P₂ → R₁ does, and P₃ → R₂ is
+    # 0 − (−1)·(−1)⁻¹·x = −x.  Down the degrees P₁ → R₁ would go first,
+    # then Q → P₃, leaving P₂ → R₂ by x
+    a, px = dual_free_complex(field, [
+        [[(1, 0), (0, 0), (1, 0)]],
+        [[(1, 0), (0, 0)], [(-1, 0), (0, 1)], [(-1, 0), (0, 0)]],
+    ])
+    out = _eliminate_units(px)
+    assert out.lo == 1
+    assert [len(t.covered.idempotents) for t in out.terms] == [1, 1]
+    assert out.maps[0].matrix == a.left_mult_matrix([(1, field.coerce(-1))])
+    assert cohomology_dims(out) == cohomology_dims(px) == {1: 1, 2: 1}
+    assert_one_pass_matches_the_rescan(px)
+
+
 def assert_one_pass_matches_the_rescan(px):
     """The one-pass elimination returns the complex the rescan from the
     lowest degree returns: the same lowest degree, term records and
@@ -416,7 +479,7 @@ def test_truncated_twist_matches_the_ladder_route():
     p = kill(a, ["x"])
     kernel = _kernel_data(p, None)
     for c in [Module.regular(a)] + simple_modules(a):
-        got = _twist_core(p, c, kernel, window=(0, 3))[0]
-        want, _ladder, _maps = twist_reference.twist_complex(p, c, kernel, window=(0, 3))
+        got = _twist_core(p, c, kernel, top=3)[0]
+        want, _ladder, _maps = twist_reference.twist_complex(p, c, kernel, top=3)
         assert got.truncated and want.truncated
         assert shape(got) == shape(want)

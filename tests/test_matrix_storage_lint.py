@@ -78,12 +78,24 @@ A resolution stopped by its cap comes back flagged ``truncated``, no
 resolver raises on it, and a complex with no perfect model has the
 model None.  So no module names ``CapExceeded`` (as a name, an
 attribute, an import or a class) but `errors`, which defines it, and
-`twist`, which imports it for `_twist_core`, the window-less twist of
-an imperfect kernel; inside `twist` no other definition names it.
+`twist`, which imports it for `_twist_core`, the twist of an imperfect
+kernel given no top degree; inside `twist` no other definition names it.
+
+The package keeps only what it or the benchmark harness calls.  So every
+public top-level function or class of a module under ``src/sphertwist``
+is referred to, outside its own definition, from ``perfbench``, from
+package code outside the public definitions, or from a public
+definition that is itself so referred to: by a name, an attribute, an
+import, or a string outside a docstring (the tracer names its targets
+by string).  A checker or a small builder that only the tests call
+lives in ``tests/*_reference.py``.  The two exceptions are the
+library's entry points in `ENTRY_POINTS`.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sphertwist"
 
@@ -956,3 +968,155 @@ class CapExceeded(SphertwistError):
         (9, "reads .CapExceeded"),
         (15, "defines CapExceeded"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# no public name that only the tests call
+
+
+PERFBENCH = SRC.parents[1] / "perfbench"
+# (module, name): why the package keeps a public name no module reads
+ENTRY_POINTS = {
+    ("algebra", "from_structure_constants"):
+        "builds an algebra from a table of structure constants given as "
+        "dense lists, the input form of hand-written tables",
+    ("twist", "twist_triangle_check"):
+        "audits the counit triangle of the twist on one module, the paper's "
+        "cone-versus-twist comparison",
+}
+
+
+def _docstrings(tree):
+    """The constant nodes that are docstrings of the module, a class or a
+    function of tree."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, kinds) and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+
+
+def _referred_names(node, docstrings):
+    """The names node refers to: a name, an attribute, the last part of an
+    imported name, or each dotted part of a string outside a docstring."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.alias):
+        return [node.name.rsplit(".", 1)[-1]]
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings):
+        return node.value.split(".")
+    return []
+
+
+def unreferenced_public_names(package, others=(), kept=()):
+    """Sorted (module, name) for each public top-level function or class
+    of the package sources, a {module: source} dict, that nothing reached
+    refers to outside the name's own definition.
+
+    Reached are the other sources, the package code outside its public
+    top-level definitions, the definitions named in ``kept``, and then,
+    to a fixed point, every definition whose name something reached
+    refers to.  So a helper whose only caller is itself unreferenced is
+    flagged as well."""
+    defined = {}
+    referred = set()
+    trees = [(module, ast.parse(source)) for module, source in package.items()]
+    trees += [(None, ast.parse(source)) for source in others]
+    for module, tree in trees:
+        owner = {}
+        if module is not None:
+            for top in tree.body:
+                public = not getattr(top, "name", "_").startswith("_")
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and public:
+                    defined[module, top.name] = set()
+                    owner.update((id(node), (module, top.name)) for node in ast.walk(top))
+        docstrings = _docstrings(tree)
+        for node in ast.walk(tree):
+            key = owner.get(id(node))
+            names = {n for n in _referred_names(node, docstrings) if key is None or n != key[1]}
+            (referred if key is None else defined[key]).update(names)
+    reached = set()
+    todo = set(kept) | {key for key in defined if key[1] in referred}
+    while todo:
+        reached |= todo
+        for key in todo:
+            referred |= defined[key]
+        todo = {key for key in defined if key[1] in referred} - reached
+    return sorted(set(defined) - reached)
+
+
+def _package_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
+def _harness_sources():
+    return [path.read_text(encoding="utf-8") for path in sorted(PERFBENCH.glob("*.py"))]
+
+
+def test_every_public_name_is_called_by_the_package_or_the_harness():
+    package = _package_sources()
+    others = _harness_sources()
+    assert {"twist", "spherical", "resolutions"} <= set(package) and others
+    assert unreferenced_public_names(package, others, ENTRY_POINTS) == []
+    # each entry point is still needed
+    for key in ENTRY_POINTS:
+        assert key in unreferenced_public_names(package, others, set(ENTRY_POINTS) - {key})
+
+
+MOVED = {
+    "resolutions": ["is_minimal", "is_partially_minimal", "is_partially_essential", "radd0"],
+    "modules": ["identity_hom", "is_indecomposable", "find_isomorphism"],
+    "frobenius": ["is_symmetric"],
+    "twist": ["euler_characteristic"],
+    "homology": ["identity_surjection"],
+    "errors": ["NotSurjective"],
+}
+
+
+def _put_back(package, module, name, calls=""):
+    """package with a definition of name appended to module: it calls
+    itself and ``calls``, and another module's docstring names it."""
+    package = dict(package)
+    package[module] += '''
+
+def %s(*args):
+    """Calls %s again."""
+    %s
+    return %s(*args)  # a comment may name %s
+''' % (name, name, calls, name, name)
+    package["spherical"] = '"""Reads %s."""\n' % name + package["spherical"]
+    return package
+
+
+@pytest.mark.parametrize(
+    "module, name", [(m, n) for m, names in sorted(MOVED.items()) for n in names])
+def test_the_lint_flags_a_test_only_name_put_back(module, name):
+    # a definition that refers to itself, named in another module's
+    # docstring and in a comment, is still unreferenced
+    package = _put_back(_package_sources(), module, name)
+    harness = _harness_sources()
+    assert unreferenced_public_names(package, harness, ENTRY_POINTS) == [(module, name)]
+    # a call from other package code, or a string in the harness, keeps it
+    called = dict(package, spherical=package["spherical"] + "\n%s\n" % name)
+    assert unreferenced_public_names(called, harness, ENTRY_POINTS) == []
+    targets = 'TARGETS = [("%s", "%s")]' % (module, name)
+    assert unreferenced_public_names(package, harness + [targets], ENTRY_POINTS) == []
+
+
+def test_the_lint_flags_a_helper_only_a_test_only_name_calls():
+    # radd0's one caller was is_partially_essential; put back together,
+    # both are flagged, and a caller in the harness keeps both
+    package = _put_back(_package_sources(), "resolutions", "radd0")
+    package = _put_back(package, "resolutions", "is_partially_essential", "radd0(*args)")
+    harness = _harness_sources()
+    assert unreferenced_public_names(package, harness, ENTRY_POINTS) == [
+        ("resolutions", "is_partially_essential"), ("resolutions", "radd0")]
+    assert unreferenced_public_names(
+        package, harness + ["is_partially_essential(ctx, epi)"], ENTRY_POINTS) == []

@@ -39,12 +39,12 @@ from sphertwist.frobenius import (
 from sphertwist.modules import (
     Module,
     direct_sum,
-    find_isomorphism,
     module_radical,
     simple_modules,
     submodule,
 )
 
+from checks_reference import find_isomorphism
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,

@@ -24,11 +24,8 @@ from sphertwist.modules import (
     cokernel_of,
     direct_sum,
     endomorphism_algebra,
-    find_isomorphism,
     hom_space,
-    identity_hom,
     in_add,
-    is_indecomposable,
     kernel_of,
     module_radical,
     projective_cover,
@@ -40,6 +37,7 @@ from sphertwist.modules import (
 )
 from sphertwist.algebra import quotient_surjection
 
+from checks_reference import find_isomorphism, identity_hom, is_indecomposable
 from fixture_algebras import (
     cyclic_nakayama,
     dual_numbers,

@@ -3,8 +3,9 @@
 The independent oracle here recomputes the block-relative radical by
 enumeration: every maximal submodule containing the reachable part is
 the kernel of a hom to a simple, so the relative radical is the joint
-kernel of all such homs.  The production code uses the
-preimage-of-the-radical formula instead; the two must agree exactly.
+kernel of all such homs.  `checks_reference.radd0`, the checker the
+partial-essentiality tests read, uses the preimage-of-the-radical
+formula instead; the two must agree exactly.
 
 The resolution audit certifies a term built as a cover from its record
 alone; every resolution that any test here builds is re-checked term by
@@ -17,7 +18,7 @@ import pytest
 
 from sphertwist import resolutions
 from sphertwist.algebra import lift_idempotents
-from sphertwist.errors import NotSurjective, ShapeMismatch, SphertwistError
+from sphertwist.errors import ShapeMismatch, SphertwistError
 from sphertwist.exactlin import Matrix, SpanBuilder, kernel_basis, rank, row_space_canonical
 from sphertwist.frobenius import build_context, syzygy
 from sphertwist.modules import (
@@ -26,9 +27,7 @@ from sphertwist.modules import (
     _idempotent_piece,
     _piece_sum,
     direct_sum,
-    find_isomorphism,
     hom_space,
-    identity_hom,
     in_add,
     kernel_of,
     module_radical,
@@ -41,20 +40,25 @@ from sphertwist.resolutions import (
     Resolution,
     _piece_type,
     extract_shape,
-    is_minimal,
-    is_partially_essential,
-    is_partially_minimal,
     is_projective,
     minimal_resolution,
     partial_cover,
     partially_minimal_resolution,
-    radd0,
     resolve_past,
     stable_idempotent_module,
     stable_module,
     stable_simples,
 )
 
+from checks_reference import (
+    NotSurjective,
+    find_isomorphism,
+    identity_hom,
+    is_minimal,
+    is_partially_essential,
+    is_partially_minimal,
+    radd0,
+)
 from fixture_algebras import cyclic_nakayama, dual_numbers
 from patching import count_calls
 from hom_reference import hom_module

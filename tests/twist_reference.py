@@ -93,12 +93,12 @@ def hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
     return mods, bases, solvers, diffs
 
 
-def twist_complex(p, c, kernel, window=None):
+def twist_complex(p, c, kernel, top=None):
     """(twist complex, ladder terms, ladder maps): Hom(ker p, I•) on an
     injective ladder of c, cut by a kernel term past the projective
-    dimension of the kernel, or truncated at the window.  ``kernel`` is
-    `twist._kernel_data` of p, whose second entry carries the transposed
-    left multiplications of the kernel."""
+    dimension of the kernel, or truncated at degree max(top, 1).
+    ``kernel`` is `twist._kernel_data` of p, whose second entry carries
+    the transposed left multiplications of the kernel."""
     lam = p.source
     c_mod = _over(c, lam)
     k_mod, acting, res = kernel
@@ -107,10 +107,10 @@ def twist_complex(p, c, kernel, window=None):
     complete = not res.truncated
     if complete:
         depth = res.length + 1
-    elif window is None:
+    elif top is None:
         raise CapExceeded("kernel has no finite resolution within the cap")
     else:
-        depth = max(window[1], 1)
+        depth = max(top, 1)
     ladder, ladder_maps = injective_ladder(c_mod, depth + 1)
     lmults = [mat.transpose() for mat in acting.action]
     mods, _bases, _solvers, diffs = hom_into_ladder(
