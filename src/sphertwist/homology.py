@@ -488,11 +488,22 @@ def _lift_left_multiplication(square, c, t, preimages):
     return images
 
 
+def _cohomology_module(d_in, d_out):
+    """(Hᵏ, the cycles' inclusion, its `Preimages`, the projection onto
+    Hᵏ) for the module maps d_in into degree k and d_out out of it: the
+    cycles (`kernel_of`) modulo the boundaries, the rows of d_in in the
+    cycles' coordinates (`quotient`)."""
+    cycles, incl = kernel_of(d_out)
+    in_cycles = Preimages(incl.matrix)
+    h, proj = quotient(cycles, [in_cycles.of(r) for r in d_in.matrix.pairs])
+    return h, incl, in_cycles, proj
+
+
 def _extract_bimodule(square, t):
     """Tor_t of the tensor square with its two actions, as D(Hᵗ).
 
-    Hᵗ is the cocycles of Hom(P_t, N) modulo the coboundaries, carried
-    by `kernel_of` and `quotient`, and Tor_t = D(Hᵗ) in the dual basis.
+    Hᵗ is the cocycles of Hom(P_t, N) modulo the coboundaries
+    (`_cohomology_module`), and Tor_t = D(Hᵗ) in the dual basis.
     D is contravariant, so each action of B on Tor_t is the transpose of
     the map it induces on Hᵗ (see `_TensorSquare`).  The right action of
     b is 1 ⊗ ρ_b, whose dual is the quotient's own action of b.  The
@@ -507,10 +518,7 @@ def _extract_bimodule(square, t):
     that they commute, exactly.
     """
     b, f = square.p.target, square.p.target.field
-    cycles, incl = kernel_of(square.maps[t])
-    in_cycles = Preimages(incl.matrix)
-    boundaries = [in_cycles.of(r) for r in square.maps[t - 1].matrix.pairs]
-    h, proj = quotient(cycles, boundaries)
+    h, incl, in_cycles, proj = _cohomology_module(square.maps[t - 1], square.maps[t])
     section = Preimages(proj.matrix)
     one = f.one()
     reps = [incl.apply(section.of([(s, one)])) for s in range(h.dim)]
@@ -530,14 +538,20 @@ def _extract_bimodule(square, t):
     return Bimodule(b, b, left, [m.transpose() for m in h.action])
 
 
+def _concentration(tor_dims, complete):
+    """The one positive degree t of a complete profile on {0, t}, or None."""
+    positive = [i for i, d in enumerate(tor_dims) if d and i > 0]
+    return positive[0] if complete and len(positive) == 1 else None
+
+
 class CotwistData:
     """Everything the cotwist of a surjection is made of.
 
     tor_dims lists the homology of the derived tensor square on the
-    half-open window [0, len); concentrated carries the unique positive
-    degree t when the profile is {0, t} and certified complete; the
-    bimodule is that degree's homology with both actions, and shift is
-    where the cone sits, namely -t-1 (None with concentrated).
+    half-open window [0, len).  Read off it and ``complete``,
+    ``concentrated`` is the unique positive degree t of a complete
+    profile on {0, t}, and ``shift`` = -t-1 is where the cone sits (both
+    None otherwise); the bimodule is Tor_t with both actions, or None.
 
     All of it is read by duality (`_TensorSquare`).  D(P• ⊗_A B) is
     Hom(P•, D(_A B)) naturally in P, and over a field D keeps
@@ -564,8 +578,7 @@ class CotwistData:
     shorter than a bimodule resolution's by trailing zeros.
     """
 
-    def __init__(self, surjection, tor_dims, cone_dims, concentrated,
-                 cotwist_bimodule, complete):
+    def __init__(self, surjection, tor_dims, cone_dims, cotwist_bimodule, complete):
         if tor_dims and tor_dims[0] != surjection.target.dim:
             raise SphertwistError(
                 "degree-zero tensor square must match the target dimension"
@@ -573,9 +586,12 @@ class CotwistData:
         self.surjection = surjection
         self.tor_dims = tor_dims
         self.cone_dims = cone_dims
-        self.concentrated = concentrated
         self.cotwist_bimodule = cotwist_bimodule
         self.complete = complete
+
+    @property
+    def concentrated(self):
+        return _concentration(self.tor_dims, self.complete)
 
     @property
     def shift(self):
@@ -592,30 +608,17 @@ def cotwist_data(p, cap=None):
 
     Reports the homology profile, the cone profile of the degree-zero
     multiplication map, and — when the profile is certified concentrated
-    in {0, t} — the twisting bimodule and its shift.
+    in {0, t} — the twisting bimodule, whose shift the record reads off.
     """
     square = tensor_square(p, cap=cap)
     dims = square.homology_dims
-    positive = [i for i, d in enumerate(dims) if d and i > 0]
-    concentrated = None
+    t = _concentration(dims, square.complete)
     bimod = None
-    if square.complete and len(positive) == 1:
-        t = positive[0]
-        concentrated = t
+    if t is not None:
         bimod = _extract_bimodule(square, t)
-        expected = {-t - 1: dims[t]}
-        for deg, d in square.cone_dims.items():
-            want = expected.get(deg, 0)
-            if d != want:
-                raise SphertwistError(
-                    "cone profile disagrees with the homology profile",
-                    witness=square.cone_dims,
-                )
-    return CotwistData(
-        p,
-        dims,
-        square.cone_dims,
-        concentrated,
-        bimod,
-        square.complete,
-    )
+        if {k: d for k, d in square.cone_dims.items() if d} != {-t - 1: dims[t]}:
+            raise SphertwistError(
+                "cone profile disagrees with the homology profile",
+                witness=square.cone_dims,
+            )
+    return CotwistData(p, dims, square.cone_dims, bimod, square.complete)

@@ -307,19 +307,20 @@ class HomBasis:
     when y − x·B comes out zero, which is the exact equation
     Σ xᵢ·hᵢ = y; a map outside the span leaves a nonzero part there and
     raises SphertwistError rather than returning coordinates.  On an
-    independent list the coordinates are unique.
+    independent list the coordinates are unique.  The field is that of
+    the maps; an empty list factors nothing, so it needs none.
     """
 
-    def __init__(self, field, homs):
-        self.field = field
-        self.homs = list(homs)
+    def __init__(self, homs):
+        self.homs = homs = list(homs)
         if not homs:
             return
-        self._shape = (homs[0].matrix.nrows, homs[0].matrix.ncols)
+        first = homs[0].matrix
+        self._shape = (first.nrows, first.ncols)
         if any((h.matrix.nrows, h.matrix.ncols) != self._shape for h in homs):
             raise ShapeError("hom basis maps of different shapes")
         width = self._shape[0] * self._shape[1]
-        flats = Matrix.from_pairs(field, [_flatten(h.matrix) for h in homs], width)
+        flats = Matrix.from_pairs(first.field, [_flatten(h.matrix) for h in homs], width)
         self._preimages = Preimages(flats)
         if self._preimages.span.pivots[-1] >= width:
             raise SphertwistError("hom basis is linearly dependent")
@@ -908,7 +909,7 @@ def _endomorphism_table(homs, tags):
         raise SphertwistError("zero module has no unital endomorphism algebra")
     m = homs[0].source
     f = m.algebra.field
-    basis = HomBasis(f, homs)
+    basis = HomBasis(homs)
     rows_of = [{r for r, row in enumerate(h.matrix.pairs) if row} for h in homs]
     cols_of = [{c for row in h.matrix.pairs for c, _ in row} for h in homs]
     table = [

@@ -16,9 +16,8 @@ takes its terms from covers, and the source of a cover is the shared sum
 (``covered``): its eₖ are idempotent, and for e² = e,
 A_A = e·A ⊕ (1−e)·A, so e·A is projective and so is a direct sum of
 such pieces.  A term with a record is therefore projective, and readers
-take its pieces from the record.  A term without one (only a resolution
-built by hand has one) is checked by the cover criterion: a module is
-projective exactly when its projective cover has the same dimension.
+take its pieces from the record.  A `Resolution` refuses a term without
+one, so every resolution is made of covers.
 
 Each builder stops at a cap, 2·dim + 2 unless one is given.  `_cap` is
 the one place that default is written, and the twist's projective
@@ -48,22 +47,16 @@ from .modules import (
 )
 
 
-def is_projective(m):
-    """True iff the projective cover of m is an isomorphism."""
-    p, _ = projective_cover(m)
-    return p.dim == m.dim
-
-
 class Resolution:
     """A finite (or truncated) projective resolution, audited at birth.
 
     ``truncated`` marks a resolution whose top map has a kernel, which is
     what a builder stopped at its cap leaves (`_resolve_by`); it is read
     off the audit's own ranks and is the one signal that the target did
-    not resolve within the cap.  The constructor re-verifies everything
-    a builder claims: shapes, zero composites, exactness via ranks at
-    every degree below the top, surjectivity of the augmentation and
-    projectivity of each term.
+    not resolve within the cap.  The target is the augmentation's.  The
+    constructor re-verifies everything a builder claims: shapes, zero
+    composites, exactness via ranks at every degree below the top,
+    surjectivity of the augmentation and a cover record on each term.
 
     A complete resolution needs no alternating dimension count on top of
     the ranks.  Write rᵢ for the rank of the map out of Tᵢ (the
@@ -76,23 +69,24 @@ class Resolution:
     A term built as a cover is the shared sum ⊕ eₖ·A of
     `modules._piece_sum`, whose record (``term.covered``) certifies it
     projective: every eₖ was checked idempotent when the sum was built,
-    and e² = e splits A_A = e·A ⊕ (1−e)·A.  A term without a record,
-    which only a resolution built by hand has, is checked by
-    `is_projective`.
+    and e² = e splits A_A = e·A ⊕ (1−e)·A.  A term without a record is
+    refused, projective or not: every builder takes its terms from
+    covers, and the readers of a resolution take each term's pieces
+    from its record.
     """
 
-    def __init__(self, target, terms, maps, augmentation):
+    def __init__(self, terms, maps, augmentation):
         if not terms:
             raise SphertwistError("a resolution needs at least one term")
         if len(maps) != len(terms) - 1:
             raise SphertwistError("resolution has %d terms but %d maps" % (
                 len(terms), len(maps)))
-        if augmentation.source is not terms[0] or augmentation.target is not target:
+        if augmentation.source is not terms[0]:
             raise SphertwistError("augmentation endpoints do not match")
         for i, h in enumerate(maps):
             if h.source is not terms[i + 1] or h.target is not terms[i]:
                 raise SphertwistError("map %d endpoints do not match" % i)
-        self.target = target
+        self.target = augmentation.target
         self.terms = terms
         self.maps = maps
         self.augmentation = augmentation
@@ -107,6 +101,9 @@ class Resolution:
         return [t.dim for t in self.terms]
 
     def _audit(self):
+        for i, t in enumerate(self.terms):
+            if t.covered is None:
+                raise SphertwistError("term %d has no cover record" % i)
         aug = self.augmentation
         ranks = [rank(aug.matrix)]
         if ranks[0] != self.target.dim:
@@ -122,9 +119,6 @@ class Resolution:
             ranks.append(r)
             prev = h
         self.truncated = ranks[-1] != self.terms[-1].dim
-        for i, t in enumerate(self.terms):
-            if t.covered is None and not is_projective(t):
-                raise SphertwistError("term %d is not projective" % i)
 
     def __repr__(self):
         dims = "<-".join(str(d) for d in self.term_dims)
@@ -218,7 +212,7 @@ def _resolve_by(m, cap, cover):
         maps.append(epi.compose(incl))
         terms.append(q)
         k, incl = kernel_of(epi)
-    return Resolution(m, terms, maps, aug)
+    return Resolution(terms, maps, aug)
 
 
 def resolve_past(m, cap=None):

@@ -159,11 +159,12 @@ class TiltingAudit:
     found; internal incoherence between independent routes to the same
     number raises instead.  ``tensor_dim`` is the dimension of the
     balanced tensor of the two bimodules over the companion algebra.
+    The audit hangs off the `SphericalReport` of the passing window it
+    audits, which holds that window ``t``.
     """
 
-    def __init__(self, t, I0_dims, D0_dims, biperfect, rho_iso, lambda_iso,
+    def __init__(self, I0_dims, D0_dims, biperfect, rho_iso, lambda_iso,
                  composite_iso_to_projE, tensor_dim):
-        self.t = t
         self.I0_dims = I0_dims
         self.D0_dims = D0_dims
         self.biperfect = biperfect
@@ -539,7 +540,7 @@ def tilting_audit(report):
             "window %d fails the two-sided audit; tilting needs a passing window"
             % report.t
         )
-    ctx, t, cap = report.ctx, report.t, report.cap
+    ctx, cap = report.ctx, report.cap
     lam = ctx.endo
     f = lam.field
     total = ctx.total
@@ -551,8 +552,8 @@ def tilting_audit(report):
     ihoms = _generator_hom_basis(blocks, companion, total)
     dhoms = _generator_hom_basis([p] + copies, total, companion)
     ni, nd = len(ihoms), len(dhoms)
-    icoords = HomBasis(f, ihoms).coords
-    dcoords = HomBasis(f, dhoms).coords
+    icoords = HomBasis(ihoms).coords
+    dcoords = HomBasis(dhoms).coords
 
     # the block subspaces of Hom(C, T) and Hom(T, C) have disjoint
     # supports, so each rref basis map lies in one block pair (the
@@ -684,6 +685,6 @@ def tilting_audit(report):
     )
 
     return TiltingAudit(
-        t, I0_dims, D0_dims, biperfect, rho_iso, lambda_iso,
+        I0_dims, D0_dims, biperfect, rho_iso, lambda_iso,
         composite_iso_to_projE, tensor_dim,
     )

@@ -64,6 +64,7 @@ from .errors import (
 from .exactlin import Matrix, Preimages, kernel_basis, product_residual, rank
 from .frobenius import _indecomposable_projectives, dual_module
 from .homology import (
+    _cohomology_module,
     _yoneda_blocks,
     _yoneda_cochain_modules,
     _yoneda_dim,
@@ -84,7 +85,6 @@ from .modules import (
     direct_sum,
     kernel_of,
     projective_cover,
-    quotient,
     restrict_scalars,
     submodule,
 )
@@ -95,23 +95,28 @@ from .resolutions import _cap, minimal_resolution
 # bounded complexes
 
 
+def _zero_hom(src, tgt):
+    """The zero map src → tgt; it needs no audit."""
+    return ModuleHom(src, tgt, Matrix.zero(src.algebra.field, src.dim, tgt.dim), validate=False)
+
+
 class ChainComplex:
     """A bounded complex of right modules, differentials raising degree.
 
     ``terms[i]`` sits in degree ``lo + i`` and ``maps[i]`` goes from
     ``terms[i]`` to ``terms[i+1]``.  Zero terms at either end are
-    trimmed on construction, every composite of consecutive
-    differentials is checked to vanish, and endpoints of each map must
-    be the stored term objects themselves.  ``truncated`` marks a
-    complex whose top was cut by a cap rather than by a certified
-    vanishing bound.
+    trimmed on construction.  Every complex is audited at birth: its
+    terms lie over its algebra, each map's endpoints are the stored
+    terms themselves, and consecutive differentials compose to zero.
+    ``cut`` is the top degree a truncated twist was built to (None when
+    complete); the trimming keeps it, and ``truncated`` reads it.
 
     A complex whose terms all carry cover records (``covered``, set by
     `modules._piece_sum`) is a complex of projectives ⊕ eₖ·A that
     `hom_complex` can read by Yoneda.
     """
 
-    def __init__(self, algebra, lo, terms, maps, validate=True, truncated=False):
+    def __init__(self, algebra, lo, terms, maps, cut=None):
         terms = list(terms)
         maps = list(maps)
         if len(maps) != max(len(terms) - 1, 0):
@@ -129,9 +134,8 @@ class ChainComplex:
         self.lo = lo + first if last > first else 0
         self.terms = terms[first:last]
         self.maps = maps[first : max(last - 1, first)]
-        self.truncated = truncated
-        if validate:
-            self._validate()
+        self.cut = cut
+        self._validate()
 
     def _validate(self):
         for t in self.terms:
@@ -145,6 +149,10 @@ class ChainComplex:
                 raise SphertwistError(
                     "differential fails d∘d = 0 at degree %d" % (self.lo + i)
                 )
+
+    @property
+    def truncated(self):
+        return self.cut is not None
 
     @property
     def hi(self):
@@ -166,20 +174,14 @@ class ChainComplex:
         """The map leaving degree k (a zero hom outside the window)."""
         if self.terms and self.lo <= k < self.hi:
             return self.maps[k - self.lo]
-        src, tgt = self.term(k), self.term(k + 1)
-        return ModuleHom(
-            src,
-            tgt,
-            Matrix.zero(self.algebra.field, src.dim, tgt.dim),
-            validate=False,
-        )
+        return _zero_hom(self.term(k), self.term(k + 1))
 
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
         if self.algebra is not other.algebra:
             return False
-        if self.lo != other.lo or len(self.terms) != len(other.terms):
+        if (self.lo, self.cut, len(self.terms)) != (other.lo, other.cut, len(other.terms)):
             return False
         for a, b in zip(self.terms, other.terms):
             if a.dim != b.dim or a.action != b.action:
@@ -191,7 +193,7 @@ class ChainComplex:
             return "ChainComplex(zero)"
         dims = ",".join(str(t.dim) for t in self.terms)
         return "ChainComplex([%d,%d] dims %s%s)" % (
-            self.lo, self.hi, dims, ", truncated" if self.truncated else "")
+            self.lo, self.hi, dims, "" if self.cut is None else ", cut at %d" % self.cut)
 
 
 class ChainMap:
@@ -217,13 +219,7 @@ class ChainMap:
     def component(self, k):
         if self.comps and self.lo <= k < self.lo + len(self.comps):
             return self.comps[k - self.lo]
-        src, tgt = self.source.term(k), self.target.term(k)
-        return ModuleHom(
-            src,
-            tgt,
-            Matrix.zero(self.source.algebra.field, src.dim, tgt.dim),
-            validate=False,
-        )
+        return _zero_hom(self.source.term(k), self.target.term(k))
 
     def _validate(self):
         for i, h in enumerate(self.comps):
@@ -267,9 +263,8 @@ def shift(c, n):
             )
             for h in c.maps
         ]
-    return ChainComplex(
-        c.algebra, c.lo - n, c.terms, maps, validate=False, truncated=c.truncated
-    )
+    cut = None if c.cut is None else c.cut - n
+    return ChainComplex(c.algebra, c.lo - n, c.terms, maps, cut)
 
 
 def cone(f):
@@ -297,22 +292,19 @@ def cone(f):
         top = dy.hstack(Matrix.zero(field, dy.nrows, dx.ncols))
         bottom = fk.hstack(dx.scale(neg))
         maps.append(ModuleHom(sums[k - lo], sums[k - lo + 1], top.vstack(bottom)))
-    return ChainComplex(x.algebra, lo, sums, maps, validate=True)
+    return ChainComplex(x.algebra, lo, sums, maps)
 
 
 def cohomology_dims(c):
-    """{degree: dim} of the nonzero cohomology of a bounded complex."""
+    """{degree: dim} of the nonzero cohomology of a bounded complex:
+    dim Cᵏ − rank dₖ − rank dₖ₋₁, never negative, because every complex
+    was checked for d∘d = 0 at birth, so rank dₖ₋₁ ≤ dim ker dₖ."""
     out = {}
     if not c.terms:
         return out
-    # the rank of each differential, with the zero maps into the lowest
-    # term and out of the highest at either end
     ranks = [0] + [rank(h.matrix) for h in c.maps] + [0]
     for i, t in enumerate(c.terms):
-        d = t.dim - ranks[i + 1] - ranks[i]
-        if d < 0:
-            raise SphertwistError("negative cohomology dimension — broken complex")
-        if d:
+        if d := t.dim - ranks[i + 1] - ranks[i]:
             out[c.lo + i] = d
     return out
 
@@ -401,7 +393,7 @@ def hom_complex(c, d):
                 _place(rows, at, offsets[(k - 1, n + 1)], pre, sign)
         rows = [sorted(row) for row in rows]
         maps.append(ModuleHom(src, tgt, Matrix.from_pairs(field, rows, tgt.dim), validate=False))
-    return ChainComplex(_scalar_algebra(field), n_lo, terms, maps, validate=True)
+    return ChainComplex(_scalar_algebra(field), n_lo, terms, maps)
 
 
 def _place(rows, at_r, at_c, mat, scalar):
@@ -466,7 +458,8 @@ def _twist_core(p, c_mod, kernel, top=None):
     pd K + 1.  A perfect kernel cuts the
     complex at degree depth with the kernel of the next differential,
     since Ext^i(K, c) = 0 past pd K; a truncated one needs a top degree
-    and keeps degrees 0..depth, depth = max(top, 1).
+    and keeps degrees 0..depth, depth = max(top, 1), which the complex
+    keeps as its ``cut``.
     ``kernel`` is `_kernel_data` of p, and c_mod lies over p.source
     (`_over`).  The resolution P• is returned with the complex, None for
     a zero kernel.
@@ -506,7 +499,7 @@ def _twist_core(p, c_mod, kernel, top=None):
     else:
         terms = hom_modules[: depth + 1]
         maps = diffs[:depth]
-    return ChainComplex(lam, 0, terms, maps, truncated=not complete), dual_res
+    return ChainComplex(lam, 0, terms, maps, None if complete else depth), dual_res
 
 
 def twist_apply(p, m, top=None, cap=None):
@@ -516,8 +509,8 @@ def twist_apply(p, m, top=None, cap=None):
     supported from degree 0 up to the certified vanishing bound
     (projective dimension of the kernel plus one, where the tail is cut
     by a kernel term).  A kernel with no finite resolution within the
-    cap needs a top degree and yields a complex flagged ``truncated``,
-    built in degrees 0..max(top, 1).  The cohomology is cross-checked
+    cap needs a top degree and yields a truncated complex built in
+    degrees 0..max(top, 1), its ``cut``.  The cohomology is cross-checked
     against the same dimensions computed from a projective resolution of
     the kernel — the whole profile when the kernel is perfect, the
     prefix below the cut when truncated — and a disagreement between the
@@ -537,10 +530,9 @@ def twist_apply(p, m, top=None, cap=None):
     if k_mod.dim == 0:
         return out
     got = cohomology_dims(out)
-    if res.truncated:
-        depth = max(top, 1)
-        expected = ext_dims(k_mod, c_mod, depth + 1)[:depth]
-        got = {k: v for k, v in got.items() if k < depth}
+    if out.truncated:
+        expected = ext_dims(k_mod, c_mod, out.cut + 1)[: out.cut]
+        got = {k: v for k, v in got.items() if k < out.cut}
     else:
         expected = ext_from_resolution(res, c_mod, res.length + 2)
     want = {i: d for i, d in enumerate(expected) if d}
@@ -559,22 +551,20 @@ def twist_apply(p, m, top=None, cap=None):
 class TriangleReport:
     """Degree table comparing the cone of the counit with the twist.
 
-    ``cone_profile`` and ``twist_profile`` map degrees to cohomology
-    dimensions inside ``compare_window``; both were computed from the
-    same surjection by different constructions, and the report is only
-    returned when they agree (a mismatch raises instead).
-    ``counit_iso`` records whether the cone died entirely.
+    The cone's and the twist's cohomology come from different
+    constructions, and a mismatch inside ``compare_window`` raises, so
+    the report holds the one ``profile``, {degree: dimension}, they
+    share.  ``counit_iso`` records whether the cone died entirely.
     """
 
-    def __init__(self, cone_profile, twist_profile, compare_window, counit_iso):
-        self.cone_profile = cone_profile
-        self.twist_profile = twist_profile
+    def __init__(self, profile, compare_window, counit_iso):
+        self.profile = profile
         self.compare_window = compare_window
         self.counit_iso = counit_iso
 
     def __repr__(self):
-        return "TriangleReport(window %s, cone %s, twist %s)" % (
-            self.compare_window, self.cone_profile, self.twist_profile)
+        return "TriangleReport(window %s, profile %s)" % (
+            self.compare_window, self.profile)
 
 
 def _balanced_collapse_dim(p, blocks):
@@ -654,7 +644,7 @@ def twist_triangle_check(p, m, cap=None):
             "cone of the counit disagrees with the twist",
             witness=(cone_dims, twist_dims),
         )
-    return TriangleReport(cone_dims, twist_dims, (-1, depth), not cone_all)
+    return TriangleReport(cone_dims, (-1, depth), not cone_all)
 
 
 # ---------------------------------------------------------------------------
@@ -851,16 +841,23 @@ def _hom_table_entry(model, target, window):
 # the equivalence certificate
 
 
+def _shift_zero_count(table):
+    """The shift-zero counts of a hom table summed, None for no table."""
+    return sum(entry.get(0, 0) for entry in table.values()) if table else None
+
+
 class TwistCertificate:
     """Everything the tilting-style audit of one twist measured.
 
     ``images`` are the twists of the idempotent slices of the regular
     module (in idempotent order); ``hom_table[(i, j)]`` counts maps
-    between images modulo homotopy per shift inside ``window``;
-    ``endo_dim`` sums the shift-zero counts, which is the endomorphism
-    dimension of the twist of the regular module by additivity.  The
-    verdict requires finite projective models for every image, no maps
-    in nonzero shifts, and the unit certificate: an endomorphism count
+    between images modulo homotopy per shift inside ``window`` (empty
+    with no kernel or an image without a finite model).  Read off the
+    table, ``endo_dim`` sums the shift-zero counts, the endomorphism
+    dimension of the twist of the regular module by additivity (None
+    for an empty table), and ``off_shift_zero`` says no other shift
+    counts a map.  The verdict requires finite projective models for every image, no maps in
+    nonzero shifts, and the unit certificate: an endomorphism count
     matching the algebra, and the algebra acting faithfully on the
     cohomology of its own twist, which pins the unit map as injective,
     hence — the counts matching — bijective.  ``unit_map_bijective``
@@ -868,16 +865,22 @@ class TwistCertificate:
     reports what was found.
     """
 
-    def __init__(self, surjection, images, hom_table, window, endo_dim,
-                 images_perfect, off_shift_zero, unit_map_bijective):
+    def __init__(self, surjection, images, hom_table, window, images_perfect,
+                 unit_map_bijective):
         self.surjection = surjection
         self.images = images
         self.hom_table = hom_table
         self.window = window
-        self.endo_dim = endo_dim
         self.images_perfect = images_perfect
-        self.off_shift_zero = off_shift_zero
         self.unit_map_bijective = unit_map_bijective
+
+    @property
+    def endo_dim(self):
+        return _shift_zero_count(self.hom_table)
+
+    @property
+    def off_shift_zero(self):
+        return not any(v for entry in self.hom_table.values() for n, v in entry.items() if n)
 
     @property
     def verdict(self):
@@ -907,8 +910,8 @@ def _unit_faithful_on_cohomology(p, res):
     which makes each term a right module over it.  Validating the
     differentials as module maps certifies that the action commutes
     with them, so it descends to cohomology: each Hᵏ is the quotient of
-    the cycles (`kernel_of`) by the boundaries, read in the cycles'
-    coordinates, as `homology._extract_bimodule` reads Hᵗ.  The action
+    the cycles by the boundaries (`homology._cohomology_module`), the
+    reader `homology._extract_bimodule` takes Hᵗ from.  The action
     is faithful exactly when the flattened actions of the basis on all
     the Hᵏ side by side have rank dim A.  No hom-space system is solved.
 
@@ -920,14 +923,11 @@ def _unit_faithful_on_cohomology(p, res):
     lam = p.source
     terms, maps, _blocks = _yoneda_cochain_modules(
         res, Module.regular(lam), Module.regular(opposite(lam)), len(res.terms))
-    cx = ChainComplex(opposite(lam), 0, terms, maps, validate=False)
+    cx = ChainComplex(opposite(lam), 0, terms, maps)
     flats = [[] for _ in range(lam.dim)]
     width = 0
     for k in range(cx.lo, cx.hi + 1) if cx.terms else []:
-        cycles, incl = kernel_of(cx.differential(k))
-        in_cycles = Preimages(incl.matrix)
-        h, _ = quotient(
-            cycles, [in_cycles.of(r) for r in cx.differential(k - 1).matrix.pairs])
+        h = _cohomology_module(cx.differential(k - 1), cx.differential(k))[0]
         for act, flat in zip(h.action, flats):
             flat.extend((width + j, e) for j, e in _flatten(act))
         width += h.dim * h.dim
@@ -954,17 +954,15 @@ def equivalence_certificate(p, cap=None):
     if k_mod.dim == 0 or res.truncated:
         # no kernel means the twist is zero; an imperfect kernel means no
         # certified model — both are honest negatives
-        return TwistCertificate(p, [], {}, (0, 0), None, k_mod.dim == 0, True, False)
+        return TwistCertificate(p, [], {}, (0, 0), k_mod.dim == 0, False)
     pd = res.length
     window = (-(pd + 1), 1)
     images = [_twist_core(p, piece, kernel)[0]
               for piece in _indecomposable_projectives(lam)]
     models = [perfect_model(image) for image in images]
     if None in models:
-        return TwistCertificate(p, images, {}, window, None, False, True, False)
+        return TwistCertificate(p, images, {}, window, False, False)
     table = {(i, j): _hom_table_entry(x, y, window)
              for i, x in enumerate(models) for j, y in enumerate(models)}
-    endo = sum(entry.get(0, 0) for entry in table.values())
-    off_zero = not any(v for entry in table.values() for n, v in entry.items() if n)
-    unit = endo == lam.dim and _unit_faithful_on_cohomology(p, res)
-    return TwistCertificate(p, images, table, window, endo, True, off_zero, unit)
+    unit = _shift_zero_count(table) == lam.dim and _unit_faithful_on_cohomology(p, res)
+    return TwistCertificate(p, images, table, window, True, unit)

@@ -2,8 +2,9 @@
 
 No audit of the package reads any of these: each one is a property the
 tests assert of what the package builds (a resolution is minimal, a
-cover is partially essential, an algebra is symmetric), or a small
-object a test starts from (an identity map, an identity surjection).
+module is projective, a cover is partially essential, an algebra is
+symmetric), or a small object a test starts from (an identity map, an
+identity surjection).
 `find_isomorphism` and `is_symmetric` are randomized searches: a
 positive answer is exact, a negative one is evidence, not proof, unless
 the docstring says when it is.
@@ -20,6 +21,7 @@ from sphertwist.modules import (
     hom_space,
     kernel_of,
     module_radical,
+    projective_cover,
     quotient,
 )
 from sphertwist.resolutions import stable_simples
@@ -92,6 +94,12 @@ def find_isomorphism(m, n):
         if rank(acc) == m.dim:
             return ModuleHom(m, n, acc, validate=False)
     return None
+
+
+def is_projective(m):
+    """True iff the projective cover of m is an isomorphism."""
+    p, _ = projective_cover(m)
+    return p.dim == m.dim
 
 
 # ---------------------------------------------------------------------------

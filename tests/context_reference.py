@@ -30,7 +30,7 @@ def whole_t_context(projective_part, extra_summands):
     f = total.algebra.field
     homs = hom_space(total, total)
     d = len(homs)
-    basis = HomBasis(f, homs)
+    basis = HomBasis(homs)
 
     def coords(mat):
         return dense(f, basis.coords(mat), d)

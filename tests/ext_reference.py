@@ -31,7 +31,7 @@ def ext_dims(a, m, n, count):
         if not src or not tgt:
             ranks.append(0)
             continue
-        coords = HomBasis(f, tgt).coords
+        coords = HomBasis(tgt).coords
         rows = [coords(h.compose(g).matrix) for g in src]
         ranks.append(rank(Matrix.from_pairs(f, rows, len(tgt))))
     out = []

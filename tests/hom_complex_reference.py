@@ -32,7 +32,7 @@ def hom_complex(c, d):
             if d.lo <= k + n <= d.hi:
                 homs = hom_space(c.term(k), d.term(k + n))
                 bases[(k, n)] = homs
-                solvers[(k, n)] = HomBasis(field, homs)
+                solvers[(k, n)] = HomBasis(homs)
     blocks, terms = {}, []
     for n in range(n_lo, n_hi + 1):
         layout, offset = [], 0
@@ -86,7 +86,7 @@ def unit_faithful_on_cohomology(p, k_mod, cap=None):
     res = minimal_resolution(k_mod, cap=cap)
     reg = Module.regular(lam)
     spaces = [hom_space(t, reg) for t in res.terms]
-    solvers = [HomBasis(field, s) for s in spaces]
+    solvers = [HomBasis(s) for s in spaces]
     pre = []
     for i, h in enumerate(res.maps):
         rows = [solvers[i + 1].coords(h.matrix.mul(f.matrix)) for f in spaces[i]]

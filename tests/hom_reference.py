@@ -62,7 +62,7 @@ def hom_module(ctx, n):
     f = ctx.endo.field
     if d == 0:
         return modules.Module.zero(ctx.endo), []
-    coords = modules.HomBasis(f, homs).coords
+    coords = modules.HomBasis(homs).coords
     action = [
         Matrix.from_pairs(f, [coords(lam.matrix.mul(h.matrix)) for h in homs], d)
         for lam in ctx.hom_basis

@@ -816,7 +816,7 @@ def test_every_solver_reduces_through_the_span_builder(monkeypatch):
     pre = Preimages(m)
     reg = modules.Module.regular(dual_numbers())
     homs = modules.hom_space(reg, reg)
-    basis = modules.HomBasis(QQ, homs)
+    basis = modules.HomBasis(homs)
     solvers = {
         "rref": lambda: rref(m),
         "kernel_basis": lambda: kernel_basis(m),

@@ -136,7 +136,7 @@ def test_module_hom_rejects_a_non_intertwiner(field):
 def test_hom_basis_coords_match_solve(data):
     field, m, n = draw_pair(data)
     homs = hom_space(m, n)
-    basis = HomBasis(field, homs)
+    basis = HomBasis(homs)
     coeffs = [
         field.coerce(c)
         for c in data.draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, 5, Fraction(1, 3)]),
@@ -158,7 +158,7 @@ def test_hom_basis_rejects_a_map_outside_the_span():
     # with J
     a = dual_numbers()
     reg = Module.regular(a)
-    basis = HomBasis(QQ, hom_space(reg, reg))
+    basis = HomBasis(hom_space(reg, reg))
     assert basis.coords(Matrix(QQ, [[3, 5], [0, 3]])) == vectors.pairs(QQ, [3, 5])
     with pytest.raises(SphertwistError, match="escapes"):
         basis.coords(Matrix(QQ, [[1, 0], [0, 0]]))
@@ -172,11 +172,11 @@ def test_hom_basis_rejects_a_dependent_list():
     h = hom_space(reg, reg)[0]
     twice = ModuleHom(reg, reg, h.matrix.scale(2), validate=False)
     with pytest.raises(SphertwistError, match="dependent"):
-        HomBasis(QQ, [h, twice])
+        HomBasis([h, twice])
 
 
 def test_empty_hom_basis_reads_only_the_zero_map():
-    basis = HomBasis(QQ, [])
+    basis = HomBasis([])
     assert basis.coords(Matrix.zero(QQ, 2, 3)) == []
     with pytest.raises(SphertwistError):
         basis.coords(Matrix(QQ, [[0, 1]]))

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from sphertwist import algebra, exactlin, modules, twist
+from sphertwist import algebra, exactlin, homology, modules, twist
 from sphertwist.algebra import enveloping, opposite, quotient_surjection
 from sphertwist.errors import AuditFailed, SphertwistError
 from sphertwist.exactlin import (
@@ -56,14 +56,13 @@ from sphertwist.modules import (
 )
 from sphertwist.resolutions import (
     extract_shape,
-    is_projective,
     minimal_resolution,
     partially_minimal_resolution,
     stable_idempotent_module,
     stable_module,
 )
 
-from checks_reference import find_isomorphism, identity_surjection
+from checks_reference import find_isomorphism, identity_surjection, is_projective
 from exactlin_reference import solve_matrix
 from fixture_algebras import (
     cyclic_nakayama,
@@ -324,6 +323,40 @@ def test_tor_bimodule_of_stable_point(ctx_dual):
     assert bi.left_algebra is ctx_dual.stable_endo
     assert bi.right_algebra is ctx_dual.stable_endo
     assert is_projective(bi.restrict_right()) and is_projective(bi.restrict_left())
+
+
+def _tamper_square(monkeypatch, change):
+    """Make `cotwist_data` read a tensor square that change has edited."""
+    real = homology.tensor_square
+
+    def tampered(p, cap=None):
+        square = real(p, cap=cap)
+        change(square)
+        return square
+
+    monkeypatch.setattr(homology, "tensor_square", tampered)
+
+
+def test_a_degree_zero_tensor_square_off_the_target_is_refused(monkeypatch, ctx_dual):
+    # Tor_0 = B ⊗_A B = B; one more dimension in degree 0 is refused
+    def bump(square):
+        square.homology_dims[0] += 1
+
+    _tamper_square(monkeypatch, bump)
+    with pytest.raises(SphertwistError, match="degree-zero tensor square must match"):
+        cotwist_data(ctx_dual.to_stable)
+
+
+def test_a_cone_profile_off_the_homology_profile_is_refused(monkeypatch, ctx_dual):
+    # concentrated in {0, 2}, the cone lives in degree -3 alone; a cone
+    # dimension in degree 0 is refused, with the cone profile as witness
+    def bump(square):
+        square.cone_dims[0] += 1
+
+    _tamper_square(monkeypatch, bump)
+    with pytest.raises(SphertwistError, match="cone profile disagrees") as info:
+        cotwist_data(ctx_dual.to_stable)
+    assert info.value.witness[0] == 1 and info.value.witness[-3] == 1
 
 
 def test_tor_bimodule_refuses_spread_homology(dual_to_point):

@@ -85,11 +85,16 @@ The package keeps only what it or the benchmark harness calls.  So every
 public top-level function or class of a module under ``src/sphertwist``
 is referred to, outside its own definition, from ``perfbench``, from
 package code outside the public definitions, or from a public
-definition that is itself so referred to: by a name, an attribute, an
-import, or a string outside a docstring (the tracer names its targets
-by string).  A checker or a small builder that only the tests call
-lives in ``tests/*_reference.py``.  The two exceptions are the
-library's entry points in `ENTRY_POINTS`.
+definition that is itself so referred to.  A reference is read with its
+scope: a name load that no enclosing function, lambda or comprehension
+binds, an import, an attribute of a package module (``twist.shift``,
+not ``cd.shift``), or a string outside a docstring that names its module
+too, as a ("module", "name") pair or a "module.name…" path (the tracer
+names its targets by string, the runner its metrics).  A local variable,
+an attribute of any other object and a bare label string that share a
+public name do not keep it.  A checker or a small builder that only the
+tests call lives in ``tests/*_reference.py``.  The three exceptions are
+the library's entry points in `ENTRY_POINTS`.
 """
 
 import ast
@@ -983,6 +988,9 @@ ENTRY_POINTS = {
     ("twist", "twist_triangle_check"):
         "audits the counit triangle of the twist on one module, the paper's "
         "cone-versus-twist comparison",
+    ("twist", "shift"):
+        "places a complex in another degree: the twist module's recipe "
+        "shift(twist_apply(p, m), -d) puts the twist of m in degree d",
 }
 
 
@@ -1000,31 +1008,94 @@ def _docstrings(tree):
     }
 
 
-def _referred_names(node, docstrings):
-    """The names node refers to: a name, an attribute, the last part of an
-    imported name, or each dotted part of a string outside a docstring."""
-    if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, ast.Attribute):
-        return [node.attr]
-    if isinstance(node, ast.alias):
-        return [node.name.rsplit(".", 1)[-1]]
-    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and id(node) not in docstrings):
-        return node.value.split(".")
-    return []
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda) + COMPREHENSIONS
+
+
+def _bound(scope):
+    """The names a function, lambda or comprehension binds for itself:
+    its parameters or loop targets, and every name its own body stores,
+    deletes, imports, catches or defines, outside the scopes nested in
+    it, less those it declares global or nonlocal."""
+    if isinstance(scope, COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    args = scope.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a}
+    declared = set()
+    todo = [scope.body] if isinstance(scope, ast.Lambda) else list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, SCOPES):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return names - declared
+
+
+def _is_str(node):
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _references(tree, modules, docstrings):
+    """(node, reference) for each reference in tree to a public name: a
+    bare name for a name load that no enclosing function, lambda or
+    comprehension binds, or for the last part of an imported name; a
+    (module, name) pair for an attribute of an unshadowed package module,
+    for a tuple that opens with two strings, a package module and a name
+    (or "Class.method"), and for a string outside a docstring that reads
+    "module.name…"."""
+    out = []
+
+    def visit(node, scopes):
+        def free(name):
+            return not any(name in bound for bound in scopes)
+
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and free(node.id):
+            out.append((node, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and free(node.value.id)):
+            out.append((node, (node.value.id, node.attr)))
+        elif isinstance(node, ast.alias):
+            out.append((node, node.name.rsplit(".", 1)[-1]))
+        elif (isinstance(node, ast.Tuple) and len(node.elts) >= 2
+                and all(_is_str(e) for e in node.elts[:2])
+                and node.elts[0].value in modules):
+            out.append((node, (node.elts[0].value, node.elts[1].value.split(".")[0])))
+        elif _is_str(node) and id(node) not in docstrings:
+            parts = node.value.split(".")
+            if len(parts) > 1 and parts[0] in modules:
+                out.append((node, (parts[0], parts[1])))
+        if isinstance(node, SCOPES):
+            scopes = scopes + [_bound(node)]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scopes)
+
+    visit(tree, [])
+    return out
 
 
 def unreferenced_public_names(package, others=(), kept=()):
     """Sorted (module, name) for each public top-level function or class
     of the package sources, a {module: source} dict, that nothing reached
-    refers to outside the name's own definition.
+    refers to outside the name's own definition (`_references`).
 
     Reached are the other sources, the package code outside its public
     top-level definitions, the definitions named in ``kept``, and then,
     to a fixed point, every definition whose name something reached
-    refers to.  So a helper whose only caller is itself unreferenced is
-    flagged as well."""
+    refers to, bare or with its module.  So a helper whose only caller
+    is itself unreferenced is flagged as well."""
     defined = {}
     referred = set()
     trees = [(module, ast.parse(source)) for module, source in package.items()]
@@ -1037,18 +1108,23 @@ def unreferenced_public_names(package, others=(), kept=()):
                 if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and public:
                     defined[module, top.name] = set()
                     owner.update((id(node), (module, top.name)) for node in ast.walk(top))
-        docstrings = _docstrings(tree)
-        for node in ast.walk(tree):
+        for node, ref in _references(tree, set(package), _docstrings(tree)):
             key = owner.get(id(node))
-            names = {n for n in _referred_names(node, docstrings) if key is None or n != key[1]}
-            (referred if key is None else defined[key]).update(names)
+            if key is None:
+                referred.add(ref)
+            elif ref not in (key, key[1]):
+                defined[key].add(ref)
+
+    def hit(key):
+        return key in referred or key[1] in referred
+
     reached = set()
-    todo = set(kept) | {key for key in defined if key[1] in referred}
+    todo = set(kept) | {key for key in defined if hit(key)}
     while todo:
         reached |= todo
         for key in todo:
             referred |= defined[key]
-        todo = {key for key in defined if key[1] in referred} - reached
+        todo = {key for key in defined if hit(key)} - reached
     return sorted(set(defined) - reached)
 
 
@@ -1071,7 +1147,8 @@ def test_every_public_name_is_called_by_the_package_or_the_harness():
 
 
 MOVED = {
-    "resolutions": ["is_minimal", "is_partially_minimal", "is_partially_essential", "radd0"],
+    "resolutions": ["is_minimal", "is_partially_minimal", "is_partially_essential", "radd0",
+                    "is_projective"],
     "modules": ["identity_hom", "is_indecomposable", "find_isomorphism"],
     "frobenius": ["is_symmetric"],
     "twist": ["euler_characteristic"],
@@ -1120,3 +1197,43 @@ def test_the_lint_flags_a_helper_only_a_test_only_name_calls():
         ("resolutions", "is_partially_essential"), ("resolutions", "radd0")]
     assert unreferenced_public_names(
         package, harness + ["is_partially_essential(ctx, epi)"], ENTRY_POINTS) == []
+
+
+def test_a_local_binding_of_the_name_does_not_keep_it():
+    # at the start of this check `shift = at * s` in
+    # `frobenius._generator_hom_basis` kept `twist.shift`
+    package = {"twist": "def shift(c, n):\n    return c\n", "frobenius": """
+def _basis(at, s, tail):
+    shift = at * s
+    scaled = [shift for shift in tail]
+    return shift, scaled, lambda shift: shift
+
+def _inner():
+    shift = 1
+    def read():
+        return shift
+    return read
+"""}
+    assert unreferenced_public_names(package) == [("twist", "shift")]
+    # a load in a function that binds no such name still refers to it
+    package["frobenius"] += "\ndef _call(c):\n    return shift(c, 1)\n"
+    assert unreferenced_public_names(package) == []
+
+
+def test_an_attribute_of_anything_but_a_package_module_does_not_keep_it():
+    # `CotwistData.shift` read as `cd.shift` in the harness kept `twist.shift`
+    package = {"twist": "def shift(c, n):\n    return c\n"}
+    for harness in ("cd.shift == -3", "def f(twist):\n    return twist.shift\n"):
+        assert unreferenced_public_names(package, [harness]) == [("twist", "shift")]
+    assert unreferenced_public_names(package, ["twist.shift(c, 1)"]) == []
+
+
+def test_a_label_string_does_not_keep_it():
+    # the check label "shift" in `perfbench/workloads.py` kept `twist.shift`
+    package = {"twist": "def shift(c, n):\n    return c\n"}
+    for harness in ('CHECKS = [("shift", cd.shift == -3)]', 'x = "other.shift"',
+                    'T = [("spherical", "shift")]'):
+        assert unreferenced_public_names(package, [harness]) == [("twist", "shift")]
+    for harness in ('T = [("twist", "shift", None)]', 'm = "twist.shift.calls"',
+                    'T = [("twist", "shift.__init__")]'):
+        assert unreferenced_public_names(package, [harness]) == []

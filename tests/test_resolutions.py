@@ -8,8 +8,9 @@ partial-essentiality tests read, uses the preimage-of-the-radical
 formula instead; the two must agree exactly.
 
 The resolution audit certifies a term built as a cover from its record
-alone; every resolution that any test here builds is re-checked term by
-term with the full cover criterion `is_projective` as well.
+alone, and refuses a term without one; every resolution that any test
+here builds is re-checked term by term with the full cover criterion
+`checks_reference.is_projective` as well.
 """
 
 import sys
@@ -40,7 +41,6 @@ from sphertwist.resolutions import (
     Resolution,
     _piece_type,
     extract_shape,
-    is_projective,
     minimal_resolution,
     partial_cover,
     partially_minimal_resolution,
@@ -57,6 +57,7 @@ from checks_reference import (
     is_minimal,
     is_partially_essential,
     is_partially_minimal,
+    is_projective,
     radd0,
 )
 from fixture_algebras import cyclic_nakayama, dual_numbers
@@ -506,7 +507,7 @@ def test_the_piece_sum_refuses_a_non_idempotent():
     assert _piece_sum(a, [e]).covered.idempotents == [e]
 
 
-def test_a_term_without_a_record_is_checked_by_the_cover_criterion():
+def test_a_term_without_a_record_is_refused():
     # a truncated minimal resolution of S₁ ⊕ S₂ over the 3-cycle, whose
     # terms are each the sum of two different pieces e·A of dimension 2
     a = cyclic_nakayama(3)
@@ -524,18 +525,20 @@ def test_a_term_without_a_record_is_checked_by_the_cover_criterion():
                    for i in range(t.dim)], t.dim)
     conj = Module(a, t.dim, [q.transpose().mul(m).mul(q) for m in t.action])
     assert conj.action != t.action and conj.covered is None
+    assert is_projective(conj)
 
     aug = ModuleHom(conj, res.target, q.transpose().mul(res.augmentation.matrix))
     maps = [ModuleHom(res.terms[1], conj, res.maps[0].matrix.mul(q))] + res.maps[1:]
-    with pytest.MonkeyPatch.context() as mp:
-        calls = count_calls(mp, resolutions, "is_projective")
-        assert Resolution(res.target, [conj] + res.terms[1:], maps, aug).truncated
-    # only the term without a record went through the criterion
-    assert calls == [(conj,)]
-    # and a term without a record that fails it is refused
+    # exact and projective in every degree, and still refused for the
+    # record it lacks
+    with pytest.raises(SphertwistError, match="term 0 has no cover record"):
+        Resolution([conj] + res.terms[1:], maps, aug)
+    # the same resolution on the recorded term passes
+    assert Resolution(res.terms, res.maps, res.augmentation).truncated
+    # a term that is not projective either is refused the same way
     s = sims[0]
-    with pytest.raises(SphertwistError, match="term 0 is not projective"):
-        Resolution(s, [s], [], identity_hom(s))
+    with pytest.raises(SphertwistError, match="term 0 has no cover record"):
+        Resolution([s], [], identity_hom(s))
 
 
 def test_a_resolution_at_a_cap_is_a_prefix_of_one_at_a_larger_cap(
@@ -567,7 +570,6 @@ def test_resolution_audit_rejects_broken_exactness(ctx_dual):
     )
     with pytest.raises(SphertwistError):
         Resolution(
-            res.target,
             res.terms,
             [zero_map] + res.maps[1:],
             res.augmentation,
@@ -579,7 +581,7 @@ def test_resolution_audit_rejects_non_projective_term(ctx_dual):
     t1 = stable_simples(ctx)[0]
     ident = ModuleHom(t1, t1, Matrix.identity(ctx.endo.field, 1))
     with pytest.raises(SphertwistError):
-        Resolution(t1, [t1], [], ident)
+        Resolution([t1], [], ident)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +691,6 @@ def test_extract_shape_rejects_stable_piece_in_middle(ctx_cycle):
     f2 = top.vstack(bottom)
     aug = ModuleHom(base.terms[0], base.target, base.augmentation.matrix)
     padded = Resolution(
-        base.target,
         [base.terms[0], mid, tail],
         [ModuleHom(mid, base.terms[0], f1), ModuleHom(tail, mid, f2)],
         aug,

@@ -252,6 +252,15 @@ def test_dual_passing_window(report_dual):
     assert r.note == OPEN_QUESTION
 
 
+def test_a_split_verdict_is_refused(monkeypatch, ctx_dual):
+    # side 2 loses its permutation on a window both sides pass
+    monkeypatch.setattr(spherical, "permutation_tau", lambda ctx, t: None)
+    with pytest.raises(AuditFailed, match="verdicts disagree") as info:
+        syz_audit(ctx_dual, 2)
+    side1, side2 = info.value.witness
+    assert side1.verdict and side2.tau is None and not side2.verdict
+
+
 def test_dual_nakayama_comparison(report_dual):
     nak = report_dual.nakayama
     assert isinstance(nak, NakayamaComparison)
@@ -348,7 +357,7 @@ def test_the_companion_syzygy_has_no_projective_summand(
 
 def test_tilting_degenerate_window_dual(report_dual):
     ta = report_dual.tilting_audit
-    assert ta.t == 2
+    assert report_dual.t == 2
     assert ta.I0_dims == (3, 2)
     assert ta.D0_dims == (3, 2)
     assert ta.biperfect and ta.rho_iso and ta.lambda_iso

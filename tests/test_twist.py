@@ -57,6 +57,21 @@ def test_cone_of_multiplication_by_x(dual):
     assert cohomology_dims(cn) == {-1: 1, 0: 1}
 
 
+def test_a_complex_whose_differentials_do_not_compose_to_zero_is_refused(dual):
+    # A --1--> A --1--> A over the dual numbers has d∘d = 1.  Its middle
+    # degree would count dim A − rank d₁ − rank d₀ = 2 − 2 − 2 = −2: the
+    # refusal at birth is what keeps `cohomology_dims` from a negative
+    # dimension
+    a, reg, _ = dual
+    one = ModuleHom(reg, reg, Matrix.identity(a.field, 2))
+    with pytest.raises(SphertwistError, match="fails d∘d = 0 at degree 0"):
+        ChainComplex(a, 0, [reg, reg, reg], [one, one])
+    # x∘x = 0, so A --x--> A --x--> A is a complex: x has rank 1, and
+    # the middle degree counts 2 − 1 − 1 = 0
+    x = ModuleHom(reg, reg, a.left_mult_matrix(a.basis_vector(1)))
+    assert cohomology_dims(ChainComplex(a, 0, [reg, reg, reg], [x, x])) == {0: 1, 2: 1}
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "GF7"])
 def test_a_square_that_fails_to_commute_is_not_a_chain_map(field):
     # X = (A --x--> A) in degrees 0 and 1, over the dual numbers.  The
@@ -103,7 +118,7 @@ def test_identity_surjection_twists_to_zero(dual):
     p = identity_surjection(a)
     assert len(twist_apply(p, reg).terms) == 0
     rep = twist_triangle_check(p, reg)
-    assert rep.cone_profile == {} and rep.twist_profile == {}
+    assert rep.profile == {}
     assert rep.counit_iso
 
 
@@ -117,7 +132,13 @@ def test_fix_a_needs_a_window(dual):
     # A is self-injective, so Ext^i(k, A) = 0 for i ≥ 1, and
     # Hom(k, A) = soc A = xA has dimension 1
     tw = twist_apply(p, reg, top=3)
-    assert tw.truncated
+    # the complex keeps the degree it was built to, though its trimmed
+    # top is degree 0, and a shift moves the cut with the degrees
+    assert tw.truncated and (tw.lo, tw.cut, tw.hi) == (0, 3, 0)
+    moved = shift(tw, -2)
+    assert (moved.lo, moved.cut) == (2, 5)
+    # built to degree 5 the same terms are another complex
+    assert twist_apply(p, reg, top=5) != tw
     assert cohomology_dims(tw) == {0: 1}
 
 
@@ -133,7 +154,7 @@ def test_projective_kernel_beside_a_self_injective_block():
     for c, want in ((s_block, {0: 1}), (s_k, {}), (Module.regular(a), {0: 2})):
         assert cohomology_dims(twist_apply(p, c)) == want
         rep = twist_triangle_check(p, c)
-        assert rep.cone_profile == rep.twist_profile == want
+        assert rep.profile == want
 
 
 def test_ut2_regular_twist(ut2):
@@ -145,16 +166,15 @@ def test_ut2_regular_twist(ut2):
     assert cohomology_dims(tu) == {0: 2}
     assert tu.support == (0, 0)
     rep = twist_triangle_check(p, Module.regular(u))
-    assert rep.cone_profile == rep.twist_profile == {0: 2}
+    assert rep.profile == {0: 2}
 
 
 def test_ut2_simple_twists(ut2):
     # Hom(e_2A, S) ≅ S·e_2: one-dimensional for S_2, zero for S_1
     u, p = ut2
     profiles = [twist_triangle_check(p, s) for s in simple_modules(u)]
-    assert sorted(len(r.cone_profile) for r in profiles) == [0, 1]
-    assert all(r.cone_profile == r.twist_profile for r in profiles)
-    assert {0: 1} in [r.cone_profile for r in profiles]
+    assert sorted(len(r.profile) for r in profiles) == [0, 1]
+    assert {0: 1} in [r.profile for r in profiles]
 
 
 def test_ut2_hom_table(ut2):
@@ -211,9 +231,8 @@ def test_the_counit_triangle_is_additive(ut2):
     for surj, mods, want in cases:
         parts = [twist_triangle_check(surj, m) for m in mods]
         rep = twist_triangle_check(surj, direct_sum(mods)[0])
-        assert rep.cone_profile == rep.twist_profile == want
-        assert sum_profiles(r.twist_profile for r in parts) == want
-        assert sum_profiles(r.cone_profile for r in parts) == want
+        assert rep.profile == want
+        assert sum_profiles(r.profile for r in parts) == want
 
 
 def test_the_certificate_reports_its_honest_negatives(dual, ut2):

@@ -18,6 +18,6 @@ def embedding_bijective(side_alg, mats, module):
     if len(homs) != side_alg.dim:
         return False
     f = module.algebra.field
-    coords = HomBasis(f, homs).coords
+    coords = HomBasis(homs).coords
     rows = [coords(m) for m in mats]
     return rank(Matrix.from_pairs(f, rows, len(homs))) == side_alg.dim

@@ -58,8 +58,8 @@ def hom_into(lam, src, src_left_mults, tgt):
     a acts by (f·a)(x) = f(a·x)."""
     homs = hom_space(src, tgt)
     if not homs:
-        return Module.zero(lam), [], HomBasis(lam.field, [])
-    solver = HomBasis(lam.field, homs)
+        return Module.zero(lam), [], HomBasis([])
+    solver = HomBasis(homs)
     action = [
         Matrix.from_pairs(
             lam.field, [solver.coords(pre.mul(h.matrix)) for h in homs], len(homs)
@@ -77,7 +77,7 @@ def hom_into_ladder(lam, src, src_left_mults, terms, maps, count):
         if j < len(terms):
             hm, hb, sol = hom_into(lam, src, src_left_mults, terms[j])
         else:
-            hm, hb, sol = Module.zero(lam), [], HomBasis(lam.field, [])
+            hm, hb, sol = Module.zero(lam), [], HomBasis([])
         mods.append(hm)
         bases.append(hb)
         solvers.append(sol)
@@ -116,8 +116,8 @@ def twist_complex(p, c, kernel, top=None):
     mods, _bases, _solvers, diffs = hom_into_ladder(
         lam, k_mod, lmults, ladder, ladder_maps, depth + 2)
     if not complete:
-        return (ChainComplex(lam, 0, mods[: depth + 1], diffs[:depth],
-                             truncated=True), ladder, ladder_maps)
+        return (ChainComplex(lam, 0, mods[: depth + 1], diffs[:depth], depth),
+                ladder, ladder_maps)
     ker_mod, ker_incl = kernel_of(diffs[depth])
     last = diffs[depth - 1]
     if ker_mod.dim:
